@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulas import is_prime, smallest_prime_factor
+from .formulas import factorial, is_prime, smallest_prime_factor
 from .groups import (
     GroupTable,
     SubgroupClass,
@@ -156,7 +156,7 @@ def materialize_family_class(
         i = desc.param
         blocks = [list(range(i)), list(range(i, n))]
         gens = _symmetric_block_generators(blocks, n)
-        expected = math_factorial(i) * math_factorial(n - i) // 2
+        expected = factorial(i) * factorial(n - i) // 2
     elif desc.kind == "imprimitive":
         p = desc.param
         size = n // p
@@ -164,14 +164,14 @@ def materialize_family_class(
         gens = _symmetric_block_generators(blocks, n) + _block_permuting_generators(
             blocks, n
         )
-        expected = math_factorial(size) ** p * math_factorial(p) // 2
+        expected = factorial(size) ** p * factorial(p) // 2
     elif desc.kind == "halves":
         size = n // 2
         blocks = [list(range(size)), list(range(size, n))]
         gens = _symmetric_block_generators(blocks, n) + _block_permuting_generators(
             blocks, n
         )
-        expected = math_factorial(size) ** 2 * 2 // 2
+        expected = factorial(size) ** 2 * 2 // 2
     else:
         raise ValueError(f"unknown family kind {desc.kind}")
     full = GroupTable.from_generators(gens, name=desc.label)
@@ -184,8 +184,3 @@ def target_ids(an: GroupTable, sets: AnStandardSets) -> np.ndarray:
     parts = [an.elements_with_cycle_type(t) for t in sets.target_cycle_types]
     return np.unique(np.concatenate(parts))
 
-
-def math_factorial(k: int) -> int:
-    import math
-
-    return math.factorial(k)

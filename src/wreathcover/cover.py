@@ -89,8 +89,9 @@ def build_instance(
     target_ids: Optional[np.ndarray] = None,
 ) -> CoverInstance:
     """Candidates are every conjugate of every given class, deduplicated,
-    labeled CLASS[i] in canonical conjugate order; the universe is the
-    target (or all of g) minus the identity."""
+    labeled CLASS[i] in canonical conjugate order; classes that share a
+    label (unlabeled classes of equal order) are numbered on from one
+    another.  The universe is the target (or all of g) minus the identity."""
     if target_ids is None:
         universe = np.arange(1, g.order, dtype=np.int64)
     else:
@@ -99,9 +100,12 @@ def build_instance(
     pos_of_id = {int(e): i for i, e in enumerate(universe.tolist())}
     labels, masks, handles = [], [], []
     seen: set[bytes] = set()
+    next_index: dict[str, int] = {}
     for cls in classes:
-        base = cls.label or f"order{cls.order}"
-        for i, h in enumerate(cls.conjugates):
+        base = cls.base_label
+        start = next_index.get(base, 0)
+        next_index[base] = start + cls.class_size
+        for i, h in enumerate(cls.conjugates, start):
             if h.canonical_key in seen:
                 continue
             seen.add(h.canonical_key)

@@ -58,20 +58,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def integer_nth_root_ceil(x: int, n: int) -> int:
-    """Smallest integer r with r**n >= x (exact, no floating point)."""
-    if x < 0 or n < 1:
-        raise ValueError("x >= 0 and n >= 1 required")
-    if x in (0, 1):
-        return x
-    r = int(round(x ** (1.0 / n)))  # seed only; corrected exactly below
-    while r**n >= x:
-        r -= 1
-    while r**n < x:
-        r += 1
-    return r
-
-
 @lru_cache(maxsize=600)
 def factorial(n: int) -> int:
     return math.factorial(n)

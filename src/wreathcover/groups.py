@@ -310,6 +310,11 @@ class SubgroupClass:
     def label(self) -> str | None:
         return self.representative.label
 
+    @property
+    def base_label(self) -> str:
+        """The label, or order<N> for an unlabeled class."""
+        return self.label or f"order{self.order}"
+
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
         return f"SubgroupClass(order={self.order}, size={self.class_size}{tag})"
@@ -403,23 +408,79 @@ def centralizer(g: GroupTable, x: int) -> np.ndarray:
     return all_ids[left == right]
 
 
+def _acting_generators(g: GroupTable) -> list[int]:
+    """The non-identity generators of g, in order ([0] for a trivial g):
+    the elements whose conjugation maps walk a class of g."""
+    return [x for x in g.generator_ids if x != 0] or [0]
+
+
+@dataclass
+class ConjugationOrbit:
+    """An orbit of subgroups under conjugation by a list of elements, in
+    breadth-first order from ``members[0]``.
+
+    ``parent``/``via`` form the Schreier vector: member i > 0 is member
+    ``parent[i]`` conjugated by element ``via[i]`` of the acting list.
+    ``generators`` carries each member's generator images when asked for.
+    """
+
+    members: list[np.ndarray]  # sorted int64 ids
+    keys: list[bytes]  # canonical keys of the members
+    parent: list[int]
+    via: list[int]
+    generators: list[np.ndarray] | None
+
+
+def conjugation_orbit(
+    g: GroupTable,
+    member_ids: np.ndarray,
+    elements: Sequence[int],
+    generators: Sequence[int] | None = None,
+) -> ConjugationOrbit:
+    """The orbit of the subgroup with the given sorted ids under
+    conjugation by ``elements``, breadth-first, each member expanded by the
+    elements in order.  Generator images are carried only when
+    ``generators`` is given."""
+    maps = [g.conj_map(x) for x in elements]
+    start = np.asarray(member_ids, dtype=np.int64)
+    members, keys = [start], [start.tobytes()]
+    seen = set(keys)
+    parent, via = [-1], [-1]
+    gens = None if generators is None else [np.asarray(generators, dtype=np.int64)]
+    for i, cur in enumerate(members):  # the list grows as the walk goes
+        for j, cm in enumerate(maps):
+            nxt = np.sort(cm[cur])
+            key = nxt.tobytes()
+            if key not in seen:
+                seen.add(key)
+                members.append(nxt)
+                keys.append(key)
+                parent.append(i)
+                via.append(j)
+                if gens is not None:
+                    gens.append(cm[gens[i]])
+    return ConjugationOrbit(members, keys, parent, via, gens)
+
+
+def orbit_class(g: GroupTable, h: SubgroupHandle) -> SubgroupClass:
+    """The conjugacy class of h, conjugates in canonical-key order, each
+    with its generators conjugated along (h itself is the representative)."""
+    orbit = conjugation_orbit(g, h.member_ids, _acting_generators(g), h.generators)
+    conjugates = [
+        h
+        if i == 0
+        else SubgroupHandle(
+            g, orbit.members[i], tuple(orbit.generators[i].tolist()), label=h.label
+        )
+        for i in sorted(range(len(orbit.keys)), key=lambda i: orbit.keys[i])
+    ]
+    return SubgroupClass(representative=h, conjugates=conjugates)
+
+
 def conjugate_class(g: GroupTable, h: SubgroupHandle) -> SubgroupClass:
-    """All distinct conjugates of h under g, breadth-first over generators."""
-    gens = [x for x in g.generator_ids if x != 0] or [0]
-    start = h
-    seen = {start.canonical_key}
-    ordered = [start]
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        for x in gens:
-            nxt = cur.conjugate(x)
-            if nxt.canonical_key not in seen:
-                seen.add(nxt.canonical_key)
-                ordered.append(nxt)
-                queue.append(nxt)
-    ordered.sort(key=lambda s: s.canonical_key)
-    cls = SubgroupClass(representative=h, conjugates=ordered)
+    """All distinct conjugates of h under g, checked against the
+    orbit-stabilizer count |class| * |N_g(h)| = |g|."""
+    cls = orbit_class(g, h)
     nsize = normalizer(g, h).shape[0]
     if cls.class_size * nsize != g.order:
         raise AssertionError(
@@ -431,15 +492,10 @@ def conjugate_class(g: GroupTable, h: SubgroupHandle) -> SubgroupClass:
 def class_conjugators(g: GroupTable, cls: SubgroupClass) -> dict[bytes, int]:
     """For each conjugate in the class, one element c with rep^c equal to
     it (c = identity for the representative)."""
-    gens = [x for x in g.generator_ids if x != 0] or [0]
-    rep = cls.representative
-    out = {rep.canonical_key: 0}
-    queue = [(rep, 0)]
-    while queue:
-        cur, c = queue.pop(0)
-        for x in gens:
-            nxt = cur.conjugate(x)
-            if nxt.canonical_key not in out:
-                out[nxt.canonical_key] = g.mul(c, x)
-                queue.append((nxt, g.mul(c, x)))
-    return out
+    elements = _acting_generators(g)
+    orbit = conjugation_orbit(g, cls.representative.member_ids, elements)
+    # rebuilt from the Schreier vector: a parent comes before its children
+    conjugators = [0]
+    for p, j in zip(orbit.parent[1:], orbit.via[1:]):
+        conjugators.append(g.mul(conjugators[p], elements[j]))
+    return dict(zip(orbit.keys, conjugators))

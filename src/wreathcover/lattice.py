@@ -21,11 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .formulas import smallest_prime_factor
 from .groups import (
     GroupTable,
     SubgroupClass,
     SubgroupHandle,
+    _reduce_generators,
+    conjugation_orbit,
     normalizer,
+    orbit_class,
     subgroup_closure,
     subgroup_from_set,
 )
@@ -35,17 +39,6 @@ DEFAULT_ORDER_CAP = 10**4
 
 class LatticeCapError(RuntimeError):
     """Group order exceeds the subgroup-enumeration cap."""
-
-
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n
 
 
 def _divisors(n: int) -> list[int]:
@@ -58,61 +51,6 @@ def _divisors(n: int) -> list[int]:
                 out.append(n // d)
         d += 1
     return sorted(out)
-
-
-def _generating_ids(g: GroupTable, element_ids: np.ndarray) -> list[int]:
-    """Small generating set for a subgroup given as its full element set."""
-    have = {0}
-    gens: list[int] = []
-    target = element_ids.shape[0]
-    for x in element_ids.tolist():
-        if x in have:
-            continue
-        gens.append(int(x))
-        have = subgroup_closure(g, gens).member_set()
-        if len(have) == target:
-            break
-    return gens
-
-
-class _ClassRegistry:
-    """Tracks every conjugate of every discovered subgroup class."""
-
-    def __init__(self, g: GroupTable):
-        self.g = g
-        self.key_to_class: dict[bytes, int] = {}
-        self.classes: list[SubgroupClass] = []
-        self._gen_conj = [g.conj_map(x) for x in g.generator_ids if x != 0]
-
-    def lookup(self, ids: np.ndarray) -> int | None:
-        return self.key_to_class.get(ids.astype(np.int64).tobytes())
-
-    def register(self, handle: SubgroupHandle) -> int:
-        """Add a new class; computes and files the full conjugation orbit.
-        Generators are conjugated along so every conjugate handle is usable."""
-        idx = len(self.classes)
-        ids0 = handle.member_ids.astype(np.int64)
-        gens0 = np.array(handle.generators, dtype=np.int64)
-        seen: dict[bytes, tuple[np.ndarray, np.ndarray]] = {ids0.tobytes(): (ids0, gens0)}
-        queue = [(ids0, gens0)]
-        while queue:
-            cur, cur_gens = queue.pop()
-            for cm in self._gen_conj:
-                nxt = np.sort(cm[cur])
-                key = nxt.tobytes()
-                if key not in seen:
-                    entry = (nxt, cm[cur_gens])
-                    seen[key] = entry
-                    queue.append(entry)
-        conjugates = []
-        for key in sorted(seen):
-            self.key_to_class[key] = idx
-            ids, gens = seen[key]
-            conjugates.append(
-                SubgroupHandle(self.g, ids, tuple(gens.tolist()), label=handle.label)
-            )
-        self.classes.append(SubgroupClass(representative=handle, conjugates=conjugates))
-        return idx
 
 
 def all_subgroup_classes(
@@ -138,49 +76,39 @@ def all_subgroup_classes(
 
 
 def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
-    registry = _ClassRegistry(g)
+    classes: list[SubgroupClass] = []
+    known: set[bytes] = set()  # the key of every conjugate of every class
 
-    trivial = subgroup_from_set(g, [0], verify=False)
-    registry.register(trivial)
+    def register(h: SubgroupHandle) -> SubgroupClass:
+        cls = orbit_class(g, h)
+        known.update(c.canonical_key for c in cls.conjugates)
+        classes.append(cls)
+        return cls
+
+    register(subgroup_from_set(g, [0], verify=False))
 
     # seed: cyclic subgroup classes
     orders = g.element_orders()
-    cyclic_reps: list[SubgroupHandle] = []
-    seen_cyclic: set[bytes] = set()
+    cyclic_classes: list[SubgroupClass] = []
     for eid in np.argsort(orders, kind="stable").tolist():
         if eid == 0:
             continue
         h = subgroup_closure(g, [eid])
-        if h.canonical_key in seen_cyclic:
-            continue
-        if registry.lookup(h.member_ids) is None:
-            idx = registry.register(h)
-            cyclic_reps.append(registry.classes[idx].representative)
-        for c in registry.classes[registry.lookup(h.member_ids)].conjugates:
-            seen_cyclic.add(c.canonical_key)
-
-    cyclic_classes = [
-        registry.classes[registry.lookup(h.member_ids)] for h in cyclic_reps
-    ]
+        if h.canonical_key not in known:
+            cyclic_classes.append(register(h))
 
     divisors = _divisors(g.order)
-    max_proper = g.order // _smallest_prime_factor(g.order) if g.order > 1 else 1
+    max_proper = g.order // smallest_prime_factor(g.order) if g.order > 1 else 1
 
-    queue = list(range(len(registry.classes)))
-    qpos = 0
-    while qpos < len(queue):
-        cls_idx = queue[qpos]
-        qpos += 1
-        rep = registry.classes[cls_idx].representative
+    for cls in classes:  # the list grows as joins find new classes
+        rep = cls.representative
         if rep.size in (1, g.order):
             continue
-        norm_ids = normalizer(g, rep)
-        norm_gens = [x for x in _generating_ids(g, norm_ids) if x != 0]
-        conj_maps = [g.conj_map(x) for x in norm_gens]
+        norm_gens = [x for x in _reduce_generators(g, normalizer(g, rep)) if x != 0]
         for cyc_cls in cyclic_classes:
             if cyc_cls.order == g.order:
                 continue
-            for cyc in _orbit_reps(cyc_cls, conj_maps):
+            for cyc in _orbit_reps(g, cyc_cls, norm_gens):
                 if np.isin(cyc.member_ids, rep.member_ids).all():
                     continue
                 if not _join_could_be_proper(
@@ -194,43 +122,28 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
                 )
                 if joined is None:
                     continue  # join is the whole group
-                if registry.lookup(joined.member_ids) is None:
-                    new_idx = registry.register(joined)
-                    queue.append(new_idx)
+                if joined.canonical_key not in known:
+                    register(joined)
 
     whole = SubgroupHandle(
         g, np.arange(g.order, dtype=np.int64), tuple(g.generator_ids)
     )
-    if registry.lookup(whole.member_ids) is None:
-        registry.register(whole)
+    if whole.canonical_key not in known:
+        register(whole)
 
-    out = sorted(
-        registry.classes,
-        key=lambda c: (c.order, c.conjugates[0].canonical_key),
-    )
-    return out
+    return sorted(classes, key=lambda c: (c.order, c.conjugates[0].canonical_key))
 
 
-def _orbit_reps(cyc_cls: SubgroupClass, conj_maps: list[np.ndarray]):
-    """One representative per orbit of the given conjugation maps acting on
-    the subgroups of a class; deterministic (min canonical key first)."""
-    key_to_idx = {h.canonical_key: i for i, h in enumerate(cyc_cls.conjugates)}
-    unvisited = [True] * len(cyc_cls.conjugates)
+def _orbit_reps(g: GroupTable, cyc_cls: SubgroupClass, elements: list[int]):
+    """One representative per orbit of conjugation by ``elements`` on the
+    subgroups of a class; deterministic (min canonical key first)."""
     reps = []
-    for i, h in enumerate(cyc_cls.conjugates):
-        if not unvisited[i]:
+    visited: set[bytes] = set()
+    for h in cyc_cls.conjugates:
+        if h.canonical_key in visited:
             continue
         reps.append(h)
-        stack = [h.member_ids]
-        unvisited[i] = False
-        while stack:
-            cur = stack.pop()
-            for cm in conj_maps:
-                nxt = np.sort(cm[cur])
-                j = key_to_idx[nxt.tobytes()]
-                if unvisited[j]:
-                    unvisited[j] = False
-                    stack.append(nxt)
+        visited.update(conjugation_orbit(g, h.member_ids, elements).keys)
     return reps
 
 
@@ -303,13 +216,15 @@ def _cache_load(g: GroupTable, cache_dir) -> list[SubgroupClass] | None:
         return None
     if data.get("group_hash") != g.canonical_hash() or data.get("order") != g.order:
         return None
-    classes = []
-    for entry in data["classes"]:
-        ids = np.array(entry["members"], dtype=np.int64)
-        handle = SubgroupHandle(g, ids, tuple(entry["generators"]))
-        registry = _ClassRegistry(g)
-        idx = registry.register(handle)
-        classes.append(registry.classes[idx])
+    classes = [
+        orbit_class(
+            g,
+            SubgroupHandle(
+                g, np.array(entry["members"], dtype=np.int64), tuple(entry["generators"])
+            ),
+        )
+        for entry in data["classes"]
+    ]
     classes.sort(key=lambda c: (c.order, c.conjugates[0].canonical_key))
     return classes
 

@@ -294,6 +294,7 @@ def psl_report(p: int, m: int, cache_dir=None) -> dict:
     assert g.order == p * (p * p - 1) // 2
     borel = f"{p}:{(p - 1) // 2}"
     dihedral = f"D{p + 1}"
+    family = [borel, dihedral]
     seed_spec = f"orders:{p},{(p + 1) // 2}"
     value, warnings = formulas.c2_value(p, m)
     report: dict = {
@@ -303,29 +304,28 @@ def psl_report(p: int, m: int, cache_dir=None) -> dict:
         "formula_value": str(value),
         "warnings": warnings,
     }
-    by_label = cg.classes_by_label()
-    seed = parse_target_spec(g, seed_spec)
-    counts = {}
-    for lab in (borel, dihedral):
-        rep = by_label[lab].representative
-        counts[lab] = int(np.isin(seed, rep.member_ids).sum())
+    inst = _seed_instance(cg, seed_spec, family, m)
+    counts = {
+        cls.label: int(np.isin(inst.seed_ids, cls.representative.member_ids).sum())
+        for cls in inst.seed_classes
+    }
     report["seed_per_member"] = counts
     report["expected_seed_per_member"] = {
         borel: p - 1,
         dihedral: formulas.euler_phi((p + 1) // 2),
     }
 
-    cover = [h for lab in (borel, dihedral) for h in by_label[lab].conjugates]
+    cover = [h for cls in inst.seed_classes for h in cls.conjugates]
     ok, missing = verify_cover_handles(g, cover)
     report["cover_verified"] = ok
 
-    ub = unbeatable_report(name, seed_spec, [borel, dihedral], m, cache_dir=cache_dir)
+    ub = unbeatable_report(name, seed_spec, family, m, cache_dir=cache_dir)
     report["certificate"] = ub
     if m == 1:
         lower = ub["unbeatability"].get("certified_lower_bound")
         report["passed"] = ok and lower is not None and int(lower) == len(cover) == value
     else:
-        bounds = wreath_bounds_report(name, seed_spec, [borel, dihedral], m)
+        bounds = wreath_bounds_report(name, seed_spec, family, m)
         report["bounds"] = bounds["bounds"]
         report["passed"] = (
             ok
@@ -372,8 +372,10 @@ def descriptor_lines(
     return lines
 
 
+# group and class names may hold commas (PSL(2,7)), so the fields are split
+# at the literal ", class=", ", conj=" and ", cosets=[" separators
 _PRODUCT_RE = re.compile(
-    r"product-type\{group=([^,]+), class=([^,]+), conj=([^,]+), cosets=\[(.*)\]\}"
+    r"product-type\{group=(.+?), class=(.+?), conj=(.+?), cosets=\[(.*)\]\}"
 )
 _SOCLE_RE = re.compile(r"socle\{(\d+)\}")
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .formulas import alpha, integer_nth_root_ceil, smallest_prime_factor
+from .formulas import alpha, smallest_prime_factor
 from .groups import GroupTable, SubgroupClass, SubgroupHandle
 from .wreath import (
     ProductTypeDescriptor,
@@ -130,15 +130,9 @@ def _seed_is_conjugation_closed(S: GroupTable, seed: np.ndarray) -> bool:
 
 
 def diagonal_term(S_order: int, m: int) -> int:
-    """(1 + alpha(m)) |S|^(m/l), l the smallest prime divisor of m.  l | m
-    always holds, so the value is an exact integer; the non-integral branch
-    rounds the root up so a certificate can only be conservative."""
-    l = smallest_prime_factor(m)
-    if m % l == 0:
-        power = S_order ** (m // l)
-    else:
-        power = integer_nth_root_ceil(S_order**m, l)
-    return (1 + alpha(m)) * power
+    """(1 + alpha(m)) |S|^(m/l), l the smallest prime divisor of m (an exact
+    integer, since l | m)."""
+    return (1 + alpha(m)) * S_order ** (m // smallest_prime_factor(m))
 
 
 def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
@@ -149,7 +143,7 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
 
     members: list[tuple[str, SubgroupHandle]] = []
     for cls in inst.seed_classes:
-        base = cls.label or f"order{cls.order}"
+        base = cls.base_label
         for i, h in enumerate(cls.conjugates):
             members.append((f"{base}[{i}]", h))
 
@@ -222,7 +216,7 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
         rep_count = int(np.isin(seed, cls.representative.member_ids).sum())
         total = rep_count * cls.class_size
         class_totals.append(total)
-        seed_counts["per_class"][cls.label or f"order{cls.order}"] = {
+        seed_counts["per_class"][cls.base_label] = {
             "per_member": rep_count,
             "class_total": total,
             "member_order": cls.order,
@@ -243,7 +237,7 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
         c_term = (t_sum**2 - sum(t * t for t in class_totals)) * S.order ** (m - 2)
         d_term, d_attained = None, None
         for cls in inst.seed_classes:
-            cnt = seed_counts["per_class"][cls.label or f"order{cls.order}"]["per_member"]
+            cnt = seed_counts["per_class"][cls.base_label]["per_member"]
             val = cnt * cls.order ** (m - 1)
             if d_term is None or val < d_term:
                 d_term, d_attained = val, cls.label
@@ -272,7 +266,7 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
     else:
         a_term = b_term = c_term = 0
         d_term = min(
-            seed_counts["per_class"][cls.label or f"order{cls.order}"]["per_member"]
+            seed_counts["per_class"][cls.base_label]["per_member"]
             for cls in inst.seed_classes
         )
         results.append(
@@ -326,7 +320,7 @@ def build_target_family(inst: SeedInstance) -> TargetFamilySpec:
     for cls in inst.seed_classes:
         idx = cls.representative.index
         cnt = cls.class_size * idx ** (m - 1)
-        per_class[cls.label or f"order{cls.order}"] = cnt
+        per_class[cls.base_label] = cnt
         product_total += cnt
     socle_count = alpha(m) if m >= 2 else 0
     return TargetFamilySpec(
@@ -447,7 +441,7 @@ def check_definitely_unbeatable_group(
         cnt = int(np.isin(target, cls.representative.member_ids).sum())
         if cnt > outsider_max:
             outsider_max = cnt
-            outsider_label = cls.label or f"order{cls.order}"
+            outsider_label = cls.base_label
     results.append(
         ConditionResult(
             "U4 outsiders dominated",
@@ -491,7 +485,7 @@ def materialize_family(inst: SeedInstance) -> ExplicitWreathFamily:
 
     products, labels = [], []
     for cls in inst.seed_classes:
-        base = cls.label or f"order{cls.order}"
+        base = cls.base_label
         for i, M in enumerate(cls.conjugates):
             reps = coset_representatives(M)
             for combo in itertools.product(reps, repeat=inst.m - 1):
@@ -654,7 +648,7 @@ def check_definitely_unbeatable_wreath(
     for cls in inst.maximal_classes:
         if cls.representative.canonical_key in family_keys:
             continue
-        base = cls.label or f"order{cls.order}"
+        base = cls.base_label
         for i, M in enumerate(cls.conjugates):
             reps = coset_representatives(M)
             for combo in itertools.product(reps, repeat=m - 1):

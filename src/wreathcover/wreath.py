@@ -14,21 +14,20 @@ Under this convention (x; k) normalizes M^{g_1} x ... x M^{g_m} exactly when
 x[i-k] lies in g[i-k]^{-1} M g[i] for every i, which is what the membership
 test below evaluates.  The opposite shift sign satisfies the mirrored
 condition instead; the two agree at m = 2, so only the m >= 3 oracle test
-distinguishes them.  Wreath elements are never expanded to permutations on
-n*m points except inside the oracle and the explicit realization helpers.
+distinguishes them.  Wreath elements are expanded to permutations on n*m
+points only by ``to_perm``, for the normalizer oracle and its tests.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .formulas import alpha, prime_factors, smallest_prime_factor
-from .groups import GroupTable, SubgroupHandle
+from .formulas import prime_factors
+from .groups import GroupTable, SubgroupHandle, _pack
 from .perm import Perm
 
 
@@ -82,16 +81,6 @@ class WreathContext:
         base = tuple(int(rng.integers(0, self.S.order)) for _ in range(self.m))
         return WreathElement(base, int(rng.integers(0, self.m)))
 
-    def strand_product(self, w: WreathElement, t: int, step: int) -> int:
-        """x_t * x_{t+step} * x_{t+2.step} * ... around one step-cycle
-        (t is 0-indexed); the left-to-right cumulative product."""
-        m = self.m
-        l = m // math.gcd(m, step) if step else 1
-        acc = w.base[t % m]
-        for j in range(1, l):
-            acc = self.S.mul(acc, w.base[(t + j * step) % m])
-        return acc
-
     # -- explicit permutation realization (oracle/test side only) ----------
 
     def to_perm(self, w: WreathElement) -> Perm:
@@ -107,36 +96,11 @@ class WreathContext:
                 images[c * n + q] = dest * n + int(row[q])
         return Perm(images)
 
-    def realization_generators(self) -> list[Perm]:
-        """Generators of the explicit n*m-point copy: S's generators in
-        block 0, plus the coordinate cycle."""
-        gens = []
-        for gid in self.S.generator_ids:
-            base = [0] * self.m
-            base[0] = gid
-            gens.append(self.to_perm(WreathElement(tuple(base), 0)))
-        if self.m > 1:
-            gens.append(self.to_perm(WreathElement((0,) * self.m, 1)))
-        return gens
-
-    def enumerate_table(self, product_budget: int = 10**7) -> GroupTable:
-        """Fully enumerate the explicit realization (desk scale only)."""
-        name = f"{self.S.name or 'S'}wrC{self.m}"
-        return GroupTable.from_generators(
-            self.realization_generators(), name=name, product_budget=product_budget
-        )
-
     def base_grid(self) -> np.ndarray:
         """All |S|^m base tuples as an (|S|^m, m) id matrix, row-major."""
         o = self.S.order
         grids = np.meshgrid(*([np.arange(o)] * self.m), indexing="ij")
         return np.stack(grids, axis=-1).reshape(-1, self.m)
-
-    def iter_elements(self) -> Iterable[WreathElement]:
-        for shift in range(self.m):
-            for base in itertools.product(range(self.S.order), repeat=self.m):
-                yield WreathElement(base, shift)
-
 
 def _wrap(i: int, m: int) -> int:
     return i % m
@@ -213,106 +177,6 @@ def product_type_mask(
         lut[allowed] = True
         mask &= lut[base_grid[:, a]]
     return mask
-
-
-def cumulative_membership_check(
-    ctx: WreathContext, w: WreathElement, d: ProductTypeDescriptor, t: int
-) -> bool:
-    """The derived strand condition x_t x_{k+t} ... x_{(l-1)k+t} in M^{g_t}
-    with l = m/(m,k); implied by full membership, checkable on its own.
-    ``t`` is the paper-facing 1-indexed slot, 1 <= t <= m."""
-    S, m, k = ctx.S, ctx.m, w.shift
-    if not 1 <= t <= m:
-        raise ValueError(f"t={t} out of range 1..{m}")
-    t0 = t - 1
-    prod = ctx.strand_product(w, t0, k)
-    g_t = d.slot_gs()[t0]
-    u = S.mul(S.mul(g_t, prod), int(S.inv[g_t]))
-    return d.M.contains(u)
-
-
-# -- diagonal-type subgroups ---------------------------------------------------
-
-
-class AutomorphismError(ValueError):
-    """A supplied table is not an automorphism of S."""
-
-
-def verify_automorphism(S: GroupTable, table: np.ndarray) -> None:
-    """Check a full id->id table is a bijective homomorphism of S."""
-    t = np.asarray(table, dtype=np.int64)
-    if t.shape != (S.order,):
-        raise AutomorphismError(f"table length {t.shape} != group order {S.order}")
-    if not np.array_equal(np.sort(t), np.arange(S.order)):
-        raise AutomorphismError("table is not a bijection on element ids")
-    if t[0] != 0:
-        raise AutomorphismError("table does not fix the identity")
-    all_ids = np.arange(S.order, dtype=np.int64)
-    for gid in S.generator_ids:
-        lhs = t[S.mul_left(gid, all_ids)]
-        rhs = S.mul_left(int(t[gid]), t[all_ids])
-        if not np.array_equal(lhs, rhs):
-            raise AutomorphismError("table is not multiplicative")
-
-
-def inner_automorphism(S: GroupTable, s: int) -> np.ndarray:
-    """Conjugation by s as an id table."""
-    return S.conj_map(s).copy()
-
-
-@dataclass(frozen=True)
-class DiagonalDescriptor:
-    """A twisted-diagonal subgroup of the socle: t < m coordinates repeated
-    m/t times through automorphism tables phi[i][j] (i in 0..t-1 indexing the
-    free coordinates, j in 0..m/t-2 indexing the repeated blocks)."""
-
-    S: GroupTable = field(repr=False)
-    m: int
-    t: int
-    phi: tuple[tuple[np.ndarray, ...], ...] = field(repr=False)
-
-    @staticmethod
-    def create(
-        S: GroupTable, m: int, t: int, phi: Sequence[Sequence[np.ndarray]]
-    ) -> "DiagonalDescriptor":
-        if m < 2 or t < 1 or t >= m or m % t != 0:
-            raise ValueError(f"t={t} must be a proper divisor of m={m}")
-        blocks = m // t
-        if len(phi) != t or any(len(row) != blocks - 1 for row in phi):
-            raise ValueError(f"phi must be {t} x {blocks - 1} tables")
-        frozen = []
-        for row in phi:
-            frozen_row = []
-            for tab in row:
-                arr = np.asarray(tab, dtype=np.int64)
-                verify_automorphism(S, arr)
-                frozen_row.append(arr)
-            frozen.append(tuple(frozen_row))
-        return DiagonalDescriptor(S, m, t, tuple(frozen))
-
-    def size(self) -> int:
-        return self.S.order**self.t
-
-    def size_bound(self) -> int:
-        """|S|^(m/l) with l the smallest prime divisor of m; the diagonal
-        size never exceeds it since t is a proper divisor of m."""
-        bound = self.S.order ** (self.m // smallest_prime_factor(self.m))
-        assert self.size() <= bound
-        return bound
-
-
-def diagonal_contains(ctx: WreathContext, w: WreathElement, d: DiagonalDescriptor) -> bool:
-    """Membership of w in the diagonal subgroup itself (a subset of the
-    socle, so any nonzero shift is outside)."""
-    if w.shift != 0:
-        return False
-    t, blocks = d.t, d.m // d.t
-    for i in range(t):
-        y = w.base[i]
-        for j in range(1, blocks):
-            if w.base[j * t + i] != int(d.phi[i][j - 1][y]):
-                return False
-    return True
 
 
 # -- socle-containing maximal subgroups ----------------------------------------
@@ -437,7 +301,8 @@ def product_subgroup_perm_keys(
     ctx: WreathContext, d: ProductTypeDescriptor
 ) -> np.ndarray:
     """Sorted packed keys of the explicit element set of
-    M^{g_1} x ... x M^{g_m} realized on n*m points."""
+    M^{g_1} x ... x M^{g_m} realized on n*m points (n*m <= 16, else
+    ValueError)."""
     S, m = ctx.S, ctx.m
     n = S.degree
     slot_members = []
@@ -451,12 +316,7 @@ def product_subgroup_perm_keys(
             row[c * n : (c + 1) * n] = c * n + S.images[int(xid)]
         rows.append(row)
     mat = np.array(rows, dtype=np.uint16)
-    return np.sort(_pack_rows(mat, n * m))
-
-
-def _pack_rows(rows: np.ndarray, degree: int) -> np.ndarray:
-    weights = np.uint64(degree) ** np.arange(degree - 1, -1, -1, dtype=np.uint64)
-    return (rows.astype(np.uint64) @ weights).astype(np.uint64)
+    return np.sort(_pack(mat, n * m))
 
 
 def normalizes_product_subgroup(
@@ -471,7 +331,7 @@ def normalizes_product_subgroup(
     w_inv = np.argsort(w_perm)
     rows = _unpack_keys(subgroup_keys, n * m)
     conj = w_inv[rows[:, w_perm]]  # w^-1 * p * w applied pointwise
-    return np.array_equal(np.sort(_pack_rows(conj, n * m)), subgroup_keys)
+    return np.array_equal(np.sort(_pack(conj, n * m)), subgroup_keys)
 
 
 def _unpack_keys(keys: np.ndarray, degree: int) -> np.ndarray:

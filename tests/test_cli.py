@@ -25,10 +25,18 @@ def test_sigma_a5(capsys, _cache_dir):
     assert report["verified"] is True
 
 
-def test_sigma_greedy(capsys):
+def test_sigma_greedy(tmp_path, capsys):
     status, report = run_json(["sigma", "A5", "--greedy"], capsys)
     assert status == 0
     assert report["certificate"]["kind"] == "upper-bound"
+    # A6 from a spec file: its maximal classes come from the lattice, two
+    # unlabeled classes of each of the orders 60 and 24
+    spec = tmp_path / "a6.yaml"
+    spec.write_text('name: A6\ndegree: 6\ngenerators: ["(1 2 3 4 5)", "(4 5 6)"]\n')
+    status, report = run_json(["sigma", str(spec), "--greedy"], capsys)
+    chosen = report["certificate"]["chosen"]
+    assert status == 0 and report["verified"] is True
+    assert len(chosen) == len(set(chosen)) == report["certificate"]["value"]
 
 
 def test_sigma_target(capsys):
@@ -95,31 +103,37 @@ def test_verify_unbeatable_failure_exit_code(capsys, _cache_dir):
 
 
 def test_construct_and_verify_cover_roundtrip(tmp_path, capsys, _cache_dir):
-    fam = tmp_path / "family.txt"
-    status, report = run_json(
-        ["construct-cover", "A5", "-m", "2", "--out", str(fam)], capsys
-    )
-    assert status == 0 and report["verified"] is True
-    assert report["family_count"] == 57
-    status, report = run_json(
-        ["verify-cover", "A5", "-m", "2", "--family-file", str(fam)], capsys
-    )
-    assert status == 0 and report["covered"] is True
-    # corrupt the family: drop a product-type line
-    lines = fam.read_text().splitlines()
-    removed = [ln for ln in lines if ln.startswith("product-type")][0]
-    fam.write_text("\n".join(ln for ln in lines if ln != removed) + "\n")
-    status, report = run_json(
-        ["verify-cover", "A5", "-m", "2", "--family-file", str(fam)], capsys
-    )
-    assert status == 1 and report["covered"] is False
-    assert "uncovered_witness" in report
+    # PSL(2,7)'s lines hold commas inside group=PSL(2,7)
+    for group, count in (("A5", 57), ("PSL(2,7)", 114)):
+        fam = tmp_path / "family.txt"
+        status, report = run_json(
+            ["construct-cover", group, "-m", "2", "--out", str(fam)], capsys
+        )
+        assert status == 0 and report["verified"] is True
+        assert report["family_count"] == count
+        status, report = run_json(
+            ["verify-cover", group, "-m", "2", "--family-file", str(fam)], capsys
+        )
+        assert status == 0 and report["covered"] is True
+        # corrupt the family: drop a product-type line
+        lines = fam.read_text().splitlines()
+        removed = [ln for ln in lines if ln.startswith("product-type")][0]
+        fam.write_text("\n".join(ln for ln in lines if ln != removed) + "\n")
+        status, report = run_json(
+            ["verify-cover", group, "-m", "2", "--family-file", str(fam)], capsys
+        )
+        assert status == 1 and report["covered"] is False
+        assert "uncovered_witness" in report
 
 
 def test_usage_errors_exit_2(capsys):
     assert main(["sigma", "NoSuchGroup"]) == 2
     assert main(["verify-c2", "-p", "9", "-m", "5"]) == 2
     assert main(["check-inequalities", "--lemma", "bogus", "--n-range", "5..6"]) == 2
+    capsys.readouterr()
+    # the PSL(2,7) catalog has no D8 class for the PSL(2,p) family
+    assert main(["verify-c2", "-p", "7", "-m", "2"]) == 2
+    assert "'D8'" in capsys.readouterr().err
 
 
 def test_json_byte_determinism_across_threads(capsys, _cache_dir):

@@ -171,16 +171,6 @@ def test_out_of_hypothesis_reported_not_clipped():
     assert {s["n"] for s in rep.skipped} == {9, 11, 13}
 
 
-def test_integer_nth_root_ceil():
-    assert F.integer_nth_root_ceil(0, 3) == 0
-    assert F.integer_nth_root_ceil(1, 5) == 1
-    assert F.integer_nth_root_ceil(7920, 2) == 89
-    assert F.integer_nth_root_ceil(89**2, 2) == 89
-    for x in (10**12 + 1, 10**12 - 1, 10**12):
-        r = F.integer_nth_root_ceil(x, 3)
-        assert (r - 1) ** 3 < x <= r**3
-
-
 def test_binomial_routes_agree():
     import random
 

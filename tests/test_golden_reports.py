@@ -1,0 +1,76 @@
+"""Golden reports: the sha256 of the canonical ``--json`` output of a fixed
+request list.
+
+A refactor that is meant to leave every certificate unchanged must keep
+these digests.  A change that alters a report on purpose updates the digest
+here and says which report changed and why.
+"""
+
+import hashlib
+
+import pytest
+
+from wreathcover.cli import main
+
+A5_SPEC = 'name: A5\ndegree: 5\ngenerators: ["(1 2 3 4 5)", "(1 2 3)"]\n'
+
+# argv ("{a5_spec}" is the A5 spec file), exit status, sha256 of stdout
+GOLDEN = [
+    (
+        "catalog M11",
+        0,
+        "3446fcc45e7b2ffefd2103abd456b4913358d0ee76043dbf9ed7d6ce66a1645b",
+    ),
+    (
+        "sigma M11 --exact",
+        0,
+        "966ef68b701b664e92a4014f13ca1c88c5e6b7d7d4a7284fb752bb29dda77a90",
+    ),
+    (
+        "sigma {a5_spec} --greedy",
+        0,
+        "52723f0f1529329bffb89f398331b7527b9466609ca1fc036ea4a1ca90c5fea6",
+    ),
+    (
+        "construct-cover A5 -m 2",
+        0,
+        "76eb8a67c3f5cec4614b646d573980c4019238674171a0ca794fbbbcd3ae9c69",
+    ),
+    (
+        "construct-cover PSL(2,7) -m 2",
+        0,
+        "907aea295fc721054efa33c1a4ba5c9537084729ec05cc6b9c2ad4bab206bb22",
+    ),
+    (
+        "verify-unbeatable A5 --sigma-spec orders:5,3 --families D10,S3 -m 2",
+        1,
+        "eb9264844652de7b628a45498fb9d92fe5fb3b87f1eede673ac4a7c93a52231e",
+    ),
+    (
+        "verify-c1 -m 2",
+        0,
+        "3a43427acb768f4c192b3040559d57bd91c5407d0d7f5a8bc5b131f2083e5df9",
+    ),
+    (
+        "verify-c2 -p 11 -m 5",
+        0,
+        "49ec13480bbbc0fd07fe27a36e152f37472ac80af10de7a691a6fc9d57cd9148",
+    ),
+    (
+        "wreath-bounds M11 --sigma-spec orders:8,11 --families M10,PSL(2,11) -m 3",
+        0,
+        "5b7c0fcadeb20effb4f344fc5d85cb7296cd316f5f636f5561e04a5efa8b2591",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, status, digest", GOLDEN, ids=[c.split(" -")[0] for c, _, _ in GOLDEN]
+)
+def test_golden_report(command, status, digest, tmp_path, capsys):
+    spec = tmp_path / "a5.yaml"
+    spec.write_text(A5_SPEC)
+    argv = command.format(a5_spec=spec).split()
+    assert main([*argv, "--json"]) == status
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

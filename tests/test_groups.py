@@ -5,6 +5,7 @@ from wreathcover.groups import (
     ClosureBudgetError,
     GroupTable,
     centralizer,
+    class_conjugators,
     conjugate_class,
     normalizer,
     subgroup_closure,
@@ -129,6 +130,21 @@ def test_conjugate_class_sizes(a5):
     assert cls.class_size == 5
     whole = subgroup_from_set(a5, range(a5.order), verify=False)
     assert conjugate_class(a5, whole).class_size == 1
+
+
+def test_class_conjugators_and_conjugate_generators(a5):
+    s3 = subgroup_closure(
+        a5, [a5.id_of(Perm.from_cycles("(1 2 3)", 5)), a5.id_of(Perm.from_cycles("(1 2)(4 5)", 5))]
+    )
+    cls = conjugate_class(a5, s3)
+    conj = class_conjugators(a5, cls)
+    assert sorted(conj) == [h.canonical_key for h in cls.conjugates]
+    assert len(cls.conjugates) == 10
+    for h in cls.conjugates:
+        # the conjugator maps the representative onto h, and h's carried
+        # generators generate h
+        assert s3.conjugate(conj[h.canonical_key]) == h
+        assert np.array_equal(subgroup_closure(a5, h.generators).member_ids, h.member_ids)
 
 
 def test_normalizer_and_centralizer(a5):

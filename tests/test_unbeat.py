@@ -236,15 +236,10 @@ def test_symbolic_fails_when_seed_fails(psl11):
 
 
 def test_diagonal_term_defensive_root():
-    # l | m always in real use; the defensive path rounds the root up
+    # (1 + alpha(m)) |S|^(m/l), l the smallest prime divisor of m
     assert diagonal_term(60, 2) == 2 * 60
     assert diagonal_term(60, 4) == 2 * 3600
     assert diagonal_term(60, 6) == 3 * 60**3
-    from wreathcover.formulas import integer_nth_root_ceil
-
-    assert integer_nth_root_ceil(60**3, 2) == 465  # 464^2 < 216000 <= 465^2
-    assert integer_nth_root_ceil(8, 3) == 2
-    assert integer_nth_root_ceil(9, 3) == 3
 
 
 def test_theorem_bounds_m1(m11, a5):
