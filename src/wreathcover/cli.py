@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=argparse.SUPPRESS,
-        help="bound internal parallelism (default 1)",
+        help="accepted for compatibility; changes neither the work nor the output",
     )
     common.add_argument(
         "--cache-dir",
@@ -176,8 +176,6 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
             args.m,
             cover_method=args.cover_method,
             verify=not args.no_verify,
-            threads=args.threads,
-            cache_dir=args.cache_dir,
         )
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -186,9 +184,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
     if cmd == "verify-cover":
         with open(args.family_file, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-        report = pipelines.verify_cover_report(
-            args.group, args.m, lines, threads=args.threads
-        )
+        report = pipelines.verify_cover_report(args.group, args.m, lines)
         return report, 0 if report["passed"] else 1
     if cmd == "verify-unbeatable":
         report = pipelines.unbeatable_report(

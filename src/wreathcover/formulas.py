@@ -41,6 +41,14 @@ def alpha(m: int) -> int:
     return len(prime_factors(m))
 
 
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
 def smallest_prime_factor(n: int) -> int:
     if n < 2:
         raise ValueError("n must be at least 2")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .formulas import smallest_prime_factor
+from .formulas import divisors, smallest_prime_factor
 from .groups import (
     GroupTable,
     SubgroupClass,
@@ -39,18 +39,6 @@ DEFAULT_ORDER_CAP = 10**4
 
 class LatticeCapError(RuntimeError):
     """Group order exceeds the subgroup-enumeration cap."""
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def all_subgroup_classes(
@@ -97,7 +85,7 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
         if h.canonical_key not in known:
             cyclic_classes.append(register(h))
 
-    divisors = _divisors(g.order)
+    order_divisors = divisors(g.order)
     max_proper = g.order // smallest_prime_factor(g.order) if g.order > 1 else 1
 
     for cls in classes:  # the list grows as joins find new classes
@@ -112,7 +100,7 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
                 if np.isin(cyc.member_ids, rep.member_ids).all():
                     continue
                 if not _join_could_be_proper(
-                    rep.size, cyc, rep, divisors, max_proper
+                    rep.size, cyc, rep, order_divisors, max_proper
                 ):
                     continue
                 joined = subgroup_closure(

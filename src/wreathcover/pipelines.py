@@ -422,14 +422,19 @@ def construct_cover_report(
     cover_method: str = "exact",
     verify: bool = True,
     element_cap: int = 10**8,
-    threads: int = 1,
-    cache_dir=None,
 ) -> dict:
     """Build the constructive covering family of S wr C_m from a minimal
     (or greedy) cover of S; verify exhaustively at desk scale."""
     cg = load_group(source)
+    if not cg.maximal_classes:
+        # member lines name catalog classes; fail before the lattice work
+        raise PipelineError(
+            f"{cg.spec.name} has no catalog maximal classes; covering-family "
+            "lines need catalog class labels (give maximal_classes in the "
+            "spec file)"
+        )
     g = cg.table
-    inst = build_instance(g, _maximal_classes(cg, cache_dir))
+    inst = build_instance(g, cg.maximal_classes)
     cert = sigma_exact(inst) if cover_method == "exact" else sigma_greedy(inst)
     if cert.kind not in ("exact-optimal", "upper-bound"):
         raise PipelineError(f"no covering of {source}: {cert.kind}")
@@ -447,9 +452,7 @@ def construct_cover_report(
     total = m * g.order**m
     if verify and total <= element_cap and m >= 1:
         ctx = WreathContext(g, m)
-        ok, witness = verify_wreath_cover(
-            ctx, descriptors, socle, element_cap=element_cap, threads=threads
-        )
+        ok, witness = verify_wreath_cover(ctx, descriptors, socle, element_cap=element_cap)
         report["verified"] = ok
         if witness is not None:
             report["uncovered_witness"] = {
@@ -469,15 +472,12 @@ def verify_cover_report(
     m: int,
     member_lines: Sequence[str],
     element_cap: int = 10**8,
-    threads: int = 1,
 ) -> dict:
     """Check a serialized wreath covering family against every element."""
     cg = load_group(source)
     descriptors, socle = parse_descriptor_lines(cg, member_lines, m)
     ctx = WreathContext(cg.table, m)
-    ok, witness = verify_wreath_cover(
-        ctx, descriptors, socle, element_cap=element_cap, threads=threads
-    )
+    ok, witness = verify_wreath_cover(ctx, descriptors, socle, element_cap=element_cap)
     report = {
         "group": cg.spec.name,
         "m": m,

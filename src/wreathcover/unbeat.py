@@ -34,8 +34,10 @@ from .wreath import (
     ProductTypeDescriptor,
     SocleMaximal,
     WreathContext,
+    box_coverage,
+    box_luts,
+    box_target_counts,
     coset_representatives,
-    product_type_mask,
     socle_maximals,
 )
 
@@ -549,19 +551,6 @@ class _TargetMasks:
         return int(sum(int(m.sum()) for m in self.masks.values()))
 
 
-def _member_mask(
-    ctx: WreathContext,
-    member,
-    grid: np.ndarray,
-    shift: int,
-) -> np.ndarray:
-    if isinstance(member, SocleMaximal):
-        if shift % member.r == 0:
-            return np.ones(grid.shape[0], dtype=bool)
-        return np.zeros(grid.shape[0], dtype=bool)
-    return product_type_mask(ctx, member, grid, shift)
-
-
 def check_definitely_unbeatable_wreath(
     inst: SeedInstance,
     family: Optional[ExplicitWreathFamily] = None,
@@ -580,24 +569,27 @@ def check_definitely_unbeatable_wreath(
     grid = ctx.base_grid()
     if family is None:
         family = materialize_family(inst)
-    members: list = list(family.products) + list(family.socle)
     labels = family.labels
+    n_products = len(family.products)
 
     tmasks = _TargetMasks(inst, ctx, grid)
     results: list[ConditionResult] = []
 
-    member_counts = np.zeros(len(members), dtype=np.int64)
-    empty_witness = None
-    per_shift_counts = {s: np.zeros(grid.shape[0], dtype=np.int32) for s in tmasks.masks}
-    for idx, member in enumerate(members):
-        hit = 0
-        for shift, tmask in tmasks.masks.items():
-            mm = _member_mask(ctx, member, grid, shift) & tmask
-            per_shift_counts[shift][mm] += 1
-            hit += int(mm.sum())
-        member_counts[idx] = hit
-        if hit == 0 and empty_witness is None:
-            empty_witness = labels[idx]
+    # member hits and per-shift coverage counts on the target, products
+    # counted as boxes, socle maximals as whole shift layers
+    member_counts = np.zeros(family.size, dtype=np.int64)
+    per_shift_counts = {}
+    for shift, tmask in tmasks.masks.items():
+        luts = box_luts(ctx, family.products, shift)
+        member_counts[:n_products] += box_target_counts(luts, tmask)
+        counts = box_coverage(luts)
+        for j, s in enumerate(family.socle):
+            if shift % s.r == 0:
+                member_counts[n_products + j] += int(tmask.sum())
+                counts += 1
+        per_shift_counts[shift] = counts
+    empty = np.flatnonzero(member_counts == 0)
+    empty_witness = labels[int(empty[0])] if empty.shape[0] else None
     results.append(
         ConditionResult(
             "U1 every member meets the target",
@@ -638,13 +630,13 @@ def check_definitely_unbeatable_wreath(
         )
     )
 
-    member_min = int(member_counts.min()) if len(members) else 0
+    member_min = int(member_counts.min()) if family.size else 0
 
     # outsider sweep: product types over classes outside the family
     import itertools
 
     family_keys = inst.seed_class_keys()
-    outsider_max, outsider_label = 0, None
+    outsiders, outsider_labels = [], []
     for cls in inst.maximal_classes:
         if cls.representative.canonical_key in family_keys:
             continue
@@ -652,13 +644,15 @@ def check_definitely_unbeatable_wreath(
         for i, M in enumerate(cls.conjugates):
             reps = coset_representatives(M)
             for combo in itertools.product(reps, repeat=m - 1):
-                d = ProductTypeDescriptor.create(M, combo)
-                cnt = 0
-                for shift, tmask in tmasks.masks.items():
-                    cnt += int((product_type_mask(ctx, d, grid, shift) & tmask).sum())
-                if cnt > outsider_max:
-                    outsider_max = cnt
-                    outsider_label = f"{base}[{i}]{list(combo)}"
+                outsiders.append(ProductTypeDescriptor.create(M, combo))
+                outsider_labels.append(f"{base}[{i}]{list(combo)}")
+    outsider_counts = np.zeros(len(outsiders), dtype=np.int64)
+    for shift, tmask in tmasks.masks.items():
+        outsider_counts += box_target_counts(box_luts(ctx, outsiders, shift), tmask)
+    outsider_max, outsider_label = 0, None
+    if outsiders and outsider_counts.max() > 0:
+        best = int(np.argmax(outsider_counts))  # first maximum, in sweep order
+        outsider_max, outsider_label = int(outsider_counts[best]), outsider_labels[best]
 
     diag_bound = diagonal_term(S.order, m)
     u4_by_count = outsider_max <= member_min

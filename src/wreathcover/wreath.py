@@ -16,6 +16,19 @@ test below evaluates.  The opposite shift sign satisfies the mirrored
 condition instead; the two agree at m = 2, so only the m >= 3 oracle test
 distinguishes them.  Wreath elements are expanded to permutations on n*m
 points only by ``to_perm``, for the normalizer oracle and its tests.
+
+Box factorization: at a fixed shift k the condition above constrains each
+coordinate on its own, so a product-type member is a box A_0 x ... x A_{m-1}
+with sides A_a = g[a]^{-1} M g[a+k].  ``box_luts`` stacks the sides of D
+members as 0/1 rows L[d, a, :].  The number of members containing a base
+tuple x is sum_d prod_a L[d, a, x_a]: over the last two coordinates that is
+one matrix product, and leading coordinates are fixed one value at a time,
+keeping only the boxes that admit it (``box_coverage``, ``first_uncovered``).
+|box_d & T| for a target mask T is one matrix product with the last sides
+followed by one contraction per remaining coordinate (``box_target_counts``).
+Cover verification and explicit unbeatability count this way and never build
+the |S|^m grid per member; ``product_type_mask`` is the per-member grid test
+kept for the tests.
 """
 
 from __future__ import annotations
@@ -162,21 +175,106 @@ def product_type_contains(
     return True
 
 
+def coordinate_luts(
+    ctx: WreathContext, d: ProductTypeDescriptor, shift: int
+) -> np.ndarray:
+    """The box of d at a fixed shift, one (m, |S|) boolean row per
+    coordinate: row a marks the allowed set g[a]^{-1} M g[a+shift]."""
+    return box_luts(ctx, [d], shift)[0] > 0
+
+
 def product_type_mask(
     ctx: WreathContext, d: ProductTypeDescriptor, base_grid: np.ndarray, shift: int
 ) -> np.ndarray:
     """Vectorized membership over a base-tuple grid at a fixed shift."""
-    S, m = ctx.S, ctx.m
-    gs = d.slot_gs()
+    luts = coordinate_luts(ctx, d, shift)
     mask = np.ones(base_grid.shape[0], dtype=bool)
-    for i in range(m):
-        a = _wrap(i - shift, m)
-        # the allowed set for coordinate a: g[a]^{-1} M g[i]
-        allowed = S.mul_right(S.mul_left(int(S.inv[gs[a]]), d.M.member_ids), gs[i])
-        lut = np.zeros(S.order, dtype=bool)
-        lut[allowed] = True
-        mask &= lut[base_grid[:, a]]
+    for a in range(ctx.m):
+        mask &= luts[a][base_grid[:, a]]
     return mask
+
+
+# -- counting over boxes --------------------------------------------------------
+
+
+def box_luts(
+    ctx: WreathContext, descriptors: Sequence[ProductTypeDescriptor], shift: int
+) -> np.ndarray:
+    """The coordinate rows of every descriptor at one shift, stacked as a
+    (D, m, |S|) float64 0/1 array: row (d, a) is g[a]^{-1} M g[a+shift].
+    Both multiplications are composed on image rows for all descriptors
+    and coordinates at once, then packed and looked up once."""
+    S, m = ctx.S, ctx.m
+    out = np.zeros((len(descriptors), m, S.order))
+    if not descriptors:
+        return out
+    for d in descriptors:
+        if d.m != m:
+            raise ValueError(f"descriptor is for m={d.m}, context m={m}")
+    # one stacked row per (coordinate a, descriptor d, member x of d.M)
+    member_ids = [d.M.member_ids for d in descriptors]
+    sizes = [ids.shape[0] for ids in member_ids]
+    owner = np.tile(np.repeat(np.arange(len(descriptors)), sizes), m)
+    coord = np.repeat(np.arange(m), sum(sizes))
+    gs = np.array([d.slot_gs() for d in descriptors])  # (D, m)
+    left = S.inv[gs[owner, coord]]
+    right = gs[owner, _wrap(coord + shift, m)]
+    # (g^{-1} x h)(q) = g^{-1}(x(h(q))) on image rows
+    rows = np.take_along_axis(
+        np.tile(S.images[np.concatenate(member_ids)], (m, 1)), S.images[right], axis=1
+    )
+    rows = np.take_along_axis(S.images[left], rows, axis=1)
+    out[owner, coord, S._lookup(_pack(rows, S.degree))] = 1.0
+    return out
+
+
+def _count_blocks(luts: np.ndarray):
+    """Yield the coverage counts sum_d prod_a luts[d, a, x_a] in row-major
+    blocks over x: one GEMM per block of the last two coordinates, after
+    fixing the leading ones and keeping only the boxes that admit them."""
+    k = luts.shape[1]
+    if k == 1:
+        yield luts[:, 0].sum(axis=0)
+    elif k == 2:
+        yield luts[:, 0].T @ luts[:, 1]
+    else:
+        for x in range(luts.shape[2]):
+            yield from _count_blocks(luts[luts[:, 0, x] > 0, 1:])
+
+
+def box_coverage(luts: np.ndarray) -> np.ndarray:
+    """For every base tuple in row-major order, the number of boxes that
+    contain it (exact: float64 sums of 0/1 values far below 2^53)."""
+    return np.concatenate([b.ravel() for b in _count_blocks(luts)]).astype(np.int64)
+
+
+def first_uncovered(luts: np.ndarray) -> int | None:
+    """The row-major index of the first base tuple in no box, or None;
+    stops at the first block with a zero, never building the full grid."""
+    offset = 0
+    for block in _count_blocks(luts):
+        zeros = np.flatnonzero(block.ravel() == 0)
+        if zeros.shape[0]:
+            return offset + int(zeros[0])
+        offset += block.size
+    return None
+
+
+def box_target_counts(luts: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """|box_d & T| for every box d, T a boolean mask over the row-major base
+    grid: one GEMM with the last coordinate rows, then one contraction per
+    remaining coordinate, in chunks of boxes to bound the working set."""
+    D, m, n = luts.shape
+    t = np.asarray(target, dtype=np.float64).reshape(n ** (m - 1), n)
+    out = np.zeros(D, dtype=np.int64)
+    chunk = max(1, (1 << 20) // n ** (m - 1))
+    for lo in range(0, D, chunk):
+        part = luts[lo : lo + chunk]
+        acc = t @ part[:, m - 1].T  # (n^(m-1), d)
+        for a in range(m - 2, -1, -1):
+            acc = np.einsum("pxd,dx->pd", acc.reshape(-1, n, acc.shape[1]), part[:, a])
+        out[lo : lo + chunk] = acc[0]
+    return out
 
 
 # -- socle-containing maximal subgroups ----------------------------------------
@@ -256,41 +354,24 @@ def verify_wreath_cover(
     element_cap: int = 10**8,
     threads: int = 1,
 ) -> tuple[bool, WreathElement | None]:
-    """Exhaustively check that every element of S wr C_m lies in some family
-    member; returns (ok, first uncovered witness).  Requires
-    m * |S|^m <= element_cap."""
+    """Check that every element of S wr C_m lies in some family member;
+    returns (ok, first uncovered witness in shift-major, row-major order).
+    Requires m * |S|^m <= element_cap.  Every shift not covered by a socle
+    maximal is decided by counting boxes (see ``first_uncovered``).
+    ``threads`` is accepted for compatibility and changes neither the work
+    nor the result."""
     total = ctx.m * ctx.S.order**ctx.m
     if total > element_cap:
         raise CoverInputError(
             f"exhaustive verification needs m*|S|^m = {total} <= {element_cap}"
         )
-    grid = ctx.base_grid()
-    socle_rs = [s.r for s in socle]
-
-    def check_shift(shift: int) -> WreathElement | None:
-        if any(shift % r == 0 for r in socle_rs):
-            return None  # covered by a socle-containing maximal
-        covered = np.zeros(grid.shape[0], dtype=bool)
-        for d in descriptors:
-            remaining = ~covered
-            if not remaining.any():
-                break
-            covered[remaining] |= product_type_mask(ctx, d, grid[remaining], shift)
-        if not covered.all():
-            idx = int(np.flatnonzero(~covered)[0])
-            return WreathElement(tuple(int(x) for x in grid[idx]), shift)
-        return None
-
-    if threads > 1 and ctx.m > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check_shift, range(ctx.m)))
-    else:
-        results = [check_shift(s) for s in range(ctx.m)]
-    for witness in results:
-        if witness is not None:
-            return False, witness
+    for shift in range(ctx.m):
+        if any(shift % s.r == 0 for s in socle):
+            continue  # covered by a socle-containing maximal
+        idx = first_uncovered(box_luts(ctx, descriptors, shift))
+        if idx is not None:
+            base = np.unravel_index(idx, (ctx.S.order,) * ctx.m)
+            return False, WreathElement(tuple(int(x) for x in base), shift)
     return True, None
 
 

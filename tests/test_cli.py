@@ -126,7 +126,7 @@ def test_construct_and_verify_cover_roundtrip(tmp_path, capsys, _cache_dir):
         assert "uncovered_witness" in report
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     assert main(["sigma", "NoSuchGroup"]) == 2
     assert main(["verify-c2", "-p", "9", "-m", "5"]) == 2
     assert main(["check-inequalities", "--lemma", "bogus", "--n-range", "5..6"]) == 2
@@ -134,6 +134,17 @@ def test_usage_errors_exit_2(capsys):
     # the PSL(2,7) catalog has no D8 class for the PSL(2,p) family
     assert main(["verify-c2", "-p", "7", "-m", "2"]) == 2
     assert "'D8'" in capsys.readouterr().err
+    # a spec file without maximal classes cannot name its family members,
+    # so construct-cover refuses before it enumerates the lattice
+    spec = tmp_path / "a5.yaml"
+    spec.write_text('name: A5\ndegree: 5\ngenerators: ["(1 2 3 4 5)", "(1 2 3)"]\n')
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("WREATHCOVER_CACHE", str(cache))
+    argv = ["construct-cover", str(spec), "-m", "2", "--cache-dir", str(cache)]
+    assert main(argv) == 2
+    assert "catalog class labels" in capsys.readouterr().err
+    assert list(cache.iterdir()) == []
 
 
 def test_json_byte_determinism_across_threads(capsys, _cache_dir):

@@ -20,6 +20,15 @@ def test_prime_utilities():
     assert F.euler_phi(6) == 2 and F.euler_phi(12) == 4
 
 
+def test_divisors_match_sympy():
+    import sympy
+
+    for n in range(1, 201):
+        assert F.divisors(n) == sympy.divisors(n), n
+    with pytest.raises(ValueError):
+        F.divisors(0)
+
+
 def test_c1_values():
     assert F.c1_value(1) == 23
     assert F.c1_value(2) == 1 + 121 + 144 == 266

@@ -1,7 +1,9 @@
-import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wreathcover.formulas import alpha
 from wreathcover.perm import Perm
@@ -10,6 +12,9 @@ from wreathcover.wreath import (
     SocleMaximal,
     WreathContext,
     WreathElement,
+    box_coverage,
+    box_luts,
+    box_target_counts,
     construct_product_cover,
     coset_representatives,
     normalizes_product_subgroup,
@@ -219,3 +224,98 @@ def test_thread_count_does_not_change_result(a5, ctx2):
     r1 = verify_wreath_cover(ctx2, descs, socle, threads=1)
     r4 = verify_wreath_cover(ctx2, descs, socle, threads=4)
     assert r1 == r4
+
+
+# -- the box kernel against the grid masks ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def oracle_grid(a5, psl7):
+    """Row-major base grids, built once per (group, m) and kept as uint8
+    (PSL(2,7) at m = 3 has 4.7 million rows)."""
+    groups = {"A5": a5, "PSL(2,7)": psl7}
+    grids = {}
+
+    def get(name, m):
+        if (name, m) not in grids:
+            ctx = WreathContext(groups[name].table, m)
+            grids[name, m] = (ctx, ctx.base_grid().astype(np.uint8))
+        return groups[name], grids[name, m]
+
+    return get
+
+
+def _min_cover(cg):
+    from wreathcover.cover import build_instance, sigma_exact
+
+    inst = build_instance(cg.table, cg.maximal_classes)
+    by_label = dict(zip(inst.labels, inst.handles))
+    return [by_label[lab] for lab in sigma_exact(inst).chosen]
+
+
+@pytest.mark.parametrize(
+    "group,m", [(g, m) for g in ("A5", "PSL(2,7)") for m in (1, 2, 3)]
+)
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    with_socle=st.booleans(),
+    drop=st.integers(-1, 2),
+)
+@example(seed=0, with_socle=True, drop=0)  # the whole family: covered
+@example(seed=1, with_socle=True, drop=1)  # one member short: a deep witness
+def test_box_kernel_matches_masks(oracle_grid, group, m, seed, with_socle, drop):
+    cg, (ctx, grid) = oracle_grid(group, m)
+    rng = np.random.default_rng(seed)
+    # the constructive family less `drop` random members (drop = -1: a
+    # random part of it), plus random conjugates and cosets when drop != 0;
+    # at most about 7e7 mask rows per shift
+    family, _ = construct_product_cover(cg.table, _min_cover(cg), m)
+    size = len(family) - drop if drop >= 0 else int(rng.integers(0, len(family) + 1))
+    size = min(size, 7 * 10**7 // grid.shape[0])
+    picked = sorted(rng.choice(len(family), size=size, replace=False).tolist())
+    descs = [family[i] for i in picked]
+    if drop:
+        descs += random_descriptors(cg, m, int(rng.integers(0, 3)), rng)
+    socle = socle_maximals(m) if with_socle else []
+
+    expected_witness = None
+    for shift in range(m):
+        masks = [product_type_mask(ctx, d, grid, shift) for d in descs]
+        counts = np.zeros(grid.shape[0], dtype=np.int64)
+        for mask in masks:
+            counts += mask
+        luts = box_luts(ctx, descs, shift)
+        assert np.array_equal(box_coverage(luts), counts)
+        target = rng.random(grid.shape[0]) < rng.random()
+        assert box_target_counts(luts, target).tolist() == [
+            int((mask & target).sum()) for mask in masks
+        ]
+        if expected_witness is None and not any(shift % s.r == 0 for s in socle):
+            zeros = np.flatnonzero(counts == 0)
+            if zeros.shape[0]:
+                row = tuple(int(x) for x in grid[zeros[0]])
+                expected_witness = WreathElement(row, shift)
+    ok, witness = verify_wreath_cover(ctx, descs, socle)
+    assert witness == expected_witness and ok == (witness is None)
+
+
+def test_a5_wr_c4_constructive_cover(a5, monkeypatch):
+    # 60^4 base tuples per shift: verification counts boxes, never the grid
+    def no_grid(self):
+        raise AssertionError("verify_wreath_cover built the base grid")
+
+    monkeypatch.setattr(WreathContext, "base_grid", no_grid)
+    start = time.perf_counter()
+    ctx4 = WreathContext(a5.table, 4)
+    descs, socle = construct_product_cover(a5.table, _min_cover(a5), 4)
+    assert (len(descs), [s.r for s in socle]) == (1796, [2])
+    assert verify_wreath_cover(ctx4, descs, socle) == (True, None)
+    # the minimal cover has no redundancy: dropping a member uncovers an
+    # element that lies in that member and in no other
+    ok, witness = verify_wreath_cover(ctx4, descs[1:], socle)
+    assert not ok and witness.shift % 2 == 1
+    assert product_type_contains(ctx4, witness, descs[0])
+    assert not any(product_type_contains(ctx4, witness, d) for d in descs[1:])
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30, f"A5 wr C_4 verification took {elapsed:.1f}s (budget 30s)"
