@@ -1,23 +1,24 @@
 """End-to-end verification pipelines wiring the modules together.
 
-These back the CLI subcommands and the acceptance suite: group data
-reproduction, exact covering numbers, wreath covering-number pipelines for
-the Mathieu group and the PSL(2,p) family, constructive covers with
-serialized certificates, and inequality sweeps.  Every report is a plain
-dict of deterministic content, rendered to canonical JSON by report.py.
+These back the CLI subcommands and the acceptance suite: exact covering
+numbers, one table of wreath theorems (M11 and the PSL(2,p) family, each a
+group, a seed set, a two-class family and a closed form) verified by one
+runner, constructive covers with serialized certificates, and inequality
+sweeps.  Every report is a plain dict of deterministic content, rendered to
+canonical JSON by report.py.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import catalog, formulas
 from .cover import (
-    CoverCertificate,
     build_instance,
     sigma_exact,
     sigma_greedy,
@@ -27,20 +28,20 @@ from .groups import GroupTable, SubgroupClass, class_conjugators
 from .lattice import LatticeCapError, all_subgroup_classes, maximal_classes_from_lattice
 from .perm import Perm
 from .unbeat import (
+    SeedConditionReport,
     SeedInstance,
     check_definitely_unbeatable_group,
     check_definitely_unbeatable_symbolic,
     check_definitely_unbeatable_wreath,
     check_seed_conditions,
-    build_target_family,
     theorem_bounds,
+    wreath_cover_upper_term,
 )
 from .wreath import (
     ProductTypeDescriptor,
     SocleMaximal,
     WreathContext,
     construct_product_cover,
-    socle_maximals,
     verify_wreath_cover,
 )
 
@@ -114,24 +115,73 @@ def sigma_report(
 # -- wreath covering-number pipelines -----------------------------------------
 
 
+def _classes_by_labels(
+    cg: catalog.CatalogGroup, labels: Sequence[str]
+) -> list[SubgroupClass]:
+    by_label = cg.classes_by_label()
+    missing = [lab for lab in labels if lab not in by_label]
+    if missing:
+        raise PipelineError(f"unknown class labels {missing}; have {sorted(by_label)}")
+    return [by_label[lab] for lab in labels]
+
+
 def _seed_instance(
     cg: catalog.CatalogGroup,
     seed_spec: str,
     family_labels: Sequence[str],
     m: int,
 ) -> SeedInstance:
-    g = cg.table
-    by_label = cg.classes_by_label()
-    missing = [lab for lab in family_labels if lab not in by_label]
-    if missing:
-        raise PipelineError(f"unknown class labels {missing}; have {sorted(by_label)}")
     return SeedInstance(
-        S=g,
-        seed_ids=parse_target_spec(g, seed_spec),
-        seed_classes=[by_label[lab] for lab in family_labels],
+        S=cg.table,
+        seed_ids=parse_target_spec(cg.table, seed_spec),
+        seed_classes=_classes_by_labels(cg, family_labels),
         m=m,
         maximal_classes=cg.maximal_classes,
     )
+
+
+def _certificate(
+    cg: catalog.CatalogGroup,
+    inst: SeedInstance,
+    seed_spec: str,
+    seed_rep: SeedConditionReport,
+    mode: str = "auto",
+    explicit_cap: int = 10**8,
+    cache_dir=None,
+) -> dict:
+    """Definite unbeatability of the instance's family, in explicit or
+    symbolic mode, reported with the seed conditions it rests on."""
+    m = inst.m
+    if m == 1:
+        members = inst.members()
+        try:
+            lattice = all_subgroup_classes(cg.table, cache_dir=cache_dir)
+        except LatticeCapError:
+            lattice = None
+        du = check_definitely_unbeatable_group(
+            cg.table,
+            inst.seed_ids,
+            [h for _, h in members],
+            [lab for lab, _ in members],
+            all_classes=lattice,
+            maximal_classes=cg.maximal_classes,
+        )
+    else:
+        total = m * cg.table.order**m
+        use_explicit = mode == "explicit" or (mode == "auto" and total <= 10**7)
+        if use_explicit and total <= explicit_cap:
+            du = check_definitely_unbeatable_wreath(inst, element_cap=explicit_cap)
+        else:
+            du = check_definitely_unbeatable_symbolic(inst, seed_rep)
+    return {
+        "group": cg.spec.name,
+        "m": m,
+        "seed": seed_spec,
+        "family": [cls.label for cls in inst.seed_classes],
+        "seed_conditions": seed_rep.to_dict(),
+        "unbeatability": du.to_dict(),
+        "passed": du.passed,
+    }
 
 
 def unbeatable_report(
@@ -147,43 +197,9 @@ def unbeatable_report(
     unbeatability in explicit or symbolic mode."""
     cg = load_group(source)
     inst = _seed_instance(cg, seed_spec, family_labels, m)
-    report: dict = {
-        "group": cg.spec.name,
-        "m": m,
-        "seed": seed_spec,
-        "family": list(family_labels),
-    }
-    seed_rep = check_seed_conditions(inst)
-    report["seed_conditions"] = seed_rep.to_dict()
-    if m == 1:
-        members = [h for cls in inst.seed_classes for h in cls.conjugates]
-        labels = [
-            f"{cls.label}[{i}]"
-            for cls in inst.seed_classes
-            for i in range(cls.class_size)
-        ]
-        try:
-            lattice = all_subgroup_classes(cg.table, cache_dir=cache_dir)
-        except LatticeCapError:
-            lattice = None
-        du = check_definitely_unbeatable_group(
-            cg.table,
-            inst.seed_ids,
-            members,
-            labels,
-            all_classes=lattice,
-            maximal_classes=cg.maximal_classes,
-        )
-    else:
-        total = m * cg.table.order**m
-        use_explicit = mode == "explicit" or (mode == "auto" and total <= 10**7)
-        if use_explicit and total <= explicit_cap:
-            du = check_definitely_unbeatable_wreath(inst, element_cap=explicit_cap)
-        else:
-            du = check_definitely_unbeatable_symbolic(inst, seed_rep)
-    report["unbeatability"] = du.to_dict()
-    report["passed"] = du.passed
-    return report
+    return _certificate(
+        cg, inst, seed_spec, check_seed_conditions(inst), mode, explicit_cap, cache_dir
+    )
 
 
 def wreath_bounds_report(
@@ -197,9 +213,8 @@ def wreath_bounds_report(
     constructive cover count."""
     cg = load_group(source)
     inst = _seed_instance(cg, seed_spec, family_labels, m)
-    by_label = cg.classes_by_label()
     cover_classes = (
-        [by_label[lab] for lab in cover_labels] if cover_labels else inst.seed_classes
+        _classes_by_labels(cg, cover_labels) if cover_labels else inst.seed_classes
     )
     cover = [h for cls in cover_classes for h in cls.conjugates]
     bounds = theorem_bounds(inst, cover)
@@ -213,128 +228,104 @@ def wreath_bounds_report(
     }
 
 
-def m11_report(m: int, cache_dir=None) -> dict:
-    """The Mathieu-group pipeline: catalog data reproduction plus the exact
-    covering number of M11 wr C_m = alpha(m) + 11^m + 12^m."""
-    cg = load_group("M11")
-    g = cg.table
-    report: dict = {"group": "M11", "m": m, "order": g.order}
-    assert g.order == 7920
+@dataclass(frozen=True)
+class Theorem:
+    """An exact covering number of S wr C_m: the family of maximal classes
+    over a seed element set is definitely unbeatable, and its constructive
+    cover count equals the closed form.  ``family`` maps each class label to
+    the seed count of one member; ``closed_form(m)`` returns the value and
+    any outside-hypothesis warnings."""
 
-    o8 = g.elements_with_order(8)
-    o11 = g.elements_with_order(11)
-    per_class = {}
-    for cls in cg.maximal_classes:
-        rep = cls.representative
-        per_class[cls.label] = {
-            "order": cls.order,
-            "class_size": cls.class_size,
-            "order8_per_member": int(np.isin(o8, rep.member_ids).sum()),
-            "order11_per_member": int(np.isin(o11, rep.member_ids).sum()),
-        }
-    report["maximal_classes"] = per_class
-
-    def exactly_once(cls_label: str, element_ids: np.ndarray) -> bool:
-        cls = cg.classes_by_label()[cls_label]
-        total = 0
-        union: set[int] = set()
-        for h in cls.conjugates:
-            hit = element_ids[np.isin(element_ids, h.member_ids)]
-            total += int(hit.shape[0])
-            union.update(int(x) for x in hit.tolist())
-        return total == len(union) == element_ids.shape[0]
-
-    report["order8_unique_to_one_M10"] = exactly_once("M10", o8)
-    report["order11_unique_to_one_PSL"] = exactly_once("PSL(2,11)", o11)
-
-    ub = unbeatable_report(
-        "M11", "orders:8,11", ["M10", "PSL(2,11)"], m, cache_dir=cache_dir
-    )
-    report["certificate"] = ub
-
-    value = formulas.c1_value(m)
-    report["formula_value"] = str(value)
-    if m == 1:
-        cover = [
-            h
-            for lab in ("M10", "PSL(2,11)")
-            for h in cg.classes_by_label()[lab].conjugates
-        ]
-        ok, missing = verify_cover_handles(g, cover)
-        report["cover_verified"] = ok
-        lower = ub["unbeatability"].get("certified_lower_bound")
-        report["passed"] = (
-            ok
-            and lower is not None
-            and int(lower) == len(cover) == value
-            and report["order8_unique_to_one_M10"]
-            and report["order11_unique_to_one_PSL"]
-        )
-    else:
-        bounds = wreath_bounds_report("M11", "orders:8,11", ["M10", "PSL(2,11)"], m)
-        report["bounds"] = bounds["bounds"]
-        report["passed"] = (
-            ub["passed"]
-            and int(bounds["bounds"]["lower"]) == value
-            and int(bounds["bounds"]["upper"]) == value
-            and report["order8_unique_to_one_M10"]
-            and report["order11_unique_to_one_PSL"]
-        )
-    return report
+    group: str
+    order: int
+    seed_spec: str
+    family: dict[str, int]
+    closed_form: Callable[[int], tuple[int, list[str]]]
 
 
-def psl_report(p: int, m: int, cache_dir=None) -> dict:
-    """The PSL(2,p) pipeline: alpha(m) + (p+1)^m + (p(p-1)/2)^m with the
-    point-stabilizer and dihedral families."""
+# sigma(M11 wr C_m) = alpha(m) + 11^m + 12^m; m = 1 is sigma(M11) = 23
+# (Holmes 2006).  An M10 holds 2 classes of 90 elements of order 8, a
+# PSL(2,11) the 11^2 - 1 elements of order 11.
+M11_THEOREM = Theorem(
+    group="M11",
+    order=7920,
+    seed_spec="orders:8,11",
+    family={"M10": 180, "PSL(2,11)": 120},
+    closed_form=lambda m: (formulas.c1_value(m), []),
+)
+
+
+def psl_theorem(p: int) -> Theorem:
+    """sigma(PSL(2,p) wr C_m) = alpha(m) + (p+1)^m + (p(p-1)/2)^m over the
+    point stabilizers p:(p-1)/2 and the dihedral groups D(p+1); m = 1 is
+    Bryce, Fedri & Serena 1999."""
     name = f"PSL(2,{p})"
     if name not in catalog.BUILTIN_SPECS:
         raise PipelineError(f"no built-in catalog for {name}")
-    cg = load_group(name)
+    return Theorem(
+        group=name,
+        order=p * (p * p - 1) // 2,
+        seed_spec=f"orders:{p},{(p + 1) // 2}",
+        family={
+            f"{p}:{(p - 1) // 2}": p - 1,
+            f"D{p + 1}": formulas.euler_phi((p + 1) // 2),
+        },
+        closed_form=functools.partial(formulas.c2_value, p),
+    )
+
+
+def theorem_report(thm: Theorem, m: int, cache_dir=None) -> dict:
+    """Verify one wreath theorem at m: the seed conditions, the cover of S,
+    the unbeatability certificate and the bounds, each computed once.  It
+    passes when the lower and upper bounds both equal the closed form (at
+    m = 1 the certified lower bound and the cover size)."""
+    cg = load_group(thm.group)
     g = cg.table
-    assert g.order == p * (p * p - 1) // 2
-    borel = f"{p}:{(p - 1) // 2}"
-    dihedral = f"D{p + 1}"
-    family = [borel, dihedral]
-    seed_spec = f"orders:{p},{(p + 1) // 2}"
-    value, warnings = formulas.c2_value(p, m)
+    if g.order != thm.order:
+        raise PipelineError(f"{thm.group} has order {g.order}, expected {thm.order}")
+    inst = _seed_instance(cg, thm.seed_spec, list(thm.family), m)
+    seed_rep = check_seed_conditions(inst)
+    value, warnings = thm.closed_form(m)
+    per_class = seed_rep.seed_counts["per_class"]
+    counts = {lab: per_class[lab]["per_member"] for lab in thm.family}
+    cover = [h for _, h in inst.members()]
+    ok, _ = verify_cover_handles(g, cover)
+    cert = _certificate(cg, inst, thm.seed_spec, seed_rep, cache_dir=cache_dir)
     report: dict = {
-        "group": name,
+        "group": thm.group,
         "m": m,
         "order": g.order,
         "formula_value": str(value),
         "warnings": warnings,
+        "seed_per_member": counts,
+        "expected_seed_per_member": dict(thm.family),
+        "cover_verified": ok,
+        "certificate": cert,
     }
-    inst = _seed_instance(cg, seed_spec, family, m)
-    counts = {
-        cls.label: int(np.isin(inst.seed_ids, cls.representative.member_ids).sum())
-        for cls in inst.seed_classes
-    }
-    report["seed_per_member"] = counts
-    report["expected_seed_per_member"] = {
-        borel: p - 1,
-        dihedral: formulas.euler_phi((p + 1) // 2),
-    }
-
-    cover = [h for cls in inst.seed_classes for h in cls.conjugates]
-    ok, missing = verify_cover_handles(g, cover)
-    report["cover_verified"] = ok
-
-    ub = unbeatable_report(name, seed_spec, family, m, cache_dir=cache_dir)
-    report["certificate"] = ub
     if m == 1:
-        lower = ub["unbeatability"].get("certified_lower_bound")
-        report["passed"] = ok and lower is not None and int(lower) == len(cover) == value
+        lower = cert["unbeatability"].get("certified_lower_bound")
+        upper = len(cover)
     else:
-        bounds = wreath_bounds_report(name, seed_spec, family, m)
-        report["bounds"] = bounds["bounds"]
-        report["passed"] = (
-            ok
-            and ub["passed"]
-            and counts == report["expected_seed_per_member"]
-            and int(bounds["bounds"]["lower"]) == value
-            and int(bounds["bounds"]["upper"]) == value
-        )
+        bounds = theorem_bounds(inst, cover, seed_rep)
+        report["bounds"] = bounds.to_dict()
+        lower, upper = bounds.lower, bounds.upper
+    report["passed"] = (
+        ok
+        and cert["passed"]
+        and counts == thm.family
+        and lower is not None
+        and int(lower) == upper == value
+    )
     return report
+
+
+# verify-c1 and verify-c2: pick the row, run it
+def m11_report(m: int, cache_dir=None) -> dict:
+    return theorem_report(M11_THEOREM, m, cache_dir)
+
+
+def psl_report(p: int, m: int, cache_dir=None) -> dict:
+    return theorem_report(psl_theorem(p), m, cache_dir)
 
 
 # -- constructive covers and their certificates ---------------------------------
@@ -446,7 +437,7 @@ def construct_cover_report(
         "m": m,
         "base_cover": cert.to_dict(),
         "family_count": len(descriptors) + len(socle),
-        "expected_count": formulas.alpha(m) + sum(h.index ** (m - 1) for h in N),
+        "expected_count": wreath_cover_upper_term(N, m),
         "members": descriptor_lines(cg, descriptors, socle),
     }
     total = m * g.order**m

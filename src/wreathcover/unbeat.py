@@ -23,8 +23,9 @@ diagonal type, and says so in the certificate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -69,11 +70,16 @@ class SeedInstance:
         if self.m < 1:
             raise ValueError("m >= 1 required")
 
-    def seed_class_keys(self) -> set[bytes]:
-        return {c.representative.canonical_key for c in self.seed_classes}
+    def members(self) -> list[tuple[str, SubgroupHandle]]:
+        """Every family member as (label, handle), labels ``base[i]``."""
+        return [
+            (f"{cls.base_label}[{i}]", h)
+            for cls in self.seed_classes
+            for i, h in enumerate(cls.conjugates)
+        ]
 
     def outside_classes(self) -> list[SubgroupClass]:
-        keys = self.seed_class_keys()
+        keys = {c.representative.canonical_key for c in self.seed_classes}
         return [c for c in self.maximal_classes if c.representative.canonical_key not in keys]
 
 
@@ -137,17 +143,50 @@ def diagonal_term(S_order: int, m: int) -> int:
     return (1 + alpha(m)) * S_order ** (m // smallest_prime_factor(m))
 
 
+def hit_cover_disjoint(
+    S: GroupTable,
+    target: np.ndarray,
+    members: Sequence[tuple[str, SubgroupHandle]],
+    names: tuple[str, str, str],
+) -> tuple[list[ConditionResult], list[np.ndarray]]:
+    """The three set conditions of a family of subgroups of S on a sorted
+    target: every member meets it, the members cover it, and no target
+    element lies in two members.  Returns the results under the given names
+    and each member's intersection with the target."""
+    inter = [target[np.isin(target, h.member_ids)] for _, h in members]
+    empty = [lab for (lab, _), ids in zip(members, inter) if ids.shape[0] == 0]
+    count = np.zeros(S.order, dtype=np.int32)
+    for ids in inter:
+        count[ids] += 1
+    uncovered = target[count[target] == 0]
+    doubled = target[count[target] > 1]
+    hit, cover, disjoint = names
+    return [
+        ConditionResult(
+            hit,
+            not empty,
+            witness={"empty_members": empty[:5]} if empty else None,
+        ),
+        ConditionResult(
+            cover,
+            uncovered.shape[0] == 0,
+            witness={"uncovered_element": int(uncovered[0])}
+            if uncovered.shape[0]
+            else None,
+        ),
+        ConditionResult(
+            disjoint,
+            doubled.shape[0] == 0,
+            witness={"element": int(doubled[0])} if doubled.shape[0] else None,
+        ),
+    ], inter
+
+
 def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
     """Evaluate conditions C0-C5 exhaustively with exact arithmetic."""
     S, seed, m = inst.S, inst.seed_ids, inst.m
     results: list[ConditionResult] = []
     notes: list[str] = []
-
-    members: list[tuple[str, SubgroupHandle]] = []
-    for cls in inst.seed_classes:
-        base = cls.base_label
-        for i, h in enumerate(cls.conjugates):
-            members.append((f"{base}[{i}]", h))
 
     # C0: the family is closed under conjugation (it is built from whole
     # classes; re-verify the class orbits and the seed's closure).
@@ -161,46 +200,19 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
         )
     )
 
-    # per-member seed intersections
-    inter: list[np.ndarray] = []
-    for _, h in members:
-        inter.append(seed[np.isin(seed, h.member_ids)])
-
-    # C1: every member meets the seed
-    empty = [lab for (lab, _), ids in zip(members, inter) if ids.shape[0] == 0]
-    results.append(
-        ConditionResult(
+    # C1-C3: every member meets the seed, the family covers it, no seed
+    # element lies in two members
+    c13, _ = hit_cover_disjoint(
+        S,
+        seed,
+        inst.members(),
+        (
             "C1 every member meets the seed",
-            not empty,
-            witness={"empty_members": empty[:5]} if empty else None,
-        )
-    )
-
-    # C2: the seed is covered by the family
-    covered = np.zeros(S.order, dtype=bool)
-    for _, h in members:
-        covered[h.member_ids] = True
-    missing = seed[~covered[seed]]
-    results.append(
-        ConditionResult(
             "C2 seed covered by the family",
-            missing.shape[0] == 0,
-            witness={"uncovered_element": int(missing[0])} if missing.shape[0] else None,
-        )
-    )
-
-    # C3: no seed element in two distinct members
-    count = np.zeros(S.order, dtype=np.int32)
-    for ids in inter:
-        count[ids] += 1
-    doubled = seed[count[seed] > 1]
-    results.append(
-        ConditionResult(
             "C3 no seed element in two members",
-            doubled.shape[0] == 0,
-            witness={"element": int(doubled[0])} if doubled.shape[0] else None,
-        )
+        ),
     )
+    results.extend(c13)
 
     # C4: at least two non-conjugate classes
     results.append(
@@ -390,39 +402,15 @@ def check_definitely_unbeatable_group(
     subgroup lattice when given (unconditional certificate), else the
     maximal classes only (certificate marked conditional)."""
     target = np.unique(np.asarray(target_ids, dtype=np.int64))
-    results: list[ConditionResult] = []
-
-    inter = [target[np.isin(target, h.member_ids)] for h in family]
-
-    empty = [lab for lab, ids in zip(family_labels, inter) if ids.shape[0] == 0]
-    results.append(
-        ConditionResult(
+    results, inter = hit_cover_disjoint(
+        S,
+        target,
+        list(zip(family_labels, family, strict=True)),
+        (
             "U1 every member meets the target",
-            not empty,
-            witness={"empty_members": list(empty[:5])} if empty else None,
-        )
-    )
-
-    count = np.zeros(S.order, dtype=np.int32)
-    for ids in inter:
-        count[ids] += 1
-    uncovered = target[count[target] == 0]
-    results.append(
-        ConditionResult(
             "U2 target covered",
-            uncovered.shape[0] == 0,
-            witness={"uncovered_element": int(uncovered[0])}
-            if uncovered.shape[0]
-            else None,
-        )
-    )
-    doubled = target[count[target] > 1]
-    results.append(
-        ConditionResult(
             "U3 no target element in two members",
-            doubled.shape[0] == 0,
-            witness={"element": int(doubled[0])} if doubled.shape[0] else None,
-        )
+        ),
     )
 
     member_min = min(ids.shape[0] for ids in inter) if inter else 0
@@ -480,20 +468,27 @@ class ExplicitWreathFamily:
         return len(self.products) + len(self.socle)
 
 
-def materialize_family(inst: SeedInstance) -> ExplicitWreathFamily:
-    """All product-type members (every first-slot conjugate, every coset
-    tuple) plus the socle maximals, canonically ordered."""
-    import itertools
-
-    products, labels = [], []
-    for cls in inst.seed_classes:
+def product_type_members(
+    classes: Sequence[SubgroupClass], m: int
+) -> Iterator[tuple[str, ProductTypeDescriptor]]:
+    """(label, descriptor) for every product-type subgroup over the given
+    classes: every first-slot conjugate, every coset tuple, in that order.
+    The coset representatives are already the minimum ids of their cosets,
+    the canonical form ``ProductTypeDescriptor.create`` would compute."""
+    for cls in classes:
         base = cls.base_label
         for i, M in enumerate(cls.conjugates):
             reps = coset_representatives(M)
-            for combo in itertools.product(reps, repeat=inst.m - 1):
-                d = ProductTypeDescriptor.create(M, combo)
-                products.append(d)
-                labels.append(f"{base}[{i}]{list(combo)}")
+            for combo in itertools.product(reps, repeat=m - 1):
+                yield f"{base}[{i}]{list(combo)}", ProductTypeDescriptor(M, combo)
+
+
+def materialize_family(inst: SeedInstance) -> ExplicitWreathFamily:
+    """All product-type members (every first-slot conjugate, every coset
+    tuple) plus the socle maximals, canonically ordered."""
+    members = list(product_type_members(inst.seed_classes, inst.m))
+    labels = [lab for lab, _ in members]
+    products = [d for _, d in members]
     socle = socle_maximals(inst.m) if inst.m >= 2 else []
     labels.extend(f"socle[{s.r}]" for s in socle)
     return ExplicitWreathFamily(products=products, socle=socle, labels=labels)
@@ -633,19 +628,9 @@ def check_definitely_unbeatable_wreath(
     member_min = int(member_counts.min()) if family.size else 0
 
     # outsider sweep: product types over classes outside the family
-    import itertools
-
-    family_keys = inst.seed_class_keys()
-    outsiders, outsider_labels = [], []
-    for cls in inst.maximal_classes:
-        if cls.representative.canonical_key in family_keys:
-            continue
-        base = cls.base_label
-        for i, M in enumerate(cls.conjugates):
-            reps = coset_representatives(M)
-            for combo in itertools.product(reps, repeat=m - 1):
-                outsiders.append(ProductTypeDescriptor.create(M, combo))
-                outsider_labels.append(f"{base}[{i}]{list(combo)}")
+    sweep = list(product_type_members(inst.outside_classes(), m))
+    outsider_labels = [lab for lab, _ in sweep]
+    outsiders = [d for _, d in sweep]
     outsider_counts = np.zeros(len(outsiders), dtype=np.int64)
     for shift, tmask in tmasks.masks.items():
         outsider_counts += box_target_counts(box_luts(ctx, outsiders, shift), tmask)
@@ -779,17 +764,16 @@ def theorem_bounds(
         raise ValueError(f"cover does not cover S: element {missing} missed")
     upper = wreath_cover_upper_term(cover_handles, inst.m)
     if inst.m == 1:
-        lower_members = [h for cls in inst.seed_classes for h in cls.conjugates]
-        labels = [f"{cls.label}[{i}]" for cls in inst.seed_classes for i in range(cls.class_size)]
+        members = inst.members()
         report = check_definitely_unbeatable_group(
             inst.S,
             inst.seed_ids,
-            lower_members,
-            labels,
+            [h for _, h in members],
+            [lab for lab, _ in members],
             maximal_classes=inst.maximal_classes,
         )
         lower = report.certified_lower_bound or 0
-        return WreathBounds(lower, upper, len(lower_members), upper, report)
+        return WreathBounds(lower, upper, len(members), upper, report)
     report = seed_report or check_seed_conditions(inst)
     spec = build_target_family(inst)
     lower = spec.family_size if report.passed else 0

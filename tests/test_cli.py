@@ -83,6 +83,38 @@ def test_verify_c2(capsys, _cache_dir):
     assert status == 0 and report["passed"]
 
 
+def test_theorem_reports_share_one_shape(capsys, _cache_dir):
+    # M11 and PSL(2,p) run through one theorem runner: same report keys
+    for m in ("1", "2"):
+        _, c1 = run_json(["verify-c1", "-m", m], capsys)
+        _, c2 = run_json(["verify-c2", "-p", "11", "-m", m], capsys)
+        assert set(c1) == set(c2), m
+        assert ("bounds" in c1) == (m != "1")
+    assert c1["seed_per_member"] == c1["expected_seed_per_member"] == {
+        "M10": 180,
+        "PSL(2,11)": 120,
+    }
+
+
+def test_theorem_runner_checks_seed_conditions_once(capsys, monkeypatch):
+    from wreathcover import pipelines, unbeat
+
+    calls = []
+    check = unbeat.check_seed_conditions
+
+    def counted(inst):
+        calls.append(inst.m)
+        return check(inst)
+
+    # unbeat's own name too: theorem_bounds re-checks when not handed a report
+    for module in (pipelines, unbeat):
+        monkeypatch.setattr(module, "check_seed_conditions", counted)
+    for argv in (["verify-c1", "-m", "2"], ["verify-c2", "-p", "11", "-m", "5"]):
+        calls.clear()
+        status, _ = run_json(argv, capsys)
+        assert status == 0 and len(calls) == 1, argv
+
+
 def test_verify_unbeatable_failure_exit_code(capsys, _cache_dir):
     status, report = run_json(
         [
@@ -134,6 +166,12 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     # the PSL(2,7) catalog has no D8 class for the PSL(2,p) family
     assert main(["verify-c2", "-p", "7", "-m", "2"]) == 2
     assert "'D8'" in capsys.readouterr().err
+    # cover labels go through the same lookup as family labels
+    argv = ["wreath-bounds", "M11", "--sigma-spec", "orders:8,11",
+            "--families", "M10,PSL(2,11)", "--cover", "Foo", "-m", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "'Foo'" in err and "'M10'" in err
     # a spec file without maximal classes cannot name its family members,
     # so construct-cover refuses before it enumerates the lattice
     spec = tmp_path / "a5.yaml"

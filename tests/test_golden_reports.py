@@ -47,9 +47,10 @@ GOLDEN = [
         "eb9264844652de7b628a45498fb9d92fe5fb3b87f1eede673ac4a7c93a52231e",
     ),
     (
+        # the M11 row of the theorem table: the report shape of verify-c2
         "verify-c1 -m 2",
         0,
-        "3a43427acb768f4c192b3040559d57bd91c5407d0d7f5a8bc5b131f2083e5df9",
+        "aac974631981ee03d1c3f5c34a2f1f6d0271e92dca973ee92e935c51c3ab338e",
     ),
     (
         "verify-c2 -p 11 -m 5",

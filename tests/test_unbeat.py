@@ -12,8 +12,10 @@ from wreathcover.unbeat import (
     check_seed_conditions,
     diagonal_term,
     materialize_family,
+    product_type_members,
     theorem_bounds,
 )
+from wreathcover.wreath import ProductTypeDescriptor
 
 
 def _m11_instance(m11, m):
@@ -207,6 +209,21 @@ def test_a5_surrogate_member_counts_match_formulas(a5):
         assert got == expect
     # the socle member count equals the ordered non-conjugate pair sum
     assert int(tm.masks[0].sum()) == 960
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_product_type_members_are_canonical(a5, psl7, m):
+    # coset representatives are coset minima, so the generator's
+    # descriptors are exactly what create() canonicalizes them to
+    for cg in (a5, psl7):
+        members = list(product_type_members(cg.maximal_classes, m))
+        expect = sum(c.class_size * c.representative.index ** (m - 1)
+                     for c in cg.maximal_classes)
+        assert len(members) == len({d for _, d in members}) == expect
+        for label, d in members:
+            made = ProductTypeDescriptor.create(d.M, d.cosets)
+            assert d.key() == made.key() and d == made, label
+            assert label.endswith(f"{list(d.cosets)}")
 
 
 def test_mutation_breaks_cover_condition(a5):
