@@ -1,17 +1,38 @@
 """Exact and greedy minimal covers by subgroups, with certificates.
 
 Element sets are bitmasks over the (identity-free) universe, so the inner
-loops are integer AND/OR/popcount.  The branch-and-bound solver branches on
-a least-covered element, seeds with the greedy value, and prunes with two
-sound lower bounds: ceil(uncovered / best-single-coverage) and a disjoint
-element packing.  Everything is deterministic: candidates are ordered
-canonically and all tie-breaks are lexicographic.
+loops are integer AND/OR/popcount.  ``build_instance`` keeps, besides each
+candidate's mask, the sparse incidence: the universe positions of every
+candidate's members.  All masks are packed from it at once, and the
+per-element data of the search (the covering candidates of each element,
+in ascending candidate order, and their number) come from one stable sort
+of it; no dense candidates x elements matrix is built.
+
+The branch-and-bound solver seeds with the greedy value, forces the
+candidates that alone cover some element, and branches on a least-covered
+uncovered element, taking the lowest such position.  It finds that element
+from buckets: one mask per distinct coverer count, in ascending order, so
+the choice is the lowest position in the first bucket that meets the
+uncovered set.  It prunes with a disjoint element packing: repeatedly take
+the lowest uncovered position and drop everything its coverers cover.  The
+complement of each element's coverer union is built the first time the
+packing reaches that element.  The search's own masks hold position 0 at
+the top bit, so the lowest position in a mask is read off its bit length.
+
+The search keeps its own stack, so the interpreter's recursion limit does
+not bound its depth.  It visits nodes depth first, children by decreasing
+gain, then by candidate.  A child's bound is taken when it is made, and a
+child that the bound already prunes is counted but never stacked.
+Everything is deterministic: candidates are ordered canonically and all
+tie-breaks are lexicographic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import reduce
+from operator import or_
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,18 +53,14 @@ class CoverInstance:
     masks: list[int]
     handles: list[SubgroupHandle]
     full_mask: int
+    # the sparse incidence: the universe positions of every candidate's
+    # members, candidate by candidate, and the candidate of each entry
+    member_pos: np.ndarray
+    member_owner: np.ndarray
 
     @property
     def universe_size(self) -> int:
         return int(self.universe_ids.shape[0])
-
-    def mask_of_ids(self, ids: Iterable[int]) -> int:
-        pos = np.searchsorted(self.universe_ids, np.asarray(list(ids), dtype=np.int64))
-        mask = 0
-        for p, e in zip(pos.tolist(), ids):
-            if p < self.universe_size and int(self.universe_ids[p]) == e:
-                mask |= 1 << p
-        return mask
 
     def uncovered_ids(self, mask: int) -> list[int]:
         missing = self.full_mask & ~mask
@@ -97,8 +114,7 @@ def build_instance(
     else:
         universe = np.unique(np.asarray(target_ids, dtype=np.int64))
         universe = universe[universe != 0]
-    pos_of_id = {int(e): i for i, e in enumerate(universe.tolist())}
-    labels, masks, handles = [], [], []
+    labels, handles = [], []
     seen: set[bytes] = set()
     next_index: dict[str, int] = {}
     for cls in classes:
@@ -109,38 +125,68 @@ def build_instance(
             if h.canonical_key in seen:
                 continue
             seen.add(h.canonical_key)
-            mask = 0
-            for e in h.member_ids.tolist():
-                p = pos_of_id.get(e)
-                if p is not None:
-                    mask |= 1 << p
             labels.append(f"{base}[{i}]")
-            masks.append(mask)
             handles.append(h)
+    pos_of = np.full(g.order, -1, dtype=np.int64)
+    pos_of[universe] = np.arange(universe.shape[0])
+    pos = pos_of[np.concatenate([np.zeros(0, np.int64), *(h.member_ids for h in handles)])]
+    sizes = np.array([h.size for h in handles], dtype=np.int64)
+    owner = np.repeat(np.arange(len(handles)), sizes)
+    inside = pos >= 0
+    pos, owner = pos[inside], owner[inside]
     return CoverInstance(
         group=g,
         universe_ids=universe,
         labels=labels,
-        masks=masks,
+        masks=_pack(owner, pos, len(handles), universe.shape[0]),
         handles=handles,
         full_mask=(1 << universe.shape[0]) - 1,
+        member_pos=pos,
+        member_owner=owner,
     )
 
 
-def _greedy_order(instance: CoverInstance, covered: int) -> list[int]:
+def _pack(rows: np.ndarray, bits: np.ndarray, nrows: int, nbits: int) -> list[int]:
+    """The rows of a sparse 0/1 matrix as int masks: row r has bit bits[j]
+    for each entry j with rows[j] == r."""
+    width = (nbits + 7) // 8
+    cells = np.zeros(nrows * width, dtype=np.uint8)
+    np.bitwise_or.at(cells, rows * width + (bits >> 3), (1 << (bits & 7)).astype(np.uint8))
+    raw = cells.tobytes()
+    return [int.from_bytes(raw[r * width : (r + 1) * width], "little") for r in range(nrows)]
+
+
+class _Lazy(dict):
+    """A table whose entries are made on first lookup, by ``make(key)``."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _greedy_order(instance: CoverInstance) -> list[int]:
+    """Repeatedly take the first candidate of largest gain.  The gains are
+    kept as a vector: a pick lowers each candidate's gain by the number of
+    its elements the pick newly covers."""
+    pos, owner = instance.member_pos, instance.member_owner
+    gain = np.bincount(owner, minlength=len(instance.masks))
+    covered = np.zeros(instance.universe_size, dtype=bool)
+    fresh = np.zeros(instance.universe_size, dtype=bool)
     chosen = []
-    masks = instance.masks
-    while covered != instance.full_mask:
-        best_idx, best_gain = -1, 0
-        for i, m in enumerate(masks):
-            gain = (m & ~covered).bit_count()
-            if gain > best_gain:
-                best_idx, best_gain = i, gain
-        if best_idx < 0:
-            return chosen  # infeasible; caller detects non-full coverage
-        chosen.append(best_idx)
-        covered |= masks[best_idx]
-    return chosen
+    while True:
+        best = int(gain.argmax())
+        if gain[best] == 0:
+            return chosen  # covered, or infeasible: the caller tells which
+        chosen.append(best)
+        new = pos[owner == best]
+        new = new[~covered[new]]
+        covered[new] = fresh[new] = True
+        gain -= np.bincount(owner[fresh[pos]], minlength=gain.shape[0])
+        fresh[new] = False
 
 
 def sigma_greedy(instance: CoverInstance) -> CoverCertificate:
@@ -151,7 +197,7 @@ def sigma_greedy(instance: CoverInstance) -> CoverCertificate:
     feasible, witness = _feasibility(instance)
     if not feasible:
         return _infeasible_certificate(instance, witness)
-    chosen = _greedy_order(instance, 0)
+    chosen = _greedy_order(instance)
     return CoverCertificate(
         kind="upper-bound",
         value=len(chosen),
@@ -189,13 +235,6 @@ def _infeasible_certificate(instance: CoverInstance, witness_id: int) -> CoverCe
     )
 
 
-@dataclass
-class _SearchState:
-    nodes: int = 0
-    best_value: int = 0
-    best_chosen: tuple[int, ...] = ()
-
-
 def sigma_exact(
     instance: CoverInstance,
     node_cap: int = 5_000_000,
@@ -208,93 +247,100 @@ def sigma_exact(
     if not feasible:
         return _infeasible_certificate(instance, witness)
 
-    masks = instance.masks
-    ncand = len(masks)
-    greedy = _greedy_order(instance, 0)
+    full = instance.full_mask
+    greedy = _greedy_order(instance)
 
-    # static per-element data: covering candidates and their union
+    # static per-element data: the covering candidates of element e are
+    # by_element[start[e]:start[e + 1]], in ascending candidate order
     nbits = instance.universe_size
-    coverers: list[list[int]] = [[] for _ in range(nbits)]
-    for i, m in enumerate(masks):
-        mm = m
-        while mm:
-            low = mm & -mm
-            coverers[low.bit_length() - 1].append(i)
-            mm ^= low
-    cover_union = [0] * nbits
-    for e in range(nbits):
-        u = 0
-        for i in coverers[e]:
-            u |= masks[i]
-        cover_union[e] = u
+    pos, owner = instance.member_pos, instance.member_owner
+    counts = np.bincount(pos, minlength=nbits)
+    by_element = owner[np.argsort(pos, kind="stable")]
+    start = np.zeros(nbits + 1, dtype=np.int64)
+    np.cumsum(counts, out=start[1:])
+    coverers = _Lazy(lambda e: by_element[start[e] : start[e + 1]].tolist())
+
+    # the search's masks hold position e at bit nbits - 1 - e: the lowest
+    # position of a nonzero mask x is then nbits - x.bit_length()
+    masks = _pack(owner, nbits - 1 - pos, len(instance.masks), nbits)
+    # keyed by nbits - e: the complement of the union of e's coverers
+    anti_union = _Lazy(lambda k: ~reduce(or_, [masks[i] for i in coverers[nbits - k]]))
+
+    # elements by coverer count, least covered first
+    levels = np.unique(counts)
+    buckets = _pack(
+        np.searchsorted(levels, counts), nbits - 1 - np.arange(nbits), len(levels), nbits
+    )
 
     # root unit propagation: elements with a unique covering candidate
-    forced = sorted({coverers[e][0] for e in range(nbits) if len(coverers[e]) == 1})
+    forced = np.unique(by_element[start[:-1][counts == 1]]).tolist()
     forced_mask = 0
     for i in forced:
         forced_mask |= masks[i]
 
-    state = _SearchState(best_value=len(greedy), best_chosen=tuple(sorted(greedy)))
+    anti_mask = [~m for m in masks]
 
-    def packing_bound(uncovered: int) -> int:
+    def packing(uncovered: int, limit: int) -> int:
+        """A disjoint packing of uncovered elements, no two in one
+        candidate, counted up to limit: each takes one more candidate."""
         count = 0
-        rest = uncovered
-        while rest:
-            low = rest & -rest
-            rest &= ~cover_union[low.bit_length() - 1]
+        while uncovered and count < limit:
+            uncovered &= anti_union[uncovered.bit_length()]
             count += 1
         return count
 
-    full = instance.full_mask
-
-    def branch_element(uncovered: int) -> int:
-        best_e, best_n = -1, 1 << 60
-        mm = uncovered
-        while mm:
-            low = mm & -mm
-            e = low.bit_length() - 1
-            n = len(coverers[e])
-            if n < best_n:
-                best_e, best_n = e, n
-            mm ^= low
-        return best_e
-
-    def recurse(chosen: list[int], covered: int) -> None:
-        state.nodes += 1
-        if state.nodes > node_cap:
+    best_value, best_chosen = len(greedy), tuple(sorted(greedy))
+    # a node: (number of candidates chosen, uncovered mask, the candidates
+    # chosen after the forced ones as nested (candidate, parent) pairs, and
+    # its bound: the number chosen plus its packing).  A node is counted
+    # when it is made.  One whose bound already reaches best_value is not
+    # stacked: best_value can only fall before its turn would come.
+    depth, uncovered = len(forced), full ^ forced_mask
+    stack = [(depth, uncovered, None, depth + packing(uncovered, best_value - depth))]
+    nodes = 1
+    while stack:
+        depth, uncovered, path, bound = stack.pop()
+        if bound >= best_value:
+            continue
+        if not uncovered:
+            best_value = depth
+            chosen = list(forced)
+            while path is not None:
+                chosen.append(path[0])
+                path = path[1]
+            best_chosen = tuple(sorted(chosen))
+            continue
+        for bucket in buckets:
+            low = uncovered & bucket
+            if low:
+                break
+        # children by decreasing gain, then by candidate; the first is
+        # stacked last
+        options = sorted(
+            [
+                ((uncovered & anti_mask[i]).bit_count(), i)
+                for i in coverers[nbits - low.bit_length()]
+            ]
+        )
+        nodes += len(options)
+        if nodes > node_cap:
             raise CoverCapError(f"branch-and-bound exceeded {node_cap} nodes")
-        if covered == full:
-            if len(chosen) < state.best_value:
-                state.best_value = len(chosen)
-                state.best_chosen = tuple(sorted(chosen))
-            return
-        uncovered = full & ~covered
-        if len(chosen) + packing_bound(uncovered) >= state.best_value:
-            return
-        e = branch_element(uncovered)
-        options = []
-        for i in coverers[e]:
-            gain = (masks[i] & uncovered).bit_count()
-            if gain:
-                options.append((-gain, i))
-        options.sort()
-        for _, i in options:
-            chosen.append(i)
-            recurse(chosen, covered | masks[i])
-            chosen.pop()
+        depth += 1
+        for _, i in reversed(options):
+            rest = uncovered & anti_mask[i]
+            bound = depth + packing(rest, best_value - depth)
+            if bound < best_value:
+                stack.append((depth, rest, (i, path), bound))
 
-    recurse(list(forced), forced_mask)
-
-    chosen_labels = [instance.labels[i] for i in state.best_chosen]
     return CoverCertificate(
         kind="exact-optimal",
-        value=state.best_value,
-        chosen=chosen_labels,
+        value=best_value,
+        chosen=[instance.labels[i] for i in best_chosen],
         universe_size=instance.universe_size,
         lower_bound={
             "method": "branch-and-bound exhaustion",
-            "value": state.best_value,
-            "nodes": state.nodes,
+            "value": best_value,
+            "nodes": nodes,
             "greedy_seed": len(greedy),
             "forced_candidates": len(forced),
         },
@@ -328,9 +374,9 @@ def verify_cover_handles(
     covered = np.zeros(g.order, dtype=bool)
     for h in handles:
         covered[h.member_ids] = True
-    missing = [int(e) for e in target_ids.tolist() if not covered[e]]
-    if missing:
-        return False, missing[0]
+    missing = target_ids[~covered[target_ids]]
+    if missing.shape[0]:
+        return False, int(missing[0])
     return True, None
 
 

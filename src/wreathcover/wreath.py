@@ -186,7 +186,11 @@ def coordinate_luts(
 def product_type_mask(
     ctx: WreathContext, d: ProductTypeDescriptor, base_grid: np.ndarray, shift: int
 ) -> np.ndarray:
-    """Vectorized membership over a base-tuple grid at a fixed shift."""
+    """Vectorized membership over a base-tuple grid at a fixed shift.
+
+    This is the test oracle for the box kernels (``box_coverage``,
+    ``first_uncovered``, ``box_target_counts``) and for member tests: only
+    tests call it, and no pipeline does."""
     luts = coordinate_luts(ctx, d, shift)
     mask = np.ones(base_grid.shape[0], dtype=bool)
     for a in range(ctx.m):

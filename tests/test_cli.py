@@ -115,6 +115,25 @@ def test_theorem_runner_checks_seed_conditions_once(capsys, monkeypatch):
         assert status == 0 and len(calls) == 1, argv
 
 
+def test_theorem_runner_verifies_the_cover_once(capsys, monkeypatch):
+    from wreathcover import cover, pipelines
+
+    calls = []
+    verify = cover.verify_cover_handles
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return verify(*args, **kwargs)
+
+    # theorem_bounds imports the cover module's name when it runs
+    for module in (pipelines, cover):
+        monkeypatch.setattr(module, "verify_cover_handles", counted)
+    for argv in (["verify-c1", "-m", "2"], ["verify-c2", "-p", "11", "-m", "5"]):
+        calls.clear()
+        status, _ = run_json(argv, capsys)
+        assert status == 0 and len(calls) == 1, argv
+
+
 def test_verify_unbeatable_failure_exit_code(capsys, _cache_dir):
     status, report = run_json(
         [

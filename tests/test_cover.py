@@ -1,7 +1,14 @@
+import sys
+from functools import reduce
+from operator import or_
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathcover.cover import (
+    CoverCapError,
     build_instance,
     exhaustive_min_cover,
     sigma_exact,
@@ -12,6 +19,7 @@ from wreathcover.cover import (
 from wreathcover.groups import GroupTable
 from wreathcover.lattice import all_subgroup_classes, maximal_classes_from_lattice
 from wreathcover.perm import Perm
+from wreathcover.pipelines import load_group, parse_target_spec
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +147,141 @@ def test_psl27_oracle(psl7):
     inst = build_instance(psl7.table, psl7.maximal_classes)
     found = exhaustive_min_cover(inst.masks, inst.full_mask, 15)
     assert found is not None and found[0] == 15
+
+
+def _stack_depth() -> int:
+    """The caller's recursion depth as the interpreter counts it: the least
+    recursion limit under which a call two frames above the caller
+    succeeds, less two."""
+    old = sys.getrecursionlimit()
+    limit = 1
+    try:
+        while True:
+            try:
+                sys.setrecursionlimit(limit)
+                (lambda: None)()  # two frames above the caller
+                return limit - 2
+            except RecursionError:
+                limit += 1
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_search_runs_in_constant_stack_depth():
+    # the search keeps its own stack: eight frames above the caller
+    # suffice, where one frame per search level needs eleven here
+    cg = load_group("A6")
+    inst = build_instance(
+        cg.table, cg.maximal_classes, parse_target_spec(cg.table, "cycle-types:2,4")
+    )
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 8)
+    try:
+        cert = sigma_exact(inst)
+    finally:
+        sys.setrecursionlimit(old)
+    assert cert.kind == "exact-optimal"
+    assert verify_cover(inst, cert.chosen)[0]
+
+
+def test_node_cap_is_exact(psl7):
+    inst = build_instance(
+        psl7.table, psl7.maximal_classes, parse_target_spec(psl7.table, "orders:3")
+    )
+    nodes = sigma_exact(inst).lower_bound["nodes"]
+    assert nodes == 1617
+    assert sigma_exact(inst, node_cap=nodes).lower_bound["nodes"] == nodes
+    with pytest.raises(CoverCapError):
+        sigma_exact(inst, node_cap=nodes - 1)
+
+
+def _bitscan_greedy(masks, full):
+    """The greedy cover by one popcount per candidate per step: the first
+    candidate of largest gain wins."""
+    covered, chosen = 0, []
+    while covered != full:
+        gains = [(m & ~covered).bit_count() for m in masks]
+        if max(gains) == 0:
+            return None
+        chosen.append(gains.index(max(gains)))
+        covered |= masks[chosen[-1]]
+    return chosen
+
+
+def _bitscan_search(masks, full, greedy):
+    """The branch-and-bound by per-bit scans, one call per node: the
+    search sigma_exact must make node for node.  Returns [value, chosen,
+    nodes]."""
+    nbits = full.bit_length()
+    coverers = [[i for i, m in enumerate(masks) if m >> e & 1] for e in range(nbits)]
+    union = [reduce(or_, (masks[i] for i in c), 0) for c in coverers]
+    forced = sorted({c[0] for c in coverers if len(c) == 1})
+    best = [len(greedy), tuple(sorted(greedy)), 0]
+
+    def visit(chosen, covered):
+        best[2] += 1
+        if covered == full:
+            if len(chosen) < best[0]:
+                best[:2] = len(chosen), tuple(sorted(chosen))
+            return
+        uncovered = rest = full & ~covered
+        packing = 0
+        while rest:
+            rest &= ~union[(rest & -rest).bit_length() - 1]
+            packing += 1
+        if len(chosen) + packing >= best[0]:
+            return
+        e = min((len(coverers[e]), e) for e in range(nbits) if uncovered >> e & 1)[1]
+        for _, i in sorted((-(masks[i] & uncovered).bit_count(), i) for i in coverers[e]):
+            visit(chosen + [i], covered | masks[i])
+
+    visit(forced, reduce(or_, (masks[i] for i in forced), 0))
+    return best
+
+
+@st.composite
+def _random_instances(draw, max_target):
+    cg = load_group(draw(st.sampled_from(["A5", "PSL(2,7)"])))
+    g = cg.table
+    classes = draw(
+        st.lists(st.sampled_from(cg.maximal_classes), min_size=1, max_size=3, unique_by=id)
+    )
+    target = draw(
+        st.lists(
+            st.integers(1, g.order - 1),
+            min_size=1,
+            max_size=min(max_target, g.order - 1),
+            unique=True,
+        )
+    )
+    return build_instance(g, classes, np.array(target, dtype=np.int64))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_random_instances(max_target=30))
+def test_exact_and_greedy_match_oracles(inst):
+    cert = sigma_exact(inst)
+    greedy = sigma_greedy(inst)
+    found = exhaustive_min_cover(inst.masks, inst.full_mask, len(inst.masks))
+    if found is None:
+        assert cert.kind == greedy.kind == "infeasible"
+        return
+    assert cert.kind == "exact-optimal" and cert.value == found[0]
+    assert verify_cover(inst, cert.chosen)[0]
+    order = _bitscan_greedy(inst.masks, inst.full_mask)
+    assert greedy.chosen == [inst.labels[i] for i in order]
+    assert cert.lower_bound["greedy_seed"] == len(order)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_random_instances(max_target=10**3))
+def test_search_matches_bitscan_search(inst):
+    cert = sigma_exact(inst)
+    order = _bitscan_greedy(inst.masks, inst.full_mask)
+    if order is None:
+        assert cert.kind == "infeasible"
+        return
+    value, chosen, nodes = _bitscan_search(inst.masks, inst.full_mask, order)
+    assert cert.value == value and cert.lower_bound["nodes"] == nodes
+    assert cert.chosen == [inst.labels[i] for i in chosen]
+    assert cert.lower_bound["greedy_seed"] == len(order)

@@ -32,6 +32,27 @@ GOLDEN = [
         "52723f0f1529329bffb89f398331b7527b9466609ca1fc036ea4a1ca90c5fea6",
     ),
     (
+        # the search order: the nodes and the chosen optimum of each pin it
+        "sigma A6 --exact --target cycle-types:1,1,1,3/3,3",
+        0,
+        "5ed23f6aa47ea4f2afc6af1ed495104aa5b60672d560e79a02cd39210e1a1808",
+    ),
+    (
+        "sigma PSL(2,11) --exact --target orders:3",
+        0,
+        "e030365772fd53b00a3c161172494bbdb9e0732c5f860ee86c93594de17bb0e1",
+    ),
+    (
+        "sigma PSL(2,7) --exact --target orders:3",
+        0,
+        "008811583bd936cc1ec6781c40a4cc3bfc71599f0375204ce23293aa67130f20",
+    ),
+    (
+        "sigma PSL(2,13) --exact",
+        0,
+        "a3d402d47f10170668e198780ae5e6086ffdac8603f20f88db47498f52b38931",
+    ),
+    (
         "construct-cover A5 -m 2",
         0,
         "76eb8a67c3f5cec4614b646d573980c4019238674171a0ca794fbbbcd3ae9c69",
