@@ -142,21 +142,6 @@ class GroupTable:
         rows = self.images[g][self.images[np.asarray(b_ids, dtype=np.int64)]]
         return self._lookup(_pack(rows, self.degree))
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(int(self.inv[a]), -k)
-        result, base = 0, a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
-
-    def conj(self, x: int, g: int) -> int:
-        """g^-1 * x * g."""
-        return self.mul(self.mul(int(self.inv[g]), x), g)
-
     def conj_map(self, g: int) -> np.ndarray:
         """The full conjugation table x -> g^-1 x g as an id array."""
         if g not in self._conj_maps:
@@ -223,9 +208,6 @@ class GroupTable:
             self._hash = h.hexdigest()
         return self._hash
 
-    def is_cyclic(self) -> bool:
-        return bool(np.any(self.element_orders() == self.order))
-
     def __repr__(self) -> str:
         label = self.name or "group"
         return f"GroupTable({label}, order={self.order}, degree={self.degree})"
@@ -263,9 +245,6 @@ class SubgroupHandle:
     def contains(self, eid: int) -> bool:
         i = int(np.searchsorted(self.member_ids, eid))
         return i < self.size and int(self.member_ids[i]) == eid
-
-    def contains_many(self, ids: np.ndarray) -> np.ndarray:
-        return np.isin(ids, self.member_ids)
 
     def member_set(self) -> frozenset[int]:
         return frozenset(self.member_ids.tolist())
@@ -398,14 +377,6 @@ def normalizer(g: GroupTable, h: SubgroupHandle) -> np.ndarray:
         conj = g.mul_many(lt, all_ids)
         mask &= np.isin(conj, h.member_ids)
     return all_ids[mask]
-
-
-def centralizer(g: GroupTable, x: int) -> np.ndarray:
-    """Sorted ids of the centralizer of element x."""
-    all_ids = np.arange(g.order, dtype=np.int64)
-    left = g.mul_many(all_ids, np.full(g.order, x, dtype=np.int64))
-    right = g.mul_many(np.full(g.order, x, dtype=np.int64), all_ids)
-    return all_ids[left == right]
 
 
 def _acting_generators(g: GroupTable) -> list[int]:

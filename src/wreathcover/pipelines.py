@@ -35,14 +35,15 @@ from .unbeat import (
     check_definitely_unbeatable_wreath,
     check_seed_conditions,
     theorem_bounds,
-    wreath_cover_upper_term,
 )
 from .wreath import (
+    EXPLICIT_CAP,
     ProductTypeDescriptor,
     SocleMaximal,
     WreathContext,
     construct_product_cover,
     verify_wreath_cover,
+    wreath_cover_upper_term,
 )
 
 
@@ -146,11 +147,13 @@ def _certificate(
     seed_spec: str,
     seed_rep: SeedConditionReport,
     mode: str = "auto",
-    explicit_cap: int = 10**8,
     cache_dir=None,
 ) -> dict:
-    """Definite unbeatability of the instance's family, in explicit or
-    symbolic mode, reported with the seed conditions it rests on."""
+    """Definite unbeatability of the instance's family, reported with the
+    seed conditions it rests on.  At m = 1 the check is explicit in S.  At
+    m >= 2, ``explicit`` enumerates S wr C_m and fails (PipelineError) when
+    m * |S|^m exceeds ``EXPLICIT_CAP``, ``symbolic`` never enumerates, and
+    ``auto`` is explicit while m * |S|^m <= 10^7 and symbolic above."""
     m = inst.m
     if m == 1:
         members = inst.members()
@@ -168,9 +171,10 @@ def _certificate(
         )
     else:
         total = m * cg.table.order**m
-        use_explicit = mode == "explicit" or (mode == "auto" and total <= 10**7)
-        if use_explicit and total <= explicit_cap:
-            du = check_definitely_unbeatable_wreath(inst, element_cap=explicit_cap)
+        if mode == "explicit" and total > EXPLICIT_CAP:
+            raise PipelineError(f"explicit mode needs m*|S|^m = {total} <= {EXPLICIT_CAP}")
+        if mode == "explicit" or (mode == "auto" and total <= 10**7):
+            du = check_definitely_unbeatable_wreath(inst)
         else:
             du = check_definitely_unbeatable_symbolic(inst, seed_rep)
     return {
@@ -190,7 +194,6 @@ def unbeatable_report(
     family_labels: Sequence[str],
     m: int,
     mode: str = "auto",
-    explicit_cap: int = 10**8,
     cache_dir=None,
 ) -> dict:
     """The full certificate pipeline: seed conditions, then definite
@@ -198,7 +201,7 @@ def unbeatable_report(
     cg = load_group(source)
     inst = _seed_instance(cg, seed_spec, family_labels, m)
     return _certificate(
-        cg, inst, seed_spec, check_seed_conditions(inst), mode, explicit_cap, cache_dir
+        cg, inst, seed_spec, check_seed_conditions(inst), mode, cache_dir
     )
 
 
@@ -414,10 +417,10 @@ def construct_cover_report(
     m: int,
     cover_method: str = "exact",
     verify: bool = True,
-    element_cap: int = 10**8,
 ) -> dict:
     """Build the constructive covering family of S wr C_m from a minimal
-    (or greedy) cover of S; verify exhaustively at desk scale."""
+    (or greedy) cover of S; verify exhaustively up to ``EXPLICIT_CAP``
+    elements (``verified`` is null above it)."""
     cg = load_group(source)
     if not cg.maximal_classes:
         # member lines name catalog classes; fail before the lattice work
@@ -442,10 +445,8 @@ def construct_cover_report(
         "expected_count": wreath_cover_upper_term(N, m),
         "members": descriptor_lines(cg, descriptors, socle),
     }
-    total = m * g.order**m
-    if verify and total <= element_cap and m >= 1:
-        ctx = WreathContext(g, m)
-        ok, witness = verify_wreath_cover(ctx, descriptors, socle, element_cap=element_cap)
+    if verify and m * g.order**m <= EXPLICIT_CAP:
+        ok, witness = verify_wreath_cover(WreathContext(g, m), descriptors, socle)
         report["verified"] = ok
         if witness is not None:
             report["uncovered_witness"] = {
@@ -464,13 +465,12 @@ def verify_cover_report(
     source: str,
     m: int,
     member_lines: Sequence[str],
-    element_cap: int = 10**8,
 ) -> dict:
     """Check a serialized wreath covering family against every element."""
     cg = load_group(source)
     descriptors, socle = parse_descriptor_lines(cg, member_lines, m)
     ctx = WreathContext(cg.table, m)
-    ok, witness = verify_wreath_cover(ctx, descriptors, socle, element_cap=element_cap)
+    ok, witness = verify_wreath_cover(ctx, descriptors, socle)
     report = {
         "group": cg.spec.name,
         "m": m,

@@ -13,33 +13,38 @@ Two layers:
   that holds the covering number of the target equals |H| exactly, which
   lower-bounds the covering number of the whole group.
 
-Explicit mode enumerates the target and checks everything by set
-operations (the group, or m * |S|^m, must be small enough).  Symbolic mode
-certifies the first three conditions by the constructive coset argument and
-the fourth by the C5 arithmetic; it assumes the trichotomy that a maximal
-subgroup of S wr C_m contains the socle, is of product type, or is of
-diagonal type, and says so in the certificate.
+The family H of S wr C_m is the product-type family over the seed
+classes' members plus the socle maximals; ``wreath.product_type_family``
+generates it and ``wreath.wreath_cover_upper_term`` counts it.
+
+Explicit mode enumerates the target and checks everything by counting over
+boxes (the group, or m * |S|^m up to ``wreath.EXPLICIT_CAP``); its outsider
+sweep is the same generator over the maximal classes outside the family.
+Symbolic mode certifies the first three conditions by the constructive
+coset argument and the fourth by the C5 arithmetic; it assumes the
+trichotomy that a maximal subgroup of S wr C_m contains the socle, is of
+product type, or is of diagonal type, and says so in the certificate.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .formulas import alpha, smallest_prime_factor
 from .groups import GroupTable, SubgroupClass, SubgroupHandle
 from .wreath import (
+    EXPLICIT_CAP,
     ProductTypeDescriptor,
-    SocleMaximal,
     WreathContext,
     box_coverage,
     box_luts,
     box_target_counts,
-    coset_representatives,
+    product_type_family,
     socle_maximals,
+    wreath_cover_upper_term,
 )
 
 TRICHOTOMY_ASSUMPTION = (
@@ -302,50 +307,6 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
     )
 
 
-# -- the target set and family ---------------------------------------------
-
-
-@dataclass
-class TargetFamilySpec:
-    """Symbolic description of the certified target and family with exact
-    counts; executable membership predicates live in the explicit checker."""
-
-    inst: SeedInstance
-    family_size: int
-    product_members: int
-    socle_members: int
-    per_class_members: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "family_size": str(self.family_size),
-            "product_members": str(self.product_members),
-            "socle_members": self.socle_members,
-            "per_class_members": {k: str(v) for k, v in self.per_class_members.items()},
-        }
-
-
-def build_target_family(inst: SeedInstance) -> TargetFamilySpec:
-    """Counts: alpha(m) socle maximals plus, per family member M, one
-    product-type subgroup per coset tuple, |S:M|^(m-1) each."""
-    m = inst.m
-    per_class = {}
-    product_total = 0
-    for cls in inst.seed_classes:
-        idx = cls.representative.index
-        cnt = cls.class_size * idx ** (m - 1)
-        per_class[cls.base_label] = cnt
-        product_total += cnt
-    socle_count = alpha(m) if m >= 2 else 0
-    return TargetFamilySpec(
-        inst=inst,
-        family_size=socle_count + product_total,
-        product_members=product_total,
-        socle_members=socle_count,
-        per_class_members=per_class,
-    )
-
-
 # -- definite unbeatability ---------------------------------------------------
 
 
@@ -455,43 +416,18 @@ def check_definitely_unbeatable_group(
     )
 
 
-@dataclass
-class ExplicitWreathFamily:
-    """The constructed family materialized for explicit checking."""
-
-    products: list[ProductTypeDescriptor]
-    socle: list[SocleMaximal]
-    labels: list[str]
-
-    @property
-    def size(self) -> int:
-        return len(self.products) + len(self.socle)
-
-
-def product_type_members(
+def _labelled_products(
     classes: Sequence[SubgroupClass], m: int
-) -> Iterator[tuple[str, ProductTypeDescriptor]]:
-    """(label, descriptor) for every product-type subgroup over the given
-    classes: every first-slot conjugate, every coset tuple, in that order.
-    The coset representatives are already the minimum ids of their cosets,
-    the canonical form ``ProductTypeDescriptor.create`` would compute."""
-    for cls in classes:
-        base = cls.base_label
-        for i, M in enumerate(cls.conjugates):
-            reps = coset_representatives(M)
-            for combo in itertools.product(reps, repeat=m - 1):
-                yield f"{base}[{i}]{list(combo)}", ProductTypeDescriptor(M, combo)
-
-
-def materialize_family(inst: SeedInstance) -> ExplicitWreathFamily:
-    """All product-type members (every first-slot conjugate, every coset
-    tuple) plus the socle maximals, canonically ordered."""
-    members = list(product_type_members(inst.seed_classes, inst.m))
-    labels = [lab for lab, _ in members]
-    products = [d for _, d in members]
-    socle = socle_maximals(inst.m) if inst.m >= 2 else []
-    labels.extend(f"socle[{s.r}]" for s in socle)
-    return ExplicitWreathFamily(products=products, socle=socle, labels=labels)
+) -> list[tuple[str, ProductTypeDescriptor]]:
+    """The product-type family over every conjugate of the given classes,
+    each member labelled ``base[i][c_2, ..., c_m]`` by its first slot and
+    its coset minima."""
+    return [
+        (f"{cls.base_label}[{i}]{list(d.cosets)}", d)
+        for cls in classes
+        for i, M in enumerate(cls.conjugates)
+        for d in product_type_family([M], m)
+    ]
 
 
 class _TargetMasks:
@@ -511,10 +447,7 @@ class _TargetMasks:
             return acc
 
         # twisted layer: shift 1, whole-product in the seed
-        full_prod = grid[:, 0].astype(np.int64)
-        for j in range(1, m):
-            full_prod = S.mul_many(full_prod, grid[:, j])
-        self._add(1 % m, seed_lut[full_prod])
+        self.masks[1 % m] = seed_lut[strand_product_column(1, 0)]
 
         # strand layer: one prime shift per prime divisor of m
         if m >= 2:
@@ -534,13 +467,7 @@ class _TargetMasks:
                         if a == b:
                             continue
                         mask |= lut_a[p0] & lut_b[p1]
-                self._add(r % m, mask)
-
-    def _add(self, shift: int, mask: np.ndarray) -> None:
-        if shift in self.masks:
-            self.masks[shift] = self.masks[shift] | mask
-        else:
-            self.masks[shift] = mask
+                self.masks[r % m] = mask  # r is prime, so r % m != 1
 
     def total(self) -> int:
         return int(sum(int(m.sum()) for m in self.masks.values()))
@@ -548,14 +475,16 @@ class _TargetMasks:
 
 def check_definitely_unbeatable_wreath(
     inst: SeedInstance,
-    family: Optional[ExplicitWreathFamily] = None,
-    element_cap: int = 10**8,
+    family: Optional[Sequence[tuple[str, ProductTypeDescriptor]]] = None,
+    element_cap: int = EXPLICIT_CAP,
 ) -> UnbeatabilityReport:
     """Explicit wreath mode (desk scale, m * |S|^m <= cap): enumerate the
-    target and verify all four conditions by counting.  The outsider sweep
-    runs over every product-type subgroup built on maximal classes outside
-    the family; diagonal-type subgroups contribute their size bound only and
-    make the verdict conditional if they alone decide the comparison."""
+    target and verify all four conditions by counting.  The family is the
+    given (label, descriptor) product-type members, by default those over
+    the seed classes, plus the socle maximals.  The outsider sweep runs over
+    every product-type subgroup built on maximal classes outside the family;
+    diagonal-type subgroups contribute their size bound only and make the
+    verdict conditional if they alone decide the comparison."""
     S, m = inst.S, inst.m
     total = m * S.order**m
     if total > element_cap:
@@ -563,22 +492,24 @@ def check_definitely_unbeatable_wreath(
     ctx = WreathContext(S, m)
     grid = ctx.base_grid()
     if family is None:
-        family = materialize_family(inst)
-    labels = family.labels
-    n_products = len(family.products)
+        family = _labelled_products(inst.seed_classes, m)
+    products = [d for _, d in family]
+    socle = socle_maximals(m)
+    labels = [lab for lab, _ in family] + [f"socle[{s.r}]" for s in socle]
+    n_products = len(products)
 
     tmasks = _TargetMasks(inst, ctx, grid)
     results: list[ConditionResult] = []
 
     # member hits and per-shift coverage counts on the target, products
     # counted as boxes, socle maximals as whole shift layers
-    member_counts = np.zeros(family.size, dtype=np.int64)
+    member_counts = np.zeros(len(labels), dtype=np.int64)
     per_shift_counts = {}
     for shift, tmask in tmasks.masks.items():
-        luts = box_luts(ctx, family.products, shift)
+        luts = box_luts(ctx, products, shift)
         member_counts[:n_products] += box_target_counts(luts, tmask)
         counts = box_coverage(luts)
-        for j, s in enumerate(family.socle):
+        for j, s in enumerate(socle):
             if shift % s.r == 0:
                 member_counts[n_products + j] += int(tmask.sum())
                 counts += 1
@@ -625,10 +556,10 @@ def check_definitely_unbeatable_wreath(
         )
     )
 
-    member_min = int(member_counts.min()) if family.size else 0
+    member_min = int(member_counts.min()) if labels else 0
 
     # outsider sweep: product types over classes outside the family
-    sweep = list(product_type_members(inst.outside_classes(), m))
+    sweep = _labelled_products(inst.outside_classes(), m)
     outsider_labels = [lab for lab, _ in sweep]
     outsiders = [d for _, d in sweep]
     outsider_counts = np.zeros(len(outsiders), dtype=np.int64)
@@ -665,7 +596,7 @@ def check_definitely_unbeatable_wreath(
     return UnbeatabilityReport(
         mode="explicit-wreath",
         conditions=results,
-        family_size=family.size,
+        family_size=len(labels),
         target_size=tmasks.total(),
         member_min_count=member_min,
         outsider_max={"count": outsider_max, "member": outsider_label},
@@ -685,7 +616,6 @@ def check_definitely_unbeatable_symbolic(
         raise ValueError("symbolic mode needs m >= 2")
     if seed_report is None:
         seed_report = check_seed_conditions(inst)
-    spec = build_target_family(inst)
     results = []
     c_by_name = {c.name: c for c in seed_report.conditions}
     base_ok = all(
@@ -718,7 +648,7 @@ def check_definitely_unbeatable_symbolic(
     return UnbeatabilityReport(
         mode="symbolic",
         conditions=results,
-        family_size=spec.family_size,
+        family_size=wreath_cover_upper_term([h for _, h in inst.members()], inst.m),
         assumptions=[SCHEMA_ASSUMPTION, TRICHOTOMY_ASSUMPTION],
         conditional=False,
     )
@@ -732,21 +662,14 @@ class WreathBounds:
     lower: int
     upper: int
     family_size: int
-    cover_size_term: int
-    report: UnbeatabilityReport | SeedConditionReport
 
     def to_dict(self) -> dict:
         return {
             "lower": str(self.lower),
             "upper": str(self.upper),
             "family_term": str(self.family_size),
-            "cover_term": str(self.cover_size_term),
+            "cover_term": str(self.upper),
         }
-
-
-def wreath_cover_upper_term(cover: Sequence[SubgroupHandle], m: int) -> int:
-    """alpha(m) + sum over the covering family of |S:M|^(m-1)."""
-    return alpha(m) + sum(h.index ** (m - 1) for h in cover)
 
 
 def theorem_bounds(
@@ -754,27 +677,26 @@ def theorem_bounds(
     cover_handles: Sequence[SubgroupHandle],
     seed_report: Optional[SeedConditionReport] = None,
 ) -> WreathBounds:
-    """Assemble lower and upper bounds for sigma(S wr C_m): the certified
-    family size from the seed conditions, and the constructive cover count
-    from a verified covering of S."""
+    """Assemble lower and upper bounds for sigma(S wr C_m): the family over
+    the seed classes, counted by ``wreath_cover_upper_term``, when it is
+    certified (explicitly at m = 1, by the seed conditions at m >= 2), and
+    the same count over a verified covering of S."""
     from .cover import verify_cover_handles
 
     ok, missing = verify_cover_handles(inst.S, cover_handles)
     if not ok:
         raise ValueError(f"cover does not cover S: element {missing} missed")
-    upper = wreath_cover_upper_term(cover_handles, inst.m)
+    members = inst.members()
     if inst.m == 1:
-        members = inst.members()
-        report = check_definitely_unbeatable_group(
+        passed = check_definitely_unbeatable_group(
             inst.S,
             inst.seed_ids,
             [h for _, h in members],
             [lab for lab, _ in members],
             maximal_classes=inst.maximal_classes,
-        )
-        lower = report.certified_lower_bound or 0
-        return WreathBounds(lower, upper, len(members), upper, report)
-    report = seed_report or check_seed_conditions(inst)
-    spec = build_target_family(inst)
-    lower = spec.family_size if report.passed else 0
-    return WreathBounds(lower, upper, spec.family_size, upper, report)
+        ).passed
+    else:
+        passed = (seed_report or check_seed_conditions(inst)).passed
+    family_size = wreath_cover_upper_term([h for _, h in members], inst.m)
+    upper = wreath_cover_upper_term(cover_handles, inst.m)
+    return WreathBounds(family_size if passed else 0, upper, family_size)

@@ -2,8 +2,7 @@
 
 Elements are (x_0, ..., x_{m-1}) shifted by gamma^k where gamma cycles the
 m coordinates; the paper-facing 1..m subscripts map to 0..m-1 by i -> i-1,
-and all mod-m subscript arithmetic goes through ``_wrap`` so there is one
-place to get it right.
+and every subscript is reduced mod m.
 
 Multiplication convention (pinned by the normalizer-oracle test, do not
 change independently):
@@ -15,7 +14,13 @@ x[i-k] lies in g[i-k]^{-1} M g[i] for every i, which is what the membership
 test below evaluates.  The opposite shift sign satisfies the mirrored
 condition instead; the two agree at m = 2, so only the m >= 3 oracle test
 distinguishes them.  Wreath elements are expanded to permutations on n*m
-points only by ``to_perm``, for the normalizer oracle and its tests.
+points only by ``perm_images``, for the normalizer oracle and its tests.
+
+The product-type family: over each member M of a cover of S there is one
+product-type subgroup per tuple of m-1 right cosets of M, |S:M|^(m-1) of
+them (``product_type_family``), and with the alpha(m) socle maximals they
+number ``wreath_cover_upper_term``.  The constructive cover, the explicit
+unbeatability family and its outsider sweep all come from that generator.
 
 Box factorization: at a fixed shift k the condition above constrains each
 coordinate on its own, so a product-type member is a box A_0 x ... x A_{m-1}
@@ -35,11 +40,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .formulas import prime_factors
+from .formulas import alpha, prime_factors
 from .groups import GroupTable, SubgroupHandle, _pack
 from .perm import Perm
 
@@ -87,36 +92,31 @@ class WreathContext:
         y = tuple(int(self.S.inv[a.base[(i - k) % m]]) for i in range(m))
         return WreathElement(y, (-k) % m)
 
-    def order(self) -> int:
-        return self.S.order**self.m * self.m
-
     def random_element(self, rng) -> WreathElement:
         base = tuple(int(rng.integers(0, self.S.order)) for _ in range(self.m))
         return WreathElement(base, int(rng.integers(0, self.m)))
 
     # -- explicit permutation realization (oracle/test side only) ----------
 
+    def perm_images(self, bases: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+        """Image rows, (B, n*m), of the elements (bases[b]; shifts[b]) in the
+        imprimitive action on m blocks of S's points: block c maps to block
+        c-k, the destination block applying its base coordinate (the unique
+        direction making this a homomorphism for this mul)."""
+        n, m = self.S.degree, self.m
+        dest = (np.arange(m) - np.asarray(shifts)[:, None]) % m  # (B, m)
+        coords = np.take_along_axis(np.asarray(bases, dtype=np.int64), dest, axis=1)
+        rows = self.S.images[coords].astype(np.int64) + (dest * n)[:, :, None]
+        return rows.reshape(dest.shape[0], n * m)
+
     def to_perm(self, w: WreathElement) -> Perm:
-        """The imprimitive action on m blocks of S's points: block c maps to
-        block c-k, the destination block applying its base coordinate (the
-        unique direction making to_perm a homomorphism for this mul)."""
-        n, m, k = self.S.degree, self.m, w.shift
-        images = [0] * (n * m)
-        for c in range(m):
-            dest = (c - k) % m
-            row = self.S.images[w.base[dest]]
-            for q in range(n):
-                images[c * n + q] = dest * n + int(row[q])
-        return Perm(images)
+        return Perm(self.perm_images(np.array([w.base]), np.array([w.shift]))[0].tolist())
 
     def base_grid(self) -> np.ndarray:
         """All |S|^m base tuples as an (|S|^m, m) id matrix, row-major."""
         o = self.S.order
         grids = np.meshgrid(*([np.arange(o)] * self.m), indexing="ij")
         return np.stack(grids, axis=-1).reshape(-1, self.m)
-
-def _wrap(i: int, m: int) -> int:
-    return i % m
 
 
 # -- product-type subgroups ---------------------------------------------------
@@ -129,6 +129,8 @@ class ProductTypeDescriptor:
 
     Coset entries are canonicalized to the minimum element id of M*g_i, so
     two descriptors denote the same subgroup exactly when they compare equal.
+    ``product_type_family`` builds them in that form; ``create`` canonicalizes
+    arbitrary coset labels, for descriptors read from outside.
     """
 
     M: SubgroupHandle
@@ -168,19 +170,11 @@ def product_type_contains(
     gs = d.slot_gs()
     ginv = [int(S.inv[g]) for g in gs]
     for i in range(m):
-        a = _wrap(i - k, m)
+        a = (i - k) % m
         u = S.mul(S.mul(gs[a], w.base[a]), ginv[i])
         if not d.M.contains(u):
             return False
     return True
-
-
-def coordinate_luts(
-    ctx: WreathContext, d: ProductTypeDescriptor, shift: int
-) -> np.ndarray:
-    """The box of d at a fixed shift, one (m, |S|) boolean row per
-    coordinate: row a marks the allowed set g[a]^{-1} M g[a+shift]."""
-    return box_luts(ctx, [d], shift)[0] > 0
 
 
 def product_type_mask(
@@ -191,7 +185,7 @@ def product_type_mask(
     This is the test oracle for the box kernels (``box_coverage``,
     ``first_uncovered``, ``box_target_counts``) and for member tests: only
     tests call it, and no pipeline does."""
-    luts = coordinate_luts(ctx, d, shift)
+    luts = box_luts(ctx, [d], shift)[0] > 0  # row a: g[a]^{-1} M g[a+shift]
     mask = np.ones(base_grid.shape[0], dtype=bool)
     for a in range(ctx.m):
         mask &= luts[a][base_grid[:, a]]
@@ -222,7 +216,7 @@ def box_luts(
     coord = np.repeat(np.arange(m), sum(sizes))
     gs = np.array([d.slot_gs() for d in descriptors])  # (D, m)
     left = S.inv[gs[owner, coord]]
-    right = gs[owner, _wrap(coord + shift, m)]
+    right = gs[owner, (coord + shift) % m]
     # (g^{-1} x h)(q) = g^{-1}(x(h(q))) on image rows
     rows = np.take_along_axis(
         np.tile(S.images[np.concatenate(member_ids)], (m, 1)), S.images[right], axis=1
@@ -303,7 +297,10 @@ def socle_maximals(m: int) -> list[SocleMaximal]:
     return [SocleMaximal(r) for r in prime_factors(m)]
 
 
-# -- the constructive cover ----------------------------------------------------
+# -- the product-type family and the constructive cover ---------------------------
+
+# the largest m * |S|^m that explicit verification and unbeatability enumerate
+EXPLICIT_CAP = 10**8
 
 
 class CoverInputError(ValueError):
@@ -324,14 +321,30 @@ def coset_representatives(M: SubgroupHandle) -> list[int]:
     return reps
 
 
+def product_type_family(
+    members: Iterable[SubgroupHandle], m: int
+) -> Iterator[ProductTypeDescriptor]:
+    """Every product-type subgroup over each member M, in member order: one
+    per tuple of m-1 right cosets of M, the tuples in lexicographic order of
+    their ascending coset minima (already the canonical form)."""
+    for M in members:
+        reps = coset_representatives(M)
+        for combo in itertools.product(reps, repeat=m - 1):
+            yield ProductTypeDescriptor(M, combo)
+
+
+def wreath_cover_upper_term(members: Sequence[SubgroupHandle], m: int) -> int:
+    """The size of the family over the given members: alpha(m) socle
+    maximals plus |S:M|^(m-1) product-type subgroups per member M."""
+    return alpha(m) + sum(M.index ** (m - 1) for M in members)
+
+
 def construct_product_cover(
     S: GroupTable, cover: Sequence[SubgroupHandle], m: int
 ) -> tuple[list[ProductTypeDescriptor], list[SocleMaximal]]:
     """The constructive covering family for S wr C_m from a covering of S:
-    every product-type subgroup over each member of the cover (all coset
-    choices), plus the alpha(m) socle-containing maximals.
-
-    Emits exactly alpha(m) + sum over M of |S:M|^(m-1) subgroups; the
+    ``product_type_family`` over the cover plus the alpha(m) socle-containing
+    maximals, ``wreath_cover_upper_term(cover, m)`` subgroups in all.  The
     verified postcondition (at desk scale, via verify_wreath_cover) is that
     their union is all of S wr C_m."""
     union = np.zeros(S.order, dtype=bool)
@@ -340,22 +353,14 @@ def construct_product_cover(
     if not union.all():
         missing = int(np.flatnonzero(~union)[0])
         raise CoverInputError(f"family does not cover S: element id {missing} missed")
-
-    descriptors: list[ProductTypeDescriptor] = []
-    for M in cover:
-        reps = coset_representatives(M)
-        for combo in itertools.product(reps, repeat=m - 1):
-            descriptors.append(ProductTypeDescriptor.create(M, combo))
-    expected = sum(M.index ** (m - 1) for M in cover)
-    assert len(descriptors) == expected, (len(descriptors), expected)
-    return descriptors, socle_maximals(m)
+    return list(product_type_family(cover, m)), socle_maximals(m)
 
 
 def verify_wreath_cover(
     ctx: WreathContext,
     descriptors: Sequence[ProductTypeDescriptor],
     socle: Sequence[SocleMaximal],
-    element_cap: int = 10**8,
+    element_cap: int = EXPLICIT_CAP,
     threads: int = 1,
 ) -> tuple[bool, WreathElement | None]:
     """Check that every element of S wr C_m lies in some family member;
@@ -388,35 +393,51 @@ def product_subgroup_perm_keys(
     """Sorted packed keys of the explicit element set of
     M^{g_1} x ... x M^{g_m} realized on n*m points (n*m <= 16, else
     ValueError)."""
-    S, m = ctx.S, ctx.m
-    n = S.degree
-    slot_members = []
-    for g in d.slot_gs():
-        conj = np.sort(S.conj_map(g)[d.M.member_ids])
-        slot_members.append(conj)
-    rows = []
-    for combo in itertools.product(*slot_members):
-        row = np.empty(n * m, dtype=np.uint8)
-        for c, xid in enumerate(combo):
-            row[c * n : (c + 1) * n] = c * n + S.images[int(xid)]
-        rows.append(row)
-    mat = np.array(rows, dtype=np.uint16)
-    return np.sort(_pack(mat, n * m))
+    S, m, n = ctx.S, ctx.m, ctx.S.degree
+    slots = [S.conj_map(g)[d.M.member_ids] for g in d.slot_gs()]
+    ids = np.stack(np.meshgrid(*slots, indexing="ij"), axis=-1).reshape(-1, m)
+    # slot c's member acts on block c, points c*n .. c*n + n-1
+    rows = S.images[ids].astype(np.int64) + (np.arange(m) * n)[:, None]
+    return np.sort(_pack(rows.reshape(ids.shape[0], n * m), n * m))
 
 
 def normalizes_product_subgroup(
-    ctx: WreathContext, w: WreathElement, subgroup_keys: np.ndarray
-) -> bool:
-    """Ground truth for product_type_contains: conjugate the explicit
-    element set of the product subgroup by the explicit permutation of w and
-    compare as sets."""
-    S, m = ctx.S, ctx.m
-    n = S.degree
-    w_perm = np.array(ctx.to_perm(w).images, dtype=np.int64)
-    w_inv = np.argsort(w_perm)
-    rows = _unpack_keys(subgroup_keys, n * m)
-    conj = w_inv[rows[:, w_perm]]  # w^-1 * p * w applied pointwise
-    return np.array_equal(np.sort(_pack(conj, n * m)), subgroup_keys)
+    ctx: WreathContext, bases: np.ndarray, shifts: np.ndarray, subgroup_keys: np.ndarray
+) -> np.ndarray:
+    """Ground truth for product_type_contains, for the elements
+    (bases[b]; shifts[b]): conjugate the explicit element set H of the
+    product subgroup by the explicit permutation of each element and compare
+    as sets.  One boolean per element.  A fixed random sample of H is
+    conjugated first: an element that moves a sampled member outside H is
+    settled (False), and only the others conjugate all of H, in blocks that
+    bound the working set."""
+    N = ctx.S.degree * ctx.m
+    rows = _unpack_keys(subgroup_keys, N)  # (K, N)
+    sample = rows[np.random.default_rng(0).permutation(rows.shape[0])[:16]]
+    w = ctx.perm_images(bases, shifts)  # (B, N)
+    keep = np.concatenate([
+        lo + np.flatnonzero(
+            np.isin(_conjugate_keys(sample, w[lo : lo + 4096]), subgroup_keys).all(axis=1)
+        )
+        for lo in range(0, len(w), 4096)
+    ])
+    out = np.zeros(len(w), dtype=bool)
+    step = max(1, (1 << 20) // rows.size)
+    for lo in range(0, len(keep), step):
+        idx = keep[lo : lo + step]
+        conj = np.sort(_conjugate_keys(rows, w[idx]), axis=1)
+        out[idx] = (conj == subgroup_keys).all(axis=1)
+    return out
+
+
+def _conjugate_keys(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Packed keys, (B, K), of w_b^-1 * p_k * w_b for image rows p (K, N)
+    and w (B, N), applied pointwise: w_b^-1[p_k[w_b[j]]]."""
+    B, N = w.shape
+    w_inv = np.argsort(w, axis=1).ravel()
+    p_w = rows.T[w] + (np.arange(B) * N)[:, None, None]  # (B, N, K): p_k[w_b[j]]
+    conj = w_inv[p_w].transpose(0, 2, 1).reshape(-1, N)
+    return _pack(conj, N).reshape(B, -1)
 
 
 def _unpack_keys(keys: np.ndarray, degree: int) -> np.ndarray:

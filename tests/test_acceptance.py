@@ -39,7 +39,6 @@ from wreathcover.cover import (
 from wreathcover.lattice import all_subgroup_classes
 from wreathcover.unbeat import (
     SeedInstance,
-    build_target_family,
     check_definitely_unbeatable_group,
     check_seed_conditions,
     theorem_bounds,
@@ -47,7 +46,6 @@ from wreathcover.unbeat import (
 from wreathcover.wreath import (
     ProductTypeDescriptor,
     WreathContext,
-    WreathElement,
     construct_product_cover,
     normalizes_product_subgroup,
     product_subgroup_perm_keys,
@@ -202,31 +200,35 @@ def test_criterion_5_membership_oracle_equivalence(a5):
         # m = 2: all 7200 elements against 30 random descriptors
         ctx2 = WreathContext(a5.table, 2)
         grid = ctx2.base_grid()
-        disagreements = 0
+        disagreements = checks = 0
         for _ in range(30):
             d = random_descriptor(2)
             keys = product_subgroup_perm_keys(ctx2, d)
             for shift in (0, 1):
                 fast = product_type_mask(ctx2, d, grid, shift)
-                for i in range(grid.shape[0]):
-                    w = WreathElement((int(grid[i, 0]), int(grid[i, 1])), shift)
-                    if bool(fast[i]) != normalizes_product_subgroup(ctx2, w, keys):
-                        disagreements += 1
-        assert disagreements == 0
+                shifts = np.full(grid.shape[0], shift)
+                slow = normalizes_product_subgroup(ctx2, grid, shifts, keys)
+                disagreements += int((fast != slow).sum())
+                checks += grid.shape[0]
+        assert checks == 30 * 7200 and disagreements == 0  # |A5 wr C_2| = 7200
 
-        # m = 3: at least 1e5 sampled elements
+        # m = 3: at least 1e5 sampled elements, the oracle run per descriptor
         ctx3 = WreathContext(a5.table, 3)
         desc3 = [random_descriptor(3) for _ in range(10)]
-        keys3 = [product_subgroup_perm_keys(ctx3, d) for d in desc3]
-        checks = 0
+        samples = [([], []) for _ in desc3]
         for j in range(100_000):
             d_idx = int(rng.integers(0, len(desc3)))
             w = ctx3.random_element(rng)
-            fast = product_type_contains(ctx3, w, desc3[d_idx])
-            slow = normalizes_product_subgroup(ctx3, w, keys3[d_idx])
-            if fast != slow:
-                disagreements += 1
-            checks += 1
+            samples[d_idx][0].append(w)
+            samples[d_idx][1].append(product_type_contains(ctx3, w, desc3[d_idx]))
+        checks = 0
+        for d, (ws, fast) in zip(desc3, samples):
+            bases = np.array([w.base for w in ws])
+            shifts = np.array([w.shift for w in ws])
+            keys = product_subgroup_perm_keys(ctx3, d)
+            slow = normalizes_product_subgroup(ctx3, bases, shifts, keys)
+            disagreements += int((np.array(fast) != slow).sum())
+            checks += len(ws)
         assert checks >= 100_000 and disagreements == 0
 
 

@@ -202,6 +202,11 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     assert main(argv) == 2
     assert "catalog class labels" in capsys.readouterr().err
     assert list(cache.iterdir()) == []
+    # explicit mode above the enumeration cap fails instead of going symbolic
+    argv = ["verify-unbeatable", "M11", "--sigma-spec", "orders:8,11",
+            "--families", "M10,PSL(2,11)", "-m", "2", "--mode", "explicit"]
+    assert main(argv) == 2
+    assert "m*|S|^m = 125452800 <= 100000000" in capsys.readouterr().err
 
 
 def test_json_byte_determinism_across_threads(capsys, _cache_dir):

@@ -83,11 +83,51 @@ GOLDEN = [
         0,
         "5b7c0fcadeb20effb4f344fc5d85cb7296cd316f5f636f5561e04a5efa8b2591",
     ),
+    (
+        # the product-type family: its members, their order and their count
+        "construct-cover A6 -m 2 --cover-method greedy",
+        0,
+        "8711eef7c5f6b62bacbbee6edd6730db0c215190fdcf2809de18318c96f47f73",
+    ),
+    (
+        "construct-cover A5 -m 3",
+        0,
+        "47f25a0846dab65dd3324ddfdb5aba41ef0c2d7536332069a5847bedbd3be5b5",
+    ),
+    (
+        "verify-unbeatable A5 --sigma-spec orders:5,3 --families D10,S3 -m 3 --mode explicit",
+        1,
+        "7625bee5982344372bb4c187e8f7dae7b653a8d934050a9d303e292b7da4d9a3",
+    ),
+    (
+        "verify-unbeatable M11 --sigma-spec orders:8,11 --families M10,PSL(2,11) -m 3",
+        0,
+        "b43e682aa86c45f77f4da62c56081d8a3caa4ca70274a08104178b9d10beeb15",
+    ),
+    (
+        "wreath-bounds M11 --sigma-spec orders:8,11 --families M10,PSL(2,11) -m 1",
+        0,
+        "23f44fd967911be433875f61ad17d9b1937a57d6e53ce9a08ea7e141dabd731e",
+    ),
+    (
+        "verify-unbeatable PSL(2,11) --sigma-spec orders:11,6 --families 11:5,D12 -m 1",
+        1,
+        "9f538bd4dbfc47985408b2ca97f2c107ded365c2d8d50fc1a415e5ac1eb4208b",
+    ),
 ]
 
 
+def _ids(commands):
+    """The command name and group, or the whole command where those repeat."""
+    seen = set()
+    for command in commands:
+        short = command.split(" -")[0]
+        yield command if short in seen else short
+        seen.add(short)
+
+
 @pytest.mark.parametrize(
-    "command, status, digest", GOLDEN, ids=[c.split(" -")[0] for c, _, _ in GOLDEN]
+    "command, status, digest", GOLDEN, ids=list(_ids(c for c, _, _ in GOLDEN))
 )
 def test_golden_report(command, status, digest, tmp_path, capsys):
     spec = tmp_path / "a5.yaml"

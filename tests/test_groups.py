@@ -4,7 +4,6 @@ import pytest
 from wreathcover.groups import (
     ClosureBudgetError,
     GroupTable,
-    centralizer,
     class_conjugators,
     conjugate_class,
     normalizer,
@@ -45,7 +44,7 @@ def test_m11_order(m11):
 def test_cyclic_c3():
     g = GroupTable.from_generators([Perm.from_cycles("(1 2 3)", 3)])
     assert g.order == 3
-    assert g.is_cyclic()
+    assert (g.element_orders() == g.order).any()  # cyclic
 
 
 def test_identity_is_id_zero(a5):
@@ -98,7 +97,7 @@ def test_subgroup_closure_d10(a5):
     c5 = a5.id_of(Perm.from_cycles("(1 2 3 4 5)", 5))
     inv2 = a5.id_of(Perm.from_cycles("(2 5)(3 4)", 5))
     # the involution inverts the 5-cycle, so the closure is dihedral of order 10
-    assert a5.conj(c5, inv2) == int(a5.inv[c5])
+    assert a5.conj_map(inv2)[c5] == a5.inv[c5]
     h = subgroup_closure(a5, [c5, inv2])
     assert h.size == 10
 
@@ -151,8 +150,8 @@ def test_normalizer_and_centralizer(a5):
     c5 = subgroup_closure(a5, [a5.id_of(Perm.from_cycles("(1 2 3 4 5)", 5))])
     n = normalizer(a5, c5)
     assert n.shape[0] == 10  # N(C5) = D10 in A5
-    z = centralizer(a5, a5.id_of(Perm.from_cycles("(1 2 3 4 5)", 5)))
-    assert z.shape[0] == 5
+    x = a5.id_of(Perm.from_cycles("(1 2 3 4 5)", 5))
+    assert sum(int(a5.conj_map(g)[x] == x) for g in range(a5.order)) == 5
 
 
 def test_subgroup_from_set_rejects_non_subgroup(a5):

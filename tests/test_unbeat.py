@@ -5,17 +5,23 @@ from wreathcover.formulas import alpha, c2_value, euler_phi
 from wreathcover.lattice import all_subgroup_classes
 from wreathcover.unbeat import (
     SeedInstance,
-    build_target_family,
     check_definitely_unbeatable_group,
     check_definitely_unbeatable_symbolic,
     check_definitely_unbeatable_wreath,
     check_seed_conditions,
     diagonal_term,
-    materialize_family,
-    product_type_members,
     theorem_bounds,
 )
-from wreathcover.wreath import ProductTypeDescriptor
+from wreathcover.wreath import (
+    ProductTypeDescriptor,
+    product_type_family,
+    wreath_cover_upper_term,
+)
+
+
+def _products(inst):
+    """The family's product-type members over the seed classes, in order."""
+    return list(product_type_family([h for _, h in inst.members()], inst.m))
 
 
 def _m11_instance(m11, m):
@@ -81,9 +87,10 @@ def test_m11_seed_conditions_generic_m(m11):
 
 def test_m11_family_size(m11):
     for m in (1, 2, 3):
-        spec = build_target_family(_m11_instance(m11, m))
+        inst = _m11_instance(m11, m)
         expect = (alpha(m) if m >= 2 else 0) + 11**m + 12**m
-        assert spec.family_size == expect, m
+        assert wreath_cover_upper_term([h for _, h in inst.members()], m) == expect, m
+        assert len(_products(inst)) + alpha(m) == expect, m
 
 
 def test_m11_bounds_meet(m11):
@@ -130,8 +137,8 @@ def test_psl11_pipeline_m5(psl11):
     counts = rep.seed_counts["per_class"]
     assert counts["11:5"]["per_member"] == 10
     assert counts["D12"]["per_member"] == 2
-    spec = build_target_family(inst)
-    assert spec.family_size == c2_value(11, 5)[0]
+    family = [h for _, h in inst.members()]
+    assert wreath_cover_upper_term(family, 5) == c2_value(11, 5)[0]
     cover = [h for cls in inst.seed_classes for h in cls.conjugates]
     bounds = theorem_bounds(inst, cover, rep)
     assert bounds.lower == bounds.upper == alpha(5) + 12**5 + 55**5
@@ -198,9 +205,8 @@ def test_a5_surrogate_member_counts_match_formulas(a5):
     ctx = WreathContext(a5.table, 2)
     grid = ctx.base_grid()
     tm = _TargetMasks(inst, ctx, grid)
-    fam = materialize_family(inst)
     # product-type member counts equal seed-in-member times member order
-    for d in fam.products:
+    for d in _products(inst):
         expect = int(np.isin(inst.seed_ids, d.M.member_ids).sum()) * d.M.size
         got = sum(
             int((product_type_mask(ctx, d, grid, s) & tm.masks[s]).sum())
@@ -214,24 +220,22 @@ def test_a5_surrogate_member_counts_match_formulas(a5):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_product_type_members_are_canonical(a5, psl7, m):
     # coset representatives are coset minima, so the generator's
-    # descriptors are exactly what create() canonicalizes them to
+    # descriptors are exactly what create() canonicalizes them to, and the
+    # family count is the generator's length
     for cg in (a5, psl7):
-        members = list(product_type_members(cg.maximal_classes, m))
-        expect = sum(c.class_size * c.representative.index ** (m - 1)
-                     for c in cg.maximal_classes)
-        assert len(members) == len({d for _, d in members}) == expect
-        for label, d in members:
+        handles = [h for c in cg.maximal_classes for h in c.conjugates]
+        members = list(product_type_family(handles, m))
+        expect = wreath_cover_upper_term(handles, m) - alpha(m)
+        assert len(members) == len(set(members)) == expect
+        for d in members:
             made = ProductTypeDescriptor.create(d.M, d.cosets)
-            assert d.key() == made.key() and d == made, label
-            assert label.endswith(f"{list(d.cosets)}")
+            assert d.key() == made.key() and d == made
 
 
 def test_mutation_breaks_cover_condition(a5):
     inst = _a5_instance(a5, 2)
-    fam = materialize_family(inst)
-    fam.products.pop(0)
-    fam.labels.pop(0)
-    du = check_definitely_unbeatable_wreath(inst, family=fam)
+    family = [(f"p{i}", d) for i, d in enumerate(_products(inst))]
+    du = check_definitely_unbeatable_wreath(inst, family=family[1:])
     u2 = [c for c in du.conditions if c.name.startswith("U2")][0]
     assert not u2.passed and u2.witness is not None
 
