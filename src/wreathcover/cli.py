@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--cover-method", choices=("exact", "greedy"), default="exact")
-    p.add_argument("--no-verify", action="store_true")
     p.add_argument("--out", default=None, help="write the member lines to a file")
 
     p = add_parser("verify-cover", help="verify a serialized covering family")
@@ -125,10 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover", default=None, help="cover class labels (default: families)")
 
     p = add_parser("formula", help="evaluate a closed form, full decimals")
-    p.add_argument(
-        "name",
-        choices=("alpha", "c1", "c2", "main2", "main2-lower", "f-ratio", "stirling"),
-    )
+    p.add_argument("name", choices=tuple(pipelines.FORMULAS))
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-m", type=int, default=None)
     p.add_argument("-p", type=int, default=None)
@@ -136,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("check-inequalities", help="exact range sweep of a lemma")
     p.add_argument("--lemma", required=True, help=f"one of {', '.join(formulas.lemma_ids())} (aliases accepted)")
     p.add_argument("--n-range", type=_parse_range, required=True, metavar="a..b")
-    p.add_argument("--m-range", type=_parse_range, default=range(2, 6), metavar="c..d")
+    p.add_argument("--m-range", type=_parse_range, default=formulas.M_RANGE, metavar="c..d")
 
     return parser
 
@@ -172,10 +168,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
         return report, 0
     if cmd == "construct-cover":
         report = pipelines.construct_cover_report(
-            args.group,
-            args.m,
-            cover_method=args.cover_method,
-            verify=not args.no_verify,
+            args.group, args.m, cover_method=args.cover_method
         )
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -3,13 +3,18 @@ expressions and exhaustive range verification of the inequality lemmas.
 
 Everything here is exact: integers, Fractions, or (for the Stirling
 brackets only) outward-rounded interval endpoints converted to Fractions.
-Half-integer exponents are compared by squaring both sides; the primitive
-degree bound 2.6^n is handled as the exact rational (13/5)^n.
+Each lemma checker returns its two sides as exact values; a sweep compares
+them as numbers and renders decimal strings only for the cases it reports
+(the first failure and the tightest case).  Half-integer exponents are
+compared by squaring both sides; the primitive degree bound 2.6^n is handled
+as the exact rational (13/5)^n.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -199,12 +204,11 @@ def stirling_bounds(n: int) -> tuple[Fraction, Fraction]:
 
 @dataclass
 class InequalityCase:
-    """One evaluated instance of a lemma inequality."""
+    """One reported instance of a lemma inequality, its sides rendered."""
 
     params: dict
     lhs_repr: str
     rhs_repr: str
-    holds: bool
 
 
 @dataclass
@@ -224,18 +228,10 @@ class InequalityReport:
             "cases_checked": self.cases_checked,
             "passed": self.passed,
         }
-        if self.counterexample is not None:
-            out["counterexample"] = {
-                "params": self.counterexample.params,
-                "lhs": self.counterexample.lhs_repr,
-                "rhs": self.counterexample.rhs_repr,
-            }
-        if self.tightest is not None:
-            out["tightest"] = {
-                "params": self.tightest.params,
-                "lhs": self.tightest.lhs_repr,
-                "rhs": self.tightest.rhs_repr,
-            }
+        for key in ("counterexample", "tightest"):
+            case = getattr(self, key)
+            if case is not None:
+                out[key] = {"params": case.params, "lhs": case.lhs_repr, "rhs": case.rhs_repr}
         if self.skipped:
             out["skipped"] = self.skipped
         return out
@@ -274,11 +270,13 @@ def _min_target(n: int, m: int) -> Fraction:
     return Fraction(factorial(h - 1) ** 2 * factorial(h) ** (2 * m - 2), 2 ** (m - 1))
 
 
-# Each checker returns (holds, lhs, rhs) on hypothesis-satisfying input,
-# or None when the hypothesis fails (the sweep records a skip).
+# Each checker returns its exact sides (lhs, rhs) on hypothesis-satisfying
+# input, or None when the hypothesis fails (the sweep records a skip); the
+# relation and whether the sides are squares live in the lemma's table row.
+Sides = Optional[tuple[int | Fraction, int | Fraction]]
 
 
-def _lemma_min_member(n: int, m: int) -> Optional[tuple[bool, str, str]]:
+def _lemma_min_member(n: int, m: int) -> Sides:
     """Certified family members are never larger than the socle-layer count:
     the three case inequalities identifying the minimum."""
     if n < 5 or m < 1:
@@ -292,10 +290,10 @@ def _lemma_min_member(n: int, m: int) -> Optional[tuple[bool, str, str]]:
     else:
         lhs = _min_target(n, m)
         rhs = Fraction(4, 3 * (n - 1) * (n - 3)) * an**m
-    return lhs <= rhs, str(lhs), str(rhs)
+    return lhs, rhs
 
 
-def _lemma_diagonal(n: int, m: int) -> Optional[tuple[bool, str, str]]:
+def _lemma_diagonal(n: int, m: int) -> Sides:
     """Diagonal-type count bound (1+alpha(m)) (n!/2)^(m/2) <= min target;
     compared squared to clear the half exponent."""
     if m < 2 or n < 5:
@@ -312,10 +310,10 @@ def _lemma_diagonal(n: int, m: int) -> Optional[tuple[bool, str, str]]:
             return None
     lhs_sq = Fraction((1 + alpha(m)) ** 2) * Fraction(factorial(n), 2) ** m
     rhs_sq = _min_target(n, m) ** 2
-    return lhs_sq <= rhs_sq, f"sq:{lhs_sq}", f"sq:{rhs_sq}"
+    return lhs_sq, rhs_sq
 
 
-def _lemma_divisor_monotone(n: int, a: int, b: int) -> Optional[tuple[bool, str, str]]:
+def _lemma_divisor_monotone(n: int, a: int, b: int) -> Sides:
     """((n/a)!)^a a! >= ((n/b)!)^b b! for nontrivial proper divisors
     a <= b of odd n >= 8.
 
@@ -333,10 +331,10 @@ def _lemma_divisor_monotone(n: int, a: int, b: int) -> Optional[tuple[bool, str,
         return None
     lhs = _imprimitive_order(n, a)
     rhs = _imprimitive_order(n, b)
-    return lhs >= rhs, str(lhs), str(rhs)
+    return lhs, rhs
 
 
-def _lemma_small_block(n: int, _m: int = 0) -> Optional[tuple[bool, str, str]]:
+def _lemma_small_block(n: int) -> Sides:
     """n ((n/a)!)^a a! <= 2 ((n/2)!)^2 for even n > 10, a the smallest
     divisor above 2."""
     if n <= 10 or n % 2:
@@ -346,10 +344,10 @@ def _lemma_small_block(n: int, _m: int = 0) -> Optional[tuple[bool, str, str]]:
         return None
     lhs = n * _imprimitive_order(n, a)
     rhs = 2 * factorial(n // 2) ** 2
-    return lhs <= rhs, str(lhs), str(rhs)
+    return lhs, rhs
 
 
-def _lemma_imprimitive_product(n: int, m: int) -> Optional[tuple[bool, str, str]]:
+def _lemma_imprimitive_product(n: int, m: int) -> Sides:
     """(1+alpha(m)) (((n/a)!)^a a! / 2)^m <= min target, n even > 10."""
     if n <= 10 or n % 2 or m < 2:
         return None
@@ -358,10 +356,10 @@ def _lemma_imprimitive_product(n: int, m: int) -> Optional[tuple[bool, str, str]
         return None
     lhs = Fraction(1 + alpha(m)) * Fraction(_imprimitive_order(n, a), 2) ** m
     rhs = _min_target(n, m)
-    return lhs <= rhs, str(lhs), str(rhs)
+    return lhs, rhs
 
 
-def _lemma_primitive_bound(n: int, m: int) -> Optional[tuple[bool, str, str]]:
+def _lemma_primitive_bound(n: int, m: int) -> Sides:
     """(1+alpha(m)) 2.6^(nm) <= min target, with 2.6 = 13/5 exact."""
     if n <= 12 or m < 2:
         return None
@@ -371,10 +369,10 @@ def _lemma_primitive_bound(n: int, m: int) -> Optional[tuple[bool, str, str]]:
             return None
     lhs = Fraction(1 + alpha(m)) * Fraction(13, 5) ** (n * m)
     rhs = _min_target(n, m)
-    return lhs <= rhs, str(lhs), str(rhs)
+    return lhs, rhs
 
 
-def _lemma_power_of_two_vs_index(n: int, _m: int = 0) -> Optional[tuple[bool, str, str]]:
+def _lemma_power_of_two_vs_index(n: int) -> Sides:
     """2^(n-1) <= n! / (((n/p)!)^p p!) for odd non-prime n >= 15 (the
     inspection form; the m-power version follows by raising both sides)."""
     if n < 15 or n % 2 == 0 or is_prime(n):
@@ -382,176 +380,127 @@ def _lemma_power_of_two_vs_index(n: int, _m: int = 0) -> Optional[tuple[bool, st
     p = smallest_prime_factor(n)
     lhs = 2 ** (n - 1)
     rhs = Fraction(factorial(n), _imprimitive_order(n, p))
-    return lhs <= rhs, str(lhs), str(rhs)
+    return lhs, rhs
 
 
-def _lemma_power_of_two_vs_primitive(n: int, m: int) -> Optional[tuple[bool, str, str]]:
+def _lemma_power_of_two_vs_primitive(n: int, m: int) -> Sides:
     """2^(nm-2) <= (n-1)! (n!)^(m-1) / 2.6^(nm)."""
     if n <= 12 or n % 2 == 0 or m < 2:
         return None
     lhs = Fraction(2) ** (n * m - 2) * Fraction(13, 5) ** (n * m)
     rhs = Fraction(factorial(n - 1) * factorial(n) ** (m - 1))
-    return lhs <= rhs, str(lhs), str(rhs)
+    return lhs, rhs
 
 
-def _lemma_power_of_two_vs_diagonal(n: int, m: int) -> Optional[tuple[bool, str, str]]:
+def _lemma_power_of_two_vs_diagonal(n: int, m: int) -> Sides:
     """2^(nm - m/2 - 2) <= (n-1)! (n!)^(m/2-1), squared to clear halves."""
     if n <= 12 or n % 2 == 0 or m < 2:
         return None
     lhs_sq = 2 ** (2 * n * m - m - 4)
     rhs_sq = factorial(n - 1) ** 2 * factorial(n) ** (m - 2)
-    return lhs_sq <= rhs_sq, f"sq:{lhs_sq}", f"sq:{rhs_sq}"
+    return lhs_sq, rhs_sq
 
 
 @dataclass(frozen=True)
-class _LemmaSpec:
+class Lemma:
+    """One inequality lemma: its checker over the parameters named by
+    ``arity`` ("n", "nm", or "nab" for n and divisors a <= b of n), the
+    relation its sides must satisfy, and whether they are squares."""
+
     key: str
+    aliases: tuple[str, ...]
+    arity: str
+    checker: Callable[..., Sides]
     description: str
-    checker: Callable
-    arity: str  # "n", "nm", or "nab"
+    relation: Callable[[object, object], bool] = operator.le
+    squared: bool = False
 
 
-_LEMMAS: dict[str, _LemmaSpec] = {}
+LEMMAS = (
+    Lemma("min-member", ("l8", "10.1", "10.2"), "nm", _lemma_min_member,
+          "family minimum: case formulas bounded by the socle-layer count"),
+    Lemma("diagonal", ("l1", "11.2"), "nm", _lemma_diagonal,
+          "diagonal-type bound (1+alpha(m))(n!/2)^(m/2) below the family minimum",
+          squared=True),
+    Lemma("divisor-monotone", ("11.1", "12.1"), "nab", _lemma_divisor_monotone,
+          "((n/a)!)^a a! decreases as the divisor a grows", relation=operator.ge),
+    Lemma("small-block", ("l2", "12.2"), "n", _lemma_small_block,
+          "n ((n/a)!)^a a! <= 2 ((n/2)!)^2 for the smallest divisor a > 2"),
+    Lemma("imprimitive-product", ("l7", "12.3"), "nm", _lemma_imprimitive_product,
+          "imprimitive product-type counts below the family minimum"),
+    Lemma("primitive-bound", ("11.4", "12.4"), "nm", _lemma_primitive_bound,
+          "primitive product-type counts (via |M| < 2.6^n) below the family minimum"),
+    Lemma("power-vs-index", ("sec13-1", "13.1"), "n", _lemma_power_of_two_vs_index,
+          "2^(n-1) below the imprimitive index (inspection range 15 <= n < 99)"),
+    Lemma("power-vs-primitive", ("sec13-2", "13.2"), "nm", _lemma_power_of_two_vs_primitive,
+          "2^(nm-2) below (n-1)!(n!)^(m-1)/2.6^(nm)"),
+    Lemma("power-vs-diagonal", ("sec13-3", "13.3"), "nm", _lemma_power_of_two_vs_diagonal,
+          "2^(nm-m/2-2) below (n-1)!(n!)^(m/2-1)", squared=True),
+)
+_BY_NAME = {name: row for row in LEMMAS for name in (row.key, *row.aliases)}
 
-
-def _add_lemma(key, description, checker, arity, aliases=()):
-    spec = _LemmaSpec(key, description, checker, arity)
-    _LEMMAS[key] = spec
-    for a in aliases:
-        _LEMMAS[a] = spec
-
-
-_add_lemma(
-    "min-member",
-    "family minimum: case formulas bounded by the socle-layer count",
-    _lemma_min_member,
-    "nm",
-    aliases=("l8", "10.1", "10.2"),
-)
-_add_lemma(
-    "diagonal",
-    "diagonal-type bound (1+alpha(m))(n!/2)^(m/2) below the family minimum",
-    _lemma_diagonal,
-    "nm",
-    aliases=("l1", "11.2"),
-)
-_add_lemma(
-    "divisor-monotone",
-    "((n/a)!)^a a! decreases as the divisor a grows",
-    _lemma_divisor_monotone,
-    "nab",
-    aliases=("11.1", "12.1"),
-)
-_add_lemma(
-    "small-block",
-    "n ((n/a)!)^a a! <= 2 ((n/2)!)^2 for the smallest divisor a > 2",
-    _lemma_small_block,
-    "n",
-    aliases=("l2", "12.2"),
-)
-_add_lemma(
-    "imprimitive-product",
-    "imprimitive product-type counts below the family minimum",
-    _lemma_imprimitive_product,
-    "nm",
-    aliases=("l7", "12.3"),
-)
-_add_lemma(
-    "primitive-bound",
-    "primitive product-type counts (via |M| < 2.6^n) below the family minimum",
-    _lemma_primitive_bound,
-    "nm",
-    aliases=("11.4", "12.4"),
-)
-_add_lemma(
-    "power-vs-index",
-    "2^(n-1) below the imprimitive index (inspection range 15 <= n < 99)",
-    _lemma_power_of_two_vs_index,
-    "n",
-    aliases=("sec13-1", "13.1"),
-)
-_add_lemma(
-    "power-vs-primitive",
-    "2^(nm-2) below (n-1)!(n!)^(m-1)/2.6^(nm)",
-    _lemma_power_of_two_vs_primitive,
-    "nm",
-    aliases=("sec13-2", "13.2"),
-)
-_add_lemma(
-    "power-vs-diagonal",
-    "2^(nm-m/2-2) below (n-1)!(n!)^(m/2-1)",
-    _lemma_power_of_two_vs_diagonal,
-    "nm",
-    aliases=("sec13-3", "13.3"),
-)
+# the m values a sweep takes when none are given
+M_RANGE = range(2, 6)
 
 
 def lemma_ids() -> list[str]:
-    return sorted({spec.key for spec in _LEMMAS.values()})
+    return sorted(row.key for row in LEMMAS)
+
+
+def lemma_row(name: str) -> Lemma:
+    """The table row of a lemma key or alias; KeyError for an unknown name."""
+    if name not in _BY_NAME:
+        raise KeyError(f"unknown lemma {name!r}; known: {', '.join(lemma_ids())}")
+    return _BY_NAME[name]
 
 
 def inequality_suite(
     lemma: str,
     n_range: Iterable[int],
-    m_range: Iterable[int] = (2, 3, 4, 5),
+    m_range: Iterable[int] = M_RANGE,
 ) -> InequalityReport:
     """Evaluate one inequality lemma over parameter ranges with exact
     arithmetic; out-of-hypothesis points are recorded as skipped, not
-    silently clipped."""
-    if lemma not in _LEMMAS:
-        raise KeyError(f"unknown lemma {lemma!r}; known: {', '.join(lemma_ids())}")
-    spec = _LEMMAS[lemma]
-    n_list = list(n_range)
-    m_list = list(m_range)
-    cases = 0
-    counterexample = None
-    tightest: Optional[tuple[Fraction, InequalityCase]] = None
-    skipped: list[dict] = []
-
-    def consider(params, result):
-        nonlocal cases, counterexample, tightest
-        if result is None:
+    silently clipped.  The report keeps the first failing case and the case
+    of largest lhs/rhs (the first of equals)."""
+    row = lemma_row(lemma)
+    n_list, m_list = list(n_range), list(m_range)
+    if row.arity == "n":
+        grid = [{"n": n} for n in n_list]
+    elif row.arity == "nm":
+        grid = [{"n": n, "m": m} for n in n_list for m in m_list]
+    else:
+        grid = [
+            {"n": n, "a": a, "b": b}
+            for n in n_list
+            for a, b in itertools.combinations_with_replacement(divisors(n), 2)
+        ]
+    cases, skipped = 0, []
+    failing = tightest = best = None  # best: the largest lhs/rhs so far
+    for params in grid:
+        sides = row.checker(*params.values())
+        if sides is None:
             skipped.append(params)
-            return
-        holds, lhs, rhs = result
-        case = InequalityCase(params, lhs, rhs, holds)
+            continue
         cases += 1
-        if not holds and counterexample is None:
-            counterexample = case
-        ratio = _tightness(lhs, rhs)
-        if ratio is not None and (tightest is None or ratio > tightest[0]):
-            tightest = (ratio, case)
+        lhs, rhs = sides
+        if failing is None and not row.relation(lhs, rhs):
+            failing = (params, lhs, rhs)
+        if rhs:
+            ratio = Fraction(lhs) / rhs
+            if best is None or ratio > best:
+                best, tightest = ratio, (params, lhs, rhs)
 
-    if spec.arity == "n":
-        for n in n_list:
-            consider({"n": n}, spec.checker(n))
-    elif spec.arity == "nm":
-        for n in n_list:
-            for m in m_list:
-                consider({"n": n, "m": m}, spec.checker(n, m))
-    elif spec.arity == "nab":
-        for n in n_list:
-            divs = [d for d in range(1, n + 1) if n % d == 0]
-            for i, a in enumerate(divs):
-                for b in divs[i:]:
-                    consider({"n": n, "a": a, "b": b}, spec.checker(n, a, b))
+    def render(params, lhs, rhs) -> InequalityCase:
+        prefix = "sq:" if row.squared else ""
+        return InequalityCase(params, f"{prefix}{lhs}", f"{prefix}{rhs}")
+
     return InequalityReport(
-        lemma=spec.key,
-        description=spec.description,
+        lemma=row.key,
+        description=row.description,
         cases_checked=cases,
-        passed=counterexample is None and cases > 0,
-        counterexample=counterexample,
-        tightest=tightest[1] if tightest else None,
+        passed=failing is None and cases > 0,
+        counterexample=render(*failing) if failing else None,
+        tightest=render(*tightest) if tightest else None,
         skipped=skipped,
     )
-
-
-def _tightness(lhs_repr: str, rhs_repr: str) -> Optional[Fraction]:
-    try:
-        lhs = Fraction(lhs_repr.removeprefix("sq:"))
-        rhs = Fraction(rhs_repr.removeprefix("sq:"))
-    except (ValueError, ZeroDivisionError):
-        return None
-    if rhs == 0:
-        return None
-    return lhs / rhs

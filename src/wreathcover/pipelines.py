@@ -412,15 +412,10 @@ def parse_descriptor_lines(
     return descriptors, socle
 
 
-def construct_cover_report(
-    source: str,
-    m: int,
-    cover_method: str = "exact",
-    verify: bool = True,
-) -> dict:
+def construct_cover_report(source: str, m: int, cover_method: str = "exact") -> dict:
     """Build the constructive covering family of S wr C_m from a minimal
-    (or greedy) cover of S; verify exhaustively up to ``EXPLICIT_CAP``
-    elements (``verified`` is null above it)."""
+    (or greedy) cover of S and verify it exhaustively, which needs
+    m * |S|^m <= ``EXPLICIT_CAP`` (PipelineError above it)."""
     cg = load_group(source)
     if not cg.maximal_classes:
         # member lines name catalog classes; fail before the lattice work
@@ -430,6 +425,9 @@ def construct_cover_report(
             "spec file)"
         )
     g = cg.table
+    total = m * g.order**m
+    if total > EXPLICIT_CAP:
+        raise PipelineError(f"cover verification needs m*|S|^m = {total} <= {EXPLICIT_CAP}")
     inst = build_instance(g, cg.maximal_classes)
     cert = sigma_exact(inst) if cover_method == "exact" else sigma_greedy(inst)
     if cert.kind not in ("exact-optimal", "upper-bound"):
@@ -437,6 +435,7 @@ def construct_cover_report(
     label_to_handle = dict(zip(inst.labels, inst.handles))
     N = [label_to_handle[lab] for lab in cert.chosen]
     descriptors, socle = construct_product_cover(g, N, m)
+    ok, witness = verify_wreath_cover(WreathContext(g, m), descriptors, socle)
     report = {
         "group": cg.spec.name,
         "m": m,
@@ -444,20 +443,11 @@ def construct_cover_report(
         "family_count": len(descriptors) + len(socle),
         "expected_count": wreath_cover_upper_term(N, m),
         "members": descriptor_lines(cg, descriptors, socle),
+        "verified": ok,
     }
-    if verify and m * g.order**m <= EXPLICIT_CAP:
-        ok, witness = verify_wreath_cover(WreathContext(g, m), descriptors, socle)
-        report["verified"] = ok
-        if witness is not None:
-            report["uncovered_witness"] = {
-                "base": list(witness.base),
-                "shift": witness.shift,
-            }
-    else:
-        report["verified"] = None
-    report["passed"] = report["family_count"] == report["expected_count"] and (
-        report["verified"] is not False
-    )
+    if witness is not None:
+        report["uncovered_witness"] = {"base": list(witness.base), "shift": witness.shift}
+    report["passed"] = ok and report["family_count"] == report["expected_count"]
     return report
 
 
@@ -483,39 +473,57 @@ def verify_cover_report(
     return report
 
 
-def inequality_report(lemma: str, n_range, m_range=(2, 3, 4, 5)) -> dict:
-    rep = formulas.inequality_suite(lemma, n_range, m_range)
-    out = rep.to_dict()
-    out["passed"] = rep.passed
-    return out
+def inequality_report(lemma: str, n_range, m_range) -> dict:
+    try:
+        formulas.lemma_row(lemma)
+    except KeyError as exc:
+        raise PipelineError(*exc.args) from None
+    return formulas.inequality_suite(lemma, n_range, m_range).to_dict()
+
+
+def _fraction(v) -> str:
+    return f"{v.numerator}/{v.denominator}"
+
+
+def _c2(p: int, m: int) -> dict:
+    value, warnings = formulas.c2_value(p, m)
+    return {"value": str(value), "warnings": warnings}
+
+
+def _f_ratio(n: int, m: int) -> dict:
+    v = formulas.f_ratio(n, m)
+    return {"value": _fraction(v), "value_float": float(v)}
+
+
+def _stirling(n: int) -> dict:
+    lo, hi = formulas.stirling_bounds(n)
+    return {"lower": _fraction(lo), "upper": _fraction(hi)}
+
+
+# closed form -> (the parameters it needs, its report fields from them)
+FORMULAS: dict[str, tuple[tuple[str, ...], Callable[..., dict]]] = {
+    "alpha": (("m",), lambda m: {"value": str(formulas.alpha(m))}),
+    "c1": (("m",), lambda m: {"value": str(formulas.c1_value(m))}),
+    "c2": (("p", "m"), _c2),
+    "main2": (("n", "m"), lambda n, m: {"value": str(formulas.main2_value(n, m))}),
+    "main2-lower": (
+        ("n", "m"),
+        lambda n, m: {"value": _fraction(formulas.main2_lower_bound(n, m))},
+    ),
+    "f-ratio": (("n", "m"), _f_ratio),
+    "stirling": (("n",), _stirling),
+}
 
 
 def formula_report(name: str, **params) -> dict:
     """Evaluate one closed form, full decimal expansion."""
-    out: dict = {"formula": name, "params": {k: v for k, v in params.items() if v is not None}}
-    n, m, p = params.get("n"), params.get("m"), params.get("p")
-    if name == "alpha":
-        out["value"] = str(formulas.alpha(m))
-    elif name == "c1":
-        out["value"] = str(formulas.c1_value(m))
-    elif name == "c2":
-        value, warnings = formulas.c2_value(p, m)
-        out["value"] = str(value)
-        out["warnings"] = warnings
-    elif name == "main2":
-        out["value"] = str(formulas.main2_value(n, m))
-    elif name == "main2-lower":
-        v = formulas.main2_lower_bound(n, m)
-        out["value"] = f"{v.numerator}/{v.denominator}"
-    elif name == "f-ratio":
-        v = formulas.f_ratio(n, m)
-        out["value"] = f"{v.numerator}/{v.denominator}"
-        out["value_float"] = float(v)
-    elif name == "stirling":
-        lo, hi = formulas.stirling_bounds(n)
-        out["lower"] = f"{lo.numerator}/{lo.denominator}"
-        out["upper"] = f"{hi.numerator}/{hi.denominator}"
-    else:
+    if name not in FORMULAS:
         raise PipelineError(f"unknown formula {name!r}")
+    needs, evaluate = FORMULAS[name]
+    missing = [f"-{k}" for k in needs if params.get(k) is None]
+    if missing:
+        raise PipelineError(f"formula {name} needs {' and '.join(missing)}")
+    out: dict = {"formula": name, "params": {k: v for k, v in params.items() if v is not None}}
+    out.update(evaluate(*(params[k] for k in needs)))
     out["passed"] = True
     return out

@@ -180,8 +180,19 @@ def test_construct_and_verify_cover_roundtrip(tmp_path, capsys, _cache_dir):
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     assert main(["sigma", "NoSuchGroup"]) == 2
     assert main(["verify-c2", "-p", "9", "-m", "5"]) == 2
-    assert main(["check-inequalities", "--lemma", "bogus", "--n-range", "5..6"]) == 2
     capsys.readouterr()
+    assert main(["check-inequalities", "--lemma", "bogus", "--n-range", "5..6"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown lemma 'bogus'; known: ")
+    # a closed form without one of its parameters names the missing flag
+    for argv, flag in (
+        (["formula", "alpha"], "-m"),
+        (["formula", "c2", "-m", "5"], "-p"),
+        (["formula", "main2", "-n", "14"], "-m"),
+        (["formula", "f-ratio", "-n", "16"], "-m"),
+        (["formula", "stirling"], "-n"),
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: formula {argv[1]} needs {flag}\n"
     # the PSL(2,7) catalog has no D8 class for the PSL(2,p) family
     assert main(["verify-c2", "-p", "7", "-m", "2"]) == 2
     assert "'D8'" in capsys.readouterr().err
@@ -207,6 +218,14 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
             "--families", "M10,PSL(2,11)", "-m", "2", "--mode", "explicit"]
     assert main(argv) == 2
     assert "m*|S|^m = 125452800 <= 100000000" in capsys.readouterr().err
+    # construct-cover always verifies its family, so it refuses above the cap
+    assert main(["construct-cover", "M11", "-m", "3", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "m*|S|^m = 1490379264000 <= 100000000" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["construct-cover", "A5", "-m", "2", "--no-verify"])
+    assert exc.value.code == 2
 
 
 def test_json_byte_determinism_across_threads(capsys, _cache_dir):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -150,6 +152,39 @@ def test_inequality_aliases():
             "primitive-bound",
             "power-vs-index",
         }
+
+
+def test_counterexample_reported(monkeypatch, capsys):
+    from wreathcover.cli import main
+
+    def swap(key, checker):
+        row = dataclasses.replace(F._BY_NAME[key], checker=checker)
+        monkeypatch.setitem(F._BY_NAME, key, row)
+
+    # a plain row that fails from n = 14 on
+    swap("small-block", lambda n: (n, 13))
+    rep = F.inequality_suite("small-block", range(11, 17)).to_dict()
+    assert rep["passed"] is False and rep["cases_checked"] == 6
+    assert rep["counterexample"] == {"params": {"n": 14}, "lhs": "14", "rhs": "13"}
+    assert rep["tightest"] == {"params": {"n": 16}, "lhs": "16", "rhs": "13"}
+    # a squared row: the sides keep their sq: prefix
+    swap("diagonal", lambda n, m: (n * m, 20) if n > 5 else None)
+    rep = F.inequality_suite("diagonal", range(5, 8), (2, 3, 4)).to_dict()
+    assert rep["passed"] is False and rep["cases_checked"] == 6
+    assert rep["counterexample"] == {
+        "params": {"n": 6, "m": 4},
+        "lhs": "sq:24",
+        "rhs": "sq:20",
+    }
+    assert rep["tightest"]["params"] == {"n": 7, "m": 4}
+    assert [s["n"] for s in rep["skipped"]] == [5, 5, 5]
+    for argv in (
+        ["--lemma", "small-block", "--n-range", "11..16"],
+        ["--lemma", "diagonal", "--n-range", "5..7", "--m-range", "2..4"],
+    ):
+        assert main(["check-inequalities", *argv, "--json"]) == 1, argv
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is False and "counterexample" in report
 
 
 def test_unknown_lemma():

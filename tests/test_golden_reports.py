@@ -114,6 +114,74 @@ GOLDEN = [
         1,
         "9f538bd4dbfc47985408b2ca97f2c107ded365c2d8d50fc1a415e5ac1eb4208b",
     ),
+    (
+        # the nine lemma sweeps: case counts, skips and the tightest case
+        "check-inequalities --lemma small-block --n-range 11..60",
+        0,
+        "a85f09a801bf022db33c414ea09f07b0b6a631f9a85a6f74040c5adc1576ff10",
+    ),
+    (
+        "check-inequalities --lemma divisor-monotone --n-range 8..64",
+        0,
+        "3ce8b5b747063e3169191e4ccce89a225a608cf76a989cdf67c67b50a7462a5a",
+    ),
+    (
+        "check-inequalities --lemma power-vs-index --n-range 15..98",
+        0,
+        "14e8bebe2213b8a03747783621576d8e7b3fefa72bb538cc68b5cc77fe8f6166",
+    ),
+    (
+        "check-inequalities --lemma min-member --n-range 5..60 --m-range 2..5",
+        0,
+        "64722ba519feb60c42d3e20c76f86e44ccedc2432c77b4c6e456b187bd9f6175",
+    ),
+    (
+        "check-inequalities --lemma diagonal --n-range 5..60 --m-range 2..5",
+        0,
+        "9d4fafd72a4f2d1cd310f7e435d303e9bea9ec3f0f51e2f842f83b86439d47ab",
+    ),
+    (
+        "check-inequalities --lemma imprimitive-product --n-range 5..60 --m-range 2..5",
+        0,
+        "654f8457d5436d63177f5737ec0119be89d5b5cb4d9273dde528037fde3e2885",
+    ),
+    (
+        "check-inequalities --lemma primitive-bound --n-range 5..60 --m-range 2..5",
+        0,
+        "89696d2daf4d85c7844872adf7b8a3173b6dfb2bc27eac8d8f1aa3d38f141d8f",
+    ),
+    (
+        "check-inequalities --lemma power-vs-primitive --n-range 5..60 --m-range 2..5",
+        0,
+        "03dbe2db7924d643bb8e41515c17b7da0b5263974ca75a01ae3cc0a659e989bd",
+    ),
+    (
+        "check-inequalities --lemma power-vs-diagonal --n-range 5..60 --m-range 2..5",
+        0,
+        "97a71e9c28d01b58df2b7350369dafc8576a0c7e653342906cf860bcfebdfbde",
+    ),
+    (
+        # an alias reports under its lemma's key
+        "check-inequalities --lemma sec13-1 --n-range 15..98",
+        0,
+        "14e8bebe2213b8a03747783621576d8e7b3fefa72bb538cc68b5cc77fe8f6166",
+    ),
+    (
+        # closed forms: exact rationals, and warnings outside the hypothesis
+        "formula main2-lower -n 16 -m 2",
+        0,
+        "ea2bf5cb2dc943be3b03fbea4a9d1142f45ecf8181df3f715f0f655a941adc84",
+    ),
+    (
+        "formula f-ratio -n 27 -m 2",
+        0,
+        "8826932d8902e5a7fb27e2c72d4281b3186cc503753d4a32af8d436952b9c7c5",
+    ),
+    (
+        "formula c2 -p 9 -m 1",
+        0,
+        "afdac64da1a28c215bdd2c4eb0b26c414214df8b909e570d1552986e1ed40715",
+    ),
 ]
 
 
