@@ -4,6 +4,12 @@ A GroupTable assigns every element an id; ids are indices into the list of
 image tables sorted lexicographically, so id 0 is always the identity and all
 downstream artifacts are byte-stable across runs.  Groups here are small
 enough for full enumeration; there is no stabilizer-chain machinery.
+
+A product is computed by composing image rows, packing each row into an
+integer key and searching the sorted key table; there is no Cayley table.
+The subgroup routines batch that arithmetic: ``subgroup_closure`` and
+``conjugation_orbit`` handle a whole breadth-first level per gather, and
+membership in a subgroup is a boolean mask over the group.
 """
 
 from __future__ import annotations
@@ -25,13 +31,16 @@ class ClosureBudgetError(RuntimeError):
 DEFAULT_PRODUCT_BUDGET = 10**7
 
 
+# the place values of a packed key, for each degree up to 16
+_PACK_WEIGHTS = [np.uint64(d) ** np.arange(d - 1, -1, -1, dtype=np.uint64) for d in range(17)]
+
+
 def _pack(images: np.ndarray, degree: int) -> np.ndarray:
     """Pack image rows into integer keys whose numeric order is the
     lexicographic order of the rows.  Supports degree <= 16."""
     if degree > 16:
         raise ValueError("packed keys support degree <= 16 only")
-    weights = (np.uint64(degree) ** np.arange(degree - 1, -1, -1, dtype=np.uint64))
-    return (images.astype(np.uint64) @ weights).astype(np.uint64)
+    return images.astype(np.uint64) @ _PACK_WEIGHTS[degree]
 
 
 class GroupTable:
@@ -107,8 +116,9 @@ class GroupTable:
     # -- id-level arithmetic ---------------------------------------------
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        ids = np.searchsorted(self._keys, keys)
-        if np.any(ids >= self.order) or np.any(self._keys[ids] != keys):
+        ids = self._keys.searchsorted(keys)
+        # a key past the last one is clipped onto it and so differs from it
+        if (self._keys.take(ids, mode="clip") != keys).any():
             raise KeyError("permutation not in group")
         return ids.astype(np.int64)
 
@@ -246,9 +256,6 @@ class SubgroupHandle:
         i = int(np.searchsorted(self.member_ids, eid))
         return i < self.size and int(self.member_ids[i]) == eid
 
-    def member_set(self) -> frozenset[int]:
-        return frozenset(self.member_ids.tolist())
-
     def conjugate(self, g: int) -> "SubgroupHandle":
         cm = self.parent.conj_map(g)
         ids = np.sort(cm[self.member_ids])
@@ -305,7 +312,9 @@ def subgroup_closure(
     label: str | None = None,
     abort_above: int | None = None,
 ) -> SubgroupHandle | None:
-    """Smallest subgroup containing ``gens``.
+    """Smallest subgroup containing ``gens``, breadth-first: each level
+    multiplies the whole frontier by every non-identity generator in one
+    gather and one key lookup, with membership kept as a mask over g.
 
     Returns None if the closure grows past ``abort_above`` elements (used by
     the lattice enumeration to cut off joins that must generate the whole
@@ -315,26 +324,25 @@ def subgroup_closure(
     for x in gen_list:
         if not 0 <= x < g.order:
             raise ValueError(f"invalid element id {x}")
-    member = {0}
-    member.update(gen_list)
-    frontier = np.array(sorted(member), dtype=np.int64)
-    all_ids = [frontier]
-    gen_arr = [x for x in gen_list if x != 0]
-    while frontier.shape[0]:
-        new: set[int] = set()
-        for x in gen_arr:
-            prods = g.mul_right(frontier, x)
-            for p in prods.tolist():
-                if p not in member:
-                    member.add(p)
-                    new.add(p)
-        if abort_above is not None and len(member) > abort_above:
-            return None
-        frontier = np.array(sorted(new), dtype=np.int64)
-        if frontier.shape[0]:
-            all_ids.append(frontier)
-    ids = np.sort(np.concatenate(all_ids)) if len(all_ids) > 1 else all_ids[0]
-    return SubgroupHandle(g, ids, tuple(gen_list), label=label)
+    member = np.zeros(g.order, dtype=bool)
+    member[0] = True
+    member[gen_list] = True
+    frontier = np.flatnonzero(member)
+    size = frontier.shape[0]
+    bound = g.order if abort_above is None else abort_above
+    gen_rows = g.images[[x for x in gen_list if x != 0]]
+    while frontier.shape[0] and gen_rows.shape[0] and size <= bound:
+        rows = g.images[frontier][:, gen_rows].reshape(-1, g.degree)
+        fresh = np.zeros(g.order, dtype=bool)
+        # sorted keys make the key search run forward through the table
+        fresh[g._lookup(np.sort(_pack(rows, g.degree)))] = True
+        fresh &= ~member
+        member |= fresh
+        frontier = np.flatnonzero(fresh)
+        size += frontier.shape[0]
+    if size > bound:
+        return None
+    return SubgroupHandle(g, np.flatnonzero(member), tuple(gen_list), label=label)
 
 
 def subgroup_from_set(
@@ -355,28 +363,37 @@ def _reduce_generators(g: GroupTable, ids: np.ndarray) -> tuple[int, ...]:
     """Greedy small generating set for the subgroup with the given elements."""
     target = ids.shape[0]
     gens: list[int] = []
-    have = {0}
+    have = np.zeros(g.order, dtype=bool)
+    have[0] = True
     for x in ids.tolist():
-        if x in have:
+        if have[x]:
             continue
         gens.append(x)
-        have = subgroup_closure(g, gens).member_set()
-        if len(have) == target:
+        h = subgroup_closure(g, gens)
+        if h.size == target:
             break
+        have[h.member_ids] = True
     return tuple(gens)
 
 
 def normalizer(g: GroupTable, h: SubgroupHandle) -> np.ndarray:
     """Sorted ids of the normalizer of h in g (vectorized over all of g)."""
+    inside = member_mask(g, h.member_ids)
     mask = np.ones(g.order, dtype=bool)
     all_ids = np.arange(g.order, dtype=np.int64)
     for t in h.generators:
         if t == 0:
             continue
         lt = g.mul_many(g.inv[all_ids], np.full(g.order, t, dtype=np.int64))
-        conj = g.mul_many(lt, all_ids)
-        mask &= np.isin(conj, h.member_ids)
+        mask &= inside[g.mul_many(lt, all_ids)]
     return all_ids[mask]
+
+
+def member_mask(g: GroupTable, ids: np.ndarray) -> np.ndarray:
+    """The boolean mask over g of the given element ids."""
+    mask = np.zeros(g.order, dtype=bool)
+    mask[ids] = True
+    return mask
 
 
 def _acting_generators(g: GroupTable) -> list[int]:
@@ -411,25 +428,47 @@ def conjugation_orbit(
     """The orbit of the subgroup with the given sorted ids under
     conjugation by ``elements``, breadth-first, each member expanded by the
     elements in order.  Generator images are carried only when
-    ``generators`` is given."""
-    maps = [g.conj_map(x) for x in elements]
+    ``generators`` is given.
+
+    The walk goes one level at a time: the whole frontier goes through the
+    stacked conjugation maps in one gather and is sorted row by row, so a
+    level's working set is frontier size x len(elements) x |H|."""
+    maps = np.array([g.conj_map(x) for x in elements], dtype=np.int64)
+    maps = maps.reshape(len(elements), g.order)
+    k = maps.shape[0]
+    via_rows = np.arange(k)[None, :, None]
     start = np.asarray(member_ids, dtype=np.int64)
+    width = start.shape[0] * start.itemsize
     members, keys = [start], [start.tobytes()]
     seen = set(keys)
     parent, via = [-1], [-1]
-    gens = None if generators is None else [np.asarray(generators, dtype=np.int64)]
-    for i, cur in enumerate(members):  # the list grows as the walk goes
-        for j, cm in enumerate(maps):
-            nxt = np.sort(cm[cur])
-            key = nxt.tobytes()
+    frontier = start[None, :]
+    gens = None
+    if generators is not None:
+        gen_frontier = np.asarray(generators, dtype=np.int64)[None, :]
+        gens = [gen_frontier[0]]
+    lo = 0  # the index of the frontier's first member
+    while frontier.shape[0]:
+        # row r of a level is frontier member lo + r // k under element r % k
+        level = np.sort(maps[via_rows, frontier[:, None, :]], axis=2)
+        level = level.reshape(-1, start.shape[0])
+        buf = level.tobytes()
+        level_keys = [buf[i : i + width] for i in range(0, len(buf), width)]
+        fresh = []
+        for r, key in enumerate(level_keys):
             if key not in seen:
                 seen.add(key)
-                members.append(nxt)
-                keys.append(key)
-                parent.append(i)
-                via.append(j)
-                if gens is not None:
-                    gens.append(cm[gens[i]])
+                fresh.append(r)
+        keys.extend(level_keys[r] for r in fresh)
+        parent.extend(lo + r // k for r in fresh)
+        via.extend(r % k for r in fresh)
+        lo += frontier.shape[0]
+        frontier = level[fresh]
+        members.extend(frontier)
+        if gens is not None:
+            images = maps[via_rows, gen_frontier[:, None, :]]
+            gen_frontier = images.reshape(level.shape[0], images.shape[2])[fresh]
+            gens.extend(gen_frontier)
     return ConjugationOrbit(members, keys, parent, via, gens)
 
 
@@ -463,10 +502,18 @@ def conjugate_class(g: GroupTable, h: SubgroupHandle) -> SubgroupClass:
 def class_conjugators(g: GroupTable, cls: SubgroupClass) -> dict[bytes, int]:
     """For each conjugate in the class, one element c with rep^c equal to
     it (c = identity for the representative)."""
-    elements = _acting_generators(g)
+    elements = np.asarray(_acting_generators(g), dtype=np.int64)
     orbit = conjugation_orbit(g, cls.representative.member_ids, elements)
-    # rebuilt from the Schreier vector: a parent comes before its children
-    conjugators = [0]
-    for p, j in zip(orbit.parent[1:], orbit.via[1:]):
-        conjugators.append(g.mul(conjugators[p], elements[j]))
-    return dict(zip(orbit.keys, conjugators))
+    parent = np.asarray(orbit.parent, dtype=np.int64)
+    via = np.asarray(orbit.via, dtype=np.int64)
+    # rebuilt from the Schreier vector a level at a time: parents are
+    # nondecreasing, so the members whose parents are done form a prefix
+    conjugators = np.zeros(parent.shape[0], dtype=np.int64)
+    done = 1
+    while done < parent.shape[0]:
+        end = int(np.searchsorted(parent, done))
+        conjugators[done:end] = g.mul_many(
+            conjugators[parent[done:end]], elements[via[done:end]]
+        )
+        done = end
+    return dict(zip(orbit.keys, conjugators.tolist()))

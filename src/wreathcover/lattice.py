@@ -8,6 +8,12 @@ subgroup K < H and any cyclic c not inside K, so the fixpoint is complete.
 Joins whose closure grows past the largest proper divisor of |G| must be the
 whole group and are aborted early.
 
+The cyclic seeds cost no closures: one table of powers x^k over all of G
+(one batched product per k below the largest element order) gives every
+<x> at once.  Closures and conjugation orbits go level by level, one
+batched id product or map gather per breadth-first level, and membership
+tests against a representative use a boolean mask over G.
+
 Feasible to group order ~10^4, which covers M11 (order 7920).  Results are
 cached on disk keyed by the group's canonical hash; cached data is never used
 without re-verifying that hash.
@@ -28,6 +34,7 @@ from .groups import (
     SubgroupHandle,
     _reduce_generators,
     conjugation_orbit,
+    member_mask,
     normalizer,
     orbit_class,
     subgroup_closure,
@@ -75,15 +82,23 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
 
     register(subgroup_from_set(g, [0], verify=False))
 
-    # seed: cyclic subgroup classes
+    # seed: cyclic subgroup classes; <x> is read off a table of powers,
+    # one block of rows per element order, in order of (order, id).  An
+    # element of degree <= 16 has order <= 140, which bounds the table.
     orders = g.element_orders()
+    all_ids = np.arange(g.order, dtype=np.int64)
+    powers = [np.zeros(g.order, dtype=np.int64)]  # powers[k][x] = x^k
+    for _ in range(1, int(orders.max())):
+        powers.append(g.mul_many(powers[-1], all_ids))
+    powers = np.stack(powers)
     cyclic_classes: list[SubgroupClass] = []
-    for eid in np.argsort(orders, kind="stable").tolist():
-        if eid == 0:
-            continue
-        h = subgroup_closure(g, [eid])
-        if h.canonical_key not in known:
-            cyclic_classes.append(register(h))
+    for n in np.unique(orders[1:]).tolist():
+        xs = np.flatnonzero(orders == n)
+        rows = np.sort(powers[:n, xs].T, axis=1)
+        buf, width = rows.tobytes(), n * rows.itemsize
+        for i, x in enumerate(xs.tolist()):
+            if buf[i * width : (i + 1) * width] not in known:
+                cyclic_classes.append(register(SubgroupHandle(g, rows[i], (x,))))
 
     order_divisors = divisors(g.order)
     max_proper = g.order // smallest_prime_factor(g.order) if g.order > 1 else 1
@@ -93,14 +108,16 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
         if rep.size in (1, g.order):
             continue
         norm_gens = [x for x in _reduce_generators(g, normalizer(g, rep)) if x != 0]
+        inside = member_mask(g, rep.member_ids)
         for cyc_cls in cyclic_classes:
             if cyc_cls.order == g.order:
                 continue
             for cyc in _orbit_reps(g, cyc_cls, norm_gens):
-                if np.isin(cyc.member_ids, rep.member_ids).all():
-                    continue
+                inter = int(np.count_nonzero(inside[cyc.member_ids]))
+                if inter == cyc.size:
+                    continue  # cyc lies inside rep
                 if not _join_could_be_proper(
-                    rep.size, cyc, rep, order_divisors, max_proper
+                    rep.size, cyc.size, inter, order_divisors, max_proper
                 ):
                     continue
                 joined = subgroup_closure(
@@ -137,20 +154,20 @@ def _orbit_reps(g: GroupTable, cyc_cls: SubgroupClass, elements: list[int]):
 
 def _join_could_be_proper(
     h_size: int,
-    cyc: SubgroupHandle,
-    rep: SubgroupHandle,
+    c_size: int,
+    inter: int,
     divisors: list[int],
     max_proper: int,
 ) -> bool:
-    """Cheap Lagrange screen: the join order is a multiple of |H| at least
-    |H|*|C|/|H∩C| and divides |G|; skip the closure if that forces it past
-    the largest proper divisor."""
-    inter = int(np.isin(cyc.member_ids, rep.member_ids).sum())
-    lower = h_size * cyc.size // max(inter, 1)
+    """Cheap Lagrange screen: the join of H and C, with |H∩C| = ``inter``,
+    has an order that is a multiple of |H| and |C|, at least |H|*|C|/|H∩C|,
+    and divides |G|; skip the closure if that forces it past the largest
+    proper divisor."""
+    lower = h_size * c_size // max(inter, 1)
     for d in divisors:
         if d > max_proper:
             break
-        if d >= lower and d % h_size == 0 and d % cyc.size == 0:
+        if d >= lower and d % h_size == 0 and d % c_size == 0:
             return True
     return False
 
@@ -161,20 +178,18 @@ def maximal_classes_from_lattice(
     """The maximal-subgroup classes: proper classes contained in no larger
     proper subgroup (checked against every conjugate)."""
     proper = [c for c in classes if c.order < g.order]
+    stacked = [np.stack([h.member_ids for h in c.conjugates]) for c in proper]
     out = []
     for c in proper:
-        rep = c.representative
-        dominated = False
-        for other in proper:
-            if other.order <= c.order or other.order % c.order != 0:
-                continue
-            for conj in other.conjugates:
-                if np.isin(rep.member_ids, conj.member_ids).all():
-                    dominated = True
-                    break
-            if dominated:
-                break
-        if not dominated:
+        inside = member_mask(g, c.representative.member_ids)
+        # a conjugate of a larger class holds the representative when it
+        # meets it in |rep| elements
+        if not any(
+            other.order > c.order
+            and other.order % c.order == 0
+            and (np.count_nonzero(inside[conjugates], axis=1) == c.order).any()
+            for other, conjugates in zip(proper, stacked)
+        ):
             out.append(c)
     return out
 

@@ -473,12 +473,19 @@ def verify_cover_report(
     return report
 
 
-def inequality_report(lemma: str, n_range, m_range) -> dict:
+def inequality_report(lemma: str, n_range: range, m_range: range) -> dict:
+    """One lemma sweep; a sweep in which no case lies is a usage error."""
     try:
-        formulas.lemma_row(lemma)
+        row = formulas.lemma_row(lemma)
     except KeyError as exc:
         raise PipelineError(*exc.args) from None
-    return formulas.inequality_suite(lemma, n_range, m_range).to_dict()
+    report = formulas.inequality_suite(lemma, n_range, m_range)
+    if not report.cases_checked:
+        where = f"n in {n_range.start}..{n_range.stop - 1}"
+        if row.arity == "nm":
+            where += f" and m in {m_range.start}..{m_range.stop - 1}"
+        raise PipelineError(f"lemma {row.key} has no case with {where}")
+    return report.to_dict()
 
 
 def _fraction(v) -> str:

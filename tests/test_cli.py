@@ -183,6 +183,14 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     assert main(["check-inequalities", "--lemma", "bogus", "--n-range", "5..6"]) == 2
     assert capsys.readouterr().err.startswith("error: unknown lemma 'bogus'; known: ")
+    # a sweep in which no case lies is a usage error, not a failed lemma
+    assert main(["check-inequalities", "--lemma", "small-block", "--n-range", "1..5"]) == 2
+    assert capsys.readouterr().err == "error: lemma small-block has no case with n in 1..5\n"
+    argv = ["check-inequalities", "--lemma", "diagonal", "--n-range", "5..9", "--m-range", "3..2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: lemma diagonal has no case with n in 5..9 and m in 3..2\n"
+    )
     # a closed form without one of its parameters names the missing flag
     for argv, flag in (
         (["formula", "alpha"], "-m"),

@@ -3,14 +3,19 @@ request list.
 
 A refactor that is meant to leave every certificate unchanged must keep
 these digests.  A change that alters a report on purpose updates the digest
-here and says which report changed and why.
+here and says which report changed and why.  The subgroup lattices of a
+few spec-file groups and of M11 are pinned the same way, by the sha256 of
+their lattice cache file.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from wreathcover import catalog
 from wreathcover.cli import main
+from wreathcover.lattice import _cache_path, all_subgroup_classes
 
 A5_SPEC = 'name: A5\ndegree: 5\ngenerators: ["(1 2 3 4 5)", "(1 2 3)"]\n'
 
@@ -204,3 +209,53 @@ def test_golden_report(command, status, digest, tmp_path, capsys):
     assert main([*argv, "--json"]) == status
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# spec-file groups (name, degree, generators) and the sha256 of their
+# lattice cache file: its classes, their representatives and generators
+LATTICE_GOLDEN = [
+    (
+        "A5",
+        5,
+        ["(1 2 3 4 5)", "(1 2 3)"],
+        "02fca2c18c44a571afa43e5b2f75911db4ede23e19dd571cb12978f77878da14",
+    ),
+    (
+        "S5",
+        5,
+        ["(1 2 3 4 5)", "(1 2)"],
+        "f5ea98f23d66eb12a807912793550a1e29f17f901d5120d12e1a864eb5518c51",
+    ),
+    (
+        "PSL(2,7)",
+        7,
+        ["(1 2 3 4 5 6 7)", "(1 2)(3 6)"],
+        "9d894a715463e54883a955efc18d412ec0e8cd4f1bbd81a1498902038c3cc3c8",
+    ),
+    (
+        "PSL(2,11)",
+        12,
+        ["(1 2 3 4 5 6 7 8 9 10 11)", "(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)"],
+        "7cb52912810f55dc3795cf2b5e3ddbeb0664cab43356ebd5bccae99e4dd35e5b",
+    ),
+]
+M11_LATTICE_DIGEST = "da114ba2a0d4edf84a123a7eb274d218f6e0f1b5159542c0490cc1ad08f2cb87"
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, degree, generators, digest", LATTICE_GOLDEN, ids=[row[0] for row in LATTICE_GOLDEN]
+)
+def test_golden_lattice(name, degree, generators, digest, tmp_path):
+    spec = tmp_path / "group.yaml"
+    spec.write_text(f"name: {name}\ndegree: {degree}\ngenerators: {json.dumps(generators)}\n")
+    table = catalog.load(str(spec)).table
+    all_subgroup_classes(table, cache_dir=tmp_path)
+    assert _digest(_cache_path(table, tmp_path)) == digest
+
+
+def test_golden_m11_lattice(m11, m11_lattice, _cache_dir):
+    assert _digest(_cache_path(m11.table, _cache_dir)) == M11_LATTICE_DIGEST

@@ -1,12 +1,19 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wreathcover import catalog
 from wreathcover.groups import (
     ClosureBudgetError,
     GroupTable,
     class_conjugators,
     conjugate_class,
+    conjugation_orbit,
     normalizer,
+    orbit_class,
     subgroup_closure,
     subgroup_from_set,
 )
@@ -117,7 +124,7 @@ def test_subgroup_closure_brute_force_cross_check(a5):
                     members.add(p)
                     changed = True
     h = subgroup_closure(a5, [c5, inv2])
-    assert h.member_set() == members
+    assert set(h.member_ids.tolist()) == members
 
 
 def test_conjugate_class_sizes(a5):
@@ -198,3 +205,103 @@ def test_mul_many_matches_scalar(a5):
     prods = a5.mul_many(a, b)
     for x, y, z in zip(a.tolist(), b.tolist(), prods.tolist()):
         assert a5.mul(x, y) == z
+
+
+# -- property tests against independent references ------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _table(name: str) -> GroupTable:
+    if name == "S5":  # the S5 spec file's generators
+        gens = [Perm.from_cycles("(1 2 3 4 5)", 5), Perm.from_cycles("(1 2)", 5)]
+        return GroupTable.from_generators(gens, name="S5")
+    return catalog.load(name).table
+
+
+PROPERTY_GROUPS = ("A5", "PSL(2,7)", "S5")
+
+
+@st.composite
+def _group_and_ids(draw, max_ids=3):
+    g = _table(draw(st.sampled_from(PROPERTY_GROUPS)))
+    ids = draw(st.lists(st.integers(0, g.order - 1), max_size=max_ids))
+    return g, ids
+
+
+def _perm_closure(perms: list[Perm], degree: int) -> set[tuple[int, ...]]:
+    """The group generated by ``perms``, by composing Perms until nothing
+    new appears (no packed keys, no id lookups)."""
+    members = {Perm.identity(degree)} | set(perms)
+    frontier = list(members)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in perms:
+                c = a * b
+                if c not in members:
+                    members.add(c)
+                    fresh.append(c)
+        frontier = fresh
+    return {p.images for p in members}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_group_and_ids(), st.integers(0, 200))
+def test_subgroup_closure_matches_perm_closure(group_and_ids, abort_above):
+    g, ids = group_and_ids
+    expected = _perm_closure([g.perm(x) for x in ids], g.degree)
+    h = subgroup_closure(g, ids)
+    assert {tuple(g.images[x].tolist()) for x in h.member_ids} == expected
+    assert h.generators == tuple(sorted(set(ids)))
+    assert list(h.member_ids) == sorted(h.member_ids.tolist())
+    capped = subgroup_closure(g, ids, abort_above=abort_above)
+    if len(expected) > abort_above:
+        assert capped is None
+    else:
+        assert np.array_equal(capped.member_ids, h.member_ids)
+
+
+def _sequential_orbit(g, member_ids, elements, generators=None):
+    """One member at a time, each expanded by the elements in order: the
+    Schreier-vector walk that ``conjugation_orbit`` does level by level."""
+    maps = [g.conj_map(x) for x in elements]
+    start = np.asarray(member_ids, dtype=np.int64)
+    members, keys, parent, via = [start], [start.tobytes()], [-1], [-1]
+    gens = None if generators is None else [np.asarray(generators, dtype=np.int64)]
+    seen = set(keys)
+    for i, cur in enumerate(members):
+        for j, cm in enumerate(maps):
+            nxt = np.sort(cm[cur])
+            if nxt.tobytes() not in seen:
+                seen.add(nxt.tobytes())
+                members.append(nxt)
+                keys.append(nxt.tobytes())
+                parent.append(i)
+                via.append(j)
+                if gens is not None:
+                    gens.append(cm[gens[i]])
+    return members, keys, parent, via, gens
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_group_and_ids(), st.lists(st.integers(0, 10**6), max_size=4), st.booleans())
+def test_conjugation_orbit_matches_sequential_walk(group_and_ids, acting, carry):
+    g, ids = group_and_ids
+    h = subgroup_closure(g, ids)
+    elements = [x % g.order for x in acting]
+    generators = h.generators if carry else None
+    orbit = conjugation_orbit(g, h.member_ids, elements, generators)
+    members, keys, parent, via, gens = _sequential_orbit(g, h.member_ids, elements, generators)
+    assert [m.tolist() for m in orbit.members] == [m.tolist() for m in members]
+    assert orbit.keys == keys
+    assert orbit.parent == parent
+    assert orbit.via == via
+    if carry:
+        assert [x.tolist() for x in orbit.generators] == [x.tolist() for x in gens]
+    else:
+        assert orbit.generators is None
+    cls = orbit_class(g, h)
+    conjugators = class_conjugators(g, cls)
+    assert sorted(conjugators) == [c.canonical_key for c in cls.conjugates]
+    for c in cls.conjugates:
+        assert h.conjugate(conjugators[c.canonical_key]) == c
