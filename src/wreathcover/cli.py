@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-spec", required=True, help="orders:... or cycle-types:...")
     p.add_argument("--families", required=True, help="comma-separated class labels")
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--mode", choices=("auto", "explicit", "symbolic"), default="auto")
+    p.add_argument("--mode", choices=("auto", "explicit"), default="auto")
 
     p = add_parser("verify-c1", help="the M11 wreath pipeline")
     p.add_argument("-m", type=int, required=True)
@@ -202,6 +202,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
             _split_labels(args.families),
             args.m,
             cover_labels=_split_labels(args.cover) if args.cover else None,
+            cache_dir=args.cache_dir,
         )
         return report, 0 if report["passed"] else 1
     if cmd == "formula":

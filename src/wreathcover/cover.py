@@ -25,6 +25,12 @@ gain, then by candidate.  A child's bound is taken when it is made, and a
 child that the bound already prunes is counted but never stacked.
 Everything is deterministic: candidates are ordered canonically and all
 tie-breaks are lexicographic.
+
+One cover check: ``verify_cover_handles`` answers every "does this family
+cover the target?" from the members' element ids, over one ``member_mask``.
+``verify_cover`` is its front for candidate labels, the greedy cover's
+check is the instance's feasibility test, and the product-type construction
+checks its input with it; no answer is read off the search's bitmasks.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import GroupTable, SubgroupClass, SubgroupHandle
+from .groups import GroupTable, SubgroupClass, SubgroupHandle, member_mask
 
 
 class CoverCapError(RuntimeError):
@@ -61,15 +67,6 @@ class CoverInstance:
     @property
     def universe_size(self) -> int:
         return int(self.universe_ids.shape[0])
-
-    def uncovered_ids(self, mask: int) -> list[int]:
-        missing = self.full_mask & ~mask
-        out = []
-        while missing:
-            low = missing & -missing
-            out.append(int(self.universe_ids[low.bit_length() - 1]))
-            missing ^= low
-        return out
 
 
 @dataclass
@@ -168,10 +165,13 @@ class _Lazy(dict):
         return value
 
 
-def _greedy_order(instance: CoverInstance) -> list[int]:
-    """Repeatedly take the first candidate of largest gain.  The gains are
-    kept as a vector: a pick lowers each candidate's gain by the number of
-    its elements the pick newly covers."""
+def _greedy_cover(instance: CoverInstance) -> tuple[list[int], Optional[int]]:
+    """Repeatedly take the first candidate of largest gain, until none adds
+    an element.  The gains are kept as a vector: a pick lowers each
+    candidate's gain by the number of its elements the pick newly covers.
+    Returns the picks and, when they leave the universe uncovered, the
+    smallest uncovered element: no candidate holds it, so the instance is
+    infeasible."""
     pos, owner = instance.member_pos, instance.member_owner
     gain = np.bincount(owner, minlength=len(instance.masks))
     covered = np.zeros(instance.universe_size, dtype=bool)
@@ -180,7 +180,10 @@ def _greedy_order(instance: CoverInstance) -> list[int]:
     while True:
         best = int(gain.argmax())
         if gain[best] == 0:
-            return chosen  # covered, or infeasible: the caller tells which
+            _, missing = verify_cover_handles(
+                instance.group, [instance.handles[i] for i in chosen], instance.universe_ids
+            )
+            return chosen, missing
         chosen.append(best)
         new = pos[owner == best]
         new = new[~covered[new]]
@@ -194,27 +197,15 @@ def sigma_greedy(instance: CoverInstance) -> CoverCertificate:
     candidate order."""
     if instance.universe_size == 0:
         return CoverCertificate("empty", 0, [], 0, notes=["empty target"])
-    feasible, witness = _feasibility(instance)
-    if not feasible:
-        return _infeasible_certificate(instance, witness)
-    chosen = _greedy_order(instance)
+    chosen, missing = _greedy_cover(instance)
+    if missing is not None:
+        return _infeasible_certificate(instance, missing)
     return CoverCertificate(
         kind="upper-bound",
         value=len(chosen),
         chosen=[instance.labels[i] for i in chosen],
         universe_size=instance.universe_size,
     )
-
-
-def _feasibility(instance: CoverInstance) -> tuple[bool, Optional[int]]:
-    union = 0
-    for m in instance.masks:
-        union |= m
-    if union == instance.full_mask:
-        return True, None
-    missing = instance.full_mask & ~union
-    low = missing & -missing
-    return False, int(instance.universe_ids[low.bit_length() - 1])
 
 
 def _infeasible_certificate(instance: CoverInstance, witness_id: int) -> CoverCertificate:
@@ -243,12 +234,11 @@ def sigma_exact(
     search statistics as the matching-lower-bound warrant."""
     if instance.universe_size == 0:
         return CoverCertificate("empty", 0, [], 0, notes=["empty target"])
-    feasible, witness = _feasibility(instance)
-    if not feasible:
-        return _infeasible_certificate(instance, witness)
+    greedy, missing = _greedy_cover(instance)
+    if missing is not None:
+        return _infeasible_certificate(instance, missing)
 
     full = instance.full_mask
-    greedy = _greedy_order(instance)
 
     # static per-element data: the covering candidates of element e are
     # by_element[start[e]:start[e + 1]], in ascending candidate order
@@ -350,17 +340,15 @@ def sigma_exact(
 def verify_cover(
     instance: CoverInstance, chosen_labels: Sequence[str]
 ) -> tuple[bool, Optional[int]]:
-    """Check the chosen candidates cover the universe; on failure returns
-    the smallest uncovered element id."""
-    index = {lab: i for i, lab in enumerate(instance.labels)}
-    covered = 0
-    for lab in chosen_labels:
-        if lab not in index:
-            raise KeyError(f"unknown candidate label {lab!r}")
-        covered |= instance.masks[index[lab]]
-    if covered == instance.full_mask:
-        return True, None
-    return False, instance.uncovered_ids(covered)[0]
+    """``verify_cover_handles`` over the instance's universe for the
+    candidates of the given labels (KeyError for an unknown label)."""
+    handle = dict(zip(instance.labels, instance.handles))
+    unknown = [lab for lab in chosen_labels if lab not in handle]
+    if unknown:
+        raise KeyError(f"unknown candidate label {unknown[0]!r}")
+    return verify_cover_handles(
+        instance.group, [handle[lab] for lab in chosen_labels], instance.universe_ids
+    )
 
 
 def verify_cover_handles(
@@ -368,12 +356,13 @@ def verify_cover_handles(
     handles: Sequence[SubgroupHandle],
     target_ids: Optional[np.ndarray] = None,
 ) -> tuple[bool, Optional[int]]:
-    """Direct union check for explicit subgroup handles over a target."""
+    """Check that the union of the subgroups covers a sorted target (every
+    non-identity element by default); on failure returns the smallest
+    uncovered element id."""
     if target_ids is None:
         target_ids = np.arange(1, g.order, dtype=np.int64)
-    covered = np.zeros(g.order, dtype=bool)
-    for h in handles:
-        covered[h.member_ids] = True
+    ids = np.concatenate([np.zeros(0, np.int64), *(h.member_ids for h in handles)])
+    covered = member_mask(g, ids)
     missing = target_ids[~covered[target_ids]]
     if missing.shape[0]:
         return False, int(missing[0])

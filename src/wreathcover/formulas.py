@@ -43,6 +43,8 @@ def prime_factors(n: int) -> list[int]:
 
 def alpha(m: int) -> int:
     """Number of distinct prime divisors of m."""
+    if m < 1:
+        raise ValueError("m >= 1 required")
     return len(prime_factors(m))
 
 
@@ -85,8 +87,6 @@ def binom(n: int, k: int) -> int:
 
 def c1_value(m: int) -> int:
     """Covering number of the Mathieu-group wreath product M11 wr C_m."""
-    if m < 1:
-        raise ValueError("m >= 1 required")
     return alpha(m) + 11**m + 12**m
 
 

@@ -6,6 +6,11 @@ group, a seed set, a two-class family and a closed form) verified by one
 runner, constructive covers with serialized certificates, and inequality
 sweeps.  Every report is a plain dict of deterministic content, rendered to
 canonical JSON by report.py.
+
+Each wreath request derives its unbeatability verdict once, in
+``_unbeatability``; the certificate it prints and the bounds
+(``unbeat.theorem_bounds``, which also verifies the cover) both read that
+one report.
 """
 
 from __future__ import annotations
@@ -18,18 +23,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import catalog, formulas
-from .cover import (
-    build_instance,
-    sigma_exact,
-    sigma_greedy,
-    verify_cover_handles,
-)
+from .cover import build_instance, sigma_exact, sigma_greedy, verify_cover
 from .groups import GroupTable, SubgroupClass, class_conjugators
 from .lattice import LatticeCapError, all_subgroup_classes, maximal_classes_from_lattice
 from .perm import Perm
 from .unbeat import (
     SeedConditionReport,
     SeedInstance,
+    UnbeatabilityReport,
     check_definitely_unbeatable_group,
     check_definitely_unbeatable_symbolic,
     check_definitely_unbeatable_wreath,
@@ -104,8 +105,6 @@ def sigma_report(
         "certificate": cert.to_dict(),
     }
     if cert.kind in ("exact-optimal", "upper-bound"):
-        from .cover import verify_cover
-
         ok, witness = verify_cover(inst, cert.chosen)
         report["verified"] = ok
         if not ok:
@@ -141,19 +140,20 @@ def _seed_instance(
     )
 
 
-def _certificate(
+def _unbeatability(
     cg: catalog.CatalogGroup,
     inst: SeedInstance,
-    seed_spec: str,
-    seed_rep: SeedConditionReport,
+    seed_rep: Optional[SeedConditionReport] = None,
     mode: str = "auto",
     cache_dir=None,
-) -> dict:
-    """Definite unbeatability of the instance's family, reported with the
-    seed conditions it rests on.  At m = 1 the check is explicit in S.  At
-    m >= 2, ``explicit`` enumerates S wr C_m and fails (PipelineError) when
-    m * |S|^m exceeds ``EXPLICIT_CAP``, ``symbolic`` never enumerates, and
-    ``auto`` is explicit while m * |S|^m <= 10^7 and symbolic above."""
+) -> UnbeatabilityReport:
+    """The one verdict on a request's family: definite unbeatability.  At
+    m = 1 the check is explicit in S, its outsider sweep over the subgroup
+    lattice (the maximal classes only, and then conditional, above the
+    lattice cap).  At m >= 2, ``explicit`` enumerates S wr C_m and fails
+    (PipelineError) when m * |S|^m exceeds ``EXPLICIT_CAP``, and ``auto`` is
+    explicit while m * |S|^m <= 10^7 and symbolic, from the seed
+    conditions, above."""
     m = inst.m
     if m == 1:
         members = inst.members()
@@ -161,7 +161,7 @@ def _certificate(
             lattice = all_subgroup_classes(cg.table, cache_dir=cache_dir)
         except LatticeCapError:
             lattice = None
-        du = check_definitely_unbeatable_group(
+        return check_definitely_unbeatable_group(
             cg.table,
             inst.seed_ids,
             [h for _, h in members],
@@ -169,17 +169,25 @@ def _certificate(
             all_classes=lattice,
             maximal_classes=cg.maximal_classes,
         )
-    else:
-        total = m * cg.table.order**m
-        if mode == "explicit" and total > EXPLICIT_CAP:
-            raise PipelineError(f"explicit mode needs m*|S|^m = {total} <= {EXPLICIT_CAP}")
-        if mode == "explicit" or (mode == "auto" and total <= 10**7):
-            du = check_definitely_unbeatable_wreath(inst)
-        else:
-            du = check_definitely_unbeatable_symbolic(inst, seed_rep)
+    total = m * cg.table.order**m
+    if mode == "explicit" and total > EXPLICIT_CAP:
+        raise PipelineError(f"explicit mode needs m*|S|^m = {total} <= {EXPLICIT_CAP}")
+    if mode == "explicit" or total <= 10**7:
+        return check_definitely_unbeatable_wreath(inst)
+    return check_definitely_unbeatable_symbolic(inst, seed_rep)
+
+
+def _certificate(
+    cg: catalog.CatalogGroup,
+    inst: SeedInstance,
+    seed_spec: str,
+    seed_rep: SeedConditionReport,
+    du: UnbeatabilityReport,
+) -> dict:
+    """The verdict reported with the seed conditions it rests on."""
     return {
         "group": cg.spec.name,
-        "m": m,
+        "m": inst.m,
         "seed": seed_spec,
         "family": [cls.label for cls in inst.seed_classes],
         "seed_conditions": seed_rep.to_dict(),
@@ -200,9 +208,9 @@ def unbeatable_report(
     unbeatability in explicit or symbolic mode."""
     cg = load_group(source)
     inst = _seed_instance(cg, seed_spec, family_labels, m)
-    return _certificate(
-        cg, inst, seed_spec, check_seed_conditions(inst), mode, cache_dir
-    )
+    seed_rep = check_seed_conditions(inst)
+    du = _unbeatability(cg, inst, seed_rep, mode, cache_dir)
+    return _certificate(cg, inst, seed_spec, seed_rep, du)
 
 
 def wreath_bounds_report(
@@ -211,6 +219,7 @@ def wreath_bounds_report(
     family_labels: Sequence[str],
     m: int,
     cover_labels: Optional[Sequence[str]] = None,
+    cache_dir=None,
 ) -> dict:
     """Lower/upper bounds for sigma(S wr C_m): certified family size vs the
     constructive cover count."""
@@ -220,7 +229,7 @@ def wreath_bounds_report(
         _classes_by_labels(cg, cover_labels) if cover_labels else inst.seed_classes
     )
     cover = [h for cls in cover_classes for h in cls.conjugates]
-    bounds = theorem_bounds(inst, cover)
+    bounds = theorem_bounds(inst, cover, _unbeatability(cg, inst, cache_dir=cache_dir))
     return {
         "group": cg.spec.name,
         "m": m,
@@ -278,10 +287,10 @@ def psl_theorem(p: int) -> Theorem:
 
 
 def theorem_report(thm: Theorem, m: int, cache_dir=None) -> dict:
-    """Verify one wreath theorem at m: the seed conditions, the cover of S,
-    the unbeatability certificate and the bounds, each computed once.  It
-    passes when the lower and upper bounds both equal the closed form (at
-    m = 1 the certified lower bound and the cover size)."""
+    """Verify one wreath theorem at m: the seed conditions, the
+    unbeatability certificate, the cover of S and the bounds, each computed
+    once (a cover that fails raises).  It passes when the lower and upper
+    bounds both equal the closed form; the bounds are reported at m >= 2."""
     cg = load_group(thm.group)
     g = cg.table
     if g.order != thm.order:
@@ -292,7 +301,8 @@ def theorem_report(thm: Theorem, m: int, cache_dir=None) -> dict:
     per_class = seed_rep.seed_counts["per_class"]
     counts = {lab: per_class[lab]["per_member"] for lab in thm.family}
     cover = [h for _, h in inst.members()]
-    cert = _certificate(cg, inst, thm.seed_spec, seed_rep, cache_dir=cache_dir)
+    du = _unbeatability(cg, inst, seed_rep, cache_dir=cache_dir)
+    bounds = theorem_bounds(inst, cover, du)
     report: dict = {
         "group": thm.group,
         "m": m,
@@ -301,26 +311,13 @@ def theorem_report(thm: Theorem, m: int, cache_dir=None) -> dict:
         "warnings": warnings,
         "seed_per_member": counts,
         "expected_seed_per_member": dict(thm.family),
-        "certificate": cert,
+        "certificate": _certificate(cg, inst, thm.seed_spec, seed_rep, du),
+        "cover_verified": True,  # theorem_bounds raises on a failing cover
+        # a nonzero lower bound is a passed, unconditional certificate
+        "passed": counts == thm.family and bounds.lower == bounds.upper == value,
     }
-    if m == 1:
-        ok, _ = verify_cover_handles(g, cover)
-        lower = cert["unbeatability"].get("certified_lower_bound")
-        upper = len(cover)
-    else:
-        # theorem_bounds verifies the cover of S, and raises if it fails
-        bounds = theorem_bounds(inst, cover, seed_rep)
-        ok = True
+    if m >= 2:
         report["bounds"] = bounds.to_dict()
-        lower, upper = bounds.lower, bounds.upper
-    report["cover_verified"] = ok
-    report["passed"] = (
-        ok
-        and cert["passed"]
-        and counts == thm.family
-        and lower is not None
-        and int(lower) == upper == value
-    )
     return report
 
 
@@ -417,6 +414,7 @@ def construct_cover_report(source: str, m: int, cover_method: str = "exact") -> 
     (or greedy) cover of S and verify it exhaustively, which needs
     m * |S|^m <= ``EXPLICIT_CAP`` (PipelineError above it)."""
     cg = load_group(source)
+    ctx = WreathContext(cg.table, m)
     if not cg.maximal_classes:
         # member lines name catalog classes; fail before the lattice work
         raise PipelineError(
@@ -435,7 +433,7 @@ def construct_cover_report(source: str, m: int, cover_method: str = "exact") -> 
     label_to_handle = dict(zip(inst.labels, inst.handles))
     N = [label_to_handle[lab] for lab in cert.chosen]
     descriptors, socle = construct_product_cover(g, N, m)
-    ok, witness = verify_wreath_cover(WreathContext(g, m), descriptors, socle)
+    ok, witness = verify_wreath_cover(ctx, descriptors, socle)
     report = {
         "group": cg.spec.name,
         "m": m,

@@ -1,6 +1,9 @@
 """Lower-bound certificates for covering numbers of S wr C_m.
 
-Two layers:
+Two layers, and one verdict: a request's definite-unbeatability report is
+derived once (``pipelines`` picks its mode), and ``theorem_bounds`` prints
+its lower bound from that report's ``certified_lower_bound``, never from a
+check of its own.  Membership in S is read off ``groups.member_mask``.
 
 * Seed conditions C0-C5 on a pair (seed element set, conjugation-closed
   family of maximal subgroup classes).  C0-C4 are finite set checks; C5 is
@@ -33,8 +36,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .cover import verify_cover_handles
 from .formulas import alpha, smallest_prime_factor
-from .groups import GroupTable, SubgroupClass, SubgroupHandle
+from .groups import GroupTable, SubgroupClass, SubgroupHandle, member_mask
 from .wreath import (
     EXPLICIT_CAP,
     ProductTypeDescriptor,
@@ -134,8 +138,7 @@ class SeedConditionReport:
 
 
 def _seed_is_conjugation_closed(S: GroupTable, seed: np.ndarray) -> bool:
-    lut = np.zeros(S.order, dtype=bool)
-    lut[seed] = True
+    lut = member_mask(S, seed)
     for g in S.generator_ids:
         if not lut[S.conj_map(g)[seed]].all():
             return False
@@ -153,18 +156,19 @@ def hit_cover_disjoint(
     target: np.ndarray,
     members: Sequence[tuple[str, SubgroupHandle]],
     names: tuple[str, str, str],
-) -> tuple[list[ConditionResult], list[np.ndarray]]:
+) -> tuple[list[ConditionResult], np.ndarray]:
     """The three set conditions of a family of subgroups of S on a sorted
     target: every member meets it, the members cover it, and no target
     element lies in two members.  Returns the results under the given names
-    and each member's intersection with the target."""
-    inter = [target[np.isin(target, h.member_ids)] for _, h in members]
-    empty = [lab for (lab, _), ids in zip(members, inter) if ids.shape[0] == 0]
-    count = np.zeros(S.order, dtype=np.int32)
-    for ids in inter:
-        count[ids] += 1
-    uncovered = target[count[target] == 0]
-    doubled = target[count[target] > 1]
+    and the number of target elements in each member."""
+    ids = np.concatenate([np.zeros(0, np.int64), *(h.member_ids for _, h in members)])
+    owner = np.repeat(np.arange(len(members)), [h.size for _, h in members])
+    inside = member_mask(S, target)[ids]
+    sizes = np.bincount(owner[inside], minlength=len(members))
+    empty = [lab for (lab, _), n in zip(members, sizes) if n == 0]
+    count = np.bincount(ids[inside], minlength=S.order)[target]
+    uncovered = target[count == 0]
+    doubled = target[count > 1]
     hit, cover, disjoint = names
     return [
         ConditionResult(
@@ -184,12 +188,13 @@ def hit_cover_disjoint(
             doubled.shape[0] == 0,
             witness={"element": int(doubled[0])} if doubled.shape[0] else None,
         ),
-    ], inter
+    ], sizes
 
 
 def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
     """Evaluate conditions C0-C5 exhaustively with exact arithmetic."""
     S, seed, m = inst.S, inst.seed_ids, inst.m
+    in_seed = member_mask(S, seed)
     results: list[ConditionResult] = []
     notes: list[str] = []
 
@@ -232,7 +237,7 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
     class_totals: list[int] = []
     seed_counts: dict = {"seed_size": int(seed.shape[0]), "per_class": {}}
     for cls in inst.seed_classes:
-        rep_count = int(np.isin(seed, cls.representative.member_ids).sum())
+        rep_count = int(in_seed[cls.representative.member_ids].sum())
         total = rep_count * cls.class_size
         class_totals.append(total)
         seed_counts["per_class"][cls.base_label] = {
@@ -248,7 +253,7 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
         b_term = 0
         b_attained = None
         for cls in inst.outside_classes():
-            cnt = int(np.isin(seed, cls.representative.member_ids).sum())
+            cnt = int(in_seed[cls.representative.member_ids].sum())
             val = cnt * cls.order ** (m - 1)
             if val > b_term:
                 b_term, b_attained = val, cls.label
@@ -327,8 +332,9 @@ class UnbeatabilityReport:
 
     @property
     def certified_lower_bound(self) -> Optional[int]:
-        """sigma(target) = |family| <= sigma(X) when all conditions pass."""
-        return self.family_size if self.passed else None
+        """sigma(target) = |family| <= sigma(X) when all conditions pass and
+        none of them rests on a partial sweep; None otherwise."""
+        return self.family_size if self.passed and not self.conditional else None
 
     def to_dict(self) -> dict:
         out = {
@@ -345,8 +351,8 @@ class UnbeatabilityReport:
             out["member_min_count"] = self.member_min_count
         if self.outsider_max is not None:
             out["outsider_max"] = self.outsider_max
-        if self.passed:
-            out["certified_lower_bound"] = str(self.family_size)
+        if self.certified_lower_bound is not None:
+            out["certified_lower_bound"] = str(self.certified_lower_bound)
         return out
 
 
@@ -361,9 +367,10 @@ def check_definitely_unbeatable_group(
     """Explicit m=1 mode: the family lives inside S itself and every
     condition is a finite set check.  The outsider sweep uses the full
     subgroup lattice when given (unconditional certificate), else the
-    maximal classes only (certificate marked conditional)."""
+    maximal classes only (certificate marked conditional, which certifies
+    no lower bound)."""
     target = np.unique(np.asarray(target_ids, dtype=np.int64))
-    results, inter = hit_cover_disjoint(
+    results, sizes = hit_cover_disjoint(
         S,
         target,
         list(zip(family_labels, family, strict=True)),
@@ -374,7 +381,8 @@ def check_definitely_unbeatable_group(
         ),
     )
 
-    member_min = min(ids.shape[0] for ids in inter) if inter else 0
+    member_min = int(sizes.min()) if sizes.shape[0] else 0
+    in_target = member_mask(S, target)
     family_keys = {h.canonical_key for h in family}
     conditional = all_classes is None
     if all_classes is not None:
@@ -389,7 +397,7 @@ def check_definitely_unbeatable_group(
             # the family is conjugation-closed in our uses, so one key
             # matching means the whole class is inside the family
             continue
-        cnt = int(np.isin(target, cls.representative.member_ids).sum())
+        cnt = int(in_target[cls.representative.member_ids].sum())
         if cnt > outsider_max:
             outsider_max = cnt
             outsider_label = cls.base_label
@@ -436,8 +444,7 @@ class _TargetMasks:
     def __init__(self, inst: SeedInstance, ctx: WreathContext, grid: np.ndarray):
         S, m = inst.S, inst.m
         self.masks: dict[int, np.ndarray] = {}
-        seed_lut = np.zeros(S.order, dtype=bool)
-        seed_lut[inst.seed_ids] = True
+        seed_lut = member_mask(S, inst.seed_ids)
 
         def strand_product_column(step: int, t: int) -> np.ndarray:
             cols = [(t + j * step) % m for j in range(m // step)]
@@ -451,12 +458,11 @@ class _TargetMasks:
 
         # strand layer: one prime shift per prime divisor of m
         if m >= 2:
-            class_unions = []
-            for cls in inst.seed_classes:
-                lut = np.zeros(S.order, dtype=bool)
-                for h in cls.conjugates:
-                    lut[h.member_ids] = True
-                class_unions.append(lut & seed_lut)
+            class_unions = [
+                member_mask(S, np.concatenate([h.member_ids for h in cls.conjugates]))
+                & seed_lut
+                for cls in inst.seed_classes
+            ]
             for s in socle_maximals(m):
                 r = s.r
                 p0 = strand_product_column(r, 0)
@@ -617,17 +623,9 @@ def check_definitely_unbeatable_symbolic(
     if seed_report is None:
         seed_report = check_seed_conditions(inst)
     results = []
-    c_by_name = {c.name: c for c in seed_report.conditions}
-    base_ok = all(
-        c_by_name[f"C{i} " + n].passed
-        for i, n in (
-            (0, "conjugation-closed"),
-            (1, "every member meets the seed"),
-            (2, "seed covered by the family"),
-            (3, "no seed element in two members"),
-            (4, "at least two classes"),
-        )
-    )
+    # the seed report lists C0-C4, then C5
+    *base, c5 = seed_report.conditions
+    base_ok = all(c.passed for c in base)
     for name in ("U1 every member meets the target", "U2 target covered", "U3 no target element in two members"):
         results.append(
             ConditionResult(
@@ -636,7 +634,6 @@ def check_definitely_unbeatable_symbolic(
                 detail="certified by the constructive coset argument from C0-C4",
             )
         )
-    c5 = c_by_name["C5 arithmetic"]
     results.append(
         ConditionResult(
             "U4 outsiders dominated",
@@ -675,28 +672,14 @@ class WreathBounds:
 def theorem_bounds(
     inst: SeedInstance,
     cover_handles: Sequence[SubgroupHandle],
-    seed_report: Optional[SeedConditionReport] = None,
+    certificate: UnbeatabilityReport,
 ) -> WreathBounds:
-    """Assemble lower and upper bounds for sigma(S wr C_m): the family over
-    the seed classes, counted by ``wreath_cover_upper_term``, when it is
-    certified (explicitly at m = 1, by the seed conditions at m >= 2), and
-    the same count over a verified covering of S."""
-    from .cover import verify_cover_handles
-
+    """Lower and upper bounds for sigma(S wr C_m): the lower bound is the
+    certificate's certified lower bound (0 when it certifies none), the
+    upper bound ``wreath_cover_upper_term`` over a verified covering of S
+    (ValueError when it does not cover)."""
     ok, missing = verify_cover_handles(inst.S, cover_handles)
     if not ok:
         raise ValueError(f"cover does not cover S: element {missing} missed")
-    members = inst.members()
-    if inst.m == 1:
-        passed = check_definitely_unbeatable_group(
-            inst.S,
-            inst.seed_ids,
-            [h for _, h in members],
-            [lab for lab, _ in members],
-            maximal_classes=inst.maximal_classes,
-        ).passed
-    else:
-        passed = (seed_report or check_seed_conditions(inst)).passed
-    family_size = wreath_cover_upper_term([h for _, h in members], inst.m)
     upper = wreath_cover_upper_term(cover_handles, inst.m)
-    return WreathBounds(family_size if passed else 0, upper, family_size)
+    return WreathBounds(certificate.certified_lower_bound or 0, upper, certificate.family_size)

@@ -44,6 +44,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .cover import verify_cover_handles
 from .formulas import alpha, prime_factors
 from .groups import GroupTable, SubgroupHandle, _pack
 from .perm import Perm
@@ -347,11 +348,8 @@ def construct_product_cover(
     maximals, ``wreath_cover_upper_term(cover, m)`` subgroups in all.  The
     verified postcondition (at desk scale, via verify_wreath_cover) is that
     their union is all of S wr C_m."""
-    union = np.zeros(S.order, dtype=bool)
-    for M in cover:
-        union[M.member_ids] = True
-    if not union.all():
-        missing = int(np.flatnonzero(~union)[0])
+    ok, missing = verify_cover_handles(S, cover)
+    if not ok:
         raise CoverInputError(f"family does not cover S: element id {missing} missed")
     return list(product_type_family(cover, m)), socle_maximals(m)
 

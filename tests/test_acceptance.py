@@ -40,6 +40,7 @@ from wreathcover.lattice import all_subgroup_classes
 from wreathcover.unbeat import (
     SeedInstance,
     check_definitely_unbeatable_group,
+    check_definitely_unbeatable_symbolic,
     check_seed_conditions,
     theorem_bounds,
 )
@@ -153,7 +154,7 @@ def test_criterion_3_m11_pipeline_m2(m11):
         assert rep.cross_class_layer == 2 * 132 * 180 * 120
         assert rep.family_min == 79200
         cover = [h for cls in inst.seed_classes for h in cls.conjugates]
-        bounds = theorem_bounds(inst, cover, rep)
+        bounds = theorem_bounds(inst, cover, check_definitely_unbeatable_symbolic(inst, rep))
         assert bounds.lower == bounds.upper == 266 == formulas.c1_value(2)
 
 
@@ -179,7 +180,7 @@ def test_criterion_4_psl211_pipeline_m5(psl11):
         counts = rep.seed_counts["per_class"]
         assert counts["D12"]["per_member"] == formulas.euler_phi(6) == 2
         assert counts["11:5"]["per_member"] == 10
-        bounds = theorem_bounds(inst, cover, rep)
+        bounds = theorem_bounds(inst, cover, check_definitely_unbeatable_symbolic(inst, rep))
         expect = formulas.alpha(5) + 12**5 + 55**5
         assert bounds.lower == bounds.upper == expect
 

@@ -115,8 +115,8 @@ def test_theorem_runner_checks_seed_conditions_once(capsys, monkeypatch):
         assert status == 0 and len(calls) == 1, argv
 
 
-def test_theorem_runner_verifies_the_cover_once(capsys, monkeypatch):
-    from wreathcover import cover, pipelines
+def test_theorem_runner_verifies_the_cover_once(capsys, monkeypatch, _cache_dir):
+    from wreathcover import cover, unbeat
 
     calls = []
     verify = cover.verify_cover_handles
@@ -125,13 +125,41 @@ def test_theorem_runner_verifies_the_cover_once(capsys, monkeypatch):
         calls.append(1)
         return verify(*args, **kwargs)
 
-    # theorem_bounds imports the cover module's name when it runs
-    for module in (pipelines, cover):
+    # theorem_bounds is the one caller, at m = 1 as at m >= 2
+    for module in (unbeat, cover):
         monkeypatch.setattr(module, "verify_cover_handles", counted)
-    for argv in (["verify-c1", "-m", "2"], ["verify-c2", "-p", "11", "-m", "5"]):
+    for argv in (
+        ["verify-c1", "-m", "1"],
+        ["verify-c1", "-m", "2"],
+        ["verify-c2", "-p", "11", "-m", "5"],
+    ):
         calls.clear()
         status, _ = run_json(argv, capsys)
         assert status == 0 and len(calls) == 1, argv
+
+
+# two-class families: for m <= 3, PSL(2,7)'s passes at m = 1 only, M11's at
+# every m, and the others' at none (PSL(2,11)'s and PSL(2,13)'s from m = 5)
+VERDICT_FAMILIES = [
+    ("A5", "orders:5,3", "D10,S3"),
+    ("PSL(2,7)", "orders:7,4", "7:3,S4"),
+    ("PSL(2,11)", "orders:11,6", "11:5,D12"),
+    ("PSL(2,13)", "orders:13,7", "13:6,D14"),
+    ("M11", "orders:8,11", "M10,PSL(2,11)"),
+]
+
+
+@pytest.mark.parametrize(
+    "group, seed, families", VERDICT_FAMILIES, ids=[row[0] for row in VERDICT_FAMILIES]
+)
+def test_bounds_certify_exactly_when_unbeatable(group, seed, families, capsys, _cache_dir):
+    # wreath-bounds prints the verdict verify-unbeatable reports, and no other
+    for m in ("1", "2", "3"):
+        argv = [group, "--sigma-spec", seed, "--families", families, "-m", m]
+        status, bounds = run_json(["wreath-bounds", *argv], capsys)
+        _, cert = run_json(["verify-unbeatable", *argv], capsys)
+        certified = int(bounds["bounds"]["lower"]) > 0
+        assert certified == cert["passed"] == (status == 0), (group, m)
 
 
 def test_verify_unbeatable_failure_exit_code(capsys, _cache_dir):
@@ -234,6 +262,18 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["construct-cover", "A5", "-m", "2", "--no-verify"])
     assert exc.value.code == 2
+    # symbolic mode is auto's choice above 10^7, not a user's
+    argv = ["verify-unbeatable", "A5", "--sigma-spec", "orders:5,3",
+            "--families", "D10,S3", "-m", "2", "--mode", "symbolic"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # m = 0 fails before any search, with the message every command gives
+    for argv in (["construct-cover", "A5", "-m", "0"], ["formula", "alpha", "-m", "0"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == "error: m >= 1 required\n" and captured.out == "", argv
 
 
 def test_json_byte_determinism_across_threads(capsys, _cache_dir):

@@ -274,6 +274,29 @@ def test_exact_and_greedy_match_oracles(inst):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_random_instances(max_target=30), st.data())
+def test_cover_checks_match_set_union(inst, data):
+    # the reference: each candidate's elements as a set, no bitmask
+    universe = inst.universe_ids.tolist()
+    members = dict(zip(inst.labels, (set(h.member_ids.tolist()) for h in inst.handles)))
+
+    def first_missed(labels):
+        union = set().union(*(members[lab] for lab in labels))
+        return next((x for x in universe if x not in union), None)
+
+    nowhere = first_missed(inst.labels)
+    for cert in (sigma_exact(inst), sigma_greedy(inst)):
+        assert (cert.kind == "infeasible") == (nowhere is not None)
+        if nowhere is not None:
+            assert cert.witness["uncovered_element"] == nowhere
+    labels = data.draw(st.lists(st.sampled_from(inst.labels), unique=True))
+    missed = first_missed(labels)
+    assert verify_cover(inst, labels) == (missed is None, missed)
+    assert verify_cover(inst, []) == (False, universe[0])
+    assert verify_cover_handles(inst.group, []) == (False, 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_random_instances(max_target=10**3))
 def test_search_matches_bitscan_search(inst):
     cert = sigma_exact(inst)

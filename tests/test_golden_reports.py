@@ -115,6 +115,13 @@ GOLDEN = [
         "23f44fd967911be433875f61ad17d9b1937a57d6e53ce9a08ea7e141dabd731e",
     ),
     (
+        # the bounds read the certificate: U4 fails over the lattice, so no
+        # lower bound is certified at m = 1
+        "wreath-bounds PSL(2,11) --sigma-spec orders:11,6 --families 11:5,D12 -m 1",
+        1,
+        "fc21926353dcb175dee0580c876c20b765dbaea9f2e059a33788677d02ec0437",
+    ),
+    (
         "verify-unbeatable PSL(2,11) --sigma-spec orders:11,6 --families 11:5,D12 -m 1",
         1,
         "9f538bd4dbfc47985408b2ca97f2c107ded365c2d8d50fc1a415e5ac1eb4208b",

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathcover.formulas import alpha, c2_value, euler_phi
 from wreathcover.lattice import all_subgroup_classes
+from wreathcover.pipelines import load_group
 from wreathcover.unbeat import (
     SeedInstance,
     check_definitely_unbeatable_group,
@@ -10,6 +13,7 @@ from wreathcover.unbeat import (
     check_definitely_unbeatable_wreath,
     check_seed_conditions,
     diagonal_term,
+    hit_cover_disjoint,
     theorem_bounds,
 )
 from wreathcover.wreath import (
@@ -63,6 +67,38 @@ def _psl11_instance(psl11, m):
     )
 
 
+@st.composite
+def _set_checks(draw):
+    """A group, a sorted target in it and a list of maximal subgroups, which
+    may be empty, miss the target, leave elements uncovered or repeat."""
+    cg = load_group(draw(st.sampled_from(["A5", "PSL(2,7)"])))
+    handles = [h for c in cg.maximal_classes for h in c.conjugates]
+    target = draw(st.sets(st.integers(0, cg.table.order - 1), min_size=1, max_size=40))
+    members = draw(st.lists(st.sampled_from(handles), max_size=8))
+    return cg.table, np.array(sorted(target), dtype=np.int64), members
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_set_checks())
+def test_hit_cover_disjoint_matches_sets(case):
+    g, target, handles = case
+    members = [(f"x[{i}]", h) for i, h in enumerate(handles)]
+    (hit, cover, disjoint), sizes = hit_cover_disjoint(g, target, members, ("h", "c", "d"))
+    # the reference: Python sets of element ids
+    inter = [set(target.tolist()) & set(h.member_ids.tolist()) for h in handles]
+    assert sizes.tolist() == [len(s) for s in inter]
+    empty = [lab for (lab, _), s in zip(members, inter) if not s]
+    hits = [sum(x in s for s in inter) for x in target.tolist()]
+    uncovered = [x for x, n in zip(target.tolist(), hits) if n == 0]
+    doubled = [x for x, n in zip(target.tolist(), hits) if n > 1]
+    assert (hit.name, hit.passed) == ("h", not empty)
+    assert hit.witness == ({"empty_members": empty[:5]} if empty else None)
+    assert (cover.name, cover.passed) == ("c", not uncovered)
+    assert cover.witness == ({"uncovered_element": uncovered[0]} if uncovered else None)
+    assert (disjoint.name, disjoint.passed) == ("d", not doubled)
+    assert disjoint.witness == ({"element": doubled[0]} if doubled else None)
+
+
 def test_m11_seed_conditions_m2(m11):
     rep = check_seed_conditions(_m11_instance(m11, 2))
     assert rep.passed
@@ -96,7 +132,7 @@ def test_m11_family_size(m11):
 def test_m11_bounds_meet(m11):
     inst = _m11_instance(m11, 2)
     cover = [h for cls in inst.seed_classes for h in cls.conjugates]
-    bounds = theorem_bounds(inst, cover)
+    bounds = theorem_bounds(inst, cover, check_definitely_unbeatable_symbolic(inst))
     assert bounds.lower == bounds.upper == 266
 
 
@@ -140,7 +176,7 @@ def test_psl11_pipeline_m5(psl11):
     family = [h for _, h in inst.members()]
     assert wreath_cover_upper_term(family, 5) == c2_value(11, 5)[0]
     cover = [h for cls in inst.seed_classes for h in cls.conjugates]
-    bounds = theorem_bounds(inst, cover, rep)
+    bounds = theorem_bounds(inst, cover, check_definitely_unbeatable_symbolic(inst, rep))
     assert bounds.lower == bounds.upper == alpha(5) + 12**5 + 55**5
 
 
@@ -263,11 +299,25 @@ def test_diagonal_term_defensive_root():
     assert diagonal_term(60, 6) == 3 * 60**3
 
 
-def test_theorem_bounds_m1(m11, a5):
+def test_theorem_bounds_m1(m11, m11_lattice):
     inst = _m11_instance(m11, 1)
     cover = [h for cls in inst.seed_classes for h in cls.conjugates]
-    bounds = theorem_bounds(inst, cover)
+    labels = [lab for lab, _ in inst.members()]
+
+    def certificate(**sweep):
+        return check_definitely_unbeatable_group(m11.table, inst.seed_ids, cover, labels, **sweep)
+
+    # the lower bound is the certificate's: 23 over the whole lattice
+    bounds = theorem_bounds(inst, cover, certificate(all_classes=m11_lattice))
     assert bounds.upper == len(cover) == 23
-    # m=1 lower bound comes from the explicit certificate (conditional via
-    # maximal-only sweep here, still 23)
-    assert bounds.lower == 23
+    assert bounds.lower == bounds.family_size == 23
+    # a maximal-only sweep passes but is conditional, and certifies nothing
+    conditional = certificate(maximal_classes=m11.maximal_classes)
+    assert conditional.passed and conditional.conditional
+    assert conditional.certified_lower_bound is None
+    assert "certified_lower_bound" not in conditional.to_dict()
+    bounds = theorem_bounds(inst, cover, conditional)
+    assert (bounds.lower, bounds.upper, bounds.family_size) == (0, 23, 23)
+    # a cover that misses an element raises, at m = 1 as at m >= 2
+    with pytest.raises(ValueError, match="cover does not cover S"):
+        theorem_bounds(inst, cover[1:], conditional)
