@@ -4,14 +4,8 @@ Exact enumeration, branch-and-bound minimal covers, product-type membership
 tests, definite-unbeatability certificates, and big-integer formula checks.
 """
 
-from .perm import Perm, compose, cycle_type_and_parity, order
+from .perm import Perm
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Perm",
-    "compose",
-    "order",
-    "cycle_type_and_parity",
-    "__version__",
-]
+__all__ = ["Perm", "__version__"]

@@ -134,11 +134,11 @@ def _block_permuting_generators(blocks: list[list[int]], n: int) -> list[Perm]:
 
 
 def _even_part_in(an: GroupTable, full_group: GroupTable, expected_order: int, label: str) -> SubgroupHandle:
-    ids = []
-    for eid in range(full_group.order):
-        p = full_group.perm(eid)
-        if p.parity() == 0:
-            ids.append(an.id_of(p))
+    # an element with c cycles (fixed points included) is even when
+    # degree - c is; each point of a cycle of length L counts 1/L of it
+    cycles = np.rint((1.0 / full_group.cycle_lengths()).sum(axis=1)).astype(np.int64)
+    even = np.flatnonzero((full_group.degree - cycles) % 2 == 0)
+    ids = [an.id_of(full_group.perm(eid)) for eid in even.tolist()]
     if len(ids) != expected_order:
         raise AssertionError(
             f"{label}: even part has {len(ids)} elements, expected {expected_order}"

@@ -367,36 +367,3 @@ def verify_cover_handles(
     if missing.shape[0]:
         return False, int(missing[0])
     return True, None
-
-
-def exhaustive_min_cover(
-    masks: Sequence[int], full_mask: int, max_size: int
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Independent oracle: iterative-deepening exhaustive search over index
-    subsets in lexicographic order.  Returns (size, indices) of a minimum
-    cover of size <= max_size, or None if none exists.  No bounding beyond
-    skipping candidates that add nothing."""
-    n = len(masks)
-
-    found: Optional[tuple[int, ...]] = None
-
-    def dfs(start: int, remaining: int, acc: int, picked: list[int]) -> bool:
-        nonlocal found
-        if acc == full_mask:
-            found = tuple(picked)
-            return True
-        if remaining == 0 or start >= n:
-            return False
-        for i in range(start, n):
-            if masks[i] & ~acc == 0:
-                continue
-            picked.append(i)
-            if dfs(i + 1, remaining - 1, acc | masks[i], picked):
-                return True
-            picked.pop()
-        return False
-
-    for k in range(1, max_size + 1):
-        if dfs(0, k, 0, []):
-            return k, found
-    return None

@@ -7,15 +7,22 @@ enough for full enumeration; there is no stabilizer-chain machinery.
 
 A product is computed by composing image rows, packing each row into an
 integer key and searching the sorted key table; there is no Cayley table.
-The subgroup routines batch that arithmetic: ``subgroup_closure`` and
-``conjugation_orbit`` handle a whole breadth-first level per gather, and
-membership in a subgroup is a boolean mask over the group.
+Composition convention (fixed project-wide): ``mul_many(a, b)`` applies
+``b`` first and then ``a``, so row q of the product is ``a[b[q]]``, and a
+product written left to right, ``x1 * x2 * ... * xk``, applies ``xk``
+first.  The subgroup routines batch that arithmetic: ``subgroup_closure``
+and ``conjugation_orbit`` handle a whole breadth-first level per gather,
+and membership in a subgroup is a boolean mask over the group.
+
+Cycle data comes from one vectorized pass over the image rows
+(``cycle_lengths``): the length of the cycle through every point of every
+element.  Element orders are the lcm of each row, and an element's cycle
+type is its sorted row.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -56,8 +63,8 @@ class GroupTable:
         # argsort of each row is its inverse permutation
         inv_imgs = np.argsort(images, axis=1).astype(np.uint8)
         self.inv = self._lookup(_pack(inv_imgs, self.degree))
+        self._cycle_lengths: Optional[np.ndarray] = None
         self._orders: Optional[np.ndarray] = None
-        self._cycle_types: Optional[list[tuple[int, ...]]] = None
         self._conj_maps: dict[int, np.ndarray] = {}
         self._hash: Optional[str] = None
 
@@ -131,12 +138,9 @@ class GroupTable:
     def perm(self, eid: int) -> Perm:
         return Perm(self.images[eid].tolist())
 
-    def mul(self, a: int, b: int) -> int:
-        row = self.images[a][self.images[b]]
-        return int(self._lookup(_pack(row.reshape(1, -1), self.degree))[0])
-
     def mul_many(self, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
-        """Pairwise products (broadcast over equal-length id arrays)."""
+        """Pairwise products a*b (b applied first) over equal-length id
+        arrays."""
         a_ids = np.asarray(a_ids, dtype=np.int64)
         b_ids = np.asarray(b_ids, dtype=np.int64)
         rows = np.take_along_axis(self.images[a_ids], self.images[b_ids], axis=1)
@@ -162,39 +166,27 @@ class GroupTable:
 
     # -- element statistics ----------------------------------------------
 
+    def cycle_lengths(self) -> np.ndarray:
+        """The (order, degree) array whose entry (x, q) is the length of the
+        cycle of element x through point q.  Row x of ``power`` holds x^k;
+        the k-th pass marks the points that x^k fixes for the first time,
+        and then one gather over all rows gives x^(k+1)."""
+        if self._cycle_lengths is None:
+            images = self.images.astype(np.int64)
+            lengths = np.zeros_like(images)
+            power = images
+            for k in range(1, self.degree + 1):
+                lengths[(lengths == 0) & (power == np.arange(self.degree))] = k
+                if lengths.all():
+                    break
+                power = np.take_along_axis(images, power, axis=1)
+            self._cycle_lengths = lengths
+        return self._cycle_lengths
+
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
-            self._compute_cycle_data()
+            self._orders = np.lcm.reduce(self.cycle_lengths(), axis=1)
         return self._orders
-
-    def cycle_types(self) -> list[tuple[int, ...]]:
-        if self._cycle_types is None:
-            self._compute_cycle_data()
-        return self._cycle_types
-
-    def _compute_cycle_data(self) -> None:
-        orders = np.empty(self.order, dtype=np.int64)
-        types: list[tuple[int, ...]] = []
-        for eid in range(self.order):
-            row = self.images[eid]
-            seen = [False] * self.degree
-            lengths = []
-            for start in range(self.degree):
-                if seen[start]:
-                    continue
-                ln = 1
-                seen[start] = True
-                j = int(row[start])
-                while j != start:
-                    seen[j] = True
-                    ln += 1
-                    j = int(row[j])
-                lengths.append(ln)
-            lengths.sort()
-            types.append(tuple(lengths))
-            orders[eid] = math.lcm(*lengths)
-        self._orders = orders
-        self._cycle_types = types
 
     def elements_with_order(self, k: int) -> np.ndarray:
         if k < 1:
@@ -205,8 +197,11 @@ class GroupTable:
         target = tuple(sorted(int(x) for x in t))
         if sum(target) != self.degree:
             raise ValueError(f"cycle type {target} does not sum to degree {self.degree}")
-        types = self.cycle_types()
-        return np.array([i for i in range(self.order) if types[i] == target], dtype=np.int64)
+        if target[0] < 1:
+            return np.zeros(0, dtype=np.int64)  # no cycle has such a length
+        # a cycle of length c contributes c points of length c to a row
+        row = np.repeat(target, target)
+        return np.flatnonzero((np.sort(self.cycle_lengths(), axis=1) == row).all(axis=1))
 
     # -- misc --------------------------------------------------------------
 
@@ -251,10 +246,6 @@ class SubgroupHandle:
     @property
     def canonical_key(self) -> bytes:
         return self.member_ids.astype(np.int64).tobytes()
-
-    def contains(self, eid: int) -> bool:
-        i = int(np.searchsorted(self.member_ids, eid))
-        return i < self.size and int(self.member_ids[i]) == eid
 
     def conjugate(self, g: int) -> "SubgroupHandle":
         cm = self.parent.conj_map(g)

@@ -15,8 +15,11 @@ batched id product or map gather per breadth-first level, and membership
 tests against a representative use a boolean mask over G.
 
 Feasible to group order ~10^4, which covers M11 (order 7920).  Results are
-cached on disk keyed by the group's canonical hash; cached data is never used
-without re-verifying that hash.
+cached on disk keyed by the group's canonical hash.  A cache file is used
+only if its hash and order match and every stored representative's members
+are exactly the closure of its stored generators; anything else (an
+unreadable file, a missing key, a malformed or truncated entry) is a miss,
+and the lattice is enumerated again and the file rewritten.
 """
 
 from __future__ import annotations
@@ -215,19 +218,21 @@ def _cache_load(g: GroupTable, cache_dir) -> list[SubgroupClass] | None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if data.get("group_hash") != g.canonical_hash() or data.get("order") != g.order:
-        return None
-    classes = [
-        orbit_class(
-            g,
+        if data["group_hash"] != g.canonical_hash() or data["order"] != g.order:
+            return None
+        reps = [
             SubgroupHandle(
                 g, np.array(entry["members"], dtype=np.int64), tuple(entry["generators"])
-            ),
-        )
-        for entry in data["classes"]
-    ]
+            )
+            for entry in data["classes"]
+        ]
+        for h in reps:
+            if not np.array_equal(subgroup_closure(g, h.generators).member_ids, h.member_ids):
+                return None
+    except (OSError, LookupError, TypeError, ValueError):
+        # json's decode error is a ValueError
+        return None
+    classes = [orbit_class(g, h) for h in reps]
     classes.sort(key=lambda c: (c.order, c.conjugates[0].canonical_key))
     return classes
 

@@ -1,18 +1,17 @@
-"""Permutations on a fixed point set.
+"""Permutations at the I/O boundary.
 
-Points are 0-indexed internally.  Cycle notation at the I/O boundary is
-1-indexed with fixed points omitted, e.g. ``"(1 2 3)(4 5)"``.
+A ``Perm`` is a validated image table: spec files and catalog generators
+are parsed into it, ``GroupTable`` enumerates groups from it, and reports
+print it.  Points are 0-indexed internally.  Cycle notation at the
+boundary is 1-indexed with fixed points omitted, e.g. ``"(1 2 3)(4 5)"``.
 
-Composition convention (fixed project-wide): ``compose(p, q)`` applies ``q``
-first and then ``p``, i.e. ``compose(p, q)[i] == p[q[i]]``.  Group products
-written left to right, ``x1 * x2 * ... * xk``, therefore apply ``xk`` first.
+All group arithmetic (products, inverses, element orders, cycle types)
+happens on id arrays in ``groups``; ``Perm`` has none of it.
 """
 
 from __future__ import annotations
 
-import math
 import re
-from functools import total_ordering
 from typing import Iterable
 
 
@@ -20,7 +19,6 @@ class DegreeMismatchError(ValueError):
     """Operands act on point sets of different sizes."""
 
 
-@total_ordering
 class Perm:
     """An immutable permutation stored as its image table."""
 
@@ -43,44 +41,13 @@ class Perm:
         return len(self.images)
 
     @classmethod
-    def identity(cls, degree: int) -> "Perm":
-        return cls(range(degree))
-
-    @classmethod
     def from_cycles(cls, text: str, degree: int) -> "Perm":
         """Parse 1-indexed cycle notation, e.g. ``"(1 2 3)(4 5)"``."""
         return cls(_parse_cycle_images(text, degree))
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        return compose(self, other)
-
-    def __pow__(self, k: int) -> "Perm":
-        n = self.degree
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Perm.identity(n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def inverse(self) -> "Perm":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm(inv)
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each rotated to start at its minimum, sorted."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """The nontrivial disjoint cycles, each rotated to start at its
+        minimum, sorted."""
         seen = [False] * self.degree
         out = []
         for start in range(self.degree):
@@ -93,20 +60,9 @@ class Perm:
                 cyc.append(j)
                 seen[j] = True
                 j = self.images[j]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Multiset of cycle lengths including fixed points, sorted ascending."""
-        return tuple(sorted(len(c) for c in self.cycles(include_fixed=True)))
-
-    def parity(self) -> int:
-        """0 for even, 1 for odd: (degree - number of cycles) mod 2."""
-        return (self.degree - len(self.cycles(include_fixed=True))) % 2
-
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
     def to_cycle_string(self) -> str:
         """1-indexed cycle notation; identity prints as ``"()"``."""
@@ -118,33 +74,11 @@ class Perm:
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images
 
-    def __lt__(self, other: "Perm") -> bool:
-        return self.images < other.images
-
     def __hash__(self) -> int:
         return hash(self.images)
 
     def __repr__(self) -> str:
         return f"Perm[{self.to_cycle_string()}]"
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """Product applying ``q`` first, then ``p``."""
-    if p.degree != q.degree:
-        raise DegreeMismatchError(f"degrees {p.degree} != {q.degree}")
-    qi = q.images
-    pi = p.images
-    return Perm(pi[qi[i]] for i in range(p.degree))
-
-
-def order(p: Perm) -> int:
-    """Least k >= 1 with p**k the identity (lcm of cycle lengths)."""
-    return p.order()
-
-
-def cycle_type_and_parity(p: Perm) -> tuple[tuple[int, ...], int]:
-    """Cycle-length multiset (with fixed points) and parity flag (0 even, 1 odd)."""
-    return p.cycle_type(), p.parity()
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

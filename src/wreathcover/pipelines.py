@@ -25,7 +25,7 @@ import numpy as np
 from . import catalog, formulas
 from .cover import build_instance, sigma_exact, sigma_greedy, verify_cover
 from .groups import GroupTable, SubgroupClass, class_conjugators
-from .lattice import LatticeCapError, all_subgroup_classes, maximal_classes_from_lattice
+from .lattice import all_subgroup_classes, maximal_classes_from_lattice
 from .perm import Perm
 from .unbeat import (
     SeedConditionReport,
@@ -149,25 +149,19 @@ def _unbeatability(
 ) -> UnbeatabilityReport:
     """The one verdict on a request's family: definite unbeatability.  At
     m = 1 the check is explicit in S, its outsider sweep over the subgroup
-    lattice (the maximal classes only, and then conditional, above the
-    lattice cap).  At m >= 2, ``explicit`` enumerates S wr C_m and fails
-    (PipelineError) when m * |S|^m exceeds ``EXPLICIT_CAP``, and ``auto`` is
-    explicit while m * |S|^m <= 10^7 and symbolic, from the seed
-    conditions, above."""
+    lattice (LatticeCapError above the lattice cap).  At m >= 2,
+    ``explicit`` enumerates S wr C_m and fails (PipelineError) when
+    m * |S|^m exceeds ``EXPLICIT_CAP``, and ``auto`` is explicit while
+    m * |S|^m <= 10^7 and symbolic, from the seed conditions, above."""
     m = inst.m
     if m == 1:
         members = inst.members()
-        try:
-            lattice = all_subgroup_classes(cg.table, cache_dir=cache_dir)
-        except LatticeCapError:
-            lattice = None
         return check_definitely_unbeatable_group(
             cg.table,
             inst.seed_ids,
             [h for _, h in members],
             [lab for lab, _ in members],
-            all_classes=lattice,
-            maximal_classes=cg.maximal_classes,
+            all_classes=all_subgroup_classes(cg.table, cache_dir=cache_dir),
         )
     total = m * cg.table.order**m
     if mode == "explicit" and total > EXPLICIT_CAP:

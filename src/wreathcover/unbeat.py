@@ -361,14 +361,12 @@ def check_definitely_unbeatable_group(
     target_ids: np.ndarray,
     family: Sequence[SubgroupHandle],
     family_labels: Sequence[str],
-    all_classes: Optional[Sequence[SubgroupClass]] = None,
-    maximal_classes: Optional[Sequence[SubgroupClass]] = None,
+    all_classes: Sequence[SubgroupClass],
 ) -> UnbeatabilityReport:
     """Explicit m=1 mode: the family lives inside S itself and every
-    condition is a finite set check.  The outsider sweep uses the full
-    subgroup lattice when given (unconditional certificate), else the
-    maximal classes only (certificate marked conditional, which certifies
-    no lower bound)."""
+    condition is a finite set check.  The outsider sweep runs over every
+    proper class of the subgroup lattice, so the certificate is
+    unconditional."""
     target = np.unique(np.asarray(target_ids, dtype=np.int64))
     results, sizes = hit_cover_disjoint(
         S,
@@ -384,15 +382,10 @@ def check_definitely_unbeatable_group(
     member_min = int(sizes.min()) if sizes.shape[0] else 0
     in_target = member_mask(S, target)
     family_keys = {h.canonical_key for h in family}
-    conditional = all_classes is None
-    if all_classes is not None:
-        sweep = [c for c in all_classes if c.order < S.order]
-    elif maximal_classes is not None:
-        sweep = list(maximal_classes)
-    else:
-        raise ValueError("need the subgroup lattice or the maximal classes")
     outsider_max, outsider_label = 0, None
-    for cls in sweep:
+    for cls in all_classes:
+        if cls.order == S.order:
+            continue
         if cls.representative.canonical_key in family_keys:
             # the family is conjugation-closed in our uses, so one key
             # matching means the whole class is inside the family
@@ -420,7 +413,6 @@ def check_definitely_unbeatable_group(
         member_min_count=member_min,
         outsider_max={"count": outsider_max, "class": outsider_label},
         assumptions=[],
-        conditional=conditional,
     )
 
 
@@ -482,9 +474,8 @@ class _TargetMasks:
 def check_definitely_unbeatable_wreath(
     inst: SeedInstance,
     family: Optional[Sequence[tuple[str, ProductTypeDescriptor]]] = None,
-    element_cap: int = EXPLICIT_CAP,
 ) -> UnbeatabilityReport:
-    """Explicit wreath mode (desk scale, m * |S|^m <= cap): enumerate the
+    """Explicit wreath mode (m * |S|^m <= EXPLICIT_CAP): enumerate the
     target and verify all four conditions by counting.  The family is the
     given (label, descriptor) product-type members, by default those over
     the seed classes, plus the socle maximals.  The outsider sweep runs over
@@ -493,8 +484,8 @@ def check_definitely_unbeatable_wreath(
     verdict conditional if they alone decide the comparison."""
     S, m = inst.S, inst.m
     total = m * S.order**m
-    if total > element_cap:
-        raise ValueError(f"explicit mode needs m*|S|^m = {total} <= {element_cap}")
+    if total > EXPLICIT_CAP:
+        raise ValueError(f"explicit mode needs m*|S|^m = {total} <= {EXPLICIT_CAP}")
     ctx = WreathContext(S, m)
     grid = ctx.base_grid()
     if family is None:

@@ -1,0 +1,173 @@
+"""Reference implementations that the tests compare the program with.
+
+None of this is on a pipeline's path.  Each oracle computes its answer
+another way than the code it checks:
+
+* ``compose`` multiplies two ``Perm`` image tables directly, the reference
+  for ``GroupTable.mul_many``;
+* ``mul``, ``inv``, ``random_element``, ``perm_images`` and ``to_perm`` are
+  the element arithmetic of S wr C_m and its imprimitive action on n*m
+  points, for the homomorphism tests;
+* ``product_subgroup_perm_keys`` and ``normalizes_product_subgroup`` decide
+  membership in the normalizer of a product subgroup by conjugating its
+  explicit element set, the ground truth for ``wreath.product_type_mask``
+  and the box kernels;
+* ``exhaustive_min_cover`` is an unbounded iterative-deepening search, the
+  reference for ``cover.sigma_exact``.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence
+
+import numpy as np
+
+from wreathcover.groups import _pack
+from wreathcover.perm import Perm
+from wreathcover.wreath import ProductTypeDescriptor, WreathContext, WreathElement
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """Product applying ``q`` first, then ``p``."""
+    return Perm(p.images[i] for i in q.images)
+
+
+# -- S wr C_m element arithmetic --------------------------------------------
+
+
+def mul(ctx: WreathContext, a: WreathElement, b: WreathElement) -> WreathElement:
+    """(x; k) * (y; j) = (z; k+j) with z[i] = x[i] * y[i+k]."""
+    m = ctx.m
+    if len(a.base) != m or len(b.base) != m:
+        raise ValueError("element does not match this wreath context")
+    k = a.shift
+    z = ctx.S.mul_many(np.array(a.base), np.roll(np.array(b.base), -k))
+    return WreathElement(tuple(z.tolist()), (a.shift + b.shift) % m)
+
+
+def inv(ctx: WreathContext, a: WreathElement) -> WreathElement:
+    m, k = ctx.m, a.shift
+    y = tuple(int(ctx.S.inv[a.base[(i - k) % m]]) for i in range(m))
+    return WreathElement(y, (-k) % m)
+
+
+def random_element(ctx: WreathContext, rng) -> WreathElement:
+    base = tuple(int(rng.integers(0, ctx.S.order)) for _ in range(ctx.m))
+    return WreathElement(base, int(rng.integers(0, ctx.m)))
+
+
+def perm_images(ctx: WreathContext, bases: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Image rows, (B, n*m), of the elements (bases[b]; shifts[b]) in the
+    imprimitive action on m blocks of S's points: block c maps to block
+    c-k, the destination block applying its base coordinate (the unique
+    direction making this a homomorphism for this mul)."""
+    n, m = ctx.S.degree, ctx.m
+    dest = (np.arange(m) - np.asarray(shifts)[:, None]) % m  # (B, m)
+    coords = np.take_along_axis(np.asarray(bases, dtype=np.int64), dest, axis=1)
+    rows = ctx.S.images[coords].astype(np.int64) + (dest * n)[:, :, None]
+    return rows.reshape(dest.shape[0], n * m)
+
+
+def to_perm(ctx: WreathContext, w: WreathElement) -> Perm:
+    return Perm(perm_images(ctx, np.array([w.base]), np.array([w.shift]))[0].tolist())
+
+
+# -- the normalizer oracle ----------------------------------------------------
+
+
+def product_subgroup_perm_keys(
+    ctx: WreathContext, d: ProductTypeDescriptor
+) -> np.ndarray:
+    """Sorted packed keys of the explicit element set of
+    M^{g_1} x ... x M^{g_m} realized on n*m points (n*m <= 16, else
+    ValueError)."""
+    S, m, n = ctx.S, ctx.m, ctx.S.degree
+    slots = [S.conj_map(g)[d.M.member_ids] for g in d.slot_gs()]
+    ids = np.stack(np.meshgrid(*slots, indexing="ij"), axis=-1).reshape(-1, m)
+    # slot c's member acts on block c, points c*n .. c*n + n-1
+    rows = S.images[ids].astype(np.int64) + (np.arange(m) * n)[:, None]
+    return np.sort(_pack(rows.reshape(ids.shape[0], n * m), n * m))
+
+
+def normalizes_product_subgroup(
+    ctx: WreathContext, bases: np.ndarray, shifts: np.ndarray, subgroup_keys: np.ndarray
+) -> np.ndarray:
+    """Ground truth for product-type membership, for the elements
+    (bases[b]; shifts[b]): conjugate the explicit element set H of the
+    product subgroup by the explicit permutation of each element and compare
+    as sets.  One boolean per element.  A fixed random sample of H is
+    conjugated first: an element that moves a sampled member outside H is
+    settled (False), and only the others conjugate all of H, in blocks that
+    bound the working set."""
+    N = ctx.S.degree * ctx.m
+    rows = _unpack_keys(subgroup_keys, N)  # (K, N)
+    sample = rows[np.random.default_rng(0).permutation(rows.shape[0])[:16]]
+    w = perm_images(ctx, bases, shifts)  # (B, N)
+    keep = np.concatenate([
+        lo + np.flatnonzero(
+            np.isin(_conjugate_keys(sample, w[lo : lo + 4096]), subgroup_keys).all(axis=1)
+        )
+        for lo in range(0, len(w), 4096)
+    ])
+    out = np.zeros(len(w), dtype=bool)
+    step = max(1, (1 << 20) // rows.size)
+    for lo in range(0, len(keep), step):
+        idx = keep[lo : lo + step]
+        conj = np.sort(_conjugate_keys(rows, w[idx]), axis=1)
+        out[idx] = (conj == subgroup_keys).all(axis=1)
+    return out
+
+
+def _conjugate_keys(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Packed keys, (B, K), of w_b^-1 * p_k * w_b for image rows p (K, N)
+    and w (B, N), applied pointwise: w_b^-1[p_k[w_b[j]]]."""
+    B, N = w.shape
+    w_inv = np.argsort(w, axis=1).ravel()
+    p_w = rows.T[w] + (np.arange(B) * N)[:, None, None]  # (B, N, K): p_k[w_b[j]]
+    conj = w_inv[p_w].transpose(0, 2, 1).reshape(-1, N)
+    return _pack(conj, N).reshape(B, -1)
+
+
+def _unpack_keys(keys: np.ndarray, degree: int) -> np.ndarray:
+    out = np.empty((keys.shape[0], degree), dtype=np.int64)
+    rem = keys.astype(np.uint64).copy()
+    for pos in range(degree - 1, -1, -1):
+        out[:, pos] = (rem % np.uint64(degree)).astype(np.int64)
+        rem //= np.uint64(degree)
+    return out
+
+
+# -- the exact-cover oracle ---------------------------------------------------
+
+
+def exhaustive_min_cover(
+    masks: Sequence[int], full_mask: int, max_size: int
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """Independent oracle: iterative-deepening exhaustive search over index
+    subsets in lexicographic order.  Returns (size, indices) of a minimum
+    cover of size <= max_size, or None if none exists.  No bounding beyond
+    skipping candidates that add nothing."""
+    n = len(masks)
+
+    found: Optional[tuple[int, ...]] = None
+
+    def dfs(start: int, remaining: int, acc: int, picked: list[int]) -> bool:
+        nonlocal found
+        if acc == full_mask:
+            found = tuple(picked)
+            return True
+        if remaining == 0 or start >= n:
+            return False
+        for i in range(start, n):
+            if masks[i] & ~acc == 0:
+                continue
+            picked.append(i)
+            if dfs(i + 1, remaining - 1, acc | masks[i], picked):
+                return True
+            picked.pop()
+        return False
+
+    for k in range(1, max_size + 1):
+        if dfs(0, k, 0, []):
+            return k, found
+    return None

@@ -181,6 +181,25 @@ def test_verify_unbeatable_failure_exit_code(capsys, _cache_dir):
     assert u4["witness"] is not None
 
 
+def test_lattice_cap_at_m1_exits_2(capsys, monkeypatch):
+    # m = 1 certifies over the whole subgroup lattice; above the lattice cap
+    # there is no certificate, and the request fails instead of passing on
+    # the maximal classes alone
+    from wreathcover import pipelines
+    from wreathcover.lattice import LatticeCapError
+
+    def capped(g, **kwargs):
+        raise LatticeCapError(f"group order {g.order} exceeds lattice cap 1000")
+
+    monkeypatch.setattr(pipelines, "all_subgroup_classes", capped)
+    argv = ["M11", "--sigma-spec", "orders:8,11", "--families", "M10,PSL(2,11)", "-m", "1"]
+    for command in ("verify-unbeatable", "wreath-bounds"):
+        assert main([command, *argv, "--json"]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: group order 7920 exceeds lattice cap 1000\n"
+
+
 def test_construct_and_verify_cover_roundtrip(tmp_path, capsys, _cache_dir):
     # PSL(2,7)'s lines hold commas inside group=PSL(2,7)
     for group, count in (("A5", 57), ("PSL(2,7)", 114)):

@@ -266,3 +266,46 @@ def test_golden_lattice(name, degree, generators, digest, tmp_path):
 
 def test_golden_m11_lattice(m11, m11_lattice, _cache_dir):
     assert _digest(_cache_path(m11.table, _cache_dir)) == M11_LATTICE_DIGEST
+
+
+def _garbage(data):
+    return "{not json"
+
+
+def _missing_key(data):
+    del data["classes"]
+    return json.dumps(data)
+
+
+def _truncated_members(data):
+    # the order-4 representative (a Klein four-group) cut to 3 of its members
+    entry = next(e for e in data["classes"] if len(e["members"]) == 4)
+    entry["members"] = entry["members"][:3]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("corrupt", [_garbage, _missing_key, _truncated_members])
+def test_bad_lattice_cache_is_rebuilt(corrupt, tmp_path, capsys):
+    # a cache file that fails to parse or to verify is a miss: the lattice
+    # is enumerated again and the file rewritten byte for byte, whether the
+    # library or a request reads it.  The catalog's A5 has the generators
+    # of the pinned A5 spec, so both share one cache file.
+    digest = LATTICE_GOLDEN[0][3]
+    table = catalog.load("A5").table
+    path = _cache_path(table, tmp_path)
+    expected = [(c.order, c.class_size) for c in all_subgroup_classes(table, cache_dir=tmp_path)]
+    assert _digest(path) == digest
+    argv = ["verify-unbeatable", "A5", "--sigma-spec", "orders:5,3", "--families", "D10,S3",
+            "-m", "1", "--json", "--cache-dir", str(tmp_path)]
+    status = main(argv)
+    clean = capsys.readouterr()
+
+    path.write_text(corrupt(json.loads(path.read_text())))
+    classes = all_subgroup_classes(table, cache_dir=tmp_path)
+    assert [(c.order, c.class_size) for c in classes] == expected
+    assert _digest(path) == digest
+
+    path.write_text(corrupt(json.loads(path.read_text())))
+    assert main(argv) == status
+    assert capsys.readouterr() == clean
+    assert _digest(path) == digest

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,20 +151,6 @@ def test_m11_explicit_m1(m11, m11_lattice):
     assert rep.outsider_max["count"] == 36
 
 
-def test_m11_m1_conditional_fallback(m11):
-    inst = _m11_instance(m11, 1)
-    members = [h for cls in inst.seed_classes for h in cls.conjugates]
-    labels = [f"x[{i}]" for i in range(len(members))]
-    rep = check_definitely_unbeatable_group(
-        m11.table,
-        inst.seed_ids,
-        members,
-        labels,
-        maximal_classes=m11.maximal_classes,
-    )
-    assert rep.passed and rep.conditional  # maximal-only sweep is flagged
-
-
 def test_psl11_pipeline_m5(psl11):
     inst = _psl11_instance(psl11, 5)
     rep = check_seed_conditions(inst)
@@ -303,16 +291,15 @@ def test_theorem_bounds_m1(m11, m11_lattice):
     inst = _m11_instance(m11, 1)
     cover = [h for cls in inst.seed_classes for h in cls.conjugates]
     labels = [lab for lab, _ in inst.members()]
-
-    def certificate(**sweep):
-        return check_definitely_unbeatable_group(m11.table, inst.seed_ids, cover, labels, **sweep)
-
+    certificate = check_definitely_unbeatable_group(
+        m11.table, inst.seed_ids, cover, labels, all_classes=m11_lattice
+    )
     # the lower bound is the certificate's: 23 over the whole lattice
-    bounds = theorem_bounds(inst, cover, certificate(all_classes=m11_lattice))
+    bounds = theorem_bounds(inst, cover, certificate)
     assert bounds.upper == len(cover) == 23
     assert bounds.lower == bounds.family_size == 23
-    # a maximal-only sweep passes but is conditional, and certifies nothing
-    conditional = certificate(maximal_classes=m11.maximal_classes)
+    # a passed but conditional certificate certifies nothing
+    conditional = dataclasses.replace(certificate, conditional=True)
     assert conditional.passed and conditional.conditional
     assert conditional.certified_lower_bound is None
     assert "certified_lower_bound" not in conditional.to_dict()

@@ -17,12 +17,19 @@ from wreathcover.wreath import (
     box_target_counts,
     construct_product_cover,
     coset_representatives,
-    normalizes_product_subgroup,
-    product_subgroup_perm_keys,
-    product_type_contains,
     product_type_mask,
     socle_maximals,
     verify_wreath_cover,
+)
+
+from oracles import (
+    compose,
+    inv,
+    mul,
+    normalizes_product_subgroup,
+    product_subgroup_perm_keys,
+    random_element,
+    to_perm,
 )
 
 
@@ -48,41 +55,51 @@ def random_descriptors(cg, m, count, rng):
 
 
 def test_identity_and_inverse(ctx2):
-    e = ctx2.identity()
+    e = WreathElement((0, 0), 0)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        w = ctx2.random_element(rng)
-        assert ctx2.mul(e, w) == w
-        assert ctx2.mul(w, e) == w
-        assert ctx2.mul(w, ctx2.inv(w)) == e
-        assert ctx2.mul(ctx2.inv(w), w) == e
+        w = random_element(ctx2, rng)
+        assert mul(ctx2, e, w) == w
+        assert mul(ctx2, w, e) == w
+        assert mul(ctx2, w, inv(ctx2, w)) == e
+        assert mul(ctx2, inv(ctx2, w), w) == e
 
 
 def test_realization_is_homomorphism(ctx2, ctx3):
     rng = np.random.default_rng(1)
     for ctx in (ctx2, ctx3):
         for _ in range(150):
-            a, b = ctx.random_element(rng), ctx.random_element(rng)
-            assert ctx.to_perm(ctx.mul(a, b)) == ctx.to_perm(a) * ctx.to_perm(b)
+            a, b = random_element(ctx, rng), random_element(ctx, rng)
+            assert to_perm(ctx, mul(ctx, a, b)) == compose(to_perm(ctx, a), to_perm(ctx, b))
 
 
 def test_square_of_shifted_element(ctx2, a5):
     # ((s, 1); shift 1)^2 accumulates the base product into each slot
     s = a5.table.id_of(Perm.from_cycles("(1 2 3 4 5)", 5))
-    w = ctx2.element([s, 0], 1)
-    sq = ctx2.mul(w, w)
+    w = WreathElement((s, 0), 1)
+    sq = mul(ctx2, w, w)
     assert sq.shift == 0
     assert sq.base == (s, s)
     # and matches the 10-point permutation arithmetic
-    assert ctx2.to_perm(sq) == ctx2.to_perm(w) * ctx2.to_perm(w)
+    assert to_perm(ctx2, sq) == compose(to_perm(ctx2, w), to_perm(ctx2, w))
 
 
 def test_membership_trivialities(ctx2, a5):
     rng = np.random.default_rng(2)
     descs = random_descriptors(a5, 2, 5, rng)
-    e = ctx2.identity()
+    identity_row = np.zeros((1, 2), dtype=np.int64)
     for d in descs:
-        assert product_type_contains(ctx2, e, d)
+        assert product_type_mask(ctx2, d, identity_row, 0).tolist() == [True]
+
+
+def _masks(ctx, d, bases, shifts):
+    """``product_type_mask`` of the elements (bases[b]; shifts[b]), one
+    call per shift."""
+    out = np.zeros(len(bases), dtype=bool)
+    for shift in range(ctx.m):
+        rows = shifts == shift
+        out[rows] = product_type_mask(ctx, d, bases[rows], shift)
+    return out
 
 
 def _oracle_agrees(ctx, d, ws):
@@ -90,21 +107,21 @@ def _oracle_agrees(ctx, d, ws):
     bases = np.array([w.base for w in ws])
     shifts = np.array([w.shift for w in ws])
     slow = normalizes_product_subgroup(ctx, bases, shifts, keys)
-    return [product_type_contains(ctx, w, d) for w in ws] == slow.tolist()
+    return np.array_equal(_masks(ctx, d, bases, shifts), slow)
 
 
 def test_oracle_equivalence_sample_m2(ctx2, a5):
     rng = np.random.default_rng(3)
     descs = random_descriptors(a5, 2, 6, rng)
     for d in descs:
-        assert _oracle_agrees(ctx2, d, [ctx2.random_element(rng) for _ in range(250)])
+        assert _oracle_agrees(ctx2, d, [random_element(ctx2, rng) for _ in range(250)])
 
 
 def test_oracle_equivalence_sample_m3(ctx3, a5):
     rng = np.random.default_rng(4)
     descs = random_descriptors(a5, 3, 4, rng)
     for d in descs:
-        assert _oracle_agrees(ctx3, d, [ctx3.random_element(rng) for _ in range(120)])
+        assert _oracle_agrees(ctx3, d, [random_element(ctx3, rng) for _ in range(120)])
 
 
 def test_oracle_rejects_more_than_16_points(a5):
@@ -124,16 +141,20 @@ def test_membership_count_matches_coset_structure(ctx2, a5):
         assert int(product_type_mask(ctx2, d, grid, shift).sum()) == d.M.size**2
 
 
-def test_mask_agrees_with_scalar_membership(ctx2, a5):
+def test_grid_mask_agrees_with_normalizer_oracle(ctx2, a5):
+    # the mask over the whole grid, read at sampled rows, against the
+    # normalizer oracle at those rows
     rng = np.random.default_rng(6)
     (d,) = random_descriptors(a5, 2, 1, rng)
     grid = ctx2.base_grid()
+    keys = product_subgroup_perm_keys(ctx2, d)
     for shift in (0, 1):
         mask = product_type_mask(ctx2, d, grid, shift)
         idx = rng.integers(0, grid.shape[0], size=200)
-        for i in idx.tolist():
-            w = WreathElement(tuple(int(x) for x in grid[i]), shift)
-            assert bool(mask[i]) == product_type_contains(ctx2, w, d)
+        shifts = np.full(idx.shape[0], shift)
+        assert np.array_equal(
+            mask[idx], normalizes_product_subgroup(ctx2, grid[idx], shifts, keys)
+        )
 
 
 def test_descriptor_canonicalization(ctx2, a5):
@@ -156,13 +177,15 @@ def test_descriptor_canonicalization(ctx2, a5):
     assert bool(diff.any())
 
 
-def test_socle_maximals():
+def test_socle_maximals(a5):
     assert socle_maximals(1) == []
     assert [s.r for s in socle_maximals(12)] == [2, 3]
     assert [s.r for s in socle_maximals(30)] == [2, 3, 5]
-    s2 = SocleMaximal(2)
-    assert s2.contains(WreathElement((0, 0, 0, 0), 2))
-    assert not s2.contains(WreathElement((0, 0, 0, 0), 1))
+    # a socle maximal holds exactly the shifts divisible by r: alone at
+    # m = 4, index 2 covers shifts 0 and 2, and shift 1 is the first miss
+    ctx4 = WreathContext(a5.table, 4)
+    witness = WreathElement((0, 0, 0, 0), 1)
+    assert verify_wreath_cover(ctx4, [], [SocleMaximal(2)]) == (False, witness)
 
 
 def test_coset_representatives(a5):
@@ -205,8 +228,9 @@ def test_verify_cover_finds_witness(a5, ctx2):
     descs, socle = construct_product_cover(a5.table, cover, 2)
     ok, witness = verify_wreath_cover(ctx2, descs[1:], socle)
     assert not ok and witness is not None
-    assert not any(product_type_contains(ctx2, witness, d) for d in descs[1:])
-    assert product_type_contains(ctx2, witness, descs[0])
+    row = np.array([witness.base])
+    assert not any(product_type_mask(ctx2, d, row, witness.shift)[0] for d in descs[1:])
+    assert product_type_mask(ctx2, descs[0], row, witness.shift)[0]
 
 
 def test_non_covering_family_rejected(a5):
@@ -313,7 +337,8 @@ def test_a5_wr_c4_constructive_cover(a5, monkeypatch):
     # element that lies in that member and in no other
     ok, witness = verify_wreath_cover(ctx4, descs[1:], socle)
     assert not ok and witness.shift % 2 == 1
-    assert product_type_contains(ctx4, witness, descs[0])
-    assert not any(product_type_contains(ctx4, witness, d) for d in descs[1:])
+    row = np.array([witness.base])  # a one-row grid
+    assert product_type_mask(ctx4, descs[0], row, witness.shift)[0]
+    assert not any(product_type_mask(ctx4, d, row, witness.shift)[0] for d in descs[1:])
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"A5 wr C_4 verification took {elapsed:.1f}s (budget 30s)"
