@@ -215,25 +215,29 @@ def parse_group_file(path: str | Path) -> GroupSpec:
     optional maximal_classes with label/generators/expected_order/
     expected_class_size)."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise CatalogError(f"group file {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise CatalogError(f"group file {path} is not a mapping")
     try:
         name = str(data["name"])
         degree = int(data["degree"])
         generators = tuple(str(s) for s in data["generators"])
-    except KeyError as exc:
-        raise CatalogError(f"group file {path} missing key {exc}") from exc
-    classes = []
-    for entry in data.get("maximal_classes", []) or []:
-        classes.append(
+        classes = [
             MaximalClassSpec(
                 label=str(entry["label"]),
                 generators=tuple(str(s) for s in entry["generators"]),
                 expected_order=int(entry["expected_order"]),
                 expected_class_size=int(entry["expected_class_size"]),
             )
-        )
+            for entry in data.get("maximal_classes", []) or []
+        ]
+    except KeyError as exc:
+        raise CatalogError(f"group file {path} missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CatalogError(f"group file {path} is malformed: {exc}") from exc
     return GroupSpec(name, degree, generators, tuple(classes))
 
 

@@ -9,6 +9,7 @@ regardless of --threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import formulas, pipelines
@@ -45,7 +46,34 @@ def _split_labels(text: str) -> list[str]:
     return [x for x in out if x]
 
 
+def _construct_cover(args: argparse.Namespace) -> dict:
+    report = pipelines.construct_cover_report(args.group, args.m, cover_method=args.cover_method)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(report["members"]) + "\n")
+    return report
+
+
+def _verify_cover(args: argparse.Namespace) -> dict:
+    with open(args.family_file, "r", encoding="utf-8") as fh:
+        return pipelines.verify_cover_report(args.group, args.m, fh.readlines())
+
+
+def _status(report: dict) -> int:
+    """0 when the report passed, else 1.  A sigma report has no ``passed``
+    field: it passes when its certificate is a cover that verified, or the
+    target is empty."""
+    if "passed" in report:
+        return 0 if report["passed"] else 1
+    ok = report["certificate"]["kind"] in ("exact-optimal", "upper-bound", "empty")
+    return 0 if ok and report.get("verified", True) is not False else 1
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process.  Each subcommand binds ``report`` to
+    a function of the parsed arguments that looks its pipeline up at call
+    time, so a wrapper put on a ``pipelines`` function later still runs."""
     # SUPPRESS keeps a subparser from clobbering a flag given before the
     # subcommand; missing attributes get defaults in main()
     common = argparse.ArgumentParser(add_help=False)
@@ -85,22 +113,30 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", dest="method", action="store_const", const="exact")
     mode.add_argument("--greedy", dest="method", action="store_const", const="greedy")
-    p.set_defaults(method="exact")
     p.add_argument("--cap", type=int, default=10**4, help="group order cap")
+    p.set_defaults(
+        method="exact",
+        report=lambda a: pipelines.sigma_report(
+            a.group, a.target, a.method, a.cap, cache_dir=a.cache_dir
+        ),
+    )
 
     p = add_parser("catalog", help="load and verify a group catalog")
     p.add_argument("group")
+    p.set_defaults(report=lambda a: pipelines.catalog_report(a.group))
 
     p = add_parser("construct-cover", help="build the wreath covering family")
     p.add_argument("group")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--cover-method", choices=("exact", "greedy"), default="exact")
     p.add_argument("--out", default=None, help="write the member lines to a file")
+    p.set_defaults(report=_construct_cover)
 
     p = add_parser("verify-cover", help="verify a serialized covering family")
     p.add_argument("group")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--family-file", required=True)
+    p.set_defaults(report=_verify_cover)
 
     p = add_parser("verify-unbeatable", help="definite-unbeatability certificate")
     p.add_argument("group")
@@ -108,13 +144,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", required=True, help="comma-separated class labels")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--mode", choices=("auto", "explicit"), default="auto")
+    p.set_defaults(
+        report=lambda a: pipelines.unbeatable_report(
+            a.group, a.sigma_spec, _split_labels(a.families), a.m, a.mode, a.cache_dir
+        )
+    )
 
     p = add_parser("verify-c1", help="the M11 wreath pipeline")
     p.add_argument("-m", type=int, required=True)
+    p.set_defaults(report=lambda a: pipelines.m11_report(a.m, cache_dir=a.cache_dir))
 
     p = add_parser("verify-c2", help="the PSL(2,p) wreath pipeline")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
+    p.set_defaults(report=lambda a: pipelines.psl_report(a.p, a.m, cache_dir=a.cache_dir))
 
     p = add_parser("wreath-bounds", help="lower/upper bounds for sigma(S wr C_m)")
     p.add_argument("group")
@@ -122,96 +165,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--cover", default=None, help="cover class labels (default: families)")
+    p.set_defaults(
+        report=lambda a: pipelines.wreath_bounds_report(
+            a.group, a.sigma_spec, _split_labels(a.families), a.m,
+            _split_labels(a.cover) if a.cover else None, a.cache_dir
+        )
+    )
 
     p = add_parser("formula", help="evaluate a closed form, full decimals")
     p.add_argument("name", choices=tuple(pipelines.FORMULAS))
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-m", type=int, default=None)
     p.add_argument("-p", type=int, default=None)
+    p.set_defaults(report=lambda a: pipelines.formula_report(a.name, n=a.n, m=a.m, p=a.p))
 
     p = add_parser("check-inequalities", help="exact range sweep of a lemma")
     p.add_argument("--lemma", required=True, help=f"one of {', '.join(formulas.lemma_ids())} (aliases accepted)")
     p.add_argument("--n-range", type=_parse_range, required=True, metavar="a..b")
     p.add_argument("--m-range", type=_parse_range, default=formulas.M_RANGE, metavar="c..d")
+    p.set_defaults(report=lambda a: pipelines.inequality_report(a.lemma, a.n_range, a.m_range))
 
     return parser
-
-
-def run(args: argparse.Namespace) -> tuple[dict, int]:
-    cmd = args.command
-    if cmd == "sigma":
-        report = pipelines.sigma_report(
-            args.group, args.target, args.method, args.cap, cache_dir=args.cache_dir
-        )
-        ok = report["certificate"]["kind"] in ("exact-optimal", "upper-bound", "empty")
-        ok = ok and report.get("verified", True) is not False
-        return report, 0 if ok else 1
-    if cmd == "catalog":
-        cg = pipelines.load_group(args.group)
-        report = {
-            "group": cg.spec.name,
-            "order": cg.table.order,
-            "degree": cg.table.degree,
-            "generators": list(cg.spec.generators),
-            "maximal_classes": [
-                {
-                    "label": c.label,
-                    "order": c.order,
-                    "class_size": c.class_size,
-                    "index": c.representative.index,
-                }
-                for c in cg.maximal_classes
-            ],
-            "verified": True,
-            "passed": True,
-        }
-        return report, 0
-    if cmd == "construct-cover":
-        report = pipelines.construct_cover_report(
-            args.group, args.m, cover_method=args.cover_method
-        )
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(report["members"]) + "\n")
-        return report, 0 if report["passed"] else 1
-    if cmd == "verify-cover":
-        with open(args.family_file, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        report = pipelines.verify_cover_report(args.group, args.m, lines)
-        return report, 0 if report["passed"] else 1
-    if cmd == "verify-unbeatable":
-        report = pipelines.unbeatable_report(
-            args.group,
-            args.sigma_spec,
-            _split_labels(args.families),
-            args.m,
-            mode=args.mode,
-            cache_dir=args.cache_dir,
-        )
-        return report, 0 if report["passed"] else 1
-    if cmd == "verify-c1":
-        report = pipelines.m11_report(args.m, cache_dir=args.cache_dir)
-        return report, 0 if report["passed"] else 1
-    if cmd == "verify-c2":
-        report = pipelines.psl_report(args.p, args.m, cache_dir=args.cache_dir)
-        return report, 0 if report["passed"] else 1
-    if cmd == "wreath-bounds":
-        report = pipelines.wreath_bounds_report(
-            args.group,
-            args.sigma_spec,
-            _split_labels(args.families),
-            args.m,
-            cover_labels=_split_labels(args.cover) if args.cover else None,
-            cache_dir=args.cache_dir,
-        )
-        return report, 0 if report["passed"] else 1
-    if cmd == "formula":
-        report = pipelines.formula_report(args.name, n=args.n, m=args.m, p=args.p)
-        return report, 0
-    if cmd == "check-inequalities":
-        report = pipelines.inequality_report(args.lemma, args.n_range, args.m_range)
-        return report, 0 if report["passed"] else 1
-    raise AssertionError(f"unhandled command {cmd}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -221,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, key):
             setattr(args, key, value)
     try:
-        report, status = run(args)
+        report = args.report(args)
     except (
         CatalogError,
         pipelines.PipelineError,
@@ -236,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     out = to_json(report) if args.json else render_human(report)
     sys.stdout.write(out)
-    return status
+    return _status(report)
 
 
 if __name__ == "__main__":

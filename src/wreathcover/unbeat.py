@@ -20,9 +20,13 @@ The family H of S wr C_m is the product-type family over the seed
 classes' members plus the socle maximals; ``wreath.product_type_family``
 generates it and ``wreath.wreath_cover_upper_term`` counts it.
 
-Explicit mode enumerates the target and checks everything by counting over
-boxes (the group, or m * |S|^m up to ``wreath.EXPLICIT_CAP``); its outsider
-sweep is the same generator over the maximal classes outside the family.
+Explicit mode enumerates the target (in the group, or in m * |S|^m up to
+``wreath.EXPLICIT_CAP``) and checks everything by counting over boxes.  In
+S wr C_m it makes one pass over the target's shifts, ascending: at each it
+counts the family's target hits and coverage (the socle maximals add whole
+layers), keeps the first U2 and U3 witness rows, then counts the target hits
+of the outsider sweep, the same generator over the maximal classes outside
+the family.
 Symbolic mode certifies the first three conditions by the constructive
 coset argument and the fourth by the C5 arithmetic; it assumes the
 trichotomy that a maximal subgroup of S wr C_m contains the socle, is of
@@ -31,13 +35,14 @@ product type, or is of diagonal type, and says so in the certificate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .cover import verify_cover_handles
-from .formulas import alpha, smallest_prime_factor
+from .formulas import alpha, prime_factors, smallest_prime_factor
 from .groups import GroupTable, SubgroupClass, SubgroupHandle, member_mask
 from .wreath import (
     EXPLICIT_CAP,
@@ -430,45 +435,32 @@ def _labelled_products(
     ]
 
 
-class _TargetMasks:
-    """Per-shift boolean masks of the target set over the base grid."""
+def _target_masks(inst: SeedInstance, grid: np.ndarray) -> dict[int, np.ndarray]:
+    """The target set as boolean masks over the base grid, keyed by shift in
+    ascending order: the twisted layer at shift 1 % m (the whole strand
+    product in the seed) and, for each prime r dividing m, the strand layer
+    at shift r % m (its two strand products in the seed elements of two
+    different family classes)."""
+    S, m = inst.S, inst.m
+    seed_lut = member_mask(S, inst.seed_ids)
 
-    def __init__(self, inst: SeedInstance, ctx: WreathContext, grid: np.ndarray):
-        S, m = inst.S, inst.m
-        self.masks: dict[int, np.ndarray] = {}
-        seed_lut = member_mask(S, inst.seed_ids)
+    def strand_product(step: int, t: int) -> np.ndarray:
+        return functools.reduce(S.mul_many, grid[:, t::step].T)
 
-        def strand_product_column(step: int, t: int) -> np.ndarray:
-            cols = [(t + j * step) % m for j in range(m // step)]
-            acc = grid[:, cols[0]].astype(np.int64)
-            for c in cols[1:]:
-                acc = S.mul_many(acc, grid[:, c])
-            return acc
-
-        # twisted layer: shift 1, whole-product in the seed
-        self.masks[1 % m] = seed_lut[strand_product_column(1, 0)]
-
-        # strand layer: one prime shift per prime divisor of m
-        if m >= 2:
-            class_unions = [
-                member_mask(S, np.concatenate([h.member_ids for h in cls.conjugates]))
-                & seed_lut
-                for cls in inst.seed_classes
-            ]
-            for s in socle_maximals(m):
-                r = s.r
-                p0 = strand_product_column(r, 0)
-                p1 = strand_product_column(r, 1)
-                mask = np.zeros(grid.shape[0], dtype=bool)
-                for a, lut_a in enumerate(class_unions):
-                    for b, lut_b in enumerate(class_unions):
-                        if a == b:
-                            continue
-                        mask |= lut_a[p0] & lut_b[p1]
-                self.masks[r % m] = mask  # r is prime, so r % m != 1
-
-    def total(self) -> int:
-        return int(sum(int(m.sum()) for m in self.masks.values()))
+    masks = {1 % m: seed_lut[strand_product(1, 0)]}
+    class_unions = [
+        member_mask(S, np.concatenate([h.member_ids for h in cls.conjugates])) & seed_lut
+        for cls in inst.seed_classes
+    ]
+    for r in prime_factors(m):
+        p0, p1 = strand_product(r, 0), strand_product(r, 1)
+        mask = np.zeros(grid.shape[0], dtype=bool)
+        for a, lut_a in enumerate(class_unions):
+            for b, lut_b in enumerate(class_unions):
+                if a != b:
+                    mask |= lut_a[p0] & lut_b[p1]
+        masks[r % m] = mask  # r is prime, so r % m != 1
+    return dict(sorted(masks.items()))
 
 
 def check_definitely_unbeatable_wreath(
@@ -494,107 +486,74 @@ def check_definitely_unbeatable_wreath(
     socle = socle_maximals(m)
     labels = [lab for lab, _ in family] + [f"socle[{s.r}]" for s in socle]
     n_products = len(products)
+    sweep = _labelled_products(inst.outside_classes(), m)
+    outsiders = [d for _, d in sweep]
 
-    tmasks = _TargetMasks(inst, ctx, grid)
-    results: list[ConditionResult] = []
-
-    # member hits and per-shift coverage counts on the target, products
-    # counted as boxes, socle maximals as whole shift layers
+    # products are counted as boxes, socle maximals as whole shift layers
     member_counts = np.zeros(len(labels), dtype=np.int64)
-    per_shift_counts = {}
-    for shift, tmask in tmasks.masks.items():
+    outsider_counts = np.zeros(len(outsiders), dtype=np.int64)
+    target_size = 0
+    witnesses: dict[str, dict] = {}  # condition -> its first failing row
+    for shift, tmask in _target_masks(inst, grid).items():
+        layer_size = int(tmask.sum())
+        target_size += layer_size
         luts = box_luts(ctx, products, shift)
         member_counts[:n_products] += box_target_counts(luts, tmask)
         counts = box_coverage(luts)
+        del luts  # the outsiders' rows come next; never hold both
         for j, s in enumerate(socle):
             if shift % s.r == 0:
-                member_counts[n_products + j] += int(tmask.sum())
+                member_counts[n_products + j] += layer_size
                 counts += 1
-        per_shift_counts[shift] = counts
+        for name, bad in (("U2", counts == 0), ("U3", counts > 1)):
+            rows = np.flatnonzero(tmask & bad)
+            if rows.shape[0] and name not in witnesses:
+                witnesses[name] = {"shift": shift, "base": grid[rows[0]].tolist()}
+        outsider_counts += box_target_counts(box_luts(ctx, outsiders, shift), tmask)
+
     empty = np.flatnonzero(member_counts == 0)
     empty_witness = labels[int(empty[0])] if empty.shape[0] else None
-    results.append(
-        ConditionResult(
-            "U1 every member meets the target",
-            empty_witness is None,
-            witness={"empty_member": empty_witness} if empty_witness else None,
-        )
-    )
-
-    uncovered_witness = None
-    doubled_witness = None
-    for shift in sorted(tmasks.masks):
-        tmask = tmasks.masks[shift]
-        counts = per_shift_counts[shift]
-        bad0 = np.flatnonzero(tmask & (counts == 0))
-        if bad0.shape[0] and uncovered_witness is None:
-            uncovered_witness = {
-                "shift": shift,
-                "base": [int(x) for x in grid[bad0[0]]],
-            }
-        bad2 = np.flatnonzero(tmask & (counts > 1))
-        if bad2.shape[0] and doubled_witness is None:
-            doubled_witness = {
-                "shift": shift,
-                "base": [int(x) for x in grid[bad2[0]]],
-            }
-    results.append(
-        ConditionResult(
-            "U2 target covered",
-            uncovered_witness is None,
-            witness=uncovered_witness,
-        )
-    )
-    results.append(
-        ConditionResult(
-            "U3 no target element in two members",
-            doubled_witness is None,
-            witness=doubled_witness,
-        )
-    )
-
     member_min = int(member_counts.min()) if labels else 0
-
-    # outsider sweep: product types over classes outside the family
-    sweep = _labelled_products(inst.outside_classes(), m)
-    outsider_labels = [lab for lab, _ in sweep]
-    outsiders = [d for _, d in sweep]
-    outsider_counts = np.zeros(len(outsiders), dtype=np.int64)
-    for shift, tmask in tmasks.masks.items():
-        outsider_counts += box_target_counts(box_luts(ctx, outsiders, shift), tmask)
     outsider_max, outsider_label = 0, None
     if outsiders and outsider_counts.max() > 0:
         best = int(np.argmax(outsider_counts))  # first maximum, in sweep order
-        outsider_max, outsider_label = int(outsider_counts[best]), outsider_labels[best]
+        outsider_max, outsider_label = int(outsider_counts[best]), sweep[best][0]
 
     diag_bound = diagonal_term(S.order, m)
     u4_by_count = outsider_max <= member_min
     u4_by_diag = diag_bound <= member_min
-    u4_ok = u4_by_count and u4_by_diag
     detail = (
         f"max outsider product-type count {outsider_max} ({outsider_label}), "
         f"diagonal size bound {diag_bound}, member min {member_min}"
     )
     witness = None
     if not u4_by_count:
-        witness = {
-            "outsider": outsider_label,
-            "count": outsider_max,
-            "member_min": member_min,
-        }
+        witness = {"outsider": outsider_label, "count": outsider_max, "member_min": member_min}
     elif not u4_by_diag:
         witness = {
             "outsider": "diagonal-type (size bound, not an exhibited subgroup)",
             "bound": str(diag_bound),
             "member_min": member_min,
         }
-    results.append(ConditionResult("U4 outsiders dominated", u4_ok, detail, witness))
-
+    results = [
+        ConditionResult(
+            "U1 every member meets the target",
+            empty_witness is None,
+            witness={"empty_member": empty_witness} if empty_witness else None,
+        ),
+        ConditionResult("U2 target covered", "U2" not in witnesses, witness=witnesses.get("U2")),
+        ConditionResult(
+            "U3 no target element in two members",
+            "U3" not in witnesses,
+            witness=witnesses.get("U3"),
+        ),
+        ConditionResult("U4 outsiders dominated", u4_by_count and u4_by_diag, detail, witness),
+    ]
     return UnbeatabilityReport(
         mode="explicit-wreath",
         conditions=results,
         family_size=len(labels),
-        target_size=tmasks.total(),
+        target_size=target_size,
         member_min_count=member_min,
         outsider_max={"count": outsider_max, "member": outsider_label},
         assumptions=[TRICHOTOMY_ASSUMPTION],

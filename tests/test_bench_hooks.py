@@ -10,6 +10,7 @@ never makes, so this test resolves every such name instead.
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,13 +18,20 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def _load(name):
+    """A perfbench script as a module; spans.py and workloads.py import only
+    the standard library."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules.setdefault(spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _targets():
-    """(module, attribute) of every entry of spans.TARGETS; importing
-    spans.py loads only the standard library."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return [(f"wreathcover.{module}", attr) for module, attr, *_ in spans.TARGETS]
+    """(module, attribute) of every entry of spans.TARGETS."""
+    return [(f"wreathcover.{module}", attr) for module, attr, *_ in _load("spans").TARGETS]
 
 
 def _imports():
@@ -58,3 +66,19 @@ def test_hook_lists_are_read():
 @pytest.mark.parametrize("module, name", sorted(set(_targets() + _imports())))
 def test_benchmark_hook_resolves(module, name):
     assert _resolve(module, name) is not None
+
+
+@pytest.mark.parametrize("workload", ["lattice", "bnb", "wreath", "theorems"])
+def test_benchmark_requests_parse(workload, tmp_path):
+    # every argv a workload sends, with the flags run.py appends, is one
+    # the CLI accepts; nothing is run
+    from wreathcover.cli import build_parser
+
+    workloads = _load("workloads")
+    assert workload in workloads.WORKLOADS
+    wl = workloads.build(workload, 1, tmp_path)
+    assert wl.requests
+    for req in wl.requests + wl.probes:
+        build_parser().parse_args(
+            [*req.argv, "--json", "--threads", "1", "--cache-dir", str(tmp_path / "cache")]
+        )

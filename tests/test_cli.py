@@ -224,6 +224,34 @@ def test_construct_and_verify_cover_roundtrip(tmp_path, capsys, _cache_dir):
         assert "uncovered_witness" in report
 
 
+def test_socle_lines_must_name_socle_maximals(tmp_path, capsys, _cache_dir):
+    # socle{r} is a maximal subgroup of S wr C_m only for a prime r dividing m
+    fam = tmp_path / "family.txt"
+    assert main(["construct-cover", "A5", "-m", "2", "--out", str(fam)]) == 0
+    lines = fam.read_text().splitlines()
+    assert lines[-1] == "socle{2}"
+    capsys.readouterr()
+    for family in (["socle{1}"], [*lines[:-1], "socle{3}"], [*lines[:-1], "socle{4}"], ["socle{0}"]):
+        fam.write_text("\n".join(family) + "\n")
+        assert main(["verify-cover", "A5", "-m", "2", "--family-file", str(fam)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {family[-1]!r}: "), captured.err
+
+
+def test_malformed_spec_files_exit_2(tmp_path, capsys):
+    for text in (
+        'name: A5\ndegree: 5\ngenerators: ["(1 2 3 4 5)", "(1 2 3)"\n',
+        "name: A5\ndegree: 5\ngenerators: 5\n",
+    ):
+        spec = tmp_path / "bad.yaml"
+        spec.write_text(text)
+        assert main(["sigma", str(spec), "--greedy"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: group file {spec} "), captured.err
+
+
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     assert main(["sigma", "NoSuchGroup"]) == 2
     assert main(["verify-c2", "-p", "9", "-m", "5"]) == 2

@@ -1,11 +1,13 @@
 import dataclasses
+import functools
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreathcover.formulas import alpha, c2_value, euler_phi
+from wreathcover.formulas import alpha, c2_value, euler_phi, prime_factors
 from wreathcover.lattice import all_subgroup_classes
 from wreathcover.pipelines import load_group
 from wreathcover.unbeat import (
@@ -20,9 +22,12 @@ from wreathcover.unbeat import (
 )
 from wreathcover.wreath import (
     ProductTypeDescriptor,
+    WreathContext,
     product_type_family,
     wreath_cover_upper_term,
 )
+
+from oracles import compose
 
 
 def _products(inst):
@@ -222,23 +227,79 @@ def test_a5_surrogate_counts(a5):
 
 
 def test_a5_surrogate_member_counts_match_formulas(a5):
-    from wreathcover.unbeat import _TargetMasks
+    from wreathcover.unbeat import _target_masks
     from wreathcover.wreath import WreathContext, product_type_mask
 
     inst = _a5_instance(a5, 2)
     ctx = WreathContext(a5.table, 2)
     grid = ctx.base_grid()
-    tm = _TargetMasks(inst, ctx, grid)
+    masks = _target_masks(inst, grid)
     # product-type member counts equal seed-in-member times member order
     for d in _products(inst):
         expect = int(np.isin(inst.seed_ids, d.M.member_ids).sum()) * d.M.size
         got = sum(
-            int((product_type_mask(ctx, d, grid, s) & tm.masks[s]).sum())
-            for s in tm.masks
+            int((product_type_mask(ctx, d, grid, s) & masks[s]).sum())
+            for s in masks
         )
         assert got == expect
     # the socle member count equals the ordered non-conjugate pair sum
-    assert int(tm.masks[0].sum()) == 960
+    assert int(masks[0].sum()) == 960
+
+
+def _target_oracle(inst):
+    """The target set by its definition, one base tuple at a time in
+    row-major order: at shift 1 % m the product of all m coordinates lies in
+    the seed; at shift r % m, for each prime r dividing m, the products of
+    the coordinates 0, r, 2r, ... and 1, 1 + r, ... lie in the seed
+    elements of two different family classes.  Products come from a
+    multiplication table built by ``oracles.compose``."""
+    S, m = inst.S, inst.m
+    perms = [S.perm(i) for i in range(S.order)]
+    ids = {p.images: i for i, p in enumerate(perms)}
+    table = [[ids[compose(p, q).images] for q in perms] for p in perms]
+    seed = set(inst.seed_ids.tolist())
+    unions = [
+        seed & {x for h in cls.conjugates for x in h.member_ids.tolist()}
+        for cls in inst.seed_classes
+    ]
+
+    def product(row, start, step):
+        return functools.reduce(lambda a, b: table[a][b], row[start::step])
+
+    rows = list(itertools.product(range(S.order), repeat=m))
+    expect = {1 % m: [product(row, 0, 1) in seed for row in rows]}
+    for r in prime_factors(m):
+        expect[r % m] = [
+            any(
+                product(row, 0, r) in first and product(row, 1, r) in second
+                for first, second in itertools.permutations(unions, 2)
+            )
+            for row in rows
+        ]
+    return expect, unions
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_target_masks_match_definition(a5, m):
+    from wreathcover.unbeat import _target_masks
+
+    g = a5.table
+    bl = a5.classes_by_label()
+    inst = SeedInstance(
+        S=g,
+        seed_ids=g.elements_with_order(3),
+        seed_classes=[bl["A4"], bl["S3"]],
+        m=m,
+        maximal_classes=a5.maximal_classes,
+    )
+    expect, unions = _target_oracle(inst)
+    # every element of order 3 lies in an A4 and in an S3, so an element
+    # pair can qualify through both orders of the two classes
+    assert unions[0] == unions[1] and len(unions[0]) == 20
+    masks = _target_masks(inst, WreathContext(g, m).base_grid())
+    assert list(masks) == sorted(expect)
+    for shift, mask in masks.items():
+        assert mask.tolist() == expect[shift], shift
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -257,11 +318,20 @@ def test_product_type_members_are_canonical(a5, psl7, m):
 
 
 def test_mutation_breaks_cover_condition(a5):
-    inst = _a5_instance(a5, 2)
-    family = [(f"p{i}", d) for i, d in enumerate(_products(inst))]
-    du = check_definitely_unbeatable_wreath(inst, family=family[1:])
-    u2 = [c for c in du.conditions if c.name.startswith("U2")][0]
-    assert not u2.passed and u2.witness is not None
+    # the witness is the first failing row of the first failing shift
+    pinned = {
+        2: [("U2", [0, 18]), ("U3", [0, 18]), ("U2", [21, 38])],
+        3: [("U2", [0, 0, 18]), ("U3", [0, 0, 18]), ("U2", [21, 0, 38])],
+    }
+    for m, expected in pinned.items():
+        inst = _a5_instance(a5, m)
+        family = [(f"p{i}", d) for i, d in enumerate(_products(inst))]
+        mutations = [family[1:], family + family[:1], family[:-1]]
+        for mutated, (name, base) in zip(mutations, expected):
+            du = check_definitely_unbeatable_wreath(inst, family=mutated)
+            cond = [c for c in du.conditions if c.name.startswith(name)][0]
+            assert not cond.passed
+            assert cond.witness == {"shift": 1, "base": base}, (m, name)
 
 
 def test_symbolic_certificate(psl11):
