@@ -9,8 +9,13 @@ Case split on n (at least 5, not an odd prime):
 * n = 2 mod 4: target additionally includes the (n/2, n/2)-cycles and the
   family additionally includes the halves stabilizer.
 
-Descriptors are symbolic (cycle types and class labels); materialization
-into an enumerated A_n is practical for small n only.
+Every family member is the stabilizer in A_n of a block system: the
+i-set stabilizer of blocks of sizes i and n-i, the imprimitive stabilizer
+of p blocks of size n/p, and the halves stabilizer of two blocks of size
+n/2.  Descriptors are symbolic (cycle types and class labels);
+materialization reads each standard representative off the image rows of
+an enumerated A_n (an element belongs when the image of every block lies
+inside one block), which is practical for small n only.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from .formulas import factorial, is_prime, smallest_prime_factor
 from .groups import (
     GroupTable,
     SubgroupClass,
-    SubgroupHandle,
     conjugate_class,
+    member_mask,
     subgroup_from_set,
 )
 from .perm import Perm
@@ -84,7 +89,7 @@ def an_standard_sets(n: int) -> AnStandardSets:
     )
 
 
-def alternating_group(n: int, product_budget: int = 10**7) -> GroupTable:
+def alternating_group(n: int) -> GroupTable:
     """A_n on n points from a 3-cycle and a long even cycle."""
     if n < 3:
         raise ValueError("n >= 3 required")
@@ -93,94 +98,50 @@ def alternating_group(n: int, product_budget: int = 10**7) -> GroupTable:
     else:
         long_cycle = Perm([0] + list(range(2, n)) + [1])
     three = Perm([1, 2, 0] + list(range(3, n)))
-    return GroupTable.from_generators(
-        [long_cycle, three], name=f"A{n}", product_budget=product_budget
-    )
+    return GroupTable.from_generators([long_cycle, three], name=f"A{n}")
 
 
-def _symmetric_block_generators(blocks: list[list[int]], n: int) -> list[Perm]:
-    """Generators of the direct product of symmetric groups on the given
-    blocks, plus nothing across blocks."""
-    gens = []
-    for blk in blocks:
-        if len(blk) >= 2:
-            images = list(range(n))
-            images[blk[0]], images[blk[1]] = blk[1], blk[0]
-            gens.append(Perm(images))
-        if len(blk) >= 3:
-            images = list(range(n))
-            for a, b in zip(blk, blk[1:] + blk[:1]):
-                images[a] = b
-            gens.append(Perm(images))
-    return gens
-
-
-def _block_permuting_generators(blocks: list[list[int]], n: int) -> list[Perm]:
-    """Pointwise block swap (first two blocks) and block cycle."""
-    gens = []
-    k = len(blocks)
-    if k >= 2:
-        images = list(range(n))
-        for a, b in zip(blocks[0], blocks[1]):
-            images[a], images[b] = b, a
-        gens.append(Perm(images))
-    if k >= 3:
-        images = list(range(n))
-        for j in range(k):
-            for a, b in zip(blocks[j], blocks[(j + 1) % k]):
-                images[a] = b
-        gens.append(Perm(images))
-    return gens
-
-
-def _even_part_in(an: GroupTable, full_group: GroupTable, expected_order: int, label: str) -> SubgroupHandle:
-    # an element with c cycles (fixed points included) is even when
-    # degree - c is; each point of a cycle of length L counts 1/L of it
-    cycles = np.rint((1.0 / full_group.cycle_lengths()).sum(axis=1)).astype(np.int64)
-    even = np.flatnonzero((full_group.degree - cycles) % 2 == 0)
-    ids = [an.id_of(full_group.perm(eid)) for eid in even.tolist()]
-    if len(ids) != expected_order:
-        raise AssertionError(
-            f"{label}: even part has {len(ids)} elements, expected {expected_order}"
-        )
-    return subgroup_from_set(an, ids, label=label, verify=False)
+def _block_stabilizer(an: GroupTable, sizes: list[int]) -> np.ndarray:
+    """Sorted ids of the elements of A_n that map every block into one
+    block, the blocks consecutive runs of points of the given sizes: one
+    pass over A_n's image rows compares the block of each point's image
+    with the block of the image of its block's first point."""
+    block = np.repeat(np.arange(len(sizes), dtype=np.uint8), sizes)
+    first = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+    image_block = block[an.images]
+    return np.flatnonzero((image_block == image_block[:, first]).all(axis=1))
 
 
 def materialize_family_class(
     an: GroupTable, desc: FamilyClassDescriptor
 ) -> SubgroupClass:
     """Build the standard representative of a family class inside an
-    enumerated A_n and return its full conjugacy class."""
+    enumerated A_n, the stabilizer of its block system, and return its
+    full conjugacy class."""
     n = an.degree
     if desc.kind == "intransitive":
         i = desc.param
-        blocks = [list(range(i)), list(range(i, n))]
-        gens = _symmetric_block_generators(blocks, n)
+        sizes = [i, n - i]
         expected = factorial(i) * factorial(n - i) // 2
-    elif desc.kind == "imprimitive":
-        p = desc.param
-        size = n // p
-        blocks = [list(range(j * size, (j + 1) * size)) for j in range(p)]
-        gens = _symmetric_block_generators(blocks, n) + _block_permuting_generators(
-            blocks, n
-        )
-        expected = factorial(size) ** p * factorial(p) // 2
-    elif desc.kind == "halves":
-        size = n // 2
-        blocks = [list(range(size)), list(range(size, n))]
-        gens = _symmetric_block_generators(blocks, n) + _block_permuting_generators(
-            blocks, n
-        )
-        expected = factorial(size) ** 2 * 2 // 2
+    elif desc.kind in ("imprimitive", "halves"):
+        p = desc.param  # halves: 2 blocks
+        sizes = [n // p] * p
+        expected = factorial(n // p) ** p * factorial(p) // 2
     else:
         raise ValueError(f"unknown family kind {desc.kind}")
-    full = GroupTable.from_generators(gens, name=desc.label)
-    handle = _even_part_in(an, full, expected, desc.label)
+    ids = _block_stabilizer(an, sizes)
+    if ids.shape[0] != expected:
+        raise AssertionError(
+            f"{desc.label}: block stabilizer has {ids.shape[0]} elements, "
+            f"expected {expected}"
+        )
+    handle = subgroup_from_set(an, ids, label=desc.label, verify=False)
     return conjugate_class(an, handle)
 
 
 def target_ids(an: GroupTable, sets: AnStandardSets) -> np.ndarray:
     """Element ids of the target set in an enumerated A_n."""
     parts = [an.elements_with_cycle_type(t) for t in sets.target_cycle_types]
-    return np.unique(np.concatenate(parts))
+    # the union as one mask over A_n: flatnonzero gives sorted, distinct ids
+    return np.flatnonzero(member_mask(an, np.concatenate(parts)))
 

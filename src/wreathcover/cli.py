@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for key, value in (("json", False), ("threads", 1), ("cache_dir", None)):
+    for key, value in (("json", False), ("cache_dir", None)):
         if not hasattr(args, key):
             setattr(args, key, value)
     try:

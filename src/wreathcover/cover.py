@@ -135,7 +135,7 @@ def build_instance(
         group=g,
         universe_ids=universe,
         labels=labels,
-        masks=_pack(owner, pos, len(handles), universe.shape[0]),
+        masks=_bit_rows(owner, pos, len(handles), universe.shape[0]),
         handles=handles,
         full_mask=(1 << universe.shape[0]) - 1,
         member_pos=pos,
@@ -143,7 +143,7 @@ def build_instance(
     )
 
 
-def _pack(rows: np.ndarray, bits: np.ndarray, nrows: int, nbits: int) -> list[int]:
+def _bit_rows(rows: np.ndarray, bits: np.ndarray, nrows: int, nbits: int) -> list[int]:
     """The rows of a sparse 0/1 matrix as int masks: row r has bit bits[j]
     for each entry j with rows[j] == r."""
     width = (nbits + 7) // 8
@@ -252,13 +252,13 @@ def sigma_exact(
 
     # the search's masks hold position e at bit nbits - 1 - e: the lowest
     # position of a nonzero mask x is then nbits - x.bit_length()
-    masks = _pack(owner, nbits - 1 - pos, len(instance.masks), nbits)
+    masks = _bit_rows(owner, nbits - 1 - pos, len(instance.masks), nbits)
     # keyed by nbits - e: the complement of the union of e's coverers
     anti_union = _Lazy(lambda k: ~reduce(or_, [masks[i] for i in coverers[nbits - k]]))
 
     # elements by coverer count, least covered first
     levels = np.unique(counts)
-    buckets = _pack(
+    buckets = _bit_rows(
         np.searchsorted(levels, counts), nbits - 1 - np.arange(nbits), len(levels), nbits
     )
 

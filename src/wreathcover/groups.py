@@ -5,11 +5,13 @@ image tables sorted lexicographically, so id 0 is always the identity and all
 downstream artifacts are byte-stable across runs.  Groups here are small
 enough for full enumeration; there is no stabilizer-chain machinery.
 
-A product is computed by composing image rows, packing each row into an
-integer key and searching the sorted key table; there is no Cayley table.
-Composition convention (fixed project-wide): ``mul_many(a, b)`` applies
-``b`` first and then ``a``, so row q of the product is ``a[b[q]]``, and a
-product written left to right, ``x1 * x2 * ... * xk``, applies ``xk``
+There is no Cayley table.  One row lookup, ``ids``, turns image rows back
+into ids: it packs each row into an integer key and searches the sorted
+key table.  One product, ``mul_many``, composes image rows and looks them
+up; it pairs two id arrays elementwise or broadcasts a single id on either
+side.  Composition convention (fixed project-wide): ``mul_many(a, b)``
+applies ``b`` first and then ``a``, so row q of the product is ``a[b[q]]``,
+and a product written left to right, ``x1 * x2 * ... * xk``, applies ``xk``
 first.  The subgroup routines batch that arithmetic: ``subgroup_closure``
 and ``conjugation_orbit`` handle a whole breadth-first level per gather,
 and membership in a subgroup is a boolean mask over the group.
@@ -62,7 +64,7 @@ class GroupTable:
         self._keys = _pack(images, self.degree)
         # argsort of each row is its inverse permutation
         inv_imgs = np.argsort(images, axis=1).astype(np.uint8)
-        self.inv = self._lookup(_pack(inv_imgs, self.degree))
+        self.inv = self.ids(inv_imgs)
         self._cycle_lengths: Optional[np.ndarray] = None
         self._orders: Optional[np.ndarray] = None
         self._conj_maps: dict[int, np.ndarray] = {}
@@ -129,39 +131,37 @@ class GroupTable:
             raise KeyError("permutation not in group")
         return ids.astype(np.int64)
 
+    def ids(self, rows: np.ndarray) -> np.ndarray:
+        """The ids of the given (k, degree) image rows; KeyError if one is
+        not in the group."""
+        return self._lookup(_pack(rows, self.degree))
+
     def id_of(self, p: Perm) -> int:
         if p.degree != self.degree:
             raise DegreeMismatchError(f"degree {p.degree} != group degree {self.degree}")
-        row = np.array(p.images, dtype=np.uint8)
-        return int(self._lookup(_pack(row.reshape(1, -1), self.degree))[0])
+        return int(self.ids(np.array([p.images], dtype=np.uint8))[0])
 
     def perm(self, eid: int) -> Perm:
         return Perm(self.images[eid].tolist())
 
-    def mul_many(self, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
-        """Pairwise products a*b (b applied first) over equal-length id
-        arrays."""
-        a_ids = np.asarray(a_ids, dtype=np.int64)
-        b_ids = np.asarray(b_ids, dtype=np.int64)
-        rows = np.take_along_axis(self.images[a_ids], self.images[b_ids], axis=1)
-        return self._lookup(_pack(rows, self.degree))
-
-    def mul_right(self, a_ids: np.ndarray, g: int) -> np.ndarray:
-        """All products a*g for a in a_ids."""
-        rows = self.images[np.asarray(a_ids, dtype=np.int64)][:, self.images[g]]
-        return self._lookup(_pack(rows, self.degree))
-
-    def mul_left(self, g: int, b_ids: np.ndarray) -> np.ndarray:
-        """All products g*b for b in b_ids."""
-        rows = self.images[g][self.images[np.asarray(b_ids, dtype=np.int64)]]
-        return self._lookup(_pack(rows, self.degree))
+    def mul_many(self, a_ids: np.ndarray | int, b_ids: np.ndarray | int) -> np.ndarray:
+        """Products a*b (b applied first): pairwise over equal-length id
+        arrays, or one array against a single id on either side."""
+        a = self.images[np.asarray(a_ids, dtype=np.int64)]
+        b = self.images[np.asarray(b_ids, dtype=np.int64)]
+        if a.ndim == 1:
+            rows = a[b]
+        elif b.ndim == 1:
+            rows = a[:, b]
+        else:
+            rows = np.take_along_axis(a, b, axis=1)
+        return self.ids(rows)
 
     def conj_map(self, g: int) -> np.ndarray:
         """The full conjugation table x -> g^-1 x g as an id array."""
         if g not in self._conj_maps:
-            all_ids = np.arange(self.order, dtype=np.int64)
-            t = self.mul_left(int(self.inv[g]), all_ids)
-            self._conj_maps[g] = self.mul_right(t, g)
+            t = self.mul_many(self.inv[g], np.arange(self.order))
+            self._conj_maps[g] = self.mul_many(t, g)
         return self._conj_maps[g]
 
     # -- element statistics ----------------------------------------------
@@ -375,8 +375,7 @@ def normalizer(g: GroupTable, h: SubgroupHandle) -> np.ndarray:
     for t in h.generators:
         if t == 0:
             continue
-        lt = g.mul_many(g.inv[all_ids], np.full(g.order, t, dtype=np.int64))
-        mask &= inside[g.mul_many(lt, all_ids)]
+        mask &= inside[g.mul_many(g.mul_many(g.inv, t), all_ids)]
     return all_ids[mask]
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import catalog, formulas
 from .cover import build_instance, sigma_exact, sigma_greedy, verify_cover
-from .groups import GroupTable, SubgroupClass, class_conjugators
+from .groups import GroupTable, SubgroupClass, class_conjugators, member_mask
 from .lattice import all_subgroup_classes, maximal_classes_from_lattice
 from .perm import Perm
 from .unbeat import (
@@ -38,9 +38,9 @@ from .unbeat import (
     theorem_bounds,
 )
 from .wreath import (
+    AUTO_EXPLICIT_LIMIT,
     EXPLICIT_CAP,
     ProductTypeDescriptor,
-    SocleMaximal,
     WreathContext,
     construct_product_cover,
     verify_wreath_cover,
@@ -62,16 +62,16 @@ def parse_target_spec(g: GroupTable, spec: str) -> np.ndarray:
     (types separated by '/', lengths by ',')."""
     kind, _, payload = spec.partition(":")
     if kind == "orders" and payload:
-        parts = [int(x) for x in payload.split(",")]
-        ids = [g.elements_with_order(k) for k in parts]
-        return np.unique(np.concatenate(ids))
-    if kind == "cycle-types" and payload:
-        out = []
-        for t in payload.split("/"):
-            lengths = [int(x) for x in t.split(",")]
-            out.append(g.elements_with_cycle_type(lengths))
-        return np.unique(np.concatenate(out))
-    raise PipelineError(f"bad target spec {spec!r} (orders:... or cycle-types:...)")
+        parts = [g.elements_with_order(int(x)) for x in payload.split(",")]
+    elif kind == "cycle-types" and payload:
+        parts = [
+            g.elements_with_cycle_type([int(x) for x in t.split(",")])
+            for t in payload.split("/")
+        ]
+    else:
+        raise PipelineError(f"bad target spec {spec!r} (orders:... or cycle-types:...)")
+    # the union as one mask over g: flatnonzero gives sorted, distinct ids
+    return np.flatnonzero(member_mask(g, np.concatenate(parts)))
 
 
 def _maximal_classes(cg: catalog.CatalogGroup, cache_dir=None) -> list[SubgroupClass]:
@@ -140,6 +140,8 @@ def sigma_report(
 def _classes_by_labels(
     cg: catalog.CatalogGroup, labels: Sequence[str]
 ) -> list[SubgroupClass]:
+    if not labels:
+        raise PipelineError("no class labels given")
     by_label = cg.classes_by_label()
     missing = [lab for lab in labels if lab not in by_label]
     if missing:
@@ -174,7 +176,8 @@ def _unbeatability(
     lattice (LatticeCapError above the lattice cap).  At m >= 2,
     ``explicit`` enumerates S wr C_m and fails (ValueError) when
     m * |S|^m exceeds ``EXPLICIT_CAP``, and ``auto`` is explicit while
-    m * |S|^m <= 10^7 and symbolic, from the seed conditions, above."""
+    m * |S|^m <= ``AUTO_EXPLICIT_LIMIT`` and symbolic, from the seed
+    conditions, above."""
     m = inst.m
     if m == 1:
         members = inst.members()
@@ -185,7 +188,7 @@ def _unbeatability(
             [lab for lab, _ in members],
             all_classes=all_subgroup_classes(cg.table, cache_dir=cache_dir),
         )
-    if mode == "explicit" or m * cg.table.order**m <= 10**7:
+    if mode == "explicit" or m * cg.table.order**m <= AUTO_EXPLICIT_LIMIT:
         return check_definitely_unbeatable_wreath(inst)
     return check_definitely_unbeatable_symbolic(inst, seed_rep)
 
@@ -349,10 +352,10 @@ def psl_report(p: int, m: int, cache_dir=None) -> dict:
 def descriptor_lines(
     cg: catalog.CatalogGroup,
     descriptors: Sequence[ProductTypeDescriptor],
-    socle: Sequence[SocleMaximal],
+    socle: Sequence[int],
 ) -> list[str]:
     """Serialize a wreath covering family: one line per member,
-    product-type{...} or socle{r}."""
+    product-type{...} or socle{r} for each socle maximal's prime r."""
     g = cg.table
     conj_by_class: dict[str, dict[bytes, int]] = {}
     class_of_key: dict[bytes, str] = {}
@@ -373,8 +376,8 @@ def descriptor_lines(
             f"product-type{{group={cg.spec.name}, class={label}, "
             f"conj={g.perm(conj).to_cycle_string()}, cosets=[{cosets}]}}"
         )
-    for s in socle:
-        lines.append(f"socle{{{s.r}}}")
+    for r in socle:
+        lines.append(f"socle{{{r}}}")
     return lines
 
 
@@ -388,7 +391,7 @@ _SOCLE_RE = re.compile(r"socle\{(\d+)\}")
 
 def parse_descriptor_lines(
     cg: catalog.CatalogGroup, lines: Sequence[str], m: int
-) -> tuple[list[ProductTypeDescriptor], list[SocleMaximal]]:
+) -> tuple[list[ProductTypeDescriptor], list[int]]:
     g = cg.table
     by_label = cg.classes_by_label()
     descriptors, socle = [], []
@@ -419,7 +422,7 @@ def parse_descriptor_lines(
             r = int(sm.group(1))
             if r not in formulas.prime_factors(m):
                 raise PipelineError(f"{line!r}: {r} is not a prime divisor of m = {m}")
-            socle.append(SocleMaximal(r))
+            socle.append(r)
             continue
         raise PipelineError(f"unparseable descriptor line: {line!r}")
     return descriptors, socle

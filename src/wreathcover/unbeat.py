@@ -52,7 +52,6 @@ from .wreath import (
     box_luts,
     box_target_counts,
     product_type_family,
-    socle_maximals,
     wreath_cover_upper_term,
 )
 
@@ -483,8 +482,8 @@ def check_definitely_unbeatable_wreath(
     if family is None:
         family = _labelled_products(inst.seed_classes, m)
     products = [d for _, d in family]
-    socle = socle_maximals(m)
-    labels = [lab for lab, _ in family] + [f"socle[{s.r}]" for s in socle]
+    socle = prime_factors(m)
+    labels = [lab for lab, _ in family] + [f"socle[{r}]" for r in socle]
     n_products = len(products)
     sweep = _labelled_products(inst.outside_classes(), m)
     outsiders = [d for _, d in sweep]
@@ -501,8 +500,8 @@ def check_definitely_unbeatable_wreath(
         member_counts[:n_products] += box_target_counts(luts, tmask)
         counts = box_coverage(luts)
         del luts  # the outsiders' rows come next; never hold both
-        for j, s in enumerate(socle):
-            if shift % s.r == 0:
+        for j, r in enumerate(socle):
+            if shift % r == 0:
                 member_counts[n_products + j] += layer_size
                 counts += 1
         for name, bad in (("U2", counts == 0), ("U3", counts > 1)):

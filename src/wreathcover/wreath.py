@@ -35,6 +35,8 @@ product-type subgroup per tuple of m-1 right cosets of M, |S:M|^(m-1) of
 them (``product_type_family``), and with the alpha(m) socle maximals they
 number ``wreath_cover_upper_term``.  The constructive cover, the explicit
 unbeatability family and its outsider sweep all come from that generator.
+A socle maximal is named by its prime r, a prime divisor of m: it is the
+preimage of the index-r subgroup of C_m, the elements whose shift r divides.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 
 from .cover import verify_cover_handles
 from .formulas import alpha, prime_factors
-from .groups import GroupTable, SubgroupHandle, _pack
+from .groups import GroupTable, SubgroupHandle
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ class ProductTypeDescriptor:
     @staticmethod
     def create(M: SubgroupHandle, cosets: Sequence[int]) -> "ProductTypeDescriptor":
         g = M.parent
-        canon = tuple(int(g.mul_right(M.member_ids, int(c)).min()) for c in cosets)
+        canon = tuple(int(g.mul_many(M.member_ids, int(c)).min()) for c in cosets)
         return ProductTypeDescriptor(M, canon)
 
     @property
@@ -165,7 +167,7 @@ def box_luts(
         np.tile(S.images[np.concatenate(member_ids)], (m, 1)), S.images[right], axis=1
     )
     rows = np.take_along_axis(S.images[left], rows, axis=1)
-    out[owner, coord, S._lookup(_pack(rows, S.degree))] = 1.0
+    out[owner, coord, S.ids(rows)] = 1.0
     return out
 
 
@@ -218,29 +220,14 @@ def box_target_counts(luts: np.ndarray, target: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- socle-containing maximal subgroups ----------------------------------------
-
-
-@dataclass(frozen=True)
-class SocleMaximal:
-    """The preimage of the index-r subgroup of C_m, r a prime divisor of m:
-    contains exactly the elements whose shift is divisible by r."""
-
-    r: int
-
-
-def socle_maximals(m: int) -> list[SocleMaximal]:
-    """One socle-containing maximal subgroup per prime divisor of m;
-    alpha(m) of them."""
-    if m < 1:
-        raise ValueError("m >= 1 required")
-    return [SocleMaximal(r) for r in prime_factors(m)]
-
-
 # -- the product-type family and the constructive cover ---------------------------
 
-# the largest m * |S|^m that explicit verification and unbeatability enumerate
+# EXPLICIT_CAP bounds m * |S|^m for every explicit request: cover
+# verification and unbeatability in explicit mode fail above it.
+# AUTO_EXPLICIT_LIMIT bounds it for an auto-mode unbeatability request,
+# which is explicit up to it and symbolic above.
 EXPLICIT_CAP = 10**8
+AUTO_EXPLICIT_LIMIT = 10**7
 
 
 class CoverInputError(ValueError):
@@ -257,7 +244,7 @@ def coset_representatives(M: SubgroupHandle) -> list[int]:
         if assigned[x]:
             continue
         reps.append(x)
-        assigned[g.mul_right(M.member_ids, x)] = True
+        assigned[g.mul_many(M.member_ids, x)] = True
     return reps
 
 
@@ -281,28 +268,29 @@ def wreath_cover_upper_term(members: Sequence[SubgroupHandle], m: int) -> int:
 
 def construct_product_cover(
     S: GroupTable, cover: Sequence[SubgroupHandle], m: int
-) -> tuple[list[ProductTypeDescriptor], list[SocleMaximal]]:
+) -> tuple[list[ProductTypeDescriptor], list[int]]:
     """The constructive covering family for S wr C_m from a covering of S:
     ``product_type_family`` over the cover plus the alpha(m) socle-containing
-    maximals, ``wreath_cover_upper_term(cover, m)`` subgroups in all.  The
-    verified postcondition (at desk scale, via verify_wreath_cover) is that
-    their union is all of S wr C_m."""
+    maximals, named by their primes; ``wreath_cover_upper_term(cover, m)``
+    subgroups in all.  The verified postcondition (at desk scale, via
+    verify_wreath_cover) is that their union is all of S wr C_m."""
     ok, missing = verify_cover_handles(S, cover)
     if not ok:
         raise CoverInputError(f"family does not cover S: element id {missing} missed")
-    return list(product_type_family(cover, m)), socle_maximals(m)
+    return list(product_type_family(cover, m)), prime_factors(m)
 
 
 def verify_wreath_cover(
     ctx: WreathContext,
     descriptors: Sequence[ProductTypeDescriptor],
-    socle: Sequence[SocleMaximal],
+    socle: Sequence[int],
     threads: int = 1,
 ) -> tuple[bool, WreathElement | None]:
     """Check that every element of S wr C_m lies in some family member;
     returns (ok, first uncovered witness in shift-major, row-major order).
-    Requires m * |S|^m <= EXPLICIT_CAP.  Every shift not covered by a socle
-    maximal is decided by counting boxes (see ``first_uncovered``).
+    ``socle`` names the socle maximals by their primes.  Requires
+    m * |S|^m <= EXPLICIT_CAP.  Every shift not covered by a socle maximal
+    is decided by counting boxes (see ``first_uncovered``).
     ``threads`` is accepted for compatibility and changes neither the work
     nor the result."""
     total = ctx.m * ctx.S.order**ctx.m
@@ -311,7 +299,7 @@ def verify_wreath_cover(
             f"exhaustive verification needs m*|S|^m = {total} <= {EXPLICIT_CAP}"
         )
     for shift in range(ctx.m):
-        if any(shift % s.r == 0 for s in socle):
+        if any(shift % r == 0 for r in socle):
             continue  # covered by a socle-containing maximal
         idx = first_uncovered(box_luts(ctx, descriptors, shift))
         if idx is not None:

@@ -239,6 +239,17 @@ def test_socle_lines_must_name_socle_maximals(tmp_path, capsys, _cache_dir):
         assert captured.err.startswith(f"error: {family[-1]!r}: "), captured.err
 
 
+@pytest.mark.parametrize("command", ["verify-unbeatable", "wreath-bounds"])
+def test_empty_family_exits_2(command, capsys):
+    # an empty label list is a usage error at every m, not a failed check
+    for m in ("1", "2"):
+        argv = [command, "A5", "--sigma-spec", "orders:5", "--families", ",", "-m", m]
+        assert main(argv) == 2, m
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no class labels given\n", m
+
+
 def test_malformed_spec_files_exit_2(tmp_path, capsys):
     for text in (
         'name: A5\ndegree: 5\ngenerators: ["(1 2 3 4 5)", "(1 2 3)"\n',

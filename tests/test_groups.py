@@ -206,7 +206,8 @@ def test_mul_many_matches_scalar(a5):
     b = rng.integers(0, a5.order, size=200)
     prods = a5.mul_many(a, b)
     for x, y, z in zip(a.tolist(), b.tolist(), prods.tolist()):
-        assert a5.mul_right([x], y).tolist() == a5.mul_left(x, [y]).tolist() == [z]
+        # a single id broadcasts on either side
+        assert a5.mul_many([x], y).tolist() == a5.mul_many(x, [y]).tolist() == [z]
 
 
 # -- property tests against independent references ------------------------

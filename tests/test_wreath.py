@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wreathcover.formulas import alpha
+from wreathcover.formulas import alpha, prime_factors
 from wreathcover.perm import Perm
 from wreathcover.wreath import (
     ProductTypeDescriptor,
-    SocleMaximal,
     WreathContext,
     WreathElement,
     box_coverage,
@@ -18,7 +17,6 @@ from wreathcover.wreath import (
     construct_product_cover,
     coset_representatives,
     product_type_mask,
-    socle_maximals,
     verify_wreath_cover,
 )
 
@@ -162,7 +160,7 @@ def test_descriptor_canonicalization(ctx2, a5):
     cls = a5.classes_by_label()["A4"]
     M = cls.representative
     g2 = 17
-    coset = g.mul_right(M.member_ids, g2)
+    coset = g.mul_many(M.member_ids, g2)
     d1 = ProductTypeDescriptor.create(M, (g2,))
     d2 = ProductTypeDescriptor.create(M, (int(coset[3]),))
     assert d1 == d2 and hash(d1) == hash(d2)
@@ -178,14 +176,15 @@ def test_descriptor_canonicalization(ctx2, a5):
 
 
 def test_socle_maximals(a5):
-    assert socle_maximals(1) == []
-    assert [s.r for s in socle_maximals(12)] == [2, 3]
-    assert [s.r for s in socle_maximals(30)] == [2, 3, 5]
+    # the socle maximals are named by the primes dividing m
+    cover = [h for cls in a5.maximal_classes for h in cls.conjugates]
+    for m, primes in ((1, []), (2, [2]), (3, [3])):
+        assert construct_product_cover(a5.table, cover, m)[1] == primes
     # a socle maximal holds exactly the shifts divisible by r: alone at
     # m = 4, index 2 covers shifts 0 and 2, and shift 1 is the first miss
     ctx4 = WreathContext(a5.table, 4)
     witness = WreathElement((0, 0, 0, 0), 1)
-    assert verify_wreath_cover(ctx4, [], [SocleMaximal(2)]) == (False, witness)
+    assert verify_wreath_cover(ctx4, [], [2]) == (False, witness)
 
 
 def test_coset_representatives(a5):
@@ -195,7 +194,7 @@ def test_coset_representatives(a5):
     assert reps[0] == 0
     seen = set()
     for r in reps:
-        coset = frozenset(a5.table.mul_right(M.member_ids, r).tolist())
+        coset = frozenset(a5.table.mul_many(M.member_ids, r).tolist())
         assert coset not in seen
         seen.add(coset)
 
@@ -299,7 +298,7 @@ def test_box_kernel_matches_masks(oracle_grid, group, m, seed, with_socle, drop)
     descs = [family[i] for i in picked]
     if drop:
         descs += random_descriptors(cg, m, int(rng.integers(0, 3)), rng)
-    socle = socle_maximals(m) if with_socle else []
+    socle = prime_factors(m) if with_socle else []
 
     expected_witness = None
     for shift in range(m):
@@ -313,7 +312,7 @@ def test_box_kernel_matches_masks(oracle_grid, group, m, seed, with_socle, drop)
         assert box_target_counts(luts, target).tolist() == [
             int((mask & target).sum()) for mask in masks
         ]
-        if expected_witness is None and not any(shift % s.r == 0 for s in socle):
+        if expected_witness is None and not any(shift % r == 0 for r in socle):
             zeros = np.flatnonzero(counts == 0)
             if zeros.shape[0]:
                 row = tuple(int(x) for x in grid[zeros[0]])
@@ -331,7 +330,7 @@ def test_a5_wr_c4_constructive_cover(a5, monkeypatch):
     start = time.perf_counter()
     ctx4 = WreathContext(a5.table, 4)
     descs, socle = construct_product_cover(a5.table, _min_cover(a5), 4)
-    assert (len(descs), [s.r for s in socle]) == (1796, [2])
+    assert (len(descs), socle) == (1796, [2])
     assert verify_wreath_cover(ctx4, descs, socle) == (True, None)
     # the minimal cover has no redundancy: dropping a member uncovers an
     # element that lies in that member and in no other
