@@ -12,7 +12,6 @@ lattice is feasible).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -275,13 +274,8 @@ def _load_from_spec(spec: GroupSpec) -> CatalogGroup:
     return CatalogGroup(spec=spec, table=table, maximal_classes=classes)
 
 
-@functools.lru_cache(maxsize=None)
-def _load_builtin(name: str) -> CatalogGroup:
-    return _load_from_spec(BUILTIN_SPECS[name])
-
-
 def load(source: str) -> CatalogGroup:
-    """Load and verify a catalog group (built-in name or spec file path)."""
-    if source in BUILTIN_SPECS:
-        return _load_builtin(source)
+    """Load and verify a catalog group (built-in name or spec file path).
+    Every call enumerates the group again; ``pipelines.load_group`` is the
+    cache."""
     return _load_from_spec(resolve_spec(source))

@@ -16,10 +16,13 @@ tests against a representative use a boolean mask over G.
 
 Feasible to group order ~10^4, which covers M11 (order 7920).  Results are
 cached on disk keyed by the group's canonical hash.  A cache file is used
-only if its hash and order match and every stored representative's members
-are exactly the closure of its stored generators; anything else (an
-unreadable file, a missing key, a malformed or truncated entry) is a miss,
-and the lattice is enumerated again and the file rewritten.
+only if its hash and order match, every stored representative's members
+are exactly the closure of its stored generators, and the cyclic classes
+account for every element (each element generates one cyclic subgroup, and
+a cyclic subgroup of order n has phi(n) generators).  Anything else (an
+unreadable file, a missing key, a malformed or truncated entry, a missing
+cyclic class) is a miss, and the lattice is enumerated again and the file
+rewritten.  A missing non-cyclic class still passes these checks.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .formulas import divisors, smallest_prime_factor
+from .formulas import divisors, euler_phi, smallest_prime_factor
 from .groups import (
     GroupTable,
     SubgroupClass,
@@ -233,8 +236,22 @@ def _cache_load(g: GroupTable, cache_dir) -> list[SubgroupClass] | None:
         # json's decode error is a ValueError
         return None
     classes = [orbit_class(g, h) for h in reps]
+    if not _cyclic_classes_count_elements(g, classes):
+        return None
     classes.sort(key=lambda c: (c.order, c.conjugates[0].canonical_key))
     return classes
+
+
+def _cyclic_classes_count_elements(g: GroupTable, classes: list[SubgroupClass]) -> bool:
+    """Whether sum(class_size * phi(n)) over the cyclic classes of order n
+    equals the number of elements of order n, for every n.  A class is
+    cyclic when some member of its representative has order |H|."""
+    orders = g.element_orders()
+    uncounted = np.bincount(orders)  # the number of elements of each order
+    for cls in classes:
+        if int(orders[cls.representative.member_ids].max()) == cls.order:
+            uncounted[cls.order] -= cls.class_size * euler_phi(cls.order)
+    return not uncounted.any()
 
 
 def _cache_store(g: GroupTable, classes: list[SubgroupClass], cache_dir) -> None:

@@ -39,10 +39,10 @@ from .unbeat import (
 )
 from .wreath import (
     AUTO_EXPLICIT_LIMIT,
-    EXPLICIT_CAP,
     ProductTypeDescriptor,
     WreathContext,
     construct_product_cover,
+    explicit_size,
     verify_wreath_cover,
     wreath_cover_upper_term,
 )
@@ -167,28 +167,22 @@ def _seed_instance(
 def _unbeatability(
     cg: catalog.CatalogGroup,
     inst: SeedInstance,
-    seed_rep: Optional[SeedConditionReport] = None,
+    seed_rep: SeedConditionReport,
     mode: str = "auto",
     cache_dir=None,
 ) -> UnbeatabilityReport:
     """The one verdict on a request's family: definite unbeatability.  At
-    m = 1 the check is explicit in S, its outsider sweep over the subgroup
-    lattice (LatticeCapError above the lattice cap).  At m >= 2,
-    ``explicit`` enumerates S wr C_m and fails (ValueError) when
-    m * |S|^m exceeds ``EXPLICIT_CAP``, and ``auto`` is explicit while
-    m * |S|^m <= ``AUTO_EXPLICIT_LIMIT`` and symbolic, from the seed
-    conditions, above."""
+    m = 1 it reads U1-U3 off the seed report and sweeps the subgroup
+    lattice for U4 (LatticeCapError above the lattice cap).  At m >= 2,
+    ``explicit`` enumerates S wr C_m (ValueError above ``EXPLICIT_CAP``),
+    and ``auto`` is explicit while ``explicit_size`` <=
+    ``AUTO_EXPLICIT_LIMIT`` and symbolic, from the seed report, above."""
     m = inst.m
     if m == 1:
-        members = inst.members()
         return check_definitely_unbeatable_group(
-            cg.table,
-            inst.seed_ids,
-            [h for _, h in members],
-            [lab for lab, _ in members],
-            all_classes=all_subgroup_classes(cg.table, cache_dir=cache_dir),
+            inst, seed_rep, all_subgroup_classes(cg.table, cache_dir=cache_dir)
         )
-    if mode == "explicit" or m * cg.table.order**m <= AUTO_EXPLICIT_LIMIT:
+    if mode == "explicit" or explicit_size(cg.table, m) <= AUTO_EXPLICIT_LIMIT:
         return check_definitely_unbeatable_wreath(inst)
     return check_definitely_unbeatable_symbolic(inst, seed_rep)
 
@@ -241,16 +235,16 @@ def wreath_bounds_report(
     constructive cover count."""
     cg = load_group(source)
     inst = _seed_instance(cg, seed_spec, family_labels, m)
-    cover_classes = (
-        _classes_by_labels(cg, cover_labels) if cover_labels else inst.seed_classes
-    )
-    cover = [h for cls in cover_classes for h in cls.conjugates]
-    bounds = theorem_bounds(inst, cover, _unbeatability(cg, inst, cache_dir=cache_dir))
+    if cover_labels is None:
+        cover_labels = family_labels
+    cover = [h for cls in _classes_by_labels(cg, cover_labels) for h in cls.conjugates]
+    du = _unbeatability(cg, inst, check_seed_conditions(inst), cache_dir=cache_dir)
+    bounds = theorem_bounds(inst, cover, du)
     return {
         "group": cg.spec.name,
         "m": m,
         "family": list(family_labels),
-        "cover": list(cover_labels or family_labels),
+        "cover": list(cover_labels),
         "bounds": bounds.to_dict(),
         "passed": bounds.lower > 0 and bounds.lower <= bounds.upper,
     }
@@ -430,8 +424,8 @@ def parse_descriptor_lines(
 
 def construct_cover_report(source: str, m: int, cover_method: str = "exact") -> dict:
     """Build the constructive covering family of S wr C_m from a minimal
-    (or greedy) cover of S and verify it exhaustively, which needs
-    m * |S|^m <= ``EXPLICIT_CAP`` (PipelineError above it)."""
+    (or greedy) cover of S and verify it exhaustively, which needs a
+    ``WreathContext`` (ValueError above ``EXPLICIT_CAP``)."""
     cg = load_group(source)
     ctx = WreathContext(cg.table, m)
     if not cg.maximal_classes:
@@ -442,9 +436,6 @@ def construct_cover_report(source: str, m: int, cover_method: str = "exact") -> 
             "spec file)"
         )
     g = cg.table
-    total = m * g.order**m
-    if total > EXPLICIT_CAP:
-        raise PipelineError(f"cover verification needs m*|S|^m = {total} <= {EXPLICIT_CAP}")
     inst = build_instance(g, cg.maximal_classes)
     cert = sigma_exact(inst) if cover_method == "exact" else sigma_greedy(inst)
     if cert.kind not in ("exact-optimal", "upper-bound"):

@@ -20,13 +20,15 @@ The family H of S wr C_m is the product-type family over the seed
 classes' members plus the socle maximals; ``wreath.product_type_family``
 generates it and ``wreath.wreath_cover_upper_term`` counts it.
 
-Explicit mode enumerates the target (in the group, or in m * |S|^m up to
-``wreath.EXPLICIT_CAP``) and checks everything by counting over boxes.  In
-S wr C_m it makes one pass over the target's shifts, ascending: at each it
-counts the family's target hits and coverage (the socle maximals add whole
-layers), keeps the first U2 and U3 witness rows, then counts the target hits
-of the outsider sweep, the same generator over the maximal classes outside
-the family.
+At m = 1 the target is the seed, so U1-U3 are C1-C3: the group verdict
+reads them and the member minimum off the seed report and sweeps U4 over
+the subgroup lattice.  At m >= 2 explicit mode enumerates the target in a
+``wreath.WreathContext`` and checks everything by counting over boxes.  It
+makes one pass over the target's shifts, ascending: at each it counts the
+family's target hits and coverage (the socle maximals add whole layers),
+keeps the first U2 and U3 witness rows, then counts the target hits of the
+outsider sweep, the same generator over the maximal classes outside the
+family.
 Symbolic mode certifies the first three conditions by the constructive
 coset argument and the fourth by the C5 arithmetic; it assumes the
 trichotomy that a maximal subgroup of S wr C_m contains the socle, is of
@@ -36,7 +38,7 @@ product type, or is of diagonal type, and says so in the certificate.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,7 +47,6 @@ from .cover import verify_cover_handles
 from .formulas import alpha, prime_factors, smallest_prime_factor
 from .groups import GroupTable, SubgroupClass, SubgroupHandle, member_mask
 from .wreath import (
-    EXPLICIT_CAP,
     ProductTypeDescriptor,
     WreathContext,
     box_coverage,
@@ -62,6 +63,12 @@ TRICHOTOMY_ASSUMPTION = (
 SCHEMA_ASSUMPTION = (
     "hit/cover/disjointness of the constructed family certified by the "
     "constructive coset argument, not by element enumeration at this scale"
+)
+U_NAMES = (
+    "U1 every member meets the target",
+    "U2 target covered",
+    "U3 no target element in two members",
+    "U4 outsiders dominated",
 )
 
 
@@ -120,6 +127,7 @@ class SeedConditionReport:
     cross_class_layer: int  # ordered non-conjugate pair sum times |S|^(m-2)
     family_min: int  # min over family members
     seed_counts: dict
+    member_hits: np.ndarray  # seed elements in each of inst.members(); not reported
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -216,7 +224,7 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
 
     # C1-C3: every member meets the seed, the family covers it, no seed
     # element lies in two members
-    c13, _ = hit_cover_disjoint(
+    c13, member_hits = hit_cover_disjoint(
         S,
         seed,
         inst.members(),
@@ -312,6 +320,7 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
         cross_class_layer=c_term,
         family_min=d_term if d_term is not None else 0,
         seed_counts=seed_counts,
+        member_hits=member_hits,
         notes=notes,
     )
 
@@ -361,38 +370,29 @@ class UnbeatabilityReport:
 
 
 def check_definitely_unbeatable_group(
-    S: GroupTable,
-    target_ids: np.ndarray,
-    family: Sequence[SubgroupHandle],
-    family_labels: Sequence[str],
+    inst: SeedInstance,
+    seed_report: SeedConditionReport,
     all_classes: Sequence[SubgroupClass],
 ) -> UnbeatabilityReport:
-    """Explicit m=1 mode: the family lives inside S itself and every
-    condition is a finite set check.  The outsider sweep runs over every
-    proper class of the subgroup lattice, so the certificate is
-    unconditional."""
-    target = np.unique(np.asarray(target_ids, dtype=np.int64))
-    results, sizes = hit_cover_disjoint(
-        S,
-        target,
-        list(zip(family_labels, family, strict=True)),
-        (
-            "U1 every member meets the target",
-            "U2 target covered",
-            "U3 no target element in two members",
-        ),
-    )
+    """Explicit m=1 mode: the family lives inside S itself and the target
+    is the seed, so U1-U3 are the seed report's C1-C3 under their U names
+    and the member minimum is the least of its ``member_hits``.  The
+    outsider sweep runs over every proper class of the subgroup lattice, so
+    the certificate is unconditional."""
+    S, target, sizes = inst.S, inst.seed_ids, seed_report.member_hits
+    # the seed report lists C0, then C1-C3
+    results = [replace(c, name=name) for c, name in zip(seed_report.conditions[1:4], U_NAMES)]
 
     member_min = int(sizes.min()) if sizes.shape[0] else 0
     in_target = member_mask(S, target)
-    family_keys = {h.canonical_key for h in family}
+    family_keys = {h.canonical_key for _, h in inst.members()}
     outsider_max, outsider_label = 0, None
     for cls in all_classes:
         if cls.order == S.order:
             continue
         if cls.representative.canonical_key in family_keys:
-            # the family is conjugation-closed in our uses, so one key
-            # matching means the whole class is inside the family
+            # the family is whole classes, so one key matching means the
+            # whole class is inside the family
             continue
         cnt = int(in_target[cls.representative.member_ids].sum())
         if cnt > outsider_max:
@@ -400,7 +400,7 @@ def check_definitely_unbeatable_group(
             outsider_label = cls.base_label
     results.append(
         ConditionResult(
-            "U4 outsiders dominated",
+            U_NAMES[3],
             outsider_max <= member_min,
             detail=f"max outsider {outsider_max} ({outsider_label}) vs member min {member_min}",
             witness=None
@@ -412,7 +412,7 @@ def check_definitely_unbeatable_group(
     return UnbeatabilityReport(
         mode="explicit-group",
         conditions=results,
-        family_size=len(family),
+        family_size=len(sizes),
         target_size=int(target.shape[0]),
         member_min_count=member_min,
         outsider_max={"count": outsider_max, "class": outsider_label},
@@ -466,17 +466,15 @@ def check_definitely_unbeatable_wreath(
     inst: SeedInstance,
     family: Optional[Sequence[tuple[str, ProductTypeDescriptor]]] = None,
 ) -> UnbeatabilityReport:
-    """Explicit wreath mode (m * |S|^m <= EXPLICIT_CAP): enumerate the
-    target and verify all four conditions by counting.  The family is the
-    given (label, descriptor) product-type members, by default those over
-    the seed classes, plus the socle maximals.  The outsider sweep runs over
+    """Explicit wreath mode: enumerate the target in S wr C_m (the
+    ``WreathContext`` refuses m * |S|^m above ``EXPLICIT_CAP``) and verify
+    all four conditions by counting.  The family is the given (label,
+    descriptor) product-type members, by default those over the seed
+    classes, plus the socle maximals.  The outsider sweep runs over
     every product-type subgroup built on maximal classes outside the family;
     diagonal-type subgroups contribute their size bound only and make the
     verdict conditional if they alone decide the comparison."""
     S, m = inst.S, inst.m
-    total = m * S.order**m
-    if total > EXPLICIT_CAP:
-        raise ValueError(f"explicit mode needs m*|S|^m = {total} <= {EXPLICIT_CAP}")
     ctx = WreathContext(S, m)
     grid = ctx.base_grid()
     if family is None:
@@ -534,19 +532,16 @@ def check_definitely_unbeatable_wreath(
             "bound": str(diag_bound),
             "member_min": member_min,
         }
+    u1, u2, u3, u4 = U_NAMES
     results = [
         ConditionResult(
-            "U1 every member meets the target",
+            u1,
             empty_witness is None,
             witness={"empty_member": empty_witness} if empty_witness else None,
         ),
-        ConditionResult("U2 target covered", "U2" not in witnesses, witness=witnesses.get("U2")),
-        ConditionResult(
-            "U3 no target element in two members",
-            "U3" not in witnesses,
-            witness=witnesses.get("U3"),
-        ),
-        ConditionResult("U4 outsiders dominated", u4_by_count and u4_by_diag, detail, witness),
+        ConditionResult(u2, "U2" not in witnesses, witness=witnesses.get("U2")),
+        ConditionResult(u3, "U3" not in witnesses, witness=witnesses.get("U3")),
+        ConditionResult(u4, u4_by_count and u4_by_diag, detail, witness),
     ]
     return UnbeatabilityReport(
         mode="explicit-wreath",
@@ -561,7 +556,7 @@ def check_definitely_unbeatable_wreath(
 
 
 def check_definitely_unbeatable_symbolic(
-    inst: SeedInstance, seed_report: Optional[SeedConditionReport] = None
+    inst: SeedInstance, seed_report: SeedConditionReport
 ) -> UnbeatabilityReport:
     """Symbolic mode for m >= 2: seed conditions C0-C4 certify the hit,
     cover and disjointness conditions through the constructive coset
@@ -569,13 +564,11 @@ def check_definitely_unbeatable_symbolic(
     maximal-subgroup trichotomy."""
     if inst.m < 2:
         raise ValueError("symbolic mode needs m >= 2")
-    if seed_report is None:
-        seed_report = check_seed_conditions(inst)
     results = []
     # the seed report lists C0-C4, then C5
     *base, c5 = seed_report.conditions
     base_ok = all(c.passed for c in base)
-    for name in ("U1 every member meets the target", "U2 target covered", "U3 no target element in two members"):
+    for name in U_NAMES[:3]:
         results.append(
             ConditionResult(
                 name,
@@ -585,7 +578,7 @@ def check_definitely_unbeatable_symbolic(
         )
     results.append(
         ConditionResult(
-            "U4 outsiders dominated",
+            U_NAMES[3],
             c5.passed,
             detail=c5.detail,
             witness=c5.witness,

@@ -19,23 +19,20 @@ in exact rationals.
 """
 
 import io
-import json
 import math
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from wreathcover import catalog, formulas
+from wreathcover import formulas
 from wreathcover.cover import (
     build_instance,
     sigma_exact,
     verify_cover,
     verify_cover_handles,
 )
-from wreathcover.lattice import all_subgroup_classes
 from wreathcover.unbeat import (
     SeedInstance,
     check_definitely_unbeatable_group,
@@ -135,14 +132,7 @@ def test_criterion_2_sigma_m11_is_23(m11, m11_lattice):
         cover = [h for cls in inst.seed_classes for h in cls.conjugates]
         ok, _ = verify_cover_handles(m11.table, cover)
         assert ok and len(cover) == 23  # upper bound
-        labels = [
-            f"{cls.label}[{i}]"
-            for cls in inst.seed_classes
-            for i in range(cls.class_size)
-        ]
-        du = check_definitely_unbeatable_group(
-            m11.table, inst.seed_ids, cover, labels, all_classes=m11_lattice
-        )
+        du = check_definitely_unbeatable_group(inst, check_seed_conditions(inst), m11_lattice)
         assert du.passed and not du.conditional
         assert du.certified_lower_bound == 23  # lower bound meets it
 

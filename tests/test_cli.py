@@ -1,6 +1,4 @@
-import io
 import json
-import sys
 
 import pytest
 
@@ -113,6 +111,22 @@ def test_theorem_runner_checks_seed_conditions_once(capsys, monkeypatch):
         calls.clear()
         status, _ = run_json(argv, capsys)
         assert status == 0 and len(calls) == 1, argv
+
+
+def test_group_verdict_reads_the_seed_check(capsys, monkeypatch):
+    # at m = 1 the target is the seed, so U1-U3 are C1-C3: one set check
+    from wreathcover import unbeat
+
+    calls = []
+    check = unbeat.hit_cover_disjoint
+
+    def counted(*args):
+        calls.append(1)
+        return check(*args)
+
+    monkeypatch.setattr(unbeat, "hit_cover_disjoint", counted)
+    status, _ = run_json(["verify-c1", "-m", "1"], capsys)
+    assert status == 0 and len(calls) == 1
 
 
 def test_theorem_runner_verifies_the_cover_once(capsys, monkeypatch, _cache_dir):
@@ -241,13 +255,34 @@ def test_socle_lines_must_name_socle_maximals(tmp_path, capsys, _cache_dir):
 
 @pytest.mark.parametrize("command", ["verify-unbeatable", "wreath-bounds"])
 def test_empty_family_exits_2(command, capsys):
-    # an empty label list is a usage error at every m, not a failed check
-    for m in ("1", "2"):
-        argv = [command, "A5", "--sigma-spec", "orders:5", "--families", ",", "-m", m]
-        assert main(argv) == 2, m
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: no class labels given\n", m
+    # an empty label list is a usage error at every m, not a failed check;
+    # an empty --cover list too, rather than a fall back to the families
+    label_args = [["--families", ","]]
+    if command == "wreath-bounds":
+        label_args.append(["--families", "D10,S3", "--cover", ","])
+    for labels in label_args:
+        for m in ("1", "2"):
+            argv = [command, "A5", "--sigma-spec", "orders:5", *labels, "-m", m]
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: no class labels given\n", argv
+
+
+def test_cache_missing_a_cyclic_class_is_rebuilt(tmp_path, capsys):
+    # PSL(2,11) at m = 1 fails U4: an order-11 subgroup meets the seed in 10
+    # elements, a member in 2.  A cache file without that class would hide
+    # the outsider; the element count by order exposes it and it is rebuilt.
+    argv = ["verify-c2", "-p", "11", "-m", "1", "--json", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 1
+    clean = capsys.readouterr()
+    assert json.loads(clean.out)["certificate"]["unbeatability"]["outsider_max"]["count"] == 10
+    [path] = tmp_path.glob("lattice-*.json")
+    data = json.loads(path.read_text())
+    data["classes"] = [e for e in data["classes"] if len(e["members"]) != 11]
+    path.write_text(json.dumps(data))
+    assert main(argv) == 1
+    assert capsys.readouterr() == clean
 
 
 def test_malformed_spec_files_exit_2(tmp_path, capsys):

@@ -284,7 +284,15 @@ def _truncated_members(data):
     return json.dumps(data)
 
 
-@pytest.mark.parametrize("corrupt", [_garbage, _missing_key, _truncated_members])
+def _dropped_cyclic_class(data):
+    # the order-5 class: the remaining entries all pass the closure re-check
+    data["classes"] = [e for e in data["classes"] if len(e["members"]) != 5]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_garbage, _missing_key, _truncated_members, _dropped_cyclic_class]
+)
 def test_bad_lattice_cache_is_rebuilt(corrupt, tmp_path, capsys):
     # a cache file that fails to parse or to verify is a miss: the lattice
     # is enumerated again and the file rewritten byte for byte, whether the

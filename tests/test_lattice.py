@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from wreathcover.groups import GroupTable, subgroup_closure

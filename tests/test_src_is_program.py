@@ -89,3 +89,31 @@ def test_src_holds_no_test_only_code():
     checked, unreferenced = _unreferenced()
     assert checked > 100  # the guard reads the real package
     assert unreferenced == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names that module-level imports of ``path`` bind and nothing else
+    in the file uses; an entry of ``__all__`` counts as a use."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(elt.value for elt in node.value.elts)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    return [f"{path.relative_to(ROOT)}: {name}" for name in bound if name not in used]
+
+
+def test_no_unused_imports():
+    # perfbench/ is the benchmark's and is not checked here
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert len(paths) > 20  # the guard reads the real files
+    assert [name for path in paths for name in _unused_imports(path)] == []

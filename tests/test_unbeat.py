@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathcover.formulas import alpha, c2_value, euler_phi, prime_factors
-from wreathcover.lattice import all_subgroup_classes
 from wreathcover.pipelines import load_group
 from wreathcover.unbeat import (
     SeedInstance,
@@ -139,17 +138,14 @@ def test_m11_family_size(m11):
 def test_m11_bounds_meet(m11):
     inst = _m11_instance(m11, 2)
     cover = [h for cls in inst.seed_classes for h in cls.conjugates]
-    bounds = theorem_bounds(inst, cover, check_definitely_unbeatable_symbolic(inst))
+    rep = check_definitely_unbeatable_symbolic(inst, check_seed_conditions(inst))
+    bounds = theorem_bounds(inst, cover, rep)
     assert bounds.lower == bounds.upper == 266
 
 
 def test_m11_explicit_m1(m11, m11_lattice):
     inst = _m11_instance(m11, 1)
-    members = [h for cls in inst.seed_classes for h in cls.conjugates]
-    labels = [f"{cls.label}[{i}]" for cls in inst.seed_classes for i in range(cls.class_size)]
-    rep = check_definitely_unbeatable_group(
-        m11.table, inst.seed_ids, members, labels, all_classes=m11_lattice
-    )
+    rep = check_definitely_unbeatable_group(inst, check_seed_conditions(inst), m11_lattice)
     assert rep.passed
     assert rep.certified_lower_bound == 23
     assert not rep.conditional
@@ -314,7 +310,7 @@ def test_product_type_members_are_canonical(a5, psl7, m):
         assert len(members) == len(set(members)) == expect
         for d in members:
             made = ProductTypeDescriptor.create(d.M, d.cosets)
-            assert d.key() == made.key() and d == made
+            assert d == made
 
 
 def test_mutation_breaks_cover_condition(a5):
@@ -336,7 +332,7 @@ def test_mutation_breaks_cover_condition(a5):
 
 def test_symbolic_certificate(psl11):
     inst = _psl11_instance(psl11, 5)
-    rep = check_definitely_unbeatable_symbolic(inst)
+    rep = check_definitely_unbeatable_symbolic(inst, check_seed_conditions(inst))
     assert rep.passed
     assert rep.certified_lower_bound == c2_value(11, 5)[0]
     assert len(rep.assumptions) == 2
@@ -345,7 +341,7 @@ def test_symbolic_certificate(psl11):
 
 def test_symbolic_fails_when_seed_fails(psl11):
     inst = _psl11_instance(psl11, 2)
-    rep = check_definitely_unbeatable_symbolic(inst)
+    rep = check_definitely_unbeatable_symbolic(inst, check_seed_conditions(inst))
     assert not rep.passed
     assert rep.certified_lower_bound is None
 
@@ -360,9 +356,8 @@ def test_diagonal_term_defensive_root():
 def test_theorem_bounds_m1(m11, m11_lattice):
     inst = _m11_instance(m11, 1)
     cover = [h for cls in inst.seed_classes for h in cls.conjugates]
-    labels = [lab for lab, _ in inst.members()]
     certificate = check_definitely_unbeatable_group(
-        m11.table, inst.seed_ids, cover, labels, all_classes=m11_lattice
+        inst, check_seed_conditions(inst), m11_lattice
     )
     # the lower bound is the certificate's: 23 over the whole lattice
     bounds = theorem_bounds(inst, cover, certificate)

@@ -239,6 +239,13 @@ def test_non_covering_family_rejected(a5):
         construct_product_cover(a5.table, [a5.maximal_classes[0].representative], 2)
 
 
+def test_context_refuses_above_cap(m11):
+    # the context is the permit to enumerate S wr C_m: M11 wr C_2 has
+    # 2 * 7920^2 elements, above EXPLICIT_CAP
+    with pytest.raises(ValueError, match=r"m\*\|S\|\^m = 125452800 <= 100000000$"):
+        WreathContext(m11.table, 2)
+
+
 def test_thread_count_does_not_change_result(a5, ctx2):
     cover = [h for cls in a5.maximal_classes for h in cls.conjugates]
     descs, socle = construct_product_cover(a5.table, cover, 2)
