@@ -135,7 +135,7 @@ def materialize_family_class(
             f"{desc.label}: block stabilizer has {ids.shape[0]} elements, "
             f"expected {expected}"
         )
-    handle = subgroup_from_set(an, ids, label=desc.label, verify=False)
+    handle = subgroup_from_set(an, ids, label=desc.label)
     return conjugate_class(an, handle)
 
 

@@ -337,17 +337,11 @@ def subgroup_closure(
 
 
 def subgroup_from_set(
-    g: GroupTable, ids: Iterable[int], label: str | None = None, verify: bool = True
+    g: GroupTable, ids: Iterable[int], label: str | None = None
 ) -> SubgroupHandle:
-    """Wrap an element-id set known (or verified) to be a subgroup."""
+    """Wrap an element-id set known to be a subgroup."""
     arr = np.unique(np.fromiter((int(x) for x in ids), dtype=np.int64))
-    gens = _reduce_generators(g, arr)
-    if verify:
-        h = subgroup_closure(g, gens)
-        if h.size != arr.shape[0] or not np.array_equal(h.member_ids, arr):
-            raise ValueError("element set is not closed under multiplication")
-        return SubgroupHandle(g, arr, h.generators, label=label)
-    return SubgroupHandle(g, arr, gens, label=label)
+    return SubgroupHandle(g, arr, _reduce_generators(g, arr), label=label)
 
 
 def _reduce_generators(g: GroupTable, ids: np.ndarray) -> tuple[int, ...]:

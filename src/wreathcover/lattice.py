@@ -86,7 +86,7 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
         classes.append(cls)
         return cls
 
-    register(subgroup_from_set(g, [0], verify=False))
+    register(subgroup_from_set(g, [0]))
 
     # seed: cyclic subgroup classes; <x> is read off a table of powers,
     # one block of rows per element order, in order of (order, id).  An

@@ -7,10 +7,10 @@ runner, constructive covers with serialized certificates, and inequality
 sweeps.  Every report is a plain dict of deterministic content, rendered to
 canonical JSON by report.py.
 
-Each wreath request derives its unbeatability verdict once, in
-``_unbeatability``; the certificate it prints and the bounds
-(``unbeat.theorem_bounds``, which also verifies the cover) both read that
-one report.
+Each wreath request derives its seed instance, seed report and
+unbeatability verdict once, in one call of ``_verdict``; the certificate it
+prints and the bounds (``unbeat.theorem_bounds``, which also verifies the
+cover) both read that one report.
 """
 
 from __future__ import annotations
@@ -146,45 +146,43 @@ def _classes_by_labels(
     missing = [lab for lab in labels if lab not in by_label]
     if missing:
         raise PipelineError(f"unknown class labels {missing}; have {sorted(by_label)}")
+    repeated = sorted({lab for i, lab in enumerate(labels) if lab in labels[:i]})
+    if repeated:
+        raise PipelineError(f"duplicate class labels {repeated}")
     return [by_label[lab] for lab in labels]
 
 
-def _seed_instance(
+def _verdict(
     cg: catalog.CatalogGroup,
     seed_spec: str,
-    family_labels: Sequence[str],
+    labels: Sequence[str],
     m: int,
-) -> SeedInstance:
-    return SeedInstance(
+    mode: str,
+    cache_dir,
+) -> tuple[SeedInstance, SeedConditionReport, UnbeatabilityReport]:
+    """The one verdict on a request's family: its seed instance, the seed
+    conditions C0-C5 and definite unbeatability, each computed once.  At
+    m = 1 the verdict reads U1-U3 off the seed report and sweeps the
+    subgroup lattice for U4 (LatticeCapError above the lattice cap).  At
+    m >= 2, ``explicit`` enumerates S wr C_m (ValueError above
+    ``EXPLICIT_CAP``), and ``auto`` is explicit while ``explicit_size`` <=
+    ``AUTO_EXPLICIT_LIMIT`` and symbolic, from the seed report, above."""
+    inst = SeedInstance(
         S=cg.table,
         seed_ids=parse_target_spec(cg.table, seed_spec),
-        seed_classes=_classes_by_labels(cg, family_labels),
+        seed_classes=_classes_by_labels(cg, labels),
         m=m,
         maximal_classes=cg.maximal_classes,
     )
-
-
-def _unbeatability(
-    cg: catalog.CatalogGroup,
-    inst: SeedInstance,
-    seed_rep: SeedConditionReport,
-    mode: str = "auto",
-    cache_dir=None,
-) -> UnbeatabilityReport:
-    """The one verdict on a request's family: definite unbeatability.  At
-    m = 1 it reads U1-U3 off the seed report and sweeps the subgroup
-    lattice for U4 (LatticeCapError above the lattice cap).  At m >= 2,
-    ``explicit`` enumerates S wr C_m (ValueError above ``EXPLICIT_CAP``),
-    and ``auto`` is explicit while ``explicit_size`` <=
-    ``AUTO_EXPLICIT_LIMIT`` and symbolic, from the seed report, above."""
-    m = inst.m
+    seed_rep = check_seed_conditions(inst)
     if m == 1:
-        return check_definitely_unbeatable_group(
-            inst, seed_rep, all_subgroup_classes(cg.table, cache_dir=cache_dir)
-        )
-    if mode == "explicit" or explicit_size(cg.table, m) <= AUTO_EXPLICIT_LIMIT:
-        return check_definitely_unbeatable_wreath(inst)
-    return check_definitely_unbeatable_symbolic(inst, seed_rep)
+        lattice = all_subgroup_classes(cg.table, cache_dir=cache_dir)
+        du = check_definitely_unbeatable_group(inst, seed_rep, lattice)
+    elif mode == "explicit" or explicit_size(cg.table, m) <= AUTO_EXPLICIT_LIMIT:
+        du = check_definitely_unbeatable_wreath(inst)
+    else:
+        du = check_definitely_unbeatable_symbolic(inst, seed_rep)
+    return inst, seed_rep, du
 
 
 def _certificate(
@@ -217,9 +215,7 @@ def unbeatable_report(
     """The full certificate pipeline: seed conditions, then definite
     unbeatability in explicit or symbolic mode."""
     cg = load_group(source)
-    inst = _seed_instance(cg, seed_spec, family_labels, m)
-    seed_rep = check_seed_conditions(inst)
-    du = _unbeatability(cg, inst, seed_rep, mode, cache_dir)
+    inst, seed_rep, du = _verdict(cg, seed_spec, family_labels, m, mode, cache_dir)
     return _certificate(cg, inst, seed_spec, seed_rep, du)
 
 
@@ -234,11 +230,10 @@ def wreath_bounds_report(
     """Lower/upper bounds for sigma(S wr C_m): certified family size vs the
     constructive cover count."""
     cg = load_group(source)
-    inst = _seed_instance(cg, seed_spec, family_labels, m)
+    inst, _, du = _verdict(cg, seed_spec, family_labels, m, "auto", cache_dir)
     if cover_labels is None:
         cover_labels = family_labels
     cover = [h for cls in _classes_by_labels(cg, cover_labels) for h in cls.conjugates]
-    du = _unbeatability(cg, inst, check_seed_conditions(inst), cache_dir=cache_dir)
     bounds = theorem_bounds(inst, cover, du)
     return {
         "group": cg.spec.name,
@@ -305,14 +300,11 @@ def theorem_report(thm: Theorem, m: int, cache_dir=None) -> dict:
     g = cg.table
     if g.order != thm.order:
         raise PipelineError(f"{thm.group} has order {g.order}, expected {thm.order}")
-    inst = _seed_instance(cg, thm.seed_spec, list(thm.family), m)
-    seed_rep = check_seed_conditions(inst)
+    inst, seed_rep, du = _verdict(cg, thm.seed_spec, list(thm.family), m, "auto", cache_dir)
     value, warnings = thm.closed_form(m)
     per_class = seed_rep.seed_counts["per_class"]
     counts = {lab: per_class[lab]["per_member"] for lab in thm.family}
-    cover = [h for _, h in inst.members()]
-    du = _unbeatability(cg, inst, seed_rep, cache_dir=cache_dir)
-    bounds = theorem_bounds(inst, cover, du)
+    bounds = theorem_bounds(inst, [h for _, h in inst.members()], du)
     report: dict = {
         "group": thm.group,
         "m": m,

@@ -3,7 +3,10 @@
 Two layers, and one verdict: a request's definite-unbeatability report is
 derived once (``pipelines`` picks its mode), and ``theorem_bounds`` prints
 its lower bound from that report's ``certified_lower_bound``, never from a
-check of its own.  Membership in S is read off ``groups.member_mask``.
+check of its own.  The seed is one mask over S, ``SeedInstance.in_seed``,
+built once when the instance is made; every condition reads it, and
+``SeedInstance.class_hits`` is the one count of seed elements per subgroup
+class.
 
 * Seed conditions C0-C5 on a pair (seed element set, conjugation-closed
   family of maximal subgroup classes).  C0-C4 are finite set checks; C5 is
@@ -75,16 +78,20 @@ U_NAMES = (
 @dataclass
 class SeedInstance:
     """A seed element set and a conjugation-closed family of maximal
-    subgroup classes of S, with the wreath exponent m."""
+    subgroup classes of S, with the wreath exponent m.  The seed is given as
+    element ids in any order, repeats allowed; the instance keeps it as one
+    mask over S, ``in_seed``, and as that mask's sorted ids."""
 
     S: GroupTable
-    seed_ids: np.ndarray  # sorted element ids, conjugation-closed
+    seed_ids: np.ndarray  # sorted, distinct element ids, conjugation-closed
     seed_classes: list[SubgroupClass]
     m: int
     maximal_classes: list[SubgroupClass]  # all maximal classes of S
+    in_seed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.seed_ids = np.unique(np.asarray(self.seed_ids, dtype=np.int64))
+        self.in_seed = member_mask(self.S, np.asarray(self.seed_ids, dtype=np.int64))
+        self.seed_ids = np.flatnonzero(self.in_seed)
         if self.seed_ids.shape[0] == 0:
             raise ValueError("seed set is empty")
         if self.m < 1:
@@ -101,6 +108,11 @@ class SeedInstance:
     def outside_classes(self) -> list[SubgroupClass]:
         keys = {c.representative.canonical_key for c in self.seed_classes}
         return [c for c in self.maximal_classes if c.representative.canonical_key not in keys]
+
+    def class_hits(self, classes: Sequence[SubgroupClass]) -> list[int]:
+        """The number of seed elements in each class's representative; the
+        seed is conjugation-closed, so every conjugate has the same count."""
+        return [int(self.in_seed[c.representative.member_ids].sum()) for c in classes]
 
 
 @dataclass
@@ -149,14 +161,6 @@ class SeedConditionReport:
         }
 
 
-def _seed_is_conjugation_closed(S: GroupTable, seed: np.ndarray) -> bool:
-    lut = member_mask(S, seed)
-    for g in S.generator_ids:
-        if not lut[S.conj_map(g)[seed]].all():
-            return False
-    return True
-
-
 def diagonal_term(S_order: int, m: int) -> int:
     """(1 + alpha(m)) |S|^(m/l), l the smallest prime divisor of m (an exact
     integer, since l | m)."""
@@ -164,39 +168,37 @@ def diagonal_term(S_order: int, m: int) -> int:
 
 
 def hit_cover_disjoint(
-    S: GroupTable,
-    target: np.ndarray,
+    in_seed: np.ndarray,
     members: Sequence[tuple[str, SubgroupHandle]],
-    names: tuple[str, str, str],
 ) -> tuple[list[ConditionResult], np.ndarray]:
-    """The three set conditions of a family of subgroups of S on a sorted
-    target: every member meets it, the members cover it, and no target
-    element lies in two members.  Returns the results under the given names
-    and the number of target elements in each member."""
+    """Conditions C1-C3 of a family of subgroups on the seed, given as a
+    mask over the group: every member meets it, the members cover it, and
+    no seed element lies in two members.  Returns the three results and the
+    number of seed elements in each member."""
     ids = np.concatenate([np.zeros(0, np.int64), *(h.member_ids for _, h in members)])
     owner = np.repeat(np.arange(len(members)), [h.size for _, h in members])
-    inside = member_mask(S, target)[ids]
+    inside = in_seed[ids]
     sizes = np.bincount(owner[inside], minlength=len(members))
     empty = [lab for (lab, _), n in zip(members, sizes) if n == 0]
-    count = np.bincount(ids[inside], minlength=S.order)[target]
-    uncovered = target[count == 0]
-    doubled = target[count > 1]
-    hit, cover, disjoint = names
+    seed = np.flatnonzero(in_seed)
+    count = np.bincount(ids[inside], minlength=in_seed.shape[0])[seed]
+    uncovered = seed[count == 0]
+    doubled = seed[count > 1]
     return [
         ConditionResult(
-            hit,
+            "C1 every member meets the seed",
             not empty,
             witness={"empty_members": empty[:5]} if empty else None,
         ),
         ConditionResult(
-            cover,
+            "C2 seed covered by the family",
             uncovered.shape[0] == 0,
             witness={"uncovered_element": int(uncovered[0])}
             if uncovered.shape[0]
             else None,
         ),
         ConditionResult(
-            disjoint,
+            "C3 no seed element in two members",
             doubled.shape[0] == 0,
             witness={"element": int(doubled[0])} if doubled.shape[0] else None,
         ),
@@ -205,35 +207,23 @@ def hit_cover_disjoint(
 
 def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
     """Evaluate conditions C0-C5 exhaustively with exact arithmetic."""
-    S, seed, m = inst.S, inst.seed_ids, inst.m
-    in_seed = member_mask(S, seed)
-    results: list[ConditionResult] = []
+    S, seed, m, in_seed = inst.S, inst.seed_ids, inst.m, inst.in_seed
     notes: list[str] = []
 
     # C0: the family is closed under conjugation (it is built from whole
     # classes; re-verify the class orbits and the seed's closure).
-    c0_ok = _seed_is_conjugation_closed(S, seed)
-    results.append(
+    results = [
         ConditionResult(
             "C0 conjugation-closed",
-            c0_ok,
+            all(in_seed[S.conj_map(g)[seed]].all() for g in S.generator_ids),
             "family consists of whole conjugacy classes; seed set checked "
             "against the group generators",
         )
-    )
+    ]
 
     # C1-C3: every member meets the seed, the family covers it, no seed
     # element lies in two members
-    c13, member_hits = hit_cover_disjoint(
-        S,
-        seed,
-        inst.members(),
-        (
-            "C1 every member meets the seed",
-            "C2 seed covered by the family",
-            "C3 no seed element in two members",
-        ),
-    )
+    c13, member_hits = hit_cover_disjoint(in_seed, inst.members())
     results.extend(c13)
 
     # C4: at least two non-conjugate classes
@@ -246,37 +236,34 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
     )
 
     # C5: the four-term arithmetic (m >= 2)
-    class_totals: list[int] = []
-    seed_counts: dict = {"seed_size": int(seed.shape[0]), "per_class": {}}
-    for cls in inst.seed_classes:
-        rep_count = int(in_seed[cls.representative.member_ids].sum())
-        total = rep_count * cls.class_size
-        class_totals.append(total)
-        seed_counts["per_class"][cls.base_label] = {
-            "per_member": rep_count,
-            "class_total": total,
-            "member_order": cls.order,
-            "class_size": cls.class_size,
-            "index": cls.representative.index,
-        }
+    hits = inst.class_hits(inst.seed_classes)
+    class_totals = [n * cls.class_size for n, cls in zip(hits, inst.seed_classes)]
+    seed_counts: dict = {
+        "seed_size": int(seed.shape[0]),
+        "per_class": {
+            cls.base_label: {
+                "per_member": n,
+                "class_total": total,
+                "member_order": cls.order,
+                "class_size": cls.class_size,
+                "index": cls.representative.index,
+            }
+            for n, total, cls in zip(hits, class_totals, inst.seed_classes)
+        },
+    }
 
     if m >= 2:
         a_term = diagonal_term(S.order, m)
-        b_term = 0
-        b_attained = None
-        for cls in inst.outside_classes():
-            cnt = int(in_seed[cls.representative.member_ids].sum())
-            val = cnt * cls.order ** (m - 1)
-            if val > b_term:
-                b_term, b_attained = val, cls.label
+        # the attained labels are the first maximum and minimum in class order
+        outside = inst.outside_classes()
+        b_vals = [n * cls.order ** (m - 1) for n, cls in zip(inst.class_hits(outside), outside)]
+        b_term = max(b_vals, default=0)
+        b_attained = outside[b_vals.index(b_term)].label if b_term else None
         t_sum = sum(class_totals)
         c_term = (t_sum**2 - sum(t * t for t in class_totals)) * S.order ** (m - 2)
-        d_term, d_attained = None, None
-        for cls in inst.seed_classes:
-            cnt = seed_counts["per_class"][cls.base_label]["per_member"]
-            val = cnt * cls.order ** (m - 1)
-            if d_term is None or val < d_term:
-                d_term, d_attained = val, cls.label
+        d_vals = [n * cls.order ** (m - 1) for n, cls in zip(hits, inst.seed_classes)]
+        d_term = min(d_vals)
+        d_attained = inst.seed_classes[d_vals.index(d_term)].label
         five_ok = max(a_term, b_term) <= min(c_term, d_term)
         results.append(
             ConditionResult(
@@ -301,16 +288,9 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
         )
     else:
         a_term = b_term = c_term = 0
-        d_term = min(
-            seed_counts["per_class"][cls.base_label]["per_member"]
-            for cls in inst.seed_classes
-        )
+        d_term = min(hits)
         results.append(
-            ConditionResult(
-                "C5 arithmetic",
-                True,
-                detail="m=1: no wreath layer, condition vacuous",
-            )
+            ConditionResult("C5 arithmetic", True, "m=1: no wreath layer, condition vacuous")
         )
 
     return SeedConditionReport(
@@ -318,7 +298,7 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
         diagonal_bound=a_term,
         outside_family_max=b_term,
         cross_class_layer=c_term,
-        family_min=d_term if d_term is not None else 0,
+        family_min=d_term,
         seed_counts=seed_counts,
         member_hits=member_hits,
         notes=notes,
@@ -379,25 +359,22 @@ def check_definitely_unbeatable_group(
     and the member minimum is the least of its ``member_hits``.  The
     outsider sweep runs over every proper class of the subgroup lattice, so
     the certificate is unconditional."""
-    S, target, sizes = inst.S, inst.seed_ids, seed_report.member_hits
     # the seed report lists C0, then C1-C3
     results = [replace(c, name=name) for c, name in zip(seed_report.conditions[1:4], U_NAMES)]
 
-    member_min = int(sizes.min()) if sizes.shape[0] else 0
-    in_target = member_mask(S, target)
+    member_min = int(seed_report.member_hits.min())
+    # the family is whole classes, so one key matching means the whole class
+    # is inside the family
     family_keys = {h.canonical_key for _, h in inst.members()}
-    outsider_max, outsider_label = 0, None
-    for cls in all_classes:
-        if cls.order == S.order:
-            continue
-        if cls.representative.canonical_key in family_keys:
-            # the family is whole classes, so one key matching means the
-            # whole class is inside the family
-            continue
-        cnt = int(in_target[cls.representative.member_ids].sum())
-        if cnt > outsider_max:
-            outsider_max = cnt
-            outsider_label = cls.base_label
+    outsiders = [
+        cls
+        for cls in all_classes
+        if cls.order != inst.S.order and cls.representative.canonical_key not in family_keys
+    ]
+    hits = inst.class_hits(outsiders)
+    outsider_max = max(hits, default=0)
+    # the first maximum in lattice order
+    outsider_label = outsiders[hits.index(outsider_max)].base_label if outsider_max else None
     results.append(
         ConditionResult(
             U_NAMES[3],
@@ -412,8 +389,8 @@ def check_definitely_unbeatable_group(
     return UnbeatabilityReport(
         mode="explicit-group",
         conditions=results,
-        family_size=len(sizes),
-        target_size=int(target.shape[0]),
+        family_size=len(seed_report.member_hits),
+        target_size=int(inst.seed_ids.shape[0]),
         member_min_count=member_min,
         outsider_max={"count": outsider_max, "class": outsider_label},
         assumptions=[],
@@ -440,8 +417,7 @@ def _target_masks(inst: SeedInstance, grid: np.ndarray) -> dict[int, np.ndarray]
     product in the seed) and, for each prime r dividing m, the strand layer
     at shift r % m (its two strand products in the seed elements of two
     different family classes)."""
-    S, m = inst.S, inst.m
-    seed_lut = member_mask(S, inst.seed_ids)
+    S, m, seed_lut = inst.S, inst.m, inst.in_seed
 
     def strand_product(step: int, t: int) -> np.ndarray:
         return functools.reduce(S.mul_many, grid[:, t::step].T)

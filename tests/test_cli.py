@@ -331,6 +331,16 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "'Foo'" in err and "'M10'" in err
+    # a label given twice names one class once: a usage error, for the
+    # family and for the cover
+    for argv in (
+        ["verify-unbeatable", "A5", "--sigma-spec", "orders:5", "--families", "D10,D10",
+         "-m", "1"],
+        ["wreath-bounds", "A5", "--sigma-spec", "orders:5,3", "--families", "D10,S3",
+         "--cover", "D10,S3,D10,A4", "-m", "2"],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "error: duplicate class labels ['D10']\n", argv
     # a spec file without maximal classes cannot name its family members,
     # so construct-cover refuses before it enumerates the lattice
     spec = tmp_path / "a5.yaml"

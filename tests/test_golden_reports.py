@@ -84,6 +84,19 @@ GOLDEN = [
         "49ec13480bbbc0fd07fe27a36e152f37472ac80af10de7a691a6fc9d57cd9148",
     ),
     (
+        # the lattice-wide U4 at m = 1: the outsider order72 meets 36 seed
+        # elements against a member minimum of 120 (reads the session cache)
+        "verify-c1 -m 1",
+        0,
+        "63792d5afad04841fcb604285dc611a78412a704450bbf2bab45958a1c255c52",
+    ),
+    (
+        # symbolic mode: C5 fails on the diagonal bound, 2,184 against 1,176
+        "verify-c2 -p 13 -m 3",
+        1,
+        "6004fdf2e791ae62e7ef1a0bff8b9caeaf7e557e820e98683ee0b2ca6cc21566",
+    ),
+    (
         "wreath-bounds M11 --sigma-spec orders:8,11 --families M10,PSL(2,11) -m 3",
         0,
         "5b7c0fcadeb20effb4f344fc5d85cb7296cd316f5f636f5561e04a5efa8b2591",
@@ -103,6 +116,19 @@ GOLDEN = [
         "verify-unbeatable A5 --sigma-spec orders:5,3 --families D10,S3 -m 3 --mode explicit",
         1,
         "7625bee5982344372bb4c187e8f7dae7b653a8d934050a9d303e292b7da4d9a3",
+    ),
+    (
+        # ties on both sides of C5: A5 and PSL(2,5) both reach 1,200 outside,
+        # S4 and S4' both 192 inside; the first in class order is named
+        "verify-unbeatable A6 --sigma-spec orders:3 --families S4,S4' -m 2",
+        1,
+        "1c7ab7c86819e391231045b2ddde02efefad38c3ca271ca5a1f90040025ce302",
+    ),
+    (
+        # C2 and C4 fail, and the member minimum is 0
+        "verify-unbeatable A5 --sigma-spec orders:5,3 --families D10 -m 2",
+        1,
+        "c97e6f37d8d2c87a87414d1bb5539aa12c3f1c5c5036fe2e3e50d9e17eef8eb6",
     ),
     (
         "verify-unbeatable M11 --sigma-spec orders:8,11 --families M10,PSL(2,11) -m 3",

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathcover.formulas import alpha, c2_value, euler_phi, prime_factors
+from wreathcover.groups import member_mask
 from wreathcover.pipelines import load_group
 from wreathcover.unbeat import (
     SeedInstance,
@@ -89,7 +90,7 @@ def _set_checks(draw):
 def test_hit_cover_disjoint_matches_sets(case):
     g, target, handles = case
     members = [(f"x[{i}]", h) for i, h in enumerate(handles)]
-    (hit, cover, disjoint), sizes = hit_cover_disjoint(g, target, members, ("h", "c", "d"))
+    (hit, cover, disjoint), sizes = hit_cover_disjoint(member_mask(g, target), members)
     # the reference: Python sets of element ids
     inter = [set(target.tolist()) & set(h.member_ids.tolist()) for h in handles]
     assert sizes.tolist() == [len(s) for s in inter]
@@ -97,12 +98,79 @@ def test_hit_cover_disjoint_matches_sets(case):
     hits = [sum(x in s for s in inter) for x in target.tolist()]
     uncovered = [x for x, n in zip(target.tolist(), hits) if n == 0]
     doubled = [x for x, n in zip(target.tolist(), hits) if n > 1]
-    assert (hit.name, hit.passed) == ("h", not empty)
+    assert (hit.name, hit.passed) == ("C1 every member meets the seed", not empty)
     assert hit.witness == ({"empty_members": empty[:5]} if empty else None)
-    assert (cover.name, cover.passed) == ("c", not uncovered)
+    assert (cover.name, cover.passed) == ("C2 seed covered by the family", not uncovered)
     assert cover.witness == ({"uncovered_element": uncovered[0]} if uncovered else None)
-    assert (disjoint.name, disjoint.passed) == ("d", not doubled)
+    assert (disjoint.name, disjoint.passed) == ("C3 no seed element in two members", not doubled)
     assert disjoint.witness == ({"element": doubled[0]} if doubled else None)
+
+
+@st.composite
+def _seed_requests(draw):
+    """A group, its seed ids (the elements of some orders, shuffled and with
+    repeats), a subset of its maximal class labels in random order, and m."""
+    cg = load_group(draw(st.sampled_from(["A5", "PSL(2,7)", "A6"])))
+    g = cg.table
+    orders = sorted(set(g.element_orders().tolist()) - {1})
+    chosen = draw(st.lists(st.sampled_from(orders), min_size=1, unique=True))
+    seed = np.concatenate([g.elements_with_order(k) for k in chosen])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = rng.permutation(np.concatenate([seed, rng.choice(seed, draw(st.integers(0, 5)))]))
+    labels = draw(st.lists(st.sampled_from([c.label for c in cg.maximal_classes]),
+                           min_size=1, unique=True))
+    return cg, ids, labels, draw(st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_seed_requests())
+def test_seed_conditions_match_sets(case):
+    cg, ids, labels, m = case
+    g, by_label = cg.table, cg.classes_by_label()
+    family = [by_label[lab] for lab in labels]
+    inst = SeedInstance(S=g, seed_ids=ids, seed_classes=family, m=m,
+                        maximal_classes=cg.maximal_classes)
+    rep = check_seed_conditions(inst)
+    # the reference: Python sets, each class counted over every conjugate
+    seed = set(ids.tolist())
+    assert inst.seed_ids.tolist() == sorted(seed)
+
+    def per_member(cls):
+        total = sum(len(seed & set(h.member_ids.tolist())) for h in cls.conjugates)
+        assert total % cls.class_size == 0
+        return total // cls.class_size
+
+    assert rep.seed_counts == {
+        "seed_size": len(seed),
+        "per_class": {
+            cls.base_label: {
+                "per_member": per_member(cls),
+                "class_total": per_member(cls) * cls.class_size,
+                "member_order": cls.order,
+                "class_size": cls.class_size,
+                "index": cls.representative.index,
+            }
+            for cls in family
+        },
+    }
+    if m == 1:
+        assert rep.family_min == min(per_member(c) for c in family)
+        assert (rep.outside_family_max, rep.cross_class_layer, rep.notes) == (0, 0, [])
+        return
+    outside = [c for c in cg.maximal_classes if c.label not in labels]
+    b = [per_member(c) * c.order ** (m - 1) for c in outside]
+    d = [per_member(c) * c.order ** (m - 1) for c in family]
+    totals = [per_member(c) * c.class_size for c in family]
+    b_max = max(b, default=0)
+    b_label = outside[b.index(b_max)].label if b_max else None
+    d_label = family[d.index(min(d))].label
+    assert rep.outside_family_max == b_max
+    assert rep.family_min == min(d)
+    cross = (sum(totals) ** 2 - sum(t * t for t in totals)) * g.order ** (m - 2)
+    assert rep.cross_class_layer == cross
+    assert rep.notes[0].endswith(f"attained by {b_label!r}, family minimum by {d_label!r}")
+    c5 = rep.conditions[-1]
+    assert c5.passed == (max(rep.diagonal_bound, b_max) <= min(rep.cross_class_layer, min(d)))
 
 
 def test_m11_seed_conditions_m2(m11):
