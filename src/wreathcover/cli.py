@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cache-dir",
         default=argparse.SUPPRESS,
-        help="subgroup-lattice cache directory",
+        help="subgroup-lattice cache; read only by sigma on a spec file without maximal classes",
     )
     parser = argparse.ArgumentParser(
         prog="wreathcover",
@@ -146,18 +146,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("auto", "explicit"), default="auto")
     p.set_defaults(
         report=lambda a: pipelines.unbeatable_report(
-            a.group, a.sigma_spec, _split_labels(a.families), a.m, a.mode, a.cache_dir
+            a.group, a.sigma_spec, _split_labels(a.families), a.m, a.mode
         )
     )
 
     p = add_parser("verify-c1", help="the M11 wreath pipeline")
     p.add_argument("-m", type=int, required=True)
-    p.set_defaults(report=lambda a: pipelines.m11_report(a.m, cache_dir=a.cache_dir))
+    p.set_defaults(report=lambda a: pipelines.m11_report(a.m))
 
     p = add_parser("verify-c2", help="the PSL(2,p) wreath pipeline")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
-    p.set_defaults(report=lambda a: pipelines.psl_report(a.p, a.m, cache_dir=a.cache_dir))
+    p.set_defaults(report=lambda a: pipelines.psl_report(a.p, a.m))
 
     p = add_parser("wreath-bounds", help="lower/upper bounds for sigma(S wr C_m)")
     p.add_argument("group")
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(
         report=lambda a: pipelines.wreath_bounds_report(
             a.group, a.sigma_spec, _split_labels(a.families), a.m,
-            _split_labels(a.cover) if a.cover else None, a.cache_dir
+            _split_labels(a.cover) if a.cover else None
         )
     )
 

@@ -155,29 +155,27 @@ def _classes_by_labels(
 def _verdict(
     cg: catalog.CatalogGroup,
     seed_spec: str,
-    labels: Sequence[str],
+    family: list[SubgroupClass],
     m: int,
     mode: str,
-    cache_dir,
 ) -> tuple[SeedInstance, SeedConditionReport, UnbeatabilityReport]:
-    """The one verdict on a request's family: its seed instance, the seed
-    conditions C0-C5 and definite unbeatability, each computed once.  At
-    m = 1 the verdict reads U1-U3 off the seed report and sweeps the
-    subgroup lattice for U4 (LatticeCapError above the lattice cap).  At
-    m >= 2, ``explicit`` enumerates S wr C_m (ValueError above
-    ``EXPLICIT_CAP``), and ``auto`` is explicit while ``explicit_size`` <=
-    ``AUTO_EXPLICIT_LIMIT`` and symbolic, from the seed report, above."""
+    """The one verdict on a request's family of resolved classes: its seed
+    instance, the seed conditions C0-C5 and definite unbeatability, each
+    computed once.  At m = 1 the verdict reads U1-U3 off the seed report and
+    sweeps the maximal classes outside the family for U4.  At m >= 2,
+    ``explicit`` enumerates S wr C_m (ValueError above ``EXPLICIT_CAP``), and
+    ``auto`` is explicit while ``explicit_size`` <= ``AUTO_EXPLICIT_LIMIT``
+    and symbolic, from the seed report, above."""
     inst = SeedInstance(
         S=cg.table,
         seed_ids=parse_target_spec(cg.table, seed_spec),
-        seed_classes=_classes_by_labels(cg, labels),
+        seed_classes=family,
         m=m,
         maximal_classes=cg.maximal_classes,
     )
     seed_rep = check_seed_conditions(inst)
     if m == 1:
-        lattice = all_subgroup_classes(cg.table, cache_dir=cache_dir)
-        du = check_definitely_unbeatable_group(inst, seed_rep, lattice)
+        du = check_definitely_unbeatable_group(inst, seed_rep)
     elif mode == "explicit" or explicit_size(cg.table, m) <= AUTO_EXPLICIT_LIMIT:
         du = check_definitely_unbeatable_wreath(inst)
     else:
@@ -210,12 +208,11 @@ def unbeatable_report(
     family_labels: Sequence[str],
     m: int,
     mode: str = "auto",
-    cache_dir=None,
 ) -> dict:
     """The full certificate pipeline: seed conditions, then definite
     unbeatability in explicit or symbolic mode."""
     cg = load_group(source)
-    inst, seed_rep, du = _verdict(cg, seed_spec, family_labels, m, mode, cache_dir)
+    inst, seed_rep, du = _verdict(cg, seed_spec, _classes_by_labels(cg, family_labels), m, mode)
     return _certificate(cg, inst, seed_spec, seed_rep, du)
 
 
@@ -225,15 +222,16 @@ def wreath_bounds_report(
     family_labels: Sequence[str],
     m: int,
     cover_labels: Optional[Sequence[str]] = None,
-    cache_dir=None,
 ) -> dict:
     """Lower/upper bounds for sigma(S wr C_m): certified family size vs the
-    constructive cover count."""
+    constructive cover count.  Both label lists are resolved before any
+    verdict work, the family's first."""
     cg = load_group(source)
-    inst, _, du = _verdict(cg, seed_spec, family_labels, m, "auto", cache_dir)
+    family = _classes_by_labels(cg, family_labels)
     if cover_labels is None:
         cover_labels = family_labels
     cover = [h for cls in _classes_by_labels(cg, cover_labels) for h in cls.conjugates]
+    inst, _, du = _verdict(cg, seed_spec, family, m, "auto")
     bounds = theorem_bounds(inst, cover, du)
     return {
         "group": cg.spec.name,
@@ -291,7 +289,7 @@ def psl_theorem(p: int) -> Theorem:
     )
 
 
-def theorem_report(thm: Theorem, m: int, cache_dir=None) -> dict:
+def theorem_report(thm: Theorem, m: int) -> dict:
     """Verify one wreath theorem at m: the seed conditions, the
     unbeatability certificate, the cover of S and the bounds, each computed
     once (a cover that fails raises).  It passes when the lower and upper
@@ -300,7 +298,8 @@ def theorem_report(thm: Theorem, m: int, cache_dir=None) -> dict:
     g = cg.table
     if g.order != thm.order:
         raise PipelineError(f"{thm.group} has order {g.order}, expected {thm.order}")
-    inst, seed_rep, du = _verdict(cg, thm.seed_spec, list(thm.family), m, "auto", cache_dir)
+    family = _classes_by_labels(cg, list(thm.family))
+    inst, seed_rep, du = _verdict(cg, thm.seed_spec, family, m, "auto")
     value, warnings = thm.closed_form(m)
     per_class = seed_rep.seed_counts["per_class"]
     counts = {lab: per_class[lab]["per_member"] for lab in thm.family}
@@ -324,12 +323,12 @@ def theorem_report(thm: Theorem, m: int, cache_dir=None) -> dict:
 
 
 # verify-c1 and verify-c2: pick the row, run it
-def m11_report(m: int, cache_dir=None) -> dict:
-    return theorem_report(M11_THEOREM, m, cache_dir)
+def m11_report(m: int) -> dict:
+    return theorem_report(M11_THEOREM, m)
 
 
-def psl_report(p: int, m: int, cache_dir=None) -> dict:
-    return theorem_report(psl_theorem(p), m, cache_dir)
+def psl_report(p: int, m: int) -> dict:
+    return theorem_report(psl_theorem(p), m)
 
 
 # -- constructive covers and their certificates ---------------------------------

@@ -14,18 +14,23 @@ class.
   constructed target any outsider subgroup can capture.
 
 * Definite unbeatability of a family H on a target set: H hits the target,
-  covers it, no target element lies in two members, and no proper subgroup
-  outside H meets the target in more elements than any member does.  When
-  that holds the covering number of the target equals |H| exactly, which
-  lower-bounds the covering number of the whole group.
+  covers it, no target element lies in two members, and no maximal
+  subgroup outside H meets the target in more elements than the least
+  member does.  When that holds the covering number of the target equals
+  |H| exactly, which lower-bounds the covering number of the whole group.
 
 The family H of S wr C_m is the product-type family over the seed
 classes' members plus the socle maximals; ``wreath.product_type_family``
 generates it and ``wreath.wreath_cover_upper_term`` counts it.
 
-At m = 1 the target is the seed, so U1-U3 are C1-C3: the group verdict
-reads them and the member minimum off the seed report and sweeps U4 over
-the subgroup lattice.  At m >= 2 explicit mode enumerates the target in a
+U4 is that last condition, one rule at every m.  At m = 1 the target is
+the seed, so U1-U3 are C1-C3, read off the seed report with the member
+minimum mu; U4 sweeps the maximal classes outside H for the largest seed
+count nu, and nu <= mu gives sigma(S) >= |H|: (1) a minimal cover of S can
+be taken of maximal subgroups; (2) each member of H it leaves out leaves at
+least mu seed elements uncovered, which no other member holds (C3); (3)
+each maximal subgroup outside H covers at most nu <= mu of them.
+At m >= 2 explicit mode enumerates the target in a
 ``wreath.WreathContext`` and checks everything by counting over boxes.  It
 makes one pass over the target's shifts, ascending: at each it counts the
 family's target hits and coverage (the socle maximals add whole layers),
@@ -350,30 +355,24 @@ class UnbeatabilityReport:
 
 
 def check_definitely_unbeatable_group(
-    inst: SeedInstance,
-    seed_report: SeedConditionReport,
-    all_classes: Sequence[SubgroupClass],
+    inst: SeedInstance, seed_report: SeedConditionReport
 ) -> UnbeatabilityReport:
     """Explicit m=1 mode: the family lives inside S itself and the target
     is the seed, so U1-U3 are the seed report's C1-C3 under their U names
-    and the member minimum is the least of its ``member_hits``.  The
-    outsider sweep runs over every proper class of the subgroup lattice, so
-    the certificate is unconditional."""
+    and the member minimum mu is the least of its ``member_hits``.  U4
+    holds when nu, the largest seed count of a maximal class outside the
+    family, is at most mu; then sigma(S) >= |family|, since a minimal cover
+    can be taken of maximal subgroups, each member it leaves out leaves at
+    least mu seed elements that no other member holds (C3), and each
+    outsider covers at most nu <= mu of them."""
     # the seed report lists C0, then C1-C3
     results = [replace(c, name=name) for c, name in zip(seed_report.conditions[1:4], U_NAMES)]
 
     member_min = int(seed_report.member_hits.min())
-    # the family is whole classes, so one key matching means the whole class
-    # is inside the family
-    family_keys = {h.canonical_key for _, h in inst.members()}
-    outsiders = [
-        cls
-        for cls in all_classes
-        if cls.order != inst.S.order and cls.representative.canonical_key not in family_keys
-    ]
+    outsiders = inst.outside_classes()
     hits = inst.class_hits(outsiders)
     outsider_max = max(hits, default=0)
-    # the first maximum in lattice order
+    # the first maximum in class order
     outsider_label = outsiders[hits.index(outsider_max)].base_label if outsider_max else None
     results.append(
         ConditionResult(

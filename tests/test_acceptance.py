@@ -126,13 +126,13 @@ def test_criterion_1_m11_data_reproduction(m11):
         assert unique_membership("PSL(2,11)", o11)
 
 
-def test_criterion_2_sigma_m11_is_23(m11, m11_lattice):
+def test_criterion_2_sigma_m11_is_23(m11):
     with Budget("criterion 2 (sigma(M11) = 23)", 60):
         inst = _m11_seed_instance(m11, 1)
         cover = [h for cls in inst.seed_classes for h in cls.conjugates]
         ok, _ = verify_cover_handles(m11.table, cover)
         assert ok and len(cover) == 23  # upper bound
-        du = check_definitely_unbeatable_group(inst, check_seed_conditions(inst), m11_lattice)
+        du = check_definitely_unbeatable_group(inst, check_seed_conditions(inst))
         assert du.passed and not du.conditional
         assert du.certified_lower_bound == 23  # lower bound meets it
 

@@ -152,8 +152,9 @@ def test_theorem_runner_verifies_the_cover_once(capsys, monkeypatch, _cache_dir)
         assert status == 0 and len(calls) == 1, argv
 
 
-# two-class families: for m <= 3, PSL(2,7)'s passes at m = 1 only, M11's at
-# every m, and the others' at none (PSL(2,11)'s and PSL(2,13)'s from m = 5)
+# two-class families: for m <= 3, the PSL(2,p) families pass at m = 1 only
+# (PSL(2,11)'s and PSL(2,13)'s again from m = 5), M11's at every m, and
+# A5's at none
 VERDICT_FAMILIES = [
     ("A5", "orders:5,3", "D10,S3"),
     ("PSL(2,7)", "orders:7,4", "7:3,S4"),
@@ -195,23 +196,40 @@ def test_verify_unbeatable_failure_exit_code(capsys, _cache_dir):
     assert u4["witness"] is not None
 
 
-def test_lattice_cap_at_m1_exits_2(capsys, monkeypatch):
-    # m = 1 certifies over the whole subgroup lattice; above the lattice cap
-    # there is no certificate, and the request fails instead of passing on
-    # the maximal classes alone
-    from wreathcover import pipelines
-    from wreathcover.lattice import LatticeCapError
+def test_no_m1_request_reads_the_lattice(capsys, monkeypatch, tmp_path):
+    # the m = 1 verdict sweeps the catalog's maximal classes, so its reports
+    # are the same when the subgroup lattice cannot be had at all
+    from wreathcover import lattice, pipelines
 
-    def capped(g, **kwargs):
-        raise LatticeCapError(f"group order {g.order} exceeds lattice cap 1000")
+    a5_s3 = ["verify-unbeatable", "A5", "--sigma-spec", "orders:3", "--families", "S3", "-m", "1"]
+    requests = [
+        ["verify-c1", "-m", "1"],
+        ["verify-c2", "-p", "11", "-m", "1"],
+        ["verify-c2", "-p", "13", "-m", "1"],
+        ["wreath-bounds", "M11", "--sigma-spec", "orders:8,11", "--families", "M10,PSL(2,11)",
+         "-m", "1"],
+        a5_s3,
+    ]
+    plain = [run_cli([*argv, "--json"], capsys) for argv in requests]
+    assert [status for status, _ in plain] == [0, 0, 0, 0, 1]
+    # a lattice cache without its A4 class once made the A5/S3 request pass;
+    # A4 is a maximal class, so U4 still fails on it, 8 against 2
+    lattice.all_subgroup_classes(pipelines.load_group("A5").table, cache_dir=tmp_path)
+    [path] = tmp_path.glob("lattice-*.json")
+    data = json.loads(path.read_text())
+    data["classes"] = [e for e in data["classes"] if len(e["members"]) != 12]
+    path.write_text(json.dumps(data))
+    assert run_cli([*a5_s3, "--json", "--cache-dir", str(tmp_path)], capsys) == plain[-1]
+    assert path.read_text() == json.dumps(data)  # neither read nor rebuilt
+    u4 = json.loads(plain[-1][1])["unbeatability"]["conditions"][3]
+    assert u4["witness"] == {"outsider": "A4", "count": 8, "member_min": 2}
 
-    monkeypatch.setattr(pipelines, "all_subgroup_classes", capped)
-    argv = ["M11", "--sigma-spec", "orders:8,11", "--families", "M10,PSL(2,11)", "-m", "1"]
-    for command in ("verify-unbeatable", "wreath-bounds"):
-        assert main([command, *argv, "--json"]) == 2, command
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: group order 7920 exceeds lattice cap 1000\n"
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the subgroup lattice was read")
+
+    for module in (lattice, pipelines):
+        monkeypatch.setattr(module, "all_subgroup_classes", unavailable)
+    assert [run_cli([*argv, "--json"], capsys) for argv in requests] == plain
 
 
 def test_construct_and_verify_cover_roundtrip(tmp_path, capsys, _cache_dir):
@@ -270,18 +288,21 @@ def test_empty_family_exits_2(command, capsys):
 
 
 def test_cache_missing_a_cyclic_class_is_rebuilt(tmp_path, capsys):
-    # PSL(2,11) at m = 1 fails U4: an order-11 subgroup meets the seed in 10
-    # elements, a member in 2.  A cache file without that class would hide
-    # the outsider; the element count by order exposes it and it is rebuilt.
-    argv = ["verify-c2", "-p", "11", "-m", "1", "--json", "--cache-dir", str(tmp_path)]
-    assert main(argv) == 1
+    # sigma on a spec file without maximal classes reads them off the
+    # lattice.  S3's C3 is a cyclic maximal class, so a cache file without
+    # it leaves the elements of order 3 uncovered; the element count by
+    # order exposes the gap and the lattice is rebuilt.
+    spec = tmp_path / "s3.yaml"
+    spec.write_text('name: S3\ndegree: 3\ngenerators: ["(1 2 3)", "(1 2)"]\n')
+    argv = ["sigma", str(spec), "--greedy", "--json", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
     clean = capsys.readouterr()
-    assert json.loads(clean.out)["certificate"]["unbeatability"]["outsider_max"]["count"] == 10
+    assert json.loads(clean.out)["certificate"]["value"] == 4
     [path] = tmp_path.glob("lattice-*.json")
     data = json.loads(path.read_text())
-    data["classes"] = [e for e in data["classes"] if len(e["members"]) != 11]
+    data["classes"] = [e for e in data["classes"] if len(e["members"]) != 3]
     path.write_text(json.dumps(data))
-    assert main(argv) == 1
+    assert main(argv) == 0
     assert capsys.readouterr() == clean
 
 
@@ -325,12 +346,29 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     # the PSL(2,7) catalog has no D8 class for the PSL(2,p) family
     assert main(["verify-c2", "-p", "7", "-m", "2"]) == 2
     assert "'D8'" in capsys.readouterr().err
-    # cover labels go through the same lookup as family labels
+    # cover labels go through the same lookup as family labels, and both
+    # are resolved before any verdict work; an unknown family label is
+    # named first
+    from wreathcover import pipelines
+
+    seed_checks = []
+    check = pipelines.check_seed_conditions
+    monkeypatch.setattr(
+        pipelines, "check_seed_conditions", lambda inst: seed_checks.append(inst) or check(inst)
+    )
     argv = ["wreath-bounds", "M11", "--sigma-spec", "orders:8,11",
             "--families", "M10,PSL(2,11)", "--cover", "Foo", "-m", "2"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "'Foo'" in err and "'M10'" in err
+    argv = ["wreath-bounds", "PSL(2,13)", "--sigma-spec", "orders:13,7",
+            "--families", "13:6,D14", "-m", "2", "--cover", "Bar"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: unknown class labels ['Bar']; ")
+    argv[argv.index("13:6,D14")] = "Foo"
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: unknown class labels ['Foo']; ")
+    assert seed_checks == []
     # a label given twice names one class once: a usage error, for the
     # family and for the cover
     for argv in (

@@ -84,11 +84,23 @@ GOLDEN = [
         "49ec13480bbbc0fd07fe27a36e152f37472ac80af10de7a691a6fc9d57cd9148",
     ),
     (
-        # the lattice-wide U4 at m = 1: the outsider order72 meets 36 seed
-        # elements against a member minimum of 120 (reads the session cache)
+        # U4 at m = 1 over the maximal outsiders: M9:2 meets 36 seed
+        # elements against a member minimum of 120
         "verify-c1 -m 1",
         0,
-        "63792d5afad04841fcb604285dc611a78412a704450bbf2bab45958a1c255c52",
+        "ba38d05f9d11d4be5f9f1cb22f2f4f2f1414ab14b39f21c129cbcfaf3e28fbdb",
+    ),
+    (
+        # sigma(PSL(2,p)) = p(p+1)/2 + 1 at m = 1: no maximal class outside
+        # the family meets the seed, against member minima of 2 and 6
+        "verify-c2 -p 11 -m 1",
+        0,
+        "15218049a679b9be8c5ea56add5658f2541fb63fc1c0a5d188c1bdc8affbfd2a",
+    ),
+    (
+        "verify-c2 -p 13 -m 1",
+        0,
+        "27a97881325382c49fc3f7d59d1f01d785b07307d2f74fd72066496acd72778e",
     ),
     (
         # symbolic mode: C5 fails on the diagonal bound, 2,184 against 1,176
@@ -141,16 +153,16 @@ GOLDEN = [
         "23f44fd967911be433875f61ad17d9b1937a57d6e53ce9a08ea7e141dabd731e",
     ),
     (
-        # the bounds read the certificate: U4 fails over the lattice, so no
-        # lower bound is certified at m = 1
+        # the bounds read the certificate: U4 holds over the maximal
+        # outsiders, so the lower bound 67 meets the cover at m = 1
         "wreath-bounds PSL(2,11) --sigma-spec orders:11,6 --families 11:5,D12 -m 1",
-        1,
-        "fc21926353dcb175dee0580c876c20b765dbaea9f2e059a33788677d02ec0437",
+        0,
+        "36d1eae0bd967f0a82241fb7114eccc5a3f395afe44e3faddd6eda921834d7de",
     ),
     (
         "verify-unbeatable PSL(2,11) --sigma-spec orders:11,6 --families 11:5,D12 -m 1",
-        1,
-        "9f538bd4dbfc47985408b2ca97f2c107ded365c2d8d50fc1a415e5ac1eb4208b",
+        0,
+        "ca125c97c37a1c8fee1b20874f02d3656388f390ac9c708d0e6546653467339e",
     ),
     (
         # the nine lemma sweeps: case counts, skips and the tightest case
@@ -322,15 +334,17 @@ def _dropped_cyclic_class(data):
 def test_bad_lattice_cache_is_rebuilt(corrupt, tmp_path, capsys):
     # a cache file that fails to parse or to verify is a miss: the lattice
     # is enumerated again and the file rewritten byte for byte, whether the
-    # library or a request reads it.  The catalog's A5 has the generators
-    # of the pinned A5 spec, so both share one cache file.
+    # library or a request reads it.  The one request that reads the cache
+    # is sigma on a spec file without maximal classes; the catalog's A5 has
+    # the generators of the pinned A5 spec, so both share one cache file.
     digest = LATTICE_GOLDEN[0][3]
     table = catalog.load("A5").table
     path = _cache_path(table, tmp_path)
     expected = [(c.order, c.class_size) for c in all_subgroup_classes(table, cache_dir=tmp_path)]
     assert _digest(path) == digest
-    argv = ["verify-unbeatable", "A5", "--sigma-spec", "orders:5,3", "--families", "D10,S3",
-            "-m", "1", "--json", "--cache-dir", str(tmp_path)]
+    spec = tmp_path / "a5.yaml"
+    spec.write_text(A5_SPEC)
+    argv = ["sigma", str(spec), "--greedy", "--json", "--cache-dir", str(tmp_path)]
     status = main(argv)
     clean = capsys.readouterr()
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from wreathcover.formulas import alpha, c2_value, euler_phi, prime_factors
 from wreathcover.groups import member_mask
-from wreathcover.pipelines import load_group
+from wreathcover.cover import build_instance, sigma_exact
+from wreathcover.pipelines import _verdict, load_group, parse_target_spec
 from wreathcover.unbeat import (
     SeedInstance,
     check_definitely_unbeatable_group,
@@ -211,13 +212,66 @@ def test_m11_bounds_meet(m11):
     assert bounds.lower == bounds.upper == 266
 
 
-def test_m11_explicit_m1(m11, m11_lattice):
+def test_m11_explicit_m1(m11):
     inst = _m11_instance(m11, 1)
-    rep = check_definitely_unbeatable_group(inst, check_seed_conditions(inst), m11_lattice)
+    rep = check_definitely_unbeatable_group(inst, check_seed_conditions(inst))
     assert rep.passed
     assert rep.certified_lower_bound == 23
     assert not rep.conditional
-    assert rep.outsider_max["count"] == 36
+    assert rep.outsider_max == {"count": 36, "class": "M9:2"}
+
+
+# every m = 1 verdict that passes in the sweep below: (group, seed, family,
+# family size).  sigma(M11) = 23 is pinned elsewhere; PSL(2,11)'s 67 and
+# PSL(2,13)'s 92 are Bryce, Fedri & Serena's p(p+1)/2 + 1.
+M1_PASSING = [
+    ("A5", "orders:5", ("D10",), 6),
+    ("PSL(2,7)", "orders:4", ("S4",), 7),
+    ("PSL(2,7)", "orders:4", ("S4'",), 7),
+    ("PSL(2,7)", "orders:7", ("7:3",), 8),
+    ("PSL(2,7)", "orders:3,4", ("S4",), 7),
+    ("PSL(2,7)", "orders:3,4", ("S4'",), 7),
+    ("PSL(2,7)", "orders:4,7", ("7:3", "S4"), 15),
+    ("PSL(2,7)", "orders:4,7", ("7:3", "S4'"), 15),
+    ("A6", "orders:5", ("A5",), 6),
+    ("A6", "orders:5", ("PSL(2,5)",), 6),
+    ("PSL(2,11)", "orders:6", ("D12",), 55),
+    ("PSL(2,11)", "orders:11", ("11:5",), 12),
+    ("PSL(2,11)", "orders:6,11", ("11:5", "D12"), 67),
+    ("PSL(2,13)", "orders:7", ("D14",), 78),
+    ("PSL(2,13)", "orders:13", ("13:6",), 14),
+    ("PSL(2,13)", "orders:7,13", ("13:6", "D14"), 92),
+]
+
+
+def _subsets(items):
+    """Every non-empty subset of items, in combinations order."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, k) for k in range(1, len(items) + 1)
+    )
+
+
+def test_m1_verdict_matches_exact_cover_of_the_seed():
+    # every seed of whole non-identity element orders against every family
+    # of catalog maximal classes.  A passing verdict says no cover of the
+    # seed by maximal subgroups is smaller than the family, so
+    # branch-and-bound on the seed as a target must find exactly its size.
+    verdicts, passing = 0, []
+    for name in ("A5", "PSL(2,7)", "A6", "PSL(2,11)", "PSL(2,13)"):
+        cg = load_group(name)
+        g = cg.table
+        for orders in _subsets(sorted(set(g.element_orders().tolist()) - {1})):
+            spec = "orders:" + ",".join(map(str, orders))
+            for family in _subsets(cg.maximal_classes):
+                _, _, du = _verdict(cg, spec, list(family), 1, "auto")
+                verdicts += 1
+                if not du.passed:
+                    continue
+                passing.append((name, spec, tuple(c.label for c in family), du.family_size))
+                cert = sigma_exact(build_instance(g, cg.maximal_classes, parse_target_spec(g, spec)))
+                assert (cert.kind, cert.value) == ("exact-optimal", du.family_size), passing[-1]
+    assert verdicts == 1549
+    assert passing == M1_PASSING
 
 
 def test_psl11_pipeline_m5(psl11):
@@ -421,13 +475,11 @@ def test_diagonal_term_defensive_root():
     assert diagonal_term(60, 6) == 3 * 60**3
 
 
-def test_theorem_bounds_m1(m11, m11_lattice):
+def test_theorem_bounds_m1(m11):
     inst = _m11_instance(m11, 1)
     cover = [h for cls in inst.seed_classes for h in cls.conjugates]
-    certificate = check_definitely_unbeatable_group(
-        inst, check_seed_conditions(inst), m11_lattice
-    )
-    # the lower bound is the certificate's: 23 over the whole lattice
+    certificate = check_definitely_unbeatable_group(inst, check_seed_conditions(inst))
+    # the lower bound is the certificate's: 23 over the maximal outsiders
     bounds = theorem_bounds(inst, cover, certificate)
     assert bounds.upper == len(cover) == 23
     assert bounds.lower == bounds.family_size == 23
