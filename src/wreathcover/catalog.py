@@ -5,9 +5,9 @@ load re-enumerates the group and re-verifies each maximal class's order and
 class size against the recorded values, so transcription errors in the data
 fail loudly at load time.
 
-Maximality of the catalog classes is trusted data here (it is re-derived and
-checked against the full subgroup lattice in the test suite, where the
-lattice is feasible).
+Maximality and completeness of the catalog classes are trusted data here:
+the test suite checks the built-in lists against the subgroup lattice, and
+nothing checks a spec file's, so a verdict on one is conditional on it.
 """
 
 from __future__ import annotations

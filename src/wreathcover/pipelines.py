@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,6 +50,9 @@ from .wreath import (
 
 class PipelineError(RuntimeError):
     pass
+
+
+MAXIMAL_LIST_ASSUMPTION = "assumes the spec file lists every maximal class of S (unchecked)"
 
 
 @functools.lru_cache(maxsize=None)
@@ -165,7 +168,8 @@ def _verdict(
     sweeps the maximal classes outside the family for U4.  At m >= 2,
     ``explicit`` enumerates S wr C_m (ValueError above ``EXPLICIT_CAP``), and
     ``auto`` is explicit while ``explicit_size`` <= ``AUTO_EXPLICIT_LIMIT``
-    and symbolic, from the seed report, above."""
+    and symbolic, from the seed report, above.  A spec file's maximal list
+    is checked by nothing, so a verdict on one is conditional on it."""
     inst = SeedInstance(
         S=cg.table,
         seed_ids=parse_target_spec(cg.table, seed_spec),
@@ -180,6 +184,8 @@ def _verdict(
         du = check_definitely_unbeatable_wreath(inst)
     else:
         du = check_definitely_unbeatable_symbolic(inst, seed_rep)
+    if cg.spec != catalog.BUILTIN_SPECS.get(cg.spec.name):
+        du = replace(du, assumptions=[*du.assumptions, MAXIMAL_LIST_ASSUMPTION], conditional=True)
     return inst, seed_rep, du
 
 
@@ -228,16 +234,15 @@ def wreath_bounds_report(
     verdict work, the family's first."""
     cg = load_group(source)
     family = _classes_by_labels(cg, family_labels)
-    if cover_labels is None:
-        cover_labels = family_labels
-    cover = [h for cls in _classes_by_labels(cg, cover_labels) for h in cls.conjugates]
+    cover_classes = family if cover_labels is None else _classes_by_labels(cg, cover_labels)
+    cover = [h for cls in cover_classes for h in cls.conjugates]
     inst, _, du = _verdict(cg, seed_spec, family, m, "auto")
     bounds = theorem_bounds(inst, cover, du)
     return {
         "group": cg.spec.name,
         "m": m,
         "family": list(family_labels),
-        "cover": list(cover_labels),
+        "cover": [cls.label for cls in cover_classes],
         "bounds": bounds.to_dict(),
         "passed": bounds.lower > 0 and bounds.lower <= bounds.upper,
     }

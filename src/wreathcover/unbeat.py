@@ -30,6 +30,8 @@ count nu, and nu <= mu gives sigma(S) >= |H|: (1) a minimal cover of S can
 be taken of maximal subgroups; (2) each member of H it leaves out leaves at
 least mu seed elements uncovered, which no other member holds (C3); (3)
 each maximal subgroup outside H covers at most nu <= mu of them.
+Every certificate needs the catalog's maximal list complete; ``pipelines``
+makes a verdict on a spec file's unchecked list conditional.
 At m >= 2 explicit mode enumerates the target in a
 ``wreath.WreathContext`` and checks everything by counting over boxes.  It
 makes one pass over the target's shifts, ascending: at each it counts the
@@ -331,7 +333,7 @@ class UnbeatabilityReport:
     @property
     def certified_lower_bound(self) -> Optional[int]:
         """sigma(target) = |family| <= sigma(X) when all conditions pass and
-        none of them rests on a partial sweep; None otherwise."""
+        none rests on a partial sweep or unchecked list; None otherwise."""
         return self.family_size if self.passed and not self.conditional else None
 
     def to_dict(self) -> dict:
@@ -392,7 +394,6 @@ def check_definitely_unbeatable_group(
         target_size=int(inst.seed_ids.shape[0]),
         member_min_count=member_min,
         outsider_max={"count": outsider_max, "class": outsider_label},
-        assumptions=[],
     )
 
 

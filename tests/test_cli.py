@@ -232,6 +232,63 @@ def test_no_m1_request_reads_the_lattice(capsys, monkeypatch, tmp_path):
     assert [run_cli([*argv, "--json"], capsys) for argv in requests] == plain
 
 
+def _write_spec(path, spec, name):
+    path.write_text(
+        json.dumps(
+            {
+                "name": name,
+                "degree": spec.degree,
+                "generators": list(spec.generators),
+                "maximal_classes": [
+                    {
+                        "label": c.label,
+                        "generators": list(c.generators),
+                        "expected_order": c.expected_order,
+                        "expected_class_size": c.expected_class_size,
+                    }
+                    for c in spec.maximal_classes
+                ],
+            }
+        )
+    )
+    return str(path)
+
+
+def test_spec_file_maximal_list_makes_the_verdict_conditional(tmp_path, capsys):
+    from wreathcover.catalog import BUILTIN_SPECS, GroupSpec, MaximalClassSpec
+    from wreathcover.pipelines import MAXIMAL_LIST_ASSUMPTION
+
+    # S4 listing only its two classes of C2 as maximal: the sweep finds no
+    # outsider, but sigma(S4) = 4, not 9, so the file's list certifies nothing
+    s4 = GroupSpec(
+        "S4",
+        4,
+        ("(1 2 3 4)", "(1 2)"),
+        (
+            MaximalClassSpec("T", ("(1 2)",), 2, 6),
+            MaximalClassSpec("D", ("(1 2)(3 4)",), 2, 3),
+        ),
+    )
+    s4_file = _write_spec(tmp_path / "s4.yaml", s4, "S4")
+    status, report = run_json(
+        ["verify-unbeatable", s4_file, "--sigma-spec", "orders:2", "--families", "T,D", "-m", "1"],
+        capsys,
+    )
+    du = report["unbeatability"]
+    assert status == 0 and du["passed"] and du["outsider_max"]["count"] == 0
+    assert du["conditional"] and du["assumptions"] == [MAXIMAL_LIST_ASSUMPTION]
+    assert "certified_lower_bound" not in du
+
+    # the same holds at m = 2, where wreath-bounds then has no lower bound;
+    # a file repeating a built-in's data is that built-in's checked list
+    m11 = BUILTIN_SPECS["M11"]
+    bounds = ["--sigma-spec", "orders:8,11", "--families", "M10,PSL(2,11)", "-m", "2"]
+    for name, expected in (("M11 copy", (1, 0)), ("M11", (0, 266))):
+        source = _write_spec(tmp_path / f"{name}.yaml", m11, name)
+        status, report = run_json(["wreath-bounds", source, *bounds], capsys)
+        assert (status, int(report["bounds"]["lower"])) == expected
+
+
 def test_construct_and_verify_cover_roundtrip(tmp_path, capsys, _cache_dir):
     # PSL(2,7)'s lines hold commas inside group=PSL(2,7)
     for group, count in (("A5", 57), ("PSL(2,7)", 114)):
