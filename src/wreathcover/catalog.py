@@ -3,7 +3,8 @@
 Generators are shipped as cycle-notation data, never as bare orders; every
 load re-enumerates the group and re-verifies each maximal class's order and
 class size against the recorded values, so transcription errors in the data
-fail loudly at load time.
+raise ``InputError`` at load time, as do an unknown name and a spec file
+that does not parse.
 
 Maximality and completeness of the catalog classes are trusted data here:
 the test suite checks the built-in lists against the subgroup lattice, and
@@ -17,12 +18,9 @@ from pathlib import Path
 
 import yaml
 
+from . import InputError
 from .groups import GroupTable, SubgroupClass, conjugate_class, subgroup_closure
 from .perm import Perm
-
-
-class CatalogError(ValueError):
-    """Unknown catalog name or catalog data failing verification."""
 
 
 @dataclass(frozen=True)
@@ -213,13 +211,14 @@ def parse_group_file(path: str | Path) -> GroupSpec:
     """Load a group spec file (YAML: name, degree, generators,
     optional maximal_classes with label/generators/expected_order/
     expected_class_size)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte stream: yaml decodes it, and a bad byte is a YAMLError
+    with open(path, "rb") as fh:
         try:
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
-            raise CatalogError(f"group file {path} is not valid YAML: {exc}") from None
+            raise InputError(f"group file {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
-        raise CatalogError(f"group file {path} is not a mapping")
+        raise InputError(f"group file {path} is not a mapping")
     try:
         name = str(data["name"])
         degree = int(data["degree"])
@@ -234,9 +233,9 @@ def parse_group_file(path: str | Path) -> GroupSpec:
             for entry in data.get("maximal_classes", []) or []
         ]
     except KeyError as exc:
-        raise CatalogError(f"group file {path} missing key {exc}") from exc
+        raise InputError(f"group file {path} missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise CatalogError(f"group file {path} is malformed: {exc}") from exc
+        raise InputError(f"group file {path} is malformed: {exc}") from exc
     return GroupSpec(name, degree, generators, tuple(classes))
 
 
@@ -247,7 +246,7 @@ def resolve_spec(source: str) -> GroupSpec:
     p = Path(source)
     if p.exists():
         return parse_group_file(p)
-    raise CatalogError(
+    raise InputError(
         f"unknown group {source!r}; built-ins: {', '.join(BUILTIN_NAMES)}"
     )
 
@@ -260,13 +259,13 @@ def _load_from_spec(spec: GroupSpec) -> CatalogGroup:
         ids = [table.id_of(Perm.from_cycles(s, spec.degree)) for s in mc.generators]
         handle = subgroup_closure(table, ids, label=mc.label)
         if handle.size != mc.expected_order:
-            raise CatalogError(
+            raise InputError(
                 f"{spec.name}/{mc.label}: generators give order {handle.size}, "
                 f"catalog records {mc.expected_order}"
             )
         cls = conjugate_class(table, handle)
         if cls.class_size != mc.expected_class_size:
-            raise CatalogError(
+            raise InputError(
                 f"{spec.name}/{mc.label}: class size {cls.class_size}, "
                 f"catalog records {mc.expected_class_size}"
             )

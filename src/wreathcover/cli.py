@@ -1,9 +1,11 @@
 """Command-line interface.
 
-One command per invocation; exit 0 on success/pass, 1 on a verification
-failure (the report carries a machine-checkable witness), 2 on usage or
-resource errors.  Reports are byte-reproducible for identical inputs
-regardless of --threads.
+One command per invocation.  The exit status is 0 when the report passed,
+1 when a check failed (the report carries a machine-checkable witness),
+and 2 when the input is refused: an argparse error, an ``InputError``
+(malformed, unknown, or over a cap), or an ``OSError`` on a named file.
+Any other exception is a bug and propagates with its traceback.  Reports
+are byte-reproducible for identical inputs regardless of --threads.
 """
 
 from __future__ import annotations
@@ -12,11 +14,8 @@ import argparse
 import functools
 import sys
 
-from . import formulas, pipelines
-from .catalog import BUILTIN_NAMES, CatalogError
-from .cover import CoverCapError
-from .groups import ClosureBudgetError
-from .lattice import LatticeCapError
+from . import InputError, formulas, pipelines
+from .catalog import BUILTIN_NAMES
 from .report import render_human, to_json
 
 
@@ -55,7 +54,8 @@ def _construct_cover(args: argparse.Namespace) -> dict:
 
 
 def _verify_cover(args: argparse.Namespace) -> dict:
-    with open(args.family_file, "r", encoding="utf-8") as fh:
+    # a bad byte becomes U+FFFD, and its line then fails to parse
+    with open(args.family_file, "r", encoding="utf-8", errors="replace") as fh:
         return pipelines.verify_cover_report(args.group, args.m, fh.readlines())
 
 
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cache-dir",
         default=argparse.SUPPRESS,
-        help="subgroup-lattice cache; read only by sigma on a spec file without maximal classes",
+        help="subgroup-lattice cache (none unless given); read only by sigma on a spec file without maximal classes",
     )
     parser = argparse.ArgumentParser(
         prog="wreathcover",
@@ -113,11 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", dest="method", action="store_const", const="exact")
     mode.add_argument("--greedy", dest="method", action="store_const", const="greedy")
-    p.add_argument("--cap", type=int, default=10**4, help="group order cap")
     p.set_defaults(
         method="exact",
         report=lambda a: pipelines.sigma_report(
-            a.group, a.target, a.method, a.cap, cache_dir=a.cache_dir
+            a.group, a.target, a.method, cache_dir=a.cache_dir
         ),
     )
 
@@ -195,17 +194,10 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, key):
             setattr(args, key, value)
     try:
+        if getattr(args, "m", None) is not None and args.m < 1:
+            raise InputError("m >= 1 required")
         report = args.report(args)
-    except (
-        CatalogError,
-        pipelines.PipelineError,
-        LatticeCapError,
-        ClosureBudgetError,
-        CoverCapError,
-        FileNotFoundError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = to_json(report) if args.json else render_human(report)

@@ -42,11 +42,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import InputError
 from .groups import GroupTable, SubgroupClass, SubgroupHandle, member_mask
-
-
-class CoverCapError(RuntimeError):
-    """Problem size exceeds the configured cap."""
 
 
 @dataclass
@@ -314,7 +311,7 @@ def sigma_exact(
         )
         nodes += len(options)
         if nodes > node_cap:
-            raise CoverCapError(f"branch-and-bound exceeded {node_cap} nodes")
+            raise InputError(f"branch-and-bound exceeded {node_cap} nodes")
         depth += 1
         for _, i in reversed(options):
             rest = uncovered & anti_mask[i]

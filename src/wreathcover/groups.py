@@ -30,12 +30,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .perm import DegreeMismatchError, Perm
-
-
-class ClosureBudgetError(RuntimeError):
-    """Breadth-first closure exceeded its element-products budget."""
-
+from . import InputError
+from .perm import Perm
 
 DEFAULT_PRODUCT_BUDGET = 10**7
 
@@ -48,7 +44,7 @@ def _pack(images: np.ndarray, degree: int) -> np.ndarray:
     """Pack image rows into integer keys whose numeric order is the
     lexicographic order of the rows.  Supports degree <= 16."""
     if degree > 16:
-        raise ValueError("packed keys support degree <= 16 only")
+        raise InputError("packed keys support degree <= 16 only")
     return images.astype(np.uint64) @ _PACK_WEIGHTS[degree]
 
 
@@ -81,11 +77,11 @@ class GroupTable:
     ) -> "GroupTable":
         """Enumerate the group generated by ``generators`` breadth-first."""
         if not generators:
-            raise ValueError("need at least one generator")
+            raise InputError("need at least one generator")
         degree = generators[0].degree
         for g in generators:
             if g.degree != degree:
-                raise DegreeMismatchError("generators act on different point sets")
+                raise ValueError("generators act on different point sets")
         gen_imgs = np.array([g.images for g in generators], dtype=np.uint8)
         identity = np.arange(degree, dtype=np.uint8).reshape(1, degree)
         seen: dict[int, int] = {}
@@ -108,7 +104,7 @@ class GroupTable:
             for gi in gen_imgs:
                 products += frontier.shape[0]
                 if products > product_budget:
-                    raise ClosureBudgetError(
+                    raise InputError(
                         f"closure exceeded {product_budget} products "
                         f"(at {len(rows)} elements)"
                     )
@@ -137,9 +133,15 @@ class GroupTable:
         return self._lookup(_pack(rows, self.degree))
 
     def id_of(self, p: Perm) -> int:
+        """The id of p; InputError when p is not in the group."""
         if p.degree != self.degree:
-            raise DegreeMismatchError(f"degree {p.degree} != group degree {self.degree}")
-        return int(self.ids(np.array([p.images], dtype=np.uint8))[0])
+            raise ValueError(f"degree {p.degree} != group degree {self.degree}")
+        try:
+            return int(self.ids(np.array([p.images], dtype=np.uint8))[0])
+        except KeyError:
+            raise InputError(
+                f"permutation {p.to_cycle_string()} not in {self.name or 'the group'}"
+            ) from None
 
     def perm(self, eid: int) -> Perm:
         return Perm(self.images[eid].tolist())
@@ -190,13 +192,13 @@ class GroupTable:
 
     def elements_with_order(self, k: int) -> np.ndarray:
         if k < 1:
-            raise ValueError("order must be >= 1")
+            raise InputError("order must be >= 1")
         return np.flatnonzero(self.element_orders() == k).astype(np.int64)
 
     def elements_with_cycle_type(self, t: Sequence[int]) -> np.ndarray:
         target = tuple(sorted(int(x) for x in t))
         if sum(target) != self.degree:
-            raise ValueError(f"cycle type {target} does not sum to degree {self.degree}")
+            raise InputError(f"cycle type {target} does not sum to degree {self.degree}")
         if target[0] < 1:
             return np.zeros(0, dtype=np.int64)  # no cycle has such a length
         # a cycle of length c contributes c points of length c to a row

@@ -14,15 +14,16 @@ The cyclic seeds cost no closures: one table of powers x^k over all of G
 batched id product or map gather per breadth-first level, and membership
 tests against a representative use a boolean mask over G.
 
-Feasible to group order ~10^4, which covers M11 (order 7920).  Results are
-cached on disk keyed by the group's canonical hash.  A cache file is used
-only if its hash and order match, every stored representative's members
-are exactly the closure of its stored generators, and the cyclic classes
-account for every element (each element generates one cyclic subgroup, and
-a cyclic subgroup of order n has phi(n) generators).  Anything else (an
-unreadable file, a missing key, a malformed or truncated entry, a missing
-cyclic class) is a miss, and the lattice is enumerated again and the file
-rewritten.  A missing non-cyclic class still passes these checks.
+Feasible to group order ORDER_CAP = 10^4, which covers M11 (order 7920).
+Results are cached, keyed by the group's canonical hash, only in a
+directory the caller names.  A cache file is used only if its hash and
+order match, every stored representative's members are exactly the closure
+of its stored generators, and the cyclic classes account for every element
+(each element generates one cyclic subgroup, and a cyclic subgroup of
+order n has phi(n) generators).  Anything else (an unreadable file, a
+missing key, a malformed or truncated entry, a missing cyclic class) is a
+miss, and the lattice is enumerated again and the file rewritten.  A
+missing non-cyclic class still passes these checks.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import InputError
 from .formulas import divisors, euler_phi, smallest_prime_factor
 from .groups import (
     GroupTable,
@@ -47,25 +49,21 @@ from .groups import (
     subgroup_from_set,
 )
 
-DEFAULT_ORDER_CAP = 10**4
-
-
-class LatticeCapError(RuntimeError):
-    """Group order exceeds the subgroup-enumeration cap."""
+ORDER_CAP = 10**4
 
 
 def all_subgroup_classes(
-    g: GroupTable,
-    cap: int = DEFAULT_ORDER_CAP,
-    cache_dir: str | os.PathLike | None = None,
+    g: GroupTable, *, cache_dir: str | os.PathLike | None = None
 ) -> list[SubgroupClass]:
     """Every subgroup of g up to conjugacy, complete and duplicate-free.
 
     Classes are sorted by (order, canonical key); the trivial subgroup and g
-    itself are included.
+    itself are included.  No file is touched unless ``cache_dir`` is named.
     """
-    if g.order > cap:
-        raise LatticeCapError(f"group order {g.order} exceeds lattice cap {cap}")
+    if g.order > ORDER_CAP:
+        raise InputError(f"group order {g.order} exceeds lattice cap {ORDER_CAP}")
+    if cache_dir is None:
+        return _enumerate_classes(g)
 
     cached = _cache_load(g, cache_dir)
     if cached is not None:
@@ -203,13 +201,8 @@ def maximal_classes_from_lattice(
 # -- disk cache -----------------------------------------------------------
 
 
-def cache_directory(cache_dir: str | os.PathLike | None = None) -> Path:
-    if cache_dir is not None:
-        return Path(cache_dir)
-    env = os.environ.get("WREATHCOVER_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "wreathcover"
+def cache_directory(cache_dir: str | os.PathLike) -> Path:
+    return Path(cache_dir)
 
 
 def _cache_path(g: GroupTable, cache_dir) -> Path:

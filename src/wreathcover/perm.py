@@ -14,9 +14,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-
-class DegreeMismatchError(ValueError):
-    """Operands act on point sets of different sizes."""
+from . import InputError
 
 
 class Perm:
@@ -28,7 +26,7 @@ class Perm:
         imgs = tuple(int(x) for x in images)
         n = len(imgs)
         if n < 1:
-            raise ValueError("degree must be at least 1")
+            raise InputError("degree must be at least 1")
         if sorted(imgs) != list(range(n)):
             raise ValueError(f"images {imgs} are not a bijection on 0..{n - 1}")
         object.__setattr__(self, "images", imgs)
@@ -81,7 +79,7 @@ class Perm:
         return f"Perm[{self.to_cycle_string()}]"
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_CYCLE_RE = re.compile(r"\(([\d\s]*)\)")
 
 
 def _parse_cycle_images(text: str, degree: int) -> list[int]:
@@ -90,7 +88,7 @@ def _parse_cycle_images(text: str, degree: int) -> list[int]:
         return list(range(degree))
     consumed = _CYCLE_RE.sub("", stripped)
     if consumed.strip():
-        raise ValueError(f"malformed cycle notation: {text!r}")
+        raise InputError(f"malformed cycle notation: {text!r}")
     images = list(range(degree))
     seen: set[int] = set()
     for body in _CYCLE_RE.findall(stripped):
@@ -99,9 +97,9 @@ def _parse_cycle_images(text: str, degree: int) -> list[int]:
             continue
         for p in pts:
             if not 1 <= p <= degree:
-                raise ValueError(f"point {p} out of range 1..{degree} in {text!r}")
+                raise InputError(f"point {p} out of range 1..{degree} in {text!r}")
             if p - 1 in seen:
-                raise ValueError(f"point {p} repeated in {text!r}")
+                raise InputError(f"point {p} repeated in {text!r}")
             seen.add(p - 1)
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a - 1] = b - 1

@@ -22,10 +22,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import catalog, formulas
+from . import InputError, catalog, formulas
 from .cover import build_instance, sigma_exact, sigma_greedy, verify_cover
 from .groups import GroupTable, SubgroupClass, class_conjugators, member_mask
-from .lattice import all_subgroup_classes, maximal_classes_from_lattice
+from .lattice import ORDER_CAP, all_subgroup_classes, maximal_classes_from_lattice
 from .perm import Perm
 from .unbeat import (
     SeedConditionReport,
@@ -48,10 +48,6 @@ from .wreath import (
 )
 
 
-class PipelineError(RuntimeError):
-    pass
-
-
 MAXIMAL_LIST_ASSUMPTION = "assumes the spec file lists every maximal class of S (unchecked)"
 
 
@@ -60,19 +56,22 @@ def load_group(source: str) -> catalog.CatalogGroup:
     return catalog.load(source)
 
 
+_TARGET_RE = re.compile(r"orders:\d+(,\d+)*|cycle-types:\d+(,\d+)*(/\d+(,\d+)*)*")
+
+
 def parse_target_spec(g: GroupTable, spec: str) -> np.ndarray:
     """Target element sets: ``orders:8,11`` or ``cycle-types:9/3,3,3``
     (types separated by '/', lengths by ',')."""
+    if not _TARGET_RE.fullmatch(spec):
+        raise InputError(f"bad target spec {spec!r} (orders:... or cycle-types:...)")
     kind, _, payload = spec.partition(":")
-    if kind == "orders" and payload:
+    if kind == "orders":
         parts = [g.elements_with_order(int(x)) for x in payload.split(",")]
-    elif kind == "cycle-types" and payload:
+    else:
         parts = [
             g.elements_with_cycle_type([int(x) for x in t.split(",")])
             for t in payload.split("/")
         ]
-    else:
-        raise PipelineError(f"bad target spec {spec!r} (orders:... or cycle-types:...)")
     # the union as one mask over g: flatnonzero gives sorted, distinct ids
     return np.flatnonzero(member_mask(g, np.concatenate(parts)))
 
@@ -110,15 +109,14 @@ def sigma_report(
     source: str,
     target_spec: Optional[str] = None,
     method: str = "exact",
-    cap: int = 10**4,
     cache_dir=None,
 ) -> dict:
     """sigma(G) or sigma of a target subset, by branch-and-bound or greedy,
     over the full pool of maximal subgroups."""
     cg = load_group(source)
     g = cg.table
-    if g.order > cap:
-        raise PipelineError(f"group order {g.order} exceeds cap {cap}")
+    if g.order > ORDER_CAP:
+        raise InputError(f"group order {g.order} exceeds cap {ORDER_CAP}")
     target = parse_target_spec(g, target_spec) if target_spec else None
     inst = build_instance(g, _maximal_classes(cg, cache_dir), target)
     cert = sigma_exact(inst) if method == "exact" else sigma_greedy(inst)
@@ -144,14 +142,14 @@ def _classes_by_labels(
     cg: catalog.CatalogGroup, labels: Sequence[str]
 ) -> list[SubgroupClass]:
     if not labels:
-        raise PipelineError("no class labels given")
+        raise InputError("no class labels given")
     by_label = cg.classes_by_label()
     missing = [lab for lab in labels if lab not in by_label]
     if missing:
-        raise PipelineError(f"unknown class labels {missing}; have {sorted(by_label)}")
+        raise InputError(f"unknown class labels {missing}; have {sorted(by_label)}")
     repeated = sorted({lab for i, lab in enumerate(labels) if lab in labels[:i]})
     if repeated:
-        raise PipelineError(f"duplicate class labels {repeated}")
+        raise InputError(f"duplicate class labels {repeated}")
     return [by_label[lab] for lab in labels]
 
 
@@ -166,7 +164,7 @@ def _verdict(
     instance, the seed conditions C0-C5 and definite unbeatability, each
     computed once.  At m = 1 the verdict reads U1-U3 off the seed report and
     sweeps the maximal classes outside the family for U4.  At m >= 2,
-    ``explicit`` enumerates S wr C_m (ValueError above ``EXPLICIT_CAP``), and
+    ``explicit`` enumerates S wr C_m (InputError above ``EXPLICIT_CAP``), and
     ``auto`` is explicit while ``explicit_size`` <= ``AUTO_EXPLICIT_LIMIT``
     and symbolic, from the seed report, above.  A spec file's maximal list
     is checked by nothing, so a verdict on one is conditional on it."""
@@ -281,7 +279,7 @@ def psl_theorem(p: int) -> Theorem:
     Bryce, Fedri & Serena 1999."""
     name = f"PSL(2,{p})"
     if name not in catalog.BUILTIN_SPECS:
-        raise PipelineError(f"no built-in catalog for {name}")
+        raise InputError(f"no built-in catalog for {name}")
     return Theorem(
         group=name,
         order=p * (p * p - 1) // 2,
@@ -302,7 +300,7 @@ def theorem_report(thm: Theorem, m: int) -> dict:
     cg = load_group(thm.group)
     g = cg.table
     if g.order != thm.order:
-        raise PipelineError(f"{thm.group} has order {g.order}, expected {thm.order}")
+        raise ValueError(f"{thm.group} has order {g.order}, expected {thm.order}")
     family = _classes_by_labels(cg, list(thm.family))
     inst, seed_rep, du = _verdict(cg, thm.seed_spec, family, m, "auto")
     value, warnings = thm.closed_form(m)
@@ -359,7 +357,7 @@ def descriptor_lines(
         key = d.M.canonical_key
         label = class_of_key.get(key)
         if label is None:
-            raise PipelineError("descriptor subgroup is not in the maximal catalog")
+            raise ValueError("descriptor subgroup is not in the maximal catalog")
         conj = conj_by_class[label][key]
         cosets = ", ".join(g.perm(c).to_cycle_string() for c in d.cosets)
         lines.append(
@@ -393,16 +391,16 @@ def parse_descriptor_lines(
         if pm:
             gname, label, conj_str, cosets_str = pm.groups()
             if gname != cg.spec.name:
-                raise PipelineError(f"descriptor group {gname} != {cg.spec.name}")
+                raise InputError(f"descriptor group {gname} != {cg.spec.name}")
             if label not in by_label:
-                raise PipelineError(f"unknown class label {label!r}")
+                raise InputError(f"unknown class label {label!r}")
             conj = g.id_of(Perm.from_cycles(conj_str.strip(), g.degree))
             M = by_label[label].representative.conjugate(conj)
             coset_ids = []
             for tok in re.findall(r"\([^)]*\)(?:\([^)]*\))*|\(\)", cosets_str):
                 coset_ids.append(g.id_of(Perm.from_cycles(tok, g.degree)))
             if len(coset_ids) != m - 1:
-                raise PipelineError(
+                raise InputError(
                     f"descriptor has {len(coset_ids)} cosets, expected {m - 1}"
                 )
             descriptors.append(ProductTypeDescriptor.create(M, coset_ids))
@@ -411,22 +409,22 @@ def parse_descriptor_lines(
         if sm:
             r = int(sm.group(1))
             if r not in formulas.prime_factors(m):
-                raise PipelineError(f"{line!r}: {r} is not a prime divisor of m = {m}")
+                raise InputError(f"{line!r}: {r} is not a prime divisor of m = {m}")
             socle.append(r)
             continue
-        raise PipelineError(f"unparseable descriptor line: {line!r}")
+        raise InputError(f"unparseable descriptor line: {line!r}")
     return descriptors, socle
 
 
 def construct_cover_report(source: str, m: int, cover_method: str = "exact") -> dict:
     """Build the constructive covering family of S wr C_m from a minimal
     (or greedy) cover of S and verify it exhaustively, which needs a
-    ``WreathContext`` (ValueError above ``EXPLICIT_CAP``)."""
+    ``WreathContext`` (InputError above ``EXPLICIT_CAP``)."""
     cg = load_group(source)
     ctx = WreathContext(cg.table, m)
     if not cg.maximal_classes:
         # member lines name catalog classes; fail before the lattice work
-        raise PipelineError(
+        raise InputError(
             f"{cg.spec.name} has no catalog maximal classes; covering-family "
             "lines need catalog class labels (give maximal_classes in the "
             "spec file)"
@@ -435,7 +433,7 @@ def construct_cover_report(source: str, m: int, cover_method: str = "exact") -> 
     inst = build_instance(g, cg.maximal_classes)
     cert = sigma_exact(inst) if cover_method == "exact" else sigma_greedy(inst)
     if cert.kind not in ("exact-optimal", "upper-bound"):
-        raise PipelineError(f"no covering of {source}: {cert.kind}")
+        raise InputError(f"no covering of {source}: {cert.kind}")
     label_to_handle = dict(zip(inst.labels, inst.handles))
     N = [label_to_handle[lab] for lab in cert.chosen]
     descriptors, socle = construct_product_cover(g, N, m)
@@ -478,17 +476,20 @@ def verify_cover_report(
 
 
 def inequality_report(lemma: str, n_range: range, m_range: range) -> dict:
-    """One lemma sweep; a sweep in which no case lies is a usage error."""
+    """One lemma sweep; an unknown lemma or a range without cases is refused."""
     try:
         row = formulas.lemma_row(lemma)
     except KeyError as exc:
-        raise PipelineError(*exc.args) from None
-    report = formulas.inequality_suite(lemma, n_range, m_range)
+        raise InputError(*exc.args) from None
+    try:
+        report = formulas.inequality_suite(lemma, n_range, m_range)
+    except ValueError as exc:
+        raise InputError(*exc.args) from None
     if not report.cases_checked:
         where = f"n in {n_range.start}..{n_range.stop - 1}"
         if row.arity == "nm":
             where += f" and m in {m_range.start}..{m_range.stop - 1}"
-        raise PipelineError(f"lemma {row.key} has no case with {where}")
+        raise InputError(f"lemma {row.key} has no case with {where}")
     return report.to_dict()
 
 
@@ -527,14 +528,18 @@ FORMULAS: dict[str, tuple[tuple[str, ...], Callable[..., dict]]] = {
 
 
 def formula_report(name: str, **params) -> dict:
-    """Evaluate one closed form, full decimal expansion."""
+    """Evaluate one closed form, full decimal expansion (refused outside
+    its domain)."""
     if name not in FORMULAS:
-        raise PipelineError(f"unknown formula {name!r}")
+        raise InputError(f"unknown formula {name!r}")
     needs, evaluate = FORMULAS[name]
     missing = [f"-{k}" for k in needs if params.get(k) is None]
     if missing:
-        raise PipelineError(f"formula {name} needs {' and '.join(missing)}")
+        raise InputError(f"formula {name} needs {' and '.join(missing)}")
     out: dict = {"formula": name, "params": {k: v for k, v in params.items() if v is not None}}
-    out.update(evaluate(*(params[k] for k in needs)))
+    try:
+        out.update(evaluate(*(params[k] for k in needs)))
+    except ValueError as exc:
+        raise InputError(*exc.args) from None
     out["passed"] = True
     return out

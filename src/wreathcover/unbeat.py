@@ -53,6 +53,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import InputError
 from .cover import verify_cover_handles
 from .formulas import alpha, prime_factors, smallest_prime_factor
 from .groups import GroupTable, SubgroupClass, SubgroupHandle, member_mask
@@ -100,7 +101,7 @@ class SeedInstance:
         self.in_seed = member_mask(self.S, np.asarray(self.seed_ids, dtype=np.int64))
         self.seed_ids = np.flatnonzero(self.in_seed)
         if self.seed_ids.shape[0] == 0:
-            raise ValueError("seed set is empty")
+            raise InputError("seed set is empty")
         if self.m < 1:
             raise ValueError("m >= 1 required")
 
@@ -595,9 +596,9 @@ def theorem_bounds(
     """Lower and upper bounds for sigma(S wr C_m): the lower bound is the
     certificate's certified lower bound (0 when it certifies none), the
     upper bound ``wreath_cover_upper_term`` over a verified covering of S
-    (ValueError when it does not cover)."""
+    (InputError when it does not cover)."""
     ok, missing = verify_cover_handles(inst.S, cover_handles)
     if not ok:
-        raise ValueError(f"cover does not cover S: element {missing} missed")
+        raise InputError(f"cover does not cover S: element {missing} missed")
     upper = wreath_cover_upper_term(cover_handles, inst.m)
     return WreathBounds(certificate.certified_lower_bound or 0, upper, certificate.family_size)

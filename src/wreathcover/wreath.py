@@ -47,6 +47,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import InputError
 from .cover import verify_cover_handles
 from .formulas import alpha, prime_factors
 from .groups import GroupTable, SubgroupHandle
@@ -80,16 +81,16 @@ def explicit_size(S: GroupTable, m: int) -> int:
 
 class WreathContext:
     """S wr C_m for a fixed enumerated S and exponent m, and the permit to
-    enumerate it: the constructor refuses (ValueError) m < 1 and
-    m * |S|^m > EXPLICIT_CAP, so no routine that takes a context checks
-    either again."""
+    enumerate it: the constructor refuses m < 1 (ValueError) and
+    m * |S|^m > EXPLICIT_CAP (InputError), so no routine that takes a
+    context checks either again."""
 
     def __init__(self, S: GroupTable, m: int):
         if m < 1:
             raise ValueError("m >= 1 required")
         size = explicit_size(S, m)
         if size > EXPLICIT_CAP:
-            raise ValueError(
+            raise InputError(
                 f"enumerating S wr C_m needs m*|S|^m = {size} <= {EXPLICIT_CAP}"
             )
         self.S = S
@@ -235,9 +236,6 @@ def box_target_counts(luts: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 # -- the product-type family and the constructive cover ---------------------------
 
-class CoverInputError(ValueError):
-    """The supplied family does not cover the base group."""
-
 
 def coset_representatives(M: SubgroupHandle) -> list[int]:
     """Deterministic right-coset representatives of M in its parent: the
@@ -281,7 +279,7 @@ def construct_product_cover(
     verify_wreath_cover) is that their union is all of S wr C_m."""
     ok, missing = verify_cover_handles(S, cover)
     if not ok:
-        raise CoverInputError(f"family does not cover S: element id {missing} missed")
+        raise ValueError(f"family does not cover S: element id {missing} missed")
     return list(product_type_family(cover, m)), prime_factors(m)
 
 

@@ -1,14 +1,11 @@
-import os
-
 import pytest
 
 
-@pytest.fixture(scope="session", autouse=True)
+@pytest.fixture(scope="session")
 def _cache_dir(tmp_path_factory):
-    """Hermetic lattice cache for the whole session."""
-    path = tmp_path_factory.mktemp("lattice-cache")
-    os.environ["WREATHCOVER_CACHE"] = str(path)
-    yield str(path)
+    """One lattice cache directory for the whole session, for the tests that
+    name one."""
+    return str(tmp_path_factory.mktemp("lattice-cache"))
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wreathcover import catalog
+from wreathcover import InputError, catalog
 
 
 def test_builtin_names():
@@ -106,7 +106,7 @@ def test_psl213_a4_vs_d12_distinguished(catalog_group=None):
 
 
 def test_unknown_name_rejected():
-    with pytest.raises(catalog.CatalogError):
+    with pytest.raises(InputError):
         catalog.load("M12")
 
 
@@ -127,7 +127,7 @@ maximal_classes:
 """,
         encoding="utf-8",
     )
-    with pytest.raises(catalog.CatalogError, match="order"):
+    with pytest.raises(InputError, match="order"):
         catalog.load(str(bad))
 
 

@@ -364,12 +364,13 @@ def test_cache_missing_a_cyclic_class_is_rebuilt(tmp_path, capsys):
 
 
 def test_malformed_spec_files_exit_2(tmp_path, capsys):
-    for text in (
-        'name: A5\ndegree: 5\ngenerators: ["(1 2 3 4 5)", "(1 2 3)"\n',
-        "name: A5\ndegree: 5\ngenerators: 5\n",
+    for data in (
+        b'name: A5\ndegree: 5\ngenerators: ["(1 2 3 4 5)", "(1 2 3)"\n',
+        b"name: A5\ndegree: 5\ngenerators: 5\n",
+        b"name: A5\xff\ndegree: 5\n",  # not UTF-8
     ):
         spec = tmp_path / "bad.yaml"
-        spec.write_text(text)
+        spec.write_bytes(data)
         assert main(["sigma", str(spec), "--greedy"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -377,7 +378,6 @@ def test_malformed_spec_files_exit_2(tmp_path, capsys):
 
 
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
-    assert main(["sigma", "NoSuchGroup"]) == 2
     assert main(["verify-c2", "-p", "9", "-m", "5"]) == 2
     capsys.readouterr()
     assert main(["check-inequalities", "--lemma", "bogus", "--n-range", "5..6"]) == 2
@@ -442,16 +442,10 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     spec.write_text('name: A5\ndegree: 5\ngenerators: ["(1 2 3 4 5)", "(1 2 3)"]\n')
     cache = tmp_path / "cache"
     cache.mkdir()
-    monkeypatch.setenv("WREATHCOVER_CACHE", str(cache))
     argv = ["construct-cover", str(spec), "-m", "2", "--cache-dir", str(cache)]
     assert main(argv) == 2
     assert "catalog class labels" in capsys.readouterr().err
     assert list(cache.iterdir()) == []
-    # explicit mode above the enumeration cap fails instead of going symbolic
-    argv = ["verify-unbeatable", "M11", "--sigma-spec", "orders:8,11",
-            "--families", "M10,PSL(2,11)", "-m", "2", "--mode", "explicit"]
-    assert main(argv) == 2
-    assert "m*|S|^m = 125452800 <= 100000000" in capsys.readouterr().err
     # construct-cover always verifies its family, so it refuses above the cap
     assert main(["construct-cover", "M11", "-m", "3", "--json"]) == 2
     captured = capsys.readouterr()
@@ -460,18 +454,125 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["construct-cover", "A5", "-m", "2", "--no-verify"])
     assert exc.value.code == 2
+    # sigma's order cap is the one constant lattice.ORDER_CAP, not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["sigma", "A5", "--cap", "100"])
+    assert exc.value.code == 2
     # symbolic mode is auto's choice above 10^7, not a user's
     argv = ["verify-unbeatable", "A5", "--sigma-spec", "orders:5,3",
             "--families", "D10,S3", "-m", "2", "--mode", "symbolic"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    capsys.readouterr()
-    # m = 0 fails before any search, with the message every command gives
-    for argv in (["construct-cover", "A5", "-m", "0"], ["formula", "alpha", "-m", "0"]):
-        assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.err == "error: m >= 1 required\n" and captured.out == "", argv
+
+
+_A5_GENERATORS = 'generators: ["(1 2 3 4 5)", "(1 2 3)"]\n'
+# the files a refused request names, written into its temporary directory
+_REFUSED_FILES = {
+    "bad-point.yaml": 'name: A5\ndegree: 5\ngenerators: ["(1 2 3 4 9)", "(1 2 3)"]\n',
+    "no-generators.yaml": "name: A5\ndegree: 5\ngenerators: []\n",
+    "degree-17.yaml": "name: C17\ndegree: 17\ngenerators: [\"(%s)\"]\n"
+    % " ".join(str(i) for i in range(1, 18)),
+    "odd-class.yaml": "name: A5\ndegree: 5\n" + _A5_GENERATORS + "maximal_classes:\n"
+    '  - {label: X, generators: ["(1 2)"], expected_order: 2, expected_class_size: 10}\n',
+    "conj-odd.txt": "product-type{group=A5, class=D10, conj=(1 2), cosets=[()]}\n",
+    "conj-point.txt": "product-type{group=A5, class=D10, conj=(1 9), cosets=[()]}\n",
+    "not-utf8.txt": b"\xff socle{2}\n",
+}
+# one request per input boundary, and its stderr line ({dir} is the
+# request's temporary directory).  m = 0 fails before any search, with the
+# message every command gives, and explicit mode above the enumeration cap
+# fails instead of going symbolic.
+REFUSED = [
+    (["sigma", "NoSuchGroup"],
+     "unknown group 'NoSuchGroup'; built-ins: A5, A6, PSL(2,7), PSL(2,11), PSL(2,13), M11"),
+    (["sigma", "A5", "--target", "orders:x"],
+     "bad target spec 'orders:x' (orders:... or cycle-types:...)"),
+    (["sigma", "A5", "--target", "orders:0"], "order must be >= 1"),
+    (["sigma", "A5", "--target", "cycle-types:2,2"],
+     "cycle type (2, 2) does not sum to degree 5"),
+    (["verify-unbeatable", "A5", "--sigma-spec", "orders:7", "--families", "D10,S3", "-m", "2"],
+     "seed set is empty"),
+    (["verify-c1", "-m", "0"], "m >= 1 required"),
+    (["construct-cover", "A5", "-m", "0"], "m >= 1 required"),
+    (["formula", "alpha", "-m", "0"], "m >= 1 required"),
+    (["wreath-bounds", "A5", "--sigma-spec", "orders:5,3", "--families", "D10,S3", "-m", "2",
+      "--cover", "D10"],
+     "cover does not cover S: element 1 missed"),
+    (["verify-cover", "A5", "-m", "2", "--family-file", "{dir}/conj-odd.txt"],
+     "permutation (1 2) not in A5"),
+    (["verify-cover", "A5", "-m", "2", "--family-file", "{dir}/conj-point.txt"],
+     "point 9 out of range 1..5 in '(1 9)'"),
+    (["verify-cover", "A5", "-m", "2", "--family-file", "{dir}/not-utf8.txt"],
+     "unparseable descriptor line: '\ufffd socle{2}'"),
+    (["verify-cover", "A5", "-m", "2", "--family-file", "{dir}/missing.txt"],
+     "[Errno 2] No such file or directory: '{dir}/missing.txt'"),
+    (["formula", "main2", "-n", "15", "-m", "1"], "n=15 is not congruent to 2 mod 4"),
+    (["formula", "stirling", "-n", "0"], "n >= 1 required"),
+    (["check-inequalities", "--lemma", "divisor-monotone", "--n-range", "0..9"],
+     "n must be positive"),
+    (["catalog", "{dir}/bad-point.yaml"], "point 9 out of range 1..5 in '(1 2 3 4 9)'"),
+    (["catalog", "{dir}/no-generators.yaml"], "need at least one generator"),
+    (["catalog", "{dir}/degree-17.yaml"], "packed keys support degree <= 16 only"),
+    (["catalog", "{dir}/odd-class.yaml"], "permutation (1 2) not in A5"),
+    (["verify-unbeatable", "M11", "--sigma-spec", "orders:8,11", "--families",
+      "M10,PSL(2,11)", "-m", "2", "--mode", "explicit"],
+     "enumerating S wr C_m needs m*|S|^m = 125452800 <= 100000000"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
+def test_refused_input_exits_2(argv, message, tmp_path, capsys):
+    for name, data in _REFUSED_FILES.items():
+        (tmp_path / name).write_bytes(data.encode() if isinstance(data, str) else data)
+    assert main([arg.replace("{dir}", str(tmp_path)) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.replace('{dir}', str(tmp_path))}\n"
+
+
+def test_bug_is_not_a_usage_error(monkeypatch):
+    # only refused input exits 2; an error anywhere else is a bug and
+    # propagates with its traceback
+    from wreathcover import pipelines
+
+    def broken(*args, **kwargs):
+        raise KeyError("a bug")
+
+    def also_broken(*args, **kwargs):
+        raise ValueError("another bug")
+
+    monkeypatch.setattr(pipelines, "sigma_exact", broken)
+    monkeypatch.setattr(pipelines, "check_seed_conditions", also_broken)
+    with pytest.raises(KeyError, match="a bug"):
+        main(["sigma", "A5"])
+    argv = ["verify-unbeatable", "A5", "--sigma-spec", "orders:5", "--families", "D10", "-m", "1"]
+    with pytest.raises(ValueError, match="another bug"):
+        main(argv)
+
+
+def test_no_cache_directory_touches_no_file(tmp_path, monkeypatch, capsys):
+    # without --cache-dir no lattice file is read or written: not under
+    # HOME, not under XDG_CACHE_HOME, and not where the removed
+    # WREATHCOVER_CACHE variable points
+    from wreathcover import lattice, pipelines
+
+    home, env_cache, named = (tmp_path / d for d in ("home", "env-cache", "named"))
+    for d in (home, env_cache, named):
+        d.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    monkeypatch.setenv("WREATHCOVER_CACHE", str(env_cache))
+    spec = tmp_path / "a5.yaml"
+    spec.write_text("name: A5\ndegree: 5\n" + _A5_GENERATORS)
+    argv = ["sigma", str(spec), "--greedy", "--json"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    lattice.all_subgroup_classes(pipelines.load_group("A5").table)
+    assert list(home.iterdir()) == list(env_cache.iterdir()) == []
+    assert main([*argv, "--cache-dir", str(named)]) == 0
+    assert capsys.readouterr() == plain
+    assert len(list(named.iterdir())) == 1
 
 
 def test_json_byte_determinism_across_threads(capsys, _cache_dir):

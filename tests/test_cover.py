@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wreathcover import InputError
 from wreathcover.cover import (
-    CoverCapError,
     build_instance,
     sigma_exact,
     sigma_greedy,
@@ -192,7 +192,7 @@ def test_node_cap_is_exact(psl7):
     nodes = sigma_exact(inst).lower_bound["nodes"]
     assert nodes == 1617
     assert sigma_exact(inst, node_cap=nodes).lower_bound["nodes"] == nodes
-    with pytest.raises(CoverCapError):
+    with pytest.raises(InputError):
         sigma_exact(inst, node_cap=nodes - 1)
 
 

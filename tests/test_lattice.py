@@ -1,8 +1,8 @@
 import pytest
 
+from wreathcover import InputError, lattice
 from wreathcover.groups import GroupTable, subgroup_closure
 from wreathcover.lattice import (
-    LatticeCapError,
     all_subgroup_classes,
     maximal_classes_from_lattice,
 )
@@ -88,9 +88,10 @@ def test_catalog_maximality_verified_by_lattice(_cache_dir):
             assert any(h.canonical_key in lattice_keys for h in cls.conjugates), (name, cls.label)
 
 
-def test_cap_enforced(m11):
-    with pytest.raises(LatticeCapError):
-        all_subgroup_classes(m11.table, cap=100)
+def test_cap_enforced(m11, monkeypatch):
+    monkeypatch.setattr(lattice, "ORDER_CAP", 100)
+    with pytest.raises(InputError, match="exceeds lattice cap 100"):
+        all_subgroup_classes(m11.table)
 
 
 def test_cache_roundtrip(tmp_path, a5):

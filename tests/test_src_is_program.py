@@ -23,7 +23,7 @@ PERFBENCH = ROOT / "perfbench"
 ALLOWED_MODULES = {
     "ansets": (
         "the alternating groups' standard target sets and families: the "
-        "planned A_n theorem (ROADMAP Direction 5) uses them as its oracle, "
+        "planned A_n theorem (ROADMAP Direction 8) uses them as its oracle, "
         "and today only tests call them"
     ),
 }

@@ -233,9 +233,7 @@ def test_verify_cover_finds_witness(a5, ctx2):
 
 
 def test_non_covering_family_rejected(a5):
-    from wreathcover.wreath import CoverInputError
-
-    with pytest.raises(CoverInputError):
+    with pytest.raises(ValueError, match="family does not cover S"):
         construct_product_cover(a5.table, [a5.maximal_classes[0].representative], 2)
 
 
