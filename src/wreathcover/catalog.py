@@ -257,13 +257,13 @@ def _load_from_spec(spec: GroupSpec) -> CatalogGroup:
     classes = []
     for mc in spec.maximal_classes:
         ids = [table.id_of(Perm.from_cycles(s, spec.degree)) for s in mc.generators]
-        handle = subgroup_closure(table, ids, label=mc.label)
+        handle = subgroup_closure(table, ids)
         if handle.size != mc.expected_order:
             raise InputError(
                 f"{spec.name}/{mc.label}: generators give order {handle.size}, "
                 f"catalog records {mc.expected_order}"
             )
-        cls = conjugate_class(table, handle)
+        cls = conjugate_class(table, handle, mc.label)
         if cls.class_size != mc.expected_class_size:
             raise InputError(
                 f"{spec.name}/{mc.label}: class size {cls.class_size}, "

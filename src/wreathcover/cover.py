@@ -45,6 +45,8 @@ import numpy as np
 from . import InputError
 from .groups import GroupTable, SubgroupClass, SubgroupHandle, member_mask
 
+NODE_CAP = 5_000_000
+
 
 @dataclass
 class CoverInstance:
@@ -223,10 +225,7 @@ def _infeasible_certificate(instance: CoverInstance, witness_id: int) -> CoverCe
     )
 
 
-def sigma_exact(
-    instance: CoverInstance,
-    node_cap: int = 5_000_000,
-) -> CoverCertificate:
+def sigma_exact(instance: CoverInstance) -> CoverCertificate:
     """Optimal cover via branch-and-bound; the certificate carries the
     search statistics as the matching-lower-bound warrant."""
     if instance.universe_size == 0:
@@ -310,8 +309,8 @@ def sigma_exact(
             ]
         )
         nodes += len(options)
-        if nodes > node_cap:
-            raise InputError(f"branch-and-bound exceeded {node_cap} nodes")
+        if nodes > NODE_CAP:
+            raise InputError(f"branch-and-bound exceeded {NODE_CAP} nodes")
         depth += 1
         for _, i in reversed(options):
             rest = uncovered & anti_mask[i]

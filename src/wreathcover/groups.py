@@ -33,7 +33,7 @@ import numpy as np
 from . import InputError
 from .perm import Perm
 
-DEFAULT_PRODUCT_BUDGET = 10**7
+PRODUCT_BUDGET = 10**7
 
 
 # the place values of a packed key, for each degree up to 16
@@ -69,12 +69,7 @@ class GroupTable:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_generators(
-        cls,
-        generators: Sequence[Perm],
-        name: str | None = None,
-        product_budget: int = DEFAULT_PRODUCT_BUDGET,
-    ) -> "GroupTable":
+    def from_generators(cls, generators: Sequence[Perm], name: str | None = None) -> "GroupTable":
         """Enumerate the group generated by ``generators`` breadth-first."""
         if not generators:
             raise InputError("need at least one generator")
@@ -103,9 +98,9 @@ class GroupTable:
             batches = []
             for gi in gen_imgs:
                 products += frontier.shape[0]
-                if products > product_budget:
+                if products > PRODUCT_BUDGET:
                     raise InputError(
-                        f"closure exceeded {product_budget} products "
+                        f"closure exceeded {PRODUCT_BUDGET} products "
                         f"(at {len(rows)} elements)"
                     )
                 batches.append(frontier[:, gi])
@@ -227,7 +222,6 @@ class SubgroupHandle:
     parent: GroupTable = field(repr=False)
     member_ids: np.ndarray = field(repr=False)  # sorted int64
     generators: tuple[int, ...]
-    label: str | None = None
 
     def __post_init__(self):
         if self.parent.order % self.size != 0:
@@ -253,7 +247,7 @@ class SubgroupHandle:
         cm = self.parent.conj_map(g)
         ids = np.sort(cm[self.member_ids])
         gens = tuple(int(cm[x]) for x in self.generators)
-        return SubgroupHandle(self.parent, ids, gens, label=self.label)
+        return SubgroupHandle(self.parent, ids, gens)
 
     def __eq__(self, other) -> bool:
         return (
@@ -266,8 +260,7 @@ class SubgroupHandle:
         return hash(self.canonical_key)
 
     def __repr__(self) -> str:
-        tag = f" {self.label!r}" if self.label else ""
-        return f"SubgroupHandle(order={self.size}{tag})"
+        return f"SubgroupHandle(order={self.size})"
 
 
 @dataclass
@@ -276,6 +269,7 @@ class SubgroupClass:
 
     representative: SubgroupHandle
     conjugates: list[SubgroupHandle]
+    label: str | None = None  # the catalog's name; None for a lattice class
 
     @property
     def class_size(self) -> int:
@@ -284,10 +278,6 @@ class SubgroupClass:
     @property
     def order(self) -> int:
         return self.representative.size
-
-    @property
-    def label(self) -> str | None:
-        return self.representative.label
 
     @property
     def base_label(self) -> str:
@@ -302,7 +292,6 @@ class SubgroupClass:
 def subgroup_closure(
     g: GroupTable,
     gens: Iterable[int],
-    label: str | None = None,
     abort_above: int | None = None,
 ) -> SubgroupHandle | None:
     """Smallest subgroup containing ``gens``, breadth-first: each level
@@ -335,15 +324,7 @@ def subgroup_closure(
         size += frontier.shape[0]
     if size > bound:
         return None
-    return SubgroupHandle(g, np.flatnonzero(member), tuple(gen_list), label=label)
-
-
-def subgroup_from_set(
-    g: GroupTable, ids: Iterable[int], label: str | None = None
-) -> SubgroupHandle:
-    """Wrap an element-id set known to be a subgroup."""
-    arr = np.unique(np.fromiter((int(x) for x in ids), dtype=np.int64))
-    return SubgroupHandle(g, arr, _reduce_generators(g, arr), label=label)
+    return SubgroupHandle(g, np.flatnonzero(member), tuple(gen_list))
 
 
 def _reduce_generators(g: GroupTable, ids: np.ndarray) -> tuple[int, ...]:
@@ -458,25 +439,23 @@ def conjugation_orbit(
     return ConjugationOrbit(members, keys, parent, via, gens)
 
 
-def orbit_class(g: GroupTable, h: SubgroupHandle) -> SubgroupClass:
+def orbit_class(g: GroupTable, h: SubgroupHandle, label: str | None = None) -> SubgroupClass:
     """The conjugacy class of h, conjugates in canonical-key order, each
     with its generators conjugated along (h itself is the representative)."""
     orbit = conjugation_orbit(g, h.member_ids, _acting_generators(g), h.generators)
     conjugates = [
         h
         if i == 0
-        else SubgroupHandle(
-            g, orbit.members[i], tuple(orbit.generators[i].tolist()), label=h.label
-        )
+        else SubgroupHandle(g, orbit.members[i], tuple(orbit.generators[i].tolist()))
         for i in sorted(range(len(orbit.keys)), key=lambda i: orbit.keys[i])
     ]
-    return SubgroupClass(representative=h, conjugates=conjugates)
+    return SubgroupClass(representative=h, conjugates=conjugates, label=label)
 
 
-def conjugate_class(g: GroupTable, h: SubgroupHandle) -> SubgroupClass:
+def conjugate_class(g: GroupTable, h: SubgroupHandle, label: str | None = None) -> SubgroupClass:
     """All distinct conjugates of h under g, checked against the
     orbit-stabilizer count |class| * |N_g(h)| = |g|."""
-    cls = orbit_class(g, h)
+    cls = orbit_class(g, h, label)
     nsize = normalizer(g, h).shape[0]
     if cls.class_size * nsize != g.order:
         raise AssertionError(

@@ -46,7 +46,6 @@ from .groups import (
     normalizer,
     orbit_class,
     subgroup_closure,
-    subgroup_from_set,
 )
 
 ORDER_CAP = 10**4
@@ -84,7 +83,7 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
         classes.append(cls)
         return cls
 
-    register(subgroup_from_set(g, [0]))
+    register(subgroup_closure(g, []))
 
     # seed: cyclic subgroup classes; <x> is read off a table of powers,
     # one block of rows per element order, in order of (order, id).  An

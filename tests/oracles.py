@@ -13,10 +13,7 @@ another way than the code it checks:
   explicit element set, the ground truth for ``wreath.product_type_mask``
   and the box kernels;
 * ``exhaustive_min_cover`` is an unbounded iterative-deepening search, the
-  reference for ``cover.sigma_exact``;
-* ``maps_blocks_into_blocks`` checks one ``Perm`` against a block system
-  point by point, the reference for the A_n family representatives of
-  ``ansets.materialize_family_class``.
+  reference for ``cover.sigma_exact``.
 """
 
 from __future__ import annotations
@@ -174,13 +171,3 @@ def exhaustive_min_cover(
         if dfs(0, k, 0, []):
             return k, found
     return None
-
-
-# -- block systems ---------------------------------------------------------------
-
-
-def maps_blocks_into_blocks(p: Perm, blocks: Sequence[Sequence[int]]) -> bool:
-    """Whether ``p`` maps every block into one block; the blocks partition
-    the points of ``p``."""
-    block_of = {q: b for b, block in enumerate(blocks) for q in block}
-    return all(len({block_of[p.images[q]] for q in block}) == 1 for block in blocks)

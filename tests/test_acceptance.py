@@ -18,11 +18,14 @@ criterion therefore pins the closed form and the rate with its constant,
 in exact rationals.
 """
 
-import io
+import json
 import math
+import os
+import subprocess
+import sys
 import time
-from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -314,19 +317,26 @@ def test_criterion_10_ratio_trend():
             )
 
 
-def _cli_json(args):
-    from wreathcover.cli import main
-
+# runs each argv of argv[1] (a JSON list) through the CLI in this process
+# and prints one JSON list of [exit status, stdout] pairs
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+from wreathcover.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
-    with redirect_stdout(buf):
-        status = main([*args, "--json"])
-    return status, buf.getvalue()
+    with contextlib.redirect_stdout(buf):
+        status = main(argv)
+    runs.append([status, buf.getvalue()])
+print(json.dumps(runs))
+"""
 
 
-def test_criterion_11_determinism_across_threads(tmp_path, _cache_dir):
-    with Budget("criterion 11 (byte-identical reports across --threads)", 300):
-        fam1 = tmp_path / "fam1.txt"
-        fam4 = tmp_path / "fam4.txt"
+def test_criterion_11_determinism_across_processes(tmp_path):
+    # two fresh interpreters with different hash seeds walk a set of
+    # canonical-key bytes in different orders, so any report that depends
+    # on that order differs between them
+    with Budget("criterion 11 (byte-identical reports across processes)", 300):
         commands = [
             ["catalog", "M11"],
             ["verify-c1", "-m", "2"],
@@ -340,18 +350,28 @@ def test_criterion_11_determinism_across_threads(tmp_path, _cache_dir):
             ["check-inequalities", "--lemma", "sec13-1", "--n-range", "15..98"],
             ["formula", "main2", "-n", "14", "-m", "1"],
             ["formula", "f-ratio", "-n", "16", "-m", "2"],
+            ["construct-cover", "A5", "-m", "2", "--out", "family.txt"],
         ]
-        for cmd in commands:
-            s1, out1 = _cli_json([*cmd, "--threads", "1"])
-            s4, out4 = _cli_json([*cmd, "--threads", "4"])
-            assert s1 == s4, cmd
-            assert out1 == out4, cmd
-        s1, out1 = _cli_json(
-            ["construct-cover", "A5", "-m", "2", "--threads", "1", "--out", str(fam1)]
-        )
-        s4, out4 = _cli_json(
-            ["construct-cover", "A5", "-m", "2", "--threads", "4", "--out", str(fam4)]
-        )
-        assert s1 == s4 == 0
-        assert out1 == out4
-        assert fam1.read_bytes() == fam4.read_bytes()
+        commands = [argv for cmd in commands for argv in ([*cmd, "--json"], cmd)]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        runs, families = [], []
+        for seed in ("1", "2"):
+            cwd = tmp_path / f"hashseed-{seed}"
+            cwd.mkdir()
+            path = os.environ.get("PYTHONPATH")
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": src if not path else src + os.pathsep + path,
+            }
+            proc = subprocess.run(
+                [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
+                cwd=cwd, env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            runs.append(json.loads(proc.stdout))
+            families.append((cwd / "family.txt").read_bytes())
+        assert len(runs[0]) == len(commands)
+        for cmd, first, second in zip(commands, *runs):
+            assert first == second, cmd
+        assert runs[0][-1][0] == 0
+        assert families[0] == families[1]

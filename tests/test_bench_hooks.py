@@ -4,7 +4,8 @@
 functions listed in ``perfbench/spans.py``'s ``TARGETS`` by module and
 attribute, and its scripts import names from ``wreathcover`` modules.  A
 rename in ``src/`` breaks only traced benchmark runs, which the test suite
-never makes, so this test resolves every such name instead.
+never makes, so this test resolves every such name instead.  A changed
+signature breaks the benchmark's set-up child, so the set-up runs here too.
 """
 
 import ast
@@ -82,3 +83,16 @@ def test_benchmark_requests_parse(workload, tmp_path):
         build_parser().parse_args(
             [*req.argv, "--json", "--threads", "1", "--cache-dir", str(tmp_path / "cache")]
         )
+
+
+def test_benchmark_set_up_fills_then_reads_the_lattice(tmp_path):
+    # the set-up child enumerates and verifies the groups and fills their
+    # lattice cache; a second set-up over the same directory only reads it
+    setup_probe = _load("setup_probe")
+    setup_probe.set_up(["A5"], ["A5"], str(tmp_path))
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == 1 and files[0].name.startswith("lattice-")
+    written = files[0].read_bytes()
+    setup_probe.set_up(["A5"], ["A5"], str(tmp_path))
+    assert sorted(tmp_path.iterdir()) == files
+    assert files[0].read_bytes() == written

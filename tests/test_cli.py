@@ -575,18 +575,6 @@ def test_no_cache_directory_touches_no_file(tmp_path, monkeypatch, capsys):
     assert len(list(named.iterdir())) == 1
 
 
-def test_json_byte_determinism_across_threads(capsys, _cache_dir):
-    outputs = []
-    for threads in ("1", "4"):
-        status, out = run_cli(
-            ["construct-cover", "A5", "-m", "2", "--threads", threads, "--json"],
-            capsys,
-        )
-        assert status == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-
-
 def test_human_rendering(capsys):
     status, out = run_cli(["formula", "c1", "-m", "2"], capsys)
     assert status == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreathcover import InputError
+from wreathcover import InputError, cover
 from wreathcover.cover import (
     build_instance,
     sigma_exact,
@@ -185,15 +185,17 @@ def test_search_runs_in_constant_stack_depth():
     assert verify_cover(inst, cert.chosen)[0]
 
 
-def test_node_cap_is_exact(psl7):
+def test_node_cap_is_exact(psl7, monkeypatch):
     inst = build_instance(
         psl7.table, psl7.maximal_classes, parse_target_spec(psl7.table, "orders:3")
     )
     nodes = sigma_exact(inst).lower_bound["nodes"]
     assert nodes == 1617
-    assert sigma_exact(inst, node_cap=nodes).lower_bound["nodes"] == nodes
-    with pytest.raises(InputError):
-        sigma_exact(inst, node_cap=nodes - 1)
+    monkeypatch.setattr(cover, "NODE_CAP", nodes)
+    assert sigma_exact(inst).lower_bound["nodes"] == nodes
+    monkeypatch.setattr(cover, "NODE_CAP", nodes - 1)
+    with pytest.raises(InputError, match=f"branch-and-bound exceeded {nodes - 1} nodes"):
+        sigma_exact(inst)
 
 
 def _bitscan_greedy(masks, full):

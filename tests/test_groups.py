@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreathcover import InputError, catalog
+from wreathcover import InputError, catalog, groups
 from wreathcover.groups import (
     GroupTable,
+    SubgroupHandle,
     class_conjugators,
     conjugate_class,
     conjugation_orbit,
     normalizer,
     orbit_class,
     subgroup_closure,
-    subgroup_from_set,
 )
 from wreathcover.perm import Perm
 
@@ -135,7 +135,8 @@ def test_conjugate_class_sizes(a5):
     assert a4.size == 12
     cls = conjugate_class(a5, a4)
     assert cls.class_size == 5
-    whole = subgroup_from_set(a5, range(a5.order))
+    whole = subgroup_closure(a5, a5.generator_ids)
+    assert whole.size == a5.order
     assert conjugate_class(a5, whole).class_size == 1
 
 
@@ -164,17 +165,17 @@ def test_normalizer_and_centralizer(a5):
 
 def test_lagrange_violation_rejected(a5):
     with pytest.raises(ValueError):
-        subgroup_from_set(a5, range(7))
+        SubgroupHandle(a5, np.arange(7), ())
 
 
-def test_budget_cap():
-    with pytest.raises(InputError):
+def test_budget_cap(monkeypatch):
+    monkeypatch.setattr(groups, "PRODUCT_BUDGET", 100)
+    with pytest.raises(InputError, match="closure exceeded 100 products"):
         GroupTable.from_generators(
             [
                 Perm.from_cycles("(1 2 3 4 5 6 7 8 9 10 11)", 11),
                 Perm.from_cycles("(3 7 11 8)(4 10 5 6)", 11),
-            ],
-            product_budget=100,
+            ]
         )
 
 

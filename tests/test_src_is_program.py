@@ -9,6 +9,11 @@ test-only code; reference implementations that the tests compare against
 belong in ``tests/oracles.py``.  Dunder methods are called by the language
 and are not checked.  The match is by name, so it can miss dead code that
 shares a name with live code, but it never flags live code.
+
+The same rule keeps ``tests/oracles.py`` to what the tests use: each of its
+definitions must be referenced from outside its own definition,
+by a test file or by another oracle, so an oracle whose subject is deleted
+goes with it.
 """
 
 import ast
@@ -18,15 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "wreathcover"
 PERFBENCH = ROOT / "perfbench"
-
-# module -> why its test-only names stay in src/
-ALLOWED_MODULES = {
-    "ansets": (
-        "the alternating groups' standard target sets and families: the "
-        "planned A_n theorem (ROADMAP Direction 8) uses them as its oracle, "
-        "and today only tests call them"
-    ),
-}
+TESTS = ROOT / "tests"
 
 
 def _references(tree: ast.AST, with_strings: bool) -> Counter:
@@ -73,8 +70,6 @@ def _unreferenced() -> tuple[int, list[str]]:
         refs.update(_references(tree, with_strings=True))
     checked, out = 0, []
     for path, tree in src.items():
-        if path.stem in ALLOWED_MODULES:
-            continue
         for qualname, name, node in _definitions(tree):
             checked += 1
             # uses inside the definition itself (recursion) do not count
@@ -84,11 +79,25 @@ def _unreferenced() -> tuple[int, list[str]]:
 
 
 def test_src_holds_no_test_only_code():
-    for module, reason in ALLOWED_MODULES.items():
-        assert (SRC / f"{module}.py").is_file() and reason
     checked, unreferenced = _unreferenced()
     assert checked > 100  # the guard reads the real package
     assert unreferenced == []
+
+
+def test_every_oracle_is_used():
+    trees = _trees(TESTS)
+    refs = Counter()
+    for tree in trees.values():
+        refs.update(_references(tree, with_strings=False))
+    oracles = list(_definitions(trees[TESTS / "oracles.py"]))
+    assert len(oracles) > 5  # the guard reads the real oracles
+    unused = [
+        qualname
+        for qualname, name, node in oracles
+        # uses inside the definition itself (recursion) do not count
+        if refs[name] - _references(node, with_strings=False)[name] == 0
+    ]
+    assert unused == []
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -114,6 +123,6 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     # perfbench/ is the benchmark's and is not checked here
-    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert len(paths) > 20  # the guard reads the real files
     assert [name for path in paths for name in _unused_imports(path)] == []
