@@ -16,6 +16,17 @@ first.  The subgroup routines batch that arithmetic: ``subgroup_closure``
 and ``conjugation_orbit`` handle a whole breadth-first level per gather,
 and membership in a subgroup is a boolean mask over the group.
 
+A closure level has two routes.  By default it gathers the image rows of
+frontier x generators and looks up their packed keys.  Given a dict of
+right-multiplication maps (y -> y*x as an id array, in the narrowest
+unsigned type that holds an id), it gathers ids through the maps instead,
+making each missing map with one ``mul_many`` over the group.  A map pays
+off only over many closures by the same elements, as in one lattice
+enumeration, which owns its dict.  One-off closures (catalog load, lattice
+cache verification) pass none: they run a few levels each, and building
+their maps would cost more than the key lookups it saves.  The group keeps
+no such maps.
+
 Cycle data comes from one vectorized pass over the image rows
 (``cycle_lengths``): the length of the cycle through every point of every
 element.  Element orders are the lcm of each row, and an element's cycle
@@ -293,10 +304,15 @@ def subgroup_closure(
     g: GroupTable,
     gens: Iterable[int],
     abort_above: int | None = None,
+    maps: dict[int, np.ndarray] | None = None,
 ) -> SubgroupHandle | None:
     """Smallest subgroup containing ``gens``, breadth-first: each level
-    multiplies the whole frontier by every non-identity generator in one
-    gather and one key lookup, with membership kept as a mask over g.
+    multiplies the whole frontier on the right by every non-identity
+    generator in one gather, with membership kept as a mask over g.
+
+    Without ``maps`` a level gathers image rows and looks up their packed
+    keys.  With ``maps`` it gathers ids through right-multiplication maps
+    y -> y*x, read from the dict and added to it for generators it lacks.
 
     Returns None if the closure grows past ``abort_above`` elements (used by
     the lattice enumeration to cut off joins that must generate the whole
@@ -306,18 +322,34 @@ def subgroup_closure(
     for x in gen_list:
         if not 0 <= x < g.order:
             raise ValueError(f"invalid element id {x}")
+    acting = [x for x in gen_list if x != 0]
+    if maps is None:
+        gen_rows = g.images[acting]
+
+        def products(frontier: np.ndarray) -> np.ndarray:
+            rows = g.images[frontier][:, gen_rows].reshape(-1, g.degree)
+            # sorted keys make the key search run forward through the table
+            return g._lookup(np.sort(_pack(rows, g.degree)))
+
+    else:
+        all_ids = np.arange(g.order, dtype=np.int64)
+        for x in acting:
+            if x not in maps:
+                maps[x] = g.mul_many(all_ids, x).astype(np.min_scalar_type(g.order - 1))
+        stacked = np.stack([maps[x] for x in acting]) if acting else None
+
+        def products(frontier: np.ndarray) -> np.ndarray:
+            return stacked[:, frontier]
+
     member = np.zeros(g.order, dtype=bool)
     member[0] = True
     member[gen_list] = True
     frontier = np.flatnonzero(member)
     size = frontier.shape[0]
     bound = g.order if abort_above is None else abort_above
-    gen_rows = g.images[[x for x in gen_list if x != 0]]
-    while frontier.shape[0] and gen_rows.shape[0] and size <= bound:
-        rows = g.images[frontier][:, gen_rows].reshape(-1, g.degree)
+    while frontier.shape[0] and acting and size <= bound:
         fresh = np.zeros(g.order, dtype=bool)
-        # sorted keys make the key search run forward through the table
-        fresh[g._lookup(np.sort(_pack(rows, g.degree)))] = True
+        fresh[products(frontier)] = True
         fresh &= ~member
         member |= fresh
         frontier = np.flatnonzero(fresh)
@@ -327,8 +359,11 @@ def subgroup_closure(
     return SubgroupHandle(g, np.flatnonzero(member), tuple(gen_list))
 
 
-def _reduce_generators(g: GroupTable, ids: np.ndarray) -> tuple[int, ...]:
-    """Greedy small generating set for the subgroup with the given elements."""
+def _reduce_generators(
+    g: GroupTable, ids: np.ndarray, maps: dict[int, np.ndarray] | None = None
+) -> tuple[int, ...]:
+    """Greedy small generating set for the subgroup with the given elements;
+    ``maps`` goes to every closure it makes."""
     target = ids.shape[0]
     gens: list[int] = []
     have = np.zeros(g.order, dtype=bool)
@@ -337,7 +372,7 @@ def _reduce_generators(g: GroupTable, ids: np.ndarray) -> tuple[int, ...]:
         if have[x]:
             continue
         gens.append(x)
-        h = subgroup_closure(g, gens)
+        h = subgroup_closure(g, gens, maps=maps)
         if h.size == target:
             break
         have[h.member_ids] = True

@@ -10,9 +10,21 @@ whole group and are aborted early.
 
 The cyclic seeds cost no closures: one table of powers x^k over all of G
 (one batched product per k below the largest element order) gives every
-<x> at once.  Closures and conjugation orbits go level by level, one
-batched id product or map gather per breadth-first level, and membership
-tests against a representative use a boolean mask over G.
+<x> at once.  The proper cyclic subgroups are then numbered class by class,
+and one label array over G sends each element x to the number of <x>.
+Conjugation by y permutes the numbers as i -> label[y^-1 gens[i] y], where
+gens[i] generates subgroup i, so the orbits under a normalizer's generators
+come from min-label propagation over those permutations.  The
+representatives are the numbers that keep their own label, ascending: the
+first conjugate of each orbit in canonical-key order.
+
+An enumeration owns a dict of right-multiplication maps y -> y*x, made for
+each x the first time a closure multiplies by it, and every closure it makes
+(the joins and the generator reduction) passes the dict to
+``subgroup_closure``, so a closure level is one gather of ids.  The dict
+dies with the enumeration; a cold M11 run builds about 700 maps, which is
+why they are not kept on the GroupTable.  Membership tests against a
+representative use a boolean mask over G.
 
 Feasible to group order ORDER_CAP = 10^4, which covers M11 (order 7920).
 Results are cached, keyed by the group's canonical hash, only in a
@@ -41,7 +53,6 @@ from .groups import (
     SubgroupClass,
     SubgroupHandle,
     _reduce_generators,
-    conjugation_orbit,
     member_mask,
     normalizer,
     orbit_class,
@@ -76,6 +87,7 @@ def all_subgroup_classes(
 def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
     classes: list[SubgroupClass] = []
     known: set[bytes] = set()  # the key of every conjugate of every class
+    maps: dict[int, np.ndarray] = {}  # right-multiplication maps, this run only
 
     def register(h: SubgroupHandle) -> SubgroupClass:
         cls = orbit_class(g, h)
@@ -83,7 +95,7 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
         classes.append(cls)
         return cls
 
-    register(subgroup_closure(g, []))
+    register(subgroup_closure(g, [], maps=maps))
 
     # seed: cyclic subgroup classes; <x> is read off a table of powers,
     # one block of rows per element order, in order of (order, id).  An
@@ -103,6 +115,7 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
             if buf[i * width : (i + 1) * width] not in known:
                 cyclic_classes.append(register(SubgroupHandle(g, rows[i], (x,))))
 
+    cyclic, gens, label = _number_cyclic(g, cyclic_classes)
     order_divisors = divisors(g.order)
     max_proper = g.order // smallest_prime_factor(g.order) if g.order > 1 else 1
 
@@ -110,28 +123,27 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
         rep = cls.representative
         if rep.size in (1, g.order):
             continue
-        norm_gens = [x for x in _reduce_generators(g, normalizer(g, rep)) if x != 0]
+        norm_gens = [x for x in _reduce_generators(g, normalizer(g, rep), maps) if x != 0]
         inside = member_mask(g, rep.member_ids)
-        for cyc_cls in cyclic_classes:
-            if cyc_cls.order == g.order:
+        for i in _orbit_reps(g, label, gens, norm_gens).tolist():
+            cyc = cyclic[i]
+            inter = int(np.count_nonzero(inside[cyc.member_ids]))
+            if inter == cyc.size:
+                continue  # cyc lies inside rep
+            if not _join_could_be_proper(
+                rep.size, cyc.size, inter, order_divisors, max_proper
+            ):
                 continue
-            for cyc in _orbit_reps(g, cyc_cls, norm_gens):
-                inter = int(np.count_nonzero(inside[cyc.member_ids]))
-                if inter == cyc.size:
-                    continue  # cyc lies inside rep
-                if not _join_could_be_proper(
-                    rep.size, cyc.size, inter, order_divisors, max_proper
-                ):
-                    continue
-                joined = subgroup_closure(
-                    g,
-                    list(rep.generators) + list(cyc.generators),
-                    abort_above=max_proper,
-                )
-                if joined is None:
-                    continue  # join is the whole group
-                if joined.canonical_key not in known:
-                    register(joined)
+            joined = subgroup_closure(
+                g,
+                list(rep.generators) + list(cyc.generators),
+                abort_above=max_proper,
+                maps=maps,
+            )
+            if joined is None:
+                continue  # join is the whole group
+            if joined.canonical_key not in known:
+                register(joined)
 
     whole = SubgroupHandle(
         g, np.arange(g.order, dtype=np.int64), tuple(g.generator_ids)
@@ -142,17 +154,38 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
     return sorted(classes, key=lambda c: (c.order, c.conjugates[0].canonical_key))
 
 
-def _orbit_reps(g: GroupTable, cyc_cls: SubgroupClass, elements: list[int]):
-    """One representative per orbit of conjugation by ``elements`` on the
-    subgroups of a class; deterministic (min canonical key first)."""
-    reps = []
-    visited: set[bytes] = set()
-    for h in cyc_cls.conjugates:
-        if h.canonical_key in visited:
-            continue
-        reps.append(h)
-        visited.update(conjugation_orbit(g, h.member_ids, elements).keys)
-    return reps
+def _number_cyclic(
+    g: GroupTable, cyclic_classes: list[SubgroupClass]
+) -> tuple[list[SubgroupHandle], np.ndarray, np.ndarray]:
+    """The proper cyclic subgroups, numbered class by class in conjugate
+    order; the generator each carries; and the label over g that sends x
+    to the number of <x> (0 for x outside them, the identity included)."""
+    cyclic = [h for c in cyclic_classes if c.order < g.order for h in c.conjugates]
+    gens = np.array([h.generators[0] for h in cyclic], dtype=np.int64)
+    orders = g.element_orders()
+    label = np.zeros(g.order, dtype=np.int64)
+    for i, h in enumerate(cyclic):
+        label[h.member_ids[orders[h.member_ids] == h.size]] = i
+    return cyclic, gens, label
+
+
+def _orbit_reps(
+    g: GroupTable, label: np.ndarray, gens: np.ndarray, elements: list[int]
+) -> np.ndarray:
+    """The least number in each orbit of conjugation by ``elements`` on the
+    numbered subgroups (see ``_number_cyclic``), ascending.  Conjugation by
+    y sends subgroup i to subgroup label[y^-1 gens[i] y]; each pass lowers
+    the least number known for each subgroup to that of its preimages, until
+    a pass changes nothing."""
+    moves = [label[g.conj_map(y)[gens]] for y in elements]
+    least = np.arange(gens.shape[0])
+    while True:
+        lowered = least.copy()
+        for move in moves:
+            np.minimum.at(lowered, move, least)
+        if np.array_equal(lowered, least):
+            return np.flatnonzero(least == np.arange(gens.shape[0]))
+        least = lowered
 
 
 def _join_could_be_proper(

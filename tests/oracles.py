@@ -12,6 +12,9 @@ another way than the code it checks:
   membership in the normalizer of a product subgroup by conjugating its
   explicit element set, the ground truth for ``wreath.product_type_mask``
   and the box kernels;
+* ``orbit_reps_walk`` walks the conjugation orbit of one subgroup after
+  another, the reference for the label propagation of
+  ``lattice._orbit_reps``;
 * ``exhaustive_min_cover`` is an unbounded iterative-deepening search, the
   reference for ``cover.sigma_exact``.
 """
@@ -22,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from wreathcover.groups import _pack
+from wreathcover.groups import GroupTable, SubgroupClass, _pack, conjugation_orbit
 from wreathcover.perm import Perm
 from wreathcover.wreath import ProductTypeDescriptor, WreathContext, WreathElement
 
@@ -135,6 +138,23 @@ def _unpack_keys(keys: np.ndarray, degree: int) -> np.ndarray:
         out[:, pos] = (rem % np.uint64(degree)).astype(np.int64)
         rem //= np.uint64(degree)
     return out
+
+
+# -- the orbit-representative oracle ----------------------------------------
+
+
+def orbit_reps_walk(g: GroupTable, cls: SubgroupClass, elements: Sequence[int]):
+    """One representative per orbit of conjugation by ``elements`` on the
+    subgroups of a class: the first conjugate in canonical-key order that
+    no earlier orbit walk has visited."""
+    reps = []
+    visited: set[bytes] = set()
+    for h in cls.conjugates:
+        if h.canonical_key in visited:
+            continue
+        reps.append(h)
+        visited.update(conjugation_orbit(g, h.member_ids, elements).keys)
+    return reps
 
 
 # -- the exact-cover oracle ---------------------------------------------------

@@ -283,6 +283,12 @@ LATTICE_GOLDEN = [
         ["(1 2 3 4 5 6 7 8 9 10 11)", "(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)"],
         "7cb52912810f55dc3795cf2b5e3ddbeb0664cab43356ebd5bccae99e4dd35e5b",
     ),
+    (
+        "A7",
+        7,
+        ["(1 2 3 4 5 6 7)", "(1 2 3)"],
+        "4dda3123b812a42bb968a08074ae2088d3380e74f13ce71fc77a71e206d5c79c",
+    ),
 ]
 M11_LATTICE_DIGEST = "da114ba2a0d4edf84a123a7eb274d218f6e0f1b5159542c0490cc1ad08f2cb87"
 

@@ -257,6 +257,22 @@ def test_subgroup_closure_matches_perm_closure(group_and_ids, abort_above):
         assert capped is None
     else:
         assert np.array_equal(capped.member_ids, h.member_ids)
+    # the right-multiplication route fills the dict it is given, and a
+    # second closure reads the maps the first one left there
+    maps = {}
+    mapped = subgroup_closure(g, ids, maps=maps)
+    assert np.array_equal(mapped.member_ids, h.member_ids)
+    assert mapped.generators == h.generators
+    all_ids = np.arange(g.order)
+    assert sorted(maps) == [x for x in h.generators if x != 0]
+    for x, right in maps.items():
+        assert np.array_equal(right, g.mul_many(all_ids, x))
+    capped_mapped = subgroup_closure(g, ids, abort_above=abort_above, maps=maps)
+    if capped is None:
+        assert capped_mapped is None
+    else:
+        assert np.array_equal(capped_mapped.member_ids, capped.member_ids)
+        assert capped_mapped.generators == capped.generators
 
 
 def _sequential_orbit(g, member_ids, elements, generators=None):

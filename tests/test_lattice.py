@@ -1,6 +1,11 @@
-import pytest
+import functools
 
-from wreathcover import InputError, lattice
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wreathcover import InputError, catalog, lattice
 from wreathcover.groups import GroupTable, subgroup_closure
 from wreathcover.lattice import (
     all_subgroup_classes,
@@ -8,6 +13,8 @@ from wreathcover.lattice import (
 )
 from wreathcover.perm import Perm
 from wreathcover.pipelines import load_group
+
+from oracles import orbit_reps_walk
 
 
 def test_a5_has_nine_classes(a5, _cache_dir):
@@ -111,3 +118,36 @@ def test_cache_rejects_wrong_group(tmp_path, a5, psl7):
     classes = all_subgroup_classes(psl7.table, cache_dir=tmp_path)
     assert sum(c.class_size for c in classes) > 59
     assert classes[-1].order == psl7.table.order
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclic_classes(name: str):
+    """The group and its cyclic subgroup classes, in lattice order."""
+    if name == "S5":  # the S5 spec file's generators
+        gens = [Perm.from_cycles("(1 2 3 4 5)", 5), Perm.from_cycles("(1 2)", 5)]
+        g = GroupTable.from_generators(gens, name="S5")
+    else:
+        g = catalog.load(name).table
+    orders = g.element_orders()
+    classes = [
+        c
+        for c in all_subgroup_classes(g)
+        if c.order > 1 and int(orders[c.representative.member_ids].max()) == c.order
+    ]
+    return g, classes
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["A5", "S5", "PSL(2,7)", "A6"]), st.data())
+def test_cyclic_orbit_reps_match_orbit_walk(name, data):
+    # the label propagation picks, class by class, the same representatives
+    # in the same order as walking each unvisited conjugate's orbit
+    g, classes = _cyclic_classes(name)
+    acting = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3))
+    # the empty list, the identity and repeated elements included
+    elements = acting + data.draw(st.sampled_from([[], [0], acting]))
+    cyclic, gens, label = lattice._number_cyclic(g, classes)
+    assert np.array_equal(label[gens], np.arange(len(cyclic)))
+    found = [cyclic[i] for i in lattice._orbit_reps(g, label, gens, elements).tolist()]
+    expected = [h for c in classes for h in orbit_reps_walk(g, c, elements)]
+    assert [h.canonical_key for h in found] == [h.canonical_key for h in expected]
