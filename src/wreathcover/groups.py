@@ -323,24 +323,13 @@ def subgroup_closure(
         if not 0 <= x < g.order:
             raise ValueError(f"invalid element id {x}")
     acting = [x for x in gen_list if x != 0]
-    if maps is None:
-        gen_rows = g.images[acting]
-
-        def products(frontier: np.ndarray) -> np.ndarray:
-            rows = g.images[frontier][:, gen_rows].reshape(-1, g.degree)
-            # sorted keys make the key search run forward through the table
-            return g._lookup(np.sort(_pack(rows, g.degree)))
-
-    else:
+    if maps is not None and acting:
         all_ids = np.arange(g.order, dtype=np.int64)
         for x in acting:
             if x not in maps:
                 maps[x] = g.mul_many(all_ids, x).astype(np.min_scalar_type(g.order - 1))
-        stacked = np.stack([maps[x] for x in acting]) if acting else None
-
-        def products(frontier: np.ndarray) -> np.ndarray:
-            return stacked[:, frontier]
-
+        right = np.stack([maps[x] for x in acting])
+    gen_rows = g.images[acting]
     member = np.zeros(g.order, dtype=bool)
     member[0] = True
     member[gen_list] = True
@@ -349,7 +338,12 @@ def subgroup_closure(
     bound = g.order if abort_above is None else abort_above
     while frontier.shape[0] and acting and size <= bound:
         fresh = np.zeros(g.order, dtype=bool)
-        fresh[products(frontier)] = True
+        if maps is None:
+            rows = g.images[frontier][:, gen_rows].reshape(-1, g.degree)
+            # sorted keys make the key search run forward through the table
+            fresh[g._lookup(np.sort(_pack(rows, g.degree)))] = True
+        else:
+            fresh[right[:, frontier]] = True
         fresh &= ~member
         member |= fresh
         frontier = np.flatnonzero(fresh)
