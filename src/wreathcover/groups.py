@@ -16,16 +16,13 @@ first.  The subgroup routines batch that arithmetic: ``subgroup_closure``
 and ``conjugation_orbit`` handle a whole breadth-first level per gather,
 and membership in a subgroup is a boolean mask over the group.
 
-A closure level has two routes.  By default it gathers the image rows of
-frontier x generators and looks up their packed keys.  Given a dict of
-right-multiplication maps (y -> y*x as an id array, in the narrowest
-unsigned type that holds an id), it gathers ids through the maps instead,
-making each missing map with one ``mul_many`` over the group.  A map pays
-off only over many closures by the same elements, as in one lattice
-enumeration, which owns its dict.  One-off closures (catalog load, lattice
-cache verification) pass none: they run a few levels each, and building
-their maps would cost more than the key lookups it saves.  The group keeps
-no such maps.
+A closure level gathers ids through right-multiplication maps (y -> y*x
+as an id array, in the narrowest unsigned type that holds an id), each
+made with one ``mul_many`` over the group.  A caller that makes many
+closures by the same elements, as one lattice enumeration does, passes a
+dict that keeps the maps between its closures; a one-off closure (catalog
+load, lattice cache verification) makes its maps for itself.  The group
+keeps no such maps: a cold M11 lattice makes about 700 of them.
 
 Cycle data comes from one vectorized pass over the image rows
 (``cycle_lengths``): the length of the cycle through every point of every
@@ -126,17 +123,15 @@ class GroupTable:
 
     # -- id-level arithmetic ---------------------------------------------
 
-    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+    def ids(self, rows: np.ndarray) -> np.ndarray:
+        """The ids of the given (k, degree) image rows; KeyError if one is
+        not in the group."""
+        keys = _pack(rows, self.degree)
         ids = self._keys.searchsorted(keys)
         # a key past the last one is clipped onto it and so differs from it
         if (self._keys.take(ids, mode="clip") != keys).any():
             raise KeyError("permutation not in group")
         return ids.astype(np.int64)
-
-    def ids(self, rows: np.ndarray) -> np.ndarray:
-        """The ids of the given (k, degree) image rows; KeyError if one is
-        not in the group."""
-        return self._lookup(_pack(rows, self.degree))
 
     def id_of(self, p: Perm) -> int:
         """The id of p; InputError when p is not in the group."""
@@ -308,11 +303,11 @@ def subgroup_closure(
 ) -> SubgroupHandle | None:
     """Smallest subgroup containing ``gens``, breadth-first: each level
     multiplies the whole frontier on the right by every non-identity
-    generator in one gather, with membership kept as a mask over g.
+    generator in one gather of ids through the right-multiplication maps
+    y -> y*x, with membership kept as a mask over g.
 
-    Without ``maps`` a level gathers image rows and looks up their packed
-    keys.  With ``maps`` it gathers ids through right-multiplication maps
-    y -> y*x, read from the dict and added to it for generators it lacks.
+    The maps are read from ``maps`` and added to it for generators it
+    lacks; without it they are made for this call only.
 
     Returns None if the closure grows past ``abort_above`` elements (used by
     the lattice enumeration to cut off joins that must generate the whole
@@ -323,13 +318,13 @@ def subgroup_closure(
         if not 0 <= x < g.order:
             raise ValueError(f"invalid element id {x}")
     acting = [x for x in gen_list if x != 0]
-    if maps is not None and acting:
-        all_ids = np.arange(g.order, dtype=np.int64)
-        for x in acting:
-            if x not in maps:
-                maps[x] = g.mul_many(all_ids, x).astype(np.min_scalar_type(g.order - 1))
-        right = np.stack([maps[x] for x in acting])
-    gen_rows = g.images[acting]
+    if maps is None:
+        maps = {}
+    all_ids = np.arange(g.order, dtype=np.int64)
+    for x in acting:
+        if x not in maps:
+            maps[x] = g.mul_many(all_ids, x).astype(np.min_scalar_type(g.order - 1))
+    right = np.stack([maps[x] for x in acting]) if acting else None
     member = np.zeros(g.order, dtype=bool)
     member[0] = True
     member[gen_list] = True
@@ -338,12 +333,7 @@ def subgroup_closure(
     bound = g.order if abort_above is None else abort_above
     while frontier.shape[0] and acting and size <= bound:
         fresh = np.zeros(g.order, dtype=bool)
-        if maps is None:
-            rows = g.images[frontier][:, gen_rows].reshape(-1, g.degree)
-            # sorted keys make the key search run forward through the table
-            fresh[g._lookup(np.sort(_pack(rows, g.degree)))] = True
-        else:
-            fresh[right[:, frontier]] = True
+        fresh[right[:, frontier]] = True
         fresh &= ~member
         member |= fresh
         frontier = np.flatnonzero(fresh)
@@ -354,7 +344,7 @@ def subgroup_closure(
 
 
 def _reduce_generators(
-    g: GroupTable, ids: np.ndarray, maps: dict[int, np.ndarray] | None = None
+    g: GroupTable, ids: np.ndarray, maps: dict[int, np.ndarray]
 ) -> tuple[int, ...]:
     """Greedy small generating set for the subgroup with the given elements;
     ``maps`` goes to every closure it makes."""

@@ -18,13 +18,13 @@ come from min-label propagation over those permutations.  The
 representatives are the numbers that keep their own label, ascending: the
 first conjugate of each orbit in canonical-key order.
 
-An enumeration owns a dict of right-multiplication maps y -> y*x, made for
-each x the first time a closure multiplies by it, and every closure it makes
-(the joins and the generator reduction) passes the dict to
-``subgroup_closure``, so a closure level is one gather of ids.  The dict
-dies with the enumeration; a cold M11 run builds about 700 maps, which is
-why they are not kept on the GroupTable.  Membership tests against a
-representative use a boolean mask over G.
+An enumeration owns one dict of the right-multiplication maps y -> y*x
+that ``subgroup_closure`` gathers ids through.  The joins and the
+generator reduction pass it, so each map is made once, the first time a
+closure multiplies by its element.  The dict dies with the enumeration; a
+cold M11 run builds about 700 maps, which is why they are not kept on the
+GroupTable.  Membership tests against a representative use a boolean mask
+over G.
 
 Feasible to group order ORDER_CAP = 10^4, which covers M11 (order 7920).
 Results are cached, keyed by the group's canonical hash, only in a
@@ -95,7 +95,7 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
         classes.append(cls)
         return cls
 
-    register(subgroup_closure(g, [], maps=maps))
+    register(subgroup_closure(g, []))
 
     # seed: cyclic subgroup classes; <x> is read off a table of powers,
     # one block of rows per element order, in order of (order, id).  An

@@ -257,8 +257,8 @@ def test_subgroup_closure_matches_perm_closure(group_and_ids, abort_above):
         assert capped is None
     else:
         assert np.array_equal(capped.member_ids, h.member_ids)
-    # the right-multiplication route fills the dict it is given, and a
-    # second closure reads the maps the first one left there
+    # a closure fills the dict of right-multiplication maps it is given,
+    # and a second closure reads the maps the first one left there
     maps = {}
     mapped = subgroup_closure(g, ids, maps=maps)
     assert np.array_equal(mapped.member_ids, h.member_ids)
