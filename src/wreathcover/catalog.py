@@ -251,7 +251,11 @@ def resolve_spec(source: str) -> GroupSpec:
     )
 
 
-def _load_from_spec(spec: GroupSpec) -> CatalogGroup:
+def load(source: str) -> CatalogGroup:
+    """Load and verify a catalog group (built-in name or spec file path).
+    Every call enumerates the group again; ``pipelines.load_group`` is the
+    cache."""
+    spec = resolve_spec(source)
     gens = [Perm.from_cycles(s, spec.degree) for s in spec.generators]
     table = GroupTable.from_generators(gens, name=spec.name)
     classes = []
@@ -271,10 +275,3 @@ def _load_from_spec(spec: GroupSpec) -> CatalogGroup:
             )
         classes.append(cls)
     return CatalogGroup(spec=spec, table=table, maximal_classes=classes)
-
-
-def load(source: str) -> CatalogGroup:
-    """Load and verify a catalog group (built-in name or spec file path).
-    Every call enumerates the group again; ``pipelines.load_group`` is the
-    cache."""
-    return _load_from_spec(resolve_spec(source))

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from math import comb, factorial
 from typing import Callable, Iterable, Optional
 
 
@@ -73,15 +73,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=600)
-def factorial(n: int) -> int:
-    return math.factorial(n)
-
-
-def binom(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
 # -- closed forms ------------------------------------------------------------
 
 
@@ -117,8 +108,8 @@ def main2_value(n: int, m: int) -> int:
         raise ValueError("m >= 1 required")
     total = alpha(m)
     for i in range(1, n // 2 - 1, 2):
-        total += binom(n, i) ** m
-    central = binom(n, n // 2) ** m
+        total += comb(n, i) ** m
+    central = comb(n, n // 2) ** m
     if central % 2**m != 0:
         raise AssertionError(
             f"C({n},{n//2})^{m} not divisible by 2^{m}; C(n,n/2) must be even"
@@ -131,7 +122,7 @@ def main2_lower_bound(n: int, m: int) -> Fraction:
     rational (the half-sum need not be integral)."""
     if m < 1:
         raise ValueError("m >= 1 required")
-    s = sum(binom(n, i) ** m for i in range(1, n + 1, 2))
+    s = sum(comb(n, i) ** m for i in range(1, n + 1, 2))
     return Fraction(alpha(m)) + Fraction(s, 2)
 
 
@@ -155,8 +146,8 @@ def f_ratio(n: int, m: int) -> Fraction:
     if m < 1:
         raise ValueError("m >= 1 required")
     if n % 4 == 0:
-        num = Fraction(binom(n, n // 2), 2) ** m
-        den = Fraction(1, 2) * sum(binom(n, i) ** m for i in range(1, n + 1, 2))
+        num = Fraction(comb(n, n // 2), 2) ** m
+        den = Fraction(1, 2) * sum(comb(n, i) ** m for i in range(1, n + 1, 2))
         return num / den
     if n % 2 == 1:
         p = smallest_prime_factor(n) if n > 1 and not is_prime(n) else None
@@ -164,7 +155,7 @@ def f_ratio(n: int, m: int) -> Fraction:
             raise ValueError(
                 f"n={n} odd needs a prime divisor p with p^3 <= n"
             )
-        num = sum(binom(n, i) ** m for i in range(1, n // 3 + 1))
+        num = sum(comb(n, i) ** m for i in range(1, n // 3 + 1))
         den = Fraction(factorial(n), factorial(n // p) ** p * factorial(p)) ** m
         return Fraction(num) / den
     raise ValueError(f"n={n} outside both cases (4 | n, or odd with p^3 <= n)")

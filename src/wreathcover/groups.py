@@ -16,13 +16,10 @@ first.  The subgroup routines batch that arithmetic: ``subgroup_closure``
 and ``conjugation_orbit`` handle a whole breadth-first level per gather,
 and membership in a subgroup is a boolean mask over the group.
 
-A closure level gathers ids through right-multiplication maps (y -> y*x
-as an id array, in the narrowest unsigned type that holds an id), each
-made with one ``mul_many`` over the group.  A caller that makes many
-closures by the same elements, as one lattice enumeration does, passes a
-dict that keeps the maps between its closures; a one-off closure (catalog
-load, lattice cache verification) makes its maps for itself.  The group
-keeps no such maps: a cold M11 lattice makes about 700 of them.
+The table caches two kinds of whole-group map per element, each made on
+first use and kept as long as the table: ``conj_map`` (x -> g^-1 x g) and
+``right_map`` (y -> y*x, in the narrowest unsigned type that holds an id).
+A closure level gathers ids through the right maps of its generators.
 
 Cycle data comes from one vectorized pass over the image rows
 (``cycle_lengths``): the length of the cycle through every point of every
@@ -72,6 +69,7 @@ class GroupTable:
         self._cycle_lengths: Optional[np.ndarray] = None
         self._orders: Optional[np.ndarray] = None
         self._conj_maps: dict[int, np.ndarray] = {}
+        self._right_maps: dict[int, np.ndarray] = {}
         self._hash: Optional[str] = None
 
     # -- construction ---------------------------------------------------
@@ -164,8 +162,16 @@ class GroupTable:
         """The full conjugation table x -> g^-1 x g as an id array."""
         if g not in self._conj_maps:
             t = self.mul_many(self.inv[g], np.arange(self.order))
-            self._conj_maps[g] = self.mul_many(t, g)
+            self._conj_maps[g] = self.right_map(g)[t].astype(np.int64)
         return self._conj_maps[g]
+
+    def right_map(self, x: int) -> np.ndarray:
+        """The full right-multiplication table y -> y*x as an id array in
+        the narrowest unsigned type that holds an id."""
+        if x not in self._right_maps:
+            ids = self.mul_many(np.arange(self.order), x)
+            self._right_maps[x] = ids.astype(np.min_scalar_type(self.order - 1))
+        return self._right_maps[x]
 
     # -- element statistics ----------------------------------------------
 
@@ -299,15 +305,11 @@ def subgroup_closure(
     g: GroupTable,
     gens: Iterable[int],
     abort_above: int | None = None,
-    maps: dict[int, np.ndarray] | None = None,
 ) -> SubgroupHandle | None:
     """Smallest subgroup containing ``gens``, breadth-first: each level
     multiplies the whole frontier on the right by every non-identity
-    generator in one gather of ids through the right-multiplication maps
-    y -> y*x, with membership kept as a mask over g.
-
-    The maps are read from ``maps`` and added to it for generators it
-    lacks; without it they are made for this call only.
+    generator in one gather of ids through their ``right_map``s, with
+    membership kept as a mask over g.
 
     Returns None if the closure grows past ``abort_above`` elements (used by
     the lattice enumeration to cut off joins that must generate the whole
@@ -318,13 +320,7 @@ def subgroup_closure(
         if not 0 <= x < g.order:
             raise ValueError(f"invalid element id {x}")
     acting = [x for x in gen_list if x != 0]
-    if maps is None:
-        maps = {}
-    all_ids = np.arange(g.order, dtype=np.int64)
-    for x in acting:
-        if x not in maps:
-            maps[x] = g.mul_many(all_ids, x).astype(np.min_scalar_type(g.order - 1))
-    right = np.stack([maps[x] for x in acting]) if acting else None
+    right = np.stack([g.right_map(x) for x in acting]) if acting else None
     member = np.zeros(g.order, dtype=bool)
     member[0] = True
     member[gen_list] = True
@@ -343,11 +339,8 @@ def subgroup_closure(
     return SubgroupHandle(g, np.flatnonzero(member), tuple(gen_list))
 
 
-def _reduce_generators(
-    g: GroupTable, ids: np.ndarray, maps: dict[int, np.ndarray]
-) -> tuple[int, ...]:
-    """Greedy small generating set for the subgroup with the given elements;
-    ``maps`` goes to every closure it makes."""
+def _reduce_generators(g: GroupTable, ids: np.ndarray) -> tuple[int, ...]:
+    """Greedy small generating set for the subgroup with the given elements."""
     target = ids.shape[0]
     gens: list[int] = []
     have = np.zeros(g.order, dtype=bool)
@@ -356,7 +349,7 @@ def _reduce_generators(
         if have[x]:
             continue
         gens.append(x)
-        h = subgroup_closure(g, gens, maps=maps)
+        h = subgroup_closure(g, gens)
         if h.size == target:
             break
         have[h.member_ids] = True
@@ -371,7 +364,7 @@ def normalizer(g: GroupTable, h: SubgroupHandle) -> np.ndarray:
     for t in h.generators:
         if t == 0:
             continue
-        mask &= inside[g.mul_many(g.mul_many(g.inv, t), all_ids)]
+        mask &= inside[g.mul_many(g.right_map(t)[g.inv], all_ids)]
     return all_ids[mask]
 
 

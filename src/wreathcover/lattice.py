@@ -18,13 +18,7 @@ come from min-label propagation over those permutations.  The
 representatives are the numbers that keep their own label, ascending: the
 first conjugate of each orbit in canonical-key order.
 
-An enumeration owns one dict of the right-multiplication maps y -> y*x
-that ``subgroup_closure`` gathers ids through.  The joins and the
-generator reduction pass it, so each map is made once, the first time a
-closure multiplies by its element.  The dict dies with the enumeration; a
-cold M11 run builds about 700 maps, which is why they are not kept on the
-GroupTable.  Membership tests against a representative use a boolean mask
-over G.
+Membership tests against a representative use a boolean mask over G.
 
 Feasible to group order ORDER_CAP = 10^4, which covers M11 (order 7920).
 Results are cached, keyed by the group's canonical hash, only in a
@@ -87,7 +81,6 @@ def all_subgroup_classes(
 def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
     classes: list[SubgroupClass] = []
     known: set[bytes] = set()  # the key of every conjugate of every class
-    maps: dict[int, np.ndarray] = {}  # right-multiplication maps, this run only
 
     def register(h: SubgroupHandle) -> SubgroupClass:
         cls = orbit_class(g, h)
@@ -123,7 +116,7 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
         rep = cls.representative
         if rep.size in (1, g.order):
             continue
-        norm_gens = [x for x in _reduce_generators(g, normalizer(g, rep), maps) if x != 0]
+        norm_gens = [x for x in _reduce_generators(g, normalizer(g, rep)) if x != 0]
         inside = member_mask(g, rep.member_ids)
         for i in _orbit_reps(g, label, gens, norm_gens).tolist():
             cyc = cyclic[i]
@@ -138,7 +131,6 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
                 g,
                 list(rep.generators) + list(cyc.generators),
                 abort_above=max_proper,
-                maps=maps,
             )
             if joined is None:
                 continue  # join is the whole group

@@ -439,23 +439,19 @@ def _target_masks(inst: SeedInstance, grid: np.ndarray) -> dict[int, np.ndarray]
     return dict(sorted(masks.items()))
 
 
-def check_definitely_unbeatable_wreath(
-    inst: SeedInstance,
-    family: Optional[Sequence[tuple[str, ProductTypeDescriptor]]] = None,
-) -> UnbeatabilityReport:
+def check_definitely_unbeatable_wreath(inst: SeedInstance) -> UnbeatabilityReport:
     """Explicit wreath mode: enumerate the target in S wr C_m (the
     ``WreathContext`` refuses m * |S|^m above ``EXPLICIT_CAP``) and verify
-    all four conditions by counting.  The family is the given (label,
-    descriptor) product-type members, by default those over the seed
-    classes, plus the socle maximals.  The outsider sweep runs over
-    every product-type subgroup built on maximal classes outside the family;
-    diagonal-type subgroups contribute their size bound only and make the
-    verdict conditional if they alone decide the comparison."""
+    all four conditions by counting.  The family is the product-type
+    members over the seed classes plus the socle maximals.  The outsider
+    sweep runs over every product-type subgroup built on maximal classes
+    outside the family; diagonal-type subgroups contribute their size bound
+    only and make the verdict conditional if they alone decide the
+    comparison."""
     S, m = inst.S, inst.m
     ctx = WreathContext(S, m)
     grid = ctx.base_grid()
-    if family is None:
-        family = _labelled_products(inst.seed_classes, m)
+    family = _labelled_products(inst.seed_classes, m)
     products = [d for _, d in family]
     socle = prime_factors(m)
     labels = [lab for lab, _ in family] + [f"socle[{r}]" for r in socle]

@@ -213,15 +213,3 @@ def test_out_of_hypothesis_reported_not_clipped():
     # 9 is odd non-prime but below 15; 11, 13 are prime: all skipped
     assert rep.cases_checked == 1
     assert {s["n"] for s in rep.skipped} == {9, 11, 13}
-
-
-def test_binomial_routes_agree():
-    import random
-
-    rng = random.Random(5)
-    for _ in range(50):
-        n = rng.randrange(1, 80)
-        k = rng.randrange(0, n + 1)
-        assert F.binom(n, k) == math.factorial(n) // (
-            math.factorial(k) * math.factorial(n - k)
-        )

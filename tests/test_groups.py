@@ -257,22 +257,25 @@ def test_subgroup_closure_matches_perm_closure(group_and_ids, abort_above):
         assert capped is None
     else:
         assert np.array_equal(capped.member_ids, h.member_ids)
-    # a closure fills the dict of right-multiplication maps it is given,
-    # and a second closure reads the maps the first one left there
-    maps = {}
-    mapped = subgroup_closure(g, ids, maps=maps)
-    assert np.array_equal(mapped.member_ids, h.member_ids)
-    assert mapped.generators == h.generators
+    # every right map the table holds is y -> y*x in the narrowest type,
+    # and a repeated closure reads the maps that the first one made
     all_ids = np.arange(g.order)
-    assert sorted(maps) == [x for x in h.generators if x != 0]
-    for x, right in maps.items():
+    assert {x for x in h.generators if x != 0} <= set(g._right_maps)
+    for x, right in g._right_maps.items():
+        assert right.dtype == np.min_scalar_type(g.order - 1)
         assert np.array_equal(right, g.mul_many(all_ids, x))
-    capped_mapped = subgroup_closure(g, ids, abort_above=abort_above, maps=maps)
-    if capped is None:
-        assert capped_mapped is None
-    else:
-        assert np.array_equal(capped_mapped.member_ids, capped.member_ids)
-        assert capped_mapped.generators == capped.generators
+    made = len(g._right_maps)
+    assert np.array_equal(subgroup_closure(g, ids).member_ids, h.member_ids)
+    assert len(g._right_maps) == made
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_group_and_ids())
+def test_normalizer_is_the_stabilizer_under_conjugation(group_and_ids):
+    g, ids = group_and_ids
+    h = subgroup_closure(g, ids)
+    expected = [y for y in range(g.order) if h.conjugate(y) == h]
+    assert normalizer(g, h).tolist() == expected
 
 
 def _sequential_orbit(g, member_ids, elements, generators=None):

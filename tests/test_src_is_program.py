@@ -10,6 +10,12 @@ belong in ``tests/oracles.py``.  Dunder methods are called by the language
 and are not checked.  The match is by name, so it can miss dead code that
 shares a name with live code, but it never flags live code.
 
+A defaulted parameter of a function or method of ``src/wreathcover`` must
+be passed by some call in ``src/`` or ``perfbench/``: by keyword, by a
+``**`` mapping, or positionally at its position (a ``*`` argument counts
+as every position).  Calls are matched by name, as above; dunders are not
+checked.  A default that only the tests override is a test-only option.
+
 The same rule keeps ``tests/oracles.py`` to what the tests use: each of its
 definitions must be referenced from outside its own definition,
 by a test file or by another oracle, so an oracle whose subject is deleted
@@ -17,7 +23,7 @@ goes with it.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,6 +88,58 @@ def test_src_holds_no_test_only_code():
     checked, unreferenced = _unreferenced()
     assert checked > 100  # the guard reads the real package
     assert unreferenced == []
+
+
+def _calls(trees) -> dict[str, list[ast.Call]]:
+    """Every call in ``trees``, keyed by the name it calls."""
+    out = defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                if isinstance(node.func, ast.Name):
+                    out[node.func.id].append(node)
+                elif isinstance(node.func, ast.Attribute):
+                    out[node.func.attr].append(node)
+    return out
+
+
+def _defaulted(node: ast.FunctionDef, is_method: bool):
+    """(name, position) of each defaulted parameter of ``node``; the
+    position counts the call's positional arguments (a method's first
+    parameter is not one) and is None for a keyword-only parameter."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+    shift = 1 if is_method and not static else 0
+    for i in range(len(positional) - len(args.defaults), len(positional)):
+        yield positional[i].arg, i - shift
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_default_is_overridden_by_the_program():
+    src, bench = _trees(SRC), _trees(PERFBENCH)
+    calls = _calls(list(src.values()) + list(bench.values()))
+    checked, unpassed = 0, []
+    for path, tree in src.items():
+        for qualname, name, node in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            for param, position in _defaulted(node, "." in qualname):
+                checked += 1
+                if not any(_passes(call, param, position) for call in calls[name]):
+                    unpassed.append(f"{path.stem}.{qualname}({param}=)")
+    assert checked > 10  # the guard reads the real package
+    assert unpassed == []
 
 
 def test_every_oracle_is_used():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathcover.formulas import alpha, c2_value, euler_phi, prime_factors
+from wreathcover import unbeat
 from wreathcover.groups import member_mask
 from wreathcover.cover import build_instance, sigma_exact
 from wreathcover.pipelines import _verdict, load_group, parse_target_spec
@@ -435,18 +436,26 @@ def test_product_type_members_are_canonical(a5, psl7, m):
             assert d == made
 
 
-def test_mutation_breaks_cover_condition(a5):
-    # the witness is the first failing row of the first failing shift
+def test_mutation_breaks_cover_condition(a5, monkeypatch):
+    # the witness is the first failing row of the first failing shift; the
+    # mutated family replaces the seed classes' products only, so the
+    # outsider sweep is unchanged
     pinned = {
         2: [("U2", [0, 18]), ("U3", [0, 18]), ("U2", [21, 38])],
         3: [("U2", [0, 0, 18]), ("U3", [0, 0, 18]), ("U2", [21, 0, 38])],
     }
+    labelled_products = unbeat._labelled_products
     for m, expected in pinned.items():
         inst = _a5_instance(a5, m)
         family = [(f"p{i}", d) for i, d in enumerate(_products(inst))]
         mutations = [family[1:], family + family[:1], family[:-1]]
         for mutated, (name, base) in zip(mutations, expected):
-            du = check_definitely_unbeatable_wreath(inst, family=mutated)
+
+            def mutated_products(classes, m, mutated=mutated, seed=inst.seed_classes):
+                return mutated if classes is seed else labelled_products(classes, m)
+
+            monkeypatch.setattr(unbeat, "_labelled_products", mutated_products)
+            du = check_definitely_unbeatable_wreath(inst)
             cond = [c for c in du.conditions if c.name.startswith(name)][0]
             assert not cond.passed
             assert cond.witness == {"shift": 1, "base": base}, (m, name)
