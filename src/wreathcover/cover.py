@@ -2,11 +2,14 @@
 
 Element sets are bitmasks over the (identity-free) universe, so the inner
 loops are integer AND/OR/popcount.  ``build_instance`` keeps, besides each
-candidate's mask, the sparse incidence: the universe positions of every
-candidate's members.  All masks are packed from it at once, and the
-per-element data of the search (the covering candidates of each element,
-in ascending candidate order, and their number) come from one stable sort
-of it; no dense candidates x elements matrix is built.
+candidate's mask, one incidence index: the universe positions of every
+candidate's members, and the covering candidates of every element in
+ascending candidate order, with their offsets.  All masks are packed from
+the positions, and the coverers come from one stable sort of them, cast to
+the smallest integer type that holds them (numpy sorts keys of 16 bits or
+fewer by radix); no dense candidates x elements matrix is built.  The
+greedy cover keeps the gains in a heap of upper bounds: gains only fall,
+so only the top is recounted.
 
 The branch-and-bound solver seeds with the greedy value, forces the
 candidates that alone cover some element, and branches on a least-covered
@@ -26,6 +29,20 @@ child that the bound already prunes is counted but never stacked.
 Everything is deterministic: candidates are ordered canonically and all
 tie-breaks are lexicographic.
 
+The search meets many uncovered sets more than once, and everything an
+expansion computes depends on the uncovered set alone: the branch element,
+the children in their order and each child's packing.  Only the test that
+stacks a child, packing below ``best_value - depth``, reads the depth.  So
+``sigma_exact`` memoises expansions in a dict keyed by the uncovered mask,
+made for one call and freed when it returns.  An entry holds each child's
+candidate and its packing count with the cap it was counted under: a count
+below its cap is exact, and one that reached it proves the packing at least
+the cap, which decides the test for any limit up to the cap.  A larger
+limit, met when the set recurs at a shallower depth, recounts.  A repeated
+expansion counts its children as the first did, so ``nodes`` and the point
+where ``NODE_CAP`` raises do not change, and the memo never holds more
+entries than the search expands nodes, so ``NODE_CAP`` bounds it too.
+
 One cover check: ``verify_cover_handles`` answers every "does this family
 cover the target?" from the members' element ids, over one ``member_mask``.
 ``verify_cover`` is its front for candidate labels, the greedy cover's
@@ -37,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from heapq import heapify, heappop, heapreplace
 from operator import or_
 from typing import Optional, Sequence
 
@@ -58,10 +76,14 @@ class CoverInstance:
     masks: list[int]
     handles: list[SubgroupHandle]
     full_mask: int
-    # the sparse incidence: the universe positions of every candidate's
-    # members, candidate by candidate, and the candidate of each entry
+    # the incidence index: the universe positions of every candidate's
+    # members, candidate by candidate, and the candidate of each entry; the
+    # covering candidates of every element, ascending, with element e's at
+    # coverers[coverer_start[e] : coverer_start[e + 1]]
     member_pos: np.ndarray
     member_owner: np.ndarray
+    coverers: np.ndarray
+    coverer_start: np.ndarray
 
     @property
     def universe_size(self) -> int:
@@ -130,15 +152,23 @@ def build_instance(
     owner = np.repeat(np.arange(len(handles)), sizes)
     inside = pos >= 0
     pos, owner = pos[inside], owner[inside]
+    nbits = universe.shape[0]
+    # a stable sort keeps each element's coverers ascending; numpy runs it
+    # as a radix sort on keys of 16 bits or fewer
+    by_element = np.argsort(pos.astype(np.min_scalar_type(nbits)), kind="stable")
+    coverer_start = np.zeros(nbits + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pos, minlength=nbits), out=coverer_start[1:])
     return CoverInstance(
         group=g,
         universe_ids=universe,
         labels=labels,
-        masks=_bit_rows(owner, pos, len(handles), universe.shape[0]),
+        masks=_bit_rows(owner, pos, len(handles), nbits),
         handles=handles,
-        full_mask=(1 << universe.shape[0]) - 1,
+        full_mask=(1 << nbits) - 1,
         member_pos=pos,
         member_owner=owner,
+        coverers=owner[by_element],
+        coverer_start=coverer_start,
     )
 
 
@@ -166,29 +196,29 @@ class _Lazy(dict):
 
 def _greedy_cover(instance: CoverInstance) -> tuple[list[int], Optional[int]]:
     """Repeatedly take the first candidate of largest gain, until none adds
-    an element.  The gains are kept as a vector: a pick lowers each
-    candidate's gain by the number of its elements the pick newly covers.
+    an element.  Gains only fall, so a heap of (-gain, candidate) keeps each
+    candidate's gain as last counted, an upper bound: the top is taken when
+    a recount confirms it, and put back with its new gain otherwise.
     Returns the picks and, when they leave the universe uncovered, the
     smallest uncovered element: no candidate holds it, so the instance is
     infeasible."""
-    pos, owner = instance.member_pos, instance.member_owner
-    gain = np.bincount(owner, minlength=len(instance.masks))
-    covered = np.zeros(instance.universe_size, dtype=bool)
-    fresh = np.zeros(instance.universe_size, dtype=bool)
-    chosen = []
-    while True:
-        best = int(gain.argmax())
-        if gain[best] == 0:
-            _, missing = verify_cover_handles(
-                instance.group, [instance.handles[i] for i in chosen], instance.universe_ids
-            )
-            return chosen, missing
-        chosen.append(best)
-        new = pos[owner == best]
-        new = new[~covered[new]]
-        covered[new] = fresh[new] = True
-        gain -= np.bincount(owner[fresh[pos]], minlength=gain.shape[0])
-        fresh[new] = False
+    masks = instance.masks
+    heap = [(-m.bit_count(), i) for i, m in enumerate(masks)]
+    heapify(heap)
+    uncovered, chosen = instance.full_mask, []
+    while heap and heap[0][0]:
+        negated, i = heap[0]
+        gain = (masks[i] & uncovered).bit_count()
+        if gain == -negated:
+            heappop(heap)
+            chosen.append(i)
+            uncovered &= ~masks[i]
+        else:
+            heapreplace(heap, (-gain, i))
+    _, missing = verify_cover_handles(
+        instance.group, [instance.handles[i] for i in chosen], instance.universe_ids
+    )
+    return chosen, missing
 
 
 def sigma_greedy(instance: CoverInstance) -> CoverCertificate:
@@ -236,19 +266,18 @@ def sigma_exact(instance: CoverInstance) -> CoverCertificate:
 
     full = instance.full_mask
 
-    # static per-element data: the covering candidates of element e are
-    # by_element[start[e]:start[e + 1]], in ascending candidate order
+    # static per-element data: the covering candidates of element e, in
+    # ascending candidate order, and their number
     nbits = instance.universe_size
-    pos, owner = instance.member_pos, instance.member_owner
-    counts = np.bincount(pos, minlength=nbits)
-    by_element = owner[np.argsort(pos, kind="stable")]
-    start = np.zeros(nbits + 1, dtype=np.int64)
-    np.cumsum(counts, out=start[1:])
+    by_element, start = instance.coverers, instance.coverer_start
+    counts = np.diff(start)
     coverers = _Lazy(lambda e: by_element[start[e] : start[e + 1]].tolist())
 
     # the search's masks hold position e at bit nbits - 1 - e: the lowest
     # position of a nonzero mask x is then nbits - x.bit_length()
-    masks = _bit_rows(owner, nbits - 1 - pos, len(instance.masks), nbits)
+    masks = _bit_rows(
+        instance.member_owner, nbits - 1 - instance.member_pos, len(instance.masks), nbits
+    )
     # keyed by nbits - e: the complement of the union of e's coverers
     anti_union = _Lazy(lambda k: ~reduce(or_, [masks[i] for i in coverers[nbits - k]]))
 
@@ -284,6 +313,10 @@ def sigma_exact(instance: CoverInstance) -> CoverCertificate:
     depth, uncovered = len(forced), full ^ forced_mask
     stack = [(depth, uncovered, None, depth + packing(uncovered, best_value - depth))]
     nodes = 1
+    # the expansions made so far, by uncovered mask: each child's candidate
+    # and packing P, flat and in stacking order.  A count below its cap is
+    # P itself; one that reached its cap c is kept as ~c, meaning P >= c.
+    memo: dict[int, list[int]] = {}
     while stack:
         depth, uncovered, path, bound = stack.pop()
         if bound >= best_value:
@@ -296,27 +329,62 @@ def sigma_exact(instance: CoverInstance) -> CoverCertificate:
                 path = path[1]
             best_chosen = tuple(sorted(chosen))
             continue
+        depth += 1
+        # a child is stacked when its packing is below limit
+        limit = best_value - depth
+        children = memo.get(uncovered)
+        if children is not None:
+            nodes += len(children) // 2
+            if nodes > NODE_CAP:
+                raise InputError(f"branch-and-bound exceeded {NODE_CAP} nodes")
+            for j in range(1, len(children), 2):
+                p = children[j]
+                if p >= limit:
+                    continue
+                i = children[j - 1]
+                rest = uncovered & anti_mask[i]
+                if p < 0:
+                    # P >= ~p decides only up to ~p: recount under the larger limit
+                    if ~p >= limit:
+                        continue
+                    p = packing(rest, limit)
+                    children[j] = p if p < limit else ~p
+                    if p >= limit:
+                        continue
+                stack.append((depth, rest, (i, path), depth + p))
+            continue
         for bucket in buckets:
             low = uncovered & bucket
             if low:
                 break
         # children by decreasing gain, then by candidate; the first is
-        # stacked last
+        # stacked last.  No two share a candidate, so rest is never compared.
         options = sorted(
             [
-                ((uncovered & anti_mask[i]).bit_count(), i)
+                ((rest := uncovered & anti_mask[i]).bit_count(), i, rest)
                 for i in coverers[nbits - low.bit_length()]
-            ]
+            ],
+            reverse=True,
         )
         nodes += len(options)
         if nodes > NODE_CAP:
             raise InputError(f"branch-and-bound exceeded {NODE_CAP} nodes")
-        depth += 1
-        for _, i in reversed(options):
-            rest = uncovered & anti_mask[i]
-            bound = depth + packing(rest, best_value - depth)
-            if bound < best_value:
-                stack.append((depth, rest, (i, path), bound))
+        children = memo[uncovered] = []
+        for _, i, rest in options:
+            # the packing, inlined: left stays nonzero when it stops at its cap
+            p, left = 0, rest
+            while left:
+                p += 1
+                if p >= limit:
+                    break
+                left &= anti_union[left.bit_length()]
+            children.append(i)
+            if left:
+                children.append(~p)
+            else:
+                children.append(p)
+                if p < limit:
+                    stack.append((depth, rest, (i, path), depth + p))
 
     return CoverCertificate(
         kind="exact-optimal",

@@ -467,7 +467,8 @@ def inequality_suite(
             for a, b in itertools.combinations_with_replacement(divisors(n), 2)
         ]
     cases, skipped = 0, []
-    failing = tightest = best = None  # best: the largest lhs/rhs so far
+    failing = tightest = None
+    best_num, best_den = 0, 0  # the largest lhs/rhs so far; none while best_den is 0
     for params in grid:
         sides = row.checker(*params.values())
         if sides is None:
@@ -478,9 +479,11 @@ def inequality_suite(
         if failing is None and not row.relation(lhs, rhs):
             failing = (params, lhs, rhs)
         if rhs:
-            ratio = Fraction(lhs) / rhs
-            if best is None or ratio > best:
-                best, tightest = ratio, (params, lhs, rhs)
+            # lhs/rhs as num/den with den > 0, compared by cross-multiplying
+            (a, b), (c, d) = lhs.as_integer_ratio(), rhs.as_integer_ratio()
+            num, den = (a * d, b * c) if c > 0 else (-a * d, -b * c)
+            if not best_den or num * best_den > best_num * den:
+                best_num, best_den, tightest = num, den, (params, lhs, rhs)
 
     def render(params, lhs, rhs) -> InequalityCase:
         prefix = "sq:" if row.squared else ""

@@ -43,6 +43,18 @@ GOLDEN = [
         "5ed23f6aa47ea4f2afc6af1ed495104aa5b60672d560e79a02cd39210e1a1808",
     ),
     (
+        # 554,032 nodes for sigma(A6) = 16
+        "sigma A6 --exact",
+        0,
+        "397c614d27fe4e95d63e539345487dec0e37b3beff7025628285f5baf094d13c",
+    ),
+    (
+        # 38,256 nodes, most of them over uncovered sets met before
+        "sigma A6 --exact --target orders:3",
+        0,
+        "dc4d3cd15059cc34a31e741001a637d08adb30507e4b82156fe91d2d82df09c4",
+    ),
+    (
         "sigma PSL(2,11) --exact --target orders:3",
         0,
         "e030365772fd53b00a3c161172494bbdb9e0732c5f860ee86c93594de17bb0e1",
