@@ -2,12 +2,13 @@
 
 Element sets are bitmasks over the (identity-free) universe, so the inner
 loops are integer AND/OR/popcount.  ``build_instance`` keeps, besides each
-candidate's mask, one incidence index: the universe positions of every
-candidate's members, and the covering candidates of every element in
-ascending candidate order, with their offsets.  All masks are packed from
-the positions, and the coverers come from one stable sort of them, cast to
-the smallest integer type that holds them (numpy sorts keys of 16 bits or
-fewer by radix); no dense candidates x elements matrix is built.  The
+candidate's mask, one incidence index: the covering candidates of every
+element in ascending candidate order, with their offsets.  The masks are
+packed once, from the universe positions of every candidate's members, and
+the coverers come from one stable sort of those positions, cast to the
+smallest integer type that holds them (numpy sorts keys of 16 bits or fewer
+by radix); no dense candidates x elements matrix is built.  A mask holds
+universe position e at bit nbits - 1 - e, the order the search reads.  The
 greedy cover keeps the gains in a heap of upper bounds: gains only fall,
 so only the top is recounted.
 
@@ -19,8 +20,8 @@ the choice is the lowest position in the first bucket that meets the
 uncovered set.  It prunes with a disjoint element packing: repeatedly take
 the lowest uncovered position and drop everything its coverers cover.  The
 complement of each element's coverer union is built the first time the
-packing reaches that element.  The search's own masks hold position 0 at
-the top bit, so the lowest position in a mask is read off its bit length.
+packing reaches that element.  The instance's masks hold position 0 at the
+top bit, so the lowest position in a mask is read off its bit length.
 
 The search keeps its own stack, so the interpreter's recursion limit does
 not bound its depth.  It visits nodes depth first, children by decreasing
@@ -73,15 +74,11 @@ class CoverInstance:
     group: GroupTable
     universe_ids: np.ndarray  # sorted element ids, identity excluded
     labels: list[str]
-    masks: list[int]
+    masks: list[int]  # universe position e at bit nbits - 1 - e
     handles: list[SubgroupHandle]
     full_mask: int
-    # the incidence index: the universe positions of every candidate's
-    # members, candidate by candidate, and the candidate of each entry; the
-    # covering candidates of every element, ascending, with element e's at
-    # coverers[coverer_start[e] : coverer_start[e + 1]]
-    member_pos: np.ndarray
-    member_owner: np.ndarray
+    # the incidence index: the covering candidates of every element, ascending,
+    # element e's at coverers[coverer_start[e] : coverer_start[e + 1]]
     coverers: np.ndarray
     coverer_start: np.ndarray
 
@@ -162,11 +159,9 @@ def build_instance(
         group=g,
         universe_ids=universe,
         labels=labels,
-        masks=_bit_rows(owner, pos, len(handles), nbits),
+        masks=_bit_rows(owner, nbits - 1 - pos, len(handles), nbits),
         handles=handles,
         full_mask=(1 << nbits) - 1,
-        member_pos=pos,
-        member_owner=owner,
         coverers=owner[by_element],
         coverer_start=coverer_start,
     )
@@ -273,11 +268,8 @@ def sigma_exact(instance: CoverInstance) -> CoverCertificate:
     counts = np.diff(start)
     coverers = _Lazy(lambda e: by_element[start[e] : start[e + 1]].tolist())
 
-    # the search's masks hold position e at bit nbits - 1 - e: the lowest
-    # position of a nonzero mask x is then nbits - x.bit_length()
-    masks = _bit_rows(
-        instance.member_owner, nbits - 1 - instance.member_pos, len(instance.masks), nbits
-    )
+    # the lowest position of a nonzero mask x is nbits - x.bit_length()
+    masks = instance.masks
     # keyed by nbits - e: the complement of the union of e's coverers
     anti_union = _Lazy(lambda k: ~reduce(or_, [masks[i] for i in coverers[nbits - k]]))
 

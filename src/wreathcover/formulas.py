@@ -143,6 +143,8 @@ def f_ratio(n: int, m: int) -> Fraction:
     f(n,m) ~ 2^(2-m) * sqrt(2m/(pi*n)): f tends to 0 polynomially in n,
     like n^(-1/2), not geometrically.  The paper's own statement of f is not
     in PAPER.md, so this transcription rests on the formulas above."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
     if m < 1:
         raise ValueError("m >= 1 required")
     if n % 4 == 0:

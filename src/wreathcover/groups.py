@@ -17,9 +17,11 @@ and ``conjugation_orbit`` handle a whole breadth-first level per gather,
 and membership in a subgroup is a boolean mask over the group.
 
 The table caches two kinds of whole-group map per element, each made on
-first use and kept as long as the table: ``conj_map`` (x -> g^-1 x g) and
-``right_map`` (y -> y*x, in the narrowest unsigned type that holds an id).
-A closure level gathers ids through the right maps of its generators.
+first use and kept as long as the table: ``right_map`` (y -> y*x, in the
+narrowest unsigned type that holds an id) and ``conj_map`` (x -> g^-1 x g),
+read off the right map of g by gathers.  A closure level gathers ids through
+the right maps of its generators; an orbit level carries each member's
+conjugator, which a class keeps, through those of the acting elements.
 
 Cycle data comes from one vectorized pass over the image rows
 (``cycle_lengths``): the length of the cycle through every point of every
@@ -83,6 +85,8 @@ class GroupTable:
         for g in generators:
             if g.degree != degree:
                 raise ValueError("generators act on different point sets")
+        if degree > 16:  # refused before the uint8 cast, which fails past 255
+            raise InputError("packed keys support degree <= 16 only")
         gen_imgs = np.array([g.images for g in generators], dtype=np.uint8)
         identity = np.arange(degree, dtype=np.uint8).reshape(1, degree)
         seen: dict[int, int] = {}
@@ -159,10 +163,11 @@ class GroupTable:
         return self.ids(rows)
 
     def conj_map(self, g: int) -> np.ndarray:
-        """The full conjugation table x -> g^-1 x g as an id array."""
+        """The full conjugation table x -> g^-1 x g as an id array, by
+        gathers through ``right_map(g)``: g^-1 x = (x^-1 g)^-1."""
         if g not in self._conj_maps:
-            t = self.mul_many(self.inv[g], np.arange(self.order))
-            self._conj_maps[g] = self.right_map(g)[t].astype(np.int64)
+            right = self.right_map(g)
+            self._conj_maps[g] = right[self.inv[right[self.inv]]].astype(np.int64)
         return self._conj_maps[g]
 
     def right_map(self, x: int) -> np.ndarray:
@@ -277,10 +282,12 @@ class SubgroupHandle:
 
 @dataclass
 class SubgroupClass:
-    """A conjugacy class of subgroups."""
+    """A conjugacy class of subgroups; ``conjugators[i]`` maps the
+    representative onto ``conjugates[i]``."""
 
     representative: SubgroupHandle
     conjugates: list[SubgroupHandle]
+    conjugators: list[int]
     label: str | None = None  # the catalog's name; None for a lattice class
 
     @property
@@ -384,51 +391,47 @@ def _acting_generators(g: GroupTable) -> list[int]:
 @dataclass
 class ConjugationOrbit:
     """An orbit of subgroups under conjugation by a list of elements, in
-    breadth-first order from ``members[0]``.
-
-    ``parent``/``via`` form the Schreier vector: member i > 0 is member
-    ``parent[i]`` conjugated by element ``via[i]`` of the acting list.
-    ``generators`` carries each member's generator images when asked for.
-    """
+    breadth-first order from ``members[0]``, with each member's generator
+    images and its conjugator: the element c with ``members[0]``^c equal
+    to it (the identity for ``members[0]``)."""
 
     members: list[np.ndarray]  # sorted int64 ids
     keys: list[bytes]  # canonical keys of the members
-    parent: list[int]
-    via: list[int]
-    generators: list[np.ndarray] | None
+    generators: list[np.ndarray]
+    conjugators: list[int]
 
 
 def conjugation_orbit(
     g: GroupTable,
     member_ids: np.ndarray,
     elements: Sequence[int],
-    generators: Sequence[int] | None = None,
+    generators: Sequence[int],
 ) -> ConjugationOrbit:
-    """The orbit of the subgroup with the given sorted ids under
-    conjugation by ``elements``, breadth-first, each member expanded by the
-    elements in order.  Generator images are carried only when
-    ``generators`` is given.
+    """The orbit of the subgroup with the given sorted ids and generators
+    under conjugation by ``elements``, breadth-first, each member expanded
+    by the elements in order.
 
     The walk goes one level at a time: the whole frontier goes through the
     stacked conjugation maps in one gather and is sorted row by row, so a
-    level's working set is frontier size x len(elements) x |H|."""
+    level's working set is frontier size x len(elements) x |H|.  Generator
+    images take one more gather through those maps, and conjugators one
+    through the right maps: element x takes conjugator c to c*x."""
     maps = np.array([g.conj_map(x) for x in elements], dtype=np.int64)
     maps = maps.reshape(len(elements), g.order)
+    rights = np.array([g.right_map(x) for x in elements]).reshape(maps.shape)
     k = maps.shape[0]
     via_rows = np.arange(k)[None, :, None]
     start = np.asarray(member_ids, dtype=np.int64)
     width = start.shape[0] * start.itemsize
     members, keys = [start], [start.tobytes()]
     seen = set(keys)
-    parent, via = [-1], [-1]
     frontier = start[None, :]
-    gens = None
-    if generators is not None:
-        gen_frontier = np.asarray(generators, dtype=np.int64)[None, :]
-        gens = [gen_frontier[0]]
-    lo = 0  # the index of the frontier's first member
+    gen_frontier = np.asarray(generators, dtype=np.int64)[None, :]
+    gens = [gen_frontier[0]]
+    conj_frontier = np.zeros(1, dtype=np.int64)
+    conjugators = [0]
     while frontier.shape[0]:
-        # row r of a level is frontier member lo + r // k under element r % k
+        # row r of a level is frontier member r // k under element r % k
         level = np.sort(maps[via_rows, frontier[:, None, :]], axis=2)
         level = level.reshape(-1, start.shape[0])
         buf = level.tobytes()
@@ -439,29 +442,28 @@ def conjugation_orbit(
                 seen.add(key)
                 fresh.append(r)
         keys.extend(level_keys[r] for r in fresh)
-        parent.extend(lo + r // k for r in fresh)
-        via.extend(r % k for r in fresh)
-        lo += frontier.shape[0]
         frontier = level[fresh]
         members.extend(frontier)
-        if gens is not None:
-            images = maps[via_rows, gen_frontier[:, None, :]]
-            gen_frontier = images.reshape(level.shape[0], images.shape[2])[fresh]
-            gens.extend(gen_frontier)
-    return ConjugationOrbit(members, keys, parent, via, gens)
+        images = maps[via_rows, gen_frontier[:, None, :]]
+        gen_frontier = images.reshape(level.shape[0], images.shape[2])[fresh]
+        gens.extend(gen_frontier)
+        conj_frontier = rights[:, conj_frontier].T.reshape(-1)[fresh]
+        conjugators.extend(conj_frontier.tolist())
+    return ConjugationOrbit(members, keys, gens, conjugators)
 
 
 def orbit_class(g: GroupTable, h: SubgroupHandle, label: str | None = None) -> SubgroupClass:
     """The conjugacy class of h, conjugates in canonical-key order, each
-    with its generators conjugated along (h itself is the representative)."""
+    with its generators conjugated along and its conjugator (h itself is
+    the representative)."""
     orbit = conjugation_orbit(g, h.member_ids, _acting_generators(g), h.generators)
+    order = sorted(range(len(orbit.keys)), key=lambda i: orbit.keys[i])
     conjugates = [
-        h
-        if i == 0
-        else SubgroupHandle(g, orbit.members[i], tuple(orbit.generators[i].tolist()))
-        for i in sorted(range(len(orbit.keys)), key=lambda i: orbit.keys[i])
+        h if i == 0 else SubgroupHandle(g, orbit.members[i], tuple(orbit.generators[i].tolist()))
+        for i in order
     ]
-    return SubgroupClass(representative=h, conjugates=conjugates, label=label)
+    conjugators = [orbit.conjugators[i] for i in order]
+    return SubgroupClass(h, conjugates, conjugators, label)
 
 
 def conjugate_class(g: GroupTable, h: SubgroupHandle, label: str | None = None) -> SubgroupClass:
@@ -474,23 +476,3 @@ def conjugate_class(g: GroupTable, h: SubgroupHandle, label: str | None = None) 
             f"class size {cls.class_size} * normalizer {nsize} != group order {g.order}"
         )
     return cls
-
-
-def class_conjugators(g: GroupTable, cls: SubgroupClass) -> dict[bytes, int]:
-    """For each conjugate in the class, one element c with rep^c equal to
-    it (c = identity for the representative)."""
-    elements = np.asarray(_acting_generators(g), dtype=np.int64)
-    orbit = conjugation_orbit(g, cls.representative.member_ids, elements)
-    parent = np.asarray(orbit.parent, dtype=np.int64)
-    via = np.asarray(orbit.via, dtype=np.int64)
-    # rebuilt from the Schreier vector a level at a time: parents are
-    # nondecreasing, so the members whose parents are done form a prefix
-    conjugators = np.zeros(parent.shape[0], dtype=np.int64)
-    done = 1
-    while done < parent.shape[0]:
-        end = int(np.searchsorted(parent, done))
-        conjugators[done:end] = g.mul_many(
-            conjugators[parent[done:end]], elements[via[done:end]]
-        )
-        done = end
-    return dict(zip(orbit.keys, conjugators.tolist()))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import InputError, catalog, formulas
 from .cover import build_instance, sigma_exact, sigma_greedy, verify_cover
-from .groups import GroupTable, SubgroupClass, class_conjugators, member_mask
+from .groups import GroupTable, SubgroupClass, member_mask
 from .lattice import ORDER_CAP, all_subgroup_classes, maximal_classes_from_lattice
 from .perm import Perm
 from .unbeat import (
@@ -345,20 +345,17 @@ def descriptor_lines(
     """Serialize a wreath covering family: one line per member,
     product-type{...} or socle{r} for each socle maximal's prime r."""
     g = cg.table
-    conj_by_class: dict[str, dict[bytes, int]] = {}
-    class_of_key: dict[bytes, str] = {}
-    for cls in cg.maximal_classes:
-        cmap = class_conjugators(g, cls)
-        conj_by_class[cls.label] = cmap
-        for key in cmap:
-            class_of_key[key] = cls.label
+    # every maximal conjugate's class label and conjugator, by its key
+    found = {
+        h.canonical_key: (cls.label, c)
+        for cls in cg.maximal_classes
+        for h, c in zip(cls.conjugates, cls.conjugators)
+    }
     lines = []
     for d in descriptors:
-        key = d.M.canonical_key
-        label = class_of_key.get(key)
-        if label is None:
+        if d.M.canonical_key not in found:
             raise ValueError("descriptor subgroup is not in the maximal catalog")
-        conj = conj_by_class[label][key]
+        label, conj = found[d.M.canonical_key]
         cosets = ", ".join(g.perm(c).to_cycle_string() for c in d.cosets)
         lines.append(
             f"product-type{{group={cg.spec.name}, class={label}, "

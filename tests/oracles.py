@@ -153,7 +153,7 @@ def orbit_reps_walk(g: GroupTable, cls: SubgroupClass, elements: Sequence[int]):
         if h.canonical_key in visited:
             continue
         reps.append(h)
-        visited.update(conjugation_orbit(g, h.member_ids, elements).keys)
+        visited.update(conjugation_orbit(g, h.member_ids, elements, h.generators).keys)
     return reps
 
 

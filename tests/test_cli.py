@@ -473,6 +473,7 @@ _REFUSED_FILES = {
     "no-generators.yaml": "name: A5\ndegree: 5\ngenerators: []\n",
     "degree-17.yaml": "name: C17\ndegree: 17\ngenerators: [\"(%s)\"]\n"
     % " ".join(str(i) for i in range(1, 18)),
+    "degree-300.yaml": 'name: big\ndegree: 300\ngenerators: ["(1 300)", "(1 2 3)"]\n',
     "odd-class.yaml": "name: A5\ndegree: 5\n" + _A5_GENERATORS + "maximal_classes:\n"
     '  - {label: X, generators: ["(1 2)"], expected_order: 2, expected_class_size: 10}\n',
     "conj-odd.txt": "product-type{group=A5, class=D10, conj=(1 2), cosets=[()]}\n",
@@ -509,11 +510,13 @@ REFUSED = [
      "[Errno 2] No such file or directory: '{dir}/missing.txt'"),
     (["formula", "main2", "-n", "15", "-m", "1"], "n=15 is not congruent to 2 mod 4"),
     (["formula", "stirling", "-n", "0"], "n >= 1 required"),
+    (["formula", "f-ratio", "-n", "0", "-m", "1"], "n >= 1 required"),
     (["check-inequalities", "--lemma", "divisor-monotone", "--n-range", "0..9"],
      "n must be positive"),
     (["catalog", "{dir}/bad-point.yaml"], "point 9 out of range 1..5 in '(1 2 3 4 9)'"),
     (["catalog", "{dir}/no-generators.yaml"], "need at least one generator"),
     (["catalog", "{dir}/degree-17.yaml"], "packed keys support degree <= 16 only"),
+    (["catalog", "{dir}/degree-300.yaml"], "packed keys support degree <= 16 only"),
     (["catalog", "{dir}/odd-class.yaml"], "permutation (1 2) not in A5"),
     (["verify-unbeatable", "M11", "--sigma-spec", "orders:8,11", "--families",
       "M10,PSL(2,11)", "-m", "2", "--mode", "explicit"],

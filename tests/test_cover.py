@@ -228,8 +228,10 @@ def _bitscan_greedy(masks, full):
 
 def _bitscan_search(masks, full, greedy):
     """The branch-and-bound by per-bit scans, one call per node: the
-    search sigma_exact must make node for node.  Returns [value, chosen,
-    nodes]."""
+    search sigma_exact must make node for node.  Universe position 0 is the
+    top bit, so the packing takes the top uncovered bit, and the branch
+    element is the highest of the least-covered uncovered bits.  Returns
+    [value, chosen, nodes]."""
     nbits = full.bit_length()
     coverers = [[i for i, m in enumerate(masks) if m >> e & 1] for e in range(nbits)]
     union = [reduce(or_, (masks[i] for i in c), 0) for c in coverers]
@@ -245,11 +247,11 @@ def _bitscan_search(masks, full, greedy):
         uncovered = rest = full & ~covered
         packing = 0
         while rest:
-            rest &= ~union[(rest & -rest).bit_length() - 1]
+            rest &= ~union[rest.bit_length() - 1]
             packing += 1
         if len(chosen) + packing >= best[0]:
             return
-        e = min((len(coverers[e]), e) for e in range(nbits) if uncovered >> e & 1)[1]
+        e = -min((len(coverers[e]), -e) for e in range(nbits) if uncovered >> e & 1)[1]
         for _, i in sorted((-(masks[i] & uncovered).bit_count(), i) for i in coverers[e]):
             visit(chosen + [i], covered | masks[i])
 
@@ -302,6 +304,14 @@ def test_cover_checks_match_set_union(inst, data):
         union = set().union(*(members[lab] for lab in labels))
         return next((x for x in universe if x not in union), None)
 
+    # the mask layout the search reads: bit nbits - 1 - e of a mask is set
+    # exactly when universe element e is a member
+    nbits = inst.universe_size
+    for lab, m in zip(inst.labels, inst.masks):
+        assert m >> nbits == 0
+        assert [m >> (nbits - 1 - e) & 1 for e in range(nbits)] == [
+            int(x in members[lab]) for x in universe
+        ]
     nowhere = first_missed(inst.labels)
     for cert in (sigma_exact(inst), sigma_greedy(inst)):
         assert (cert.kind == "infeasible") == (nowhere is not None)

@@ -9,7 +9,6 @@ from wreathcover import InputError, catalog, groups
 from wreathcover.groups import (
     GroupTable,
     SubgroupHandle,
-    class_conjugators,
     conjugate_class,
     conjugation_orbit,
     normalizer,
@@ -145,13 +144,11 @@ def test_class_conjugators_and_conjugate_generators(a5):
         a5, [a5.id_of(Perm.from_cycles("(1 2 3)", 5)), a5.id_of(Perm.from_cycles("(1 2)(4 5)", 5))]
     )
     cls = conjugate_class(a5, s3)
-    conj = class_conjugators(a5, cls)
-    assert sorted(conj) == [h.canonical_key for h in cls.conjugates]
-    assert len(cls.conjugates) == 10
-    for h in cls.conjugates:
+    assert len(cls.conjugates) == len(cls.conjugators) == 10
+    for h, c in zip(cls.conjugates, cls.conjugators):
         # the conjugator maps the representative onto h, and h's carried
         # generators generate h
-        assert s3.conjugate(conj[h.canonical_key]) == h
+        assert s3.conjugate(c) == h
         assert np.array_equal(subgroup_closure(a5, h.generators).member_ids, h.member_ids)
 
 
@@ -161,6 +158,18 @@ def test_normalizer_and_centralizer(a5):
     assert n.shape[0] == 10  # N(C5) = D10 in A5
     x = a5.id_of(Perm.from_cycles("(1 2 3 4 5)", 5))
     assert sum(int(a5.conj_map(g)[x] == x) for g in range(a5.order)) == 5
+
+
+@pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "A6"])
+def test_conj_map_matches_its_definition(name):
+    # x -> g^-1 x g by the one product, for every g: a map composed in the
+    # wrong order, x -> g x g^-1, fails here
+    g = catalog.load(name).table
+    all_ids = np.arange(g.order)
+    for x in range(g.order):
+        conj = g.conj_map(x)
+        assert conj.dtype == np.int64
+        assert np.array_equal(conj, g.mul_many(g.mul_many(g.inv[x], all_ids), x))
 
 
 def test_lagrange_violation_rejected(a5):
@@ -278,50 +287,43 @@ def test_normalizer_is_the_stabilizer_under_conjugation(group_and_ids):
     assert normalizer(g, h).tolist() == expected
 
 
-def _sequential_orbit(g, member_ids, elements, generators=None):
+def _sequential_orbit(g, member_ids, elements, generators):
     """One member at a time, each expanded by the elements in order: the
-    Schreier-vector walk that ``conjugation_orbit`` does level by level."""
+    walk that ``conjugation_orbit`` does level by level.  A member reached
+    from one with conjugator c by element x has conjugator c*x."""
     maps = [g.conj_map(x) for x in elements]
     start = np.asarray(member_ids, dtype=np.int64)
-    members, keys, parent, via = [start], [start.tobytes()], [-1], [-1]
-    gens = None if generators is None else [np.asarray(generators, dtype=np.int64)]
+    members, keys, conjugators = [start], [start.tobytes()], [0]
+    gens = [np.asarray(generators, dtype=np.int64)]
     seen = set(keys)
     for i, cur in enumerate(members):
-        for j, cm in enumerate(maps):
+        for x, cm in zip(elements, maps):
             nxt = np.sort(cm[cur])
             if nxt.tobytes() not in seen:
                 seen.add(nxt.tobytes())
                 members.append(nxt)
                 keys.append(nxt.tobytes())
-                parent.append(i)
-                via.append(j)
-                if gens is not None:
-                    gens.append(cm[gens[i]])
-    return members, keys, parent, via, gens
+                gens.append(cm[gens[i]])
+                conjugators.append(int(g.mul_many(conjugators[i], x)))
+    return members, keys, gens, conjugators
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(_group_and_ids(), st.lists(st.integers(0, 10**6), max_size=4), st.booleans())
-def test_conjugation_orbit_matches_sequential_walk(group_and_ids, acting, carry):
+@given(_group_and_ids(), st.lists(st.integers(0, 10**6), max_size=4))
+def test_conjugation_orbit_matches_sequential_walk(group_and_ids, acting):
     g, ids = group_and_ids
     h = subgroup_closure(g, ids)
     elements = [x % g.order for x in acting]
-    generators = h.generators if carry else None
-    orbit = conjugation_orbit(g, h.member_ids, elements, generators)
-    members, keys, parent, via, gens = _sequential_orbit(g, h.member_ids, elements, generators)
+    orbit = conjugation_orbit(g, h.member_ids, elements, h.generators)
+    members, keys, gens, conjugators = _sequential_orbit(g, h.member_ids, elements, h.generators)
     assert [m.tolist() for m in orbit.members] == [m.tolist() for m in members]
     assert orbit.keys == keys
-    assert orbit.parent == parent
-    assert orbit.via == via
-    if carry:
-        assert [x.tolist() for x in orbit.generators] == [x.tolist() for x in gens]
-    else:
-        assert orbit.generators is None
+    assert [x.tolist() for x in orbit.generators] == [x.tolist() for x in gens]
+    assert orbit.conjugators == conjugators
     cls = orbit_class(g, h)
-    conjugators = class_conjugators(g, cls)
-    assert sorted(conjugators) == [c.canonical_key for c in cls.conjugates]
-    for c in cls.conjugates:
-        assert h.conjugate(conjugators[c.canonical_key]) == c
+    assert cls.representative is h
+    for c, conj in zip(cls.conjugates, cls.conjugators, strict=True):
+        assert h.conjugate(conj) == c
 
 
 @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "A6", "PSL(2,11)", "PSL(2,13)", "M11"])

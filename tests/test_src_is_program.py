@@ -16,6 +16,11 @@ be passed by some call in ``src/`` or ``perfbench/``: by keyword, by a
 as every position).  Calls are matched by name, as above; dunders are not
 checked.  A default that only the tests override is a test-only option.
 
+Every field of a dataclass of ``src/wreathcover`` must be read outside its
+declaration: by name, as an attribute or a string constant in ``src/`` or
+``perfbench/``.  A field that only its constructor calls set is data that
+nothing reads.
+
 The same rule keeps ``tests/oracles.py`` to what the tests use: each of its
 definitions must be referenced from outside its own definition,
 by a test file or by another oracle, so an oracle whose subject is deleted
@@ -88,6 +93,36 @@ def test_src_holds_no_test_only_code():
     checked, unreferenced = _unreferenced()
     assert checked > 100  # the guard reads the real package
     assert unreferenced == []
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class name, field name) of each annotated field of each
+    module-level dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in _references(d, with_strings=False) for d in node.decorator_list
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_dataclass_field_is_read():
+    src = _trees(SRC)
+    reads = Counter()
+    for tree in list(src.values()) + list(_trees(PERFBENCH).values()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads[node.attr] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.update(part for part in node.value.split(".") if part.isidentifier())
+    fields = [
+        (f"{path.stem}.{cls}.{name}", name)
+        for path, tree in src.items()
+        for cls, name in _dataclass_fields(tree)
+    ]
+    assert len(fields) > 20  # the guard reads the real package
+    assert [qualname for qualname, name in fields if not reads[name]] == []
 
 
 def _calls(trees) -> dict[str, list[ast.Call]]:
