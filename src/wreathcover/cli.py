@@ -190,6 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact integers in a report may pass CPython's 4300-digit str() limit
+    sys.set_int_max_str_digits(0)
     for key, value in (("json", False), ("cache_dir", None)):
         if not hasattr(args, key):
             setattr(args, key, value)

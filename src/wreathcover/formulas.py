@@ -102,6 +102,8 @@ def c2_value(p: int, m: int) -> tuple[int, list[str]]:
 def main2_value(n: int, m: int) -> int:
     """Exact covering number of A_n wr C_m for n = 2 mod 4 (n > 12):
     alpha(m) + sum over odd i <= n/2-2 of C(n,i)^m + C(n,n/2)^m / 2^m."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
     if n % 4 != 2:
         raise ValueError(f"n={n} is not congruent to 2 mod 4")
     if m < 1:
@@ -120,6 +122,8 @@ def main2_value(n: int, m: int) -> int:
 def main2_lower_bound(n: int, m: int) -> Fraction:
     """Lower bound alpha(m) + (1/2) * sum over odd i of C(n,i)^m, exact
     rational (the half-sum need not be integral)."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
     if m < 1:
         raise ValueError("m >= 1 required")
     s = sum(comb(n, i) ** m for i in range(1, n + 1, 2))

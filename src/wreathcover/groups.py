@@ -212,7 +212,7 @@ class GroupTable:
         if sum(target) != self.degree:
             raise InputError(f"cycle type {target} does not sum to degree {self.degree}")
         if target[0] < 1:
-            return np.zeros(0, dtype=np.int64)  # no cycle has such a length
+            raise InputError("cycle length must be >= 1")
         # a cycle of length c contributes c points of length c to a row
         row = np.repeat(target, target)
         return np.flatnonzero((np.sort(self.cycle_lengths(), axis=1) == row).all(axis=1))

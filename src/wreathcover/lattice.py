@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import InputError
-from .formulas import divisors, euler_phi, smallest_prime_factor
+from .formulas import euler_phi, smallest_prime_factor
 from .groups import (
     GroupTable,
     SubgroupClass,
@@ -109,7 +109,6 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
                 cyclic_classes.append(register(SubgroupHandle(g, rows[i], (x,))))
 
     cyclic, gens, label = _number_cyclic(g, cyclic_classes)
-    order_divisors = divisors(g.order)
     max_proper = g.order // smallest_prime_factor(g.order) if g.order > 1 else 1
 
     for cls in classes:  # the list grows as joins find new classes
@@ -120,13 +119,8 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
         inside = member_mask(g, rep.member_ids)
         for i in _orbit_reps(g, label, gens, norm_gens).tolist():
             cyc = cyclic[i]
-            inter = int(np.count_nonzero(inside[cyc.member_ids]))
-            if inter == cyc.size:
+            if inside[cyc.member_ids].all():
                 continue  # cyc lies inside rep
-            if not _join_could_be_proper(
-                rep.size, cyc.size, inter, order_divisors, max_proper
-            ):
-                continue
             joined = subgroup_closure(
                 g,
                 list(rep.generators) + list(cyc.generators),
@@ -178,26 +172,6 @@ def _orbit_reps(
         if np.array_equal(lowered, least):
             return np.flatnonzero(least == np.arange(gens.shape[0]))
         least = lowered
-
-
-def _join_could_be_proper(
-    h_size: int,
-    c_size: int,
-    inter: int,
-    divisors: list[int],
-    max_proper: int,
-) -> bool:
-    """Cheap Lagrange screen: the join of H and C, with |H∩C| = ``inter``,
-    has an order that is a multiple of |H| and |C|, at least |H|*|C|/|H∩C|,
-    and divides |G|; skip the closure if that forces it past the largest
-    proper divisor."""
-    lower = h_size * c_size // max(inter, 1)
-    for d in divisors:
-        if d > max_proper:
-            break
-        if d >= lower and d % h_size == 0 and d % c_size == 0:
-            return True
-    return False
 
 
 def maximal_classes_from_lattice(

@@ -147,7 +147,6 @@ class SeedConditionReport:
     cross_class_layer: int  # ordered non-conjugate pair sum times |S|^(m-2)
     family_min: int  # min over family members
     seed_counts: dict
-    member_hits: np.ndarray  # seed elements in each of inst.members(); not reported
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -178,11 +177,10 @@ def diagonal_term(S_order: int, m: int) -> int:
 def hit_cover_disjoint(
     in_seed: np.ndarray,
     members: Sequence[tuple[str, SubgroupHandle]],
-) -> tuple[list[ConditionResult], np.ndarray]:
+) -> list[ConditionResult]:
     """Conditions C1-C3 of a family of subgroups on the seed, given as a
     mask over the group: every member meets it, the members cover it, and
-    no seed element lies in two members.  Returns the three results and the
-    number of seed elements in each member."""
+    no seed element lies in two members."""
     ids = np.concatenate([np.zeros(0, np.int64), *(h.member_ids for _, h in members)])
     owner = np.repeat(np.arange(len(members)), [h.size for _, h in members])
     inside = in_seed[ids]
@@ -210,7 +208,7 @@ def hit_cover_disjoint(
             doubled.shape[0] == 0,
             witness={"element": int(doubled[0])} if doubled.shape[0] else None,
         ),
-    ], sizes
+    ]
 
 
 def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
@@ -231,8 +229,7 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
 
     # C1-C3: every member meets the seed, the family covers it, no seed
     # element lies in two members
-    c13, member_hits = hit_cover_disjoint(in_seed, inst.members())
-    results.extend(c13)
+    results.extend(hit_cover_disjoint(in_seed, inst.members()))
 
     # C4: at least two non-conjugate classes
     results.append(
@@ -308,7 +305,6 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
         cross_class_layer=c_term,
         family_min=d_term,
         seed_counts=seed_counts,
-        member_hits=member_hits,
         notes=notes,
     )
 
@@ -362,7 +358,8 @@ def check_definitely_unbeatable_group(
 ) -> UnbeatabilityReport:
     """Explicit m=1 mode: the family lives inside S itself and the target
     is the seed, so U1-U3 are the seed report's C1-C3 under their U names
-    and the member minimum mu is the least of its ``member_hits``.  U4
+    and the member minimum mu is its ``family_min`` (C0 checks that the
+    seed is conjugation-closed, so every member has its class's count).  U4
     holds when nu, the largest seed count of a maximal class outside the
     family, is at most mu; then sigma(S) >= |family|, since a minimal cover
     can be taken of maximal subgroups, each member it leaves out leaves at
@@ -371,7 +368,7 @@ def check_definitely_unbeatable_group(
     # the seed report lists C0, then C1-C3
     results = [replace(c, name=name) for c, name in zip(seed_report.conditions[1:4], U_NAMES)]
 
-    member_min = int(seed_report.member_hits.min())
+    member_min = seed_report.family_min
     outsiders = inst.outside_classes()
     hits = inst.class_hits(outsiders)
     outsider_max = max(hits, default=0)
@@ -391,7 +388,7 @@ def check_definitely_unbeatable_group(
     return UnbeatabilityReport(
         mode="explicit-group",
         conditions=results,
-        family_size=len(seed_report.member_hits),
+        family_size=len(inst.members()),
         target_size=int(inst.seed_ids.shape[0]),
         member_min_count=member_min,
         outsider_max={"count": outsider_max, "class": outsider_label},

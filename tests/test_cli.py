@@ -76,6 +76,18 @@ def test_verify_c1_m2(capsys, _cache_dir):
     assert report["formula_value"] == "266"
 
 
+def test_reports_print_integers_past_4300_digits(capsys, _cache_dir):
+    # CPython refuses str() of an int above 4300 digits unless the limit is
+    # lifted; c1(1104) is the first verify-c1 value whose C5 terms pass it
+    from wreathcover.formulas import c1_value
+
+    status, report = run_json(["verify-c1", "-m", "1104"], capsys)
+    assert status == 0 and report["formula_value"] == str(c1_value(1104))
+    status, report = run_json(["formula", "c1", "-m", "4000"], capsys)
+    assert status == 0 and report["value"] == str(c1_value(4000))
+    assert len(report["value"]) == 4317
+
+
 def test_verify_c2(capsys, _cache_dir):
     status, report = run_json(["verify-c2", "-p", "11", "-m", "5"], capsys)
     assert status == 0 and report["passed"]
@@ -492,6 +504,7 @@ REFUSED = [
     (["sigma", "A5", "--target", "orders:0"], "order must be >= 1"),
     (["sigma", "A5", "--target", "cycle-types:2,2"],
      "cycle type (2, 2) does not sum to degree 5"),
+    (["sigma", "A5", "--target", "cycle-types:0,5"], "cycle length must be >= 1"),
     (["verify-unbeatable", "A5", "--sigma-spec", "orders:7", "--families", "D10,S3", "-m", "2"],
      "seed set is empty"),
     (["verify-c1", "-m", "0"], "m >= 1 required"),
@@ -509,6 +522,9 @@ REFUSED = [
     (["verify-cover", "A5", "-m", "2", "--family-file", "{dir}/missing.txt"],
      "[Errno 2] No such file or directory: '{dir}/missing.txt'"),
     (["formula", "main2", "-n", "15", "-m", "1"], "n=15 is not congruent to 2 mod 4"),
+    (["formula", "main2", "-n", "-2", "-m", "1"], "n >= 1 required"),
+    (["formula", "main2-lower", "-n", "0", "-m", "1"], "n >= 1 required"),
+    (["formula", "main2-lower", "-n", "-3", "-m", "1"], "n >= 1 required"),
     (["formula", "stirling", "-n", "0"], "n >= 1 required"),
     (["formula", "f-ratio", "-n", "0", "-m", "1"], "n >= 1 required"),
     (["check-inequalities", "--lemma", "divisor-monotone", "--n-range", "0..9"],

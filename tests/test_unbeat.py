@@ -92,10 +92,9 @@ def _set_checks(draw):
 def test_hit_cover_disjoint_matches_sets(case):
     g, target, handles = case
     members = [(f"x[{i}]", h) for i, h in enumerate(handles)]
-    (hit, cover, disjoint), sizes = hit_cover_disjoint(member_mask(g, target), members)
+    hit, cover, disjoint = hit_cover_disjoint(member_mask(g, target), members)
     # the reference: Python sets of element ids
     inter = [set(target.tolist()) & set(h.member_ids.tolist()) for h in handles]
-    assert sizes.tolist() == [len(s) for s in inter]
     empty = [lab for (lab, _), s in zip(members, inter) if not s]
     hits = [sum(x in s for s in inter) for x in target.tolist()]
     uncovered = [x for x, n in zip(target.tolist(), hits) if n == 0]
@@ -155,11 +154,17 @@ def test_seed_conditions_match_sets(case):
             for cls in family
         },
     }
+    outside = [c for c in cg.maximal_classes if c.label not in labels]
     if m == 1:
         assert rep.family_min == min(per_member(c) for c in family)
         assert (rep.outside_family_max, rep.cross_class_layer, rep.notes) == (0, 0, [])
+        # the m = 1 verdict reads mu off the seed report and sweeps the
+        # outside classes for nu
+        du = check_definitely_unbeatable_group(inst, rep)
+        assert du.member_min_count == min(per_member(c) for c in family)
+        assert du.family_size == sum(c.class_size for c in family)
+        assert du.outsider_max["count"] == max(map(per_member, outside), default=0)
         return
-    outside = [c for c in cg.maximal_classes if c.label not in labels]
     b = [per_member(c) * c.order ** (m - 1) for c in outside]
     d = [per_member(c) * c.order ** (m - 1) for c in family]
     totals = [per_member(c) * c.class_size for c in family]
