@@ -12,15 +12,26 @@ up; it pairs two id arrays elementwise or broadcasts a single id on either
 side.  Composition convention (fixed project-wide): ``mul_many(a, b)``
 applies ``b`` first and then ``a``, so row q of the product is ``a[b[q]]``,
 and a product written left to right, ``x1 * x2 * ... * xk``, applies ``xk``
-first.  The subgroup routines batch that arithmetic: ``subgroup_closure``
-and ``conjugation_orbit`` handle a whole breadth-first level per gather,
-and membership in a subgroup is a boolean mask over the group.
+first.  The subgroup routines batch that arithmetic, and membership in a
+subgroup is a boolean mask over the group.
+
+There is one closure kernel, ``closures``.  Each of its rows is a start set
+and a list of id maps (right maps for a subgroup; for a normal closure,
+conjugation maps too), and it takes all rows breadth-first together: one
+level of every live row is one gather through a flat (maps x rows x |G|)
+table into one flat (rows x |G|) membership mask.  A row that passes the
+abort bound is dead, and its frontier is dropped.  Rows go
+CLOSURE_BUDGET // |G| at a time (at least one), so a batch holds at most
+max(CLOSURE_BUDGET, |G|) mask bytes and that many narrow ints per map; no
+table grows with the number of rows.  ``subgroup_closures`` closes
+one generator set per row, and ``subgroup_closure`` is its one-row case;
+``conjugation_orbit`` likewise handles a whole level per gather.
 
 The table caches two kinds of whole-group map per element, each made on
 first use and kept as long as the table: ``right_map`` (y -> y*x, in the
 narrowest unsigned type that holds an id) and ``conj_map`` (x -> g^-1 x g),
-read off the right map of g by gathers.  A closure level gathers ids through
-the right maps of its generators; an orbit level carries each member's
+read off the right map of g by gathers.  A closure row steps through the
+right maps of its generators; an orbit level carries each member's
 conjugator, which a class keeps, through those of the acting elements.
 
 Cycle data comes from one vectorized pass over the image rows
@@ -41,6 +52,8 @@ from . import InputError
 from .perm import Perm
 
 PRODUCT_BUDGET = 10**7
+# mask entries (rows x |G|) of one batch of ``closures``
+CLOSURE_BUDGET = 2**15
 
 
 # the place values of a packed key, for each degree up to 16
@@ -313,37 +326,79 @@ def subgroup_closure(
     gens: Iterable[int],
     abort_above: int | None = None,
 ) -> SubgroupHandle | None:
-    """Smallest subgroup containing ``gens``, breadth-first: each level
-    multiplies the whole frontier on the right by every non-identity
-    generator in one gather of ids through their ``right_map``s, with
-    membership kept as a mask over g.
+    """Smallest subgroup containing ``gens``: the one-row case of
+    ``subgroup_closures``.  Returns None if it has more than
+    ``abort_above`` elements."""
+    return subgroup_closures(g, [gens], g.order if abort_above is None else abort_above)[0]
 
-    Returns None if the closure grows past ``abort_above`` elements (used by
-    the lattice enumeration to cut off joins that must generate the whole
-    group).
-    """
-    gen_list = sorted({int(x) for x in gens})
-    for x in gen_list:
+
+def subgroup_closures(
+    g: GroupTable, gen_sets: Sequence[Iterable[int]], abort_above: int
+) -> list[SubgroupHandle | None]:
+    """The subgroup generated by each set, None where it has more than
+    ``abort_above`` elements: one breadth-first ``closures`` run whose row
+    for a set starts at the set and steps through the ``right_map`` of each
+    of its non-identity elements."""
+    sets = [sorted({int(x) for x in gens}) for gens in gen_sets]
+    for x in (x for s in sets for x in s):
         if not 0 <= x < g.order:
             raise ValueError(f"invalid element id {x}")
-    acting = [x for x in gen_list if x != 0]
-    right = np.stack([g.right_map(x) for x in acting]) if acting else None
-    member = np.zeros(g.order, dtype=bool)
-    member[0] = True
-    member[gen_list] = True
-    frontier = np.flatnonzero(member)
-    size = frontier.shape[0]
-    bound = g.order if abort_above is None else abort_above
-    while frontier.shape[0] and acting and size <= bound:
-        fresh = np.zeros(g.order, dtype=bool)
-        fresh[right[:, frontier]] = True
-        fresh &= ~member
-        member |= fresh
-        frontier = np.flatnonzero(fresh)
-        size += frontier.shape[0]
-    if size > bound:
-        return None
-    return SubgroupHandle(g, np.flatnonzero(member), tuple(gen_list))
+    maps = [[g.right_map(x) for x in s if x != 0] for s in sets]
+    return [
+        None if ids is None else SubgroupHandle(g, ids, tuple(s))
+        for s, ids in zip(sets, closures(g, sets, maps, abort_above))
+    ]
+
+
+def closures(
+    g: GroupTable,
+    starts: Sequence[Sequence[int]],
+    maps: Sequence[Sequence[np.ndarray]],
+    abort_above: int,
+) -> list[np.ndarray | None]:
+    """For each row, the sorted ids of the smallest set that holds the
+    identity and ``starts[row]`` and is closed under each of ``maps[row]``
+    (id arrays over g); None for a row whose set has more than
+    ``abort_above`` elements.  Rows are batched as the module docstring
+    says; id x of row r sits at r*|G| + x in a batch's mask and tables, and
+    row sizes are counted only once the largest could pass ``abort_above``."""
+    n = g.order
+    step = max(1, CLOSURE_BUDGET // n)
+    out: list[np.ndarray | None] = []
+    for lo in range(0, len(starts), step):
+        # a row without maps steps through the identity, and a row with
+        # fewer maps than the widest repeats its last
+        batch = [list(m) or [np.arange(n)] for m in maps[lo : lo + step]]
+        rows, width = len(batch), max(len(m) for m in batch)
+        dtype = np.min_scalar_type(rows * n - 1)
+        flat = np.array([[m[min(j, len(m) - 1)] for m in batch] for j in range(width)], dtype=dtype)
+        if rows > 1:
+            flat += (np.arange(rows, dtype=dtype) * n)[:, None]
+        flat = flat.reshape(width, rows * n)
+        member = np.zeros(rows * n, dtype=bool)
+        member[::n] = True
+        member[[r * n + int(x) for r, ids in enumerate(starts[lo : lo + step]) for x in ids]] = True
+        frontier = np.flatnonzero(member)
+        top = frontier.shape[0]  # at least the size of the largest live row
+        dead = np.zeros(rows, dtype=bool)
+        while True:
+            if top > abort_above:
+                size = np.add.reduce(member.reshape(rows, n), axis=1)
+                dead = size > abort_above
+                frontier = frontier[~dead[frontier // n]]
+                top = int(size[~dead].max(initial=0))
+            if not frontier.shape[0]:
+                break
+            fresh = np.zeros(rows * n, dtype=bool)
+            fresh[flat[:, frontier]] = True
+            fresh &= ~member
+            member |= fresh
+            frontier = np.flatnonzero(fresh)
+            top += frontier.shape[0]
+        out.extend(
+            None if dead[r] else np.flatnonzero(member[r * n : (r + 1) * n]) for r in range(rows)
+        )
+    return out
 
 
 def _reduce_generators(g: GroupTable, ids: np.ndarray) -> tuple[int, ...]:

@@ -5,8 +5,16 @@ under joins of a known class representative with one cyclic subgroup, the
 cyclic factor reduced to orbit representatives under the normalizer of the
 representative.  Every non-cyclic subgroup H equals <K, c> for a maximal
 subgroup K < H and any cyclic c not inside K, so the fixpoint is complete.
-Joins whose closure grows past the largest proper divisor of |G| must be the
-whole group and are aborted early.
+The joins of one representative are closed together, in one batched
+``subgroup_closures`` call, and read back in orbit-representative order.
+A join that grows past the largest order a proper subgroup can have must be
+the whole group, and is aborted.  That order is |G|/p, p the least prime
+dividing |G|, or |G|/n0 when G is nonabelian simple, n0 the least n with
+|G| dividing n!/2: a proper subgroup of index n gives G <= A_n (12 for A5,
+24 for PSL(2,7), 720 for M11).  G is taken as simple when |G| is not prime
+and the normal closure of every nontrivial cyclic class representative is
+G; those closures are one batched ``closures`` call, each aborted past
+|G|/p.  See ``groups`` for the batches and their memory budget.
 
 The cyclic seeds cost no closures: one table of powers x^k over all of G
 (one batched product per k below the largest element order) gives every
@@ -35,6 +43,7 @@ missing non-cyclic class still passes these checks.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -46,11 +55,14 @@ from .groups import (
     GroupTable,
     SubgroupClass,
     SubgroupHandle,
+    _acting_generators,
     _reduce_generators,
+    closures,
     member_mask,
     normalizer,
     orbit_class,
     subgroup_closure,
+    subgroup_closures,
 )
 
 ORDER_CAP = 10**4
@@ -109,26 +121,20 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
                 cyclic_classes.append(register(SubgroupHandle(g, rows[i], (x,))))
 
     cyclic, gens, label = _number_cyclic(g, cyclic_classes)
-    max_proper = g.order // smallest_prime_factor(g.order) if g.order > 1 else 1
+    max_proper = _proper_order_bound(g, cyclic_classes)
 
     for cls in classes:  # the list grows as joins find new classes
         rep = cls.representative
         if rep.size in (1, g.order):
             continue
         norm_gens = [x for x in _reduce_generators(g, normalizer(g, rep)) if x != 0]
-        inside = member_mask(g, rep.member_ids)
-        for i in _orbit_reps(g, label, gens, norm_gens).tolist():
-            cyc = cyclic[i]
-            if inside[cyc.member_ids].all():
-                continue  # cyc lies inside rep
-            joined = subgroup_closure(
-                g,
-                list(rep.generators) + list(cyc.generators),
-                abort_above=max_proper,
-            )
-            if joined is None:
-                continue  # join is the whole group
-            if joined.canonical_key not in known:
+        reps = _orbit_reps(g, label, gens, norm_gens)
+        # a join is skipped unclosed only when its cyclic factor lies inside
+        # rep; a join aborted past max_proper is the whole group
+        reps = reps[~member_mask(g, rep.member_ids)[gens[reps]]]
+        joins = [rep.generators + cyclic[i].generators for i in reps.tolist()]
+        for joined in subgroup_closures(g, joins, max_proper):
+            if joined is not None and joined.canonical_key not in known:
                 register(joined)
 
     whole = SubgroupHandle(
@@ -138,6 +144,30 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
         register(whole)
 
     return sorted(classes, key=lambda c: (c.order, c.conjugates[0].canonical_key))
+
+
+def _proper_order_bound(g: GroupTable, cyclic_classes: list[SubgroupClass]) -> int:
+    """An upper bound on the order of a proper subgroup of g: |G|/p, p the
+    least prime dividing |G|, and |G|/n0 when g is nonabelian simple, n0
+    the least n with |G| dividing n!/2 (a proper subgroup of index n gives
+    G <= A_n).  g is nonabelian simple when |G| is not prime and the normal
+    closure of every nontrivial cyclic class representative <c> is g.  That
+    normal closure is the closure of {1, c} under y -> y*c and conjugation
+    by each generator of g: the set is closed under conjugation, and so, by
+    induction on how an element is reached, under products.  Each is
+    aborted past |G|/p."""
+    bound = g.order // smallest_prime_factor(g.order) if g.order > 1 else 1
+    if bound == 1:  # trivial, or of prime order
+        return 1
+    conj = [g.conj_map(s) for s in _acting_generators(g)]
+    starts = [c.representative.generators for c in cyclic_classes]
+    maps = [[g.right_map(c), *conj] for (c,) in starts]
+    if any(ids is not None for ids in closures(g, starts, maps, bound)):
+        return bound
+    n = 2
+    while math.factorial(n) // 2 % g.order:
+        n += 1
+    return g.order // n
 
 
 def _number_cyclic(
@@ -221,7 +251,8 @@ def _cache_load(g: GroupTable, cache_dir) -> list[SubgroupClass] | None:
             for entry in data["classes"]
         ]
         for h in reps:
-            if not np.array_equal(subgroup_closure(g, h.generators).member_ids, h.member_ids):
+            closed = subgroup_closure(g, h.generators, abort_above=h.size)
+            if closed is None or not np.array_equal(closed.member_ids, h.member_ids):
                 return None
     except (OSError, LookupError, TypeError, ValueError):
         # json's decode error is a ValueError

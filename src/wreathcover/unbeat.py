@@ -358,15 +358,19 @@ def check_definitely_unbeatable_group(
 ) -> UnbeatabilityReport:
     """Explicit m=1 mode: the family lives inside S itself and the target
     is the seed, so U1-U3 are the seed report's C1-C3 under their U names
-    and the member minimum mu is its ``family_min`` (C0 checks that the
-    seed is conjugation-closed, so every member has its class's count).  U4
-    holds when nu, the largest seed count of a maximal class outside the
-    family, is at most mu; then sigma(S) >= |family|, since a minimal cover
-    can be taken of maximal subgroups, each member it leaves out leaves at
-    least mu seed elements that no other member holds (C3), and each
-    outsider covers at most nu <= mu of them."""
+    and the member minimum mu is its ``family_min``.  U4 holds when nu, the
+    largest seed count of a maximal class outside the family, is at most
+    mu; then sigma(S) >= |family|, since a minimal cover can be taken of
+    maximal subgroups, each member it leaves out leaves at least mu seed
+    elements that no other member holds (C3), and each outsider covers at
+    most nu <= mu of them.  mu and nu are counts on class representatives,
+    which every conjugate shares only when the seed is conjugation-closed,
+    so a failed C0 is listed first and fails the verdict."""
     # the seed report lists C0, then C1-C3
-    results = [replace(c, name=name) for c, name in zip(seed_report.conditions[1:4], U_NAMES)]
+    c0, *c1_to_c3 = seed_report.conditions[:4]
+    results = [replace(c, name=name) for c, name in zip(c1_to_c3, U_NAMES)]
+    if not c0.passed:
+        results.insert(0, c0)
 
     member_min = seed_report.family_min
     outsiders = inst.outside_classes()

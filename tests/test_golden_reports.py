@@ -301,6 +301,20 @@ LATTICE_GOLDEN = [
         ["(1 2 3 4 5 6 7)", "(1 2 3)"],
         "4dda3123b812a42bb968a08074ae2088d3380e74f13ce71fc77a71e206d5c79c",
     ),
+    (
+        # simple: every join is cut off at |G|/6, from A6 <= A_6
+        "A6",
+        6,
+        ["(1 2 3 4 5)", "(4 5 6)"],
+        "b823e4b1c3101240d0895234d555ccea7af29e8104860c8ac152bb946e87e585",
+    ),
+    (
+        # not simple (A6 is normal in it): joins are cut off at |G|/2
+        "S6",
+        6,
+        ["(1 2 3 4 5 6)", "(1 2)"],
+        "70e1a1c43b657f638d322bc15e79f9926e365b189bed9042c74ff55332b20998",
+    ),
 ]
 M11_LATTICE_DIGEST = "da114ba2a0d4edf84a123a7eb274d218f6e0f1b5159542c0490cc1ad08f2cb87"
 

@@ -278,6 +278,78 @@ def test_subgroup_closure_matches_perm_closure(group_and_ids, abort_above):
     assert len(g._right_maps) == made
 
 
+@st.composite
+def _generator_sets(draw):
+    """A group, generator sets in it (the group's own generators first, then
+    random sets with empty ones, the identity and repeats), an abort bound
+    and a batch budget of one row, three rows or the module's."""
+    g = _table(draw(st.sampled_from(["A5", "PSL(2,7)", "A6"])))
+    ids = st.lists(st.integers(0, g.order - 1), max_size=3)
+    sets = [g.generator_ids, *draw(st.lists(ids, min_size=1, max_size=12))]
+    # a bound that some row reaches exactly, or any bound
+    sizes = [subgroup_closure(g, ids).size for ids in sets]
+    bound = draw(st.one_of(st.sampled_from(sizes), st.integers(0, g.order)))
+    budget = draw(st.sampled_from([1, 3 * g.order, groups.CLOSURE_BUDGET]))
+    return g, sets, bound, budget
+
+
+def _same_closures(got, expected):
+    assert len(got) == len(expected)
+    for h, e in zip(got, expected):
+        assert (h is None) == (e is None)
+        if e is not None:
+            assert np.array_equal(h.member_ids, e.member_ids)
+            assert h.generators == e.generators
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_generator_sets())
+def test_batched_closures_match_one_at_a_time(case):
+    g, sets, bound, budget = case
+    expected = [subgroup_closure(g, s, abort_above=bound) for s in sets]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "CLOSURE_BUDGET", budget)
+        got = groups.subgroup_closures(g, sets, bound)
+    _same_closures(got, expected)
+
+
+def _first_level_past(g, ids, bound):
+    """The breadth-first level at which the closure of ``ids`` first holds
+    more than ``bound`` elements (level 0 is the identity and ``ids``), or
+    None if it never does; by composing Perms."""
+    perms = [g.perm(x) for x in ids]
+    members = {Perm(range(g.degree))} | set(perms)
+    frontier, level = list(members), 0
+    while len(members) <= bound:
+        if not frontier:
+            return None
+        frontier = [c for c in {compose(a, b) for a in frontier for b in perms} if c not in members]
+        members.update(frontier)
+        level += 1
+    return level
+
+
+def test_batched_rows_abort_at_different_levels(monkeypatch):
+    # in A6, the group and its A5 and 3^2:4 pass 24 elements at different
+    # levels, while S4 reaches exactly 24 and a cyclic group of order 5
+    # stays below; a budget of two rows a batch splits them across batches
+    cg = catalog.load("A6")
+    g = cg.table
+    by_label = cg.classes_by_label()
+    sets = [g.generator_ids] + [
+        by_label[label].representative.generators for label in ("A5", "3^2:4", "S4")
+    ]
+    sets.append(g.elements_with_order(5)[:1])
+    bound = 24
+    levels = [_first_level_past(g, s, bound) for s in sets]
+    assert len(set(levels[:3])) == 3 and None not in levels[:3] and levels[3:] == [None, None]
+    expected = [subgroup_closure(g, s, abort_above=bound) for s in sets]
+    assert [h is None for h in expected] == [x is not None for x in levels]
+    assert expected[3].size == bound
+    monkeypatch.setattr(groups, "CLOSURE_BUDGET", 2 * g.order)
+    _same_closures(groups.subgroup_closures(g, sets, bound), expected)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_group_and_ids())
 def test_normalizer_is_the_stabilizer_under_conjugation(group_and_ids):

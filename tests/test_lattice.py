@@ -11,6 +11,7 @@ from wreathcover.lattice import (
     all_subgroup_classes,
     maximal_classes_from_lattice,
 )
+from wreathcover.formulas import smallest_prime_factor
 from wreathcover.perm import Perm
 from wreathcover.pipelines import load_group
 
@@ -120,21 +121,71 @@ def test_cache_rejects_wrong_group(tmp_path, a5, psl7):
     assert classes[-1].order == psl7.table.order
 
 
+# groups that are not built-ins: degree and generators
+SPEC_GENERATORS = {
+    "S5": (5, ["(1 2 3 4 5)", "(1 2)"]),  # the S5 spec file's
+    "S6": (6, ["(1 2 3 4 5 6)", "(1 2)"]),
+    "S4": (4, ["(1 2 3 4)", "(1 2)"]),
+    "C6": (6, ["(1 2 3 4 5 6)"]),
+    "C7": (7, ["(1 2 3 4 5 6 7)"]),
+}
+
+
 @functools.lru_cache(maxsize=None)
-def _cyclic_classes(name: str):
-    """The group and its cyclic subgroup classes, in lattice order."""
-    if name == "S5":  # the S5 spec file's generators
-        gens = [Perm.from_cycles("(1 2 3 4 5)", 5), Perm.from_cycles("(1 2)", 5)]
-        g = GroupTable.from_generators(gens, name="S5")
+def _lattice(name: str):
+    """The group and its subgroup classes, enumerated with every join
+    aborted only past |G|/p, so that they do not rest on the join cap."""
+    if name in SPEC_GENERATORS:
+        degree, gens = SPEC_GENERATORS[name]
+        g = GroupTable.from_generators([Perm.from_cycles(s, degree) for s in gens], name=name)
     else:
         g = catalog.load(name).table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_proper_order_bound", lambda g, _: g.order // smallest_prime_factor(g.order))
+        return g, all_subgroup_classes(g)
+
+
+def _cyclic_classes(name: str):
+    """The group and its cyclic subgroup classes, in lattice order."""
+    g, classes = _lattice(name)
     orders = g.element_orders()
-    classes = [
+    return g, [
         c
-        for c in all_subgroup_classes(g)
+        for c in classes
         if c.order > 1 and int(orders[c.representative.member_ids].max()) == c.order
     ]
-    return g, classes
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [
+        # nonabelian simple: |G|/n0, n0 the least n with |G| dividing n!/2
+        ("A5", 12),
+        ("PSL(2,7)", 24),
+        ("A6", 60),
+        ("PSL(2,11)", 60),
+        # not simple: |G|/p, p the least prime dividing |G|
+        ("S5", 60),
+        ("S6", 360),
+        ("S4", 12),
+        ("C6", 3),
+        ("C7", 1),
+    ],
+)
+def test_proper_order_bound(name, bound):
+    # the join cap holds only for nonabelian simple groups, which a lattice
+    # enumerated without the cap names independently: no class of one
+    # member is normal and proper, and |G| is not prime
+    g, classes = _lattice(name)
+    _, cyclic = _cyclic_classes(name)
+    assert lattice._proper_order_bound(g, cyclic) == bound
+    normal = [c for c in classes if c.class_size == 1 and 1 < c.order < g.order]
+    simple = not normal and len(classes) > 2
+    assert simple == (bound < g.order // smallest_prime_factor(g.order))
+    # every proper subgroup fits under the bound, and in these simple
+    # groups the largest reaches it
+    largest = max(c.order for c in classes if c.order < g.order)
+    assert largest <= bound and (largest == bound or not simple)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

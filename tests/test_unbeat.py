@@ -29,7 +29,7 @@ from wreathcover.wreath import (
     wreath_cover_upper_term,
 )
 
-from oracles import compose
+from oracles import compose, exhaustive_min_cover
 
 
 def _products(inst):
@@ -278,6 +278,33 @@ def test_m1_verdict_matches_exact_cover_of_the_seed():
                 assert (cert.kind, cert.value) == ("exact-optimal", du.family_size), passing[-1]
     assert verdicts == 1549
     assert passing == M1_PASSING
+
+
+def test_m1_verdict_needs_a_conjugation_closed_seed():
+    # A5 with family A4, and the seed of the three involutions of the first
+    # A4 plus one involution of each other A4 (81 seeds).  mu and nu count
+    # seed elements in class representatives, which every conjugate shares
+    # only when the seed is conjugation-closed; here C0 fails, and fewer
+    # maximal subgroups than the family's 5 cover every such seed, so no
+    # verdict may pass or certify a bound
+    cg = load_group("A5")
+    g = cg.table
+    a4 = cg.classes_by_label()["A4"]
+    involution = member_mask(g, g.elements_with_order(2))
+    parts = [h.member_ids[involution[h.member_ids]].tolist() for h in a4.conjugates]
+    handles = [set(h.member_ids.tolist()) for c in cg.maximal_classes for h in c.conjugates]
+    for pick in itertools.product(*parts[1:]):
+        seed = parts[0] + list(pick)
+        inst = SeedInstance(S=g, seed_ids=np.array(seed), seed_classes=[a4], m=1,
+                            maximal_classes=cg.maximal_classes)
+        rep = check_seed_conditions(inst)
+        du = check_definitely_unbeatable_group(inst, rep)
+        assert not rep.conditions[0].passed
+        assert du.conditions[0] == rep.conditions[0]
+        assert (du.passed, du.certified_lower_bound) == (False, None)
+        masks = [sum(1 << i for i, x in enumerate(seed) if x in h) for h in handles]
+        size, _ = exhaustive_min_cover(masks, (1 << len(seed)) - 1, len(handles))
+        assert size < du.family_size == 5
 
 
 def test_psl11_pipeline_m5(psl11):
