@@ -3,11 +3,12 @@ expressions and exhaustive range verification of the inequality lemmas.
 
 Everything here is exact: integers, Fractions, or (for the Stirling
 brackets only) outward-rounded interval endpoints converted to Fractions.
-Each lemma checker returns its two sides as exact values; a sweep compares
-them as numbers and renders decimal strings only for the cases it reports
-(the first failure and the tightest case).  Half-integer exponents are
-compared by squaring both sides; the primitive degree bound 2.6^n is handled
-as the exact rational (13/5)^n.
+Each lemma checker returns its two sides as integer pairs (num, den) with
+den > 0, not reduced; a sweep compares them by cross-multiplying and builds
+a Fraction, for its decimal string, only for the cases it reports (the first
+failure and the tightest case).  Half-integer exponents are compared by
+squaring both sides; the primitive degree bound 2.6^n is handled as the
+exact rational 13^n / 5^n.
 """
 
 from __future__ import annotations
@@ -250,44 +251,44 @@ def _an_order(n: int) -> int:
     return factorial(n) // 2
 
 
-def _min_target(n: int, m: int) -> Fraction:
+# An exact rational as an integer pair (num, den), den > 0, not reduced: a
+# sweep only compares sides, by cross-multiplying, so no gcd is taken.
+Ratio = tuple[int, int]
+
+
+def _min_target(n: int, m: int) -> Ratio:
     """The case-dependent right-hand side: the smallest certified
-    family-member intersection count."""
+    family-member intersection count, as (num, den)."""
     if n % 2 == 1:
         p = smallest_prime_factor(n)
-        return Fraction(_imprimitive_order(n, p) ** m, 2 ** (m - 1) * n)
-    if n % 4 == 0:
-        h = n // 2
-        return Fraction(
-            factorial(h - 2)
-            * factorial(h)
-            * (Fraction(factorial(h - 1) * factorial(h + 1), 2) ** (m - 1))
-        )
+        return _imprimitive_order(n, p) ** m, 2 ** (m - 1) * n
     h = n // 2
-    return Fraction(factorial(h - 1) ** 2 * factorial(h) ** (2 * m - 2), 2 ** (m - 1))
+    if n % 4 == 0:
+        return (
+            factorial(h - 2) * factorial(h) * (factorial(h - 1) * factorial(h + 1)) ** (m - 1),
+            2 ** (m - 1),
+        )
+    return factorial(h - 1) ** 2 * factorial(h) ** (2 * m - 2), 2 ** (m - 1)
 
 
-# Each checker returns its exact sides (lhs, rhs) on hypothesis-satisfying
-# input, or None when the hypothesis fails (the sweep records a skip); the
-# relation and whether the sides are squares live in the lemma's table row.
-Sides = Optional[tuple[int | Fraction, int | Fraction]]
+# Each checker returns its exact sides (lhs, rhs), each a Ratio, on
+# hypothesis-satisfying input, or None when the hypothesis fails (the sweep
+# records a skip); the relation and whether the sides are squares live in
+# the lemma's table row.
+Sides = Optional[tuple[Ratio, Ratio]]
 
 
 def _lemma_min_member(n: int, m: int) -> Sides:
     """Certified family members are never larger than the socle-layer count:
     the three case inequalities identifying the minimum."""
-    if n < 5 or m < 1:
+    if n < 5 or m < 1 or (n % 2 == 1 and is_prime(n)):
         return None
-    an = Fraction(_an_order(n))
+    an_m = _an_order(n) ** m
     if n % 2 == 1:
-        if is_prime(n):
-            return None
-        lhs = _min_target(n, m)
-        rhs = Fraction(2, n * (n - 2)) * an**m
+        rhs = 2 * an_m, n * (n - 2)
     else:
-        lhs = _min_target(n, m)
-        rhs = Fraction(4, 3 * (n - 1) * (n - 3)) * an**m
-    return lhs, rhs
+        rhs = 4 * an_m, 3 * (n - 1) * (n - 3)
+    return _min_target(n, m), rhs
 
 
 def _lemma_diagonal(n: int, m: int) -> Sides:
@@ -305,9 +306,9 @@ def _lemma_diagonal(n: int, m: int) -> Sides:
     else:
         if n <= 10:
             return None
-    lhs_sq = Fraction((1 + alpha(m)) ** 2) * Fraction(factorial(n), 2) ** m
-    rhs_sq = _min_target(n, m) ** 2
-    return lhs_sq, rhs_sq
+    lhs_sq = (1 + alpha(m)) ** 2 * factorial(n) ** m, 2**m
+    num, den = _min_target(n, m)
+    return lhs_sq, (num * num, den * den)
 
 
 def _lemma_divisor_monotone(n: int, a: int, b: int) -> Sides:
@@ -326,9 +327,7 @@ def _lemma_divisor_monotone(n: int, a: int, b: int) -> Sides:
         return None
     if n % 2 == 0 and a != smallest_prime_factor(n):
         return None
-    lhs = _imprimitive_order(n, a)
-    rhs = _imprimitive_order(n, b)
-    return lhs, rhs
+    return (_imprimitive_order(n, a), 1), (_imprimitive_order(n, b), 1)
 
 
 def _lemma_small_block(n: int) -> Sides:
@@ -339,9 +338,7 @@ def _lemma_small_block(n: int) -> Sides:
     a = _smallest_divisor_above_2(n)
     if a is None:
         return None
-    lhs = n * _imprimitive_order(n, a)
-    rhs = 2 * factorial(n // 2) ** 2
-    return lhs, rhs
+    return (n * _imprimitive_order(n, a), 1), (2 * factorial(n // 2) ** 2, 1)
 
 
 def _lemma_imprimitive_product(n: int, m: int) -> Sides:
@@ -351,9 +348,8 @@ def _lemma_imprimitive_product(n: int, m: int) -> Sides:
     a = _smallest_divisor_above_2(n)
     if a is None:
         return None
-    lhs = Fraction(1 + alpha(m)) * Fraction(_imprimitive_order(n, a), 2) ** m
-    rhs = _min_target(n, m)
-    return lhs, rhs
+    lhs = (1 + alpha(m)) * _imprimitive_order(n, a) ** m, 2**m
+    return lhs, _min_target(n, m)
 
 
 def _lemma_primitive_bound(n: int, m: int) -> Sides:
@@ -364,9 +360,8 @@ def _lemma_primitive_bound(n: int, m: int) -> Sides:
         p = smallest_prime_factor(n)
         if is_prime(n) or p**3 > n:
             return None
-    lhs = Fraction(1 + alpha(m)) * Fraction(13, 5) ** (n * m)
-    rhs = _min_target(n, m)
-    return lhs, rhs
+    lhs = (1 + alpha(m)) * 13 ** (n * m), 5 ** (n * m)
+    return lhs, _min_target(n, m)
 
 
 def _lemma_power_of_two_vs_index(n: int) -> Sides:
@@ -375,18 +370,15 @@ def _lemma_power_of_two_vs_index(n: int) -> Sides:
     if n < 15 or n % 2 == 0 or is_prime(n):
         return None
     p = smallest_prime_factor(n)
-    lhs = 2 ** (n - 1)
-    rhs = Fraction(factorial(n), _imprimitive_order(n, p))
-    return lhs, rhs
+    return (2 ** (n - 1), 1), (factorial(n), _imprimitive_order(n, p))
 
 
 def _lemma_power_of_two_vs_primitive(n: int, m: int) -> Sides:
     """2^(nm-2) <= (n-1)! (n!)^(m-1) / 2.6^(nm)."""
     if n <= 12 or n % 2 == 0 or m < 2:
         return None
-    lhs = Fraction(2) ** (n * m - 2) * Fraction(13, 5) ** (n * m)
-    rhs = Fraction(factorial(n - 1) * factorial(n) ** (m - 1))
-    return lhs, rhs
+    lhs = 2 ** (n * m - 2) * 13 ** (n * m), 5 ** (n * m)
+    return lhs, (factorial(n - 1) * factorial(n) ** (m - 1), 1)
 
 
 def _lemma_power_of_two_vs_diagonal(n: int, m: int) -> Sides:
@@ -395,7 +387,7 @@ def _lemma_power_of_two_vs_diagonal(n: int, m: int) -> Sides:
         return None
     lhs_sq = 2 ** (2 * n * m - m - 4)
     rhs_sq = factorial(n - 1) ** 2 * factorial(n) ** (m - 2)
-    return lhs_sq, rhs_sq
+    return (lhs_sq, 1), (rhs_sq, 1)
 
 
 @dataclass(frozen=True)
@@ -409,7 +401,7 @@ class Lemma:
     arity: str
     checker: Callable[..., Sides]
     description: str
-    relation: Callable[[object, object], bool] = operator.le
+    relation: Callable[[int, int], bool] = operator.le
     squared: bool = False
 
 
@@ -481,18 +473,20 @@ def inequality_suite(
             skipped.append(params)
             continue
         cases += 1
-        lhs, rhs = sides
+        (a, b), (c, d) = sides
+        # both sides over the common denominator b*d > 0
+        lhs, rhs = a * d, c * b
         if failing is None and not row.relation(lhs, rhs):
-            failing = (params, lhs, rhs)
+            failing = (params, sides)
         if rhs:
             # lhs/rhs as num/den with den > 0, compared by cross-multiplying
-            (a, b), (c, d) = lhs.as_integer_ratio(), rhs.as_integer_ratio()
-            num, den = (a * d, b * c) if c > 0 else (-a * d, -b * c)
+            num, den = (lhs, rhs) if rhs > 0 else (-lhs, -rhs)
             if not best_den or num * best_den > best_num * den:
-                best_num, best_den, tightest = num, den, (params, lhs, rhs)
+                best_num, best_den, tightest = num, den, (params, sides)
 
-    def render(params, lhs, rhs) -> InequalityCase:
+    def render(params, sides) -> InequalityCase:
         prefix = "sq:" if row.squared else ""
+        lhs, rhs = (Fraction(*side) for side in sides)
         return InequalityCase(params, f"{prefix}{lhs}", f"{prefix}{rhs}")
 
     return InequalityReport(

@@ -277,6 +277,9 @@ def psl_theorem(p: int) -> Theorem:
     """sigma(PSL(2,p) wr C_m) = alpha(m) + (p+1)^m + (p(p-1)/2)^m over the
     point stabilizers p:(p-1)/2 and the dihedral groups D(p+1); m = 1 is
     Bryce, Fedri & Serena 1999."""
+    if p < 11:
+        # the closed form's own hypothesis, checked before any group loads
+        raise InputError(f"p={p} outside hypothesis (prime >= 11 required)")
     name = f"PSL(2,{p})"
     if name not in catalog.BUILTIN_SPECS:
         raise InputError(f"no built-in catalog for {name}")

@@ -16,15 +16,28 @@ another way than the code it checks:
   another, the reference for the label propagation of
   ``lattice._orbit_reps``;
 * ``exhaustive_min_cover`` is an unbounded iterative-deepening search, the
-  reference for ``cover.sigma_exact``.
+  reference for ``cover.sigma_exact``;
+* ``LEMMA_SIDES`` maps each lemma of ``formulas.LEMMAS`` to its two sides
+  computed with ``Fraction`` arithmetic, the reference for the checkers'
+  integer pairs.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import factorial
 from typing import Optional, Sequence
 
 import numpy as np
 
+from wreathcover.formulas import (
+    _an_order,
+    _imprimitive_order,
+    _smallest_divisor_above_2,
+    alpha,
+    is_prime,
+    smallest_prime_factor,
+)
 from wreathcover.groups import GroupTable, SubgroupClass, _pack, conjugation_orbit
 from wreathcover.perm import Perm
 from wreathcover.wreath import ProductTypeDescriptor, WreathContext, WreathElement
@@ -191,3 +204,142 @@ def exhaustive_min_cover(
         if dfs(0, k, 0, []):
             return k, found
     return None
+
+
+# -- the lemma-side oracle ----------------------------------------------------
+# Each lemma's two sides as Fraction expressions, the reference for the
+# integer pairs that the checkers of ``formulas.LEMMAS`` return.
+
+
+def min_target(n: int, m: int) -> Fraction:
+    """The smallest certified family-member intersection count."""
+    if n % 2 == 1:
+        p = smallest_prime_factor(n)
+        return Fraction(_imprimitive_order(n, p) ** m, 2 ** (m - 1) * n)
+    if n % 4 == 0:
+        h = n // 2
+        return Fraction(
+            factorial(h - 2)
+            * factorial(h)
+            * (Fraction(factorial(h - 1) * factorial(h + 1), 2) ** (m - 1))
+        )
+    h = n // 2
+    return Fraction(factorial(h - 1) ** 2 * factorial(h) ** (2 * m - 2), 2 ** (m - 1))
+
+
+def lemma_min_member(n: int, m: int):
+    if n < 5 or m < 1:
+        return None
+    an = Fraction(_an_order(n))
+    if n % 2 == 1:
+        if is_prime(n):
+            return None
+        lhs = min_target(n, m)
+        rhs = Fraction(2, n * (n - 2)) * an**m
+    else:
+        lhs = min_target(n, m)
+        rhs = Fraction(4, 3 * (n - 1) * (n - 3)) * an**m
+    return lhs, rhs
+
+
+def lemma_diagonal(n: int, m: int):
+    if m < 2 or n < 5:
+        return None
+    if n % 2 == 1:
+        p = smallest_prime_factor(n)
+        if is_prime(n) or p**3 > n:
+            return None
+    elif n % 4 == 0:
+        if n <= 8:
+            return None
+    else:
+        if n <= 10:
+            return None
+    lhs_sq = Fraction((1 + alpha(m)) ** 2) * Fraction(factorial(n), 2) ** m
+    rhs_sq = min_target(n, m) ** 2
+    return lhs_sq, rhs_sq
+
+
+def lemma_divisor_monotone(n: int, a: int, b: int):
+    if n < 8 or a > b or n % a or n % b:
+        return None
+    if a <= 1 or b >= n:
+        return None
+    if n % 2 == 0 and a != smallest_prime_factor(n):
+        return None
+    lhs = _imprimitive_order(n, a)
+    rhs = _imprimitive_order(n, b)
+    return lhs, rhs
+
+
+def lemma_small_block(n: int):
+    if n <= 10 or n % 2:
+        return None
+    a = _smallest_divisor_above_2(n)
+    if a is None:
+        return None
+    lhs = n * _imprimitive_order(n, a)
+    rhs = 2 * factorial(n // 2) ** 2
+    return lhs, rhs
+
+
+def lemma_imprimitive_product(n: int, m: int):
+    if n <= 10 or n % 2 or m < 2:
+        return None
+    a = _smallest_divisor_above_2(n)
+    if a is None:
+        return None
+    lhs = Fraction(1 + alpha(m)) * Fraction(_imprimitive_order(n, a), 2) ** m
+    rhs = min_target(n, m)
+    return lhs, rhs
+
+
+def lemma_primitive_bound(n: int, m: int):
+    if n <= 12 or m < 2:
+        return None
+    if n % 2 == 1:
+        p = smallest_prime_factor(n)
+        if is_prime(n) or p**3 > n:
+            return None
+    lhs = Fraction(1 + alpha(m)) * Fraction(13, 5) ** (n * m)
+    rhs = min_target(n, m)
+    return lhs, rhs
+
+
+def lemma_power_of_two_vs_index(n: int):
+    if n < 15 or n % 2 == 0 or is_prime(n):
+        return None
+    p = smallest_prime_factor(n)
+    lhs = 2 ** (n - 1)
+    rhs = Fraction(factorial(n), _imprimitive_order(n, p))
+    return lhs, rhs
+
+
+def lemma_power_of_two_vs_primitive(n: int, m: int):
+    if n <= 12 or n % 2 == 0 or m < 2:
+        return None
+    lhs = Fraction(2) ** (n * m - 2) * Fraction(13, 5) ** (n * m)
+    rhs = Fraction(factorial(n - 1) * factorial(n) ** (m - 1))
+    return lhs, rhs
+
+
+def lemma_power_of_two_vs_diagonal(n: int, m: int):
+    if n <= 12 or n % 2 == 0 or m < 2:
+        return None
+    lhs_sq = 2 ** (2 * n * m - m - 4)
+    rhs_sq = factorial(n - 1) ** 2 * factorial(n) ** (m - 2)
+    return lhs_sq, rhs_sq
+
+
+# lemma key -> its sides as exact values, or None outside the hypothesis
+LEMMA_SIDES = {
+    "min-member": lemma_min_member,
+    "diagonal": lemma_diagonal,
+    "divisor-monotone": lemma_divisor_monotone,
+    "small-block": lemma_small_block,
+    "imprimitive-product": lemma_imprimitive_product,
+    "primitive-bound": lemma_primitive_bound,
+    "power-vs-index": lemma_power_of_two_vs_index,
+    "power-vs-primitive": lemma_power_of_two_vs_primitive,
+    "power-vs-diagonal": lemma_power_of_two_vs_diagonal,
+}

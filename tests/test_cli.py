@@ -412,14 +412,17 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == f"error: formula {argv[1]} needs {flag}\n"
-    # the PSL(2,7) catalog has no D8 class for the PSL(2,p) family
-    assert main(["verify-c2", "-p", "7", "-m", "2"]) == 2
-    assert "'D8'" in capsys.readouterr().err
+    # the PSL(2,p) closed form needs p >= 11: a smaller p is refused with
+    # that hypothesis before any group is loaded
+    from wreathcover import pipelines
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipelines, "load_group", None)
+        assert main(["verify-c2", "-p", "7", "-m", "2"]) == 2
+    assert capsys.readouterr().err == "error: p=7 outside hypothesis (prime >= 11 required)\n"
     # cover labels go through the same lookup as family labels, and both
     # are resolved before any verdict work; an unknown family label is
     # named first
-    from wreathcover import pipelines
-
     seed_checks = []
     check = pipelines.check_seed_conditions
     monkeypatch.setattr(

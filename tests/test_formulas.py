@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import LEMMA_SIDES
 from wreathcover import formulas as F
 
 
@@ -162,13 +163,13 @@ def test_counterexample_reported(monkeypatch, capsys):
         monkeypatch.setitem(F._BY_NAME, key, row)
 
     # a plain row that fails from n = 14 on
-    swap("small-block", lambda n: (n, 13))
+    swap("small-block", lambda n: ((n, 1), (13, 1)))
     rep = F.inequality_suite("small-block", range(11, 17)).to_dict()
     assert rep["passed"] is False and rep["cases_checked"] == 6
     assert rep["counterexample"] == {"params": {"n": 14}, "lhs": "14", "rhs": "13"}
     assert rep["tightest"] == {"params": {"n": 16}, "lhs": "16", "rhs": "13"}
     # a squared row: the sides keep their sq: prefix
-    swap("diagonal", lambda n, m: (n * m, 20) if n > 5 else None)
+    swap("diagonal", lambda n, m: ((n * m, 1), (20, 1)) if n > 5 else None)
     rep = F.inequality_suite("diagonal", range(5, 8), (2, 3, 4)).to_dict()
     assert rep["passed"] is False and rep["cases_checked"] == 6
     assert rep["counterexample"] == {
@@ -185,6 +186,44 @@ def test_counterexample_reported(monkeypatch, capsys):
         assert main(["check-inequalities", *argv, "--json"]) == 1, argv
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is False and "counterexample" in report
+
+
+def _lemma_cases(row):
+    """The parameters of the pinned sweeps and more: n in 1..120, and m in
+    1..6 or every ordered pair of divisors of n."""
+    for n in range(1, 121):
+        if row.arity == "n":
+            yield (n,)
+        elif row.arity == "nm":
+            yield from ((n, m) for m in range(1, 7))
+        else:
+            divs = [d for d in range(1, n + 1) if n % d == 0]
+            yield from ((n, a, b) for a in divs for b in divs)
+
+
+@pytest.mark.parametrize("row", F.LEMMAS, ids=[row.key for row in F.LEMMAS])
+def test_integer_sides_match_fraction_oracle(row):
+    oracle = LEMMA_SIDES[row.key]
+    cases = 0
+    for params in _lemma_cases(row):
+        sides, expect = row.checker(*params), oracle(*params)
+        assert (sides is None) == (expect is None), params
+        if sides is None:
+            continue
+        cases += 1
+        for num, den in sides:
+            assert type(num) is int and type(den) is int and den > 0, params
+        assert tuple(Fraction(num, den) for num, den in sides) == expect, params
+    assert cases > 0
+
+
+def test_sweep_builds_fractions_only_to_render(monkeypatch):
+    built = []
+    monkeypatch.setattr(F, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    rep = F.inequality_suite("divisor-monotone", range(1, 121))
+    assert not rep.passed and rep.counterexample.params == {"n": 75, "a": 15, "b": 25}
+    # two sides each for the counterexample and the tightest case
+    assert len(built) == 4
 
 
 def test_unknown_lemma():
