@@ -236,6 +236,10 @@ def parse_group_file(path: str | Path) -> GroupSpec:
         raise InputError(f"group file {path} missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise InputError(f"group file {path} is malformed: {exc}") from exc
+    labels = [c.label for c in classes]
+    repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
+    if repeated:
+        raise InputError(f"group file {path} repeats maximal class labels {repeated}")
     return GroupSpec(name, degree, generators, tuple(classes))
 
 

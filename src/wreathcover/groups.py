@@ -37,7 +37,9 @@ conjugator, which a class keeps, through those of the acting elements.
 Cycle data comes from one vectorized pass over the image rows
 (``cycle_lengths``): the length of the cycle through every point of every
 element.  Element orders are the lcm of each row, and an element's cycle
-type is its sorted row.
+type is its sorted row.  ``element_classes`` names each element's class by
+its least id, from the one orbit routine ``orbit_minima``; how many members
+of given subgroup classes hold x (``conjugates_holding``) is read off them.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ class GroupTable:
         self.inv = self.ids(inv_imgs)
         self._cycle_lengths: Optional[np.ndarray] = None
         self._orders: Optional[np.ndarray] = None
+        self._classes: Optional[np.ndarray] = None
         self._conj_maps: dict[int, np.ndarray] = {}
         self._right_maps: dict[int, np.ndarray] = {}
         self._hash: Optional[str] = None
@@ -214,6 +217,13 @@ class GroupTable:
         if self._orders is None:
             self._orders = np.lcm.reduce(self.cycle_lengths(), axis=1)
         return self._orders
+
+    def element_classes(self) -> np.ndarray:
+        """Each element's conjugacy class, named by its least id."""
+        if self._classes is None:
+            moves = [self.conj_map(x) for x in _acting_generators(self)]
+            self._classes = orbit_minima(moves, self.order)
+        return self._classes
 
     def elements_with_order(self, k: int) -> np.ndarray:
         if k < 1:
@@ -435,6 +445,29 @@ def member_mask(g: GroupTable, ids: np.ndarray) -> np.ndarray:
     mask = np.zeros(g.order, dtype=bool)
     mask[ids] = True
     return mask
+
+
+def orbit_minima(moves: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """The least point in the orbit of each of 0..n-1 under the given
+    permutations (id arrays): each pass lowers every point's least known
+    point to its preimages', until a pass changes nothing."""
+    least, last = np.arange(n), None
+    while not np.array_equal(least, last):
+        last = least.copy()
+        for move in moves:
+            np.minimum.at(least, move, last)
+    return least
+
+
+def conjugates_holding(g: GroupTable, classes: Sequence[SubgroupClass]) -> np.ndarray:
+    """For every x in g, how many members of the given classes hold x: the
+    sum of |x^g & M| * class size / |x^g| over them, M the representative
+    (exact, since every conjugate of x lies in equally many members)."""
+    labels = g.element_classes()
+    held = np.zeros(g.order, dtype=np.int64)
+    for c in classes:
+        held += np.bincount(labels[c.representative.member_ids], minlength=g.order) * c.class_size
+    return held[labels] // np.bincount(labels)[labels]
 
 
 def _acting_generators(g: GroupTable) -> list[int]:

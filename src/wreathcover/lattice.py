@@ -22,7 +22,7 @@ The cyclic seeds cost no closures: one table of powers x^k over all of G
 and one label array over G sends each element x to the number of <x>.
 Conjugation by y permutes the numbers as i -> label[y^-1 gens[i] y], where
 gens[i] generates subgroup i, so the orbits under a normalizer's generators
-come from min-label propagation over those permutations.  The
+come from ``groups.orbit_minima`` over those permutations.  The
 representatives are the numbers that keep their own label, ascending: the
 first conjugate of each orbit in canonical-key order.
 
@@ -61,6 +61,7 @@ from .groups import (
     member_mask,
     normalizer,
     orbit_class,
+    orbit_minima,
     subgroup_closure,
     subgroup_closures,
 )
@@ -189,19 +190,10 @@ def _orbit_reps(
     g: GroupTable, label: np.ndarray, gens: np.ndarray, elements: list[int]
 ) -> np.ndarray:
     """The least number in each orbit of conjugation by ``elements`` on the
-    numbered subgroups (see ``_number_cyclic``), ascending.  Conjugation by
-    y sends subgroup i to subgroup label[y^-1 gens[i] y]; each pass lowers
-    the least number known for each subgroup to that of its preimages, until
-    a pass changes nothing."""
+    numbered subgroups (see ``_number_cyclic``), ascending."""
     moves = [label[g.conj_map(y)[gens]] for y in elements]
-    least = np.arange(gens.shape[0])
-    while True:
-        lowered = least.copy()
-        for move in moves:
-            np.minimum.at(lowered, move, least)
-        if np.array_equal(lowered, least):
-            return np.flatnonzero(least == np.arange(gens.shape[0]))
-        least = lowered
+    least = orbit_minima(moves, gens.shape[0])
+    return np.flatnonzero(least == np.arange(gens.shape[0]))
 
 
 def maximal_classes_from_lattice(

@@ -375,6 +375,8 @@ _PRODUCT_RE = re.compile(
     r"product-type\{group=(.+?), class=(.+?), conj=(.+?), cosets=\[(.*)\]\}"
 )
 _SOCLE_RE = re.compile(r"socle\{(\d+)\}")
+# one cycle string as ``Perm.to_cycle_string`` writes it
+_CYCLES_RE = re.compile(r"\(\)|(?:\(\d+(?: \d+)*\))+")
 
 
 def parse_descriptor_lines(
@@ -383,6 +385,7 @@ def parse_descriptor_lines(
     g = cg.table
     by_label = cg.classes_by_label()
     descriptors, socle = [], []
+    seen: set = set()  # every descriptor and socle prime so far
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -396,23 +399,22 @@ def parse_descriptor_lines(
                 raise InputError(f"unknown class label {label!r}")
             conj = g.id_of(Perm.from_cycles(conj_str.strip(), g.degree))
             M = by_label[label].representative.conjugate(conj)
-            coset_ids = []
-            for tok in re.findall(r"\([^)]*\)(?:\([^)]*\))*|\(\)", cosets_str):
-                coset_ids.append(g.id_of(Perm.from_cycles(tok, g.degree)))
-            if len(coset_ids) != m - 1:
-                raise InputError(
-                    f"descriptor has {len(coset_ids)} cosets, expected {m - 1}"
-                )
-            descriptors.append(ProductTypeDescriptor.create(M, coset_ids))
-            continue
-        sm = _SOCLE_RE.fullmatch(line)
-        if sm:
-            r = int(sm.group(1))
-            if r not in formulas.prime_factors(m):
-                raise InputError(f"{line!r}: {r} is not a prime divisor of m = {m}")
-            socle.append(r)
-            continue
-        raise InputError(f"unparseable descriptor line: {line!r}")
+            tokens = cosets_str.split(", ") if cosets_str else []
+            if len(tokens) != m - 1 or not all(map(_CYCLES_RE.fullmatch, tokens)):
+                raise InputError(f"{line!r}: cosets must be {m - 1} cycle strings joined by ', '")
+            coset_ids = [g.id_of(Perm.from_cycles(tok, g.degree)) for tok in tokens]
+            member = ProductTypeDescriptor.create(M, coset_ids)
+            descriptors.append(member)
+        elif sm := _SOCLE_RE.fullmatch(line):
+            member = int(sm.group(1))
+            if member not in formulas.prime_factors(m):
+                raise InputError(f"{line!r}: {member} is not a prime divisor of m = {m}")
+            socle.append(member)
+        else:
+            raise InputError(f"unparseable descriptor line: {line!r}")
+        if member in seen:
+            raise InputError(f"{line!r}: names a member of an earlier line again")
+        seen.add(member)
     return descriptors, socle
 
 

@@ -4,9 +4,10 @@ Two layers, and one verdict: a request's definite-unbeatability report is
 derived once (``pipelines`` picks its mode), and ``theorem_bounds`` prints
 its lower bound from that report's ``certified_lower_bound``, never from a
 check of its own.  The seed is one mask over S, ``SeedInstance.in_seed``,
-built once when the instance is made; every condition reads it, and
-``SeedInstance.class_hits`` is the one count of seed elements per subgroup
-class.
+built once when the instance is made; every condition reads it.
+``SeedInstance.class_hits`` counts seed elements in a class representative
+(mu, nu, C5; C1 sums each member); ``groups.conjugates_holding``, how many
+members hold each element, gives C2, C3 and the strand layer's unions.
 
 * Seed conditions C0-C5 on a pair (seed element set, conjugation-closed
   family of maximal subgroup classes).  C0-C4 are finite set checks; C5 is
@@ -56,7 +57,7 @@ import numpy as np
 from . import InputError
 from .cover import verify_cover_handles
 from .formulas import alpha, prime_factors, smallest_prime_factor
-from .groups import GroupTable, SubgroupClass, SubgroupHandle, member_mask
+from .groups import GroupTable, SubgroupClass, SubgroupHandle, conjugates_holding, member_mask
 from .wreath import (
     ProductTypeDescriptor,
     WreathContext,
@@ -174,22 +175,14 @@ def diagonal_term(S_order: int, m: int) -> int:
     return (1 + alpha(m)) * S_order ** (m // smallest_prime_factor(m))
 
 
-def hit_cover_disjoint(
-    in_seed: np.ndarray,
-    members: Sequence[tuple[str, SubgroupHandle]],
-) -> list[ConditionResult]:
-    """Conditions C1-C3 of a family of subgroups on the seed, given as a
-    mask over the group: every member meets it, the members cover it, and
-    no seed element lies in two members."""
-    ids = np.concatenate([np.zeros(0, np.int64), *(h.member_ids for _, h in members)])
-    owner = np.repeat(np.arange(len(members)), [h.size for _, h in members])
-    inside = in_seed[ids]
-    sizes = np.bincount(owner[inside], minlength=len(members))
-    empty = [lab for (lab, _), n in zip(members, sizes) if n == 0]
-    seed = np.flatnonzero(in_seed)
-    count = np.bincount(ids[inside], minlength=in_seed.shape[0])[seed]
-    uncovered = seed[count == 0]
-    doubled = seed[count > 1]
+def hit_cover_disjoint(inst: SeedInstance) -> list[ConditionResult]:
+    """Conditions C1-C3 of the family on the seed: every member meets it
+    (a mask sum per member), the members cover it, and no seed element lies
+    in two members (each seed element's holder count is 1)."""
+    empty = [lab for lab, h in inst.members() if not inst.in_seed[h.member_ids].any()]
+    seed = inst.seed_ids
+    count = conjugates_holding(inst.S, inst.seed_classes)[seed]
+    uncovered, doubled = seed[count == 0], seed[count > 1]
     return [
         ConditionResult(
             "C1 every member meets the seed",
@@ -217,11 +210,11 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
     notes: list[str] = []
 
     # C0: the family is closed under conjugation (it is built from whole
-    # classes; re-verify the class orbits and the seed's closure).
+    # classes); so is the seed when each element's class label agrees.
     results = [
         ConditionResult(
             "C0 conjugation-closed",
-            all(in_seed[S.conj_map(g)[seed]].all() for g in S.generator_ids),
+            bool((in_seed == in_seed[S.element_classes()]).all()),
             "family consists of whole conjugacy classes; seed set checked "
             "against the group generators",
         )
@@ -229,7 +222,7 @@ def check_seed_conditions(inst: SeedInstance) -> SeedConditionReport:
 
     # C1-C3: every member meets the seed, the family covers it, no seed
     # element lies in two members
-    results.extend(hit_cover_disjoint(in_seed, inst.members()))
+    results.extend(hit_cover_disjoint(inst))
 
     # C4: at least two non-conjugate classes
     results.append(
@@ -425,10 +418,7 @@ def _target_masks(inst: SeedInstance, grid: np.ndarray) -> dict[int, np.ndarray]
         return functools.reduce(S.mul_many, grid[:, t::step].T)
 
     masks = {1 % m: seed_lut[strand_product(1, 0)]}
-    class_unions = [
-        member_mask(S, np.concatenate([h.member_ids for h in cls.conjugates])) & seed_lut
-        for cls in inst.seed_classes
-    ]
+    class_unions = [(conjugates_holding(S, [cls]) > 0) & seed_lut for cls in inst.seed_classes]
     for r in prime_factors(m):
         p0, p1 = strand_product(r, 0), strand_product(r, 1)
         mask = np.zeros(grid.shape[0], dtype=bool)

@@ -11,6 +11,7 @@ signature breaks the benchmark's set-up child, so the set-up runs here too.
 import ast
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -83,6 +84,23 @@ def test_benchmark_requests_parse(workload, tmp_path):
         build_parser().parse_args(
             [*req.argv, "--json", "--threads", "1", "--cache-dir", str(tmp_path / "cache")]
         )
+
+
+@pytest.mark.parametrize("workload", ["lattice", "bnb", "wreath", "theorems"])
+def test_benchmark_requests_pass_the_gate(workload, tmp_path, capsys):
+    # every timed request at seed 1, sent once through the CLI with the
+    # flags run.py appends, passes the benchmark's correctness gate; a cold
+    # request gets a cache directory of its own, as in run.py
+    from wreathcover.cli import main
+
+    anchors = _load("anchors")
+    wl = _load("workloads").build(workload, 1, tmp_path)
+    for i, req in enumerate(wl.requests):
+        cache = tmp_path / (f"cold-{i}" if req.cold_cache else "cache")
+        status = main([*req.argv, "--json", "--threads", "1", "--cache-dir", str(cache)])
+        out = capsys.readouterr().out
+        report = json.loads(out) if out else None
+        assert anchors.check(req.check, report, status, req.expect) == [], req.label
 
 
 def test_benchmark_set_up_fills_then_reads_the_lattice(tmp_path):

@@ -159,3 +159,34 @@ def test_catalog_reload_deterministic(m11):
     assert again.table.canonical_hash() == m11.table.canonical_hash()
     for c1, c2 in zip(again.maximal_classes, m11.maximal_classes):
         assert c1.representative.canonical_key == c2.representative.canonical_key
+
+
+def test_repeated_class_label_rejected(tmp_path, capsys):
+    # A4 and D10 both labelled X: a later X would shadow the earlier one in
+    # every lookup by label, so the file is refused before any group loads
+    import json
+
+    from wreathcover.cli import main
+
+    a5 = catalog.BUILTIN_SPECS["A5"]
+    labels = {"A4": "X", "D10": "X"}
+    spec = tmp_path / "a5-twice.yaml"
+    spec.write_text(json.dumps({
+        "name": "A5",
+        "degree": a5.degree,
+        "generators": list(a5.generators),
+        "maximal_classes": [
+            {"label": labels.get(c.label, c.label), "generators": list(c.generators),
+             "expected_order": c.expected_order, "expected_class_size": c.expected_class_size}
+            for c in a5.maximal_classes
+        ],
+    }))
+    with pytest.raises(InputError, match=r"repeats maximal class labels \['X'\]"):
+        catalog.parse_group_file(spec)
+    for argv in (["catalog", str(spec)],
+                 ["verify-unbeatable", str(spec), "--sigma-spec", "orders:5,3",
+                  "--families", "X,S3", "-m", "1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: group file {spec} repeats maximal class labels ['X']\n"

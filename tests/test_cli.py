@@ -340,6 +340,50 @@ def test_socle_lines_must_name_socle_maximals(tmp_path, capsys, _cache_dir):
         assert captured.err.startswith(f"error: {family[-1]!r}: "), captured.err
 
 
+@pytest.fixture(scope="module")
+def a5_m2_family(tmp_path_factory):
+    """The lines of the 57-member A5 wr C_2 covering family."""
+    fam = tmp_path_factory.mktemp("family") / "a5-m2.txt"
+    assert main(["construct-cover", "A5", "-m", "2", "--out", str(fam), "--json"]) == 0
+    return fam.read_text().splitlines()
+
+
+def _refused_family(tmp_path, capsys, lines, bad):
+    """verify-cover on the given lines exits 2, naming the line ``bad``."""
+    fam = tmp_path / "family.txt"
+    fam.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify-cover", "A5", "-m", "2", "--family-file", str(fam)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad!r}: "), captured.err
+
+
+@pytest.mark.parametrize("cosets", ["junk, ()", "() xyz", "", "(), ()", "()x", "(1 2 3),()"])
+def test_cosets_field_is_exactly_the_cycle_strings(cosets, a5_m2_family, tmp_path, capsys):
+    # at m = 2 the field is one cycle string; anything around it is refused
+    # rather than skipped
+    first, *rest = a5_m2_family
+    bad = first[: first.index("cosets=[")] + f"cosets=[{cosets}]}}"
+    _refused_family(tmp_path, capsys, [bad, *rest], bad)
+
+
+def test_repeated_member_line_is_refused(a5_m2_family, tmp_path, capsys):
+    # a member named twice would be counted twice: a repeated line, a
+    # repeated socle prime, and a product-type line whose coset entry is
+    # another element of the same coset are all refused
+    from wreathcover.pipelines import load_group, parse_descriptor_lines
+
+    g = load_group("A5").table
+    first = a5_m2_family[0]
+    (d,), _ = parse_descriptor_lines(load_group("A5"), [first], 2)
+    other = int(g.mul_many(d.M.member_ids, d.cosets[0])[-1])
+    assert other != d.cosets[0]
+    same = first[: first.index("cosets=[")] + f"cosets=[{g.perm(other).to_cycle_string()}]}}"
+    for extra in (first, "socle{2}", same):
+        _refused_family(tmp_path, capsys, [*a5_m2_family, extra], extra)
+
+
 @pytest.mark.parametrize("command", ["verify-unbeatable", "wreath-bounds"])
 def test_empty_family_exits_2(command, capsys):
     # an empty label list is a usage error at every m, not a failed check;

@@ -16,6 +16,7 @@ from wreathcover.groups import (
     subgroup_closure,
 )
 from wreathcover.perm import Perm
+from wreathcover.pipelines import load_group
 
 from oracles import compose
 
@@ -415,3 +416,49 @@ def test_cycle_data_matches_sympy(name):
     assert sum(map(len, by_type.values())) == g.order
     for cycle_type, ids in by_type.items():
         assert g.elements_with_cycle_type(cycle_type).tolist() == ids
+
+
+@pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "A6", "PSL(2,11)"])
+def test_element_classes_match_sympy(name):
+    # an independent oracle: sympy's conjugacy classes of the group on the
+    # same generators.  Labels closed under conjugation by the generators,
+    # with as many classes of each size as sympy finds, are the classes.
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    g = load_group(name).table
+    labels = g.element_classes()
+    assert (labels <= np.arange(g.order)).all() and (labels[labels] == labels).all()
+    for x in g.generator_ids:
+        conjugated = g.mul_many(g.mul_many(g.inv[x], np.arange(g.order)), x)
+        assert (labels[conjugated] == labels).all()
+    sympy_group = PermutationGroup([Permutation(g.images[x].tolist()) for x in g.generator_ids])
+    assert sorted(np.bincount(labels)[np.unique(labels)].tolist()) == sorted(
+        len(c) for c in sympy_group.conjugacy_classes()
+    )
+
+
+# the maximal classes on whose cosets S acts 2-transitively (ATLAS)
+TWO_TRANSITIVE = {
+    "A5": {"A4", "D10"},
+    "PSL(2,7)": {"7:3", "S4", "S4'"},
+    "A6": {"A5", "PSL(2,5)", "3^2:4"},
+    "PSL(2,11)": {"11:5", "A5", "A5'"},
+    "PSL(2,13)": {"13:6"},
+    "M11": {"M10", "PSL(2,11)"},
+}
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_holder_counts_are_permutation_characters(name):
+    # a maximal subgroup M of a simple S is its own normalizer, so the
+    # holder count of M's class is the permutation character 1_M^S: it sums
+    # to |S| (Burnside's count, one orbit), and its squares sum to rank * |S|,
+    # 2|S| exactly when S acts 2-transitively on the cosets of M
+    cg = load_group(name)
+    S = cg.table
+    for cls in cg.maximal_classes:
+        held = groups.conjugates_holding(S, [cls])
+        assert int(held.sum()) == S.order, cls.label
+        squares = int((held**2).sum())
+        assert (squares == 2 * S.order) == (cls.label in TWO_TRANSITIVE[name]), cls.label
+        assert squares >= 2 * S.order, cls.label

@@ -76,29 +76,42 @@ def _psl11_instance(psl11, m):
     )
 
 
+def _conjugacy_class(g, x):
+    """The ids y^-1 x y over every y of g, one product per y."""
+    return g.mul_many(g.mul_many(g.inv, x), np.arange(g.order))
+
+
 @st.composite
 def _set_checks(draw):
-    """A group, a sorted target in it and a list of maximal subgroups, which
-    may be empty, miss the target, leave elements uncovered or repeat."""
-    cg = load_group(draw(st.sampled_from(["A5", "PSL(2,7)"])))
-    handles = [h for c in cg.maximal_classes for h in c.conjugates]
-    target = draw(st.sets(st.integers(0, cg.table.order - 1), min_size=1, max_size=40))
-    members = draw(st.lists(st.sampled_from(handles), max_size=8))
-    return cg.table, np.array(sorted(target), dtype=np.int64), members
+    """A seed instance on a group and whole maximal classes, which may be
+    none, miss the seed, leave elements uncovered or hold one twice.  The
+    seed is a union of element classes or an arbitrary set."""
+    cg = load_group(draw(st.sampled_from(["A5", "PSL(2,7)", "A6"])))
+    g = cg.table
+    elements = st.integers(0, g.order - 1)
+    if draw(st.booleans()):
+        xs = draw(st.lists(elements, min_size=1, max_size=3))
+        seed = np.concatenate([_conjugacy_class(g, x) for x in xs])
+    else:
+        seed = np.array(sorted(draw(st.sets(elements, min_size=1, max_size=40))))
+    family = draw(st.lists(st.sampled_from(cg.maximal_classes), max_size=3,
+                           unique_by=lambda c: c.label))
+    return SeedInstance(S=g, seed_ids=seed, seed_classes=family, m=1,
+                        maximal_classes=cg.maximal_classes)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_set_checks())
-def test_hit_cover_disjoint_matches_sets(case):
-    g, target, handles = case
-    members = [(f"x[{i}]", h) for i, h in enumerate(handles)]
-    hit, cover, disjoint = hit_cover_disjoint(member_mask(g, target), members)
-    # the reference: Python sets of element ids
-    inter = [set(target.tolist()) & set(h.member_ids.tolist()) for h in handles]
+def test_hit_cover_disjoint_matches_sets(inst):
+    hit, cover, disjoint = hit_cover_disjoint(inst)
+    # the reference: Python sets of element ids, member by member
+    members = inst.members()
+    target = inst.seed_ids.tolist()
+    inter = [set(target) & set(h.member_ids.tolist()) for _, h in members]
     empty = [lab for (lab, _), s in zip(members, inter) if not s]
-    hits = [sum(x in s for s in inter) for x in target.tolist()]
-    uncovered = [x for x, n in zip(target.tolist(), hits) if n == 0]
-    doubled = [x for x, n in zip(target.tolist(), hits) if n > 1]
+    hits = [sum(x in s for s in inter) for x in target]
+    uncovered = [x for x, n in zip(target, hits) if n == 0]
+    doubled = [x for x, n in zip(target, hits) if n > 1]
     assert (hit.name, hit.passed) == ("C1 every member meets the seed", not empty)
     assert hit.witness == ({"empty_members": empty[:5]} if empty else None)
     assert (cover.name, cover.passed) == ("C2 seed covered by the family", not uncovered)
