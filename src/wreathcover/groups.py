@@ -8,10 +8,11 @@ enough for full enumeration; there is no stabilizer-chain machinery.
 There is no Cayley table.  One row lookup, ``ids``, turns image rows back
 into ids: it packs each row into an integer key and searches the sorted
 key table.  One product, ``mul_many``, composes image rows and looks them
-up; it pairs two id arrays elementwise or broadcasts a single id on either
-side.  Composition convention (fixed project-wide): ``mul_many(a, b)``
-applies ``b`` first and then ``a``, so row q of the product is ``a[b[q]]``,
-and a product written left to right, ``x1 * x2 * ... * xk``, applies ``xk``
+up; it pairs two id arrays elementwise, by one flat gather from the image
+table at a*degree + b[q], or broadcasts a single id on either side.
+Composition convention (fixed project-wide): ``mul_many(a, b)`` applies
+``b`` first and then ``a``, so row q of the product is ``a[b[q]]``, and a
+product written left to right, ``x1 * x2 * ... * xk``, applies ``xk``
 first.  The subgroup routines batch that arithmetic, and membership in a
 subgroup is a boolean mask over the group.
 
@@ -168,14 +169,12 @@ class GroupTable:
     def mul_many(self, a_ids: np.ndarray | int, b_ids: np.ndarray | int) -> np.ndarray:
         """Products a*b (b applied first): pairwise over equal-length id
         arrays, or one array against a single id on either side."""
-        a = self.images[np.asarray(a_ids, dtype=np.int64)]
+        a = np.asarray(a_ids, dtype=np.int64)
         b = self.images[np.asarray(b_ids, dtype=np.int64)]
-        if a.ndim == 1:
-            rows = a[b]
-        elif b.ndim == 1:
-            rows = a[:, b]
-        else:
-            rows = np.take_along_axis(a, b, axis=1)
+        if a.ndim == 0 or b.ndim == 1:
+            rows = self.images[a][..., b]
+        else:  # row q of a*b is a[b[q]], one flat gather from the images
+            rows = self.images.ravel()[a[:, None] * self.degree + b]
         return self.ids(rows)
 
     def conj_map(self, g: int) -> np.ndarray:

@@ -16,6 +16,7 @@ cover) both read that one report.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -42,6 +43,7 @@ from .wreath import (
     ProductTypeDescriptor,
     WreathContext,
     construct_product_cover,
+    coset_minima,
     explicit_size,
     verify_wreath_cover,
     wreath_cover_upper_term,
@@ -346,7 +348,9 @@ def descriptor_lines(
     socle: Sequence[int],
 ) -> list[str]:
     """Serialize a wreath covering family: one line per member,
-    product-type{...} or socle{r} for each socle maximal's prime r."""
+    product-type{...} or socle{r} for each socle maximal's prime r.  Each
+    run of descriptors over one subgroup shares its line head, and each
+    distinct element id is rendered once."""
     g = cg.table
     # every maximal conjugate's class label and conjugator, by its key
     found = {
@@ -354,16 +358,14 @@ def descriptor_lines(
         for cls in cg.maximal_classes
         for h, c in zip(cls.conjugates, cls.conjugators)
     }
+    cycles = functools.cache(lambda x: g.perm(x).to_cycle_string())
     lines = []
-    for d in descriptors:
-        if d.M.canonical_key not in found:
+    for M, run in itertools.groupby(descriptors, key=lambda d: d.M):
+        if M.canonical_key not in found:
             raise ValueError("descriptor subgroup is not in the maximal catalog")
-        label, conj = found[d.M.canonical_key]
-        cosets = ", ".join(g.perm(c).to_cycle_string() for c in d.cosets)
-        lines.append(
-            f"product-type{{group={cg.spec.name}, class={label}, "
-            f"conj={g.perm(conj).to_cycle_string()}, cosets=[{cosets}]}}"
-        )
+        label, conj = found[M.canonical_key]
+        head = f"product-type{{group={cg.spec.name}, class={label}, conj={cycles(conj)}, cosets=["
+        lines.extend(head + ", ".join(map(cycles, d.cosets)) + "]}" for d in run)
     for r in socle:
         lines.append(f"socle{{{r}}}")
     return lines
@@ -382,39 +384,65 @@ _CYCLES_RE = re.compile(r"\(\)|(?:\(\d+(?: \d+)*\))+")
 def parse_descriptor_lines(
     cg: catalog.CatalogGroup, lines: Sequence[str], m: int
 ) -> tuple[list[ProductTypeDescriptor], list[int]]:
+    """Read a serialized family back.  Lines are parsed up to the first bad
+    one; each distinct cycle string is parsed, and each (class, conj)
+    conjugated, once.  The product-type lines' cosets are then
+    canonicalized from one ``coset_minima`` table over their subgroups, and
+    repeated members are refused in line order, before the bad line's error."""
     g = cg.table
     by_label = cg.classes_by_label()
-    descriptors, socle = [], []
-    seen: set = set()  # every descriptor and socle prime so far
+    element = functools.cache(lambda text: g.id_of(Perm.from_cycles(text, g.degree)))
+    subgroups: dict[tuple[str, int], int] = {}  # (class, conj) -> index
+    handles = []
+    entries: list[tuple[str, int | tuple[int, list[int]]]] = []
+    failure = None
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        pm = _PRODUCT_RE.fullmatch(line)
-        if pm:
-            gname, label, conj_str, cosets_str = pm.groups()
-            if gname != cg.spec.name:
-                raise InputError(f"descriptor group {gname} != {cg.spec.name}")
-            if label not in by_label:
-                raise InputError(f"unknown class label {label!r}")
-            conj = g.id_of(Perm.from_cycles(conj_str.strip(), g.degree))
-            M = by_label[label].representative.conjugate(conj)
-            tokens = cosets_str.split(", ") if cosets_str else []
-            if len(tokens) != m - 1 or not all(map(_CYCLES_RE.fullmatch, tokens)):
-                raise InputError(f"{line!r}: cosets must be {m - 1} cycle strings joined by ', '")
-            coset_ids = [g.id_of(Perm.from_cycles(tok, g.degree)) for tok in tokens]
-            member = ProductTypeDescriptor.create(M, coset_ids)
-            descriptors.append(member)
-        elif sm := _SOCLE_RE.fullmatch(line):
-            member = int(sm.group(1))
-            if member not in formulas.prime_factors(m):
-                raise InputError(f"{line!r}: {member} is not a prime divisor of m = {m}")
+        try:
+            if pm := _PRODUCT_RE.fullmatch(line):
+                gname, label, conj_str, cosets_str = pm.groups()
+                if gname != cg.spec.name:
+                    raise InputError(f"descriptor group {gname} != {cg.spec.name}")
+                if label not in by_label:
+                    raise InputError(f"unknown class label {label!r}")
+                if not _CYCLES_RE.fullmatch(conj_str):
+                    raise InputError(f"{line!r}: conj must be one cycle string")
+                key = (label, element(conj_str))
+                if key not in subgroups:
+                    subgroups[key] = len(handles)
+                    handles.append(by_label[label].representative.conjugate(key[1]))
+                tokens = cosets_str.split(", ") if cosets_str else []
+                if len(tokens) != m - 1 or not all(map(_CYCLES_RE.fullmatch, tokens)):
+                    raise InputError(f"{line!r}: cosets must be {m - 1} cycle strings joined by ', '")
+                entries.append((line, (subgroups[key], [element(tok) for tok in tokens])))
+            elif sm := _SOCLE_RE.fullmatch(line):
+                r = int(sm.group(1))
+                if r not in formulas.prime_factors(m):
+                    raise InputError(f"{line!r}: {r} is not a prime divisor of m = {m}")
+                entries.append((line, r))
+            else:
+                raise InputError(f"unparseable descriptor line: {line!r}")
+        except InputError as exc:
+            failure = exc
+            break
+    minima = coset_minima(handles)
+    descriptors, socle = [], []
+    seen: set = set()  # every descriptor and socle prime so far
+    for line, entry in entries:
+        if isinstance(entry, int):
+            member = entry
             socle.append(member)
         else:
-            raise InputError(f"unparseable descriptor line: {line!r}")
+            i, cosets = entry
+            member = ProductTypeDescriptor.create(handles[i], cosets, minima[i])
+            descriptors.append(member)
         if member in seen:
             raise InputError(f"{line!r}: names a member of an earlier line again")
         seen.add(member)
+    if failure is not None:
+        raise failure
     return descriptors, socle
 
 

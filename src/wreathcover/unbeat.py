@@ -397,13 +397,12 @@ def _labelled_products(
 ) -> list[tuple[str, ProductTypeDescriptor]]:
     """The product-type family over every conjugate of the given classes,
     each member labelled ``base[i][c_2, ..., c_m]`` by its first slot and
-    its coset minima."""
-    return [
-        (f"{cls.base_label}[{i}]{list(d.cosets)}", d)
-        for cls in classes
-        for i, M in enumerate(cls.conjugates)
-        for d in product_type_family([M], m)
-    ]
+    its coset minima.  One family call makes it; the family runs member by
+    member, |S:M|^(m-1) descriptors each."""
+    slots = [(cls.base_label, i, M) for cls in classes for i, M in enumerate(cls.conjugates)]
+    owners = [(base, i) for base, i, M in slots for _ in range(M.index ** (m - 1))]
+    family = product_type_family([M for *_, M in slots], m)
+    return [(f"{base}[{i}]{list(d.cosets)}", d) for (base, i), d in zip(owners, family)]
 
 
 def _target_masks(inst: SeedInstance, grid: np.ndarray) -> dict[int, np.ndarray]:

@@ -33,7 +33,10 @@ on n*m points, lives with the tests (``tests/oracles.py``).
 The product-type family: over each member M of a cover of S there is one
 product-type subgroup per tuple of m-1 right cosets of M, |S:M|^(m-1) of
 them (``product_type_family``), and with the alpha(m) socle maximals they
-number ``wreath_cover_upper_term``.  The constructive cover, the explicit
+number ``wreath_cover_upper_term``.  Coset minima come from one table per
+call, ``coset_minima``: one batched pass over all members, whose rows the
+family's coset representatives and ``ProductTypeDescriptor.create`` both
+read; it lives as long as the call.  The constructive cover, the explicit
 unbeatability family and its outsider sweep all come from that generator.
 A socle maximal is named by its prime r, a prime divisor of m: it is the
 preimage of the index-r subgroup of C_m, the elements whose shift r divides.
@@ -43,14 +46,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import InputError
 from .cover import verify_cover_handles
 from .formulas import alpha, prime_factors
-from .groups import GroupTable, SubgroupHandle
+from .groups import GroupTable, SubgroupHandle, orbit_minima
 
 
 @dataclass(frozen=True)
@@ -115,17 +118,20 @@ class ProductTypeDescriptor:
     two descriptors denote the same subgroup exactly when they compare equal
     (M compares by its members, through ``SubgroupHandle``).
     ``product_type_family`` builds them in that form; ``create`` canonicalizes
-    arbitrary coset labels, for descriptors read from outside.
+    arbitrary coset labels, for descriptors read from outside, by reading
+    M's row of ``coset_minima``.
     """
 
     M: SubgroupHandle
     cosets: tuple[int, ...]
 
     @staticmethod
-    def create(M: SubgroupHandle, cosets: Sequence[int]) -> "ProductTypeDescriptor":
-        g = M.parent
-        canon = tuple(int(g.mul_many(M.member_ids, int(c)).min()) for c in cosets)
-        return ProductTypeDescriptor(M, canon)
+    def create(
+        M: SubgroupHandle, cosets: Sequence[int], minima: np.ndarray
+    ) -> "ProductTypeDescriptor":
+        """The descriptor with the given coset labels; ``minima`` is M's
+        row of ``coset_minima``."""
+        return ProductTypeDescriptor(M, tuple(int(minima[c]) for c in cosets))
 
     @property
     def m(self) -> int:
@@ -160,7 +166,8 @@ def box_luts(
     """The coordinate rows of every descriptor at one shift, stacked as a
     (D, m, |S|) float64 0/1 array: row (d, a) is g[a]^{-1} M g[a+shift].
     Both multiplications are composed on image rows for all descriptors
-    and coordinates at once, then packed and looked up once."""
+    and coordinates at once, each by one flat gather from the image
+    table, then packed and looked up once."""
     S, m = ctx.S, ctx.m
     out = np.zeros((len(descriptors), m, S.order))
     if not descriptors:
@@ -176,11 +183,11 @@ def box_luts(
     gs = np.array([d.slot_gs() for d in descriptors])  # (D, m)
     left = S.inv[gs[owner, coord]]
     right = gs[owner, (coord + shift) % m]
-    # (g^{-1} x h)(q) = g^{-1}(x(h(q))) on image rows
-    rows = np.take_along_axis(
-        np.tile(S.images[np.concatenate(member_ids)], (m, 1)), S.images[right], axis=1
-    )
-    rows = np.take_along_axis(S.images[left], rows, axis=1)
+    # (g^{-1} x h)(q) = g^{-1}(x(h(q))): row y's entry p sits at y*degree + p
+    images, degree = S.images.ravel(), S.degree
+    x = np.tile(np.concatenate(member_ids), m)
+    rows = images[x[:, None] * degree + S.images[right]]
+    rows = images[left[:, None] * degree + rows]
     out[owner, coord, S.ids(rows)] = 1.0
     return out
 
@@ -237,30 +244,40 @@ def box_target_counts(luts: np.ndarray, target: np.ndarray) -> np.ndarray:
 # -- the product-type family and the constructive cover ---------------------------
 
 
-def coset_representatives(M: SubgroupHandle) -> list[int]:
-    """Deterministic right-coset representatives of M in its parent: the
-    minimum element id of each coset M*g, ascending."""
-    g = M.parent
-    assigned = np.zeros(g.order, dtype=bool)
-    reps = []
-    for x in range(g.order):
-        if assigned[x]:
-            continue
-        reps.append(x)
-        assigned[g.mul_many(M.member_ids, x)] = True
-    return reps
+def coset_minima(members: Sequence[SubgroupHandle]) -> np.ndarray:
+    """The (members x |S|) table whose entry (r, x) is the least id of the
+    right coset members[r]*x, for subgroups of one S.  M*x is the orbit of x
+    under left multiplication by M's generators, so one ``mul_many`` makes
+    every generator's left map and one ``orbit_minima`` runs over all
+    members side by side: point x of member r is r*|S| + x, and a member
+    with fewer generators than the most steps through the identity."""
+    if not members:
+        return np.zeros((0, 0), dtype=np.int64)
+    S = members[0].parent
+    n, rows = S.order, len(members)
+    gens = [[x for x in M.generators if x != 0] for M in members]
+    owner = np.array([r for r, s in enumerate(gens) for _ in s], dtype=np.int64)
+    slot = np.array([j for s in gens for j in range(len(s))], dtype=np.int64)
+    flat = np.array([x for s in gens for x in s], dtype=np.int64)
+    left = S.mul_many(np.repeat(flat, n), np.tile(np.arange(n), flat.shape[0]))
+    moves = np.tile(np.arange(rows * n), (max(map(len, gens)) or 1, 1))
+    moves.reshape(-1, rows, n)[slot, owner] = left.reshape(-1, n) + owner[:, None] * n
+    least = orbit_minima(list(moves), rows * n).reshape(rows, n)
+    return least - (np.arange(rows) * n)[:, None]
 
 
 def product_type_family(
-    members: Iterable[SubgroupHandle], m: int
-) -> Iterator[ProductTypeDescriptor]:
+    members: Sequence[SubgroupHandle], m: int
+) -> list[ProductTypeDescriptor]:
     """Every product-type subgroup over each member M, in member order: one
     per tuple of m-1 right cosets of M, the tuples in lexicographic order of
-    their ascending coset minima (already the canonical form)."""
-    for M in members:
-        reps = coset_representatives(M)
-        for combo in itertools.product(reps, repeat=m - 1):
-            yield ProductTypeDescriptor(M, combo)
+    their ascending coset minima (already the canonical form), read off one
+    ``coset_minima`` table."""
+    family = []
+    for M, row in zip(members, coset_minima(members)):
+        reps = np.flatnonzero(row == np.arange(row.shape[0])).tolist()
+        family.extend(ProductTypeDescriptor(M, c) for c in itertools.product(reps, repeat=m - 1))
+    return family
 
 
 def wreath_cover_upper_term(members: Sequence[SubgroupHandle], m: int) -> int:

@@ -12,6 +12,10 @@ another way than the code it checks:
   membership in the normalizer of a product subgroup by conjugating its
   explicit element set, the ground truth for ``wreath.product_type_mask``
   and the box kernels;
+* ``coset_representatives`` and ``coset_minimum`` take one right coset
+  M*x at a time as the product of M's members with x, the reference for
+  ``wreath.coset_minima``, the family's representatives and
+  ``ProductTypeDescriptor.create``;
 * ``orbit_reps_walk`` walks the conjugation orbit of one subgroup after
   another, the reference for the label propagation of
   ``lattice._orbit_reps``;
@@ -38,7 +42,13 @@ from wreathcover.formulas import (
     is_prime,
     smallest_prime_factor,
 )
-from wreathcover.groups import GroupTable, SubgroupClass, _pack, conjugation_orbit
+from wreathcover.groups import (
+    GroupTable,
+    SubgroupClass,
+    SubgroupHandle,
+    _pack,
+    conjugation_orbit,
+)
 from wreathcover.perm import Perm
 from wreathcover.wreath import ProductTypeDescriptor, WreathContext, WreathElement
 
@@ -167,6 +177,28 @@ def orbit_reps_walk(g: GroupTable, cls: SubgroupClass, elements: Sequence[int]):
             continue
         reps.append(h)
         visited.update(conjugation_orbit(g, h.member_ids, elements, h.generators).keys)
+    return reps
+
+
+# -- right cosets, one at a time -----------------------------------------------
+
+
+def coset_minimum(M: SubgroupHandle, x: int) -> int:
+    """The least id of the right coset M*x, from all of its products."""
+    return int(M.parent.mul_many(M.member_ids, int(x)).min())
+
+
+def coset_representatives(M: SubgroupHandle) -> list[int]:
+    """The least id of each right coset M*x, ascending: walk the ids in
+    order and mark the whole coset of each one not marked yet."""
+    g = M.parent
+    assigned = np.zeros(g.order, dtype=bool)
+    reps = []
+    for x in range(g.order):
+        if assigned[x]:
+            continue
+        reps.append(x)
+        assigned[g.mul_many(M.member_ids, x)] = True
     return reps
 
 

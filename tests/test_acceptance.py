@@ -47,6 +47,7 @@ from wreathcover.wreath import (
     ProductTypeDescriptor,
     WreathContext,
     construct_product_cover,
+    coset_minima,
     product_type_mask,
     verify_wreath_cover,
 )
@@ -192,7 +193,7 @@ def test_criterion_5_membership_oracle_equivalence(a5):
             cosets = tuple(
                 int(rng.integers(0, a5.table.order)) for _ in range(m - 1)
             )
-            return ProductTypeDescriptor.create(M, cosets)
+            return ProductTypeDescriptor.create(M, cosets, coset_minima([M])[0])
 
         # m = 2: all 7200 elements against 30 random descriptors
         ctx2 = WreathContext(a5.table, 2)

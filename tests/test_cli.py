@@ -325,6 +325,37 @@ def test_construct_and_verify_cover_roundtrip(tmp_path, capsys, _cache_dir):
         assert "uncovered_witness" in report
 
 
+@pytest.mark.parametrize(
+    "group, m, method",
+    [("A5", 2, "exact"), ("PSL(2,7)", 2, "exact"), ("A6", 2, "greedy"), ("A5", 3, "exact")],
+)
+def test_descriptor_lines_read_back(group, m, method):
+    # the written family parses back to the constructed descriptors, in order
+    from wreathcover.cover import build_instance, sigma_exact, sigma_greedy
+    from wreathcover.pipelines import descriptor_lines, load_group, parse_descriptor_lines
+    from wreathcover.wreath import construct_product_cover
+
+    cg = load_group(group)
+    inst = build_instance(cg.table, cg.maximal_classes)
+    cert = (sigma_exact if method == "exact" else sigma_greedy)(inst)
+    by_label = dict(zip(inst.labels, inst.handles))
+    cover = [by_label[lab] for lab in cert.chosen]
+    descriptors, socle = construct_product_cover(cg.table, cover, m)
+    lines = descriptor_lines(cg, descriptors, socle)
+    assert parse_descriptor_lines(cg, lines, m) == (descriptors, socle)
+
+
+def test_verify_cover_reads_the_a6_family(tmp_path, capsys):
+    # the greedy A6 family names class=PSL(2,5), whose label holds a comma
+    fam = tmp_path / "a6.family"
+    argv = ["construct-cover", "A6", "-m", "2", "--cover-method", "greedy", "--out", str(fam)]
+    assert main(argv) == 0
+    assert "class=PSL(2,5)," in fam.read_text()
+    capsys.readouterr()
+    status, report = run_json(["verify-cover", "A6", "-m", "2", "--family-file", str(fam)], capsys)
+    assert (status, report["covered"], report["members"]) == (0, True, 145)
+
+
 def test_socle_lines_must_name_socle_maximals(tmp_path, capsys, _cache_dir):
     # socle{r} is a maximal subgroup of S wr C_m only for a prime r dividing m
     fam = tmp_path / "family.txt"
@@ -365,6 +396,15 @@ def test_cosets_field_is_exactly_the_cycle_strings(cosets, a5_m2_family, tmp_pat
     # rather than skipped
     first, *rest = a5_m2_family
     bad = first[: first.index("cosets=[")] + f"cosets=[{cosets}]}}"
+    _refused_family(tmp_path, capsys, [bad, *rest], bad)
+
+
+@pytest.mark.parametrize("conj", [" ", "()()", "( )"])
+def test_conj_field_is_exactly_one_cycle_string(conj, a5_m2_family, tmp_path, capsys):
+    # Perm.from_cycles reads each of these as the identity; the field is
+    # refused unless it is one cycle string as the lines are written
+    first, *rest = a5_m2_family
+    bad = first[: first.index("conj=")] + f"conj={conj}" + first[first.index(", cosets=[") :]
     _refused_family(tmp_path, capsys, [bad, *rest], bad)
 
 

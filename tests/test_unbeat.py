@@ -29,7 +29,7 @@ from wreathcover.wreath import (
     wreath_cover_upper_term,
 )
 
-from oracles import compose, exhaustive_min_cover
+from oracles import compose, coset_minimum, exhaustive_min_cover
 
 
 def _products(inst):
@@ -468,16 +468,16 @@ def test_target_masks_match_definition(a5, m):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_product_type_members_are_canonical(a5, psl7, m):
-    # coset representatives are coset minima, so the generator's
-    # descriptors are exactly what create() canonicalizes them to, and the
-    # family count is the generator's length
+    # coset representatives are coset minima, so the family's descriptors
+    # are exactly what the one-coset-at-a-time oracle canonicalizes them
+    # to, and the family count is its length
     for cg in (a5, psl7):
         handles = [h for c in cg.maximal_classes for h in c.conjugates]
         members = list(product_type_family(handles, m))
         expect = wreath_cover_upper_term(handles, m) - alpha(m)
         assert len(members) == len(set(members)) == expect
         for d in members:
-            made = ProductTypeDescriptor.create(d.M, d.cosets)
+            made = ProductTypeDescriptor(d.M, tuple(coset_minimum(d.M, c) for c in d.cosets))
             assert d == made
 
 

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wreathcover.formulas import alpha, prime_factors
+from wreathcover.groups import subgroup_closure
 from wreathcover.perm import Perm
+from wreathcover.pipelines import load_group
 from wreathcover.wreath import (
     ProductTypeDescriptor,
     WreathContext,
@@ -15,13 +17,16 @@ from wreathcover.wreath import (
     box_luts,
     box_target_counts,
     construct_product_cover,
-    coset_representatives,
+    coset_minima,
+    product_type_family,
     product_type_mask,
     verify_wreath_cover,
 )
 
 from oracles import (
     compose,
+    coset_minimum,
+    coset_representatives,
     inv,
     mul,
     normalizes_product_subgroup,
@@ -41,6 +46,11 @@ def ctx3(a5):
     return WreathContext(a5.table, 3)
 
 
+def create(M, cosets):
+    """The descriptor over M with the given coset labels, canonicalized."""
+    return ProductTypeDescriptor.create(M, cosets, coset_minima([M])[0])
+
+
 def random_descriptors(cg, m, count, rng):
     out = []
     labels = sorted(cg.classes_by_label())
@@ -48,7 +58,7 @@ def random_descriptors(cg, m, count, rng):
         cls = cg.classes_by_label()[labels[int(rng.integers(0, len(labels)))]]
         M = cls.conjugates[int(rng.integers(0, cls.class_size))]
         cosets = tuple(int(rng.integers(0, cg.table.order)) for _ in range(m - 1))
-        out.append(ProductTypeDescriptor.create(M, cosets))
+        out.append(create(M, cosets))
     return out
 
 
@@ -125,7 +135,7 @@ def test_oracle_equivalence_sample_m3(ctx3, a5):
 def test_oracle_rejects_more_than_16_points(a5):
     # A5 wr C_4 acts on 20 points; 20^19 > 2^64, so packed keys would wrap
     M = a5.classes_by_label()["S3"].representative
-    d = ProductTypeDescriptor.create(M, (0, 0, 0))
+    d = create(M, (0, 0, 0))
     with pytest.raises(ValueError, match="degree <= 16"):
         product_subgroup_perm_keys(WreathContext(a5.table, 4), d)
 
@@ -161,14 +171,14 @@ def test_descriptor_canonicalization(ctx2, a5):
     M = cls.representative
     g2 = 17
     coset = g.mul_many(M.member_ids, g2)
-    d1 = ProductTypeDescriptor.create(M, (g2,))
-    d2 = ProductTypeDescriptor.create(M, (int(coset[3]),))
+    d1 = create(M, (g2,))
+    d2 = create(M, (int(coset[3]),))
     assert d1 == d2 and hash(d1) == hash(d2)
     # different cosets give distinguishable subgroups
     other = next(
         x for x in range(g.order) if x not in set(coset.tolist())
     )
-    d3 = ProductTypeDescriptor.create(M, (other,))
+    d3 = create(M, (other,))
     assert d1 != d3
     grid = ctx2.base_grid()
     diff = product_type_mask(ctx2, d1, grid, 1) != product_type_mask(ctx2, d3, grid, 1)
@@ -189,7 +199,7 @@ def test_socle_maximals(a5):
 
 def test_coset_representatives(a5):
     M = a5.classes_by_label()["D10"].representative
-    reps = coset_representatives(M)
+    reps = [d.cosets[0] for d in product_type_family([M], 2)]
     assert len(reps) == 6
     assert reps[0] == 0
     seen = set()
@@ -346,3 +356,37 @@ def test_a5_wr_c4_constructive_cover(a5, monkeypatch):
     assert not any(product_type_mask(ctx4, d, row, witness.shift)[0] for d in descs[1:])
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"A5 wr C_4 verification took {elapsed:.1f}s (budget 30s)"
+
+
+@st.composite
+def _subgroup_batches(draw):
+    """A group, a batch of its subgroups (closures of random generators,
+    the trivial subgroup and the whole group among them) and coset labels."""
+    g = load_group(draw(st.sampled_from(["A5", "PSL(2,7)", "A6"]))).table
+    elements = st.integers(0, g.order - 1)
+    gen_sets = st.one_of(
+        st.just([]), st.just(list(g.generator_ids)), st.lists(elements, min_size=1, max_size=3)
+    )
+    members = [subgroup_closure(g, gens) for gens in draw(st.lists(gen_sets, min_size=1, max_size=6))]
+    return g, members, draw(st.lists(elements, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_subgroup_batches())
+def test_coset_minima_match_one_coset_at_a_time(batch):
+    # the batched table against the per-coset products: every coset of every
+    # member, the family's representatives, and create() on random labels
+    g, members, labels = batch
+    cached = (set(g._right_maps), set(g._conj_maps))
+    table = coset_minima(members)
+    assert (set(g._right_maps), set(g._conj_maps)) == cached  # no per-table map is made
+    assert table.shape == (len(members), g.order)
+    family = product_type_family(members, 2)
+    for M, row in zip(members, table):
+        reps = coset_representatives(M)
+        for r in reps:
+            assert (row[g.mul_many(M.member_ids, r)] == r).all()
+        assert [d.cosets[0] for d in family if d.M is M] == reps
+        made = ProductTypeDescriptor.create(M, labels, row)
+        assert made.cosets == tuple(coset_minimum(M, x) for x in labels)
+
