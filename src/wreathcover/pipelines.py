@@ -392,9 +392,9 @@ def parse_descriptor_lines(
     g = cg.table
     by_label = cg.classes_by_label()
     element = functools.cache(lambda text: g.id_of(Perm.from_cycles(text, g.degree)))
-    subgroups: dict[tuple[str, int], int] = {}  # (class, conj) -> index
+    subgroups: dict[tuple[str, int], int] = {}  # (class, conj) -> index in handles
     handles = []
-    entries: list[tuple[str, int | tuple[int, list[int]]]] = []
+    entries = []  # (line, socle prime) or (line, (index in handles, coset ids))
     failure = None
     for raw in lines:
         line = raw.strip()

@@ -53,7 +53,7 @@ import numpy as np
 from . import InputError
 from .cover import verify_cover_handles
 from .formulas import alpha, prime_factors
-from .groups import GroupTable, SubgroupHandle, orbit_minima
+from .groups import CLOSURE_BUDGET, GroupTable, SubgroupHandle, orbit_minima
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,8 @@ class WreathElement:
 # request, which is explicit up to it and symbolic above.
 EXPLICIT_CAP = 10**8
 AUTO_EXPLICIT_LIMIT = 10**7
+# image rows composed at a time by ``box_luts``
+ROW_CHUNK = 2**15
 
 
 def explicit_size(S: GroupTable, m: int) -> int:
@@ -166,8 +168,8 @@ def box_luts(
     """The coordinate rows of every descriptor at one shift, stacked as a
     (D, m, |S|) float64 0/1 array: row (d, a) is g[a]^{-1} M g[a+shift].
     Both multiplications are composed on image rows for all descriptors
-    and coordinates at once, each by one flat gather from the image
-    table, then packed and looked up once."""
+    and coordinates together, ROW_CHUNK rows at a time, each by one flat
+    gather from the image table, then packed and looked up."""
     S, m = ctx.S, ctx.m
     out = np.zeros((len(descriptors), m, S.order))
     if not descriptors:
@@ -183,12 +185,16 @@ def box_luts(
     gs = np.array([d.slot_gs() for d in descriptors])  # (D, m)
     left = S.inv[gs[owner, coord]]
     right = gs[owner, (coord + shift) % m]
-    # (g^{-1} x h)(q) = g^{-1}(x(h(q))): row y's entry p sits at y*degree + p
-    images, degree = S.images.ravel(), S.degree
     x = np.tile(np.concatenate(member_ids), m)
-    rows = images[x[:, None] * degree + S.images[right]]
-    rows = images[left[:, None] * degree + rows]
-    out[owner, coord, S.ids(rows)] = 1.0
+    # (g^{-1} x h)(q) = g^{-1}(x(h(q))): row y's entry p sits at y*degree + p,
+    # and rows go in chunks that bound the gathers' index arrays
+    images, degree = S.images.ravel(), S.degree
+    ids = np.empty(x.shape[0], dtype=np.int64)
+    for lo in range(0, x.shape[0], ROW_CHUNK):
+        part = slice(lo, lo + ROW_CHUNK)
+        rows = images[x[part, None] * degree + S.images[right[part]]]
+        ids[part] = S.ids(images[left[part, None] * degree + rows])
+    out[owner, coord, ids] = 1.0
     return out
 
 
@@ -248,22 +254,28 @@ def coset_minima(members: Sequence[SubgroupHandle]) -> np.ndarray:
     """The (members x |S|) table whose entry (r, x) is the least id of the
     right coset members[r]*x, for subgroups of one S.  M*x is the orbit of x
     under left multiplication by M's generators, so one ``mul_many`` makes
-    every generator's left map and one ``orbit_minima`` runs over all
+    every generator's left map and one ``orbit_minima`` runs over the
     members side by side: point x of member r is r*|S| + x, and a member
-    with fewer generators than the most steps through the identity."""
+    with fewer generators than the most steps through the identity.  As in
+    ``groups.closures``, members go CLOSURE_BUDGET // |S| at a time."""
     if not members:
         return np.zeros((0, 0), dtype=np.int64)
     S = members[0].parent
-    n, rows = S.order, len(members)
-    gens = [[x for x in M.generators if x != 0] for M in members]
-    owner = np.array([r for r, s in enumerate(gens) for _ in s], dtype=np.int64)
-    slot = np.array([j for s in gens for j in range(len(s))], dtype=np.int64)
-    flat = np.array([x for s in gens for x in s], dtype=np.int64)
-    left = S.mul_many(np.repeat(flat, n), np.tile(np.arange(n), flat.shape[0]))
-    moves = np.tile(np.arange(rows * n), (max(map(len, gens)) or 1, 1))
-    moves.reshape(-1, rows, n)[slot, owner] = left.reshape(-1, n) + owner[:, None] * n
-    least = orbit_minima(list(moves), rows * n).reshape(rows, n)
-    return least - (np.arange(rows) * n)[:, None]
+    n = S.order
+    step = max(1, CLOSURE_BUDGET // n)
+    out = []
+    for lo in range(0, len(members), step):
+        gens = [[x for x in M.generators if x != 0] for M in members[lo : lo + step]]
+        rows = len(gens)
+        owner = np.array([r for r, s in enumerate(gens) for _ in s], dtype=np.int64)
+        slot = np.array([j for s in gens for j in range(len(s))], dtype=np.int64)
+        flat = np.array([x for s in gens for x in s], dtype=np.int64)
+        left = S.mul_many(np.repeat(flat, n), np.tile(np.arange(n), flat.shape[0]))
+        moves = np.tile(np.arange(rows * n), (max(map(len, gens)) or 1, 1))
+        moves.reshape(-1, rows, n)[slot, owner] = left.reshape(-1, n) + owner[:, None] * n
+        least = orbit_minima(list(moves), rows * n).reshape(rows, n)
+        out.append(least - (np.arange(rows) * n)[:, None])
+    return np.concatenate(out)
 
 
 def product_type_family(
