@@ -392,9 +392,8 @@ def parse_descriptor_lines(
     g = cg.table
     by_label = cg.classes_by_label()
     element = functools.cache(lambda text: g.id_of(Perm.from_cycles(text, g.degree)))
-    subgroups: dict[tuple[str, int], int] = {}  # (class, conj) -> index in handles
-    handles = []
-    entries = []  # (line, socle prime) or (line, (index in handles, coset ids))
+    subgroups = {}  # (class, conj) -> the conjugate it names
+    entries = []  # (line, socle prime) or (line, ((class, conj), coset ids))
     failure = None
     for raw in lines:
         line = raw.strip()
@@ -411,12 +410,11 @@ def parse_descriptor_lines(
                     raise InputError(f"{line!r}: conj must be one cycle string")
                 key = (label, element(conj_str))
                 if key not in subgroups:
-                    subgroups[key] = len(handles)
-                    handles.append(by_label[label].representative.conjugate(key[1]))
+                    subgroups[key] = by_label[label].representative.conjugate(key[1])
                 tokens = cosets_str.split(", ") if cosets_str else []
                 if len(tokens) != m - 1 or not all(map(_CYCLES_RE.fullmatch, tokens)):
                     raise InputError(f"{line!r}: cosets must be {m - 1} cycle strings joined by ', '")
-                entries.append((line, (subgroups[key], [element(tok) for tok in tokens])))
+                entries.append((line, (key, [element(tok) for tok in tokens])))
             elif sm := _SOCLE_RE.fullmatch(line):
                 r = int(sm.group(1))
                 if r not in formulas.prime_factors(m):
@@ -427,7 +425,7 @@ def parse_descriptor_lines(
         except InputError as exc:
             failure = exc
             break
-    minima = coset_minima(handles)
+    minima = dict(zip(subgroups, coset_minima(list(subgroups.values()))))
     descriptors, socle = [], []
     seen: set = set()  # every descriptor and socle prime so far
     for line, entry in entries:
@@ -435,8 +433,8 @@ def parse_descriptor_lines(
             member = entry
             socle.append(member)
         else:
-            i, cosets = entry
-            member = ProductTypeDescriptor.create(handles[i], cosets, minima[i])
+            key, cosets = entry
+            member = ProductTypeDescriptor.create(subgroups[key], cosets, minima[key])
             descriptors.append(member)
         if member in seen:
             raise InputError(f"{line!r}: names a member of an earlier line again")
