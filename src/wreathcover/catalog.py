@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from . import InputError
 from .groups import GroupTable, SubgroupClass, conjugate_class, subgroup_closure
 from .perm import Perm
@@ -210,7 +208,10 @@ BUILTIN_NAMES = tuple(BUILTIN_SPECS)
 def parse_group_file(path: str | Path) -> GroupSpec:
     """Load a group spec file (YAML: name, degree, generators,
     optional maximal_classes with label/generators/expected_order/
-    expected_class_size)."""
+    expected_class_size).  yaml is imported here, as only a spec file
+    needs it."""
+    import yaml
+
     # a byte stream: yaml decodes it, and a bad byte is a YAMLError
     with open(path, "rb") as fh:
         try:

@@ -6,27 +6,38 @@ downstream artifacts are byte-stable across runs.  Groups here are small
 enough for full enumeration; there is no stabilizer-chain machinery.
 
 There is no Cayley table.  One row lookup, ``ids``, turns image rows back
-into ids: it packs each row into an integer key and searches the sorted
-key table.  One product, ``mul_many``, composes image rows and looks them
-up; it pairs two id arrays elementwise, by one flat gather from the image
-table at a*degree + b[q], or broadcasts a single id on either side.
-Composition convention (fixed project-wide): ``mul_many(a, b)`` applies
-``b`` first and then ``a``, so row q of the product is ``a[b[q]]``, and a
-product written left to right, ``x1 * x2 * ... * xk``, applies ``xk``
-first.  The subgroup routines batch that arithmetic, and membership in a
-subgroup is a boolean mask over the group.
+into ids: it packs each row into an integer key, searches the keys in
+ascending order in the sorted key table (``sorted_positions``) and
+scatters the ids back to the rows.  One product, ``mul_many``, composes
+image rows and looks them up; it pairs two id arrays elementwise, by one
+flat gather from the image table at a*degree + b[q], or broadcasts a
+single id on either side.  Composition convention (fixed project-wide):
+``mul_many(a, b)`` applies ``b`` first and then ``a``, so row q of the
+product is ``a[b[q]]``, and a product written left to right,
+``x1 * x2 * ... * xk``, applies ``xk`` first.  The subgroup routines batch
+that arithmetic, and membership in a subgroup is a boolean mask over the
+group.
 
-There is one closure kernel, ``closures``.  Each of its rows is a start set
-and a list of id maps (right maps for a subgroup; for a normal closure,
-conjugation maps too), and it takes all rows breadth-first together: one
-level of every live row is one gather through a flat (maps x rows x |G|)
-table into one flat (rows x |G|) membership mask.  A row that passes the
-abort bound is dead, and its frontier is dropped.  Rows go
-CLOSURE_BUDGET // |G| at a time (at least one), so a batch holds at most
-max(CLOSURE_BUDGET, |G|) mask bytes and that many narrow ints per map; no
-table grows with the number of rows.  ``subgroup_closures`` closes
-one generator set per row, and ``subgroup_closure`` is its one-row case;
-``conjugation_orbit`` likewise handles a whole level per gather.
+There is one closure kernel, ``closures``.  It works over any id space
+0..n-1 with 0 in every set: the ids of a group (n = |G|), or the positions
+of a subgroup's sorted members, as the lattice cache check uses it.  Each
+of its rows is a start set and a list of id maps (right maps for a
+subgroup; for a normal closure, conjugation maps too), and it takes all
+rows breadth-first together: one level of every live row is one gather
+through a flat (maps x rows x n) table into one flat (rows x n)
+membership mask.  A row that passes the abort bound is dead, and its
+frontier is dropped.  Rows go CLOSURE_BUDGET // n at a time (at least
+one), so a batch holds at most max(CLOSURE_BUDGET, n) mask bytes and that
+many narrow ints per map; no table grows with the number of rows.
+``subgroup_closures`` closes one generator set per row, and
+``subgroup_closure`` is its one-row case; ``conjugation_orbit`` likewise
+handles a whole level per gather.
+
+A conjugacy class of subgroups (``SubgroupClass``) is its conjugation
+orbit stacked in canonical-key order: one array row per conjugate for its
+sorted members, one for its generator images, its conjugator and its key.
+A conjugate's ``SubgroupHandle`` is made only when ``conjugates`` is first
+read, so building a class, and reading a cached lattice, makes none.
 
 The table caches two kinds of whole-group map per element, each made on
 first use and kept as long as the table: ``right_map`` (y -> y*x, in the
@@ -45,6 +56,7 @@ of given subgroup classes hold x (``conjugates_holding``) is read off them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -69,6 +81,16 @@ def _pack(images: np.ndarray, degree: int) -> np.ndarray:
     if degree > 16:
         raise InputError("packed keys support degree <= 16 only")
     return images.astype(np.uint64) @ _PACK_WEIGHTS[degree]
+
+
+def sorted_positions(table: np.ndarray, queries: np.ndarray) -> np.ndarray | None:
+    """The position of each query in the ascending array ``table``; None
+    if one is not in it."""
+    at = table.searchsorted(queries)
+    # a query past the last entry is clipped onto it and so differs from it
+    if (table.take(at, mode="clip") != queries).any():
+        return None
+    return at
 
 
 class GroupTable:
@@ -143,14 +165,19 @@ class GroupTable:
     # -- id-level arithmetic ---------------------------------------------
 
     def ids(self, rows: np.ndarray) -> np.ndarray:
-        """The ids of the given (k, degree) image rows; KeyError if one is
-        not in the group."""
+        """The ids of the given (..., degree) image rows; KeyError if one is
+        not in the group.  The keys are searched in ascending order, which
+        walks the key table once, and the ids scattered back."""
         keys = _pack(rows, self.degree)
-        ids = self._keys.searchsorted(keys)
-        # a key past the last one is clipped onto it and so differs from it
-        if (self._keys.take(ids, mode="clip") != keys).any():
+        flat = keys.reshape(-1)
+        order = flat.argsort()
+        found = sorted_positions(self._keys, flat[order])
+        if found is None:
             raise KeyError("permutation not in group")
-        return ids.astype(np.int64)
+        ids = np.empty(flat.shape[0], dtype=np.int64)
+        ids[order] = found
+        # [()] makes a single row's id a scalar, as its key is
+        return ids.reshape(keys.shape)[()]
 
     def id_of(self, p: Perm) -> int:
         """The id of p; InputError when p is not in the group."""
@@ -199,16 +226,17 @@ class GroupTable:
         """The (order, degree) array whose entry (x, q) is the length of the
         cycle of element x through point q.  Row x of ``power`` holds x^k;
         the k-th pass marks the points that x^k fixes for the first time,
-        and then one gather over all rows gives x^(k+1)."""
+        and then one flat gather over all rows, at x*degree + x^k[q], gives
+        x^(k+1)."""
         if self._cycle_lengths is None:
-            images = self.images.astype(np.int64)
-            lengths = np.zeros_like(images)
-            power = images
+            rows = (np.arange(self.order) * self.degree)[:, None]
+            lengths = np.zeros(self.images.shape, dtype=np.int64)
+            power = self.images
             for k in range(1, self.degree + 1):
                 lengths[(lengths == 0) & (power == np.arange(self.degree))] = k
                 if lengths.all():
                     break
-                power = np.take_along_axis(images, power, axis=1)
+                power = self.images.ravel()[rows + power]
             self._cycle_lengths = lengths
         return self._cycle_lengths
 
@@ -304,17 +332,34 @@ class SubgroupHandle:
 
 @dataclass
 class SubgroupClass:
-    """A conjugacy class of subgroups; ``conjugators[i]`` maps the
-    representative onto ``conjugates[i]``."""
+    """A conjugacy class of subgroups, kept as its stacked conjugation
+    orbit in canonical-key order: row i of ``members`` holds the sorted ids
+    of conjugate i, row i of ``generator_images`` its generators,
+    ``conjugators[i]`` maps the representative onto it and ``keys[i]`` is
+    its canonical key."""
 
     representative: SubgroupHandle
-    conjugates: list[SubgroupHandle]
-    conjugators: list[int]
+    members: np.ndarray  # (class size, order) int64
+    generator_images: np.ndarray  # (class size, number of generators) int64
+    conjugators: np.ndarray  # int64
+    keys: list[bytes]
     label: str | None = None  # the catalog's name; None for a lattice class
+
+    @functools.cached_property
+    def conjugates(self) -> list[SubgroupHandle]:
+        """Each conjugate as a handle, made on first read; the one with
+        the identity as conjugator is the representative itself."""
+        g = self.representative.parent
+        return [
+            self.representative if c == 0 else SubgroupHandle(g, ids, tuple(gens))
+            for ids, gens, c in zip(
+                self.members, self.generator_images.tolist(), self.conjugators.tolist()
+            )
+        ]
 
     @property
     def class_size(self) -> int:
-        return len(self.conjugates)
+        return self.members.shape[0]
 
     @property
     def order(self) -> int:
@@ -330,15 +375,10 @@ class SubgroupClass:
         return f"SubgroupClass(order={self.order}, size={self.class_size}{tag})"
 
 
-def subgroup_closure(
-    g: GroupTable,
-    gens: Iterable[int],
-    abort_above: int | None = None,
-) -> SubgroupHandle | None:
+def subgroup_closure(g: GroupTable, gens: Iterable[int]) -> SubgroupHandle:
     """Smallest subgroup containing ``gens``: the one-row case of
-    ``subgroup_closures``.  Returns None if it has more than
-    ``abort_above`` elements."""
-    return subgroup_closures(g, [gens], g.order if abort_above is None else abort_above)[0]
+    ``subgroup_closures``."""
+    return subgroup_closures(g, [gens], g.order)[0]
 
 
 def subgroup_closures(
@@ -355,23 +395,24 @@ def subgroup_closures(
     maps = [[g.right_map(x) for x in s if x != 0] for s in sets]
     return [
         None if ids is None else SubgroupHandle(g, ids, tuple(s))
-        for s, ids in zip(sets, closures(g, sets, maps, abort_above))
+        for s, ids in zip(sets, closures(g.order, sets, maps, abort_above))
     ]
 
 
 def closures(
-    g: GroupTable,
+    n: int,
     starts: Sequence[Sequence[int]],
     maps: Sequence[Sequence[np.ndarray]],
     abort_above: int,
 ) -> list[np.ndarray | None]:
-    """For each row, the sorted ids of the smallest set that holds the
-    identity and ``starts[row]`` and is closed under each of ``maps[row]``
-    (id arrays over g); None for a row whose set has more than
-    ``abort_above`` elements.  Rows are batched as the module docstring
-    says; id x of row r sits at r*|G| + x in a batch's mask and tables, and
-    row sizes are counted only once the largest could pass ``abort_above``."""
-    n = g.order
+    """For each row, the sorted ids of the smallest set that holds id 0 and
+    ``starts[row]`` and is closed under each of ``maps[row]`` (id arrays
+    over the ids 0..n-1: those of a group, with 0 its identity, or the
+    positions of a subgroup's sorted members); None for a row whose set has
+    more than ``abort_above`` elements.  Rows are batched as the module
+    docstring says; id x of row r sits at r*n + x in a batch's mask and
+    tables, and row sizes are counted only once the largest could pass
+    ``abort_above``."""
     step = max(1, CLOSURE_BUDGET // n)
     out: list[np.ndarray | None] = []
     for lo in range(0, len(starts), step):
@@ -480,12 +521,13 @@ class ConjugationOrbit:
     """An orbit of subgroups under conjugation by a list of elements, in
     breadth-first order from ``members[0]``, with each member's generator
     images and its conjugator: the element c with ``members[0]``^c equal
-    to it (the identity for ``members[0]``)."""
+    to it (the identity for ``members[0]``).  Row i of each array belongs
+    to member i."""
 
-    members: list[np.ndarray]  # sorted int64 ids
+    members: np.ndarray  # (orbit size, order) sorted int64 ids
     keys: list[bytes]  # canonical keys of the members
-    generators: list[np.ndarray]
-    conjugators: list[int]
+    generators: np.ndarray  # (orbit size, number of generators) int64
+    conjugators: np.ndarray  # int64
 
 
 def conjugation_orbit(
@@ -500,43 +542,49 @@ def conjugation_orbit(
 
     The walk goes one level at a time: the whole frontier goes through the
     stacked conjugation maps in one gather and is sorted row by row, so a
-    level's working set is frontier size x len(elements) x |H|.  Generator
-    images take one more gather through those maps, and conjugators one
-    through the right maps: element x takes conjugator c to c*x."""
+    level's working set is frontier size x len(elements) x |H|.  The fresh
+    rows' generator images take one more gather through those maps, and
+    their conjugators one through the right maps: element x takes
+    conjugator c to c*x.  Each level's fresh rows stay one array, and the
+    levels are joined once at the end."""
     maps = np.array([g.conj_map(x) for x in elements], dtype=np.int64)
     maps = maps.reshape(len(elements), g.order)
     rights = np.array([g.right_map(x) for x in elements]).reshape(maps.shape)
     k = maps.shape[0]
     via_rows = np.arange(k)[None, :, None]
     start = np.asarray(member_ids, dtype=np.int64)
-    width = start.shape[0] * start.itemsize
-    members, keys = [start], [start.tobytes()]
+    # a level's rows viewed as opaque items, whose tolist() is their keys
+    row = np.dtype((np.void, start.shape[0] * start.itemsize))
+    keys = [start.tobytes()]
     seen = set(keys)
     frontier = start[None, :]
     gen_frontier = np.asarray(generators, dtype=np.int64)[None, :]
-    gens = [gen_frontier[0]]
     conj_frontier = np.zeros(1, dtype=np.int64)
-    conjugators = [0]
+    members, gens, conjugators = [frontier], [gen_frontier], [conj_frontier]
     while frontier.shape[0]:
         # row r of a level is frontier member r // k under element r % k
         level = np.sort(maps[via_rows, frontier[:, None, :]], axis=2)
         level = level.reshape(-1, start.shape[0])
-        buf = level.tobytes()
-        level_keys = [buf[i : i + width] for i in range(0, len(buf), width)]
+        level_keys = level.view(row).ravel().tolist()
         fresh = []
         for r, key in enumerate(level_keys):
             if key not in seen:
                 seen.add(key)
                 fresh.append(r)
         keys.extend(level_keys[r] for r in fresh)
+        parent, via = np.divmod(np.array(fresh, dtype=np.int64), k)
         frontier = level[fresh]
-        members.extend(frontier)
-        images = maps[via_rows, gen_frontier[:, None, :]]
-        gen_frontier = images.reshape(level.shape[0], images.shape[2])[fresh]
-        gens.extend(gen_frontier)
-        conj_frontier = rights[:, conj_frontier].T.reshape(-1)[fresh]
-        conjugators.extend(conj_frontier.tolist())
-    return ConjugationOrbit(members, keys, gens, conjugators)
+        gen_frontier = maps[via[:, None], gen_frontier[parent]]
+        conj_frontier = rights[via, conj_frontier[parent]]
+        members.append(frontier)
+        gens.append(gen_frontier)
+        conjugators.append(conj_frontier)
+    return ConjugationOrbit(
+        np.concatenate(members),
+        keys,
+        np.concatenate(gens),
+        np.concatenate(conjugators),
+    )
 
 
 def orbit_class(g: GroupTable, h: SubgroupHandle, label: str | None = None) -> SubgroupClass:
@@ -544,13 +592,15 @@ def orbit_class(g: GroupTable, h: SubgroupHandle, label: str | None = None) -> S
     with its generators conjugated along and its conjugator (h itself is
     the representative)."""
     orbit = conjugation_orbit(g, h.member_ids, _acting_generators(g), h.generators)
-    order = sorted(range(len(orbit.keys)), key=lambda i: orbit.keys[i])
-    conjugates = [
-        h if i == 0 else SubgroupHandle(g, orbit.members[i], tuple(orbit.generators[i].tolist()))
-        for i in order
-    ]
-    conjugators = [orbit.conjugators[i] for i in order]
-    return SubgroupClass(h, conjugates, conjugators, label)
+    order = sorted(range(len(orbit.keys)), key=orbit.keys.__getitem__)
+    return SubgroupClass(
+        h,
+        orbit.members[order],
+        orbit.generators[order],
+        orbit.conjugators[order],
+        [orbit.keys[i] for i in order],
+        label,
+    )
 
 
 def conjugate_class(g: GroupTable, h: SubgroupHandle, label: str | None = None) -> SubgroupClass:

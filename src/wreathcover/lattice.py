@@ -34,10 +34,14 @@ directory the caller names.  A cache file is used only if its hash and
 order match, every stored representative's members are exactly the closure
 of its stored generators, and the cyclic classes account for every element
 (each element generates one cyclic subgroup, and a cyclic subgroup of
-order n has phi(n) generators).  Anything else (an unreadable file, a
-missing key, a malformed or truncated entry, a missing cyclic class) is a
-miss, and the lattice is enumerated again and the file rewritten.  A
-missing non-cyclic class still passes these checks.
+order n has phi(n) generators).  The closure is checked inside the stored
+members, at a cost of |H| products per generator: the members ascend, hold
+the generators and the identity, the right product of each member with
+each generator is a member, and one ``closures`` run over the members'
+positions reaches them all from the identity.  Anything else (an
+unreadable file, a missing key, a malformed or truncated entry, a missing
+cyclic class) is a miss, and the lattice is enumerated again and the file
+rewritten.  A missing non-cyclic class still passes these checks.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from .groups import (
     normalizer,
     orbit_class,
     orbit_minima,
+    sorted_positions,
     subgroup_closure,
     subgroup_closures,
 )
@@ -97,7 +102,7 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
 
     def register(h: SubgroupHandle) -> SubgroupClass:
         cls = orbit_class(g, h)
-        known.update(c.canonical_key for c in cls.conjugates)
+        known.update(cls.keys)
         classes.append(cls)
         return cls
 
@@ -121,7 +126,7 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
             if buf[i * width : (i + 1) * width] not in known:
                 cyclic_classes.append(register(SubgroupHandle(g, rows[i], (x,))))
 
-    cyclic, gens, label = _number_cyclic(g, cyclic_classes)
+    gens, label = _number_cyclic(g, cyclic_classes)
     max_proper = _proper_order_bound(g, cyclic_classes)
 
     for cls in classes:  # the list grows as joins find new classes
@@ -133,7 +138,7 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
         # a join is skipped unclosed only when its cyclic factor lies inside
         # rep; a join aborted past max_proper is the whole group
         reps = reps[~member_mask(g, rep.member_ids)[gens[reps]]]
-        joins = [rep.generators + cyclic[i].generators for i in reps.tolist()]
+        joins = [rep.generators + (x,) for x in gens[reps].tolist()]
         for joined in subgroup_closures(g, joins, max_proper):
             if joined is not None and joined.canonical_key not in known:
                 register(joined)
@@ -144,7 +149,7 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
     if whole.canonical_key not in known:
         register(whole)
 
-    return sorted(classes, key=lambda c: (c.order, c.conjugates[0].canonical_key))
+    return sorted(classes, key=lambda c: (c.order, c.keys[0]))
 
 
 def _proper_order_bound(g: GroupTable, cyclic_classes: list[SubgroupClass]) -> int:
@@ -163,7 +168,7 @@ def _proper_order_bound(g: GroupTable, cyclic_classes: list[SubgroupClass]) -> i
     conj = [g.conj_map(s) for s in _acting_generators(g)]
     starts = [c.representative.generators for c in cyclic_classes]
     maps = [[g.right_map(c), *conj] for (c,) in starts]
-    if any(ids is not None for ids in closures(g, starts, maps, bound)):
+    if any(ids is not None for ids in closures(g.order, starts, maps, bound)):
         return bound
     n = 2
     while math.factorial(n) // 2 % g.order:
@@ -173,17 +178,17 @@ def _proper_order_bound(g: GroupTable, cyclic_classes: list[SubgroupClass]) -> i
 
 def _number_cyclic(
     g: GroupTable, cyclic_classes: list[SubgroupClass]
-) -> tuple[list[SubgroupHandle], np.ndarray, np.ndarray]:
-    """The proper cyclic subgroups, numbered class by class in conjugate
-    order; the generator each carries; and the label over g that sends x
-    to the number of <x> (0 for x outside them, the identity included)."""
-    cyclic = [h for c in cyclic_classes if c.order < g.order for h in c.conjugates]
-    gens = np.array([h.generators[0] for h in cyclic], dtype=np.int64)
+) -> tuple[np.ndarray, np.ndarray]:
+    """The generators of the proper cyclic subgroups, numbered class by
+    class in conjugate order, and the label over g that sends x to the
+    number of <x> (0 for x outside them, the identity included)."""
+    proper = [c for c in cyclic_classes if c.order < g.order]
+    gens = np.array([x for c in proper for x in c.generator_images[:, 0].tolist()], dtype=np.int64)
     orders = g.element_orders()
     label = np.zeros(g.order, dtype=np.int64)
-    for i, h in enumerate(cyclic):
-        label[h.member_ids[orders[h.member_ids] == h.size]] = i
-    return cyclic, gens, label
+    for i, ids in enumerate(ids for c in proper for ids in c.members):
+        label[ids[orders[ids] == ids.shape[0]]] = i
+    return gens, label
 
 
 def _orbit_reps(
@@ -202,7 +207,6 @@ def maximal_classes_from_lattice(
     """The maximal-subgroup classes: proper classes contained in no larger
     proper subgroup (checked against every conjugate)."""
     proper = [c for c in classes if c.order < g.order]
-    stacked = [np.stack([h.member_ids for h in c.conjugates]) for c in proper]
     out = []
     for c in proper:
         inside = member_mask(g, c.representative.member_ids)
@@ -211,8 +215,8 @@ def maximal_classes_from_lattice(
         if not any(
             other.order > c.order
             and other.order % c.order == 0
-            and (np.count_nonzero(inside[conjugates], axis=1) == c.order).any()
-            for other, conjugates in zip(proper, stacked)
+            and (np.count_nonzero(inside[other.members], axis=1) == c.order).any()
+            for other in proper
         ):
             out.append(c)
     return out
@@ -242,18 +246,53 @@ def _cache_load(g: GroupTable, cache_dir) -> list[SubgroupClass] | None:
             )
             for entry in data["classes"]
         ]
-        for h in reps:
-            closed = subgroup_closure(g, h.generators, abort_above=h.size)
-            if closed is None or not np.array_equal(closed.member_ids, h.member_ids):
-                return None
-    except (OSError, LookupError, TypeError, ValueError):
-        # json's decode error is a ValueError
+        if not _members_are_closures(g, reps):
+            return None
+    except (OSError, LookupError, TypeError, ValueError, ArithmeticError):
+        # json's decode error is a ValueError; an id past int64 is an
+        # OverflowError, and an empty member list a ZeroDivisionError
         return None
     classes = [orbit_class(g, h) for h in reps]
     if not _cyclic_classes_count_elements(g, classes):
         return None
-    classes.sort(key=lambda c: (c.order, c.conjugates[0].canonical_key))
+    classes.sort(key=lambda c: (c.order, c.keys[0]))
     return classes
+
+
+def _members_are_closures(g: GroupTable, reps: list[SubgroupHandle]) -> bool:
+    """Whether each handle's members are exactly the closure of its
+    generators, checked inside the members: they ascend within g, hold the
+    generators, are closed under right multiplication by each generator,
+    and are all reached from the identity that way.  Holding the identity
+    (which a handle checks) and the generators, and being closed, puts the
+    closure inside the members; the last step puts the members inside it.
+
+    Handle c's members take the positions after those of the handles
+    before it, and the j-th map moves each handle's positions by its j-th
+    generator, so one ``closures`` run from every handle's identity checks
+    the last step for all handles at once.  Raises ValueError, TypeError
+    or OverflowError on a malformed generator list."""
+    n = sum(h.size for h in reps)
+    maps: list[np.ndarray] = []
+    starts: list[int] = []
+    lo = 0
+    for h in reps:
+        ids = h.member_ids
+        if ids.ndim != 1 or ids[-1] >= g.order or (np.diff(ids) <= 0).any():
+            return False
+        gens = sorted({int(x) for x in h.generators} - {0})
+        if sorted_positions(ids, np.array(gens, dtype=np.int64)) is None:
+            return False
+        for j, x in enumerate(gens):
+            at = sorted_positions(ids, g.mul_many(ids, x))
+            if at is None:
+                return False
+            if j == len(maps):
+                maps.append(np.arange(n))
+            maps[j][lo : lo + ids.shape[0]] = lo + at
+        starts.append(lo)
+        lo += ids.shape[0]
+    return not reps or closures(n, [starts], [maps], n)[0].shape[0] == n
 
 
 def _cyclic_classes_count_elements(g: GroupTable, classes: list[SubgroupClass]) -> bool:

@@ -354,9 +354,9 @@ def descriptor_lines(
     g = cg.table
     # every maximal conjugate's class label and conjugator, by its key
     found = {
-        h.canonical_key: (cls.label, c)
+        key: (cls.label, c)
         for cls in cg.maximal_classes
-        for h, c in zip(cls.conjugates, cls.conjugators)
+        for key, c in zip(cls.keys, cls.conjugators.tolist())
     }
     cycles = functools.cache(lambda x: g.perm(x).to_cycle_string())
     lines = []

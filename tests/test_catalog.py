@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from wreathcover import InputError, catalog
+from wreathcover.perm import Perm
+from wreathcover.pipelines import load_group
 
 
 def test_builtin_names():
@@ -58,6 +60,18 @@ def test_catalog_loads_and_verifies(name, order, classes):
     cg = catalog.load(name)
     assert cg.table.order == order
     assert {(c.label, c.order, c.class_size) for c in cg.maximal_classes} == classes
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_order_matches_schreier_sims(name):
+    # an independent oracle for the enumeration and its key lookup:
+    # sympy's Schreier-Sims order of the same generators
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    spec = catalog.BUILTIN_SPECS[name]
+    gens = [Perm.from_cycles(s, spec.degree) for s in spec.generators]
+    expected = PermutationGroup([Permutation(list(p.images)) for p in gens]).order()
+    assert load_group(name).table.order == expected
 
 
 def test_m11_reference_counts(m11):

@@ -368,8 +368,68 @@ def _dropped_cyclic_class(data):
     return json.dumps(data)
 
 
+def _proper_generators(data):
+    # the order-12 representative (an A4) given two of its involutions,
+    # which generate its Klein four-group: its members stay closed
+    entry = next(e for e in data["classes"] if len(e["members"]) == 12)
+    orders = catalog.load("A5").table.element_orders()
+    entry["generators"] = [x for x in entry["members"] if orders[x] == 2][:2]
+    return json.dumps(data)
+
+
+def _generator_outside(data):
+    # the order-5 representative's generator replaced by the least id
+    # outside its members
+    entry = next(e for e in data["classes"] if len(e["members"]) == 5)
+    entry["generators"] = [min(set(range(60)) - set(entry["members"]))]
+    return json.dumps(data)
+
+
+def _not_closed(data):
+    # the order-6 representative (an S3) keeps the identity and its
+    # generators, and takes the least ids outside it for its other members
+    entry = next(e for e in data["classes"] if len(e["members"]) == 6)
+    kept = {0, *entry["generators"]}
+    others = sorted(set(range(60)) - set(entry["members"]))[: 6 - len(kept)]
+    entry["members"] = sorted(kept | set(others))
+    return json.dumps(data)
+
+
+def _oversized_generator(data):
+    # a generator id past int64
+    entry = next(e for e in data["classes"] if len(e["members"]) == 5)
+    entry["generators"] = [10**30]
+    return json.dumps(data)
+
+
+def _oversized_member(data):
+    # a member id past int64
+    entry = next(e for e in data["classes"] if len(e["members"]) == 5)
+    entry["members"][-1] = 10**30
+    return json.dumps(data)
+
+
+def _empty_members(data):
+    # an order-0 entry, whose order divides nothing
+    entry = next(e for e in data["classes"] if len(e["members"]) == 5)
+    entry["members"] = []
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_garbage, _missing_key, _truncated_members, _dropped_cyclic_class]
+    "corrupt",
+    [
+        _garbage,
+        _missing_key,
+        _truncated_members,
+        _dropped_cyclic_class,
+        _proper_generators,
+        _generator_outside,
+        _not_closed,
+        _oversized_generator,
+        _oversized_member,
+        _empty_members,
+    ],
 )
 def test_bad_lattice_cache_is_rebuilt(corrupt, tmp_path, capsys):
     # a cache file that fails to parse or to verify is a miss: the lattice

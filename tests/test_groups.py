@@ -215,6 +215,24 @@ def test_mul_many_matches_scalar(a5):
         assert a5.mul_many([x], y).tolist() == a5.mul_many(x, [y]).tolist() == [z]
 
 
+def test_ids_of_rows_in_any_order(a5):
+    # one 1-D row packs to a scalar key, and its id is a scalar
+    assert a5.ids(a5.images[7]) == 7 and np.ndim(a5.ids(a5.images[7])) == 0
+    # an unsorted batch with repeats, against one id_of per row
+    rows = a5.images[[41, 3, 59, 3, 0, 41, 12]]
+    assert a5.ids(rows).tolist() == [a5.id_of(Perm(r.tolist())) for r in rows]
+    # a batch holding one non-member is refused, whether its key falls
+    # between the table's keys (a transposition in A5) or above the largest
+    odd = np.array([1, 0, 2, 3, 4], dtype=np.uint8)
+    with pytest.raises(KeyError):
+        a5.ids(np.vstack([rows, odd]))
+    c3 = GroupTable.from_generators([Perm.from_cycles("(1 2 3)", 5)])
+    above = np.array([4, 3, 2, 1, 0], dtype=np.uint8)
+    assert groups._pack(above, 5) > groups._pack(c3.images, 5).max()
+    with pytest.raises(KeyError):
+        c3.ids(np.vstack([c3.images[::-1], above]))
+
+
 # -- property tests against independent references ------------------------
 
 
@@ -262,7 +280,7 @@ def test_subgroup_closure_matches_perm_closure(group_and_ids, abort_above):
     assert {tuple(g.images[x].tolist()) for x in h.member_ids} == expected
     assert h.generators == tuple(sorted(set(ids)))
     assert list(h.member_ids) == sorted(h.member_ids.tolist())
-    capped = subgroup_closure(g, ids, abort_above=abort_above)
+    capped = groups.subgroup_closures(g, [ids], abort_above)[0]
     if len(expected) > abort_above:
         assert capped is None
     else:
@@ -307,7 +325,7 @@ def _same_closures(got, expected):
 @given(_generator_sets())
 def test_batched_closures_match_one_at_a_time(case):
     g, sets, bound, budget = case
-    expected = [subgroup_closure(g, s, abort_above=bound) for s in sets]
+    expected = [groups.subgroup_closures(g, [s], bound)[0] for s in sets]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groups, "CLOSURE_BUDGET", budget)
         got = groups.subgroup_closures(g, sets, bound)
@@ -344,7 +362,7 @@ def test_batched_rows_abort_at_different_levels(monkeypatch):
     bound = 24
     levels = [_first_level_past(g, s, bound) for s in sets]
     assert len(set(levels[:3])) == 3 and None not in levels[:3] and levels[3:] == [None, None]
-    expected = [subgroup_closure(g, s, abort_above=bound) for s in sets]
+    expected = [groups.subgroup_closures(g, [s], bound)[0] for s in sets]
     assert [h is None for h in expected] == [x is not None for x in levels]
     assert expected[3].size == bound
     monkeypatch.setattr(groups, "CLOSURE_BUDGET", 2 * g.order)
@@ -392,7 +410,7 @@ def test_conjugation_orbit_matches_sequential_walk(group_and_ids, acting):
     assert [m.tolist() for m in orbit.members] == [m.tolist() for m in members]
     assert orbit.keys == keys
     assert [x.tolist() for x in orbit.generators] == [x.tolist() for x in gens]
-    assert orbit.conjugators == conjugators
+    assert orbit.conjugators.tolist() == conjugators
     cls = orbit_class(g, h)
     assert cls.representative is h
     for c, conj in zip(cls.conjugates, cls.conjugators, strict=True):

@@ -121,6 +121,29 @@ def test_cache_rejects_wrong_group(tmp_path, a5, psl7):
     assert classes[-1].order == psl7.table.order
 
 
+@pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "A6"])
+def test_classes_keep_their_orbits_as_arrays(name, tmp_path):
+    cg = catalog.load(name)
+    cold = all_subgroup_classes(cg.table, cache_dir=tmp_path)
+    for cls in [*cg.maximal_classes, *cold]:
+        rep = cls.representative
+        assert all(a < b for a, b in zip(cls.keys, cls.keys[1:])), cls
+        for i, h in enumerate(cls.conjugates):
+            expected = rep.conjugate(cls.conjugators[i])
+            assert h == expected and h.generators == expected.generators
+            assert h.canonical_key == cls.keys[i]
+            assert np.array_equal(h.member_ids, cls.members[i])
+            assert list(h.generators) == cls.generator_images[i].tolist()
+    # a warm read on a fresh table builds no conjugate's handle, and no
+    # right map but those of the group's generators
+    spec = catalog.BUILTIN_SPECS[name]
+    table = GroupTable.from_generators([Perm.from_cycles(s, spec.degree) for s in spec.generators])
+    warm = all_subgroup_classes(table, cache_dir=tmp_path)
+    assert [c.keys for c in warm] == [c.keys for c in cold]
+    assert all("conjugates" not in c.__dict__ for c in warm)
+    assert set(table._right_maps) == set(table.generator_ids)
+
+
 # groups that are not built-ins: degree and generators
 SPEC_GENERATORS = {
     "S5": (5, ["(1 2 3 4 5)", "(1 2)"]),  # the S5 spec file's
@@ -197,7 +220,9 @@ def test_cyclic_orbit_reps_match_orbit_walk(name, data):
     acting = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3))
     # the empty list, the identity and repeated elements included
     elements = acting + data.draw(st.sampled_from([[], [0], acting]))
-    cyclic, gens, label = lattice._number_cyclic(g, classes)
+    gens, label = lattice._number_cyclic(g, classes)
+    cyclic = [h for c in classes for h in c.conjugates]
+    assert gens.tolist() == [h.generators[0] for h in cyclic]
     assert np.array_equal(label[gens], np.arange(len(cyclic)))
     found = [cyclic[i] for i in lattice._orbit_reps(g, label, gens, elements).tolist()]
     expected = [h for c in classes for h in orbit_reps_walk(g, c, elements)]
