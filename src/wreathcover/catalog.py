@@ -220,22 +220,35 @@ def parse_group_file(path: str | Path) -> GroupSpec:
             raise InputError(f"group file {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise InputError(f"group file {path} is not a mapping")
+
+    # checked, not cast: 5.9 and true are no degree, a string no generator list
+    def whole(entry: dict, key: str) -> int:
+        if type(entry[key]) is not int:
+            raise InputError(f"group file {path} gives {key} {entry[key]!r}, not an int")
+        return entry[key]
+
+    def cycle_strings(entry: dict) -> tuple[str, ...]:
+        value = entry["generators"]
+        if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+            raise InputError(f"group file {path} gives generators {value!r}, not a list of strings")
+        return tuple(value)
+
     try:
         name = str(data["name"])
-        degree = int(data["degree"])
-        generators = tuple(str(s) for s in data["generators"])
+        degree = whole(data, "degree")
+        generators = cycle_strings(data)
         classes = [
             MaximalClassSpec(
                 label=str(entry["label"]),
-                generators=tuple(str(s) for s in entry["generators"]),
-                expected_order=int(entry["expected_order"]),
-                expected_class_size=int(entry["expected_class_size"]),
+                generators=cycle_strings(entry),
+                expected_order=whole(entry, "expected_order"),
+                expected_class_size=whole(entry, "expected_class_size"),
             )
             for entry in data.get("maximal_classes", []) or []
         ]
     except KeyError as exc:
         raise InputError(f"group file {path} missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise InputError(f"group file {path} is malformed: {exc}") from exc
     labels = [c.label for c in classes]
     repeated = sorted({lab for lab in labels if labels.count(lab) > 1})

@@ -201,22 +201,13 @@ def stirling_bounds(n: int) -> tuple[Fraction, Fraction]:
 
 
 @dataclass
-class InequalityCase:
-    """One reported instance of a lemma inequality, its sides rendered."""
-
-    params: dict
-    lhs_repr: str
-    rhs_repr: str
-
-
-@dataclass
 class InequalityReport:
     lemma: str
     description: str
     cases_checked: int
     passed: bool
-    counterexample: Optional[InequalityCase] = None
-    tightest: Optional[InequalityCase] = None
+    counterexample: Optional[dict] = None  # {"params", "lhs", "rhs"}, sides rendered
+    tightest: Optional[dict] = None
     skipped: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -227,9 +218,8 @@ class InequalityReport:
             "passed": self.passed,
         }
         for key in ("counterexample", "tightest"):
-            case = getattr(self, key)
-            if case is not None:
-                out[key] = {"params": case.params, "lhs": case.lhs_repr, "rhs": case.rhs_repr}
+            if (case := getattr(self, key)) is not None:
+                out[key] = case
         if self.skipped:
             out["skipped"] = self.skipped
         return out
@@ -484,10 +474,10 @@ def inequality_suite(
             if not best_den or num * best_den > best_num * den:
                 best_num, best_den, tightest = num, den, (params, sides)
 
-    def render(params, sides) -> InequalityCase:
+    def render(params, sides) -> dict:
         prefix = "sq:" if row.squared else ""
         lhs, rhs = (Fraction(*side) for side in sides)
-        return InequalityCase(params, f"{prefix}{lhs}", f"{prefix}{rhs}")
+        return {"params": params, "lhs": f"{prefix}{lhs}", "rhs": f"{prefix}{rhs}"}
 
     return InequalityReport(
         lemma=row.key,

@@ -30,21 +30,14 @@ frontier is dropped.  Rows go CLOSURE_BUDGET // n at a time (at least
 one), so a batch holds at most max(CLOSURE_BUDGET, n) mask bytes and that
 many narrow ints per map; no table grows with the number of rows.
 ``subgroup_closures`` closes one generator set per row, and
-``subgroup_closure`` is its one-row case; ``conjugation_orbit`` likewise
-handles a whole level per gather.
-
-A conjugacy class of subgroups (``SubgroupClass``) is its conjugation
-orbit stacked in canonical-key order: one array row per conjugate for its
-sorted members, one for its generator images, its conjugator and its key.
-A conjugate's ``SubgroupHandle`` is made only when ``conjugates`` is first
-read, so building a class, and reading a cached lattice, makes none.
+``subgroup_closure`` is its one-row case.  The one conjugation orbit walk
+is ``orbit_class``, which makes a ``SubgroupClass`` a level per gather.
 
 The table caches two kinds of whole-group map per element, each made on
 first use and kept as long as the table: ``right_map`` (y -> y*x, in the
 narrowest unsigned type that holds an id) and ``conj_map`` (x -> g^-1 x g),
-read off the right map of g by gathers.  A closure row steps through the
-right maps of its generators; an orbit level carries each member's
-conjugator, which a class keeps, through those of the acting elements.
+read off the right map of g by gathers; closures and the orbit walk step
+through them.
 
 Cycle data comes from one vectorized pass over the image rows
 (``cycle_lengths``): the length of the cycle through every point of every
@@ -516,49 +509,30 @@ def _acting_generators(g: GroupTable) -> list[int]:
     return [x for x in g.generator_ids if x != 0] or [0]
 
 
-@dataclass
-class ConjugationOrbit:
-    """An orbit of subgroups under conjugation by a list of elements, in
-    breadth-first order from ``members[0]``, with each member's generator
-    images and its conjugator: the element c with ``members[0]``^c equal
-    to it (the identity for ``members[0]``).  Row i of each array belongs
-    to member i."""
-
-    members: np.ndarray  # (orbit size, order) sorted int64 ids
-    keys: list[bytes]  # canonical keys of the members
-    generators: np.ndarray  # (orbit size, number of generators) int64
-    conjugators: np.ndarray  # int64
-
-
-def conjugation_orbit(
-    g: GroupTable,
-    member_ids: np.ndarray,
-    elements: Sequence[int],
-    generators: Sequence[int],
-) -> ConjugationOrbit:
-    """The orbit of the subgroup with the given sorted ids and generators
-    under conjugation by ``elements``, breadth-first, each member expanded
-    by the elements in order.
+def orbit_class(g: GroupTable, h: SubgroupHandle, label: str | None = None) -> SubgroupClass:
+    """The conjugacy class of h, with h as its representative: the orbit of
+    h under conjugation by ``_acting_generators(g)``, each member with its
+    generators conjugated along and its conjugator c (h^c is the member).
 
     The walk goes one level at a time: the whole frontier goes through the
     stacked conjugation maps in one gather and is sorted row by row, so a
-    level's working set is frontier size x len(elements) x |H|.  The fresh
+    level's working set is frontier size x generators x |h|.  The fresh
     rows' generator images take one more gather through those maps, and
     their conjugators one through the right maps: element x takes
-    conjugator c to c*x.  Each level's fresh rows stay one array, and the
-    levels are joined once at the end."""
+    conjugator c to c*x.  Each level's fresh rows stay one array; the
+    levels are joined once and put in canonical-key order."""
+    elements = _acting_generators(g)
     maps = np.array([g.conj_map(x) for x in elements], dtype=np.int64)
-    maps = maps.reshape(len(elements), g.order)
-    rights = np.array([g.right_map(x) for x in elements]).reshape(maps.shape)
-    k = maps.shape[0]
+    rights = np.array([g.right_map(x) for x in elements])
+    k = len(elements)
     via_rows = np.arange(k)[None, :, None]
-    start = np.asarray(member_ids, dtype=np.int64)
+    start = np.asarray(h.member_ids, dtype=np.int64)
     # a level's rows viewed as opaque items, whose tolist() is their keys
     row = np.dtype((np.void, start.shape[0] * start.itemsize))
     keys = [start.tobytes()]
     seen = set(keys)
     frontier = start[None, :]
-    gen_frontier = np.asarray(generators, dtype=np.int64)[None, :]
+    gen_frontier = np.asarray(h.generators, dtype=np.int64)[None, :]
     conj_frontier = np.zeros(1, dtype=np.int64)
     members, gens, conjugators = [frontier], [gen_frontier], [conj_frontier]
     while frontier.shape[0]:
@@ -579,26 +553,13 @@ def conjugation_orbit(
         members.append(frontier)
         gens.append(gen_frontier)
         conjugators.append(conj_frontier)
-    return ConjugationOrbit(
-        np.concatenate(members),
-        keys,
-        np.concatenate(gens),
-        np.concatenate(conjugators),
-    )
-
-
-def orbit_class(g: GroupTable, h: SubgroupHandle, label: str | None = None) -> SubgroupClass:
-    """The conjugacy class of h, conjugates in canonical-key order, each
-    with its generators conjugated along and its conjugator (h itself is
-    the representative)."""
-    orbit = conjugation_orbit(g, h.member_ids, _acting_generators(g), h.generators)
-    order = sorted(range(len(orbit.keys)), key=orbit.keys.__getitem__)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     return SubgroupClass(
         h,
-        orbit.members[order],
-        orbit.generators[order],
-        orbit.conjugators[order],
-        [orbit.keys[i] for i in order],
+        np.concatenate(members)[order],
+        np.concatenate(gens)[order],
+        np.concatenate(conjugators)[order],
+        [keys[i] for i in order],
         label,
     )
 

@@ -434,7 +434,7 @@ def parse_descriptor_lines(
             socle.append(member)
         else:
             key, cosets = entry
-            member = ProductTypeDescriptor.create(subgroups[key], cosets, minima[key])
+            member = ProductTypeDescriptor(subgroups[key], tuple(minima[key][cosets].tolist()))
             descriptors.append(member)
         if member in seen:
             raise InputError(f"{line!r}: names a member of an earlier line again")
@@ -557,14 +557,16 @@ FORMULAS: dict[str, tuple[tuple[str, ...], Callable[..., dict]]] = {
 
 def formula_report(name: str, **params) -> dict:
     """Evaluate one closed form, full decimal expansion (refused outside
-    its domain)."""
+    its domain, and with a parameter it does not take)."""
     if name not in FORMULAS:
         raise InputError(f"unknown formula {name!r}")
     needs, evaluate = FORMULAS[name]
     missing = [f"-{k}" for k in needs if params.get(k) is None]
     if missing:
         raise InputError(f"formula {name} needs {' and '.join(missing)}")
-    out: dict = {"formula": name, "params": {k: v for k, v in params.items() if v is not None}}
+    if any(v is not None and k not in needs for k, v in params.items()):
+        raise InputError(f"formula {name} takes {' and '.join(f'-{k}' for k in needs)}")
+    out: dict = {"formula": name, "params": {k: params[k] for k in needs}}
     try:
         out.update(evaluate(*(params[k] for k in needs)))
     except ValueError as exc:

@@ -35,7 +35,7 @@ product-type subgroup per tuple of m-1 right cosets of M, |S:M|^(m-1) of
 them (``product_type_family``), and with the alpha(m) socle maximals they
 number ``wreath_cover_upper_term``.  Coset minima come from one table per
 call, ``coset_minima``: one batched pass over all members, whose rows the
-family's coset representatives and ``ProductTypeDescriptor.create`` both
+family's coset representatives and a family file's descriptors both
 read; it lives as long as the call.  The constructive cover, the explicit
 unbeatability family and its outsider sweep all come from that generator.
 A socle maximal is named by its prime r, a prime divisor of m: it is the
@@ -119,28 +119,12 @@ class ProductTypeDescriptor:
     Coset entries are canonicalized to the minimum element id of M*g_i, so
     two descriptors denote the same subgroup exactly when they compare equal
     (M compares by its members, through ``SubgroupHandle``).
-    ``product_type_family`` builds them in that form; ``create`` canonicalizes
-    arbitrary coset labels, for descriptors read from outside, by reading
-    M's row of ``coset_minima``.
+    ``product_type_family`` builds them in that form, and a descriptor read
+    from outside takes its coset minima from M's row of ``coset_minima``.
     """
 
     M: SubgroupHandle
     cosets: tuple[int, ...]
-
-    @staticmethod
-    def create(
-        M: SubgroupHandle, cosets: Sequence[int], minima: np.ndarray
-    ) -> "ProductTypeDescriptor":
-        """The descriptor with the given coset labels; ``minima`` is M's
-        row of ``coset_minima``."""
-        return ProductTypeDescriptor(M, tuple(int(minima[c]) for c in cosets))
-
-    @property
-    def m(self) -> int:
-        return len(self.cosets) + 1
-
-    def slot_gs(self) -> list[int]:
-        return [0, *self.cosets]
 
 
 def product_type_mask(
@@ -174,15 +158,12 @@ def box_luts(
     out = np.zeros((len(descriptors), m, S.order))
     if not descriptors:
         return out
-    for d in descriptors:
-        if d.m != m:
-            raise ValueError(f"descriptor is for m={d.m}, context m={m}")
     # one stacked row per (coordinate a, descriptor d, member x of d.M)
     member_ids = [d.M.member_ids for d in descriptors]
     sizes = [ids.shape[0] for ids in member_ids]
     owner = np.tile(np.repeat(np.arange(len(descriptors)), sizes), m)
     coord = np.repeat(np.arange(m), sum(sizes))
-    gs = np.array([d.slot_gs() for d in descriptors])  # (D, m)
+    gs = np.array([(0, *d.cosets) for d in descriptors])  # (D, m): g_1 = identity
     left = S.inv[gs[owner, coord]]
     right = gs[owner, (coord + shift) % m]
     x = np.tile(np.concatenate(member_ids), m)

@@ -14,8 +14,10 @@ another way than the code it checks:
   and the box kernels;
 * ``coset_representatives`` and ``coset_minimum`` take one right coset
   M*x at a time as the product of M's members with x, the reference for
-  ``wreath.coset_minima``, the family's representatives and
-  ``ProductTypeDescriptor.create``;
+  ``wreath.coset_minima``, the family's representatives and the
+  descriptors of a family file;
+* ``sequential_orbit`` walks a conjugation orbit one member at a time, the
+  reference for the level-by-level walk of ``groups.orbit_class``;
 * ``orbit_reps_walk`` walks the conjugation orbit of one subgroup after
   another, the reference for the label propagation of
   ``lattice._orbit_reps``;
@@ -47,7 +49,6 @@ from wreathcover.groups import (
     SubgroupClass,
     SubgroupHandle,
     _pack,
-    conjugation_orbit,
 )
 from wreathcover.perm import Perm
 from wreathcover.wreath import ProductTypeDescriptor, WreathContext, WreathElement
@@ -108,7 +109,7 @@ def product_subgroup_perm_keys(
     M^{g_1} x ... x M^{g_m} realized on n*m points (n*m <= 16, else
     ValueError)."""
     S, m, n = ctx.S, ctx.m, ctx.S.degree
-    slots = [S.conj_map(g)[d.M.member_ids] for g in d.slot_gs()]
+    slots = [S.conj_map(g)[d.M.member_ids] for g in (0, *d.cosets)]
     ids = np.stack(np.meshgrid(*slots, indexing="ij"), axis=-1).reshape(-1, m)
     # slot c's member acts on block c, points c*n .. c*n + n-1
     rows = S.images[ids].astype(np.int64) + (np.arange(m) * n)[:, None]
@@ -163,7 +164,30 @@ def _unpack_keys(keys: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-# -- the orbit-representative oracle ----------------------------------------
+# -- conjugation orbits, one member at a time ------------------------------------
+
+
+def sequential_orbit(g: GroupTable, member_ids: np.ndarray, elements: Sequence[int], generators):
+    """The orbit of the subgroup with the given sorted ids and generators
+    under conjugation by ``elements``, one member at a time, each expanded
+    by the elements in order: its members, keys, generator images and
+    conjugators in the order reached.  A member reached from one with
+    conjugator c by element x has conjugator c*x."""
+    maps = [g.conj_map(x) for x in elements]
+    start = np.asarray(member_ids, dtype=np.int64)
+    members, keys, conjugators = [start], [start.tobytes()], [0]
+    gens = [np.asarray(generators, dtype=np.int64)]
+    seen = set(keys)
+    for i, cur in enumerate(members):
+        for x, cm in zip(elements, maps):
+            nxt = np.sort(cm[cur])
+            if nxt.tobytes() not in seen:
+                seen.add(nxt.tobytes())
+                members.append(nxt)
+                keys.append(nxt.tobytes())
+                gens.append(cm[gens[i]])
+                conjugators.append(int(g.mul_many(conjugators[i], x)))
+    return members, keys, gens, conjugators
 
 
 def orbit_reps_walk(g: GroupTable, cls: SubgroupClass, elements: Sequence[int]):
@@ -176,7 +200,7 @@ def orbit_reps_walk(g: GroupTable, cls: SubgroupClass, elements: Sequence[int]):
         if h.canonical_key in visited:
             continue
         reps.append(h)
-        visited.update(conjugation_orbit(g, h.member_ids, elements, h.generators).keys)
+        visited.update(sequential_orbit(g, h.member_ids, elements, h.generators)[1])
     return reps
 
 

@@ -193,7 +193,8 @@ def test_criterion_5_membership_oracle_equivalence(a5):
             cosets = tuple(
                 int(rng.integers(0, a5.table.order)) for _ in range(m - 1)
             )
-            return ProductTypeDescriptor.create(M, cosets, coset_minima([M])[0])
+            row = coset_minima([M])[0]
+            return ProductTypeDescriptor(M, tuple(int(row[c]) for c in cosets))
 
         # m = 2: all 7200 elements against 30 random descriptors
         ctx2 = WreathContext(a5.table, 2)

@@ -204,3 +204,43 @@ def test_repeated_class_label_rejected(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: group file {spec} repeats maximal class labels ['X']\n"
+
+
+_A5_SPEC = """name: A5
+degree: 5
+generators: ["(1 2 3 4 5)", "(1 2 3)"]
+maximal_classes:
+  - {label: A4, generators: ["(3 4 5)", "(2 3)(4 5)"], expected_order: 12, expected_class_size: 5}
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("degree: 5", "degree: 5.9", "gives degree 5.9, not an int"),
+        ("degree: 5", "degree: true", "gives degree True, not an int"),
+        ('generators: ["(1 2 3 4 5)", "(1 2 3)"]', 'generators: "(1 2 3 4 5)"',
+         "gives generators '(1 2 3 4 5)', not a list of strings"),
+        ('generators: ["(1 2 3 4 5)", "(1 2 3)"]', 'generators: ["(1 2 3 4 5)", 7]',
+         "gives generators ['(1 2 3 4 5)', 7], not a list of strings"),
+        ('generators: ["(3 4 5)", "(2 3)(4 5)"]', 'generators: "(3 4 5)"',
+         "gives generators '(3 4 5)', not a list of strings"),
+        ("expected_order: 12", "expected_order: 12.7", "gives expected_order 12.7, not an int"),
+        ("expected_class_size: 5", "expected_class_size: 5.2",
+         "gives expected_class_size 5.2, not an int"),
+    ],
+)
+def test_spec_numbers_and_lists_are_checked_not_cast(tmp_path, capsys, old, new, message):
+    # a float or a bool is no int and a string is no list: each was once
+    # cast (5.9 to 5, true to 1) or read one character at a time
+    from wreathcover.cli import main
+
+    spec = tmp_path / "a5.yaml"
+    assert old in _A5_SPEC
+    spec.write_text(_A5_SPEC.replace(old, new, 1), encoding="utf-8")
+    assert main(["catalog", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: group file {spec} {message}\n"
+    spec.write_text(_A5_SPEC, encoding="utf-8")
+    assert main(["catalog", str(spec)]) == 0

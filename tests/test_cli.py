@@ -597,6 +597,7 @@ REFUSED = [
     (["verify-c1", "-m", "0"], "m >= 1 required"),
     (["construct-cover", "A5", "-m", "0"], "m >= 1 required"),
     (["formula", "alpha", "-m", "0"], "m >= 1 required"),
+    (["formula", "c2", "-p", "11", "-m", "5", "-n", "99"], "formula c2 takes -p and -m"),
     (["wreath-bounds", "A5", "--sigma-spec", "orders:5,3", "--families", "D10,S3", "-m", "2",
       "--cover", "D10"],
      "cover does not cover S: element 1 missed"),

@@ -128,8 +128,8 @@ def test_stirling_brackets():
 def test_inequality_small_block_example():
     rep = F.inequality_suite("small-block", [12])
     assert rep.passed and rep.cases_checked == 1
-    assert rep.tightest.lhs_repr == "995328"
-    assert rep.tightest.rhs_repr == "1036800"
+    assert rep.tightest["lhs"] == "995328"
+    assert rep.tightest["rhs"] == "1036800"
 
 
 def test_inequality_divisor_monotone_example():
@@ -137,7 +137,7 @@ def test_inequality_divisor_monotone_example():
     assert rep.passed
     # includes n=16 (a,b)=(2,4): (8!)^2 2! >= (4!)^4 4!
     assert any(
-        c["n"] == 16 for c in [rep.tightest.params]
+        c["n"] == 16 for c in [rep.tightest["params"]]
     )
 
 
@@ -221,7 +221,7 @@ def test_sweep_builds_fractions_only_to_render(monkeypatch):
     built = []
     monkeypatch.setattr(F, "Fraction", lambda *args: built.append(args) or Fraction(*args))
     rep = F.inequality_suite("divisor-monotone", range(1, 121))
-    assert not rep.passed and rep.counterexample.params == {"n": 75, "a": 15, "b": 25}
+    assert not rep.passed and rep.counterexample["params"] == {"n": 75, "a": 15, "b": 25}
     # two sides each for the counterexample and the tightest case
     assert len(built) == 4
 

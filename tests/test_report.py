@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wreathcover.report import to_json
+from wreathcover.report import render_human, to_json
 
 # keys and strings: non-ASCII, quotes, backslashes and control characters
 _TEXT = st.text(
@@ -58,3 +58,50 @@ def test_to_json_refuses_a_non_str_key():
         to_json({"a": {1: "x"}})
     with pytest.raises(TypeError):
         to_json({"a": [1, {2}]})
+
+
+def test_render_human_flattens_a_report():
+    # keys dotted and sorted level by level, a list holding a dict or a list
+    # indexed, a list of scalars joined by ", ", and an empty list printed
+    # with nothing after its key
+    report = {
+        "b": {"z": 1, "a": [{"passed": True, "condition": "C0"}, {"condition": "C1"}]},
+        "a": [3, "x", None],
+        "c": [],
+        "d": {"e": [], "f": [1, {"k": 2}], "g": [[1, 2], [3]]},
+    }
+    assert render_human(report) == (
+        "a: 3, x, None\n"
+        "b.a.0.condition: C0\n"
+        "b.a.0.passed: True\n"
+        "b.a.1.condition: C1\n"
+        "b.z: 1\n"
+        "c: \n"
+        "d.e: \n"
+        "d.f.0: 1\n"
+        "d.f.1.k: 2\n"
+        "d.g.0: 1, 2\n"
+        "d.g.1: 3\n"
+    )
+
+
+def test_render_human_is_the_default_output(capsys):
+    from wreathcover.cli import main
+
+    assert main(["verify-c1", "-m", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 67
+    assert lines[0] == "certificate.family: M10, PSL(2,11)"
+    assert lines[-1] == "warnings: "
+    for line in (
+        "certificate.seed_conditions.conditions.0.condition: C0 conjugation-closed",
+        "certificate.seed_conditions.conditions.5.passed: True",
+        "certificate.seed_conditions.notes: ",
+        "certificate.unbeatability.assumptions: ",
+        "certificate.unbeatability.outsider_max.class: M9:2",
+        "expected_seed_per_member.PSL(2,11): 120",
+        "formula_value: 23",
+    ):
+        assert line in lines
+    keys = [line.split(": ", 1)[0] for line in lines]
+    assert keys == sorted(keys)

@@ -48,7 +48,8 @@ def ctx3(a5):
 
 def create(M, cosets):
     """The descriptor over M with the given coset labels, canonicalized."""
-    return ProductTypeDescriptor.create(M, cosets, coset_minima([M])[0])
+    row = coset_minima([M])[0]
+    return ProductTypeDescriptor(M, tuple(int(row[c]) for c in cosets))
 
 
 def random_descriptors(cg, m, count, rng):
@@ -375,7 +376,7 @@ def _subgroup_batches(draw):
 @given(_subgroup_batches())
 def test_coset_minima_match_one_coset_at_a_time(batch):
     # the batched table against the per-coset products: every coset of every
-    # member, the family's representatives, and create() on random labels
+    # member, the family's representatives, and descriptors on random labels
     g, members, labels = batch
     cached = (set(g._right_maps), set(g._conj_maps))
     table = coset_minima(members)
@@ -387,6 +388,6 @@ def test_coset_minima_match_one_coset_at_a_time(batch):
         for r in reps:
             assert (row[g.mul_many(M.member_ids, r)] == r).all()
         assert [d.cosets[0] for d in family if d.M is M] == reps
-        made = ProductTypeDescriptor.create(M, labels, row)
+        made = ProductTypeDescriptor(M, tuple(int(row[c]) for c in labels))
         assert made.cosets == tuple(coset_minimum(M, x) for x in labels)
 
