@@ -581,8 +581,8 @@ _REFUSED_FILES = {
 }
 # one request per input boundary, and its stderr line ({dir} is the
 # request's temporary directory).  m = 0 fails before any search, with the
-# message every command gives, and explicit mode above the enumeration cap
-# fails instead of going symbolic.
+# message every command gives, explicit mode above the enumeration cap
+# fails instead of going symbolic, and an exact search fails at the node cap.
 REFUSED = [
     (["sigma", "NoSuchGroup"],
      "unknown group 'NoSuchGroup'; built-ins: A5, A6, PSL(2,7), PSL(2,11), PSL(2,13), M11"),
@@ -592,6 +592,8 @@ REFUSED = [
     (["sigma", "A5", "--target", "cycle-types:2,2"],
      "cycle type (2, 2) does not sum to degree 5"),
     (["sigma", "A5", "--target", "cycle-types:0,5"], "cycle length must be >= 1"),
+    (["sigma", "PSL(2,13)", "--exact", "--target", "orders:2"],
+     "branch-and-bound exceeded 5000000 nodes"),
     (["verify-unbeatable", "A5", "--sigma-spec", "orders:7", "--families", "D10,S3", "-m", "2"],
      "seed set is empty"),
     (["verify-c1", "-m", "0"], "m >= 1 required"),

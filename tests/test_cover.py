@@ -348,3 +348,17 @@ def test_search_matches_bitscan_search_on_a6(spec):
     value, chosen, nodes = _bitscan_search(inst.masks, inst.full_mask, order)
     assert cert.value == value and cert.lower_bound["nodes"] == nodes
     assert cert.chosen == [inst.labels[i] for i in chosen]
+
+
+def test_search_matches_bitscan_search_on_psl213(monkeypatch):
+    # 79,915 nodes, the longest search checked against the reference
+    cg = load_group("PSL(2,13)")
+    inst = build_instance(
+        cg.table, cg.maximal_classes, parse_target_spec(cg.table, "orders:6")
+    )
+    cert = sigma_exact(inst)
+    order = _bitscan_greedy(inst.masks, inst.full_mask)
+    value, chosen, nodes = _bitscan_search(inst.masks, inst.full_mask, order)
+    assert cert.value == value and cert.lower_bound["nodes"] == nodes == 79915
+    assert cert.chosen == [inst.labels[i] for i in chosen]
+    _assert_node_cap_is_exact(inst, nodes, monkeypatch)

@@ -70,6 +70,18 @@ GOLDEN = [
         "a3d402d47f10170668e198780ae5e6086ffdac8603f20f88db47498f52b38931",
     ),
     (
+        # 79,915 nodes, most of them in subtrees exhausted before
+        "sigma PSL(2,13) --exact --target orders:6",
+        0,
+        "f9d5af7b02afe08a596954bae1b21b9b50adb86be6cd831bdc60535e456979c9",
+    ),
+    (
+        # 402,234 nodes
+        "sigma PSL(2,11) --exact --target orders:2",
+        0,
+        "b7f82693c0c0345198762775457604b7490f559798bfe1535a642e19c72f3edd",
+    ),
+    (
         "construct-cover A5 -m 2",
         0,
         "76eb8a67c3f5cec4614b646d573980c4019238674171a0ca794fbbbcd3ae9c69",
