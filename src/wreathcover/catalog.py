@@ -221,10 +221,16 @@ def parse_group_file(path: str | Path) -> GroupSpec:
     if not isinstance(data, dict):
         raise InputError(f"group file {path} is not a mapping")
 
-    # checked, not cast: 5.9 and true are no degree, a string no generator list
+    # checked, not cast: 5.9 and true are no degree, a string no generator
+    # list, and a list no name or label
     def whole(entry: dict, key: str) -> int:
         if type(entry[key]) is not int:
             raise InputError(f"group file {path} gives {key} {entry[key]!r}, not an int")
+        return entry[key]
+
+    def text(entry: dict, key: str) -> str:
+        if type(entry[key]) is not str:
+            raise InputError(f"group file {path} gives {key} {entry[key]!r}, not a string")
         return entry[key]
 
     def cycle_strings(entry: dict) -> tuple[str, ...]:
@@ -234,12 +240,12 @@ def parse_group_file(path: str | Path) -> GroupSpec:
         return tuple(value)
 
     try:
-        name = str(data["name"])
+        name = text(data, "name")
         degree = whole(data, "degree")
         generators = cycle_strings(data)
         classes = [
             MaximalClassSpec(
-                label=str(entry["label"]),
+                label=text(entry, "label"),
                 generators=cycle_strings(entry),
                 expected_order=whole(entry, "expected_order"),
                 expected_class_size=whole(entry, "expected_class_size"),

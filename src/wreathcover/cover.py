@@ -30,19 +30,24 @@ child that the bound already prunes is counted but never stacked.
 Everything is deterministic: candidates are ordered canonically and all
 tie-breaks are lexicographic.
 
-The search meets many uncovered sets more than once, and everything an
-expansion computes depends on the uncovered set alone: the branch element,
-the children in their order and each child's packing.  Only the test that
-stacks a child, packing below ``best_value - depth``, reads the depth.  So
-``sigma_exact`` memoises expansions in a dict keyed by the uncovered mask,
-made for one call and freed when it returns.  An entry holds each child's
-candidate and its packing count with the cap it was counted under: a count
-below its cap is exact, and one that reached it proves the packing at least
-the cap, which decides the test for any limit up to the cap.  A larger
-limit, met when the set recurs at a shallower depth, recounts.  A repeated
-expansion counts its children as the first did, so ``nodes`` and the point
-where ``NODE_CAP`` raises do not change, and the memo never holds more
-entries than the search expands nodes, so ``NODE_CAP`` bounds it too.
+At the last level, where ``best_value - depth`` is 1, a child is stacked
+only if it covers everything left, and the least such candidate would be
+popped next as the new best.  So that node stacks nothing: it counts its
+children and takes the first candidate that contains the uncovered set, if
+any, as the new best.
+
+The stack runs each expanded node's subtree contiguously.  While that
+subtree finds no better cover, best_value is fixed inside it, and every
+decision there, which children are stacked and which popped nodes the
+bound prunes, depends only on the node's uncovered set and on
+``best_value - depth``.  So ``sigma_exact`` keeps, for one call, the node
+count of every subtree that ended with best_value unchanged, keyed by that
+pair, and a node that meets a stored key adds the count instead of walking
+the subtree again.  ``nodes`` does not change, as a stored count is the
+walk's count, and neither does the point where ``NODE_CAP`` raises: the
+count only grows, so the walk passes the cap at some step exactly when the
+sum passes it.  The table holds at most one entry per expanded node, so
+``NODE_CAP`` bounds it too.
 
 One cover check: ``verify_cover_handles`` answers every "does this family
 cover the target?" from the members' element ids, over one ``member_mask``.
@@ -296,87 +301,83 @@ def sigma_exact(instance: CoverInstance) -> CoverCertificate:
             count += 1
         return count
 
+    def cover_of(path) -> tuple[int, ...]:
+        """The forced candidates and those on path, ascending."""
+        chosen = list(forced)
+        while path is not None:
+            chosen.append(path[0])
+            path = path[1]
+        return tuple(sorted(chosen))
+
     best_value, best_chosen = len(greedy), tuple(sorted(greedy))
     # a node: (number of candidates chosen, uncovered mask, the candidates
     # chosen after the forced ones as nested (candidate, parent) pairs, and
     # its bound: the number chosen plus its packing).  A node is counted
     # when it is made.  One whose bound already reaches best_value is not
-    # stacked: best_value can only fall before its turn would come.
+    # stacked: best_value can only fall before its turn would come.  Below
+    # an expanded node's children lies the end of its subtree: (its key,
+    # the node count before its children, best_value then).
     depth, uncovered = len(forced), full ^ forced_mask
     stack = [(depth, uncovered, None, depth + packing(uncovered, best_value - depth))]
     nodes = 1
-    # the expansions made so far, by uncovered mask: each child's candidate
-    # and packing P, flat and in stacking order.  A count below its cap is
-    # P itself; one that reached its cap c is kept as ~c, meaning P >= c.
-    memo: dict[int, list[int]] = {}
+    # the node counts of the subtrees that ended without a better cover,
+    # by (uncovered mask, limit)
+    exhausted: dict[tuple[int, int], int] = {}
     while stack:
-        depth, uncovered, path, bound = stack.pop()
+        entry = stack.pop()
+        if len(entry) == 3:
+            key, before, best_before = entry
+            if best_value == best_before:
+                exhausted[key] = nodes - before
+            continue
+        depth, uncovered, path, bound = entry
         if bound >= best_value:
             continue
         if not uncovered:
-            best_value = depth
-            chosen = list(forced)
-            while path is not None:
-                chosen.append(path[0])
-                path = path[1]
-            best_chosen = tuple(sorted(chosen))
+            best_value, best_chosen = depth, cover_of(path)
             continue
         depth += 1
         # a child is stacked when its packing is below limit
         limit = best_value - depth
-        children = memo.get(uncovered)
-        if children is not None:
-            nodes += len(children) // 2
+        key = (uncovered, limit)
+        below = exhausted.get(key)
+        if below is not None:
+            nodes += below
             if nodes > NODE_CAP:
                 raise InputError(f"branch-and-bound exceeded {NODE_CAP} nodes")
-            for j in range(1, len(children), 2):
-                p = children[j]
-                if p >= limit:
-                    continue
-                i = children[j - 1]
-                rest = uncovered & anti_mask[i]
-                if p < 0:
-                    # P >= ~p decides only up to ~p: recount under the larger limit
-                    if ~p >= limit:
-                        continue
-                    p = packing(rest, limit)
-                    children[j] = p if p < limit else ~p
-                    if p >= limit:
-                        continue
-                stack.append((depth, rest, (i, path), depth + p))
             continue
         for bucket in buckets:
             low = uncovered & bucket
             if low:
                 break
-        # children by decreasing gain, then by candidate; the first is
-        # stacked last.  No two share a candidate, so rest is never compared.
-        options = sorted(
-            [
-                ((rest := uncovered & anti_mask[i]).bit_count(), i, rest)
-                for i in coverers[nbits - low.bit_length()]
-            ],
-            reverse=True,
-        )
-        nodes += len(options)
+        branch = coverers[nbits - low.bit_length()]
+        nodes += len(branch)
         if nodes > NODE_CAP:
             raise InputError(f"branch-and-bound exceeded {NODE_CAP} nodes")
-        children = memo[uncovered] = []
-        for _, i, rest in options:
-            # the packing, inlined: left stays nonzero when it stops at its cap
+        if limit == 1:
+            # only a child that covers everything left is stacked, and the
+            # least such candidate would be popped next as the new best
+            for i in branch:
+                if not uncovered & anti_mask[i]:
+                    best_value, best_chosen = depth, cover_of((i, path))
+                    break
+            continue
+        stack.append((key, nodes - len(branch), best_value))
+        # children by decreasing gain, then by candidate; the first is
+        # stacked last.  No two share a candidate, so rest is never compared.
+        for _, i, rest in sorted(
+            [((rest := uncovered & anti_mask[i]).bit_count(), i, rest) for i in branch],
+            reverse=True,
+        ):
+            # the packing, inlined: left stays nonzero when it stops at limit
             p, left = 0, rest
             while left:
                 p += 1
                 if p >= limit:
                     break
                 left &= anti_union[left.bit_length()]
-            children.append(i)
-            if left:
-                children.append(~p)
-            else:
-                children.append(p)
-                if p < limit:
-                    stack.append((depth, rest, (i, path), depth + p))
+            if not left:
+                stack.append((depth, rest, (i, path), depth + p))
 
     return CoverCertificate(
         kind="exact-optimal",

@@ -575,6 +575,9 @@ _REFUSED_FILES = {
     "degree-300.yaml": 'name: big\ndegree: 300\ngenerators: ["(1 300)", "(1 2 3)"]\n',
     "odd-class.yaml": "name: A5\ndegree: 5\n" + _A5_GENERATORS + "maximal_classes:\n"
     '  - {label: X, generators: ["(1 2)"], expected_order: 2, expected_class_size: 10}\n',
+    "list-name.yaml": "name: [1, 2]\ndegree: 5\n" + _A5_GENERATORS,
+    "list-label.yaml": "name: A5\ndegree: 5\n" + _A5_GENERATORS + "maximal_classes:\n"
+    '  - {label: [1, 2], generators: ["(1 2 3)"], expected_order: 3, expected_class_size: 10}\n',
     "conj-odd.txt": "product-type{group=A5, class=D10, conj=(1 2), cosets=[()]}\n",
     "conj-point.txt": "product-type{group=A5, class=D10, conj=(1 9), cosets=[()]}\n",
     "not-utf8.txt": b"\xff socle{2}\n",
@@ -624,6 +627,10 @@ REFUSED = [
     (["catalog", "{dir}/degree-17.yaml"], "packed keys support degree <= 16 only"),
     (["catalog", "{dir}/degree-300.yaml"], "packed keys support degree <= 16 only"),
     (["catalog", "{dir}/odd-class.yaml"], "permutation (1 2) not in A5"),
+    (["catalog", "{dir}/list-name.yaml"],
+     "group file {dir}/list-name.yaml gives name [1, 2], not a string"),
+    (["catalog", "{dir}/list-label.yaml"],
+     "group file {dir}/list-label.yaml gives label [1, 2], not a string"),
     (["verify-unbeatable", "M11", "--sigma-spec", "orders:8,11", "--families",
       "M10,PSL(2,11)", "-m", "2", "--mode", "explicit"],
      "enumerating S wr C_m needs m*|S|^m = 125452800 <= 100000000"),

@@ -209,7 +209,8 @@ def test_node_cap_is_exact(psl7, monkeypatch):
 
 
 def test_node_cap_is_exact_on_repeated_sets(monkeypatch):
-    # most of this search's expansions repeat an uncovered set
+    # most of this search's nodes are counted from stored subtrees, so the
+    # cap falls inside a skipped subtree
     _assert_node_cap_is_exact(_a6_instance("orders:3"), 38256, monkeypatch)
 
 
@@ -340,8 +341,9 @@ def test_search_matches_bitscan_search(inst):
 
 @pytest.mark.parametrize("spec", ["orders:3", "orders:4", "cycle-types:1,1,2,2"])
 def test_search_matches_bitscan_search_on_a6(spec):
-    # these searches meet an uncovered set again in 72%, 58% and 20% of
-    # their expansions; under orders:3 some sets recur at a shallower depth
+    # these searches count 58%, 53% and 11% of their nodes from stored
+    # subtrees without walking them.  Under the first two, some uncovered
+    # sets are expanded under more than one limit, which the table keys apart
     inst = _a6_instance(spec)
     cert = sigma_exact(inst)
     order = _bitscan_greedy(inst.masks, inst.full_mask)

@@ -49,7 +49,7 @@ GOLDEN = [
         "397c614d27fe4e95d63e539345487dec0e37b3beff7025628285f5baf094d13c",
     ),
     (
-        # 38,256 nodes, most of them over uncovered sets met before
+        # 38,256 nodes, most of them in subtrees exhausted before
         "sigma A6 --exact --target orders:3",
         0,
         "dc4d3cd15059cc34a31e741001a637d08adb30507e4b82156fe91d2d82df09c4",
