@@ -28,7 +28,10 @@ through a flat (maps x rows x n) table into one flat (rows x n)
 membership mask.  A row that passes the abort bound is dead, and its
 frontier is dropped.  Rows go CLOSURE_BUDGET // n at a time (at least
 one), so a batch holds at most max(CLOSURE_BUDGET, n) mask bytes and that
-many narrow ints per map; no table grows with the number of rows.
+many narrow ints per map; no table grows with the number of rows.  The
+kernel reads its rows' starts and maps one batch at a time and yields
+each row's result as the batch ends, the live rows' ids found in one pass
+over the mask, so a caller may make rows as they are read.
 ``subgroup_closures`` closes one generator set per row, and
 ``subgroup_closure`` is its one-row case.  The one conjugation orbit walk
 is ``orbit_class``, which makes a ``SubgroupClass`` a level per gather.
@@ -52,7 +55,8 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -394,24 +398,24 @@ def subgroup_closures(
 
 def closures(
     n: int,
-    starts: Sequence[Sequence[int]],
-    maps: Sequence[Sequence[np.ndarray]],
+    starts: Iterable[Sequence[int]],
+    maps: Iterable[Sequence[np.ndarray]],
     abort_above: int,
-) -> list[np.ndarray | None]:
+) -> Iterator[np.ndarray | None]:
     """For each row, the sorted ids of the smallest set that holds id 0 and
-    ``starts[row]`` and is closed under each of ``maps[row]`` (id arrays
+    the row's start and is closed under each of the row's maps (id arrays
     over the ids 0..n-1: those of a group, with 0 its identity, or the
     positions of a subgroup's sorted members); None for a row whose set has
     more than ``abort_above`` elements.  Rows are batched as the module
-    docstring says; id x of row r sits at r*n + x in a batch's mask and
+    docstring says, and ``starts`` and ``maps`` are read one batch ahead of
+    the results; id x of row r sits at r*n + x in a batch's mask and
     tables, and row sizes are counted only once the largest could pass
     ``abort_above``."""
     step = max(1, CLOSURE_BUDGET // n)
-    out: list[np.ndarray | None] = []
-    for lo in range(0, len(starts), step):
-        # a row without maps steps through the identity, and a row with
-        # fewer maps than the widest repeats its last
-        batch = [list(m) or [np.arange(n)] for m in maps[lo : lo + step]]
+    starts, maps = iter(starts), iter(maps)
+    # a row without maps steps through the identity, and a row with fewer
+    # maps than the widest repeats its last
+    while batch := [list(m) or [np.arange(n)] for m in islice(maps, step)]:
         rows, width = len(batch), max(len(m) for m in batch)
         dtype = np.min_scalar_type(rows * n - 1)
         flat = np.array([[m[min(j, len(m) - 1)] for m in batch] for j in range(width)], dtype=dtype)
@@ -420,7 +424,9 @@ def closures(
         flat = flat.reshape(width, rows * n)
         member = np.zeros(rows * n, dtype=bool)
         member[::n] = True
-        member[[r * n + int(x) for r, ids in enumerate(starts[lo : lo + step]) for x in ids]] = True
+        block = [np.asarray(ids, dtype=np.int64) for ids in islice(starts, rows)]
+        sizes = [ids.shape[0] for ids in block]
+        member[np.concatenate(block) + np.repeat(np.arange(rows) * n, sizes)] = True
         frontier = np.flatnonzero(member)
         top = frontier.shape[0]  # at least the size of the largest live row
         dead = np.zeros(rows, dtype=bool)
@@ -438,27 +444,14 @@ def closures(
             member |= fresh
             frontier = np.flatnonzero(fresh)
             top += frontier.shape[0]
-        out.extend(
-            None if dead[r] else np.flatnonzero(member[r * n : (r + 1) * n]) for r in range(rows)
-        )
-    return out
-
-
-def _reduce_generators(g: GroupTable, ids: np.ndarray) -> tuple[int, ...]:
-    """Greedy small generating set for the subgroup with the given elements."""
-    target = ids.shape[0]
-    gens: list[int] = []
-    have = np.zeros(g.order, dtype=bool)
-    have[0] = True
-    for x in ids.tolist():
-        if have[x]:
-            continue
-        gens.append(x)
-        h = subgroup_closure(g, gens)
-        if h.size == target:
-            break
-        have[h.member_ids] = True
-    return tuple(gens)
+        # the live rows' ids in one pass, each row's run copied out
+        by_row = member.reshape(rows, n)
+        by_row[dead] = False
+        size = np.add.reduce(by_row, axis=1)
+        ids = np.flatnonzero(member) - np.repeat(np.arange(rows) * n, size)
+        bounds = np.concatenate(([0], np.cumsum(size))).tolist()
+        for r, d in enumerate(dead.tolist()):
+            yield None if d else ids[bounds[r] : bounds[r + 1]].copy()
 
 
 def normalizer(g: GroupTable, h: SubgroupHandle) -> np.ndarray:

@@ -5,16 +5,29 @@ under joins of a known class representative with one cyclic subgroup, the
 cyclic factor reduced to orbit representatives under the normalizer of the
 representative.  Every non-cyclic subgroup H equals <K, c> for a maximal
 subgroup K < H and any cyclic c not inside K, so the fixpoint is complete.
-The joins of one representative are closed together, in one batched
-``subgroup_closures`` call, and read back in orbit-representative order.
-A join that grows past the largest order a proper subgroup can have must be
-the whole group, and is aborted.  That order is |G|/p, p the least prime
-dividing |G|, or |G|/n0 when G is nonabelian simple, n0 the least n with
-|G| dividing n!/2: a proper subgroup of index n gives G <= A_n (12 for A5,
-24 for PSL(2,7), 720 for M11).  G is taken as simple when |G| is not prime
-and the normal closure of every nontrivial cyclic class representative is
-G; those closures are one batched ``closures`` call, each aborted past
-|G|/p.  See ``groups`` for the batches and their memory budget.
+
+The joins go in waves.  The first wave is the seeds; each later wave is
+every class that the wave before it registered.  A representative's joins
+depend on nothing but the representative, so all joins of a wave are one
+``closures`` run, and the new classes are registered in (representative,
+orbit representative) order, the order in which one class at a time would
+find them.  The run reads its rows a batch at a time.  The join of H and x
+starts from the members of H and x, and steps through the right maps of the
+generators of H and of x: the same closure as from the generators, in fewer
+breadth-first levels.  A join that grows past the largest order a proper
+subgroup can have must be the whole group, and is aborted.  That order is
+|G|/p, p the least prime dividing |G|, or |G|/n0 when G is nonabelian
+simple, n0 the least n with |G| dividing n!/2: a proper subgroup of index
+n gives G <= A_n (12 for A5, 24 for PSL(2,7), 720 for M11).  G is taken as
+simple when |G| is not prime and the normal closure of every nontrivial
+cyclic class representative is G; those closures are one batched
+``closures`` call, each aborted past |G|/p.  See ``groups`` for the
+batches and their memory budget.
+
+The normalizer N of a representative H has |G| / class size elements.  Its
+generators are those of H, then the least element of N not yet reached,
+until they generate all of N; a step from a subgroup of prime index in N
+reaches N without a closure, and when N = H no normalizer is computed.
 
 The cyclic seeds cost no closures: one table of powers x^k over all of G
 (one batched product per k below the largest element order) gives every
@@ -24,7 +37,8 @@ Conjugation by y permutes the numbers as i -> label[y^-1 gens[i] y], where
 gens[i] generates subgroup i, so the orbits under a normalizer's generators
 come from ``groups.orbit_minima`` over those permutations.  The
 representatives are the numbers that keep their own label, ascending: the
-first conjugate of each orbit in canonical-key order.
+first conjugate of each orbit in canonical-key order.  The orbits depend
+only on the group the generators generate.
 
 Membership tests against a representative use a boolean mask over G.
 
@@ -41,7 +55,9 @@ each generator is a member, and one ``closures`` run over the members'
 positions reaches them all from the identity.  Anything else (an
 unreadable file, a missing key, a malformed or truncated entry, a missing
 cyclic class) is a miss, and the lattice is enumerated again and the file
-rewritten.  A missing non-cyclic class still passes these checks.
+rewritten.  A missing non-cyclic class still passes these checks.  A file
+is written with ``json.dumps``, whose C encoder gives the bytes that
+``json.dump`` would.
 """
 
 from __future__ import annotations
@@ -60,7 +76,6 @@ from .groups import (
     SubgroupClass,
     SubgroupHandle,
     _acting_generators,
-    _reduce_generators,
     closures,
     member_mask,
     normalizer,
@@ -68,7 +83,6 @@ from .groups import (
     orbit_minima,
     sorted_positions,
     subgroup_closure,
-    subgroup_closures,
 )
 
 ORDER_CAP = 10**4
@@ -129,19 +143,27 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
     gens, label = _number_cyclic(g, cyclic_classes)
     max_proper = _proper_order_bound(g, cyclic_classes)
 
-    for cls in classes:  # the list grows as joins find new classes
-        rep = cls.representative
-        if rep.size in (1, g.order):
-            continue
-        norm_gens = [x for x in _reduce_generators(g, normalizer(g, rep)) if x != 0]
-        reps = _orbit_reps(g, label, gens, norm_gens)
-        # a join is skipped unclosed only when its cyclic factor lies inside
-        # rep; a join aborted past max_proper is the whole group
-        reps = reps[~member_mask(g, rep.member_ids)[gens[reps]]]
-        joins = [rep.generators + (x,) for x in gens[reps].tolist()]
-        for joined in subgroup_closures(g, joins, max_proper):
-            if joined is not None and joined.canonical_key not in known:
-                register(joined)
+    wave = classes
+    while wave:
+        # every join of the wave in one closures run, each started from the
+        # representative's members and x; rows are made as the run reads them
+        first = len(classes)
+        joins: list[tuple[SubgroupHandle, int]] = []
+        for cls in wave:
+            rep = cls.representative
+            if rep.size in (1, g.order):
+                continue
+            reps = _orbit_reps(g, label, gens, _normalizer_generators(g, cls))
+            # a join is skipped unclosed only when its cyclic factor lies
+            # inside rep; a join aborted past max_proper is the whole group
+            xs = gens[reps[~member_mask(g, rep.member_ids)[gens[reps]]]]
+            joins.extend((rep, x) for x in xs.tolist())
+        starts = (np.concatenate((rep.member_ids, [x])) for rep, x in joins)
+        maps = ([*map(g.right_map, rep.generators), g.right_map(x)] for rep, x in joins)
+        for (rep, x), ids in zip(joins, closures(g.order, starts, maps, max_proper)):
+            if ids is not None and ids.tobytes() not in known:
+                register(SubgroupHandle(g, ids, tuple(sorted({*rep.generators, x}))))
+        wave = classes[first:]
 
     whole = SubgroupHandle(
         g, np.arange(g.order, dtype=np.int64), tuple(g.generator_ids)
@@ -150,6 +172,31 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
         register(whole)
 
     return sorted(classes, key=lambda c: (c.order, c.keys[0]))
+
+
+def _normalizer_generators(g: GroupTable, cls: SubgroupClass) -> list[int]:
+    """Generators of the normalizer N of the class's representative H:
+    those of H, then the least element of N not yet reached, until they
+    generate |N| = |G| / class size elements.  When N = H no normalizer
+    is computed, and a step from a subgroup of prime index in N reaches N
+    without a closure."""
+    rep = cls.representative
+    gens = [x for x in rep.generators if x != 0]
+    size = g.order // cls.class_size
+    if size == rep.size:
+        return gens
+    norm = normalizer(g, rep)
+    reached = rep.member_ids
+    while True:
+        gens.append(int(norm[~member_mask(g, reached)[norm]][0]))
+        index = size // reached.shape[0]
+        if smallest_prime_factor(index) == index:
+            return gens
+        maps = [g.right_map(x) for x in gens]
+        start = np.concatenate((reached, gens[-1:]))
+        [reached] = closures(g.order, [start], [maps], g.order)
+        if reached.shape[0] == size:
+            return gens
 
 
 def _proper_order_bound(g: GroupTable, cyclic_classes: list[SubgroupClass]) -> int:
@@ -292,7 +339,7 @@ def _members_are_closures(g: GroupTable, reps: list[SubgroupHandle]) -> bool:
             maps[j][lo : lo + ids.shape[0]] = lo + at
         starts.append(lo)
         lo += ids.shape[0]
-    return not reps or closures(n, [starts], [maps], n)[0].shape[0] == n
+    return not reps or next(closures(n, [starts], [maps], n)).shape[0] == n
 
 
 def _cyclic_classes_count_elements(g: GroupTable, classes: list[SubgroupClass]) -> bool:
@@ -324,7 +371,7 @@ def _cache_store(g: GroupTable, classes: list[SubgroupClass], cache_dir) -> None
         }
         tmp = path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
         os.replace(tmp, path)
     except OSError:
         pass

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -459,6 +463,32 @@ def test_cache_missing_a_cyclic_class_is_rebuilt(tmp_path, capsys):
     assert capsys.readouterr() == clean
 
 
+# spec files of cyclic groups, the trivial group among them: sigma is
+# undefined, so every request is refused as infeasible (exit 1); an empty
+# target set is not a cyclic group and keeps the empty cover
+CYCLIC_SPECS = [
+    ('name: C5\ndegree: 5\ngenerators: ["(1 2 3 4 5)"]\n', [], "infeasible", 1),
+    ('name: trivial\ndegree: 3\ngenerators: ["(1)"]\n', [], "infeasible", 1),
+    ('name: trivial\ndegree: 3\ngenerators: ["(1)"]\n', ["--greedy"], "infeasible", 1),
+    ('name: trivial\ndegree: 3\ngenerators: ["(1)"]\n', ["--target", "orders:1"], "empty", 0),
+]
+
+
+@pytest.mark.parametrize("spec, options, kind, status", CYCLIC_SPECS)
+def test_cyclic_spec_file_is_refused(spec, options, kind, status, tmp_path, capsys):
+    path = tmp_path / "cyclic.yaml"
+    path.write_text(spec)
+    code, report = run_json(["sigma", str(path), *options], capsys)
+    cert = report["certificate"]
+    assert code == status
+    assert cert["kind"] == kind
+    if kind == "infeasible":
+        assert cert["value"] == -1
+        assert cert["notes"] == ["group is cyclic: no proper-subgroup cover exists, sigma undefined"]
+    else:
+        assert cert["value"] == 0
+
+
 def test_malformed_spec_files_exit_2(tmp_path, capsys):
     for data in (
         b'name: A5\ndegree: 5\ngenerators: ["(1 2 3 4 5)", "(1 2 3)"\n',
@@ -689,6 +719,19 @@ def test_no_cache_directory_touches_no_file(tmp_path, monkeypatch, capsys):
     assert main([*argv, "--cache-dir", str(named)]) == 0
     assert capsys.readouterr() == plain
     assert len(list(named.iterdir())) == 1
+
+
+def test_package_runs_as_a_module():
+    # ``python -m wreathcover`` from a checkout, with only src/ on the path
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "wreathcover", "catalog", "A5", "--json"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["group"] == "A5"
 
 
 def test_human_rendering(capsys):

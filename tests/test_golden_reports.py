@@ -5,7 +5,8 @@ A refactor that is meant to leave every certificate unchanged must keep
 these digests.  A change that alters a report on purpose updates the digest
 here and says which report changed and why.  The subgroup lattices of a
 few spec-file groups and of M11 are pinned the same way, by the sha256 of
-their lattice cache file.
+their lattice cache file, and a few also by the sha256 of their classes in
+memory: each class's conjugates, their generators and conjugators.
 """
 
 import hashlib
@@ -356,6 +357,38 @@ def test_golden_lattice(name, degree, generators, digest, tmp_path):
 
 def test_golden_m11_lattice(m11, m11_lattice, _cache_dir):
     assert _digest(_cache_path(m11.table, _cache_dir)) == M11_LATTICE_DIGEST
+
+
+# the sha256 of each LATTICE_GOLDEN group's classes as enumerated in memory
+# (see _classes_digest): the cache file keeps only the representatives
+LATTICE_MEMORY_GOLDEN = {
+    "A5": "e88d03c36edde118ae0e5a3b35cf52b54b7f7625075191b2b9ee4f8201fe0c70",
+    "S5": "4c692c7334b1c9b99572262d01ca8c2184342a74b77d427d95a18de26180e926",
+    "PSL(2,7)": "36775db9e1f8bb9849f234d7089e15f083d12654cf83caeefcc14caf9c843a6c",
+    "A7": "6863a526e682a1a8f4814cb305b1aba51248a262272dcf6ae1c6ba38e690acdd",
+}
+
+
+def _classes_digest(classes):
+    """The sha256 of every class's stacked ``members``, ``generator_images``
+    and ``conjugators`` (shape, then little-endian int64 bytes) and its
+    representative's generators, in lattice order."""
+    h = hashlib.sha256()
+    for c in classes:
+        for arr in (c.members, c.generator_images, c.conjugators):
+            h.update(repr(arr.shape).encode())
+            h.update(arr.astype("<i8").tobytes())
+        h.update(repr(c.representative.generators).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(LATTICE_MEMORY_GOLDEN))
+def test_golden_lattice_in_memory(name, tmp_path):
+    [(degree, generators)] = [(d, gens) for n, d, gens, _ in LATTICE_GOLDEN if n == name]
+    spec = tmp_path / "group.yaml"
+    spec.write_text(f"name: {name}\ndegree: {degree}\ngenerators: {json.dumps(generators)}\n")
+    table = catalog.load(str(spec)).table
+    assert _classes_digest(all_subgroup_classes(table)) == LATTICE_MEMORY_GOLDEN[name]
 
 
 def _garbage(data):

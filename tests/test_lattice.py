@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathcover import InputError, catalog, lattice
-from wreathcover.groups import GroupTable, subgroup_closure
+from wreathcover.groups import GroupTable, normalizer, subgroup_closure, subgroup_closures
 from wreathcover.lattice import (
     all_subgroup_classes,
     maximal_classes_from_lattice,
@@ -33,20 +34,47 @@ def test_a5_has_nine_classes(a5, _cache_dir):
     ]
 
 
+def _two_generator_subgroups(g):
+    """The canonical key of every subgroup generated by one or two
+    elements, closed in one batch."""
+    sets = [[x] for x in range(g.order)]
+    sets += [[x, y] for x in range(g.order) for y in range(x + 1, g.order)]
+    return {h.canonical_key for h in subgroup_closures(g, sets, g.order)}
+
+
 def test_a5_lattice_against_two_generator_oracle(a5, _cache_dir):
     # every subgroup of A5 is generated by at most two elements, so closing
     # all pairs enumerates the full lattice independently
     g = a5.table
-    subgroups = set()
-    for x in range(g.order):
-        subgroups.add(subgroup_closure(g, [x]).canonical_key)
-    for x in range(g.order):
-        for y in range(x + 1, g.order):
-            subgroups.add(subgroup_closure(g, [x, y]).canonical_key)
+    subgroups = _two_generator_subgroups(g)
     classes = all_subgroup_classes(g, cache_dir=_cache_dir)
-    from_lattice = {h.canonical_key for c in classes for h in c.conjugates}
-    assert from_lattice == subgroups
+    assert {key for c in classes for key in c.keys} == subgroups
     assert len(subgroups) == 59
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["as-given", "relabelled"])
+@pytest.mark.parametrize(
+    "name, degree, generators, count",
+    [
+        ("S5", 5, ["(1 2 3 4 5)", "(1 2)"], 156),
+        ("PSL(2,7)", 7, ["(1 2 3 4 5 6 7)", "(1 2)(3 6)"], 179),
+    ],
+    ids=["S5", "PSL(2,7)"],
+)
+def test_lattice_against_two_generator_oracle(name, degree, generators, count, relabel):
+    # every subgroup of S5 and of PSL(2,7) is generated by at most two
+    # elements; a random relabelling of the points, as the benchmark's
+    # seeds make, gives the same group with other ids
+    if relabel:
+        points = np.random.default_rng(7).permutation(degree) + 1
+        assert (points != np.arange(1, degree + 1)).any()
+        generators = [
+            re.sub(r"\d+", lambda m: str(points[int(m.group()) - 1]), gen) for gen in generators
+        ]
+    g = GroupTable.from_generators([Perm.from_cycles(s, degree) for s in generators], name=name)
+    subgroups = _two_generator_subgroups(g)
+    assert {key for c in all_subgroup_classes(g) for key in c.keys} == subgroups
+    assert len(subgroups) == count
 
 
 def test_cyclic_group_has_divisor_classes(_cache_dir):
@@ -227,3 +255,23 @@ def test_cyclic_orbit_reps_match_orbit_walk(name, data):
     found = [cyclic[i] for i in lattice._orbit_reps(g, label, gens, elements).tolist()]
     expected = [h for c in classes for h in orbit_reps_walk(g, c, elements)]
     assert [h.canonical_key for h in found] == [h.canonical_key for h in expected]
+
+
+@pytest.mark.parametrize("name", ["A5", "S5", "PSL(2,7)", "A6"])
+def test_normalizer_generators_generate_the_normalizer(name, monkeypatch):
+    # the generators grow from the representative's own, and close to its
+    # normalizer; a self-normalizing representative computes none
+    g, classes = _lattice(name)
+    computed = []
+    monkeypatch.setattr(lattice, "normalizer", lambda g, h: computed.append(h) or normalizer(g, h))
+    self_normalizing = 0
+    for cls in classes:
+        rep = cls.representative
+        computed.clear()
+        gens = lattice._normalizer_generators(g, cls)
+        expected = normalizer(g, rep)
+        assert np.array_equal(subgroup_closure(g, gens).member_ids, expected), cls
+        assert gens[: len(rep.generators)] == [x for x in rep.generators if x != 0]
+        self_normalizing += expected.shape[0] == rep.size
+        assert computed == ([] if expected.shape[0] == rep.size else [rep])
+    assert self_normalizing > 1  # the whole group and a proper class
