@@ -128,9 +128,8 @@ def build_instance(
     """Candidates are every conjugate of every given class, deduplicated,
     labeled CLASS[i] in canonical conjugate order; classes that share a
     label (unlabeled classes of equal order) are numbered on from one
-    another.  The universe is the target (or all of g) minus the identity,
-    except that all of a trivial g is its identity: no proper subgroup
-    holds it, so a trivial group is refused as cyclic."""
+    another.  The universe is the target (or all of g) minus the identity;
+    a trivial g keeps it, which no proper subgroup holds (g is cyclic)."""
     if target_ids is None:
         universe = np.arange(min(1, g.order - 1), g.order, dtype=np.int64)
     else:

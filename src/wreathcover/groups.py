@@ -28,10 +28,8 @@ through a flat (maps x rows x n) table into one flat (rows x n)
 membership mask.  A row that passes the abort bound is dead, and its
 frontier is dropped.  Rows go CLOSURE_BUDGET // n at a time (at least
 one), so a batch holds at most max(CLOSURE_BUDGET, n) mask bytes and that
-many narrow ints per map; no table grows with the number of rows.  The
-kernel reads its rows' starts and maps one batch at a time and yields
-each row's result as the batch ends, the live rows' ids found in one pass
-over the mask, so a caller may make rows as they are read.
+many narrow ints per map; no table grows with the number of rows.  It
+reads rows and yields their results a batch at a time.
 ``subgroup_closures`` closes one generator set per row, and
 ``subgroup_closure`` is its one-row case.  The one conjugation orbit walk
 is ``orbit_class``, which makes a ``SubgroupClass`` a level per gather.
@@ -424,9 +422,8 @@ def closures(
         flat = flat.reshape(width, rows * n)
         member = np.zeros(rows * n, dtype=bool)
         member[::n] = True
-        block = [np.asarray(ids, dtype=np.int64) for ids in islice(starts, rows)]
-        sizes = [ids.shape[0] for ids in block]
-        member[np.concatenate(block) + np.repeat(np.arange(rows) * n, sizes)] = True
+        block = [r * n + np.asarray(s, dtype=np.int64) for r, s in enumerate(islice(starts, rows))]
+        member[np.concatenate(block)] = True
         frontier = np.flatnonzero(member)
         top = frontier.shape[0]  # at least the size of the largest live row
         dead = np.zeros(rows, dtype=bool)
@@ -447,9 +444,8 @@ def closures(
         # the live rows' ids in one pass, each row's run copied out
         by_row = member.reshape(rows, n)
         by_row[dead] = False
-        size = np.add.reduce(by_row, axis=1)
-        ids = np.flatnonzero(member) - np.repeat(np.arange(rows) * n, size)
-        bounds = np.concatenate(([0], np.cumsum(size))).tolist()
+        row_of, ids = np.nonzero(by_row)
+        bounds = row_of.searchsorted(np.arange(rows + 1)).tolist()
         for r, d in enumerate(dead.tolist()):
             yield None if d else ids[bounds[r] : bounds[r + 1]].copy()
 

@@ -1,63 +1,39 @@
 """Complete subgroup-lattice enumeration up to conjugacy.
 
-Strategy: seed with the conjugacy classes of cyclic subgroups, then close
-under joins of a known class representative with one cyclic subgroup, the
-cyclic factor reduced to orbit representatives under the normalizer of the
-representative.  Every non-cyclic subgroup H equals <K, c> for a maximal
-subgroup K < H and any cyclic c not inside K, so the fixpoint is complete.
+Seed with the classes of cyclic subgroups, then close under joins of a
+class representative H with one cyclic <x>, x taken up to conjugacy by the
+normalizer N of H: a non-cyclic subgroup is <K, c> for any maximal K < it
+and cyclic c not in K, so the fixpoint is complete.  The joins go in waves,
+the first the seeds and each next one the classes the last registered.
+H's joins depend on H alone, so a wave's joins are one ``closures`` run,
+its rows made as it reads them, registered in (H, x) order as one class at
+a time would find them.  A join starts from the members of H and x: the
+closure of the generators in fewer levels.  One past the largest order of
+a proper subgroup (``_proper_order_bound``) is the whole group, and is
+aborted.  N has |G| / class size elements, and is generated by H's
+generators and then the least element of N not yet reached, until all of
+N is; a step from a subgroup of prime index in N needs no closure, and
+N = H no normalizer.
 
-The joins go in waves.  The first wave is the seeds; each later wave is
-every class that the wave before it registered.  A representative's joins
-depend on nothing but the representative, so all joins of a wave are one
-``closures`` run, and the new classes are registered in (representative,
-orbit representative) order, the order in which one class at a time would
-find them.  The run reads its rows a batch at a time.  The join of H and x
-starts from the members of H and x, and steps through the right maps of the
-generators of H and of x: the same closure as from the generators, in fewer
-breadth-first levels.  A join that grows past the largest order a proper
-subgroup can have must be the whole group, and is aborted.  That order is
-|G|/p, p the least prime dividing |G|, or |G|/n0 when G is nonabelian
-simple, n0 the least n with |G| dividing n!/2: a proper subgroup of index
-n gives G <= A_n (12 for A5, 24 for PSL(2,7), 720 for M11).  G is taken as
-simple when |G| is not prime and the normal closure of every nontrivial
-cyclic class representative is G; those closures are one batched
-``closures`` call, each aborted past |G|/p.  See ``groups`` for the
-batches and their memory budget.
-
-The normalizer N of a representative H has |G| / class size elements.  Its
-generators are those of H, then the least element of N not yet reached,
-until they generate all of N; a step from a subgroup of prime index in N
-reaches N without a closure, and when N = H no normalizer is computed.
-
-The cyclic seeds cost no closures: one table of powers x^k over all of G
-(one batched product per k below the largest element order) gives every
-<x> at once.  The proper cyclic subgroups are then numbered class by class,
-and one label array over G sends each element x to the number of <x>.
-Conjugation by y permutes the numbers as i -> label[y^-1 gens[i] y], where
-gens[i] generates subgroup i, so the orbits under a normalizer's generators
-come from ``groups.orbit_minima`` over those permutations.  The
-representatives are the numbers that keep their own label, ascending: the
-first conjugate of each orbit in canonical-key order.  The orbits depend
-only on the group the generators generate.
-
-Membership tests against a representative use a boolean mask over G.
+The seeds cost no closures: a table of powers x^k over G (one batched
+product per k) gives every <x>.  The proper cyclic subgroups are numbered
+class by class, and a label array sends x to the number of <x>.
+Conjugation by y permutes the numbers as i -> label[y^-1 gens[i] y], so
+``groups.orbit_minima`` gives the orbits of N, whatever its generators;
+the representatives are the numbers that keep their own label, ascending:
+each orbit's first conjugate by canonical key.
 
 Feasible to group order ORDER_CAP = 10^4, which covers M11 (order 7920).
 Results are cached, keyed by the group's canonical hash, only in a
-directory the caller names.  A cache file is used only if its hash and
-order match, every stored representative's members are exactly the closure
-of its stored generators, and the cyclic classes account for every element
-(each element generates one cyclic subgroup, and a cyclic subgroup of
-order n has phi(n) generators).  The closure is checked inside the stored
-members, at a cost of |H| products per generator: the members ascend, hold
-the generators and the identity, the right product of each member with
-each generator is a member, and one ``closures`` run over the members'
-positions reaches them all from the identity.  Anything else (an
-unreadable file, a missing key, a malformed or truncated entry, a missing
-cyclic class) is a miss, and the lattice is enumerated again and the file
-rewritten.  A missing non-cyclic class still passes these checks.  A file
-is written with ``json.dumps``, whose C encoder gives the bytes that
-``json.dump`` would.
+directory the caller names; ``json.dumps`` writes a file with the C
+encoder, in ``json.dump``'s bytes.  A file is used only if its hash and
+order match, each stored representative's members are exactly the closure
+of its stored generators (``_members_are_closures``), and the cyclic
+classes account for every element (a cyclic subgroup of order n has
+phi(n) generators).  Anything else (an unreadable file, a missing key, a
+malformed or truncated entry, a missing cyclic class) is a miss: the
+lattice is enumerated again and the file rewritten.  A missing non-cyclic
+class still passes these checks.
 """
 
 from __future__ import annotations
@@ -145,19 +121,14 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
 
     wave = classes
     while wave:
-        # every join of the wave in one closures run, each started from the
-        # representative's members and x; rows are made as the run reads them
-        first = len(classes)
-        joins: list[tuple[SubgroupHandle, int]] = []
+        first, joins = len(classes), []
         for cls in wave:
             rep = cls.representative
-            if rep.size in (1, g.order):
-                continue
-            reps = _orbit_reps(g, label, gens, _normalizer_generators(g, cls))
-            # a join is skipped unclosed only when its cyclic factor lies
-            # inside rep; a join aborted past max_proper is the whole group
-            xs = gens[reps[~member_mask(g, rep.member_ids)[gens[reps]]]]
-            joins.extend((rep, x) for x in xs.tolist())
+            if 1 < rep.size < g.order:
+                reps = _orbit_reps(g, label, gens, _normalizer_generators(g, cls))
+                # a join is skipped unclosed only when x lies inside rep
+                xs = gens[reps[~member_mask(g, rep.member_ids)[gens[reps]]]]
+                joins.extend((rep, x) for x in xs.tolist())
         starts = (np.concatenate((rep.member_ids, [x])) for rep, x in joins)
         maps = ([*map(g.right_map, rep.generators), g.right_map(x)] for rep, x in joins)
         for (rep, x), ids in zip(joins, closures(g.order, starts, maps, max_proper)):
@@ -175,28 +146,19 @@ def _enumerate_classes(g: GroupTable) -> list[SubgroupClass]:
 
 
 def _normalizer_generators(g: GroupTable, cls: SubgroupClass) -> list[int]:
-    """Generators of the normalizer N of the class's representative H:
-    those of H, then the least element of N not yet reached, until they
-    generate |N| = |G| / class size elements.  When N = H no normalizer
-    is computed, and a step from a subgroup of prime index in N reaches N
-    without a closure."""
+    """Generators of the normalizer N of the class's representative H, as
+    the module docstring says."""
     rep = cls.representative
-    gens = [x for x in rep.generators if x != 0]
-    size = g.order // cls.class_size
-    if size == rep.size:
-        return gens
-    norm = normalizer(g, rep)
-    reached = rep.member_ids
-    while True:
+    gens, size, reached = list(rep.generators), g.order // cls.class_size, rep.member_ids
+    norm = normalizer(g, rep) if size > rep.size else reached
+    while reached.shape[0] < size:
         gens.append(int(norm[~member_mask(g, reached)[norm]][0]))
         index = size // reached.shape[0]
         if smallest_prime_factor(index) == index:
-            return gens
+            break
         maps = [g.right_map(x) for x in gens]
-        start = np.concatenate((reached, gens[-1:]))
-        [reached] = closures(g.order, [start], [maps], g.order)
-        if reached.shape[0] == size:
-            return gens
+        [reached] = closures(g.order, [np.concatenate((reached, gens[-1:]))], [maps], g.order)
+    return gens
 
 
 def _proper_order_bound(g: GroupTable, cyclic_classes: list[SubgroupClass]) -> int:
@@ -370,8 +332,7 @@ def _cache_store(g: GroupTable, classes: list[SubgroupClass], cache_dir) -> None
             ],
         }
         tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))
+        tmp.write_text(json.dumps(payload), encoding="utf-8")
         os.replace(tmp, path)
     except OSError:
         pass

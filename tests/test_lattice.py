@@ -271,7 +271,7 @@ def test_normalizer_generators_generate_the_normalizer(name, monkeypatch):
         gens = lattice._normalizer_generators(g, cls)
         expected = normalizer(g, rep)
         assert np.array_equal(subgroup_closure(g, gens).member_ids, expected), cls
-        assert gens[: len(rep.generators)] == [x for x in rep.generators if x != 0]
+        assert gens[: len(rep.generators)] == list(rep.generators)
         self_normalizing += expected.shape[0] == rep.size
         assert computed == ([] if expected.shape[0] == rep.size else [rep])
     assert self_normalizing > 1  # the whole group and a proper class
