@@ -1,2 +1,4 @@
 from .cli import main
-raise SystemExit(main())
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -441,13 +441,8 @@ def closures(
             member |= fresh
             frontier = np.flatnonzero(fresh)
             top += frontier.shape[0]
-        # the live rows' ids in one pass, each row's run copied out
-        by_row = member.reshape(rows, n)
-        by_row[dead] = False
-        row_of, ids = np.nonzero(by_row)
-        bounds = row_of.searchsorted(np.arange(rows + 1)).tolist()
-        for r, d in enumerate(dead.tolist()):
-            yield None if d else ids[bounds[r] : bounds[r + 1]].copy()
+        for r in range(rows):
+            yield None if dead[r] else np.flatnonzero(member[r * n : (r + 1) * n])
 
 
 def normalizer(g: GroupTable, h: SubgroupHandle) -> np.ndarray:

@@ -204,8 +204,11 @@ def _orbit_reps(
     g: GroupTable, label: np.ndarray, gens: np.ndarray, elements: list[int]
 ) -> np.ndarray:
     """The least number in each orbit of conjugation by ``elements`` on the
-    numbered subgroups (see ``_number_cyclic``), ascending."""
-    moves = [label[g.conj_map(y)[gens]] for y in elements]
+    numbered subgroups (see ``_number_cyclic``), ascending.  y^-1 x y is
+    read off y's cached right map as (x^-1 y)^-1 y, for the x in ``gens``
+    alone, so no whole-group conjugation map is made."""
+    rights = [g.right_map(y) for y in elements]
+    moves = [label[right[g.inv[right[g.inv[gens]]]]] for right in rights]
     least = orbit_minima(moves, gens.shape[0])
     return np.flatnonzero(least == np.arange(gens.shape[0]))
 
