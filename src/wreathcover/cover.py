@@ -135,23 +135,26 @@ def build_instance(
     else:
         universe = np.unique(np.asarray(target_ids, dtype=np.int64))
         universe = universe[universe != 0]
-    labels, handles = [], []
+    labels, handles, members, sizes = [], [], [np.zeros(0, np.int64)], []
     seen: set[bytes] = set()
     next_index: dict[str, int] = {}
     for cls in classes:
         base = cls.base_label
         start = next_index.get(base, 0)
         next_index[base] = start + cls.class_size
-        for i, h in enumerate(cls.conjugates, start):
-            if h.canonical_key in seen:
-                continue
-            seen.add(h.canonical_key)
-            labels.append(f"{base}[{i}]")
-            handles.append(h)
+        # the class's stored keys and member rows; no handle is keyed again
+        fresh = []
+        for i, key in enumerate(cls.keys):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        labels.extend(f"{base}[{start + i}]" for i in fresh)
+        handles.extend(cls.conjugates[i] for i in fresh)
+        members.append(cls.members[fresh].ravel())
+        sizes += [cls.order] * len(fresh)
     pos_of = np.full(g.order, -1, dtype=np.int64)
     pos_of[universe] = np.arange(universe.shape[0])
-    pos = pos_of[np.concatenate([np.zeros(0, np.int64), *(h.member_ids for h in handles)])]
-    sizes = np.array([h.size for h in handles], dtype=np.int64)
+    pos = pos_of[np.concatenate(members)]
     owner = np.repeat(np.arange(len(handles)), sizes)
     inside = pos >= 0
     pos, owner = pos[inside], owner[inside]

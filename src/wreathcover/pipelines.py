@@ -25,7 +25,7 @@ import numpy as np
 
 from . import InputError, catalog, formulas
 from .cover import build_instance, sigma_exact, sigma_greedy, verify_cover
-from .groups import GroupTable, SubgroupClass, member_mask
+from .groups import GroupTable, SubgroupClass, SubgroupHandle, member_mask
 from .lattice import ORDER_CAP, all_subgroup_classes, maximal_classes_from_lattice
 from .perm import Perm
 from .unbeat import (
@@ -383,12 +383,13 @@ _CYCLES_RE = re.compile(r"\(\)|(?:\(\d+(?: \d+)*\))+")
 
 def parse_descriptor_lines(
     cg: catalog.CatalogGroup, lines: Sequence[str], m: int
-) -> tuple[list[ProductTypeDescriptor], list[int]]:
-    """Read a serialized family back.  Lines are parsed up to the first bad
-    one; each distinct cycle string is parsed, and each (class, conj)
-    conjugated, once.  The product-type lines' cosets are then
-    canonicalized from one ``coset_minima`` table over their subgroups, and
-    repeated members are refused in line order, before the bad line's error."""
+) -> tuple[list[ProductTypeDescriptor], list[int], dict[SubgroupHandle, np.ndarray]]:
+    """Read a serialized family back: (descriptors, socle primes, the
+    ``coset_minima`` table over the descriptors' subgroups).  Lines are
+    parsed up to the first bad one; each distinct cycle string is parsed,
+    and each (class, conj) conjugated, once.  The product-type lines'
+    cosets are then canonicalized from the table, and repeated members are
+    refused in line order, before the bad line's error."""
     g = cg.table
     by_label = cg.classes_by_label()
     element = functools.cache(lambda text: g.id_of(Perm.from_cycles(text, g.degree)))
@@ -425,7 +426,7 @@ def parse_descriptor_lines(
         except InputError as exc:
             failure = exc
             break
-    minima = dict(zip(subgroups, coset_minima(list(subgroups.values()))))
+    minima = coset_minima(list(subgroups.values()))
     descriptors, socle = [], []
     seen: set = set()  # every descriptor and socle prime so far
     for line, entry in entries:
@@ -434,14 +435,15 @@ def parse_descriptor_lines(
             socle.append(member)
         else:
             key, cosets = entry
-            member = ProductTypeDescriptor(subgroups[key], tuple(minima[key][cosets].tolist()))
+            M = subgroups[key]
+            member = ProductTypeDescriptor(M, tuple(minima[M][cosets].tolist()))
             descriptors.append(member)
         if member in seen:
             raise InputError(f"{line!r}: names a member of an earlier line again")
         seen.add(member)
     if failure is not None:
         raise failure
-    return descriptors, socle
+    return descriptors, socle, minima
 
 
 def construct_cover_report(source: str, m: int, cover_method: str = "exact") -> dict:
@@ -464,8 +466,9 @@ def construct_cover_report(source: str, m: int, cover_method: str = "exact") -> 
         raise InputError(f"no covering of {source}: {cert.kind}")
     label_to_handle = dict(zip(inst.labels, inst.handles))
     N = [label_to_handle[lab] for lab in cert.chosen]
-    descriptors, socle = construct_product_cover(g, N, m)
-    ok, witness = verify_wreath_cover(ctx, descriptors, socle)
+    minima = coset_minima(N)
+    descriptors, socle = construct_product_cover(g, N, m, minima)
+    ok, witness = verify_wreath_cover(ctx, descriptors, socle, minima=minima)
     report = {
         "group": cg.spec.name,
         "m": m,
@@ -489,8 +492,8 @@ def verify_cover_report(
     """Check a serialized wreath covering family against every element."""
     cg = load_group(source)
     ctx = WreathContext(cg.table, m)
-    descriptors, socle = parse_descriptor_lines(cg, member_lines, m)
-    ok, witness = verify_wreath_cover(ctx, descriptors, socle)
+    descriptors, socle, minima = parse_descriptor_lines(cg, member_lines, m)
+    ok, witness = verify_wreath_cover(ctx, descriptors, socle, minima=minima)
     report = {
         "group": cg.spec.name,
         "m": m,

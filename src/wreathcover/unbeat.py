@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +64,7 @@ from .wreath import (
     box_coverage,
     box_luts,
     box_target_counts,
+    coset_minima,
     product_type_family,
     wreath_cover_upper_term,
 )
@@ -393,15 +394,16 @@ def check_definitely_unbeatable_group(
 
 
 def _labelled_products(
-    classes: Sequence[SubgroupClass], m: int
+    classes: Sequence[SubgroupClass], m: int, minima: Mapping[SubgroupHandle, np.ndarray]
 ) -> list[tuple[str, ProductTypeDescriptor]]:
     """The product-type family over every conjugate of the given classes,
     each member labelled ``base[i][c_2, ..., c_m]`` by its first slot and
-    its coset minima.  One family call makes it; the family runs member by
-    member, |S:M|^(m-1) descriptors each."""
+    its coset minima.  One family call makes it, off the request's
+    ``coset_minima`` table; the family runs member by member, |S:M|^(m-1)
+    descriptors each."""
     slots = [(cls.base_label, i, M) for cls in classes for i, M in enumerate(cls.conjugates)]
     owners = [(base, i) for base, i, M in slots for _ in range(M.index ** (m - 1))]
-    family = product_type_family([M for *_, M in slots], m)
+    family = product_type_family([M for *_, M in slots], m, minima)
     return [(f"{base}[{i}]{list(d.cosets)}", d) for (base, i), d in zip(owners, family)]
 
 
@@ -441,12 +443,15 @@ def check_definitely_unbeatable_wreath(inst: SeedInstance) -> UnbeatabilityRepor
     S, m = inst.S, inst.m
     ctx = WreathContext(S, m)
     grid = ctx.base_grid()
-    family = _labelled_products(inst.seed_classes, m)
+    # one coset-minimum table over the family's and the sweep's members
+    outside = inst.outside_classes()
+    minima = coset_minima([M for cls in (*inst.seed_classes, *outside) for M in cls.conjugates])
+    family = _labelled_products(inst.seed_classes, m, minima)
     products = [d for _, d in family]
     socle = prime_factors(m)
     labels = [lab for lab, _ in family] + [f"socle[{r}]" for r in socle]
     n_products = len(products)
-    sweep = _labelled_products(inst.outside_classes(), m)
+    sweep = _labelled_products(outside, m, minima)
     outsiders = [d for _, d in sweep]
 
     # products are counted as boxes, socle maximals as whole shift layers
@@ -457,7 +462,7 @@ def check_definitely_unbeatable_wreath(inst: SeedInstance) -> UnbeatabilityRepor
     for shift, tmask in _target_masks(inst, grid).items():
         layer_size = int(tmask.sum())
         target_size += layer_size
-        luts = box_luts(ctx, products, shift)
+        luts = box_luts(ctx, products, shift, minima)
         member_counts[:n_products] += box_target_counts(luts, tmask)
         counts = box_coverage(luts)
         del luts  # the outsiders' rows come next; never hold both
@@ -469,7 +474,7 @@ def check_definitely_unbeatable_wreath(inst: SeedInstance) -> UnbeatabilityRepor
             rows = np.flatnonzero(tmask & bad)
             if rows.shape[0] and name not in witnesses:
                 witnesses[name] = {"shift": shift, "base": grid[rows[0]].tolist()}
-        outsider_counts += box_target_counts(box_luts(ctx, outsiders, shift), tmask)
+        outsider_counts += box_target_counts(box_luts(ctx, outsiders, shift, minima), tmask)
 
     empty = np.flatnonzero(member_counts == 0)
     empty_witness = labels[int(empty[0])] if empty.shape[0] else None

@@ -17,7 +17,11 @@ the m >= 3 oracle tests distinguish them.
 That condition is the one membership model, and ``box_luts`` is its one
 implementation.  At a fixed shift k it constrains each coordinate on its
 own, so a product-type member is a box A_0 x ... x A_{m-1} with sides
-A_a = g[a]^{-1} M g[a+k].  ``box_luts`` stacks the sides of D members as
+A_a = g[a]^{-1} M g[a+k].  Two sides are cosets of M, A_0 = M g[k] and,
+for k > 0, A_{m-k} = g[m-k]^{-1} M (at k = 0 both are M): ``box_luts``
+reads them off the request's coset-minimum table and composes only the
+others on image rows, so at m = 2, where the socle covers shift 0, cover
+verification looks up no image row.  It stacks the sides of D members as
 0/1 rows L[d, a, :].  The number of members containing a base tuple x is
 sum_d prod_a L[d, a, x_a]: over the last two coordinates that is one matrix
 product, and leading coordinates are fixed one value at a time, keeping
@@ -34,10 +38,12 @@ The product-type family: over each member M of a cover of S there is one
 product-type subgroup per tuple of m-1 right cosets of M, |S:M|^(m-1) of
 them (``product_type_family``), and with the alpha(m) socle maximals they
 number ``wreath_cover_upper_term``.  Coset minima come from one table per
-call, ``coset_minima``: one batched pass over all members, whose rows the
-family's coset representatives and a family file's descriptors both
-read; it lives as long as the call.  The constructive cover, the explicit
-unbeatability family and its outsider sweep all come from that generator.
+request, ``coset_minima``: one batched pass over all members, whose rows
+the family's coset representatives, a family file's descriptors and the
+coset sides of ``box_luts`` all read.  The request passes it from call to
+call and drops it when it returns; nothing caches it.  The constructive
+cover, the explicit unbeatability family and its outsider sweep all come
+from that generator.
 A socle maximal is named by its prime r, a prime divisor of m: it is the
 preimage of the index-r subgroup of C_m, the elements whose shift r divides.
 """
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -75,7 +81,7 @@ class WreathElement:
 # request, which is explicit up to it and symbolic above.
 EXPLICIT_CAP = 10**8
 AUTO_EXPLICIT_LIMIT = 10**7
-# image rows composed at a time by ``box_luts``
+# image rows composed, and table entries compared, at a time by ``box_luts``
 ROW_CHUNK = 2**15
 
 
@@ -131,12 +137,12 @@ def product_type_mask(
     ctx: WreathContext, d: ProductTypeDescriptor, base_grid: np.ndarray, shift: int
 ) -> np.ndarray:
     """Membership of the elements (base_grid[b]; shift) in one member, read
-    off its ``box_luts`` sides.
+    off its ``box_luts`` sides, with a one-member ``coset_minima`` table
+    made for the call.
 
     No pipeline calls it; it stays here because the benchmark's tracer
-    wraps it, and the tests compare it with the normalizer oracle and the
-    box kernels with it."""
-    luts = box_luts(ctx, [d], shift)[0] > 0  # row a: g[a]^{-1} M g[a+shift]
+    wraps it, and the tests compare it with the normalizer oracle."""
+    luts = box_luts(ctx, [d], shift, coset_minima([d.M]))[0] > 0  # row a: g[a]^{-1} M g[a+shift]
     mask = np.ones(base_grid.shape[0], dtype=bool)
     for a in range(ctx.m):
         mask &= luts[a][base_grid[:, a]]
@@ -147,26 +153,51 @@ def product_type_mask(
 
 
 def box_luts(
-    ctx: WreathContext, descriptors: Sequence[ProductTypeDescriptor], shift: int
+    ctx: WreathContext,
+    descriptors: Sequence[ProductTypeDescriptor],
+    shift: int,
+    minima: Mapping[SubgroupHandle, np.ndarray],
 ) -> np.ndarray:
     """The coordinate rows of every descriptor at one shift, stacked as a
     (D, m, |S|) float64 0/1 array: row (d, a) is g[a]^{-1} M g[a+shift].
-    Both multiplications are composed on image rows for all descriptors
-    and coordinates together, ROW_CHUNK rows at a time, each by one flat
-    gather from the image table, then packed and looked up."""
-    S, m = ctx.S, ctx.m
-    out = np.zeros((len(descriptors), m, S.order))
+
+    ``minima`` is the request's ``coset_minima`` table over the members.
+    Two sides are cosets and come off it: a = 0 is the right coset
+    M g[shift], the y with row[y] == row[g[shift]], and for shift > 0
+    a = m - shift is g[a]^{-1} M, the y whose inverse lies in M g[a] (at
+    shift 0 both are M).  They are written in blocks of ROW_CHUNK table
+    entries, each descriptor's row compared with its coset's label, so a
+    coset id need not be a minimum.  The other m - 2 sides (m - 1 at
+    shift 0) are composed on image rows, ROW_CHUNK rows at a time, each
+    by one flat gather from the image table, then packed and looked up."""
+    S, m, n = ctx.S, ctx.m, ctx.S.order
+    out = np.zeros((len(descriptors), m, n))
     if not descriptors:
         return out
-    # one stacked row per (coordinate a, descriptor d, member x of d.M)
-    member_ids = [d.M.member_ids for d in descriptors]
-    sizes = [ids.shape[0] for ids in member_ids]
-    owner = np.tile(np.repeat(np.arange(len(descriptors)), sizes), m)
-    coord = np.repeat(np.arange(m), sum(sizes))
-    gs = np.array([(0, *d.cosets) for d in descriptors])  # (D, m): g_1 = identity
+    # the members' rows, one lookup per member object
+    slots: dict[int, tuple[int, SubgroupHandle]] = {}
+    row_of = np.array([slots.setdefault(id(d.M), (len(slots), d.M))[0] for d in descriptors])
+    table = np.stack([minima[M] for _, M in slots.values()])
+    gs = np.array([(0, *d.cosets) for d in descriptors])  # (D, m): g_0 = identity
+    read = {0: (table, gs[:, shift])}
+    if shift:
+        read[m - shift] = (table[:, S.inv], gs[:, m - shift])
+    step = max(1, ROW_CHUNK // n)
+    for a, (rows, at) in read.items():
+        label = table[row_of, at]
+        for lo in range(0, len(descriptors), step):
+            part = slice(lo, lo + step)
+            np.equal(rows[row_of[part]], label[part, None], out=out[part, a])
+    composed = [a for a in range(1, m) if a + shift != m]
+    if not composed:
+        return out
+    # one stacked row per (composed coordinate a, descriptor d, member x of d.M)
+    sizes = [d.M.size for d in descriptors]
+    owner = np.tile(np.repeat(np.arange(len(descriptors)), sizes), len(composed))
+    coord = np.repeat(composed, sum(sizes))
     left = S.inv[gs[owner, coord]]
     right = gs[owner, (coord + shift) % m]
-    x = np.tile(np.concatenate(member_ids), m)
+    x = np.tile(np.concatenate([d.M.member_ids for d in descriptors]), len(composed))
     # (g^{-1} x h)(q) = g^{-1}(x(h(q))): row y's entry p sits at y*degree + p,
     # and rows go in chunks that bound the gathers' index arrays
     images, degree = S.images.ravel(), S.degree
@@ -204,9 +235,9 @@ def first_uncovered(luts: np.ndarray) -> int | None:
     stops at the first block with a zero, never building the full grid."""
     offset = 0
     for block in _count_blocks(luts):
-        zeros = np.flatnonzero(block.ravel() == 0)
-        if zeros.shape[0]:
-            return offset + int(zeros[0])
+        first = int(block.argmin())  # the first least count, in row-major order
+        if block.flat[first] == 0:
+            return offset + first
         offset += block.size
     return None
 
@@ -231,43 +262,55 @@ def box_target_counts(luts: np.ndarray, target: np.ndarray) -> np.ndarray:
 # -- the product-type family and the constructive cover ---------------------------
 
 
-def coset_minima(members: Sequence[SubgroupHandle]) -> np.ndarray:
-    """The (members x |S|) table whose entry (r, x) is the least id of the
-    right coset members[r]*x, for subgroups of one S.  M*x is the orbit of x
-    under left multiplication by M's generators, so one ``mul_many`` makes
-    every generator's left map and one ``orbit_minima`` runs over the
-    members side by side: point x of member r is r*|S| + x, and a member
-    with fewer generators than the most steps through the identity.  As in
-    ``groups.closures``, members go CLOSURE_BUDGET // |S| at a time."""
+def coset_minima(members: Sequence[SubgroupHandle]) -> dict[SubgroupHandle, np.ndarray]:
+    """The coset-minimum table of subgroups of one S, keyed by member:
+    entry x of M's row is the least id of the right coset M*x, in the
+    narrowest unsigned type that holds an id.  A request makes one table,
+    hands it to the family and to ``box_luts`` (which read their cosets
+    and coset sides off it) and drops it when it returns; nothing keeps it
+    beyond that.  M*x is the orbit of x under left multiplication by M's
+    generators, so ``mul_many`` makes every generator's left map and one
+    ``orbit_minima`` runs over the members side by side: point x of member
+    r is r*|S| + x, and a member with fewer generators than the most steps
+    through the identity.  As in ``groups.closures``, members go
+    CLOSURE_BUDGET // |S| at a time, and so do the left maps."""
     if not members:
-        return np.zeros((0, 0), dtype=np.int64)
+        return {}
     S = members[0].parent
     n = S.order
     step = max(1, CLOSURE_BUDGET // n)
-    out = []
+    table = np.empty((len(members), n), dtype=np.min_scalar_type(n - 1))
     for lo in range(0, len(members), step):
         gens = [[x for x in M.generators if x != 0] for M in members[lo : lo + step]]
         rows = len(gens)
         owner = np.array([r for r, s in enumerate(gens) for _ in s], dtype=np.int64)
         slot = np.array([j for s in gens for j in range(len(s))], dtype=np.int64)
         flat = np.array([x for s in gens for x in s], dtype=np.int64)
-        left = S.mul_many(np.repeat(flat, n), np.tile(np.arange(n), flat.shape[0]))
+        # a batch's left maps, step at a time to bound the products' temporaries
+        left = np.concatenate([
+            S.mul_many(np.repeat(part, n), np.tile(np.arange(n), part.shape[0]))
+            for part in np.split(flat, range(step, flat.shape[0], step))
+        ])
         moves = np.tile(np.arange(rows * n), (max(map(len, gens)) or 1, 1))
         moves.reshape(-1, rows, n)[slot, owner] = left.reshape(-1, n) + owner[:, None] * n
         least = orbit_minima(list(moves), rows * n).reshape(rows, n)
-        out.append(least - (np.arange(rows) * n)[:, None])
-    return np.concatenate(out)
+        table[lo : lo + rows] = least - (np.arange(rows) * n)[:, None]
+    return dict(zip(members, table))
 
 
 def product_type_family(
-    members: Sequence[SubgroupHandle], m: int
+    members: Sequence[SubgroupHandle],
+    m: int,
+    minima: Mapping[SubgroupHandle, np.ndarray],
 ) -> list[ProductTypeDescriptor]:
     """Every product-type subgroup over each member M, in member order: one
     per tuple of m-1 right cosets of M, the tuples in lexicographic order of
-    their ascending coset minima (already the canonical form), read off one
-    ``coset_minima`` table."""
+    their ascending coset minima (already the canonical form), read off the
+    request's ``coset_minima`` table, which ``box_luts`` reads again for
+    the members' coset sides."""
     family = []
-    for M, row in zip(members, coset_minima(members)):
+    for M in members:
+        row = minima[M]
         reps = np.flatnonzero(row == np.arange(row.shape[0])).tolist()
         family.extend(ProductTypeDescriptor(M, c) for c in itertools.product(reps, repeat=m - 1))
     return family
@@ -280,17 +323,24 @@ def wreath_cover_upper_term(members: Sequence[SubgroupHandle], m: int) -> int:
 
 
 def construct_product_cover(
-    S: GroupTable, cover: Sequence[SubgroupHandle], m: int
+    S: GroupTable,
+    cover: Sequence[SubgroupHandle],
+    m: int,
+    minima: Mapping[SubgroupHandle, np.ndarray] | None = None,
 ) -> tuple[list[ProductTypeDescriptor], list[int]]:
     """The constructive covering family for S wr C_m from a covering of S:
     ``product_type_family`` over the cover plus the alpha(m) socle-containing
     maximals, named by their primes; ``wreath_cover_upper_term(cover, m)``
-    subgroups in all.  The verified postcondition (at desk scale, via
-    verify_wreath_cover) is that their union is all of S wr C_m."""
+    subgroups in all.  ``minima`` is the request's ``coset_minima`` table
+    over the cover, made here when not given.  The verified postcondition
+    (at desk scale, via verify_wreath_cover) is that their union is all of
+    S wr C_m."""
     ok, missing = verify_cover_handles(S, cover)
     if not ok:
         raise ValueError(f"family does not cover S: element id {missing} missed")
-    return list(product_type_family(cover, m)), prime_factors(m)
+    if minima is None:
+        minima = coset_minima(cover)
+    return product_type_family(cover, m, minima), prime_factors(m)
 
 
 def verify_wreath_cover(
@@ -298,17 +348,23 @@ def verify_wreath_cover(
     descriptors: Sequence[ProductTypeDescriptor],
     socle: Sequence[int],
     threads: int = 1,
+    minima: Mapping[SubgroupHandle, np.ndarray] | None = None,
 ) -> tuple[bool, WreathElement | None]:
     """Check that every element of S wr C_m lies in some family member;
     returns (ok, first uncovered witness in shift-major, row-major order).
     ``socle`` names the socle maximals by their primes.  Every shift not
     covered by a socle maximal is decided by counting boxes (see
-    ``first_uncovered``).  ``threads`` is accepted for compatibility and
-    changes neither the work nor the result."""
+    ``first_uncovered``).  ``minima`` is the request's ``coset_minima``
+    table over the descriptors' members, made here when not given; at
+    m = 2 the socle covers shift 0, and shift 1's sides all come off it.
+    ``threads`` is accepted for compatibility and changes neither the work
+    nor the result."""
+    if minima is None:
+        minima = coset_minima(list(dict.fromkeys(d.M for d in descriptors)))
     for shift in range(ctx.m):
         if any(shift % r == 0 for r in socle):
             continue  # covered by a socle-containing maximal
-        idx = first_uncovered(box_luts(ctx, descriptors, shift))
+        idx = first_uncovered(box_luts(ctx, descriptors, shift, minima))
         if idx is not None:
             base = np.unravel_index(idx, (ctx.S.order,) * ctx.m)
             return False, WreathElement(tuple(int(x) for x in base), shift)

@@ -12,6 +12,10 @@ another way than the code it checks:
   membership in the normalizer of a product subgroup by conjugating its
   explicit element set, the ground truth for ``wreath.product_type_mask``
   and the box kernels;
+* ``box_sides`` composes every side g[a]^{-1} M g[a+k] of a product-type
+  member one element at a time, as ``Perm`` products named by
+  ``GroupTable.id_of``, the reference for ``wreath.box_luts``, which reads
+  the coset sides off a coset-minimum table and composes the rest;
 * ``coset_representatives`` and ``coset_minimum`` take one right coset
   M*x at a time as the product of M's members with x, the reference for
   ``wreath.coset_minima``, the family's representatives and the
@@ -202,6 +206,31 @@ def orbit_reps_walk(g: GroupTable, cls: SubgroupClass, elements: Sequence[int]):
         reps.append(h)
         visited.update(sequential_orbit(g, h.member_ids, elements, h.generators)[1])
     return reps
+
+
+def box_sides(
+    ctx: WreathContext, descriptors: Sequence[ProductTypeDescriptor], shift: int
+) -> np.ndarray:
+    """The (D, m, |S|) 0/1 sides of the descriptors at one shift: row
+    (d, a) holds the ids of g[a]^{-1} x g[a+shift] over the members x of
+    d.M, g = (identity, *d.cosets), each a ``Perm`` product looked up by
+    ``id_of``.  A side is composed once per (M, g[a], g[a+shift])."""
+    S, m = ctx.S, ctx.m
+    sides: dict = {}
+    out = np.zeros((len(descriptors), m, S.order))
+    for i, d in enumerate(descriptors):
+        g = (0, *d.cosets)
+        for a in range(m):
+            key = (d.M, g[a], g[(a + shift) % m])
+            if key not in sides:
+                left, right = S.perm(key[1]).images, S.perm(key[2])
+                inverse = Perm(sorted(range(S.degree), key=left.__getitem__))
+                sides[key] = [
+                    S.id_of(compose(inverse, compose(S.perm(x), right)))
+                    for x in d.M.member_ids.tolist()
+                ]
+            out[i, a, sides[key]] = 1.0
+    return out
 
 
 # -- right cosets, one at a time -----------------------------------------------

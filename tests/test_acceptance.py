@@ -193,7 +193,7 @@ def test_criterion_5_membership_oracle_equivalence(a5):
             cosets = tuple(
                 int(rng.integers(0, a5.table.order)) for _ in range(m - 1)
             )
-            row = coset_minima([M])[0]
+            row = coset_minima([M])[M]
             return ProductTypeDescriptor(M, tuple(int(row[c]) for c in cosets))
 
         # m = 2: all 7200 elements against 30 random descriptors

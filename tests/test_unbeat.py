@@ -25,6 +25,7 @@ from wreathcover.unbeat import (
 from wreathcover.wreath import (
     ProductTypeDescriptor,
     WreathContext,
+    coset_minima,
     product_type_family,
     wreath_cover_upper_term,
 )
@@ -34,7 +35,8 @@ from oracles import compose, coset_minimum, exhaustive_min_cover
 
 def _products(inst):
     """The family's product-type members over the seed classes, in order."""
-    return list(product_type_family([h for _, h in inst.members()], inst.m))
+    handles = [h for _, h in inst.members()]
+    return product_type_family(handles, inst.m, coset_minima(handles))
 
 
 def _m11_instance(m11, m):
@@ -473,7 +475,7 @@ def test_product_type_members_are_canonical(a5, psl7, m):
     # to, and the family count is its length
     for cg in (a5, psl7):
         handles = [h for c in cg.maximal_classes for h in c.conjugates]
-        members = list(product_type_family(handles, m))
+        members = product_type_family(handles, m, coset_minima(handles))
         expect = wreath_cover_upper_term(handles, m) - alpha(m)
         assert len(members) == len(set(members)) == expect
         for d in members:
@@ -496,8 +498,8 @@ def test_mutation_breaks_cover_condition(a5, monkeypatch):
         mutations = [family[1:], family + family[:1], family[:-1]]
         for mutated, (name, base) in zip(mutations, expected):
 
-            def mutated_products(classes, m, mutated=mutated, seed=inst.seed_classes):
-                return mutated if classes is seed else labelled_products(classes, m)
+            def mutated_products(classes, m, minima, mutated=mutated, seed=inst.seed_classes):
+                return mutated if classes is seed else labelled_products(classes, m, minima)
 
             monkeypatch.setattr(unbeat, "_labelled_products", mutated_products)
             du = check_definitely_unbeatable_wreath(inst)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wreathcover.formulas import alpha, prime_factors
-from wreathcover.groups import subgroup_closure
+from wreathcover.groups import GroupTable, subgroup_closure
 from wreathcover.perm import Perm
 from wreathcover.pipelines import load_group
 from wreathcover.wreath import (
@@ -24,6 +24,7 @@ from wreathcover.wreath import (
 )
 
 from oracles import (
+    box_sides,
     compose,
     coset_minimum,
     coset_representatives,
@@ -48,7 +49,7 @@ def ctx3(a5):
 
 def create(M, cosets):
     """The descriptor over M with the given coset labels, canonicalized."""
-    row = coset_minima([M])[0]
+    row = coset_minima([M])[M]
     return ProductTypeDescriptor(M, tuple(int(row[c]) for c in cosets))
 
 
@@ -200,7 +201,7 @@ def test_socle_maximals(a5):
 
 def test_coset_representatives(a5):
     M = a5.classes_by_label()["D10"].representative
-    reps = [d.cosets[0] for d in product_type_family([M], 2)]
+    reps = [d.cosets[0] for d in product_type_family([M], 2, coset_minima([M]))]
     assert len(reps) == 6
     assert reps[0] == 0
     seen = set()
@@ -316,13 +317,18 @@ def test_box_kernel_matches_masks(oracle_grid, group, m, seed, with_socle, drop)
         descs += random_descriptors(cg, m, int(rng.integers(0, 3)), rng)
     socle = prime_factors(m) if with_socle else []
 
+    # the masks come from the oracle's composed sides, not from box_luts
+    minima = coset_minima(list(dict.fromkeys(d.M for d in descs)))
     expected_witness = None
     for shift in range(m):
-        masks = [product_type_mask(ctx, d, grid, shift) for d in descs]
+        masks = [
+            np.logical_and.reduce([side[a][grid[:, a]] for a in range(m)])
+            for side in box_sides(ctx, descs, shift) > 0
+        ]
         counts = np.zeros(grid.shape[0], dtype=np.int64)
         for mask in masks:
             counts += mask
-        luts = box_luts(ctx, descs, shift)
+        luts = box_luts(ctx, descs, shift, minima)
         assert np.array_equal(box_coverage(luts), counts)
         target = rng.random(grid.shape[0]) < rng.random()
         assert box_target_counts(luts, target).tolist() == [
@@ -335,6 +341,53 @@ def test_box_kernel_matches_masks(oracle_grid, group, m, seed, with_socle, drop)
                 expected_witness = WreathElement(row, shift)
     ok, witness = verify_wreath_cover(ctx, descs, socle)
     assert witness == expected_witness and ok == (witness is None)
+
+
+@pytest.mark.parametrize(
+    "group,m",
+    [("A5", m) for m in (1, 2, 3, 4)] + [("PSL(2,7)", m) for m in (1, 2, 3)] + [("A6", 2)],
+)
+def test_box_luts_match_composed_sides(group, m):
+    # every side at every shift, against the oracle's Perm products: the
+    # constructive family on its canonical cosets, the same members on raw
+    # coset ids (a random element of each coset), and no descriptor at all
+    cg = load_group(group)
+    g = cg.table
+    ctx = WreathContext(g, m)
+    family, _ = construct_product_cover(g, _min_cover(cg), m)
+    rng = np.random.default_rng(m)
+    raw = [
+        ProductTypeDescriptor(d.M, tuple(int(rng.choice(g.mul_many(d.M.member_ids, c))) for c in d.cosets))
+        for d in family
+    ]
+    assert m == 1 or raw != family
+    minima = coset_minima(list(dict.fromkeys(d.M for d in family)))
+    for shift in range(m):
+        expect = box_sides(ctx, family, shift)
+        assert np.array_equal(box_luts(ctx, family, shift, minima), expect), shift
+        assert np.array_equal(box_luts(ctx, raw, shift, minima), expect), shift
+        assert box_luts(ctx, [], shift, minima).shape == (0, m, g.order)
+
+
+@pytest.mark.parametrize("group", ["A5", "A6"])
+def test_m2_verification_composes_no_side(group, monkeypatch):
+    # at m = 2 the socle covers shift 0, and both sides at shift 1 are
+    # cosets read off the table, so no image row is looked up, and a
+    # family one member short still yields its witness the same way
+    cg = load_group(group)
+    cover = _min_cover(cg)
+    minima = coset_minima(cover)
+    descs, socle = construct_product_cover(cg.table, cover, 2, minima)
+    assert socle == [2]
+    ctx = WreathContext(cg.table, 2)
+
+    def no_lookup(self, rows):
+        raise AssertionError("verify_wreath_cover looked up an image row")
+
+    monkeypatch.setattr(GroupTable, "ids", no_lookup)
+    assert verify_wreath_cover(ctx, descs, socle, minima=minima) == (True, None)
+    ok, witness = verify_wreath_cover(ctx, descs[1:], socle, minima=minima)
+    assert not ok and witness.shift == 1
 
 
 def test_a5_wr_c4_constructive_cover(a5, monkeypatch):
@@ -381,9 +434,12 @@ def test_coset_minima_match_one_coset_at_a_time(batch):
     cached = (set(g._right_maps), set(g._conj_maps))
     table = coset_minima(members)
     assert (set(g._right_maps), set(g._conj_maps)) == cached  # no per-table map is made
-    assert table.shape == (len(members), g.order)
-    family = product_type_family(members, 2)
-    for M, row in zip(members, table):
+    # one row per distinct member, in first-seen order
+    assert list(table) == list(dict.fromkeys(members))
+    assert {row.shape for row in table.values()} == {(g.order,)}
+    family = product_type_family(members, 2, table)
+    for M in members:
+        row = table[M]
         reps = coset_representatives(M)
         for r in reps:
             assert (row[g.mul_many(M.member_ids, r)] == r).all()
