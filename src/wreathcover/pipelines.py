@@ -25,7 +25,7 @@ import numpy as np
 
 from . import InputError, catalog, formulas
 from .cover import build_instance, sigma_exact, sigma_greedy, verify_cover
-from .groups import GroupTable, SubgroupClass, SubgroupHandle, member_mask
+from .groups import GroupTable, SubgroupClass, member_mask
 from .lattice import ORDER_CAP, all_subgroup_classes, maximal_classes_from_lattice
 from .perm import Perm
 from .unbeat import (
@@ -40,6 +40,7 @@ from .unbeat import (
 )
 from .wreath import (
     AUTO_EXPLICIT_LIMIT,
+    CosetMinima,
     ProductTypeDescriptor,
     WreathContext,
     construct_product_cover,
@@ -383,7 +384,7 @@ _CYCLES_RE = re.compile(r"\(\)|(?:\(\d+(?: \d+)*\))+")
 
 def parse_descriptor_lines(
     cg: catalog.CatalogGroup, lines: Sequence[str], m: int
-) -> tuple[list[ProductTypeDescriptor], list[int], dict[SubgroupHandle, np.ndarray]]:
+) -> tuple[list[ProductTypeDescriptor], list[int], CosetMinima]:
     """Read a serialized family back: (descriptors, socle primes, the
     ``coset_minima`` table over the descriptors' subgroups).  Lines are
     parsed up to the first bad one; each distinct cycle string is parsed,

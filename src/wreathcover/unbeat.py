@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .cover import verify_cover_handles
 from .formulas import alpha, prime_factors, smallest_prime_factor
 from .groups import GroupTable, SubgroupClass, SubgroupHandle, conjugates_holding, member_mask
 from .wreath import (
+    CosetMinima,
     ProductTypeDescriptor,
     WreathContext,
     box_coverage,
@@ -394,7 +395,7 @@ def check_definitely_unbeatable_group(
 
 
 def _labelled_products(
-    classes: Sequence[SubgroupClass], m: int, minima: Mapping[SubgroupHandle, np.ndarray]
+    classes: Sequence[SubgroupClass], m: int, minima: CosetMinima
 ) -> list[tuple[str, ProductTypeDescriptor]]:
     """The product-type family over every conjugate of the given classes,
     each member labelled ``base[i][c_2, ..., c_m]`` by its first slot and

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,6 +83,8 @@ EXPLICIT_CAP = 10**8
 AUTO_EXPLICIT_LIMIT = 10**7
 # image rows composed, and table entries compared, at a time by ``box_luts``
 ROW_CHUNK = 2**15
+# a request's coset-minimum table: each member's row of right-coset minima
+CosetMinima = dict[SubgroupHandle, np.ndarray]
 
 
 def explicit_size(S: GroupTable, m: int) -> int:
@@ -156,7 +158,7 @@ def box_luts(
     ctx: WreathContext,
     descriptors: Sequence[ProductTypeDescriptor],
     shift: int,
-    minima: Mapping[SubgroupHandle, np.ndarray],
+    minima: CosetMinima,
 ) -> np.ndarray:
     """The coordinate rows of every descriptor at one shift, stacked as a
     (D, m, |S|) float64 0/1 array: row (d, a) is g[a]^{-1} M g[a+shift].
@@ -183,11 +185,11 @@ def box_luts(
     if shift:
         read[m - shift] = (table[:, S.inv], gs[:, m - shift])
     step = max(1, ROW_CHUNK // n)
-    for a, (rows, at) in read.items():
+    for a, (labels, at) in read.items():
         label = table[row_of, at]
         for lo in range(0, len(descriptors), step):
             part = slice(lo, lo + step)
-            np.equal(rows[row_of[part]], label[part, None], out=out[part, a])
+            np.equal(labels[row_of[part]], label[part, None], out=out[part, a])
     composed = [a for a in range(1, m) if a + shift != m]
     if not composed:
         return out
@@ -262,7 +264,7 @@ def box_target_counts(luts: np.ndarray, target: np.ndarray) -> np.ndarray:
 # -- the product-type family and the constructive cover ---------------------------
 
 
-def coset_minima(members: Sequence[SubgroupHandle]) -> dict[SubgroupHandle, np.ndarray]:
+def coset_minima(members: Sequence[SubgroupHandle]) -> CosetMinima:
     """The coset-minimum table of subgroups of one S, keyed by member:
     entry x of M's row is the least id of the right coset M*x, in the
     narrowest unsigned type that holds an id.  A request makes one table,
@@ -299,9 +301,7 @@ def coset_minima(members: Sequence[SubgroupHandle]) -> dict[SubgroupHandle, np.n
 
 
 def product_type_family(
-    members: Sequence[SubgroupHandle],
-    m: int,
-    minima: Mapping[SubgroupHandle, np.ndarray],
+    members: Sequence[SubgroupHandle], m: int, minima: CosetMinima
 ) -> list[ProductTypeDescriptor]:
     """Every product-type subgroup over each member M, in member order: one
     per tuple of m-1 right cosets of M, the tuples in lexicographic order of
@@ -323,10 +323,7 @@ def wreath_cover_upper_term(members: Sequence[SubgroupHandle], m: int) -> int:
 
 
 def construct_product_cover(
-    S: GroupTable,
-    cover: Sequence[SubgroupHandle],
-    m: int,
-    minima: Mapping[SubgroupHandle, np.ndarray] | None = None,
+    S: GroupTable, cover: Sequence[SubgroupHandle], m: int, minima: CosetMinima | None = None
 ) -> tuple[list[ProductTypeDescriptor], list[int]]:
     """The constructive covering family for S wr C_m from a covering of S:
     ``product_type_family`` over the cover plus the alpha(m) socle-containing
@@ -348,7 +345,7 @@ def verify_wreath_cover(
     descriptors: Sequence[ProductTypeDescriptor],
     socle: Sequence[int],
     threads: int = 1,
-    minima: Mapping[SubgroupHandle, np.ndarray] | None = None,
+    minima: CosetMinima | None = None,
 ) -> tuple[bool, WreathElement | None]:
     """Check that every element of S wr C_m lies in some family member;
     returns (ok, first uncovered witness in shift-major, row-major order).
