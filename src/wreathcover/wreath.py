@@ -275,12 +275,14 @@ def coset_minima(members: Sequence[SubgroupHandle]) -> CosetMinima:
     ``orbit_minima`` runs over the members side by side: point x of member
     r is r*|S| + x, and a member with fewer generators than the most steps
     through the identity.  As in ``groups.closures``, members go
-    CLOSURE_BUDGET // |S| at a time, and so do the left maps."""
+    CLOSURE_BUDGET // |S| at a time; each product of left maps gathers at
+    most CLOSURE_BUDGET image entries, so its temporaries stay small."""
     if not members:
         return {}
     S = members[0].parent
     n = S.order
     step = max(1, CLOSURE_BUDGET // n)
+    per = max(1, step // S.degree)  # generators per product of left maps
     table = np.empty((len(members), n), dtype=np.min_scalar_type(n - 1))
     for lo in range(0, len(members), step):
         gens = [[x for x in M.generators if x != 0] for M in members[lo : lo + step]]
@@ -288,10 +290,9 @@ def coset_minima(members: Sequence[SubgroupHandle]) -> CosetMinima:
         owner = np.array([r for r, s in enumerate(gens) for _ in s], dtype=np.int64)
         slot = np.array([j for s in gens for j in range(len(s))], dtype=np.int64)
         flat = np.array([x for s in gens for x in s], dtype=np.int64)
-        # a batch's left maps, step at a time to bound the products' temporaries
         left = np.concatenate([
             S.mul_many(np.repeat(part, n), np.tile(np.arange(n), part.shape[0]))
-            for part in np.split(flat, range(step, flat.shape[0], step))
+            for part in np.split(flat, range(per, flat.shape[0], per))
         ])
         moves = np.tile(np.arange(rows * n), (max(map(len, gens)) or 1, 1))
         moves.reshape(-1, rows, n)[slot, owner] = left.reshape(-1, n) + owner[:, None] * n
