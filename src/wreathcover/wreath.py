@@ -275,14 +275,13 @@ def coset_minima(members: Sequence[SubgroupHandle]) -> CosetMinima:
     ``orbit_minima`` runs over the members side by side: point x of member
     r is r*|S| + x, and a member with fewer generators than the most steps
     through the identity.  As in ``groups.closures``, members go
-    CLOSURE_BUDGET // |S| at a time; each product of left maps gathers at
-    most CLOSURE_BUDGET image entries, so its temporaries stay small."""
+    CLOSURE_BUDGET // |S| at a time, and so do the generators of one
+    product of left maps, which bounds its temporaries."""
     if not members:
         return {}
     S = members[0].parent
     n = S.order
     step = max(1, CLOSURE_BUDGET // n)
-    per = max(1, step // S.degree)  # generators per product of left maps
     table = np.empty((len(members), n), dtype=np.min_scalar_type(n - 1))
     for lo in range(0, len(members), step):
         gens = [[x for x in M.generators if x != 0] for M in members[lo : lo + step]]
@@ -292,7 +291,7 @@ def coset_minima(members: Sequence[SubgroupHandle]) -> CosetMinima:
         flat = np.array([x for s in gens for x in s], dtype=np.int64)
         left = np.concatenate([
             S.mul_many(np.repeat(part, n), np.tile(np.arange(n), part.shape[0]))
-            for part in np.split(flat, range(per, flat.shape[0], per))
+            for part in np.split(flat, range(step, flat.shape[0], step))
         ])
         moves = np.tile(np.arange(rows * n), (max(map(len, gens)) or 1, 1))
         moves.reshape(-1, rows, n)[slot, owner] = left.reshape(-1, n) + owner[:, None] * n
