@@ -186,10 +186,10 @@ def box_luts(
         read[m - shift] = (table[:, S.inv], gs[:, m - shift])
     step = max(1, ROW_CHUNK // n)
     for a, (labels, at) in read.items():
-        label = table[row_of, at]
+        coset = table[row_of, at]  # each descriptor's coset label
         for lo in range(0, len(descriptors), step):
             part = slice(lo, lo + step)
-            np.equal(labels[row_of[part]], label[part, None], out=out[part, a])
+            np.equal(labels[row_of[part]], coset[part, None], out=out[part, a])
     composed = [a for a in range(1, m) if a + shift != m]
     if not composed:
         return out

@@ -356,10 +356,10 @@ def test_box_luts_match_composed_sides(group, m):
     ctx = WreathContext(g, m)
     family, _ = construct_product_cover(g, _min_cover(cg), m)
     rng = np.random.default_rng(m)
-    raw = [
-        ProductTypeDescriptor(d.M, tuple(int(rng.choice(g.mul_many(d.M.member_ids, c))) for c in d.cosets))
-        for d in family
-    ]
+    def raw_id(M, c):
+        return int(rng.choice(g.mul_many(M.member_ids, c)))
+
+    raw = [ProductTypeDescriptor(d.M, tuple(raw_id(d.M, c) for c in d.cosets)) for d in family]
     assert m == 1 or raw != family
     minima = coset_minima(list(dict.fromkeys(d.M for d in family)))
     for shift in range(m):
