@@ -428,6 +428,22 @@ def test_repeated_member_line_is_refused(a5_m2_family, tmp_path, capsys):
         _refused_family(tmp_path, capsys, [*a5_m2_family, extra], extra)
 
 
+def test_member_named_through_two_conjugators_is_refused(tmp_path, capsys):
+    # (3 4 5) lies in the A4 representative, so both lines name one
+    # subgroup on one coset: members are told apart by subgroup, not by
+    # their (class, conj) names
+    from wreathcover.perm import Perm
+    from wreathcover.pipelines import load_group
+
+    A4 = load_group("A5").classes_by_label()["A4"].representative
+    assert A4.conjugate(A4.parent.id_of(Perm.from_cycles("(3 4 5)", 5))) == A4
+    lines = [
+        "product-type{group=A5, class=A4, conj=(), cosets=[()]}",
+        "product-type{group=A5, class=A4, conj=(3 4 5), cosets=[()]}",
+    ]
+    _refused_family(tmp_path, capsys, lines, lines[1])
+
+
 @pytest.mark.parametrize("command", ["verify-unbeatable", "wreath-bounds"])
 def test_empty_family_exits_2(command, capsys):
     # an empty label list is a usage error at every m, not a failed check;

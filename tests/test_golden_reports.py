@@ -155,6 +155,13 @@ GOLDEN = [
         "7625bee5982344372bb4c187e8f7dae7b653a8d934050a9d303e292b7da4d9a3",
     ),
     (
+        # S3 meets no element of order 5, so the U1 witness is a
+        # product-type member, the first over S3
+        "verify-unbeatable A5 --sigma-spec orders:5 --families D10,S3 -m 2 --mode explicit",
+        1,
+        "83dfb33b442c75e47fc6b78a8f1e0f928edd86f741d4b9404c7289d9ae0ca327",
+    ),
+    (
         # ties on both sides of C5: A5 and PSL(2,5) both reach 1,200 outside,
         # S4 and S4' both 192 inside; the first in class order is named
         "verify-unbeatable A6 --sigma-spec orders:3 --families S4,S4' -m 2",

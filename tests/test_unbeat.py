@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -481,6 +482,28 @@ def test_product_type_members_are_canonical(a5, psl7, m):
         for d in members:
             made = ProductTypeDescriptor(d.M, tuple(coset_minimum(d.M, c) for c in d.cosets))
             assert d == made
+
+
+@pytest.mark.parametrize(
+    "group, families, m, digest",
+    [
+        ("A5", "D10,S3", 2, "c6c62b4cb5eb6c32c99e99c5f877773349ba296cf0fc02c1bdd88740858ba1ba"),
+        ("A5", "D10,S3", 3, "89c26c28e7d866c60986354d48650c0924520a5fe3179f6b19a58680286e7979"),
+        ("PSL(2,7)", "7:3,S4", 2, "c72ba9e7fb2a7999a564f316de22361949615bc5649a6a92b5353de286b8c13c"),
+    ],
+)
+def test_member_labels_are_pinned(group, families, m, digest):
+    # every label of the family over the given classes and of the sweep over
+    # the other maximal classes, joined by newlines in family order; the
+    # golden reports name only a few of them
+    cg = load_group(group)
+    seed = [cg.classes_by_label()[label] for label in families.split(",")]
+    outside = [cls for cls in cg.maximal_classes if cls not in seed]
+    labels = []
+    for classes in (seed, outside):
+        minima = coset_minima([M for cls in classes for M in cls.conjugates])
+        labels += [label for label, _ in unbeat._labelled_products(classes, m, minima)]
+    assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == digest
 
 
 def test_mutation_breaks_cover_condition(a5, monkeypatch):
