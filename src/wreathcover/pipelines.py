@@ -40,8 +40,7 @@ from .unbeat import (
 )
 from .wreath import (
     AUTO_EXPLICIT_LIMIT,
-    CosetMinima,
-    ProductTypeDescriptor,
+    ProductTypeFamily,
     WreathContext,
     construct_product_cover,
     coset_minima,
@@ -344,13 +343,11 @@ def psl_report(p: int, m: int) -> dict:
 
 
 def descriptor_lines(
-    cg: catalog.CatalogGroup,
-    descriptors: Sequence[ProductTypeDescriptor],
-    socle: Sequence[int],
+    cg: catalog.CatalogGroup, family: ProductTypeFamily, socle: Sequence[int]
 ) -> list[str]:
     """Serialize a wreath covering family: one line per member,
     product-type{...} or socle{r} for each socle maximal's prime r.  Each
-    run of descriptors over one subgroup shares its line head, and each
+    run of members over one subgroup shares its line head, and each
     distinct element id is rendered once."""
     g = cg.table
     # every maximal conjugate's class label and conjugator, by its key
@@ -361,12 +358,14 @@ def descriptor_lines(
     }
     cycles = functools.cache(lambda x: g.perm(x).to_cycle_string())
     lines = []
-    for M, run in itertools.groupby(descriptors, key=lambda d: d.M):
-        if M.canonical_key not in found:
+    members = zip(family.owner.tolist(), family.cosets.tolist())
+    for r, run in itertools.groupby(members, key=lambda member: member[0]):
+        key = family.subgroups[r].canonical_key
+        if key not in found:
             raise ValueError("descriptor subgroup is not in the maximal catalog")
-        label, conj = found[M.canonical_key]
+        label, conj = found[key]
         head = f"product-type{{group={cg.spec.name}, class={label}, conj={cycles(conj)}, cosets=["
-        lines.extend(head + ", ".join(map(cycles, d.cosets)) + "]}" for d in run)
+        lines.extend(head + ", ".join(map(cycles, cosets)) + "]}" for _, cosets in run)
     for r in socle:
         lines.append(f"socle{{{r}}}")
     return lines
@@ -384,12 +383,12 @@ _CYCLES_RE = re.compile(r"\(\)|(?:\(\d+(?: \d+)*\))+")
 
 def parse_descriptor_lines(
     cg: catalog.CatalogGroup, lines: Sequence[str], m: int
-) -> tuple[list[ProductTypeDescriptor], list[int], CosetMinima]:
-    """Read a serialized family back: (descriptors, socle primes, the
-    ``coset_minima`` table over the descriptors' subgroups).  Lines are
-    parsed up to the first bad one; each distinct cycle string is parsed,
-    and each (class, conj) conjugated, once.  The product-type lines'
-    cosets are then canonicalized from the table, and repeated members are
+) -> tuple[ProductTypeFamily, list[int]]:
+    """Read a serialized family back: (the product-type family, socle
+    primes).  Lines are parsed up to the first bad one; each distinct cycle
+    string is parsed, and each (class, conj) conjugated, once.  The
+    family's subgroups are the distinct conjugates named, and its cosets
+    are canonicalized from its coset table; repeated members are then
     refused in line order, before the bad line's error."""
     g = cg.table
     by_label = cg.classes_by_label()
@@ -427,24 +426,30 @@ def parse_descriptor_lines(
         except InputError as exc:
             failure = exc
             break
-    minima = coset_minima(list(subgroups.values()))
-    descriptors, socle = [], []
-    seen: set = set()  # every descriptor and socle prime so far
+    # one row per subgroup: two (class, conj) names may name one conjugate
+    rows: dict = {}
+    row_of = {key: rows.setdefault(M, len(rows)) for key, M in subgroups.items()}
+    minima = coset_minima(list(rows))
+    owner, cosets, socle = [], [], []
+    seen: set = set()  # every member as (row, *coset minima), and every socle prime
     for line, entry in entries:
         if isinstance(entry, int):
             member = entry
             socle.append(member)
         else:
-            key, cosets = entry
-            M = subgroups[key]
-            member = ProductTypeDescriptor(M, tuple(minima[M][cosets].tolist()))
-            descriptors.append(member)
+            key, ids = entry
+            r = row_of[key]
+            member = (r, *minima[r][ids].tolist())
+            owner.append(r)
+            cosets.append(member[1:])
         if member in seen:
             raise InputError(f"{line!r}: names a member of an earlier line again")
         seen.add(member)
     if failure is not None:
         raise failure
-    return descriptors, socle, minima
+    owner = np.array(owner, dtype=np.int64)
+    cosets = np.array(cosets, dtype=np.int64).reshape(owner.shape[0], m - 1)
+    return ProductTypeFamily(list(rows), minima, owner, cosets), socle
 
 
 def construct_cover_report(source: str, m: int, cover_method: str = "exact") -> dict:
@@ -467,16 +472,15 @@ def construct_cover_report(source: str, m: int, cover_method: str = "exact") -> 
         raise InputError(f"no covering of {source}: {cert.kind}")
     label_to_handle = dict(zip(inst.labels, inst.handles))
     N = [label_to_handle[lab] for lab in cert.chosen]
-    minima = coset_minima(N)
-    descriptors, socle = construct_product_cover(g, N, m, minima)
-    ok, witness = verify_wreath_cover(ctx, descriptors, socle, minima=minima)
+    family, socle = construct_product_cover(g, N, m)
+    ok, witness = verify_wreath_cover(ctx, family, socle)
     report = {
         "group": cg.spec.name,
         "m": m,
         "base_cover": cert.to_dict(),
-        "family_count": len(descriptors) + len(socle),
+        "family_count": len(family.owner) + len(socle),
         "expected_count": wreath_cover_upper_term(N, m),
-        "members": descriptor_lines(cg, descriptors, socle),
+        "members": descriptor_lines(cg, family, socle),
         "verified": ok,
     }
     if witness is not None:
@@ -493,12 +497,12 @@ def verify_cover_report(
     """Check a serialized wreath covering family against every element."""
     cg = load_group(source)
     ctx = WreathContext(cg.table, m)
-    descriptors, socle, minima = parse_descriptor_lines(cg, member_lines, m)
-    ok, witness = verify_wreath_cover(ctx, descriptors, socle, minima=minima)
+    family, socle = parse_descriptor_lines(cg, member_lines, m)
+    ok, witness = verify_wreath_cover(ctx, family, socle)
     report = {
         "group": cg.spec.name,
         "m": m,
-        "members": len(descriptors) + len(socle),
+        "members": len(family.owner) + len(socle),
         "covered": ok,
     }
     if witness is not None:

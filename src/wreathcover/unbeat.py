@@ -21,8 +21,10 @@ members hold each element, gives C2, C3 and the strand layer's unions.
   |H| exactly, which lower-bounds the covering number of the whole group.
 
 The family H of S wr C_m is the product-type family over the seed
-classes' members plus the socle maximals; ``wreath.product_type_family``
-generates it and ``wreath.wreath_cover_upper_term`` counts it.
+classes' members plus the socle maximals.  ``wreath.product_type_family``
+makes its product-type part as one ``wreath.ProductTypeFamily`` record,
+which carries its own coset table, and ``wreath.wreath_cover_upper_term``
+counts it.
 
 U4 is that last condition, one rule at every m.  At m = 1 the target is
 the seed, so U1-U3 are C1-C3, read off the seed report with the member
@@ -38,8 +40,10 @@ At m >= 2 explicit mode enumerates the target in a
 makes one pass over the target's shifts, ascending: at each it counts the
 family's target hits and coverage (the socle maximals add whole layers),
 keeps the first U2 and U3 witness rows, then counts the target hits of the
-outsider sweep, the same generator over the maximal classes outside the
-family.
+outsider sweep, a second record from the same generator over the maximal
+classes outside the family.  A member is an index into its record, and
+only the members a report names, the first empty member (U1) and the
+largest outsider (U4), get a label.
 Symbolic mode certifies the first three conditions by the constructive
 coset argument and the fourth by the C5 arithmetic; it assumes the
 trichotomy that a maximal subgroup of S wr C_m contains the socle, is of
@@ -59,13 +63,11 @@ from .cover import verify_cover_handles
 from .formulas import alpha, prime_factors, smallest_prime_factor
 from .groups import GroupTable, SubgroupClass, SubgroupHandle, conjugates_holding, member_mask
 from .wreath import (
-    CosetMinima,
-    ProductTypeDescriptor,
+    ProductTypeFamily,
     WreathContext,
     box_coverage,
     box_luts,
     box_target_counts,
-    coset_minima,
     product_type_family,
     wreath_cover_upper_term,
 )
@@ -394,18 +396,17 @@ def check_definitely_unbeatable_group(
     )
 
 
-def _labelled_products(
-    classes: Sequence[SubgroupClass], m: int, minima: CosetMinima
-) -> list[tuple[str, ProductTypeDescriptor]]:
-    """The product-type family over every conjugate of the given classes,
-    each member labelled ``base[i][c_2, ..., c_m]`` by its first slot and
-    its coset minima.  One family call makes it, off the request's
-    ``coset_minima`` table; the family runs member by member, |S:M|^(m-1)
-    descriptors each."""
-    slots = [(cls.base_label, i, M) for cls in classes for i, M in enumerate(cls.conjugates)]
-    owners = [(base, i) for base, i, M in slots for _ in range(M.index ** (m - 1))]
-    family = product_type_family([M for *_, M in slots], m, minima)
-    return [(f"{base}[{i}]{list(d.cosets)}", d) for (base, i), d in zip(owners, family)]
+def _member_label(classes: Sequence[SubgroupClass], family: ProductTypeFamily, j: int) -> str:
+    """Member j of the family over every conjugate of the classes, in class
+    order, labelled ``base[i][c_2, ..., c_m]`` by its first slot, conjugate
+    i of class base, and its coset minima.  Only the members a report
+    names are labelled."""
+    i = int(family.owner[j])
+    for cls in classes:
+        if i < cls.class_size:
+            return f"{cls.base_label}[{i}]{family.cosets[j].tolist()}"
+        i -= cls.class_size
+    raise IndexError(j)
 
 
 def _target_masks(inst: SeedInstance, grid: np.ndarray) -> dict[int, np.ndarray]:
@@ -444,26 +445,21 @@ def check_definitely_unbeatable_wreath(inst: SeedInstance) -> UnbeatabilityRepor
     S, m = inst.S, inst.m
     ctx = WreathContext(S, m)
     grid = ctx.base_grid()
-    # one coset-minimum table over the family's and the sweep's members
     outside = inst.outside_classes()
-    minima = coset_minima([M for cls in (*inst.seed_classes, *outside) for M in cls.conjugates])
-    family = _labelled_products(inst.seed_classes, m, minima)
-    products = [d for _, d in family]
+    family = product_type_family([M for cls in inst.seed_classes for M in cls.conjugates], m)
+    sweep = product_type_family([M for cls in outside for M in cls.conjugates], m)
     socle = prime_factors(m)
-    labels = [lab for lab, _ in family] + [f"socle[{r}]" for r in socle]
-    n_products = len(products)
-    sweep = _labelled_products(outside, m, minima)
-    outsiders = [d for _, d in sweep]
+    n_products = len(family.owner)
 
     # products are counted as boxes, socle maximals as whole shift layers
-    member_counts = np.zeros(len(labels), dtype=np.int64)
-    outsider_counts = np.zeros(len(outsiders), dtype=np.int64)
+    member_counts = np.zeros(n_products + len(socle), dtype=np.int64)
+    outsider_counts = np.zeros(len(sweep.owner), dtype=np.int64)
     target_size = 0
     witnesses: dict[str, dict] = {}  # condition -> its first failing row
     for shift, tmask in _target_masks(inst, grid).items():
         layer_size = int(tmask.sum())
         target_size += layer_size
-        luts = box_luts(ctx, products, shift, minima)
+        luts = box_luts(ctx, family, shift)
         member_counts[:n_products] += box_target_counts(luts, tmask)
         counts = box_coverage(luts)
         del luts  # the outsiders' rows come next; never hold both
@@ -475,15 +471,23 @@ def check_definitely_unbeatable_wreath(inst: SeedInstance) -> UnbeatabilityRepor
             rows = np.flatnonzero(tmask & bad)
             if rows.shape[0] and name not in witnesses:
                 witnesses[name] = {"shift": shift, "base": grid[rows[0]].tolist()}
-        outsider_counts += box_target_counts(box_luts(ctx, outsiders, shift, minima), tmask)
+        outsider_counts += box_target_counts(box_luts(ctx, sweep, shift), tmask)
 
     empty = np.flatnonzero(member_counts == 0)
-    empty_witness = labels[int(empty[0])] if empty.shape[0] else None
-    member_min = int(member_counts.min()) if labels else 0
+    empty_witness = None
+    if empty.shape[0]:
+        j = int(empty[0])  # products first, then the socle maximals
+        empty_witness = (
+            _member_label(inst.seed_classes, family, j)
+            if j < n_products
+            else f"socle[{socle[j - n_products]}]"
+        )
+    member_min = int(member_counts.min()) if member_counts.shape[0] else 0
     outsider_max, outsider_label = 0, None
-    if outsiders and outsider_counts.max() > 0:
+    if outsider_counts.shape[0] and outsider_counts.max() > 0:
         best = int(np.argmax(outsider_counts))  # first maximum, in sweep order
-        outsider_max, outsider_label = int(outsider_counts[best]), sweep[best][0]
+        outsider_max = int(outsider_counts[best])
+        outsider_label = _member_label(outside, sweep, best)
 
     diag_bound = diagonal_term(S.order, m)
     u4_by_count = outsider_max <= member_min
@@ -515,7 +519,7 @@ def check_definitely_unbeatable_wreath(inst: SeedInstance) -> UnbeatabilityRepor
     return UnbeatabilityReport(
         mode="explicit-wreath",
         conditions=results,
-        family_size=len(labels),
+        family_size=member_counts.shape[0],
         target_size=target_size,
         member_min_count=member_min,
         outsider_max={"count": outsider_max, "member": outsider_label},

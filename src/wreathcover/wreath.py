@@ -19,8 +19,8 @@ implementation.  At a fixed shift k it constrains each coordinate on its
 own, so a product-type member is a box A_0 x ... x A_{m-1} with sides
 A_a = g[a]^{-1} M g[a+k].  Two sides are cosets of M, A_0 = M g[k] and,
 for k > 0, A_{m-k} = g[m-k]^{-1} M (at k = 0 both are M): ``box_luts``
-reads them off the request's coset-minimum table and composes only the
-others on image rows, so at m = 2, where the socle covers shift 0, cover
+reads them off the family's coset table and composes only the others on
+image rows, so at m = 2, where the socle covers shift 0, cover
 verification looks up no image row.  It stacks the sides of D members as
 0/1 rows L[d, a, :].  The number of members containing a base tuple x is
 sum_d prod_a L[d, a, x_a]: over the last two coordinates that is one matrix
@@ -30,20 +30,21 @@ only the boxes that admit it (``box_coverage``, ``first_uncovered``).
 followed by one contraction per remaining coordinate
 (``box_target_counts``).  Cover verification and explicit unbeatability
 count this way and never build the |S|^m grid per member;
-``product_type_mask`` reads one member's sides over a given grid.  The
+``product_type_mask`` reads the members' sides over a given grid.  The
 ground truth for all of it, the normalizer of the explicit product subgroup
 on n*m points, lives with the tests (``tests/oracles.py``).
 
-The product-type family: over each member M of a cover of S there is one
-product-type subgroup per tuple of m-1 right cosets of M, |S:M|^(m-1) of
-them (``product_type_family``), and with the alpha(m) socle maximals they
-number ``wreath_cover_upper_term``.  Coset minima come from one table per
-request, ``coset_minima``: one batched pass over all members, whose rows
-the family's coset representatives, a family file's descriptors and the
-coset sides of ``box_luts`` all read.  The request passes it from call to
-call and drops it when it returns; nothing caches it.  The constructive
-cover, the explicit unbeatability family and its outsider sweep all come
-from that generator.
+A product-type family is one record, ``ProductTypeFamily``: its distinct
+subgroups M, their ``coset_minima`` rows as one array, and for each member
+the index of its subgroup and its m-1 coset minima.  Over each member M of
+a cover of S there is one product-type subgroup per tuple of m-1 right
+cosets of M, |S:M|^(m-1) of them (``product_type_family``), and with the
+alpha(m) socle maximals they number ``wreath_cover_upper_term``.  A family
+makes its coset table once, in one batched pass over its subgroups, and
+carries it: the family's coset representatives, a family file's cosets and
+the coset sides of ``box_luts`` all read it, and it goes with the family.
+The constructive cover, the explicit unbeatability family and its outsider
+sweep all come from ``product_type_family``.
 A socle maximal is named by its prime r, a prime divisor of m: it is the
 preimage of the index-r subgroup of C_m, the elements whose shift r divides.
 """
@@ -83,8 +84,6 @@ EXPLICIT_CAP = 10**8
 AUTO_EXPLICIT_LIMIT = 10**7
 # image rows composed, and table entries compared, at a time by ``box_luts``
 ROW_CHUNK = 2**15
-# a request's coset-minimum table: each member's row of right-coset minima
-CosetMinima = dict[SubgroupHandle, np.ndarray]
 
 
 def explicit_size(S: GroupTable, m: int) -> int:
@@ -119,87 +118,83 @@ class WreathContext:
 # -- product-type subgroups ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductTypeDescriptor:
-    """The normalizer of M x M^{g_2} x ... x M^{g_m}: a maximal subgroup M of
-    S in the first slot plus m-1 coset labels (g_1 = identity implicitly).
+@dataclass(eq=False)
+class ProductTypeFamily:
+    """Product-type subgroups of S wr C_m, the normalizers of
+    M x M^{g_2} x ... x M^{g_m}, and the coset table they are read off.
 
-    Coset entries are canonicalized to the minimum element id of M*g_i, so
-    two descriptors denote the same subgroup exactly when they compare equal
-    (M compares by its members, through ``SubgroupHandle``).
-    ``product_type_family`` builds them in that form, and a descriptor read
-    from outside takes its coset minima from M's row of ``coset_minima``.
+    Member d has M = subgroups[owner[d]] in the first slot (g_1 = identity
+    implicitly) and cosets[d] = (g_2, ..., g_m), each the least id of its
+    right coset M*g_i, so two members denote the same subgroup exactly when
+    their subgroups and their cosets rows agree.  ``subgroups`` are
+    distinct, and row r of ``minima`` is subgroups[r]'s ``coset_minima``
+    row; ``box_luts`` reads the coset sides off it.
     """
 
-    M: SubgroupHandle
-    cosets: tuple[int, ...]
+    subgroups: list[SubgroupHandle]
+    minima: np.ndarray  # (len(subgroups), |S|)
+    owner: np.ndarray  # (D,) int64
+    cosets: np.ndarray  # (D, m - 1) int64
 
 
 def product_type_mask(
-    ctx: WreathContext, d: ProductTypeDescriptor, base_grid: np.ndarray, shift: int
+    ctx: WreathContext, family: ProductTypeFamily, base_grid: np.ndarray, shift: int
 ) -> np.ndarray:
-    """Membership of the elements (base_grid[b]; shift) in one member, read
-    off its ``box_luts`` sides, with a one-member ``coset_minima`` table
-    made for the call.
+    """Membership of the elements (base_grid[b]; shift) in each member, as
+    a (D, rows) boolean array read off the ``box_luts`` sides.
 
     No pipeline calls it; it stays here because the benchmark's tracer
     wraps it, and the tests compare it with the normalizer oracle."""
-    luts = box_luts(ctx, [d], shift, coset_minima([d.M]))[0] > 0  # row a: g[a]^{-1} M g[a+shift]
-    mask = np.ones(base_grid.shape[0], dtype=bool)
+    luts = box_luts(ctx, family, shift) > 0  # row (d, a): g[a]^{-1} M g[a+shift]
+    mask = np.ones((luts.shape[0], base_grid.shape[0]), dtype=bool)
     for a in range(ctx.m):
-        mask &= luts[a][base_grid[:, a]]
+        mask &= luts[:, a][:, base_grid[:, a]]
     return mask
 
 
 # -- counting over boxes --------------------------------------------------------
 
 
-def box_luts(
-    ctx: WreathContext,
-    descriptors: Sequence[ProductTypeDescriptor],
-    shift: int,
-    minima: CosetMinima,
-) -> np.ndarray:
-    """The coordinate rows of every descriptor at one shift, stacked as a
+def box_luts(ctx: WreathContext, family: ProductTypeFamily, shift: int) -> np.ndarray:
+    """The coordinate rows of every member at one shift, stacked as a
     (D, m, |S|) float64 0/1 array: row (d, a) is g[a]^{-1} M g[a+shift].
 
-    ``minima`` is the request's ``coset_minima`` table over the members.
-    Two sides are cosets and come off it: a = 0 is the right coset
-    M g[shift], the y with row[y] == row[g[shift]], and for shift > 0
-    a = m - shift is g[a]^{-1} M, the y whose inverse lies in M g[a] (at
-    shift 0 both are M).  They are written in blocks of ROW_CHUNK table
-    entries, each descriptor's row compared with its coset's label, so a
-    coset id need not be a minimum.  The other m - 2 sides (m - 1 at
-    shift 0) are composed on image rows, ROW_CHUNK rows at a time, each
-    by one flat gather from the image table, then packed and looked up."""
+    Two sides are cosets and come off the family's ``minima``: a = 0 is
+    the right coset M g[shift], the y with row[y] == row[g[shift]], and for
+    shift > 0 a = m - shift is g[a]^{-1} M, the y whose inverse lies in
+    M g[a] (at shift 0 both are M).  They are written in blocks of
+    ROW_CHUNK table entries, each member's row compared with its coset's
+    label, so a coset id need not be a minimum.  The other m - 2 sides
+    (m - 1 at shift 0) are composed on image rows, ROW_CHUNK rows at a
+    time, each by one flat gather from the image table, then packed and
+    looked up."""
     S, m, n = ctx.S, ctx.m, ctx.S.order
-    out = np.zeros((len(descriptors), m, n))
-    if not descriptors:
+    table, owner = family.minima, family.owner
+    D = owner.shape[0]
+    out = np.zeros((D, m, n))
+    if not D:
         return out
-    # the members' rows, one lookup per member object
-    slots: dict[int, tuple[int, SubgroupHandle]] = {}
-    row_of = np.array([slots.setdefault(id(d.M), (len(slots), d.M))[0] for d in descriptors])
-    table = np.stack([minima[M] for _, M in slots.values()])
-    gs = np.array([(0, *d.cosets) for d in descriptors])  # (D, m): g_0 = identity
+    gs = np.concatenate([np.zeros((D, 1), dtype=np.int64), family.cosets], axis=1)  # g_0 = identity
     read = {0: (table, gs[:, shift])}
     if shift:
         read[m - shift] = (table[:, S.inv], gs[:, m - shift])
     step = max(1, ROW_CHUNK // n)
     for a, (labels, at) in read.items():
-        coset = table[row_of, at]  # each descriptor's coset label
-        for lo in range(0, len(descriptors), step):
+        coset = table[owner, at]  # each member's coset label
+        for lo in range(0, D, step):
             part = slice(lo, lo + step)
-            np.equal(labels[row_of[part]], coset[part, None], out=out[part, a])
+            np.equal(labels[owner[part]], coset[part, None], out=out[part, a])
     composed = [a for a in range(1, m) if a + shift != m]
     if not composed:
         return out
-    # one stacked row per (composed coordinate a, descriptor d, member x of d.M)
-    sizes = [d.M.size for d in descriptors]
-    owner = np.tile(np.repeat(np.arange(len(descriptors)), sizes), len(composed))
-    coord = np.repeat(composed, sum(sizes))
-    left = S.inv[gs[owner, coord]]
-    right = gs[owner, (coord + shift) % m]
-    x = np.tile(np.concatenate([d.M.member_ids for d in descriptors]), len(composed))
+    # one stacked row per (composed coordinate a, member d, element x of its M)
+    sizes = np.array([M.size for M in family.subgroups])[owner]
+    member = np.tile(np.repeat(np.arange(D), sizes), len(composed))
+    coord = np.repeat(composed, sizes.sum())
+    left = S.inv[gs[member, coord]]
+    right = gs[member, (coord + shift) % m]
+    elements = [M.member_ids for M in family.subgroups]
+    x = np.tile(np.concatenate([elements[r] for r in owner.tolist()]), len(composed))
     # (g^{-1} x h)(q) = g^{-1}(x(h(q))): row y's entry p sits at y*degree + p,
     # and rows go in chunks that bound the gathers' index arrays
     images, degree = S.images.ravel(), S.degree
@@ -208,7 +203,7 @@ def box_luts(
         part = slice(lo, lo + ROW_CHUNK)
         rows = images[x[part, None] * degree + S.images[right[part]]]
         ids[part] = S.ids(images[left[part, None] * degree + rows])
-    out[owner, coord, ids] = 1.0
+    out[member, coord, ids] = 1.0
     return out
 
 
@@ -264,21 +259,21 @@ def box_target_counts(luts: np.ndarray, target: np.ndarray) -> np.ndarray:
 # -- the product-type family and the constructive cover ---------------------------
 
 
-def coset_minima(members: Sequence[SubgroupHandle]) -> CosetMinima:
-    """The coset-minimum table of subgroups of one S, keyed by member:
-    entry x of M's row is the least id of the right coset M*x, in the
-    narrowest unsigned type that holds an id.  A request makes one table,
-    hands it to the family and to ``box_luts`` (which read their cosets
-    and coset sides off it) and drops it when it returns; nothing keeps it
-    beyond that.  M*x is the orbit of x under left multiplication by M's
-    generators, so ``mul_many`` makes every generator's left map and one
-    ``orbit_minima`` runs over the members side by side: point x of member
-    r is r*|S| + x, and a member with fewer generators than the most steps
-    through the identity.  As in ``groups.closures``, members go
-    CLOSURE_BUDGET // |S| at a time, and so do the generators of one
-    product of left maps, which bounds its temporaries."""
+def coset_minima(members: Sequence[SubgroupHandle]) -> np.ndarray:
+    """The coset-minimum table of subgroups of one S, one row per member in
+    order: entry x of a member M's row is the least id of the right coset
+    M*x, in the narrowest unsigned type that holds an id.  A family makes
+    its table once, through ``product_type_family`` or a family file's
+    reader, and carries it; nothing else keeps it.  M*x is the orbit of x
+    under left multiplication by M's generators, so ``mul_many`` makes
+    every generator's left map and one ``orbit_minima`` runs over the
+    members side by side: point x of member r is r*|S| + x, and a member
+    with fewer generators than the most steps through the identity.  As in
+    ``groups.closures``, members go CLOSURE_BUDGET // |S| at a time, and so
+    do the generators of one product of left maps, which bounds its
+    temporaries."""
     if not members:
-        return {}
+        return np.empty((0, 0), dtype=np.uint8)
     S = members[0].parent
     n = S.order
     step = max(1, CLOSURE_BUDGET // n)
@@ -297,23 +292,25 @@ def coset_minima(members: Sequence[SubgroupHandle]) -> CosetMinima:
         moves.reshape(-1, rows, n)[slot, owner] = left.reshape(-1, n) + owner[:, None] * n
         least = orbit_minima(list(moves), rows * n).reshape(rows, n)
         table[lo : lo + rows] = least - (np.arange(rows) * n)[:, None]
-    return dict(zip(members, table))
+    return table
 
 
-def product_type_family(
-    members: Sequence[SubgroupHandle], m: int, minima: CosetMinima
-) -> list[ProductTypeDescriptor]:
-    """Every product-type subgroup over each member M, in member order: one
-    per tuple of m-1 right cosets of M, the tuples in lexicographic order of
-    their ascending coset minima (already the canonical form), read off the
-    request's ``coset_minima`` table, which ``box_luts`` reads again for
-    the members' coset sides."""
-    family = []
-    for M in members:
-        row = minima[M]
+def product_type_family(members: Sequence[SubgroupHandle], m: int) -> ProductTypeFamily:
+    """Every product-type subgroup over each of the distinct subgroups
+    ``members``, in member order: one per tuple of m-1 right cosets of M,
+    the tuples in lexicographic order of their ascending coset minima
+    (already the canonical form), read off the ``coset_minima`` table that
+    the family is made with and carries."""
+    minima = coset_minima(members)
+    owner, cosets = [], []
+    for r, row in enumerate(minima):
         reps = np.flatnonzero(row == np.arange(row.shape[0])).tolist()
-        family.extend(ProductTypeDescriptor(M, c) for c in itertools.product(reps, repeat=m - 1))
-    return family
+        for c in itertools.product(reps, repeat=m - 1):
+            owner.append(r)
+            cosets.append(c)
+    owner = np.array(owner, dtype=np.int64)
+    cosets = np.array(cosets, dtype=np.int64).reshape(owner.shape[0], m - 1)
+    return ProductTypeFamily(list(members), minima, owner, cosets)
 
 
 def wreath_cover_upper_term(members: Sequence[SubgroupHandle], m: int) -> int:
@@ -323,45 +320,33 @@ def wreath_cover_upper_term(members: Sequence[SubgroupHandle], m: int) -> int:
 
 
 def construct_product_cover(
-    S: GroupTable, cover: Sequence[SubgroupHandle], m: int, minima: CosetMinima | None = None
-) -> tuple[list[ProductTypeDescriptor], list[int]]:
+    S: GroupTable, cover: Sequence[SubgroupHandle], m: int
+) -> tuple[ProductTypeFamily, list[int]]:
     """The constructive covering family for S wr C_m from a covering of S:
     ``product_type_family`` over the cover plus the alpha(m) socle-containing
     maximals, named by their primes; ``wreath_cover_upper_term(cover, m)``
-    subgroups in all.  ``minima`` is the request's ``coset_minima`` table
-    over the cover, made here when not given.  The verified postcondition
-    (at desk scale, via verify_wreath_cover) is that their union is all of
-    S wr C_m."""
+    subgroups in all.  The verified postcondition (at desk scale, via
+    verify_wreath_cover) is that their union is all of S wr C_m."""
     ok, missing = verify_cover_handles(S, cover)
     if not ok:
         raise ValueError(f"family does not cover S: element id {missing} missed")
-    if minima is None:
-        minima = coset_minima(cover)
-    return product_type_family(cover, m, minima), prime_factors(m)
+    return product_type_family(cover, m), prime_factors(m)
 
 
 def verify_wreath_cover(
-    ctx: WreathContext,
-    descriptors: Sequence[ProductTypeDescriptor],
-    socle: Sequence[int],
-    threads: int = 1,
-    minima: CosetMinima | None = None,
+    ctx: WreathContext, family: ProductTypeFamily, socle: Sequence[int], threads: int = 1
 ) -> tuple[bool, WreathElement | None]:
     """Check that every element of S wr C_m lies in some family member;
     returns (ok, first uncovered witness in shift-major, row-major order).
     ``socle`` names the socle maximals by their primes.  Every shift not
     covered by a socle maximal is decided by counting boxes (see
-    ``first_uncovered``).  ``minima`` is the request's ``coset_minima``
-    table over the descriptors' members, made here when not given; at
-    m = 2 the socle covers shift 0, and shift 1's sides all come off it.
-    ``threads`` is accepted for compatibility and changes neither the work
-    nor the result."""
-    if minima is None:
-        minima = coset_minima(list(dict.fromkeys(d.M for d in descriptors)))
+    ``first_uncovered``); at m = 2 the socle covers shift 0, and shift 1's
+    sides all come off the family's coset table.  ``threads`` is accepted
+    for compatibility and changes neither the work nor the result."""
     for shift in range(ctx.m):
         if any(shift % r == 0 for r in socle):
             continue  # covered by a socle-containing maximal
-        idx = first_uncovered(box_luts(ctx, descriptors, shift, minima))
+        idx = first_uncovered(box_luts(ctx, family, shift))
         if idx is not None:
             base = np.unravel_index(idx, (ctx.S.order,) * ctx.m)
             return False, WreathElement(tuple(int(x) for x in base), shift)

@@ -18,8 +18,8 @@ another way than the code it checks:
   the coset sides off a coset-minimum table and composes the rest;
 * ``coset_representatives`` and ``coset_minimum`` take one right coset
   M*x at a time as the product of M's members with x, the reference for
-  ``wreath.coset_minima``, the family's representatives and the
-  descriptors of a family file;
+  ``wreath.coset_minima``, the family's representatives and the cosets
+  read from a family file;
 * ``sequential_orbit`` walks a conjugation orbit one member at a time, the
   reference for the level-by-level walk of ``groups.orbit_class``;
 * ``orbit_reps_walk`` walks the conjugation orbit of one subgroup after
@@ -55,7 +55,7 @@ from wreathcover.groups import (
     _pack,
 )
 from wreathcover.perm import Perm
-from wreathcover.wreath import ProductTypeDescriptor, WreathContext, WreathElement
+from wreathcover.wreath import ProductTypeFamily, WreathContext, WreathElement
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -107,13 +107,13 @@ def to_perm(ctx: WreathContext, w: WreathElement) -> Perm:
 
 
 def product_subgroup_perm_keys(
-    ctx: WreathContext, d: ProductTypeDescriptor
+    ctx: WreathContext, M: SubgroupHandle, cosets: Sequence[int]
 ) -> np.ndarray:
     """Sorted packed keys of the explicit element set of
-    M^{g_1} x ... x M^{g_m} realized on n*m points (n*m <= 16, else
-    ValueError)."""
+    M^{g_1} x ... x M^{g_m}, g = (identity, *cosets), realized on n*m
+    points (n*m <= 16, else ValueError)."""
     S, m, n = ctx.S, ctx.m, ctx.S.degree
-    slots = [S.conj_map(g)[d.M.member_ids] for g in (0, *d.cosets)]
+    slots = [S.conj_map(int(g))[M.member_ids] for g in (0, *cosets)]
     ids = np.stack(np.meshgrid(*slots, indexing="ij"), axis=-1).reshape(-1, m)
     # slot c's member acts on block c, points c*n .. c*n + n-1
     rows = S.images[ids].astype(np.int64) + (np.arange(m) * n)[:, None]
@@ -208,26 +208,25 @@ def orbit_reps_walk(g: GroupTable, cls: SubgroupClass, elements: Sequence[int]):
     return reps
 
 
-def box_sides(
-    ctx: WreathContext, descriptors: Sequence[ProductTypeDescriptor], shift: int
-) -> np.ndarray:
-    """The (D, m, |S|) 0/1 sides of the descriptors at one shift: row
+def box_sides(ctx: WreathContext, family: ProductTypeFamily, shift: int) -> np.ndarray:
+    """The (D, m, |S|) 0/1 sides of the family's members at one shift: row
     (d, a) holds the ids of g[a]^{-1} x g[a+shift] over the members x of
-    d.M, g = (identity, *d.cosets), each a ``Perm`` product looked up by
-    ``id_of``.  A side is composed once per (M, g[a], g[a+shift])."""
+    M = subgroups[owner[d]], g = (identity, *cosets[d]), each a ``Perm``
+    product looked up by ``id_of``; the family's coset table is not read.
+    A side is composed once per (M, g[a], g[a+shift])."""
     S, m = ctx.S, ctx.m
     sides: dict = {}
-    out = np.zeros((len(descriptors), m, S.order))
-    for i, d in enumerate(descriptors):
-        g = (0, *d.cosets)
+    out = np.zeros((len(family.owner), m, S.order))
+    for i, (r, cosets) in enumerate(zip(family.owner.tolist(), family.cosets.tolist())):
+        M, g = family.subgroups[r], (0, *cosets)
         for a in range(m):
-            key = (d.M, g[a], g[(a + shift) % m])
+            key = (r, g[a], g[(a + shift) % m])
             if key not in sides:
                 left, right = S.perm(key[1]).images, S.perm(key[2])
                 inverse = Perm(sorted(range(S.degree), key=left.__getitem__))
                 sides[key] = [
                     S.id_of(compose(inverse, compose(S.perm(x), right)))
-                    for x in d.M.member_ids.tolist()
+                    for x in M.member_ids.tolist()
                 ]
             out[i, a, sides[key]] = 1.0
     return out

@@ -44,7 +44,7 @@ from wreathcover.unbeat import (
     theorem_bounds,
 )
 from wreathcover.wreath import (
-    ProductTypeDescriptor,
+    ProductTypeFamily,
     WreathContext,
     construct_product_cover,
     coset_minima,
@@ -193,8 +193,9 @@ def test_criterion_5_membership_oracle_equivalence(a5):
             cosets = tuple(
                 int(rng.integers(0, a5.table.order)) for _ in range(m - 1)
             )
-            row = coset_minima([M])[M]
-            return ProductTypeDescriptor(M, tuple(int(row[c]) for c in cosets))
+            minima = coset_minima([M])
+            owner = np.zeros(1, dtype=np.int64)
+            return ProductTypeFamily([M], minima, owner, minima[:, list(cosets)].astype(np.int64))
 
         # m = 2: all 7200 elements against 30 random descriptors
         ctx2 = WreathContext(a5.table, 2)
@@ -202,9 +203,9 @@ def test_criterion_5_membership_oracle_equivalence(a5):
         disagreements = checks = 0
         for _ in range(30):
             d = random_descriptor(2)
-            keys = product_subgroup_perm_keys(ctx2, d)
+            keys = product_subgroup_perm_keys(ctx2, d.subgroups[0], d.cosets[0].tolist())
             for shift in (0, 1):
-                fast = product_type_mask(ctx2, d, grid, shift)
+                fast = product_type_mask(ctx2, d, grid, shift)[0]
                 shifts = np.full(grid.shape[0], shift)
                 slow = normalizes_product_subgroup(ctx2, grid, shifts, keys)
                 disagreements += int((fast != slow).sum())
@@ -227,8 +228,8 @@ def test_criterion_5_membership_oracle_equivalence(a5):
             fast = np.zeros(len(ws), dtype=bool)
             for shift in range(3):
                 rows = shifts == shift
-                fast[rows] = product_type_mask(ctx3, d, bases[rows], shift)
-            keys = product_subgroup_perm_keys(ctx3, d)
+                fast[rows] = product_type_mask(ctx3, d, bases[rows], shift)[0]
+            keys = product_subgroup_perm_keys(ctx3, d.subgroups[0], d.cosets[0].tolist())
             slow = normalizes_product_subgroup(ctx3, bases, shifts, keys)
             disagreements += int((fast != slow).sum())
             checks += len(ws)
@@ -244,7 +245,7 @@ def test_criterion_6_constructive_cover(a5):
         N = [by_label[lab] for lab in cert.chosen]
         descs, socle = construct_product_cover(a5.table, N, 2)
         expect = formulas.alpha(2) + sum(h.index for h in N)
-        assert len(descs) + len(socle) == expect
+        assert len(descs.owner) + len(socle) == expect
         ctx = WreathContext(a5.table, 2)
         ok, witness = verify_wreath_cover(ctx, descs, socle)
         assert ok and witness is None

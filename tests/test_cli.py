@@ -334,7 +334,10 @@ def test_construct_and_verify_cover_roundtrip(tmp_path, capsys, _cache_dir):
     [("A5", 2, "exact"), ("PSL(2,7)", 2, "exact"), ("A6", 2, "greedy"), ("A5", 3, "exact")],
 )
 def test_descriptor_lines_read_back(group, m, method):
-    # the written family parses back to the constructed descriptors, in order
+    # the written family parses back to the constructed one: its subgroups,
+    # coset table and members, in order
+    import numpy as np
+
     from wreathcover.cover import build_instance, sigma_exact, sigma_greedy
     from wreathcover.pipelines import descriptor_lines, load_group, parse_descriptor_lines
     from wreathcover.wreath import construct_product_cover
@@ -344,9 +347,11 @@ def test_descriptor_lines_read_back(group, m, method):
     cert = (sigma_exact if method == "exact" else sigma_greedy)(inst)
     by_label = dict(zip(inst.labels, inst.handles))
     cover = [by_label[lab] for lab in cert.chosen]
-    descriptors, socle = construct_product_cover(cg.table, cover, m)
-    lines = descriptor_lines(cg, descriptors, socle)
-    assert parse_descriptor_lines(cg, lines, m)[:2] == (descriptors, socle)
+    family, socle = construct_product_cover(cg.table, cover, m)
+    parsed, parsed_socle = parse_descriptor_lines(cg, descriptor_lines(cg, family, socle), m)
+    assert parsed.subgroups == family.subgroups and parsed_socle == socle
+    for field in ("minima", "owner", "cosets"):
+        assert np.array_equal(getattr(parsed, field), getattr(family, field)), field
 
 
 def test_verify_cover_reads_the_a6_family(tmp_path, capsys):
@@ -420,9 +425,10 @@ def test_repeated_member_line_is_refused(a5_m2_family, tmp_path, capsys):
 
     g = load_group("A5").table
     first = a5_m2_family[0]
-    (d,), _, _ = parse_descriptor_lines(load_group("A5"), [first], 2)
-    other = int(g.mul_many(d.M.member_ids, d.cosets[0])[-1])
-    assert other != d.cosets[0]
+    family, _ = parse_descriptor_lines(load_group("A5"), [first], 2)
+    (coset,) = family.cosets.tolist()[0]
+    other = int(g.mul_many(family.subgroups[0].member_ids, coset)[-1])
+    assert other != coset
     same = first[: first.index("cosets=[")] + f"cosets=[{g.perm(other).to_cycle_string()}]}}"
     for extra in (first, "socle{2}", same):
         _refused_family(tmp_path, capsys, [*a5_m2_family, extra], extra)

@@ -24,9 +24,7 @@ from wreathcover.unbeat import (
     theorem_bounds,
 )
 from wreathcover.wreath import (
-    ProductTypeDescriptor,
     WreathContext,
-    coset_minima,
     product_type_family,
     wreath_cover_upper_term,
 )
@@ -36,8 +34,7 @@ from oracles import compose, coset_minimum, exhaustive_min_cover
 
 def _products(inst):
     """The family's product-type members over the seed classes, in order."""
-    handles = [h for _, h in inst.members()]
-    return product_type_family(handles, inst.m, coset_minima(handles))
+    return product_type_family([h for _, h in inst.members()], inst.m)
 
 
 def _m11_instance(m11, m):
@@ -223,7 +220,7 @@ def test_m11_family_size(m11):
         inst = _m11_instance(m11, m)
         expect = (alpha(m) if m >= 2 else 0) + 11**m + 12**m
         assert wreath_cover_upper_term([h for _, h in inst.members()], m) == expect, m
-        assert len(_products(inst)) + alpha(m) == expect, m
+        assert len(_products(inst).owner) + alpha(m) == expect, m
 
 
 def test_m11_bounds_meet(m11):
@@ -402,12 +399,12 @@ def test_a5_surrogate_member_counts_match_formulas(a5):
     grid = ctx.base_grid()
     masks = _target_masks(inst, grid)
     # product-type member counts equal seed-in-member times member order
-    for d in _products(inst):
-        expect = int(np.isin(inst.seed_ids, d.M.member_ids).sum()) * d.M.size
-        got = sum(
-            int((product_type_mask(ctx, d, grid, s) & masks[s]).sum())
-            for s in masks
-        )
+    family = _products(inst)
+    member_masks = {s: product_type_mask(ctx, family, grid, s) for s in masks}
+    for j, r in enumerate(family.owner.tolist()):
+        M = family.subgroups[r]
+        expect = int(np.isin(inst.seed_ids, M.member_ids).sum()) * M.size
+        got = sum(int((member_masks[s][j] & masks[s]).sum()) for s in masks)
         assert got == expect
     # the socle member count equals the ordered non-conjugate pair sum
     assert int(masks[0].sum()) == 960
@@ -471,17 +468,18 @@ def test_target_masks_match_definition(a5, m):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_product_type_members_are_canonical(a5, psl7, m):
-    # coset representatives are coset minima, so the family's descriptors
-    # are exactly what the one-coset-at-a-time oracle canonicalizes them
-    # to, and the family count is its length
+    # coset representatives are coset minima, so the family's members are
+    # exactly what the one-coset-at-a-time oracle canonicalizes them to, and
+    # the family count is its length
     for cg in (a5, psl7):
         handles = [h for c in cg.maximal_classes for h in c.conjugates]
-        members = product_type_family(handles, m, coset_minima(handles))
+        family = product_type_family(handles, m)
+        assert family.subgroups == handles
+        members = list(zip(family.owner.tolist(), family.cosets.tolist()))
         expect = wreath_cover_upper_term(handles, m) - alpha(m)
-        assert len(members) == len(set(members)) == expect
-        for d in members:
-            made = ProductTypeDescriptor(d.M, tuple(coset_minimum(d.M, c) for c in d.cosets))
-            assert d == made
+        assert len(members) == len({(r, *c) for r, c in members}) == expect
+        for r, cosets in members:
+            assert cosets == [coset_minimum(handles[r], c) for c in cosets]
 
 
 @pytest.mark.parametrize(
@@ -501,8 +499,8 @@ def test_member_labels_are_pinned(group, families, m, digest):
     outside = [cls for cls in cg.maximal_classes if cls not in seed]
     labels = []
     for classes in (seed, outside):
-        minima = coset_minima([M for cls in classes for M in cls.conjugates])
-        labels += [label for label, _ in unbeat._labelled_products(classes, m, minima)]
+        family = product_type_family([M for cls in classes for M in cls.conjugates], m)
+        labels += [unbeat._member_label(classes, family, j) for j in range(len(family.owner))]
     assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == digest
 
 
@@ -514,17 +512,19 @@ def test_mutation_breaks_cover_condition(a5, monkeypatch):
         2: [("U2", [0, 18]), ("U3", [0, 18]), ("U2", [21, 38])],
         3: [("U2", [0, 0, 18]), ("U3", [0, 0, 18]), ("U2", [21, 0, 38])],
     }
-    labelled_products = unbeat._labelled_products
+    make_family = unbeat.product_type_family
     for m, expected in pinned.items():
         inst = _a5_instance(a5, m)
-        family = [(f"p{i}", d) for i, d in enumerate(_products(inst))]
-        mutations = [family[1:], family + family[:1], family[:-1]]
-        for mutated, (name, base) in zip(mutations, expected):
+        family = _products(inst)
+        D = len(family.owner)
+        mutations = [np.arange(1, D), np.append(np.arange(D), 0), np.arange(D - 1)]
+        for keep, (name, base) in zip(mutations, expected):
+            mutated = dataclasses.replace(family, owner=family.owner[keep], cosets=family.cosets[keep])
 
-            def mutated_products(classes, m, minima, mutated=mutated, seed=inst.seed_classes):
-                return mutated if classes is seed else labelled_products(classes, m, minima)
+            def mutated_family(members, m, mutated=mutated, seed=family.subgroups):
+                return mutated if members == seed else make_family(members, m)
 
-            monkeypatch.setattr(unbeat, "_labelled_products", mutated_products)
+            monkeypatch.setattr(unbeat, "product_type_family", mutated_family)
             du = check_definitely_unbeatable_wreath(inst)
             cond = [c for c in du.conditions if c.name.startswith(name)][0]
             assert not cond.passed

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -10,7 +11,7 @@ from wreathcover.groups import GroupTable, subgroup_closure
 from wreathcover.perm import Perm
 from wreathcover.pipelines import load_group
 from wreathcover.wreath import (
-    ProductTypeDescriptor,
+    ProductTypeFamily,
     WreathContext,
     WreathElement,
     box_coverage,
@@ -47,21 +48,48 @@ def ctx3(a5):
     return WreathContext(a5.table, 3)
 
 
+def family_of(members, m):
+    """The family of the given (M, coset labels) members, in order, each
+    coset label canonicalized off the family's table."""
+    subgroups = list(dict.fromkeys(M for M, _ in members))
+    minima = coset_minima(subgroups)
+    owner = np.array([subgroups.index(M) for M, _ in members], dtype=np.int64)
+    cosets = np.array([minima[r][list(c)] for r, (_, c) in zip(owner, members)], dtype=np.int64)
+    return ProductTypeFamily(subgroups, minima, owner, cosets.reshape(len(members), m - 1))
+
+
 def create(M, cosets):
-    """The descriptor over M with the given coset labels, canonicalized."""
-    row = coset_minima([M])[M]
-    return ProductTypeDescriptor(M, tuple(int(row[c]) for c in cosets))
+    """The one-member family over M with the given coset labels."""
+    return family_of([(M, cosets)], len(cosets) + 1)
 
 
-def random_descriptors(cg, m, count, rng):
+def member(family, j):
+    """Member j of a family as (M, its coset minima)."""
+    return family.subgroups[family.owner[j]], tuple(family.cosets[j].tolist())
+
+
+def take(family, keep):
+    """The members ``keep`` (an index array or slice) of a family, on the
+    same subgroups and coset table."""
+    return dataclasses.replace(family, owner=family.owner[keep], cosets=family.cosets[keep])
+
+
+def random_members(cg, m, count, rng):
+    """(M, raw coset labels) of random members: a random conjugate of a
+    random class, and random ids."""
     out = []
     labels = sorted(cg.classes_by_label())
     for _ in range(count):
         cls = cg.classes_by_label()[labels[int(rng.integers(0, len(labels)))]]
         M = cls.conjugates[int(rng.integers(0, cls.class_size))]
         cosets = tuple(int(rng.integers(0, cg.table.order)) for _ in range(m - 1))
-        out.append(create(M, cosets))
+        out.append((M, cosets))
     return out
+
+
+def random_descriptors(cg, m, count, rng):
+    """One-member families over ``random_members``."""
+    return [create(M, cosets) for M, cosets in random_members(cg, m, count, rng)]
 
 
 def test_identity_and_inverse(ctx2):
@@ -99,7 +127,7 @@ def test_membership_trivialities(ctx2, a5):
     descs = random_descriptors(a5, 2, 5, rng)
     identity_row = np.zeros((1, 2), dtype=np.int64)
     for d in descs:
-        assert product_type_mask(ctx2, d, identity_row, 0).tolist() == [True]
+        assert product_type_mask(ctx2, d, identity_row, 0).tolist() == [[True]]
 
 
 def _masks(ctx, d, bases, shifts):
@@ -108,12 +136,12 @@ def _masks(ctx, d, bases, shifts):
     out = np.zeros(len(bases), dtype=bool)
     for shift in range(ctx.m):
         rows = shifts == shift
-        out[rows] = product_type_mask(ctx, d, bases[rows], shift)
+        out[rows] = product_type_mask(ctx, d, bases[rows], shift)[0]
     return out
 
 
 def _oracle_agrees(ctx, d, ws):
-    keys = product_subgroup_perm_keys(ctx, d)
+    keys = product_subgroup_perm_keys(ctx, *member(d, 0))
     bases = np.array([w.base for w in ws])
     shifts = np.array([w.shift for w in ws])
     slow = normalizes_product_subgroup(ctx, bases, shifts, keys)
@@ -137,9 +165,8 @@ def test_oracle_equivalence_sample_m3(ctx3, a5):
 def test_oracle_rejects_more_than_16_points(a5):
     # A5 wr C_4 acts on 20 points; 20^19 > 2^64, so packed keys would wrap
     M = a5.classes_by_label()["S3"].representative
-    d = create(M, (0, 0, 0))
     with pytest.raises(ValueError, match="degree <= 16"):
-        product_subgroup_perm_keys(WreathContext(a5.table, 4), d)
+        product_subgroup_perm_keys(WreathContext(a5.table, 4), M, (0, 0, 0))
 
 
 def test_membership_count_matches_coset_structure(ctx2, a5):
@@ -148,7 +175,7 @@ def test_membership_count_matches_coset_structure(ctx2, a5):
     (d,) = random_descriptors(a5, 2, 1, rng)
     grid = ctx2.base_grid()
     for shift in (0, 1):
-        assert int(product_type_mask(ctx2, d, grid, shift).sum()) == d.M.size**2
+        assert int(product_type_mask(ctx2, d, grid, shift).sum()) == d.subgroups[0].size ** 2
 
 
 def test_grid_mask_agrees_with_normalizer_oracle(ctx2, a5):
@@ -157,9 +184,9 @@ def test_grid_mask_agrees_with_normalizer_oracle(ctx2, a5):
     rng = np.random.default_rng(6)
     (d,) = random_descriptors(a5, 2, 1, rng)
     grid = ctx2.base_grid()
-    keys = product_subgroup_perm_keys(ctx2, d)
+    keys = product_subgroup_perm_keys(ctx2, *member(d, 0))
     for shift in (0, 1):
-        mask = product_type_mask(ctx2, d, grid, shift)
+        mask = product_type_mask(ctx2, d, grid, shift)[0]
         idx = rng.integers(0, grid.shape[0], size=200)
         shifts = np.full(idx.shape[0], shift)
         assert np.array_equal(
@@ -175,13 +202,13 @@ def test_descriptor_canonicalization(ctx2, a5):
     coset = g.mul_many(M.member_ids, g2)
     d1 = create(M, (g2,))
     d2 = create(M, (int(coset[3]),))
-    assert d1 == d2 and hash(d1) == hash(d2)
+    assert member(d1, 0) == member(d2, 0) == (M, (int(coset.min()),))
     # different cosets give distinguishable subgroups
     other = next(
         x for x in range(g.order) if x not in set(coset.tolist())
     )
     d3 = create(M, (other,))
-    assert d1 != d3
+    assert member(d1, 0) != member(d3, 0)
     grid = ctx2.base_grid()
     diff = product_type_mask(ctx2, d1, grid, 1) != product_type_mask(ctx2, d3, grid, 1)
     assert bool(diff.any())
@@ -196,12 +223,12 @@ def test_socle_maximals(a5):
     # m = 4, index 2 covers shifts 0 and 2, and shift 1 is the first miss
     ctx4 = WreathContext(a5.table, 4)
     witness = WreathElement((0, 0, 0, 0), 1)
-    assert verify_wreath_cover(ctx4, [], [2]) == (False, witness)
+    assert verify_wreath_cover(ctx4, product_type_family([], 4), [2]) == (False, witness)
 
 
 def test_coset_representatives(a5):
     M = a5.classes_by_label()["D10"].representative
-    reps = [d.cosets[0] for d in product_type_family([M], 2, coset_minima([M]))]
+    reps = product_type_family([M], 2).cosets[:, 0].tolist()
     assert len(reps) == 6
     assert reps[0] == 0
     seen = set()
@@ -216,13 +243,13 @@ def test_construct_cover_m1_returns_family(a5):
     # A4 + D10 + S3 representatives do not cover A5; pick the full classes
     cover = [h for cls in a5.maximal_classes for h in cls.conjugates]
     descs, socle = construct_product_cover(a5.table, cover, 1)
-    assert len(descs) == len(cover) and socle == []
+    assert len(descs.owner) == len(cover) and socle == []
 
 
 def test_construct_cover_counts_and_verify(a5, ctx2):
     cover = [h for cls in a5.maximal_classes for h in cls.conjugates]
     descs, socle = construct_product_cover(a5.table, cover, 2)
-    assert len(descs) == sum(h.index for h in cover)
+    assert len(descs.owner) == sum(h.index for h in cover)
     assert len(socle) == alpha(2) == 1
     ok, witness = verify_wreath_cover(ctx2, descs, socle)
     assert ok and witness is None
@@ -237,11 +264,11 @@ def test_verify_cover_finds_witness(a5, ctx2):
     by_label = dict(zip(inst.labels, inst.handles))
     cover = [by_label[lab] for lab in cert.chosen]
     descs, socle = construct_product_cover(a5.table, cover, 2)
-    ok, witness = verify_wreath_cover(ctx2, descs[1:], socle)
+    ok, witness = verify_wreath_cover(ctx2, take(descs, slice(1, None)), socle)
     assert not ok and witness is not None
     row = np.array([witness.base])
-    assert not any(product_type_mask(ctx2, d, row, witness.shift)[0] for d in descs[1:])
-    assert product_type_mask(ctx2, descs[0], row, witness.shift)[0]
+    holds = product_type_mask(ctx2, descs, row, witness.shift)[:, 0]
+    assert holds[0] and not holds[1:].any()
 
 
 def test_non_covering_family_rejected(a5):
@@ -309,16 +336,17 @@ def test_box_kernel_matches_masks(oracle_grid, group, m, seed, with_socle, drop)
     # random part of it), plus random conjugates and cosets when drop != 0;
     # at most about 7e7 mask rows per shift
     family, _ = construct_product_cover(cg.table, _min_cover(cg), m)
-    size = len(family) - drop if drop >= 0 else int(rng.integers(0, len(family) + 1))
+    D = len(family.owner)
+    size = D - drop if drop >= 0 else int(rng.integers(0, D + 1))
     size = min(size, 7 * 10**7 // grid.shape[0])
-    picked = sorted(rng.choice(len(family), size=size, replace=False).tolist())
-    descs = [family[i] for i in picked]
+    picked = sorted(rng.choice(D, size=size, replace=False).tolist())
+    members = [member(family, i) for i in picked]
     if drop:
-        descs += random_descriptors(cg, m, int(rng.integers(0, 3)), rng)
+        members += random_members(cg, m, int(rng.integers(0, 3)), rng)
+    descs = family_of(members, m)
     socle = prime_factors(m) if with_socle else []
 
     # the masks come from the oracle's composed sides, not from box_luts
-    minima = coset_minima(list(dict.fromkeys(d.M for d in descs)))
     expected_witness = None
     for shift in range(m):
         masks = [
@@ -328,7 +356,7 @@ def test_box_kernel_matches_masks(oracle_grid, group, m, seed, with_socle, drop)
         counts = np.zeros(grid.shape[0], dtype=np.int64)
         for mask in masks:
             counts += mask
-        luts = box_luts(ctx, descs, shift, minima)
+        luts = box_luts(ctx, descs, shift)
         assert np.array_equal(box_coverage(luts), counts)
         target = rng.random(grid.shape[0]) < rng.random()
         assert box_target_counts(luts, target).tolist() == [
@@ -350,7 +378,7 @@ def test_box_kernel_matches_masks(oracle_grid, group, m, seed, with_socle, drop)
 def test_box_luts_match_composed_sides(group, m):
     # every side at every shift, against the oracle's Perm products: the
     # constructive family on its canonical cosets, the same members on raw
-    # coset ids (a random element of each coset), and no descriptor at all
+    # coset ids (a random element of each coset), and no member at all
     cg = load_group(group)
     g = cg.table
     ctx = WreathContext(g, m)
@@ -359,14 +387,15 @@ def test_box_luts_match_composed_sides(group, m):
     def raw_id(M, c):
         return int(rng.choice(g.mul_many(M.member_ids, c)))
 
-    raw = [ProductTypeDescriptor(d.M, tuple(raw_id(d.M, c) for c in d.cosets)) for d in family]
-    assert m == 1 or raw != family
-    minima = coset_minima(list(dict.fromkeys(d.M for d in family)))
+    members = [member(family, j) for j in range(len(family.owner))]
+    raw_cosets = np.array([[raw_id(M, c) for c in cosets] for M, cosets in members], dtype=np.int64)
+    raw = dataclasses.replace(family, cosets=raw_cosets.reshape(family.cosets.shape))
+    assert m == 1 or not np.array_equal(raw.cosets, family.cosets)
     for shift in range(m):
         expect = box_sides(ctx, family, shift)
-        assert np.array_equal(box_luts(ctx, family, shift, minima), expect), shift
-        assert np.array_equal(box_luts(ctx, raw, shift, minima), expect), shift
-        assert box_luts(ctx, [], shift, minima).shape == (0, m, g.order)
+        assert np.array_equal(box_luts(ctx, family, shift), expect), shift
+        assert np.array_equal(box_luts(ctx, raw, shift), expect), shift
+        assert box_luts(ctx, take(family, slice(0)), shift).shape == (0, m, g.order)
 
 
 @pytest.mark.parametrize("group", ["A5", "A6"])
@@ -375,9 +404,7 @@ def test_m2_verification_composes_no_side(group, monkeypatch):
     # cosets read off the table, so no image row is looked up, and a
     # family one member short still yields its witness the same way
     cg = load_group(group)
-    cover = _min_cover(cg)
-    minima = coset_minima(cover)
-    descs, socle = construct_product_cover(cg.table, cover, 2, minima)
+    descs, socle = construct_product_cover(cg.table, _min_cover(cg), 2)
     assert socle == [2]
     ctx = WreathContext(cg.table, 2)
 
@@ -385,8 +412,8 @@ def test_m2_verification_composes_no_side(group, monkeypatch):
         raise AssertionError("verify_wreath_cover looked up an image row")
 
     monkeypatch.setattr(GroupTable, "ids", no_lookup)
-    assert verify_wreath_cover(ctx, descs, socle, minima=minima) == (True, None)
-    ok, witness = verify_wreath_cover(ctx, descs[1:], socle, minima=minima)
+    assert verify_wreath_cover(ctx, descs, socle) == (True, None)
+    ok, witness = verify_wreath_cover(ctx, take(descs, slice(1, None)), socle)
     assert not ok and witness.shift == 1
 
 
@@ -399,15 +426,15 @@ def test_a5_wr_c4_constructive_cover(a5, monkeypatch):
     start = time.perf_counter()
     ctx4 = WreathContext(a5.table, 4)
     descs, socle = construct_product_cover(a5.table, _min_cover(a5), 4)
-    assert (len(descs), socle) == (1796, [2])
+    assert (len(descs.owner), socle) == (1796, [2])
     assert verify_wreath_cover(ctx4, descs, socle) == (True, None)
     # the minimal cover has no redundancy: dropping a member uncovers an
     # element that lies in that member and in no other
-    ok, witness = verify_wreath_cover(ctx4, descs[1:], socle)
+    ok, witness = verify_wreath_cover(ctx4, take(descs, slice(1, None)), socle)
     assert not ok and witness.shift % 2 == 1
     row = np.array([witness.base])  # a one-row grid
-    assert product_type_mask(ctx4, descs[0], row, witness.shift)[0]
-    assert not any(product_type_mask(ctx4, d, row, witness.shift)[0] for d in descs[1:])
+    holds = product_type_mask(ctx4, descs, row, witness.shift)[:, 0]
+    assert holds[0] and not holds[1:].any()
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"A5 wr C_4 verification took {elapsed:.1f}s (budget 30s)"
 
@@ -429,21 +456,21 @@ def _subgroup_batches(draw):
 @given(_subgroup_batches())
 def test_coset_minima_match_one_coset_at_a_time(batch):
     # the batched table against the per-coset products: every coset of every
-    # member, the family's representatives, and descriptors on random labels
+    # member, the family's representatives, and the rows at random labels
     g, members, labels = batch
     cached = (set(g._right_maps), set(g._conj_maps))
     table = coset_minima(members)
     assert (set(g._right_maps), set(g._conj_maps)) == cached  # no per-table map is made
-    # one row per distinct member, in first-seen order
-    assert list(table) == list(dict.fromkeys(members))
-    assert {row.shape for row in table.values()} == {(g.order,)}
-    family = product_type_family(members, 2, table)
-    for M in members:
-        row = table[M]
+    # one row per member, in order, repeats included
+    assert table.shape == (len(members), g.order)
+    distinct = list(dict.fromkeys(members))
+    family = product_type_family(distinct, 2)
+    for M, row in zip(members, table):
+        assert np.array_equal(row, family.minima[distinct.index(M)])
+    for r, M in enumerate(distinct):
+        row = family.minima[r]
         reps = coset_representatives(M)
-        for r in reps:
-            assert (row[g.mul_many(M.member_ids, r)] == r).all()
-        assert [d.cosets[0] for d in family if d.M is M] == reps
-        made = ProductTypeDescriptor(M, tuple(int(row[c]) for c in labels))
-        assert made.cosets == tuple(coset_minimum(M, x) for x in labels)
-
+        for rep in reps:
+            assert (row[g.mul_many(M.member_ids, rep)] == rep).all()
+        assert family.cosets[family.owner == r, 0].tolist() == reps
+        assert row[labels].tolist() == [coset_minimum(M, x) for x in labels]
