@@ -174,7 +174,7 @@ def box_luts(ctx: WreathContext, family: ProductTypeFamily, shift: int) -> np.nd
     out = np.zeros((D, m, n))
     if not D:
         return out
-    gs = np.concatenate([np.zeros((D, 1), dtype=np.int64), family.cosets], axis=1)  # g_0 = identity
+    gs = np.pad(family.cosets, ((0, 0), (1, 0)))  # (D, m): g_0 = identity
     read = {0: (table, gs[:, shift])}
     if shift:
         read[m - shift] = (table[:, S.inv], gs[:, m - shift])
