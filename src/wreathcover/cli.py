@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("check-inequalities", help="exact range sweep of a lemma")
     p.add_argument("--lemma", required=True, help=f"one of {', '.join(formulas.lemma_ids())} (aliases accepted)")
     p.add_argument("--n-range", type=_parse_range, required=True, metavar="a..b")
-    p.add_argument("--m-range", type=_parse_range, default=formulas.M_RANGE, metavar="c..d")
+    p.add_argument("--m-range", type=_parse_range, default=None, metavar="c..d")
     p.set_defaults(report=lambda a: pipelines.inequality_report(a.lemma, a.n_range, a.m_range))
 
     return parser
@@ -205,7 +205,3 @@ def main(argv: list[str] | None = None) -> int:
     out = to_json(report) if args.json else render_human(report)
     sys.stdout.write(out)
     return _status(report)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -311,7 +311,7 @@ def theorem_report(thm: Theorem, m: int) -> dict:
     value, warnings = thm.closed_form(m)
     per_class = seed_rep.seed_counts["per_class"]
     counts = {lab: per_class[lab]["per_member"] for lab in thm.family}
-    bounds = theorem_bounds(inst, [h for _, h in inst.members()], du)
+    bounds = theorem_bounds(inst, [h for cls in family for h in cls.conjugates], du)
     report: dict = {
         "group": thm.group,
         "m": m,
@@ -511,12 +511,16 @@ def verify_cover_report(
     return report
 
 
-def inequality_report(lemma: str, n_range: range, m_range: range) -> dict:
-    """One lemma sweep; an unknown lemma or a range without cases is refused."""
+def inequality_report(lemma: str, n_range: range, m_range: Optional[range]) -> dict:
+    """One lemma sweep (m over ``formulas.M_RANGE`` unless given); an unknown
+    lemma, an m range for a lemma without m, or a range without cases is refused."""
     try:
         row = formulas.lemma_row(lemma)
     except KeyError as exc:
         raise InputError(*exc.args) from None
+    if row.arity != "nm" and m_range is not None:
+        raise InputError(f"lemma {row.key} takes --n-range only")
+    m_range = formulas.M_RANGE if m_range is None else m_range
     try:
         report = formulas.inequality_suite(lemma, n_range, m_range)
     except ValueError as exc:

@@ -6,8 +6,8 @@ its lower bound from that report's ``certified_lower_bound``, never from a
 check of its own.  The seed is one mask over S, ``SeedInstance.in_seed``,
 built once when the instance is made; every condition reads it.
 ``SeedInstance.class_hits`` counts seed elements in a class representative
-(mu, nu, C5; C1 sums each member); ``groups.conjugates_holding``, how many
-members hold each element, gives C2, C3 and the strand layer's unions.
+(mu, nu, C5; C1 reads each class's stacked members); ``conjugates_holding``,
+how many members hold each element, gives C2, C3 and the strand layer's unions.
 
 * Seed conditions C0-C5 on a pair (seed element set, conjugation-closed
   family of maximal subgroup classes).  C0-C4 are finite set checks; C5 is
@@ -90,10 +90,10 @@ U_NAMES = (
 
 @dataclass
 class SeedInstance:
-    """A seed element set and a conjugation-closed family of maximal
-    subgroup classes of S, with the wreath exponent m.  The seed is given as
-    element ids in any order, repeats allowed; the instance keeps it as one
-    mask over S, ``in_seed``, and as that mask's sorted ids."""
+    """A seed element set and a family of whole conjugacy classes of maximal
+    subgroups of S, read class by class, with the wreath exponent m.  The
+    seed is given as element ids in any order, repeats allowed; the instance
+    keeps it as one mask over S, ``in_seed``, and as that mask's sorted ids."""
 
     S: GroupTable
     seed_ids: np.ndarray  # sorted, distinct element ids, conjugation-closed
@@ -109,14 +109,6 @@ class SeedInstance:
             raise InputError("seed set is empty")
         if self.m < 1:
             raise ValueError("m >= 1 required")
-
-    def members(self) -> list[tuple[str, SubgroupHandle]]:
-        """Every family member as (label, handle), labels ``base[i]``."""
-        return [
-            (f"{cls.base_label}[{i}]", h)
-            for cls in self.seed_classes
-            for i, h in enumerate(cls.conjugates)
-        ]
 
     def outside_classes(self) -> list[SubgroupClass]:
         keys = {c.representative.canonical_key for c in self.seed_classes}
@@ -180,10 +172,14 @@ def diagonal_term(S_order: int, m: int) -> int:
 
 
 def hit_cover_disjoint(inst: SeedInstance) -> list[ConditionResult]:
-    """Conditions C1-C3 of the family on the seed: every member meets it
-    (a mask sum per member), the members cover it, and no seed element lies
-    in two members (each seed element's holder count is 1)."""
-    empty = [lab for lab, h in inst.members() if not inst.in_seed[h.member_ids].any()]
+    """Conditions C1-C3 of the family on the seed: every member meets it (one
+    read of each class's stacked ``members``), the members cover it, and no
+    seed element lies in two members (each seed element's holder count is 1)."""
+    empty = [
+        f"{cls.base_label}[{i}]"
+        for cls in inst.seed_classes
+        for i in np.flatnonzero(~inst.in_seed[cls.members].any(axis=1)).tolist()
+    ]
     seed = inst.seed_ids
     count = conjugates_holding(inst.S, inst.seed_classes)[seed]
     uncovered, doubled = seed[count == 0], seed[count > 1]
@@ -389,7 +385,7 @@ def check_definitely_unbeatable_group(
     return UnbeatabilityReport(
         mode="explicit-group",
         conditions=results,
-        family_size=len(inst.members()),
+        family_size=sum(cls.class_size for cls in inst.seed_classes),
         target_size=int(inst.seed_ids.shape[0]),
         member_min_count=member_min,
         outsider_max={"count": outsider_max, "class": outsider_label},
@@ -560,7 +556,9 @@ def check_definitely_unbeatable_symbolic(
     return UnbeatabilityReport(
         mode="symbolic",
         conditions=results,
-        family_size=wreath_cover_upper_term([h for _, h in inst.members()], inst.m),
+        family_size=wreath_cover_upper_term(
+            [h for cls in inst.seed_classes for h in cls.conjugates], inst.m
+        ),
         assumptions=[SCHEMA_ASSUMPTION, TRICHOTOMY_ASSUMPTION],
         conditional=False,
     )

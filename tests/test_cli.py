@@ -45,6 +45,10 @@ def test_sigma_target(capsys):
     status, report = run_json(["sigma", "A5", "--target", "orders:5"], capsys)
     assert status == 0
     assert report["certificate"]["value"] == 6  # the six D10s are forced
+    # A5 has no element of order 7: the target is empty, and so is its cover
+    status, report = run_json(["sigma", "A5", "--greedy", "--target", "orders:7"], capsys)
+    assert status == 0
+    assert report["certificate"]["kind"] == "empty" and report["certificate"]["value"] == 0
 
 
 def test_catalog_command(capsys):
@@ -417,6 +421,18 @@ def test_conj_field_is_exactly_one_cycle_string(conj, a5_m2_family, tmp_path, ca
     _refused_family(tmp_path, capsys, [bad, *rest], bad)
 
 
+def test_comment_and_blank_lines_are_skipped(a5_m2_family, tmp_path, capsys):
+    # a family file may carry '#' comments and blank lines between members
+    fam = tmp_path / "family.txt"
+    fam.write_text("\n".join(a5_m2_family) + "\n")
+    argv = ["verify-cover", "A5", "-m", "2", "--family-file", str(fam)]
+    capsys.readouterr()
+    plain = run_json(argv, capsys)
+    assert plain[0] == 0 and plain[1]["covered"] is True
+    fam.write_text("\n".join(["# A5 wr C_2", *a5_m2_family[:3], "", *a5_m2_family[3:]]) + "\n")
+    assert run_json(argv, capsys) == plain
+
+
 def test_repeated_member_line_is_refused(a5_m2_family, tmp_path, capsys):
     # a member named twice would be counted twice: a repeated line, a
     # repeated socle prime, and a product-type line whose coset entry is
@@ -605,6 +621,11 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["construct-cover", "A5", "-m", "2", "--no-verify"])
     assert exc.value.code == 2
+    # a range is a..b, not one number
+    with pytest.raises(SystemExit) as exc:
+        main(["check-inequalities", "--lemma", "small-block", "--n-range", "11"])
+    assert exc.value.code == 2
+    assert "range must be a..b, got '11'" in capsys.readouterr().err
     # sigma's order cap is the one constant lattice.ORDER_CAP, not an option
     with pytest.raises(SystemExit) as exc:
         main(["sigma", "A5", "--cap", "100"])
@@ -633,6 +654,14 @@ _REFUSED_FILES = {
     "conj-odd.txt": "product-type{group=A5, class=D10, conj=(1 2), cosets=[()]}\n",
     "conj-point.txt": "product-type{group=A5, class=D10, conj=(1 9), cosets=[()]}\n",
     "not-utf8.txt": b"\xff socle{2}\n",
+    "group-a6.txt": "product-type{group=A6, class=D10, conj=(), cosets=[()]}\n",
+    "class-q8.txt": "product-type{group=A5, class=Q8, conj=(), cosets=[()]}\n",
+    "list.yaml": "- 1\n- 2\n",
+    "no-degree.yaml": "name: A5\n" + _A5_GENERATORS,
+    "bare-class.yaml": "name: A5\ndegree: 5\n" + _A5_GENERATORS + 'maximal_classes: ["A4"]\n',
+    "a4-size-4.yaml": "name: A5\ndegree: 5\n" + _A5_GENERATORS + "maximal_classes:\n"
+    '  - {label: A4, generators: ["(1 2 3)", "(1 2)(3 4)"], expected_order: 12,'
+    " expected_class_size: 4}\n",
 }
 # one request per input boundary, and its stderr line ({dir} is the
 # request's temporary directory).  m = 0 fails before any search, with the
@@ -666,6 +695,11 @@ REFUSED = [
      "unparseable descriptor line: '\ufffd socle{2}'"),
     (["verify-cover", "A5", "-m", "2", "--family-file", "{dir}/missing.txt"],
      "[Errno 2] No such file or directory: '{dir}/missing.txt'"),
+    (["verify-cover", "A5", "-m", "2", "--family-file", "{dir}/group-a6.txt"],
+     "descriptor group A6 != A5"),
+    (["verify-cover", "A5", "-m", "2", "--family-file", "{dir}/class-q8.txt"],
+     "unknown class label 'Q8'"),
+    (["verify-c2", "-p", "17", "-m", "1"], "no built-in catalog for PSL(2,17)"),
     (["formula", "main2", "-n", "15", "-m", "1"], "n=15 is not congruent to 2 mod 4"),
     (["formula", "main2", "-n", "-2", "-m", "1"], "n >= 1 required"),
     (["formula", "main2-lower", "-n", "0", "-m", "1"], "n >= 1 required"),
@@ -674,6 +708,14 @@ REFUSED = [
     (["formula", "f-ratio", "-n", "0", "-m", "1"], "n >= 1 required"),
     (["check-inequalities", "--lemma", "divisor-monotone", "--n-range", "0..9"],
      "n must be positive"),
+    # a lemma in n alone refuses an m range rather than ignore it
+    (["check-inequalities", "--lemma", "small-block", "--n-range", "11..20", "--m-range", "2..3"],
+     "lemma small-block takes --n-range only"),
+    (["check-inequalities", "--lemma", "12.1", "--n-range", "8..64", "--m-range", "2..5"],
+     "lemma divisor-monotone takes --n-range only"),
+    (["check-inequalities", "--lemma", "power-vs-index", "--n-range", "15..98", "--m-range",
+      "2..2"],
+     "lemma power-vs-index takes --n-range only"),
     (["catalog", "{dir}/bad-point.yaml"], "point 9 out of range 1..5 in '(1 2 3 4 9)'"),
     (["catalog", "{dir}/no-generators.yaml"], "need at least one generator"),
     (["catalog", "{dir}/degree-17.yaml"], "packed keys support degree <= 16 only"),
@@ -683,6 +725,11 @@ REFUSED = [
      "group file {dir}/list-name.yaml gives name [1, 2], not a string"),
     (["catalog", "{dir}/list-label.yaml"],
      "group file {dir}/list-label.yaml gives label [1, 2], not a string"),
+    (["catalog", "{dir}/list.yaml"], "group file {dir}/list.yaml is not a mapping"),
+    (["catalog", "{dir}/no-degree.yaml"], "group file {dir}/no-degree.yaml missing key 'degree'"),
+    (["catalog", "{dir}/bare-class.yaml"],
+     "group file {dir}/bare-class.yaml is malformed: string indices must be integers, not 'str'"),
+    (["catalog", "{dir}/a4-size-4.yaml"], "A5/A4: class size 5, catalog records 4"),
     (["verify-unbeatable", "M11", "--sigma-spec", "orders:8,11", "--families",
       "M10,PSL(2,11)", "-m", "2", "--mode", "explicit"],
      "enumerating S wr C_m needs m*|S|^m = 125452800 <= 100000000"),
@@ -741,6 +788,19 @@ def test_no_cache_directory_touches_no_file(tmp_path, monkeypatch, capsys):
     assert main([*argv, "--cache-dir", str(named)]) == 0
     assert capsys.readouterr() == plain
     assert len(list(named.iterdir())) == 1
+
+
+def test_cache_dir_naming_a_file_is_a_miss(tmp_path, capsys):
+    # a --cache-dir that is a regular file can be neither read nor written:
+    # the lattice is enumerated in memory and the file is left as it was
+    regular = tmp_path / "cache"
+    regular.write_text("not a directory")
+    spec = tmp_path / "a5.yaml"
+    spec.write_text("name: A5\ndegree: 5\n" + _A5_GENERATORS)
+    status, report = run_json(["sigma", str(spec), "--cache-dir", str(regular)], capsys)
+    assert status == 0 and report["certificate"]["value"] == 10
+    assert regular.read_text() == "not a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a5.yaml", "cache"]
 
 
 def test_package_runs_as_a_module():

@@ -461,6 +461,12 @@ def _oversized_member(data):
     return json.dumps(data)
 
 
+def _wrong_order(data):
+    # the group hash still matches, the recorded order does not
+    data["order"] += 1
+    return json.dumps(data)
+
+
 def _empty_members(data):
     # an order-0 entry, whose order divides nothing
     entry = next(e for e in data["classes"] if len(e["members"]) == 5)
@@ -481,6 +487,7 @@ def _empty_members(data):
         _oversized_generator,
         _oversized_member,
         _empty_members,
+        _wrong_order,
     ],
 )
 def test_bad_lattice_cache_is_rebuilt(corrupt, tmp_path, capsys):

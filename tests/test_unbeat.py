@@ -34,7 +34,7 @@ from oracles import compose, coset_minimum, exhaustive_min_cover
 
 def _products(inst):
     """The family's product-type members over the seed classes, in order."""
-    return product_type_family([h for _, h in inst.members()], inst.m)
+    return product_type_family([h for cls in inst.seed_classes for h in cls.conjugates], inst.m)
 
 
 def _m11_instance(m11, m):
@@ -105,7 +105,11 @@ def _set_checks(draw):
 def test_hit_cover_disjoint_matches_sets(inst):
     hit, cover, disjoint = hit_cover_disjoint(inst)
     # the reference: Python sets of element ids, member by member
-    members = inst.members()
+    members = [
+        (f"{cls.base_label}[{i}]", h)
+        for cls in inst.seed_classes
+        for i, h in enumerate(cls.conjugates)
+    ]
     target = inst.seed_ids.tolist()
     inter = [set(target) & set(h.member_ids.tolist()) for _, h in members]
     empty = [lab for (lab, _), s in zip(members, inter) if not s]
@@ -219,7 +223,8 @@ def test_m11_family_size(m11):
     for m in (1, 2, 3):
         inst = _m11_instance(m11, m)
         expect = (alpha(m) if m >= 2 else 0) + 11**m + 12**m
-        assert wreath_cover_upper_term([h for _, h in inst.members()], m) == expect, m
+        family = [h for cls in inst.seed_classes for h in cls.conjugates]
+        assert wreath_cover_upper_term(family, m) == expect, m
         assert len(_products(inst).owner) + alpha(m) == expect, m
 
 
@@ -330,10 +335,9 @@ def test_psl11_pipeline_m5(psl11):
     counts = rep.seed_counts["per_class"]
     assert counts["11:5"]["per_member"] == 10
     assert counts["D12"]["per_member"] == 2
-    family = [h for _, h in inst.members()]
+    family = [h for cls in inst.seed_classes for h in cls.conjugates]
     assert wreath_cover_upper_term(family, 5) == c2_value(11, 5)[0]
-    cover = [h for cls in inst.seed_classes for h in cls.conjugates]
-    bounds = theorem_bounds(inst, cover, check_definitely_unbeatable_symbolic(inst, rep))
+    bounds = theorem_bounds(inst, family, check_definitely_unbeatable_symbolic(inst, rep))
     assert bounds.lower == bounds.upper == alpha(5) + 12**5 + 55**5
 
 
