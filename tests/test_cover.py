@@ -1,6 +1,8 @@
+import json
 import sys
 from functools import reduce
 from operator import or_
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,3 +366,32 @@ def test_search_matches_bitscan_search_on_psl213(monkeypatch):
     assert cert.value == value and cert.lower_bound["nodes"] == nodes == 79915
     assert cert.chosen == [inst.labels[i] for i in chosen]
     _assert_node_cap_is_exact(inst, nodes, monkeypatch)
+
+
+_BNB_TARGETS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "bnb_targets.json").read_text()
+)
+_REFERENCE_SEARCHES = [
+    (e["group"], e["target"], e["sigma"])
+    for e in [e for choice in _BNB_TARGETS["choices"] for e in choice] + _BNB_TARGETS["probes"]
+] + [("A5", None, 10), ("PSL(2,7)", None, 15), ("PSL(2,11)", None, 67), ("PSL(2,13)", None, 92),
+      ("M11", None, 23)]
+
+
+@pytest.mark.parametrize(
+    "group, target, sigma",
+    _REFERENCE_SEARCHES,
+    ids=[f"{g}-{t or 'whole'}" for g, t, _ in _REFERENCE_SEARCHES],
+)
+def test_search_matches_bitscan_search_on_benchmark_targets(group, target, sigma):
+    # every seeded target and probe of the bnb workload, and every whole
+    # catalog group but A6 (554,032 nodes), against the reference node for node
+    cg = load_group(group)
+    spec = None if target is None else parse_target_spec(cg.table, target)
+    inst = build_instance(cg.table, cg.maximal_classes, spec)
+    cert = sigma_exact(inst)
+    order = _bitscan_greedy(inst.masks, inst.full_mask)
+    value, chosen, nodes = _bitscan_search(inst.masks, inst.full_mask, order)
+    assert cert.value == value and cert.lower_bound["nodes"] == nodes
+    assert cert.chosen == [inst.labels[i] for i in chosen]
+    assert value == sigma
