@@ -222,7 +222,7 @@ def parse_group_file(path: str | Path) -> GroupSpec:
         raise InputError(f"group file {path} is not a mapping")
 
     # checked, not cast: 5.9 and true are no degree, a string no generator
-    # list, and a list no name or label
+    # or class list, and a list no name, label or class
     def whole(entry: dict, key: str) -> int:
         if type(entry[key]) is not int:
             raise InputError(f"group file {path} gives {key} {entry[key]!r}, not an int")
@@ -239,6 +239,16 @@ def parse_group_file(path: str | Path) -> GroupSpec:
             raise InputError(f"group file {path} gives generators {value!r}, not a list of strings")
         return tuple(value)
 
+    def class_list(value) -> list:
+        if value is not None and not isinstance(value, list):
+            raise InputError(f"group file {path} gives maximal_classes {value!r}, not a list")
+        return value or []
+
+    def mapping(entry) -> dict:
+        if not isinstance(entry, dict):
+            raise InputError(f"group file {path} gives maximal class {entry!r}, not a mapping")
+        return entry
+
     try:
         name = text(data, "name")
         degree = whole(data, "degree")
@@ -250,12 +260,10 @@ def parse_group_file(path: str | Path) -> GroupSpec:
                 expected_order=whole(entry, "expected_order"),
                 expected_class_size=whole(entry, "expected_class_size"),
             )
-            for entry in data.get("maximal_classes", []) or []
+            for entry in map(mapping, class_list(data.get("maximal_classes")))
         ]
     except KeyError as exc:
         raise InputError(f"group file {path} missing key {exc}") from exc
-    except TypeError as exc:
-        raise InputError(f"group file {path} is malformed: {exc}") from exc
     labels = [c.label for c in classes]
     repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
     if repeated:

@@ -19,16 +19,21 @@ from buckets: one mask per distinct coverer count, in ascending order, so
 the choice is the lowest position in the first bucket that meets the
 uncovered set.  It prunes with a disjoint element packing: repeatedly take
 the lowest uncovered position and drop everything its coverers cover.  The
-complement of each element's coverer union is built the first time the
-packing reaches that element.  The instance's masks hold position 0 at the
-top bit, so the lowest position in a mask is read off its bit length.
+instance's masks hold position 0 at the top bit, so the lowest position in
+a mask is read off its bit length.  Each element's coverers, and the
+complement of their union, are list entries made on first use and read as
+``table[k] or make(k)``: no stored entry is falsy, as a complement of
+non-negative masks is negative and every element has a coverer once the
+greedy cover succeeds.
 
 The search keeps its own stack, so the interpreter's recursion limit does
 not bound its depth.  It visits nodes depth first, children by decreasing
-gain, then by candidate.  A child's bound is taken when it is made, and a
-child that the bound already prunes is counted but never stacked.
-Everything is deterministic: candidates are ordered canonically and all
-tie-breaks are lexicographic.
+gain, then by candidate.  An expansion counts every child, takes each
+one's bound in branch order and sorts only the children the bound keeps.
+That stacks what sorting all and then pruning would, since a child's bound
+depends only on its uncovered set and ``best_value - depth``, and no two
+children share a candidate.  Everything is deterministic: candidates are
+ordered canonically and all tie-breaks are lexicographic.
 
 At the last level, where ``best_value - depth`` is 1, a child is stacked
 only if it covers everything left, and the least such candidate would be
@@ -186,18 +191,6 @@ def _bit_rows(rows: np.ndarray, bits: np.ndarray, nrows: int, nbits: int) -> lis
     return [int.from_bytes(raw[r * width : (r + 1) * width], "little") for r in range(nrows)]
 
 
-class _Lazy(dict):
-    """A table whose entries are made on first lookup, by ``make(key)``."""
-
-    def __init__(self, make) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def _greedy_cover(instance: CoverInstance) -> tuple[list[int], Optional[int]]:
     """Repeatedly take the first candidate of largest gain, until none adds
     an element.  Gains only fall, so a heap of (-gain, candidate) keeps each
@@ -270,17 +263,23 @@ def sigma_exact(instance: CoverInstance) -> CoverCertificate:
 
     full = instance.full_mask
 
-    # static per-element data: the covering candidates of element e, in
-    # ascending candidate order, and their number
-    nbits = instance.universe_size
+    # static per-element data: the number of covering candidates of each
+    # element, and, keyed by nbits - e and made on first use, element e's
+    # covering candidates in ascending order and the complement of their
+    # union.  The lowest position of a nonzero mask x is nbits - x.bit_length()
+    nbits, masks = instance.universe_size, instance.masks
     by_element, start = instance.coverers, instance.coverer_start
     counts = np.diff(start)
-    coverers = _Lazy(lambda e: by_element[start[e] : start[e + 1]].tolist())
+    coverers: list = [None] * (nbits + 1)
+    anti_union = [0] * (nbits + 1)
 
-    # the lowest position of a nonzero mask x is nbits - x.bit_length()
-    masks = instance.masks
-    # keyed by nbits - e: the complement of the union of e's coverers
-    anti_union = _Lazy(lambda k: ~reduce(or_, [masks[i] for i in coverers[nbits - k]]))
+    def coverers_of(k: int) -> list[int]:
+        made = coverers[k] = by_element[start[nbits - k] : start[nbits - k + 1]].tolist()
+        return made
+
+    def anti_union_of(k: int) -> int:
+        made = anti_union[k] = ~reduce(or_, [masks[i] for i in coverers_of(k)])
+        return made
 
     # elements by coverer count, least covered first
     levels = np.unique(counts)
@@ -301,7 +300,7 @@ def sigma_exact(instance: CoverInstance) -> CoverCertificate:
         candidate, counted up to limit: each takes one more candidate."""
         count = 0
         while uncovered and count < limit:
-            uncovered &= anti_union[uncovered.bit_length()]
+            uncovered &= anti_union[k := uncovered.bit_length()] or anti_union_of(k)
             count += 1
         return count
 
@@ -354,7 +353,7 @@ def sigma_exact(instance: CoverInstance) -> CoverCertificate:
             low = uncovered & bucket
             if low:
                 break
-        branch = coverers[nbits - low.bit_length()]
+        branch = coverers[k := low.bit_length()] or coverers_of(k)
         nodes += len(branch)
         if nodes > NODE_CAP:
             raise InputError(f"branch-and-bound exceeded {NODE_CAP} nodes")
@@ -367,21 +366,22 @@ def sigma_exact(instance: CoverInstance) -> CoverCertificate:
                     break
             continue
         stack.append((key, nodes - len(branch), best_value))
-        # children by decreasing gain, then by candidate; the first is
-        # stacked last.  No two share a candidate, so rest is never compared.
-        for _, i, rest in sorted(
-            [((rest := uncovered & anti_mask[i]).bit_count(), i, rest) for i in branch],
-            reverse=True,
-        ):
+        # the kept children by decreasing gain, then by candidate; the first
+        # is stacked last.  No two share a candidate, so rest is never compared
+        kept = []
+        for i in branch:
             # the packing, inlined: left stays nonzero when it stops at limit
-            p, left = 0, rest
+            p, left = 0, (rest := uncovered & anti_mask[i])
             while left:
                 p += 1
                 if p >= limit:
                     break
-                left &= anti_union[left.bit_length()]
+                left &= anti_union[k := left.bit_length()] or anti_union_of(k)
             if not left:
-                stack.append((depth, rest, (i, path), depth + p))
+                kept.append((rest.bit_count(), i, rest, p))
+        kept.sort(reverse=True)
+        for _, i, rest, p in kept:
+            stack.append((depth, rest, (i, path), depth + p))
 
     return CoverCertificate(
         kind="exact-optimal",

@@ -659,6 +659,9 @@ _REFUSED_FILES = {
     "list.yaml": "- 1\n- 2\n",
     "no-degree.yaml": "name: A5\n" + _A5_GENERATORS,
     "bare-class.yaml": "name: A5\ndegree: 5\n" + _A5_GENERATORS + 'maximal_classes: ["A4"]\n',
+    "string-classes.yaml": "name: A5\ndegree: 5\n" + _A5_GENERATORS + 'maximal_classes: "A4"\n',
+    "mapping-classes.yaml": "name: A5\ndegree: 5\n" + _A5_GENERATORS
+    + "maximal_classes: {label: A4}\n",
     "a4-size-4.yaml": "name: A5\ndegree: 5\n" + _A5_GENERATORS + "maximal_classes:\n"
     '  - {label: A4, generators: ["(1 2 3)", "(1 2)(3 4)"], expected_order: 12,'
     " expected_class_size: 4}\n",
@@ -728,7 +731,11 @@ REFUSED = [
     (["catalog", "{dir}/list.yaml"], "group file {dir}/list.yaml is not a mapping"),
     (["catalog", "{dir}/no-degree.yaml"], "group file {dir}/no-degree.yaml missing key 'degree'"),
     (["catalog", "{dir}/bare-class.yaml"],
-     "group file {dir}/bare-class.yaml is malformed: string indices must be integers, not 'str'"),
+     "group file {dir}/bare-class.yaml gives maximal class 'A4', not a mapping"),
+    (["catalog", "{dir}/string-classes.yaml"],
+     "group file {dir}/string-classes.yaml gives maximal_classes 'A4', not a list"),
+    (["catalog", "{dir}/mapping-classes.yaml"],
+     "group file {dir}/mapping-classes.yaml gives maximal_classes {'label': 'A4'}, not a list"),
     (["catalog", "{dir}/a4-size-4.yaml"], "A5/A4: class size 5, catalog records 4"),
     (["verify-unbeatable", "M11", "--sigma-spec", "orders:8,11", "--families",
       "M10,PSL(2,11)", "-m", "2", "--mode", "explicit"],
