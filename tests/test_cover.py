@@ -341,19 +341,6 @@ def test_search_matches_bitscan_search(inst):
     assert cert.lower_bound["greedy_seed"] == len(order)
 
 
-@pytest.mark.parametrize("spec", ["orders:3", "orders:4", "cycle-types:1,1,2,2"])
-def test_search_matches_bitscan_search_on_a6(spec):
-    # these searches count 58%, 53% and 11% of their nodes from stored
-    # subtrees without walking them.  Under the first two, some uncovered
-    # sets are expanded under more than one limit, which the table keys apart
-    inst = _a6_instance(spec)
-    cert = sigma_exact(inst)
-    order = _bitscan_greedy(inst.masks, inst.full_mask)
-    value, chosen, nodes = _bitscan_search(inst.masks, inst.full_mask, order)
-    assert cert.value == value and cert.lower_bound["nodes"] == nodes
-    assert cert.chosen == [inst.labels[i] for i in chosen]
-
-
 def test_search_matches_bitscan_search_on_psl213(monkeypatch):
     # 79,915 nodes, the longest search checked against the reference
     cg = load_group("PSL(2,13)")
@@ -385,7 +372,11 @@ _REFERENCE_SEARCHES = [
 )
 def test_search_matches_bitscan_search_on_benchmark_targets(group, target, sigma):
     # every seeded target and probe of the bnb workload, and every whole
-    # catalog group but A6 (554,032 nodes), against the reference node for node
+    # catalog group but A6 (554,032 nodes), against the reference node for
+    # node.  A6's orders:3, orders:4 and cycle-types:1,1,2,2 count 58%, 53%
+    # and 11% of their nodes from stored subtrees without walking them.
+    # Under the first two, some uncovered sets are expanded under more than
+    # one limit, which the table keys apart
     cg = load_group(group)
     spec = None if target is None else parse_target_spec(cg.table, target)
     inst = build_instance(cg.table, cg.maximal_classes, spec)
