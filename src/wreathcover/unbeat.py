@@ -35,15 +35,20 @@ least mu seed elements uncovered, which no other member holds (C3); (3)
 each maximal subgroup outside H covers at most nu <= mu of them.
 Every certificate needs the catalog's maximal list complete; ``pipelines``
 makes a verdict on a spec file's unchecked list conditional.
-At m >= 2 explicit mode enumerates the target in a
-``wreath.WreathContext`` and checks everything by counting over boxes.  It
-makes one pass over the target's shifts, ascending: at each it counts the
-family's target hits and coverage (the socle maximals add whole layers),
-keeps the first U2 and U3 witness rows, then counts the target hits of the
-outsider sweep, a second record from the same generator over the maximal
-classes outside the family.  A member is an index into its record, and
-only the members a report names, the first empty member (U1) and the
-largest outsider (U4), get a label.
+At m >= 2 explicit mode needs a ``wreath.WreathContext``, the permit to
+enumerate the target, and checks everything by counting.  At m = 2 it
+counts from element classes and cosets (``_class_counts``): the strand
+target is a union of element-class pairs, every member's and outsider's
+target count is a class function, and the twisted layer's coverage is
+read off ``wreath.twisted_layer``; no box, grid or outsider record is
+built.  At every other m it counts over boxes (``_box_counts``), the m = 2
+reference in the tests.  That makes one pass over the target's shifts,
+ascending: at each it counts the family's target hits and coverage (the
+socle maximals add whole layers), keeps the first U2 and U3 witness rows,
+then counts the target hits of the outsider sweep, a second record from
+the same generator over the maximal classes outside the family.  A member
+is an index into its record, and only the members a report names, the
+first empty member (U1) and the largest outsider (U4), get a label.
 Symbolic mode certifies the first three conditions by the constructive
 coset argument and the fourth by the C5 arithmetic; it assumes the
 trichotomy that a maximal subgroup of S wr C_m contains the socle, is of
@@ -69,6 +74,9 @@ from .wreath import (
     box_luts,
     box_target_counts,
     product_type_family,
+    strand_conjugates,
+    twisted_layer,
+    twisted_row,
     wreath_cover_upper_term,
 )
 
@@ -429,22 +437,16 @@ def _target_masks(inst: SeedInstance, grid: np.ndarray) -> dict[int, np.ndarray]
     return dict(sorted(masks.items()))
 
 
-def check_definitely_unbeatable_wreath(inst: SeedInstance) -> UnbeatabilityReport:
-    """Explicit wreath mode: enumerate the target in S wr C_m (the
-    ``WreathContext`` refuses m * |S|^m above ``EXPLICIT_CAP``) and verify
-    all four conditions by counting.  The family is the product-type
-    members over the seed classes plus the socle maximals.  The outsider
-    sweep runs over every product-type subgroup built on maximal classes
-    outside the family; diagonal-type subgroups contribute their size bound
-    only and make the verdict conditional if they alone decide the
-    comparison."""
-    S, m = inst.S, inst.m
-    ctx = WreathContext(S, m)
+def _box_counts(inst: SeedInstance, ctx: WreathContext, family: ProductTypeFamily) -> tuple:
+    """Explicit mode's counts over boxes, for m != 2: one pass over the
+    target's shifts, ascending, as in the module docstring.  Returns the
+    member counts (products, then the socle maximals), the target size,
+    the first U2 and U3 witness rows, and the largest outsider with its
+    label."""
     grid = ctx.base_grid()
     outside = inst.outside_classes()
-    family = product_type_family([M for cls in inst.seed_classes for M in cls.conjugates], m)
-    sweep = product_type_family([M for cls in outside for M in cls.conjugates], m)
-    socle = prime_factors(m)
+    sweep = product_type_family([M for cls in outside for M in cls.conjugates], ctx.m)
+    socle = prime_factors(ctx.m)
     n_products = len(family.owner)
 
     # products are counted as boxes, socle maximals as whole shift layers
@@ -469,6 +471,94 @@ def check_definitely_unbeatable_wreath(inst: SeedInstance) -> UnbeatabilityRepor
                 witnesses[name] = {"shift": shift, "base": grid[rows[0]].tolist()}
         outsider_counts += box_target_counts(box_luts(ctx, sweep, shift), tmask)
 
+    outsider = (0, None)
+    if outsider_counts.shape[0] and outsider_counts.max() > 0:
+        best = int(np.argmax(outsider_counts))  # first maximum, in sweep order
+        outsider = (int(outsider_counts[best]), _member_label(outside, sweep, best))
+    return member_counts, target_size, witnesses, outsider
+
+
+def _class_counts(inst: SeedInstance, family: ProductTypeFamily) -> tuple:
+    """``_box_counts`` at m = 2, from element-class counts, with the one
+    socle maximal socle[2] last.  The seed is a union of element classes,
+    so the strand target T0 is a union of class pairs (c, c'), and a
+    subgroup M meets it in sum over them of |M & c| |M & c'| elements at
+    shift 0, whichever conjugate M^g its member's second side is.  At
+    shift 1 every member over M meets the target in |M| |M & seed|
+    elements.  The outsider sweep is counted class by class, and its first
+    member in a class, conjugate 0 on coset 0, is the one named.  U3 fails
+    at shift 0 exactly when some member over M meets T0, first at the
+    least x0 in such an M whose class pairs with one that M meets; U2 and
+    U3 at shift 1 read ``twisted_layer``'s groups against the seed."""
+    S, n, in_seed = inst.S, inst.S.order, inst.in_seed
+    names, of_class = np.unique(S.element_classes(), return_inverse=True)
+    if not (in_seed == in_seed[names][of_class]).all():
+        raise ValueError("explicit mode at m = 2 needs a conjugation-closed seed")
+    seed_c = in_seed[names].astype(np.int64)
+    # held[a, c]: class c lies in the seed and in a member of seed class a
+    held = np.array([conjugates_holding(S, [cls])[names] > 0 for cls in inst.seed_classes]) * seed_c
+    total = held.sum(axis=0)
+    t0 = (np.outer(total, total) - held.T @ held) > 0  # a != b
+    pairs = t0.astype(np.int64)
+
+    def meets(subgroups) -> tuple[np.ndarray, np.ndarray]:
+        """Each subgroup's element-class counts and target count."""
+        h = np.array(
+            [np.bincount(of_class[M.member_ids], minlength=names.shape[0]) for M in subgroups],
+            dtype=np.int64,
+        ).reshape(-1, names.shape[0])
+        sizes = np.array([M.size for M in subgroups], dtype=np.int64)
+        return h, sizes * (h @ seed_c) + ((h @ pairs) * h).sum(axis=1)
+
+    h, hits = meets(family.subgroups)
+    strand_size = int(np.bincount(of_class) @ pairs @ np.bincount(of_class))
+    member_counts = np.append(hits[family.owner], strand_size)
+    target_size = strand_size + n * int(in_seed.sum())
+
+    witnesses: dict[str, dict] = {}
+    inside = family.minima.reshape(-1, n) == 0  # x in subgroups[r]
+    present = np.bincount(family.owner, minlength=len(family.subgroups)) > 0
+    pairing = ((h > 0) @ pairs.T > 0)[:, of_class]  # (r, x): x's class pairs with one M meets
+    first = (inside & pairing & present[:, None]).any(axis=0)
+    if first.any():
+        x0 = int(np.argmax(first))
+        row = strand_conjugates(S, family)[inside[:, x0]].any(axis=0) & t0[of_class[x0], of_class]
+        witnesses["U3"] = {"shift": 0, "base": [x0, int(np.argmax(row))]}
+    weights, rows, counts = twisted_layer(family, n)
+    for name, bad in (("U2", lambda c: c == 0), ("U3", lambda c: c > 1)):
+        failing = rows[(bad(counts) & in_seed).any(axis=1)]
+        if failing.shape[0] and name not in witnesses:
+            x0 = int(failing.min())
+            row = bad(twisted_row(S, family, weights, x0)) & in_seed[S.mul_many(x0, np.arange(n))]
+            witnesses[name] = {"shift": 1, "base": [x0, int(np.argmax(row))]}
+
+    outsider = (0, None)
+    outside = inst.outside_classes()
+    _, sweep_hits = meets([cls.representative for cls in outside])
+    if sweep_hits.shape[0] and sweep_hits.max() > 0:
+        best = int(np.argmax(sweep_hits))  # the first maximum, in class order
+        outsider = (int(sweep_hits[best]), f"{outside[best].base_label}[0][0]")
+    return member_counts, target_size, witnesses, outsider
+
+
+def check_definitely_unbeatable_wreath(inst: SeedInstance) -> UnbeatabilityReport:
+    """Explicit wreath mode: enumerate the target in S wr C_m (the
+    ``WreathContext`` refuses m * |S|^m above ``EXPLICIT_CAP``) and verify
+    all four conditions by counting, from class counts at m = 2
+    (``_class_counts``) and over boxes otherwise (``_box_counts``).  The
+    family is the product-type members over the seed classes plus the
+    socle maximals.  The outsider sweep runs over every product-type
+    subgroup built on maximal classes outside the family; diagonal-type
+    subgroups contribute their size bound only and make the verdict
+    conditional if they alone decide the comparison."""
+    S, m = inst.S, inst.m
+    ctx = WreathContext(S, m)
+    family = product_type_family([M for cls in inst.seed_classes for M in cls.conjugates], m)
+    socle = prime_factors(m)
+    n_products = len(family.owner)
+    counted = _class_counts(inst, family) if m == 2 else _box_counts(inst, ctx, family)
+    member_counts, target_size, witnesses, (outsider_max, outsider_label) = counted
+
     empty = np.flatnonzero(member_counts == 0)
     empty_witness = None
     if empty.shape[0]:
@@ -479,11 +569,6 @@ def check_definitely_unbeatable_wreath(inst: SeedInstance) -> UnbeatabilityRepor
             else f"socle[{socle[j - n_products]}]"
         )
     member_min = int(member_counts.min()) if member_counts.shape[0] else 0
-    outsider_max, outsider_label = 0, None
-    if outsider_counts.shape[0] and outsider_counts.max() > 0:
-        best = int(np.argmax(outsider_counts))  # first maximum, in sweep order
-        outsider_max = int(outsider_counts[best])
-        outsider_label = _member_label(outside, sweep, best)
 
     diag_bound = diagonal_term(S.order, m)
     u4_by_count = outsider_max <= member_min

@@ -14,25 +14,36 @@ x[i-k] lies in g[i-k]^{-1} M g[i] for every i.  The opposite shift sign
 satisfies the mirrored condition instead; the two agree at m = 2, so only
 the m >= 3 oracle tests distinguish them.
 
-That condition is the one membership model, and ``box_luts`` is its one
-implementation.  At a fixed shift k it constrains each coordinate on its
-own, so a product-type member is a box A_0 x ... x A_{m-1} with sides
-A_a = g[a]^{-1} M g[a+k].  Two sides are cosets of M, A_0 = M g[k] and,
-for k > 0, A_{m-k} = g[m-k]^{-1} M (at k = 0 both are M): ``box_luts``
-reads them off the family's coset table and composes only the others on
-image rows, so at m = 2, where the socle covers shift 0, cover
-verification looks up no image row.  It stacks the sides of D members as
-0/1 rows L[d, a, :].  The number of members containing a base tuple x is
-sum_d prod_a L[d, a, x_a]: over the last two coordinates that is one matrix
-product, and leading coordinates are fixed one value at a time, keeping
-only the boxes that admit it (``box_coverage``, ``first_uncovered``).
-|box_d & T| for a target mask T is one matrix product with the last sides
-followed by one contraction per remaining coordinate
-(``box_target_counts``).  Cover verification and explicit unbeatability
-count this way and never build the |S|^m grid per member;
-``product_type_mask`` reads the members' sides over a given grid.  The
-ground truth for all of it, the normalizer of the explicit product subgroup
-on n*m points, lives with the tests (``tests/oracles.py``).
+That condition is the one membership model.  At a fixed shift k it
+constrains each coordinate on its own, so a product-type member is a box
+A_0 x ... x A_{m-1} with sides A_a = g[a]^{-1} M g[a+k].  Two sides are
+cosets of M, A_0 = M g[k] and, for k > 0, A_{m-k} = g[m-k]^{-1} M (at
+k = 0 both are M).
+
+At m = 2 every count is a count of cosets and conjugates, and no box is
+built.  At shift 1 the member over M on the coset M g holds (x0, x1; 1)
+exactly when M x0 = M g = M x1^{-1}, so x0 x1 lies in M, and the rows x0
+with the same cosets in the family share one count over z = x0 x1
+(``twisted_layer``); a row is read off the coset table alone
+(``twisted_row``).  At shift 0 the member is M x M^g, and each subgroup's
+conjugates are counted once (``strand_conjugates``).
+``verify_wreath_cover`` and explicit unbeatability (``unbeat``) take these
+counts at m = 2.
+
+At every other m the boxes do the counting, and they are the m = 2
+reference in the tests.  ``box_luts`` reads the two coset sides off the
+family's coset table and composes only the others on image rows.  It
+stacks the sides of D members as 0/1 rows L[d, a, :].  The number of
+members containing a base tuple x is sum_d prod_a L[d, a, x_a]: over the
+last two coordinates that is one matrix product, and leading coordinates
+are fixed one value at a time, keeping only the boxes that admit it
+(``box_coverage``, ``first_uncovered``).  |box_d & T| for a target mask T
+is one matrix product with the last sides followed by one contraction per
+remaining coordinate (``box_target_counts``).  Neither path builds the
+|S|^m grid per member; ``product_type_mask`` reads the members' sides over
+a given grid.  The ground truth for all of it, the normalizer of the
+explicit product subgroup on n*m points, lives with the tests
+(``tests/oracles.py``).
 
 A product-type family is one record, ``ProductTypeFamily``: its distinct
 subgroups M, their ``coset_minima`` rows as one array, and for each member
@@ -41,10 +52,11 @@ a cover of S there is one product-type subgroup per tuple of m-1 right
 cosets of M, |S:M|^(m-1) of them (``product_type_family``), and with the
 alpha(m) socle maximals they number ``wreath_cover_upper_term``.  A family
 makes its coset table once, in one batched pass over its subgroups, and
-carries it: the family's coset representatives, a family file's cosets and
-the coset sides of ``box_luts`` all read it, and it goes with the family.
-The constructive cover, the explicit unbeatability family and its outsider
-sweep all come from ``product_type_family``.
+carries it: the family's coset representatives, a family file's cosets,
+the m = 2 counts and the coset sides of ``box_luts`` all read it, and it
+goes with the family.  The constructive cover, the explicit unbeatability
+family and, at m != 2, its outsider sweep all come from
+``product_type_family``.
 A socle maximal is named by its prime r, a prime divisor of m: it is the
 preimage of the index-r subgroup of C_m, the elements whose shift r divides.
 """
@@ -128,7 +140,7 @@ class ProductTypeFamily:
     right coset M*g_i, so two members denote the same subgroup exactly when
     their subgroups and their cosets rows agree.  ``subgroups`` are
     distinct, and row r of ``minima`` is subgroups[r]'s ``coset_minima``
-    row; ``box_luts`` reads the coset sides off it.
+    row; the m = 2 counts and ``box_luts`` read the cosets off it.
     """
 
     subgroups: list[SubgroupHandle]
@@ -256,6 +268,52 @@ def box_target_counts(luts: np.ndarray, target: np.ndarray) -> np.ndarray:
     return out
 
 
+# -- m = 2 from coset and class counts ----------------------------------------------
+
+
+def twisted_layer(family: ProductTypeFamily, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How many members hold each element (x0, x1; 1) of S wr C_2, grouped
+    by row.  (x0, x1; 1) lies in member (M, Mg) exactly when M x0 = Mg =
+    M x1^{-1}, so the count is sum_M w_M(x0) [x0 x1 in M], w_M(x0) the
+    number of members over M on the coset M x0.  Returns (weights, rows,
+    counts): weights[r, x0] is w for subgroups[r], and the rows x0 with
+    equal weights form one group whose count is counts[p, z] at z = x0 x1
+    and whose least row is rows[p].  A family that holds each coset once
+    has one group, and its count is the number of its subgroups holding z."""
+    minima = family.minima.reshape(-1, n).astype(np.int64)
+    held = np.bincount(
+        family.owner * n + minima[family.owner, family.cosets[:, 0]],
+        minlength=minima.size,
+    )
+    weights = np.take_along_axis(held.reshape(minima.shape), minima, axis=1)
+    groups, rows = np.unique(weights, axis=1, return_index=True)
+    return weights, rows, groups.T @ (minima == 0)
+
+
+def twisted_row(S: GroupTable, family: ProductTypeFamily, weights: np.ndarray, x0: int) -> np.ndarray:
+    """The count of ``twisted_layer`` along row x0, one entry per x1, read
+    off the coset table: M x0 = M x1^{-1} and no product is formed."""
+    minima = family.minima.reshape(-1, S.order)
+    return weights[:, x0] @ (minima[:, S.inv] == minima[:, [x0]])
+
+
+def strand_conjugates(S: GroupTable, family: ProductTypeFamily) -> np.ndarray:
+    """At shift 0 of S wr C_2 member (M, Mg) is M x M^g, M^g = g^{-1} M g:
+    entry (r, y) is the number of members over subgroups[r] whose M^g
+    holds y, so sum_r [x0 in subgroups[r]] * entry (r, x1) members hold
+    (x0, x1; 0)."""
+    n, owner = S.order, family.owner
+    size = len(family.subgroups) * n
+    if not owner.shape[0]:
+        return np.zeros((len(family.subgroups), n), dtype=np.int64)
+    # one entry per (member, element of its M)
+    sizes = np.array([M.size for M in family.subgroups])[owner]
+    g = np.repeat(family.cosets[:, 0], sizes)
+    x = np.concatenate([family.subgroups[r].member_ids for r in owner.tolist()])
+    y = S.mul_many(S.mul_many(S.inv[g], x), g)
+    return np.bincount(np.repeat(owner, sizes) * n + y, minlength=size).reshape(-1, n)
+
+
 # -- the product-type family and the constructive cover ---------------------------
 
 
@@ -339,10 +397,12 @@ def verify_wreath_cover(
     """Check that every element of S wr C_m lies in some family member;
     returns (ok, first uncovered witness in shift-major, row-major order).
     ``socle`` names the socle maximals by their primes.  Every shift not
-    covered by a socle maximal is decided by counting boxes (see
-    ``first_uncovered``); at m = 2 the socle covers shift 0, and shift 1's
-    sides all come off the family's coset table.  ``threads`` is accepted
-    for compatibility and changes neither the work nor the result."""
+    covered by a socle maximal is decided by counting: at m = 2 from
+    cosets and conjugates (``_verify_m2``), otherwise over boxes (see
+    ``first_uncovered``).  ``threads`` is accepted for compatibility and
+    changes neither the work nor the result."""
+    if ctx.m == 2:
+        return _verify_m2(ctx.S, family, socle)
     for shift in range(ctx.m):
         if any(shift % r == 0 for r in socle):
             continue  # covered by a socle-containing maximal
@@ -351,3 +411,28 @@ def verify_wreath_cover(
             base = np.unravel_index(idx, (ctx.S.order,) * ctx.m)
             return False, WreathElement(tuple(int(x) for x in base), shift)
     return True, None
+
+
+def _verify_m2(
+    S: GroupTable, family: ProductTypeFamily, socle: Sequence[int]
+) -> tuple[bool, WreathElement | None]:
+    """``verify_wreath_cover`` at m = 2, from counts.  Shift 0, when no
+    socle maximal covers it, goes through ``first_uncovered`` with one
+    box per subgroup, its M against the ``strand_conjugates`` row.  At
+    shift 1 a group of ``twisted_layer`` rows is covered when its count
+    misses no z, and the first row that is not gives the witness along
+    ``twisted_row``: no image row is looked up there."""
+    n = S.order
+    if 2 not in socle:
+        inside = family.minima.reshape(-1, n) == 0  # x in subgroups[r]
+        sides = np.stack([inside, strand_conjugates(S, family)], axis=1)
+        idx = first_uncovered(sides.astype(np.float64))
+        if idx is not None:
+            return False, WreathElement(divmod(idx, n), 0)
+    weights, rows, counts = twisted_layer(family, n)
+    missed = rows[(counts == 0).any(axis=1)]
+    if not missed.shape[0]:
+        return True, None
+    x0 = int(missed.min())
+    x1 = int(np.argmin(twisted_row(S, family, weights, x0)))  # the first zero
+    return False, WreathElement((x0, x1), 1)

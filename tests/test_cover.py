@@ -342,17 +342,13 @@ def test_search_matches_bitscan_search(inst):
 
 
 def test_search_matches_bitscan_search_on_psl213(monkeypatch):
-    # 79,915 nodes, the longest search checked against the reference
+    # 79,915 nodes, the longest search checked against the reference; the
+    # reference itself runs once, on the benchmark-targets probe row below
     cg = load_group("PSL(2,13)")
     inst = build_instance(
         cg.table, cg.maximal_classes, parse_target_spec(cg.table, "orders:6")
     )
-    cert = sigma_exact(inst)
-    order = _bitscan_greedy(inst.masks, inst.full_mask)
-    value, chosen, nodes = _bitscan_search(inst.masks, inst.full_mask, order)
-    assert cert.value == value and cert.lower_bound["nodes"] == nodes == 79915
-    assert cert.chosen == [inst.labels[i] for i in chosen]
-    _assert_node_cap_is_exact(inst, nodes, monkeypatch)
+    _assert_node_cap_is_exact(inst, 79915, monkeypatch)
 
 
 _BNB_TARGETS = json.loads(

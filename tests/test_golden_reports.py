@@ -175,6 +175,32 @@ GOLDEN = [
         "c97e6f37d8d2c87a87414d1bb5539aa12c3f1c5c5036fe2e3e50d9e17eef8eb6",
     ),
     (
+        # m = 2 from class counts: U4 fails on S4'[0][0], 144 seed hits
+        # against a member minimum of 126
+        "verify-unbeatable PSL(2,7) --sigma-spec orders:7,4 --families 7:3,S4 -m 2",
+        1,
+        "a760b4b60b9f0418780d19b379c74a52eb0d2ef9e4dd769febcb95f7415e6cbd",
+    ),
+    (
+        # the two class unions overlap in the elements of order 3: the
+        # target size 25,984 counts each class pair once, and U3 fails at
+        # shift 0 on base [1, 1]
+        "verify-unbeatable PSL(2,7) --sigma-spec orders:7,3 --families 7:3,S4 -m 2",
+        1,
+        "1ce6621dae1772bec99dd93e1ba4eb811db51fe131268fd790167327130be8ad",
+    ),
+    (
+        # explicit at m = 2, outside the theorem: U4 fails
+        "verify-c2 -p 11 -m 2",
+        1,
+        "984897eec77fe59c28d733b371a79078b89ddb08b6deb4b2fa9740950be9bb06",
+    ),
+    (
+        "verify-c2 -p 13 -m 2",
+        1,
+        "62dcd1645c1ec1426bbfe4fd1d6483292e3e0af567c07792bc055998baac2bfe",
+    ),
+    (
         "verify-unbeatable M11 --sigma-spec orders:8,11 --families M10,PSL(2,11) -m 3",
         0,
         "b43e682aa86c45f77f4da62c56081d8a3caa4ca70274a08104178b9d10beeb15",

@@ -576,3 +576,98 @@ def test_theorem_bounds_m1(m11):
     # a cover that misses an element raises, at m = 1 as at m >= 2
     with pytest.raises(ValueError, match="cover does not cover S"):
         theorem_bounds(inst, cover[1:], conditional)
+
+
+# -- m = 2: class counts against the box kernels --------------------------------
+
+
+def _assert_counts_match_boxes(inst, family):
+    """``_class_counts`` against ``_box_counts``, the m = 2 reference: the
+    member counts, the target size, the U2 and U3 witness rows and the
+    largest outsider with its label."""
+    counted = unbeat._class_counts(inst, family)
+    boxed = unbeat._box_counts(inst, WreathContext(inst.S, 2), family)
+    assert np.array_equal(counted[0], boxed[0])
+    assert counted[1:] == boxed[1:]
+
+
+@pytest.mark.parametrize(
+    "group, spec, families",
+    [
+        # every element of order 3 lies in an A4 and in an S3
+        ("A5", "orders:3", "A4,S3"),
+        # the class unions overlap in the elements of order 3, and U3
+        # fails at shift 0 first
+        ("PSL(2,7)", "orders:7,3", "7:3,S4"),
+        ("PSL(2,7)", "orders:7,4", "7:3,S4"),
+        ("A6", "orders:3", "S4,S4'"),
+    ],
+)
+def test_m2_class_counts_match_box_counts(group, spec, families):
+    cg = load_group(group)
+    by_label = cg.classes_by_label()
+    inst = SeedInstance(
+        S=cg.table,
+        seed_ids=parse_target_spec(cg.table, spec),
+        seed_classes=[by_label[label] for label in families.split(",")],
+        m=2,
+        maximal_classes=cg.maximal_classes,
+    )
+    _assert_counts_match_boxes(inst, _products(inst))
+
+
+@st.composite
+def _m2_instances(draw):
+    """A random family of maximal classes, a random union of element
+    classes as seed, and the family's product-type record: whole, with
+    random members dropped and repeated, or over some subgroups only."""
+    cg = load_group(draw(st.sampled_from(["A5", "PSL(2,7)", "A6"])))
+    g, classes = cg.table, cg.maximal_classes
+    picked = draw(st.lists(st.integers(0, len(classes) - 1), min_size=1, unique=True))
+    labels = g.element_classes()
+    seed_classes = draw(st.lists(st.sampled_from(np.unique(labels).tolist()), min_size=1, unique=True))
+    inst = SeedInstance(
+        S=g,
+        seed_ids=np.flatnonzero(np.isin(labels, seed_classes)),
+        seed_classes=[classes[i] for i in picked],
+        m=2,
+        maximal_classes=classes,
+    )
+    family = _products(inst)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = len(family.owner)
+    keep = {
+        "whole": np.arange(D),
+        "members": np.sort(rng.choice(D, size=int(rng.integers(1, D + 1)), replace=True)),
+        "subgroups": np.flatnonzero(rng.random(len(family.subgroups)) < 0.3)[:, None],
+    }[draw(st.sampled_from(["whole", "members", "subgroups"]))]
+    if keep.ndim == 2:  # every member over some of the subgroups
+        keep = np.flatnonzero((family.owner == keep).any(axis=0))
+    family = dataclasses.replace(family, owner=family.owner[keep], cosets=family.cosets[keep])
+    return inst, family
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_m2_instances())
+def test_m2_class_counts_match_box_counts_on_random_instances(drawn):
+    _assert_counts_match_boxes(*drawn)
+
+
+def test_m2_reports_build_no_box(monkeypatch):
+    # at m = 2 the explicit reports count from classes and cosets: no box
+    # side, base grid or target mask is made
+    from wreathcover import wreath
+    from wreathcover.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an m = 2 report built a box")
+
+    for module, name in [(wreath, "box_luts"), (unbeat, "box_luts"), (unbeat, "_target_masks")]:
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(WreathContext, "base_grid", refuse)
+    for argv in [
+        "verify-c2 -p 11 -m 2",
+        "verify-unbeatable A5 --sigma-spec orders:5,3 --families D10,S3 -m 2 --mode explicit",
+        "construct-cover PSL(2,7) -m 2",
+    ]:
+        assert main([*argv.split(), "--json"]) in (0, 1), argv

@@ -19,6 +19,7 @@ from wreathcover.wreath import (
     box_target_counts,
     construct_product_cover,
     coset_minima,
+    first_uncovered,
     product_type_family,
     product_type_mask,
     verify_wreath_cover,
@@ -474,3 +475,46 @@ def test_coset_minima_match_one_coset_at_a_time(batch):
             assert (row[g.mul_many(M.member_ids, rep)] == rep).all()
         assert family.cosets[family.owner == r, 0].tolist() == reps
         assert row[labels].tolist() == [coset_minimum(M, x) for x in labels]
+
+
+def _box_verification(ctx, family, socle):
+    """``verify_wreath_cover`` over the box kernels, its path for m != 2
+    and the reference at m = 2."""
+    for shift in range(ctx.m):
+        if any(shift % r == 0 for r in socle):
+            continue
+        idx = first_uncovered(box_luts(ctx, family, shift))
+        if idx is not None:
+            base = np.unravel_index(idx, (ctx.S.order,) * ctx.m)
+            return False, WreathElement(tuple(int(x) for x in base), shift)
+    return True, None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    group=st.sampled_from(["A5", "PSL(2,7)", "A6"]),
+    seed=st.integers(0, 2**32 - 1),
+    with_socle=st.booleans(),
+)
+@example(group="A6", seed=0, with_socle=False)
+def test_m2_verification_matches_box_path(group, seed, with_socle):
+    # a family file: the lines of the constructive family over random
+    # maximal classes, some lines dropped (cosets missing), lines of other
+    # classes' conjugates added, the socle line kept or dropped, read back
+    from wreathcover.pipelines import descriptor_lines, parse_descriptor_lines
+
+    cg = load_group(group)
+    rng = np.random.default_rng(seed)
+    classes = cg.maximal_classes
+    picked = [cls for cls in classes if rng.random() < 0.5] or classes[:1]
+    family = product_type_family([M for cls in picked for M in cls.conjugates], 2)
+    lines = descriptor_lines(cg, family, [2])
+    drop = rng.choice([0.0, 0.01, 0.1])
+    lines = [line for line in lines if line.startswith("socle") or rng.random() >= drop]
+    extra = product_type_family([M for cls in classes for M in cls.conjugates], 2)
+    lines += rng.choice(descriptor_lines(cg, extra, []), size=int(rng.integers(0, 4))).tolist()
+    if not with_socle:
+        lines = [line for line in lines if not line.startswith("socle")]
+    family, socle = parse_descriptor_lines(cg, list(dict.fromkeys(lines)), 2)
+    ctx = WreathContext(cg.table, 2)
+    assert verify_wreath_cover(ctx, family, socle) == _box_verification(ctx, family, socle)
