@@ -63,7 +63,6 @@ preimage of the index-r subgroup of C_m, the elements whose shift r divides.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -286,7 +285,10 @@ def twisted_layer(family: ProductTypeFamily, n: int) -> tuple[np.ndarray, np.nda
         minlength=minima.size,
     )
     weights = np.take_along_axis(held.reshape(minima.shape), minima, axis=1)
-    groups, rows = np.unique(weights, axis=1, return_index=True)
+    if (weights == weights[:, :1]).all():  # every row alike, as in a whole family
+        groups, rows = weights[:, :1], np.zeros(1, dtype=np.int64)
+    else:
+        groups, rows = np.unique(weights, axis=1, return_index=True)
     return weights, rows, groups.T @ (minima == 0)
 
 
@@ -358,16 +360,20 @@ def product_type_family(members: Sequence[SubgroupHandle], m: int) -> ProductTyp
     ``members``, in member order: one per tuple of m-1 right cosets of M,
     the tuples in lexicographic order of their ascending coset minima
     (already the canonical form), read off the ``coset_minima`` table that
-    the family is made with and carries."""
+    the family is made with and carries.  Member j of a subgroup with k
+    cosets takes the m-1 base-k digits of j, most significant first, as
+    indices into its ascending minima."""
     minima = coset_minima(members)
-    owner, cosets = [], []
-    for r, row in enumerate(minima):
-        reps = np.flatnonzero(row == np.arange(row.shape[0])).tolist()
-        for c in itertools.product(reps, repeat=m - 1):
-            owner.append(r)
-            cosets.append(c)
-    owner = np.array(owner, dtype=np.int64)
-    cosets = np.array(cosets, dtype=np.int64).reshape(owner.shape[0], m - 1)
+    is_min = minima == np.arange(minima.shape[1])
+    k = is_min.sum(axis=1)
+    reps = np.nonzero(is_min)[1]  # each row's minima, ascending, row after row
+    per = k ** (m - 1)
+    owner = np.repeat(np.arange(minima.shape[0]), per)
+    j = np.arange(owner.shape[0]) - np.repeat(np.cumsum(per) - per, per)
+    base, start = k[owner], (np.cumsum(k) - k)[owner]
+    cosets = np.empty((owner.shape[0], m - 1), dtype=np.int64)
+    for a in range(m - 1):
+        cosets[:, a] = reps[start + j // base ** (m - 2 - a) % base]
     return ProductTypeFamily(list(members), minima, owner, cosets)
 
 
