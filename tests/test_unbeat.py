@@ -671,3 +671,12 @@ def test_m2_reports_build_no_box(monkeypatch):
         "construct-cover PSL(2,7) -m 2",
     ]:
         assert main([*argv.split(), "--json"]) in (0, 1), argv
+
+
+def test_m2_class_counts_refuse_an_open_seed(a5):
+    # the strand target is a union of class pairs only for a seed closed
+    # under conjugation; one element of order 5 is not
+    inst = _a5_instance(a5, 2)
+    open_seed = dataclasses.replace(inst, seed_ids=inst.seed_ids[:1])
+    with pytest.raises(ValueError, match="conjugation-closed seed"):
+        check_definitely_unbeatable_wreath(open_seed)
