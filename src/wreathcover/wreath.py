@@ -285,10 +285,7 @@ def twisted_layer(family: ProductTypeFamily, n: int) -> tuple[np.ndarray, np.nda
         minlength=minima.size,
     )
     weights = np.take_along_axis(held.reshape(minima.shape), minima, axis=1)
-    if (weights == weights[:, :1]).all():  # every row alike, as in a whole family
-        groups, rows = weights[:, :1], np.zeros(1, dtype=np.int64)
-    else:
-        groups, rows = np.unique(weights, axis=1, return_index=True)
+    groups, rows = np.unique(weights, axis=1, return_index=True)
     return weights, rows, groups.T @ (minima == 0)
 
 
@@ -409,6 +406,14 @@ def verify_wreath_cover(
     changes neither the work nor the result."""
     if ctx.m == 2:
         return _verify_m2(ctx.S, family, socle)
+    return _verify_boxes(ctx, family, socle)
+
+
+def _verify_boxes(
+    ctx: WreathContext, family: ProductTypeFamily, socle: Sequence[int]
+) -> tuple[bool, WreathElement | None]:
+    """``verify_wreath_cover`` over boxes, shift by shift: its path for
+    m != 2, and the reference the m = 2 count path is tested against."""
     for shift in range(ctx.m):
         if any(shift % r == 0 for r in socle):
             continue  # covered by a socle-containing maximal

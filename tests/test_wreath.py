@@ -14,12 +14,12 @@ from wreathcover.wreath import (
     ProductTypeFamily,
     WreathContext,
     WreathElement,
+    _verify_boxes,
     box_coverage,
     box_luts,
     box_target_counts,
     construct_product_cover,
     coset_minima,
-    first_uncovered,
     product_type_family,
     product_type_mask,
     verify_wreath_cover,
@@ -477,19 +477,6 @@ def test_coset_minima_match_one_coset_at_a_time(batch):
         assert row[labels].tolist() == [coset_minimum(M, x) for x in labels]
 
 
-def _box_verification(ctx, family, socle):
-    """``verify_wreath_cover`` over the box kernels, its path for m != 2
-    and the reference at m = 2."""
-    for shift in range(ctx.m):
-        if any(shift % r == 0 for r in socle):
-            continue
-        idx = first_uncovered(box_luts(ctx, family, shift))
-        if idx is not None:
-            base = np.unravel_index(idx, (ctx.S.order,) * ctx.m)
-            return False, WreathElement(tuple(int(x) for x in base), shift)
-    return True, None
-
-
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     group=st.sampled_from(["A5", "PSL(2,7)", "A6"]),
@@ -517,4 +504,4 @@ def test_m2_verification_matches_box_path(group, seed, with_socle):
         lines = [line for line in lines if not line.startswith("socle")]
     family, socle = parse_descriptor_lines(cg, list(dict.fromkeys(lines)), 2)
     ctx = WreathContext(cg.table, 2)
-    assert verify_wreath_cover(ctx, family, socle) == _box_verification(ctx, family, socle)
+    assert verify_wreath_cover(ctx, family, socle) == _verify_boxes(ctx, family, socle)
