@@ -285,7 +285,10 @@ def twisted_layer(family: ProductTypeFamily, n: int) -> tuple[np.ndarray, np.nda
         minlength=minima.size,
     )
     weights = np.take_along_axis(held.reshape(minima.shape), minima, axis=1)
-    groups, rows = np.unique(weights, axis=1, return_index=True)
+    if (weights == weights[:, :1]).all():  # a whole family: no column sort
+        groups, rows = weights[:, :1], np.zeros(1, dtype=np.int64)
+    else:
+        groups, rows = np.unique(weights, axis=1, return_index=True)
     return weights, rows, groups.T @ (minima == 0)
 
 
