@@ -6,8 +6,9 @@ its lower bound from that report's ``certified_lower_bound``, never from a
 check of its own.  The seed is one mask over S, ``SeedInstance.in_seed``,
 built once when the instance is made; every condition reads it.
 ``SeedInstance.class_hits`` counts seed elements in a class representative
-(mu, nu, C5; C1 reads each class's stacked members); ``conjugates_holding``,
-how many members hold each element, gives C2, C3 and the strand layer's unions.
+(mu, nu, C5, explicit member counts; C1 reads each class's stacked
+members); ``conjugates_holding``, how many members hold each element, gives
+C2, C3 and explicit mode's coverage and class pairs.
 
 * Seed conditions C0-C5 on a pair (seed element set, conjugation-closed
   family of maximal subgroup classes).  C0-C4 are finite set checks; C5 is
@@ -20,11 +21,9 @@ how many members hold each element, gives C2, C3 and the strand layer's unions.
   member does.  When that holds the covering number of the target equals
   |H| exactly, which lower-bounds the covering number of the whole group.
 
-The family H of S wr C_m is the product-type family over the seed
-classes' members plus the socle maximals.  ``wreath.product_type_family``
-makes its product-type part as one ``wreath.ProductTypeFamily`` record,
-which carries its own coset table, and ``wreath.wreath_cover_upper_term``
-counts it.
+The family H of S wr C_m is the product-type family over every conjugate
+of the seed classes plus the socle maximals, ``wreath_cover_upper_term``
+of them.
 
 U4 is that last condition, one rule at every m.  At m = 1 the target is
 the seed, so U1-U3 are C1-C3, read off the seed report with the member
@@ -35,20 +34,34 @@ least mu seed elements uncovered, which no other member holds (C3); (3)
 each maximal subgroup outside H covers at most nu <= mu of them.
 Every certificate needs the catalog's maximal list complete; ``pipelines``
 makes a verdict on a spec file's unchecked list conditional.
-At m >= 2 explicit mode needs a ``wreath.WreathContext``, the permit to
-enumerate the target, and checks everything by counting.  At m = 2 it
-counts from element classes and cosets (``_class_counts``): the strand
-target is a union of element-class pairs, every member's and outsider's
-target count is a class function, and the twisted layer's coverage is
-read off ``wreath.twisted_layer``; no box, grid or outsider record is
-built.  At every other m it counts over boxes (``_box_counts``), the m = 2
-reference in the tests.  That makes one pass over the target's shifts,
-ascending: at each it counts the family's target hits and coverage (the
-socle maximals add whole layers), keeps the first U2 and U3 witness rows,
-then counts the target hits of the outsider sweep, a second record from
-the same generator over the maximal classes outside the family.  A member
-is an index into its record, and only the members a report names, the
-first empty member (U1) and the largest outsider (U4), get a label.
+
+At m >= 2 the target T is the twisted layer, the (x; 1) whose product
+h = x_0 x_1 ... x_{m-1} lies in the seed, and one strand layer per prime r
+dividing m, the (x; r mod m) whose strand products x_0 x_r x_2r ... and
+x_1 x_(1+r) ... lie in the seed elements of two different family classes:
+a class pair (c, c') of ``pairs``.  Seed and family are unions of whole
+conjugacy classes, so every count is a class function, and explicit mode
+takes them all from element-class counts (``_class_counts``), with the
+``wreath.WreathContext`` as its permit and no member, box, grid or coset
+table built:
+* a member over M meets T in |M|^(m-1) |M & seed| + alpha(m) |M|^(m-2)
+  sum over pairs of |M & c| |M & c'| elements, on any conjugate of M and
+  any cosets, and so does an outsider; a class's first member, conjugate
+  0 on coset 0 (``base[0][0, ..., 0]``), names it in U1 and U4;
+* |T| = |S|^(m-1) |seed| + alpha(m) |S|^(m-2) #pairs, and each socle
+  maximal holds its strand layer whole, |S|^(m-2) #pairs elements;
+* (x; 1) lies in the member over M on the cosets M x_0, M x_0 x_1, ...
+  exactly when h lies in M, so in as many members as family conjugates
+  hold h: U2 and U3 fail at shift 1 on the least seed element z that none
+  or two hold, at the row (0, ..., 0, z);
+* a socle maximal covers each strand layer, so only U3 can fail there,
+  when a member over some M holds a strand element.  Its two products lie
+  in M and in a conjugate of M, and in members of two different family
+  classes, so one of them lies in members of two classes and U3 fails at
+  shift 1 too.  The strand layer names the witness only when it comes
+  first, at shift 0 for m prime: (y0, y1, 0, ..., 0), y0 and y1 the least
+  class minima of a target pair that members of one seed class hold.
+
 Symbolic mode certifies the first three conditions by the constructive
 coset argument and the fourth by the C5 arithmetic; it assumes the
 trichotomy that a maximal subgroup of S wr C_m contains the socle, is of
@@ -57,7 +70,6 @@ product type, or is of diagonal type, and says so in the certificate.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -67,18 +79,7 @@ from . import InputError
 from .cover import verify_cover_handles
 from .formulas import alpha, prime_factors, smallest_prime_factor
 from .groups import GroupTable, SubgroupClass, SubgroupHandle, conjugates_holding, member_mask
-from .wreath import (
-    ProductTypeFamily,
-    WreathContext,
-    box_coverage,
-    box_luts,
-    box_target_counts,
-    product_type_family,
-    strand_conjugates,
-    twisted_layer,
-    twisted_row,
-    wreath_cover_upper_term,
-)
+from .wreath import WreathContext, wreath_cover_upper_term
 
 TRICHOTOMY_ASSUMPTION = (
     "assumes every maximal subgroup of S wr C_m contains the socle, is of "
@@ -400,175 +401,83 @@ def check_definitely_unbeatable_group(
     )
 
 
-def _member_label(classes: Sequence[SubgroupClass], family: ProductTypeFamily, j: int) -> str:
-    """Member j of the family over every conjugate of the classes, in class
-    order, labelled ``base[i][c_2, ..., c_m]`` by its first slot, conjugate
-    i of class base, and its coset minima.  Only the members a report
-    names are labelled."""
-    i = int(family.owner[j])
-    for cls in classes:
-        if i < cls.class_size:
-            return f"{cls.base_label}[{i}]{family.cosets[j].tolist()}"
-        i -= cls.class_size
-    raise IndexError(j)
-
-
-def _target_masks(inst: SeedInstance, grid: np.ndarray) -> dict[int, np.ndarray]:
-    """The target set as boolean masks over the base grid, keyed by shift in
-    ascending order: the twisted layer at shift 1 % m (the whole strand
-    product in the seed) and, for each prime r dividing m, the strand layer
-    at shift r % m (its two strand products in the seed elements of two
-    different family classes)."""
-    S, m, seed_lut = inst.S, inst.m, inst.in_seed
-
-    def strand_product(step: int, t: int) -> np.ndarray:
-        return functools.reduce(S.mul_many, grid[:, t::step].T)
-
-    masks = {1 % m: seed_lut[strand_product(1, 0)]}
-    class_unions = [(conjugates_holding(S, [cls]) > 0) & seed_lut for cls in inst.seed_classes]
-    for r in prime_factors(m):
-        p0, p1 = strand_product(r, 0), strand_product(r, 1)
-        mask = np.zeros(grid.shape[0], dtype=bool)
-        for a, lut_a in enumerate(class_unions):
-            for b, lut_b in enumerate(class_unions):
-                if a != b:
-                    mask |= lut_a[p0] & lut_b[p1]
-        masks[r % m] = mask  # r is prime, so r % m != 1
-    return dict(sorted(masks.items()))
-
-
-def _box_counts(inst: SeedInstance, ctx: WreathContext, family: ProductTypeFamily) -> tuple:
-    """Explicit mode's counts over boxes, for m != 2: one pass over the
-    target's shifts, ascending, as in the module docstring.  Returns the
-    member counts (products, then the socle maximals), the target size,
-    the first U2 and U3 witness rows, and the largest outsider with its
-    label."""
-    grid = ctx.base_grid()
-    outside = inst.outside_classes()
-    sweep = product_type_family([M for cls in outside for M in cls.conjugates], ctx.m)
-    socle = prime_factors(ctx.m)
-    n_products = len(family.owner)
-
-    # products are counted as boxes, socle maximals as whole shift layers
-    member_counts = np.zeros(n_products + len(socle), dtype=np.int64)
-    outsider_counts = np.zeros(len(sweep.owner), dtype=np.int64)
-    target_size = 0
-    witnesses: dict[str, dict] = {}  # condition -> its first failing row
-    for shift, tmask in _target_masks(inst, grid).items():
-        layer_size = int(tmask.sum())
-        target_size += layer_size
-        luts = box_luts(ctx, family, shift)
-        member_counts[:n_products] += box_target_counts(luts, tmask)
-        counts = box_coverage(luts)
-        del luts  # the outsiders' rows come next; never hold both
-        for j, r in enumerate(socle):
-            if shift % r == 0:
-                member_counts[n_products + j] += layer_size
-                counts += 1
-        for name, bad in (("U2", counts == 0), ("U3", counts > 1)):
-            rows = np.flatnonzero(tmask & bad)
-            if rows.shape[0] and name not in witnesses:
-                witnesses[name] = {"shift": shift, "base": grid[rows[0]].tolist()}
-        outsider_counts += box_target_counts(box_luts(ctx, sweep, shift), tmask)
-
-    outsider = (0, None)
-    if outsider_counts.shape[0] and outsider_counts.max() > 0:
-        best = int(np.argmax(outsider_counts))  # first maximum, in sweep order
-        outsider = (int(outsider_counts[best]), _member_label(outside, sweep, best))
-    return member_counts, target_size, witnesses, outsider
-
-
-def _class_counts(inst: SeedInstance, family: ProductTypeFamily) -> tuple:
-    """``_box_counts`` at m = 2, from element-class counts, with the one
-    socle maximal socle[2] last.  The seed is a union of element classes,
-    so the strand target T0 is a union of class pairs (c, c'), and a
-    subgroup M meets it in sum over them of |M & c| |M & c'| elements at
-    shift 0, whichever conjugate M^g its member's second side is.  At
-    shift 1 every member over M meets the target in |M| |M & seed|
-    elements.  The outsider sweep is counted class by class, and its first
-    member in a class, conjugate 0 on coset 0, is the one named.  U3 fails
-    at shift 0 exactly when some member over M meets T0, first at the
-    least x0 in such an M whose class pairs with one that M meets; U2 and
-    U3 at shift 1 read ``twisted_layer``'s groups against the seed."""
-    S, n, in_seed = inst.S, inst.S.order, inst.in_seed
+def _class_counts(inst: SeedInstance) -> tuple:
+    """Explicit mode's counts at m >= 2, from element-class counts, as in
+    the module docstring.  Returns each member kind's label and target
+    count (a member over each seed class, conjugate 0 on coset 0, then the
+    socle maximals), the target size, the first U2 and U3 witness rows,
+    and the largest outsider with its label."""
+    S, m, n, in_seed = inst.S, inst.m, inst.S.order, inst.in_seed
     names, of_class = np.unique(S.element_classes(), return_inverse=True)
     if not (in_seed == in_seed[names][of_class]).all():
-        raise ValueError("explicit mode at m = 2 needs a conjugation-closed seed")
-    seed_c = in_seed[names].astype(np.int64)
-    # held[a, c]: class c lies in the seed and in a member of seed class a
-    held = np.array([conjugates_holding(S, [cls])[names] > 0 for cls in inst.seed_classes]) * seed_c
+        raise ValueError("explicit mode needs a conjugation-closed seed")
+    # holds[a, c]: a member of seed class a holds class c
+    holds = np.array([conjugates_holding(S, [cls])[names] > 0 for cls in inst.seed_classes])
+    held = (holds & in_seed[names]).astype(np.int64)
     total = held.sum(axis=0)
-    t0 = (np.outer(total, total) - held.T @ held) > 0  # a != b
-    pairs = t0.astype(np.int64)
+    pairs = (np.outer(total, total) - held.T @ held > 0).astype(np.int64)  # a != b
+    layers = alpha(m)
 
-    def meets(subgroups) -> tuple[np.ndarray, np.ndarray]:
-        """Each subgroup's element-class counts and target count."""
-        h = np.array(
-            [np.bincount(of_class[M.member_ids], minlength=names.shape[0]) for M in subgroups],
-            dtype=np.int64,
-        ).reshape(-1, names.shape[0])
-        sizes = np.array([M.size for M in subgroups], dtype=np.int64)
-        return h, sizes * (h @ seed_c) + ((h @ pairs) * h).sum(axis=1)
+    def first_member(cls: SubgroupClass) -> str:
+        return f"{cls.base_label}[0]{[0] * (m - 1)}"
 
-    h, hits = meets(family.subgroups)
-    strand_size = int(np.bincount(of_class) @ pairs @ np.bincount(of_class))
-    member_counts = np.append(hits[family.owner], strand_size)
-    target_size = strand_size + n * int(in_seed.sum())
+    def meets(classes: Sequence[SubgroupClass]) -> list[int]:
+        """|M & T| for M each class's representative: every member over
+        any conjugate of M, on any cosets, meets the target as often."""
+        out = []
+        for cls, hits in zip(classes, inst.class_hits(classes)):
+            M = cls.representative
+            h = np.bincount(of_class[M.member_ids], minlength=names.shape[0])
+            out.append(M.size ** (m - 1) * hits + layers * M.size ** (m - 2) * int(h @ pairs @ h))
+        return out
+
+    sizes = np.bincount(of_class)
+    strand = n ** (m - 2) * int(sizes @ pairs @ sizes)  # one strand layer
+    socle = prime_factors(m)
+    members = list(zip(map(first_member, inst.seed_classes), meets(inst.seed_classes)))
+    members += [(f"socle[{r}]", strand) for r in socle]
+    target_size = n ** (m - 1) * int(in_seed.sum()) + layers * strand
 
     witnesses: dict[str, dict] = {}
-    inside = family.minima.reshape(-1, n) == 0  # x in subgroups[r]
-    present = np.bincount(family.owner, minlength=len(family.subgroups)) > 0
-    pairing = ((h > 0) @ pairs.T > 0)[:, of_class]  # (r, x): x's class pairs with one M meets
-    first = (inside & pairing & present[:, None]).any(axis=0)
-    if first.any():
-        x0 = int(np.argmax(first))
-        row = strand_conjugates(S, family)[inside[:, x0]].any(axis=0) & t0[of_class[x0], of_class]
-        witnesses["U3"] = {"shift": 0, "base": [x0, int(np.argmax(row))]}
-    weights, rows, counts = twisted_layer(family, n)
-    for name, bad in (("U2", lambda c: c == 0), ("U3", lambda c: c > 1)):
-        failing = rows[(bad(counts) & in_seed).any(axis=1)]
-        if failing.shape[0] and name not in witnesses:
-            x0 = int(failing.min())
-            row = bad(twisted_row(S, family, weights, x0)) & in_seed[S.mul_many(x0, np.arange(n))]
-            witnesses[name] = {"shift": 1, "base": [x0, int(np.argmax(row))]}
+    if socle == [m]:  # m prime: the strand layer is shift 0 and comes first
+        # (c, c') in a target pair and both held by members of one seed class
+        shared = (pairs > 0) & (holds.T @ holds)
+        if shared.any():
+            c0 = int(np.argmax(shared.any(axis=1)))
+            c1 = int(np.argmax(shared[c0]))
+            witnesses["U3"] = {"shift": 0, "base": [int(names[c0]), int(names[c1]), *[0] * (m - 2)]}
+    holding = conjugates_holding(S, inst.seed_classes)
+    for name, bad in (("U2", holding == 0), ("U3", holding > 1)):
+        z = np.flatnonzero(in_seed & bad)
+        if z.shape[0] and name not in witnesses:
+            witnesses[name] = {"shift": 1, "base": [*[0] * (m - 1), int(z[0])]}
 
     outsider = (0, None)
     outside = inst.outside_classes()
-    _, sweep_hits = meets([cls.representative for cls in outside])
-    if sweep_hits.shape[0] and sweep_hits.max() > 0:
-        best = int(np.argmax(sweep_hits))  # the first maximum, in class order
-        outsider = (int(sweep_hits[best]), f"{outside[best].base_label}[0][0]")
-    return member_counts, target_size, witnesses, outsider
+    sweep = meets(outside)
+    if sweep and max(sweep) > 0:
+        best = sweep.index(max(sweep))  # the first maximum, in class order
+        outsider = (sweep[best], first_member(outside[best]))
+    return members, target_size, witnesses, outsider
 
 
 def check_definitely_unbeatable_wreath(inst: SeedInstance) -> UnbeatabilityReport:
-    """Explicit wreath mode: enumerate the target in S wr C_m (the
-    ``WreathContext`` refuses m * |S|^m above ``EXPLICIT_CAP``) and verify
-    all four conditions by counting, from class counts at m = 2
-    (``_class_counts``) and over boxes otherwise (``_box_counts``).  The
-    family is the product-type members over the seed classes plus the
-    socle maximals.  The outsider sweep runs over every product-type
-    subgroup built on maximal classes outside the family; diagonal-type
-    subgroups contribute their size bound only and make the verdict
-    conditional if they alone decide the comparison."""
+    """Explicit wreath mode at m >= 2: the ``WreathContext`` is the permit
+    (it refuses m * |S|^m above ``EXPLICIT_CAP``), and all four conditions
+    are decided from element-class counts (``_class_counts``), with no
+    member, box or grid built.  The family is the product-type members
+    over every conjugate of the seed classes plus the socle maximals.  The
+    outsider sweep ranges over the product-type subgroups built on the
+    maximal classes outside the family; diagonal-type subgroups contribute
+    their size bound only and make the verdict conditional if they alone
+    decide the comparison."""
     S, m = inst.S, inst.m
-    ctx = WreathContext(S, m)
-    family = product_type_family([M for cls in inst.seed_classes for M in cls.conjugates], m)
-    socle = prime_factors(m)
-    n_products = len(family.owner)
-    counted = _class_counts(inst, family) if m == 2 else _box_counts(inst, ctx, family)
-    member_counts, target_size, witnesses, (outsider_max, outsider_label) = counted
-
-    empty = np.flatnonzero(member_counts == 0)
-    empty_witness = None
-    if empty.shape[0]:
-        j = int(empty[0])  # products first, then the socle maximals
-        empty_witness = (
-            _member_label(inst.seed_classes, family, j)
-            if j < n_products
-            else f"socle[{socle[j - n_products]}]"
-        )
-    member_min = int(member_counts.min()) if member_counts.shape[0] else 0
+    if m < 2:
+        raise ValueError("explicit wreath mode needs m >= 2")
+    WreathContext(S, m)
+    members, target_size, witnesses, (outsider_max, outsider_label) = _class_counts(inst)
+    empty_witness = next((label for label, count in members if count == 0), None)
+    member_min = min(count for _, count in members)
 
     diag_bound = diagonal_term(S.order, m)
     u4_by_count = outsider_max <= member_min
@@ -600,7 +509,9 @@ def check_definitely_unbeatable_wreath(inst: SeedInstance) -> UnbeatabilityRepor
     return UnbeatabilityReport(
         mode="explicit-wreath",
         conditions=results,
-        family_size=member_counts.shape[0],
+        family_size=wreath_cover_upper_term(
+            [M for cls in inst.seed_classes for M in cls.conjugates], m
+        ),
         target_size=target_size,
         member_min_count=member_min,
         outsider_max={"count": outsider_max, "member": outsider_label},

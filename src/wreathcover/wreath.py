@@ -20,30 +20,27 @@ A_0 x ... x A_{m-1} with sides A_a = g[a]^{-1} M g[a+k].  Two sides are
 cosets of M, A_0 = M g[k] and, for k > 0, A_{m-k} = g[m-k]^{-1} M (at
 k = 0 both are M).
 
-At m = 2 every count is a count of cosets and conjugates, and no box is
-built.  At shift 1 the member over M on the coset M g holds (x0, x1; 1)
-exactly when M x0 = M g = M x1^{-1}, so x0 x1 lies in M, and the rows x0
-with the same cosets in the family share one count over z = x0 x1
-(``twisted_layer``); a row is read off the coset table alone
-(``twisted_row``).  At shift 0 the member is M x M^g, and each subgroup's
-conjugates are counted once (``strand_conjugates``).
-``verify_wreath_cover`` and explicit unbeatability (``unbeat``) take these
-counts at m = 2.
+Cover verification counts members.  At m = 2 every count is a count of
+cosets and conjugates, and no box is built.  At shift 1 the member over M
+on the coset M g holds (x0, x1; 1) exactly when M x0 = M g = M x1^{-1}, so
+x0 x1 lies in M, and the rows x0 with the same cosets in the family share
+one count over z = x0 x1 (``twisted_layer``); a row is read off the coset
+table alone (``twisted_row``).  At shift 0 the member is M x M^g, and each
+subgroup's conjugates are counted once (``strand_conjugates``).
 
-At every other m the boxes do the counting, and they are the m = 2
-reference in the tests.  ``box_luts`` reads the two coset sides off the
-family's coset table and composes only the others on image rows.  It
-stacks the sides of D members as 0/1 rows L[d, a, :].  The number of
-members containing a base tuple x is sum_d prod_a L[d, a, x_a]: over the
-last two coordinates that is one matrix product, and leading coordinates
-are fixed one value at a time, keeping only the boxes that admit it
-(``box_coverage``, ``first_uncovered``).  |box_d & T| for a target mask T
-is one matrix product with the last sides followed by one contraction per
-remaining coordinate (``box_target_counts``).  Neither path builds the
-|S|^m grid per member; ``product_type_mask`` reads the members' sides over
-a given grid.  The ground truth for all of it, the normalizer of the
-explicit product subgroup on n*m points, lives with the tests
-(``tests/oracles.py``).
+At every other m the boxes do the counting.  ``box_luts`` reads the two
+coset sides off the family's coset table and composes only the others on
+image rows.  It stacks the sides of D members as 0/1 rows L[d, a, :].  The
+number of members containing a base tuple x is sum_d prod_a L[d, a, x_a]:
+over the last two coordinates that is one matrix product, and leading
+coordinates are fixed one value at a time, keeping only the boxes that
+admit them (``first_uncovered``), so the |S|^m grid is never built;
+``product_type_mask`` reads the members' sides over a given grid.  The
+ground truth for all of it, the normalizer of the explicit product
+subgroup on n*m points, lives with the tests (``tests/oracles.py``), and
+so do the box counts of an unbeatability target, the reference for
+``unbeat``, which counts from element classes at every m and takes only
+the permit and ``wreath_cover_upper_term`` from here.
 
 A product-type family is one record, ``ProductTypeFamily``: its distinct
 subgroups M, their ``coset_minima`` rows as one array, and for each member
@@ -54,9 +51,9 @@ alpha(m) socle maximals they number ``wreath_cover_upper_term``.  A family
 makes its coset table once, in one batched pass over its subgroups, and
 carries it: the family's coset representatives, a family file's cosets,
 the m = 2 counts and the coset sides of ``box_luts`` all read it, and it
-goes with the family.  The constructive cover, the explicit unbeatability
-family and, at m != 2, its outsider sweep all come from
-``product_type_family``.
+goes with the family.  The constructive cover comes from
+``product_type_family``, and a family file's reader makes its table the
+same way.
 A socle maximal is named by its prime r, a prime divisor of m: it is the
 preimage of the index-r subgroup of C_m, the elements whose shift r divides.
 """
@@ -118,12 +115,6 @@ class WreathContext:
             )
         self.S = S
         self.m = m
-
-    def base_grid(self) -> np.ndarray:
-        """All |S|^m base tuples as an (|S|^m, m) id matrix, row-major."""
-        o = self.S.order
-        grids = np.meshgrid(*([np.arange(o)] * self.m), indexing="ij")
-        return np.stack(grids, axis=-1).reshape(-1, self.m)
 
 
 # -- product-type subgroups ---------------------------------------------------
@@ -232,12 +223,6 @@ def _count_blocks(luts: np.ndarray):
             yield from _count_blocks(luts[luts[:, 0, x] > 0, 1:])
 
 
-def box_coverage(luts: np.ndarray) -> np.ndarray:
-    """For every base tuple in row-major order, the number of boxes that
-    contain it (exact: float64 sums of 0/1 values far below 2^53)."""
-    return np.concatenate([b.ravel() for b in _count_blocks(luts)]).astype(np.int64)
-
-
 def first_uncovered(luts: np.ndarray) -> int | None:
     """The row-major index of the first base tuple in no box, or None;
     stops at the first block with a zero, never building the full grid."""
@@ -250,24 +235,7 @@ def first_uncovered(luts: np.ndarray) -> int | None:
     return None
 
 
-def box_target_counts(luts: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """|box_d & T| for every box d, T a boolean mask over the row-major base
-    grid: one GEMM with the last coordinate rows, then one contraction per
-    remaining coordinate, in chunks of boxes to bound the working set."""
-    D, m, n = luts.shape
-    t = np.asarray(target, dtype=np.float64).reshape(n ** (m - 1), n)
-    out = np.zeros(D, dtype=np.int64)
-    chunk = max(1, (1 << 20) // n ** (m - 1))
-    for lo in range(0, D, chunk):
-        part = luts[lo : lo + chunk]
-        acc = t @ part[:, m - 1].T  # (n^(m-1), d)
-        for a in range(m - 2, -1, -1):
-            acc = np.einsum("pxd,dx->pd", acc.reshape(-1, n, acc.shape[1]), part[:, a])
-        out[lo : lo + chunk] = acc[0]
-    return out
-
-
-# -- m = 2 from coset and class counts ----------------------------------------------
+# -- m = 2 from coset and class counts -------------------------------------------
 
 
 def twisted_layer(family: ProductTypeFamily, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

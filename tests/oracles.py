@@ -16,6 +16,11 @@ another way than the code it checks:
   member one element at a time, as ``Perm`` products named by
   ``GroupTable.id_of``, the reference for ``wreath.box_luts``, which reads
   the coset sides off a coset-minimum table and composes the rest;
+* ``base_grid``, ``box_coverage``, ``box_target_counts``, ``target_masks``,
+  ``member_label`` and ``box_counts`` count explicit unbeatability over
+  the whole base grid: the target as masks, every member of the family and
+  of the outsider sweep as a box, the reference for
+  ``unbeat._class_counts``, which counts from element classes alone;
 * ``coset_representatives`` and ``coset_minimum`` take one right coset
   M*x at a time as the product of M's members with x, the reference for
   ``wreath.coset_minima``, the family's representatives and the cosets
@@ -34,6 +39,7 @@ another way than the code it checks:
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
@@ -46,6 +52,7 @@ from wreathcover.formulas import (
     _smallest_divisor_above_2,
     alpha,
     is_prime,
+    prime_factors,
     smallest_prime_factor,
 )
 from wreathcover.groups import (
@@ -53,9 +60,18 @@ from wreathcover.groups import (
     SubgroupClass,
     SubgroupHandle,
     _pack,
+    conjugates_holding,
 )
 from wreathcover.perm import Perm
-from wreathcover.wreath import ProductTypeFamily, WreathContext, WreathElement
+from wreathcover.unbeat import SeedInstance
+from wreathcover.wreath import (
+    ProductTypeFamily,
+    WreathContext,
+    WreathElement,
+    _count_blocks,
+    box_luts,
+    product_type_family,
+)
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -230,6 +246,129 @@ def box_sides(ctx: WreathContext, family: ProductTypeFamily, shift: int) -> np.n
                 ]
             out[i, a, sides[key]] = 1.0
     return out
+
+
+# -- explicit unbeatability over boxes ------------------------------------------
+
+
+def base_grid(ctx: WreathContext) -> np.ndarray:
+    """All |S|^m base tuples as an (|S|^m, m) id matrix, row-major."""
+    o = ctx.S.order
+    grids = np.meshgrid(*([np.arange(o)] * ctx.m), indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, ctx.m)
+
+
+def box_coverage(luts: np.ndarray) -> np.ndarray:
+    """For every base tuple in row-major order, the number of boxes that
+    contain it (exact: float64 sums of 0/1 values far below 2^53)."""
+    return np.concatenate([b.ravel() for b in _count_blocks(luts)]).astype(np.int64)
+
+
+def box_target_counts(luts: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """|box_d & T| for every box d, T a boolean mask over the row-major base
+    grid: one GEMM with the last coordinate rows, then one contraction per
+    remaining coordinate, in chunks of boxes to bound the working set."""
+    D, m, n = luts.shape
+    t = np.asarray(target, dtype=np.float64).reshape(n ** (m - 1), n)
+    out = np.zeros(D, dtype=np.int64)
+    chunk = max(1, (1 << 20) // n ** (m - 1))
+    for lo in range(0, D, chunk):
+        part = luts[lo : lo + chunk]
+        acc = t @ part[:, m - 1].T  # (n^(m-1), d)
+        for a in range(m - 2, -1, -1):
+            acc = np.einsum("pxd,dx->pd", acc.reshape(-1, n, acc.shape[1]), part[:, a])
+        out[lo : lo + chunk] = acc[0]
+    return out
+
+
+def member_label(classes: Sequence[SubgroupClass], family: ProductTypeFamily, j: int) -> str:
+    """Member j of the family over every conjugate of the classes, in class
+    order, labelled ``base[i][c_2, ..., c_m]`` by its first slot, conjugate
+    i of class base, and its coset minima."""
+    i = int(family.owner[j])
+    for cls in classes:
+        if i < cls.class_size:
+            return f"{cls.base_label}[{i}]{family.cosets[j].tolist()}"
+        i -= cls.class_size
+    raise IndexError(j)
+
+
+def target_masks(inst: SeedInstance, grid: np.ndarray) -> dict[int, np.ndarray]:
+    """The target set as boolean masks over the base grid, keyed by shift in
+    ascending order: the twisted layer at shift 1 % m (the whole strand
+    product in the seed) and, for each prime r dividing m, the strand layer
+    at shift r % m (its two strand products in the seed elements of two
+    different family classes)."""
+    S, m, seed_lut = inst.S, inst.m, inst.in_seed
+
+    def strand_product(step: int, t: int) -> np.ndarray:
+        return functools.reduce(S.mul_many, grid[:, t::step].T)
+
+    masks = {1 % m: seed_lut[strand_product(1, 0)]}
+    class_unions = [(conjugates_holding(S, [cls]) > 0) & seed_lut for cls in inst.seed_classes]
+    for r in prime_factors(m):
+        p0, p1 = strand_product(r, 0), strand_product(r, 1)
+        mask = np.zeros(grid.shape[0], dtype=bool)
+        for a, lut_a in enumerate(class_unions):
+            for b, lut_b in enumerate(class_unions):
+                if a != b:
+                    mask |= lut_a[p0] & lut_b[p1]
+        masks[r % m] = mask  # r is prime, so r % m != 1
+    return dict(sorted(masks.items()))
+
+
+def box_counts(inst: SeedInstance, ctx: WreathContext, family: ProductTypeFamily) -> tuple:
+    """Explicit unbeatability's counts over boxes and target masks, one
+    pass over the target's shifts, ascending: at each, the family's target
+    hits and coverage (the socle maximals add whole layers), the first U2
+    and U3 witness rows, and the target hits of the outsider sweep, the
+    product-type family over the maximal classes outside the family.
+    Returns the member counts (products, then the socle maximals), the
+    label of the first member with none, the target size, the witnesses
+    and the largest outsider with its label: the reference for
+    ``unbeat._class_counts``."""
+    grid = base_grid(ctx)
+    outside = inst.outside_classes()
+    sweep = product_type_family([M for cls in outside for M in cls.conjugates], ctx.m)
+    socle = prime_factors(ctx.m)
+    n_products = len(family.owner)
+
+    # products are counted as boxes, socle maximals as whole shift layers
+    member_counts = np.zeros(n_products + len(socle), dtype=np.int64)
+    outsider_counts = np.zeros(len(sweep.owner), dtype=np.int64)
+    target_size = 0
+    witnesses: dict[str, dict] = {}  # condition -> its first failing row
+    for shift, tmask in target_masks(inst, grid).items():
+        layer_size = int(tmask.sum())
+        target_size += layer_size
+        luts = box_luts(ctx, family, shift)
+        member_counts[:n_products] += box_target_counts(luts, tmask)
+        counts = box_coverage(luts)
+        del luts  # the outsiders' rows come next; never hold both
+        for j, r in enumerate(socle):
+            if shift % r == 0:
+                member_counts[n_products + j] += layer_size
+                counts += 1
+        for name, bad in (("U2", counts == 0), ("U3", counts > 1)):
+            rows = np.flatnonzero(tmask & bad)
+            if rows.shape[0] and name not in witnesses:
+                witnesses[name] = {"shift": shift, "base": grid[rows[0]].tolist()}
+        outsider_counts += box_target_counts(box_luts(ctx, sweep, shift), tmask)
+
+    empty = None
+    zeros = np.flatnonzero(member_counts == 0)
+    if zeros.shape[0]:
+        j = int(zeros[0])  # products first, then the socle maximals
+        empty = (
+            member_label(inst.seed_classes, family, j)
+            if j < n_products
+            else f"socle[{socle[j - n_products]}]"
+        )
+    outsider = (0, None)
+    if outsider_counts.shape[0] and outsider_counts.max() > 0:
+        best = int(np.argmax(outsider_counts))  # first maximum, in sweep order
+        outsider = (int(outsider_counts[best]), member_label(outside, sweep, best))
+    return member_counts, empty, target_size, witnesses, outsider
 
 
 # -- right cosets, one at a time -----------------------------------------------

@@ -53,6 +53,7 @@ from wreathcover.wreath import (
 )
 
 from oracles import (
+    base_grid,
     exhaustive_min_cover,
     normalizes_product_subgroup,
     product_subgroup_perm_keys,
@@ -199,7 +200,7 @@ def test_criterion_5_membership_oracle_equivalence(a5):
 
         # m = 2: all 7200 elements against 30 random descriptors
         ctx2 = WreathContext(a5.table, 2)
-        grid = ctx2.base_grid()
+        grid = base_grid(ctx2)
         disagreements = checks = 0
         for _ in range(30):
             d = random_descriptor(2)

@@ -155,6 +155,13 @@ GOLDEN = [
         "7625bee5982344372bb4c187e8f7dae7b653a8d934050a9d303e292b7da4d9a3",
     ),
     (
+        # 11,297 members on a target of 12,960,000 elements: U4 fails on
+        # A4[0][0, 0, 0], 13,824 seed hits against a member minimum of 432
+        "verify-unbeatable A5 --sigma-spec orders:5,3 --families D10,S3 -m 4 --mode explicit",
+        1,
+        "04b2b5d72637ce8242ad42040f7105e8b8bc05cc752648a10faf37c0eb30cd1a",
+    ),
+    (
         # S3 meets no element of order 5, so the U1 witness is a
         # product-type member, the first over S3
         "verify-unbeatable A5 --sigma-spec orders:5 --families D10,S3 -m 2 --mode explicit",

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from wreathcover.formulas import alpha, c2_value, euler_phi, prime_factors
 from wreathcover import unbeat
-from wreathcover.groups import member_mask
+from wreathcover.groups import GroupTable, member_mask
+from wreathcover.lattice import all_subgroup_classes, maximal_classes_from_lattice
+from wreathcover.perm import Perm
+from wreathcover.cli import _split_labels
 from wreathcover.cover import build_instance, sigma_exact
 from wreathcover.pipelines import _verdict, load_group, parse_target_spec
 from wreathcover.unbeat import (
@@ -29,7 +32,15 @@ from wreathcover.wreath import (
     wreath_cover_upper_term,
 )
 
-from oracles import compose, coset_minimum, exhaustive_min_cover
+from oracles import (
+    base_grid,
+    box_counts,
+    compose,
+    coset_minimum,
+    exhaustive_min_cover,
+    member_label,
+    target_masks,
+)
 
 
 def _products(inst):
@@ -395,13 +406,12 @@ def test_a5_surrogate_counts(a5):
 
 
 def test_a5_surrogate_member_counts_match_formulas(a5):
-    from wreathcover.unbeat import _target_masks
-    from wreathcover.wreath import WreathContext, product_type_mask
+    from wreathcover.wreath import product_type_mask
 
     inst = _a5_instance(a5, 2)
     ctx = WreathContext(a5.table, 2)
-    grid = ctx.base_grid()
-    masks = _target_masks(inst, grid)
+    grid = base_grid(ctx)
+    masks = target_masks(inst, grid)
     # product-type member counts equal seed-in-member times member order
     family = _products(inst)
     member_masks = {s: product_type_mask(ctx, family, grid, s) for s in masks}
@@ -449,8 +459,6 @@ def _target_oracle(inst):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_target_masks_match_definition(a5, m):
-    from wreathcover.unbeat import _target_masks
-
     g = a5.table
     bl = a5.classes_by_label()
     inst = SeedInstance(
@@ -464,7 +472,7 @@ def test_target_masks_match_definition(a5, m):
     # every element of order 3 lies in an A4 and in an S3, so an element
     # pair can qualify through both orders of the two classes
     assert unions[0] == unions[1] and len(unions[0]) == 20
-    masks = _target_masks(inst, WreathContext(g, m).base_grid())
+    masks = target_masks(inst, base_grid(WreathContext(g, m)))
     assert list(masks) == sorted(expect)
     for shift, mask in masks.items():
         assert mask.tolist() == expect[shift], shift
@@ -504,35 +512,30 @@ def test_member_labels_are_pinned(group, families, m, digest):
     labels = []
     for classes in (seed, outside):
         family = product_type_family([M for cls in classes for M in cls.conjugates], m)
-        labels += [unbeat._member_label(classes, family, j) for j in range(len(family.owner))]
+        labels += [member_label(classes, family, j) for j in range(len(family.owner))]
     assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == digest
 
 
-def test_mutation_breaks_cover_condition(a5, monkeypatch):
+def test_mutation_breaks_cover_condition(a5):
     # the witness is the first failing row of the first failing shift; the
     # mutated family replaces the seed classes' products only, so the
-    # outsider sweep is unchanged
+    # outsider sweep is unchanged.  The check counts a whole family from
+    # element classes, so a mutated family goes through the box reference
     pinned = {
         2: [("U2", [0, 18]), ("U3", [0, 18]), ("U2", [21, 38])],
         3: [("U2", [0, 0, 18]), ("U3", [0, 0, 18]), ("U2", [21, 0, 38])],
     }
-    make_family = unbeat.product_type_family
     for m, expected in pinned.items():
         inst = _a5_instance(a5, m)
+        ctx = WreathContext(a5.table, m)
         family = _products(inst)
         D = len(family.owner)
         mutations = [np.arange(1, D), np.append(np.arange(D), 0), np.arange(D - 1)]
         for keep, (name, base) in zip(mutations, expected):
             mutated = dataclasses.replace(family, owner=family.owner[keep], cosets=family.cosets[keep])
-
-            def mutated_family(members, m, mutated=mutated, seed=family.subgroups):
-                return mutated if members == seed else make_family(members, m)
-
-            monkeypatch.setattr(unbeat, "product_type_family", mutated_family)
-            du = check_definitely_unbeatable_wreath(inst)
-            cond = [c for c in du.conditions if c.name.startswith(name)][0]
-            assert not cond.passed
-            assert cond.witness == {"shift": 1, "base": base}, (m, name)
+            witnesses = box_counts(inst, ctx, mutated)[3]
+            assert name in witnesses
+            assert witnesses[name] == {"shift": 1, "base": base}, (m, name)
 
 
 def test_symbolic_certificate(psl11):
@@ -578,17 +581,22 @@ def test_theorem_bounds_m1(m11):
         theorem_bounds(inst, cover[1:], conditional)
 
 
-# -- m = 2: class counts against the box kernels --------------------------------
+# -- class counts against the box reference -----------------------------------------
 
 
-def _assert_counts_match_boxes(inst, family):
-    """``_class_counts`` against ``_box_counts``, the m = 2 reference: the
-    member counts, the target size, the U2 and U3 witness rows and the
-    largest outsider with its label."""
-    counted = unbeat._class_counts(inst, family)
-    boxed = unbeat._box_counts(inst, WreathContext(inst.S, 2), family)
-    assert np.array_equal(counted[0], boxed[0])
-    assert counted[1:] == boxed[1:]
+def _assert_counts_match_boxes(inst):
+    """``_class_counts`` against ``oracles.box_counts`` over the whole
+    family: every member's count (one per seed class, then the socle
+    maximals), U1's first empty member, the target size, the U2 and U3
+    witness rows and the largest outsider with its label."""
+    members, *counted = unbeat._class_counts(inst)
+    m = inst.m
+    boxed, empty, *rest = box_counts(inst, WreathContext(inst.S, m), _products(inst))
+    counts = [count for _, count in members]
+    per_class = [cls.class_size * cls.representative.index ** (m - 1) for cls in inst.seed_classes]
+    assert np.array_equal(np.repeat(counts, per_class + [1] * alpha(m)), boxed)
+    assert next((label for label, count in members if count == 0), None) == empty
+    assert counted == rest
 
 
 @pytest.mark.parametrize(
@@ -601,6 +609,9 @@ def _assert_counts_match_boxes(inst, family):
         ("PSL(2,7)", "orders:7,3", "7:3,S4"),
         ("PSL(2,7)", "orders:7,4", "7:3,S4"),
         ("A6", "orders:3", "S4,S4'"),
+        # U3 fails at shift 0 on base [16, 73]: the least x1 that pairs
+        # with x0 = 16 in the target lies in no 3^2:4 that holds x0
+        ("A6", "cycle-types:5,1/4,2/3,3", "PSL(2,5),3^2:4"),
     ],
 )
 def test_m2_class_counts_match_box_counts(group, spec, families):
@@ -609,74 +620,92 @@ def test_m2_class_counts_match_box_counts(group, spec, families):
     inst = SeedInstance(
         S=cg.table,
         seed_ids=parse_target_spec(cg.table, spec),
-        seed_classes=[by_label[label] for label in families.split(",")],
+        seed_classes=[by_label[label] for label in _split_labels(families)],
         m=2,
         maximal_classes=cg.maximal_classes,
     )
-    _assert_counts_match_boxes(inst, _products(inst))
+    _assert_counts_match_boxes(inst)
+
+
+@functools.cache
+def _small_group(name: str):
+    """A group and its maximal classes: a catalog group, or a small group
+    from its generators with maximal classes from its computed lattice,
+    whose maximal subgroups may be normal."""
+    if name in ("A5", "PSL(2,7)", "A6"):
+        cg = load_group(name)
+        return cg.table, cg.maximal_classes
+    degree, cycles = {
+        "S3": (3, ["(1 2 3)", "(1 2)"]),
+        "A4": (4, ["(1 2 3)", "(1 2)(3 4)"]),
+        "S4": (4, ["(1 2 3 4)", "(1 2)"]),
+        "D8": (4, ["(1 2 3 4)", "(1 3)"]),
+    }[name]
+    g = GroupTable.from_generators([Perm.from_cycles(c, degree) for c in cycles], name=name)
+    return g, maximal_classes_from_lattice(g, all_subgroup_classes(g))
+
+
+# every (group, m) drawn: |S|^m is at most 331,776 base tuples per shift
+_EXPONENTS = {"A5": 3, "PSL(2,7)": 2, "A6": 2, "S3": 6, "D8": 6, "A4": 4, "S4": 4}
+_GROUP_EXPONENTS = [(name, m) for name, top in _EXPONENTS.items() for m in range(2, top + 1)]
 
 
 @st.composite
-def _m2_instances(draw):
-    """A random family of maximal classes, a random union of element
-    classes as seed, and the family's product-type record: whole, with
-    random members dropped and repeated, or over some subgroups only."""
-    cg = load_group(draw(st.sampled_from(["A5", "PSL(2,7)", "A6"])))
-    g, classes = cg.table, cg.maximal_classes
+def _instances(draw):
+    """A group and an exponent m >= 2, a random family of maximal classes
+    and a random union of element classes as seed."""
+    name, m = draw(st.sampled_from(_GROUP_EXPONENTS))
+    g, classes = _small_group(name)
     picked = draw(st.lists(st.integers(0, len(classes) - 1), min_size=1, unique=True))
     labels = g.element_classes()
     seed_classes = draw(st.lists(st.sampled_from(np.unique(labels).tolist()), min_size=1, unique=True))
-    inst = SeedInstance(
+    return SeedInstance(
         S=g,
         seed_ids=np.flatnonzero(np.isin(labels, seed_classes)),
         seed_classes=[classes[i] for i in picked],
-        m=2,
+        m=m,
         maximal_classes=classes,
     )
-    family = _products(inst)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    D = len(family.owner)
-    keep = {
-        "whole": np.arange(D),
-        "members": np.sort(rng.choice(D, size=int(rng.integers(1, D + 1)), replace=True)),
-        "subgroups": np.flatnonzero(rng.random(len(family.subgroups)) < 0.3)[:, None],
-    }[draw(st.sampled_from(["whole", "members", "subgroups"]))]
-    if keep.ndim == 2:  # every member over some of the subgroups
-        keep = np.flatnonzero((family.owner == keep).any(axis=0))
-    family = dataclasses.replace(family, owner=family.owner[keep], cosets=family.cosets[keep])
-    return inst, family
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(_m2_instances())
-def test_m2_class_counts_match_box_counts_on_random_instances(drawn):
-    _assert_counts_match_boxes(*drawn)
+@given(_instances())
+def test_class_counts_match_box_counts_on_random_instances(inst):
+    _assert_counts_match_boxes(inst)
 
 
-def test_m2_reports_build_no_box(monkeypatch):
-    # at m = 2 the explicit reports count from classes and cosets: no box
-    # side, base grid or target mask is made
-    from wreathcover import wreath
+def test_explicit_reports_build_no_box(monkeypatch):
+    # explicit unbeatability counts from element classes at every m: no
+    # box side, grid mask or coset table is made (the program has no base
+    # grid or target mask builder; those are ``oracles``').  The
+    # constructive cover builds its family's coset table, and at m = 2
+    # verifies it from counts, with no box side
+    from wreathcover import pipelines, wreath
     from wreathcover.cli import main
 
     def refuse(*args, **kwargs):
-        raise AssertionError("an m = 2 report built a box")
+        raise AssertionError("a report built a box or a coset table")
 
-    for module, name in [(wreath, "box_luts"), (unbeat, "box_luts"), (unbeat, "_target_masks")]:
-        monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(WreathContext, "base_grid", refuse)
+    monkeypatch.setattr(wreath, "box_luts", refuse)
+    monkeypatch.setattr(wreath, "product_type_mask", refuse)
+    assert main(["construct-cover", "PSL(2,7)", "-m", "2", "--json"]) in (0, 1)
+    for module in (wreath, pipelines):
+        monkeypatch.setattr(module, "coset_minima", refuse)
     for argv in [
         "verify-c2 -p 11 -m 2",
-        "verify-unbeatable A5 --sigma-spec orders:5,3 --families D10,S3 -m 2 --mode explicit",
-        "construct-cover PSL(2,7) -m 2",
+        *[
+            f"verify-unbeatable A5 --sigma-spec orders:5,3 --families D10,S3 -m {m} --mode explicit"
+            for m in (2, 3, 4)
+        ],
     ]:
         assert main([*argv.split(), "--json"]) in (0, 1), argv
 
 
-def test_m2_class_counts_refuse_an_open_seed(a5):
-    # the strand target is a union of class pairs only for a seed closed
-    # under conjugation; one element of order 5 is not
-    inst = _a5_instance(a5, 2)
+@pytest.mark.parametrize("m", [2, 3])
+def test_class_counts_refuse_an_open_seed(a5, m):
+    # the target is a union of class pairs only for a seed closed under
+    # conjugation; one element of order 5 is not
+    inst = _a5_instance(a5, m)
     open_seed = dataclasses.replace(inst, seed_ids=inst.seed_ids[:1])
     with pytest.raises(ValueError, match="conjugation-closed seed"):
         check_definitely_unbeatable_wreath(open_seed)
