@@ -38,7 +38,13 @@ The table caches two kinds of whole-group map per element, each made on
 first use and kept as long as the table: ``right_map`` (y -> y*x, in the
 narrowest unsigned type that holds an id) and ``conj_map`` (x -> g^-1 x g),
 read off the right map of g by gathers; closures and the orbit walk step
-through them.
+through them.  It also keeps, as long as it lives, the coset-minimum row of
+each subgroup that ``wreath.coset_minima`` has made (``coset_rows``, read
+only, by canonical key): at most one row of |G| narrow ints per subgroup
+asked for, which the pipelines bound by the summed sizes of the catalog's
+maximal classes.  And it renders each element's cycle string at most once
+(``cycle_string``), so it holds at most |G| strings; ``cycle_id`` reads a
+canonical string back from them.
 
 Cycle data comes from one vectorized pass over the image rows
 (``cycle_lengths``): the length of the cycle through every point of every
@@ -106,6 +112,10 @@ class GroupTable:
         self._classes: Optional[np.ndarray] = None
         self._conj_maps: dict[int, np.ndarray] = {}
         self._right_maps: dict[int, np.ndarray] = {}
+        # read-only coset-minimum rows by canonical key, kept by ``wreath.coset_minima``
+        self.coset_rows: dict[bytes, np.ndarray] = {}
+        self._cycle_strings: dict[int, str] = {}
+        self._cycle_ids: dict[str, int] = {}
         self._hash: Optional[str] = None
 
     # -- construction ---------------------------------------------------
@@ -187,6 +197,25 @@ class GroupTable:
 
     def perm(self, eid: int) -> Perm:
         return Perm(self.images[eid].tolist())
+
+    def cycle_string(self, x: int) -> str:
+        """Element x in cycle notation, rendered once per table."""
+        text = self._cycle_strings.get(x)
+        if text is None:
+            text = self._cycle_strings[x] = self.perm(x).to_cycle_string()
+            self._cycle_ids[text] = x
+        return text
+
+    def cycle_id(self, text: str) -> int:
+        """The id of the element written as ``text`` in cycle notation
+        (InputError when the text is bad or names no element).  A text
+        that ``cycle_string`` has rendered is looked up; any other is
+        parsed, and is not stored."""
+        x = self._cycle_ids.get(text)
+        if x is None:
+            x = self.id_of(Perm.from_cycles(text, self.degree))
+            self.cycle_string(x)
+        return x
 
     def mul_many(self, a_ids: np.ndarray | int, b_ids: np.ndarray | int) -> np.ndarray:
         """Products a*b (b applied first): pairwise over equal-length id

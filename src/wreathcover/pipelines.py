@@ -27,7 +27,6 @@ from . import InputError, catalog, formulas
 from .cover import build_instance, sigma_exact, sigma_greedy, verify_cover
 from .groups import GroupTable, SubgroupClass, member_mask
 from .lattice import ORDER_CAP, all_subgroup_classes, maximal_classes_from_lattice
-from .perm import Perm
 from .unbeat import (
     SeedConditionReport,
     SeedInstance,
@@ -348,7 +347,7 @@ def descriptor_lines(
     """Serialize a wreath covering family: one line per member,
     product-type{...} or socle{r} for each socle maximal's prime r.  Each
     run of members over one subgroup shares its line head, and each
-    distinct element id is rendered once."""
+    element is rendered once per group table (``GroupTable.cycle_string``)."""
     g = cg.table
     # every maximal conjugate's class label and conjugator, by its key
     found = {
@@ -356,7 +355,6 @@ def descriptor_lines(
         for cls in cg.maximal_classes
         for key, c in zip(cls.keys, cls.conjugators.tolist())
     }
-    cycles = functools.cache(lambda x: g.perm(x).to_cycle_string())
     lines = []
     members = zip(family.owner.tolist(), family.cosets.tolist())
     for r, run in itertools.groupby(members, key=lambda member: member[0]):
@@ -364,8 +362,9 @@ def descriptor_lines(
         if key not in found:
             raise ValueError("descriptor subgroup is not in the maximal catalog")
         label, conj = found[key]
-        head = f"product-type{{group={cg.spec.name}, class={label}, conj={cycles(conj)}, cosets=["
-        lines.extend(head + ", ".join(map(cycles, cosets)) + "]}" for _, cosets in run)
+        conj = g.cycle_string(conj)
+        head = f"product-type{{group={cg.spec.name}, class={label}, conj={conj}, cosets=["
+        lines.extend(head + ", ".join(map(g.cycle_string, cosets)) + "]}" for _, cosets in run)
     for r in socle:
         lines.append(f"socle{{{r}}}")
     return lines
@@ -385,14 +384,15 @@ def parse_descriptor_lines(
     cg: catalog.CatalogGroup, lines: Sequence[str], m: int
 ) -> tuple[ProductTypeFamily, list[int]]:
     """Read a serialized family back: (the product-type family, socle
-    primes).  Lines are parsed up to the first bad one; each distinct cycle
-    string is parsed, and each (class, conj) conjugated, once.  The
-    family's subgroups are the distinct conjugates named, and its cosets
-    are canonicalized from its coset table; repeated members are then
-    refused in line order, before the bad line's error."""
+    primes).  Lines are parsed up to the first bad one.  A cycle string
+    as ``descriptor_lines`` writes it is looked up in the group table
+    (``GroupTable.cycle_id``), any other is parsed, and each (class, conj)
+    is conjugated once.  The family's subgroups are the distinct
+    conjugates named, and its cosets are canonicalized from its coset
+    table; repeated members are then refused in line order, before the bad
+    line's error."""
     g = cg.table
     by_label = cg.classes_by_label()
-    element = functools.cache(lambda text: g.id_of(Perm.from_cycles(text, g.degree)))
     subgroups = {}  # (class, conj) -> the conjugate it names
     entries = []  # (line, socle prime) or (line, ((class, conj), coset ids))
     failure = None
@@ -409,13 +409,13 @@ def parse_descriptor_lines(
                     raise InputError(f"unknown class label {label!r}")
                 if not _CYCLES_RE.fullmatch(conj_str):
                     raise InputError(f"{line!r}: conj must be one cycle string")
-                key = (label, element(conj_str))
+                key = (label, g.cycle_id(conj_str))
                 if key not in subgroups:
                     subgroups[key] = by_label[label].representative.conjugate(key[1])
                 tokens = cosets_str.split(", ") if cosets_str else []
                 if len(tokens) != m - 1 or not all(map(_CYCLES_RE.fullmatch, tokens)):
                     raise InputError(f"{line!r}: cosets must be {m - 1} cycle strings joined by ', '")
-                entries.append((line, (key, [element(tok) for tok in tokens])))
+                entries.append((line, (key, [g.cycle_id(tok) for tok in tokens])))
             elif sm := _SOCLE_RE.fullmatch(line):
                 r = int(sm.group(1))
                 if r not in formulas.prime_factors(m):

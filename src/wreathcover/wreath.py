@@ -48,12 +48,13 @@ the index of its subgroup and its m-1 coset minima.  Over each member M of
 a cover of S there is one product-type subgroup per tuple of m-1 right
 cosets of M, |S:M|^(m-1) of them (``product_type_family``), and with the
 alpha(m) socle maximals they number ``wreath_cover_upper_term``.  A family
-makes its coset table once, in one batched pass over its subgroups, and
-carries it: the family's coset representatives, a family file's cosets,
-the m = 2 counts and the coset sides of ``box_luts`` all read it, and it
-goes with the family.  The constructive cover comes from
-``product_type_family``, and a family file's reader makes its table the
-same way.
+makes its coset table once, in one batched pass over the subgroups S has
+no row for yet, and carries it: the family's coset representatives, a
+family file's cosets, the m = 2 counts and the coset sides of ``box_luts``
+all read it.  S keeps every row it has made, one per subgroup, so a later
+family over the same subgroups in the same process makes none.  The
+constructive cover comes from ``product_type_family``, and a family
+file's reader makes its table the same way.
 A socle maximal is named by its prime r, a prime divisor of m: it is the
 preimage of the index-r subgroup of C_m, the elements whose shift r divides.
 """
@@ -246,7 +247,10 @@ def twisted_layer(family: ProductTypeFamily, n: int) -> tuple[np.ndarray, np.nda
     counts): weights[r, x0] is w for subgroups[r], and the rows x0 with
     equal weights form one group whose count is counts[p, z] at z = x0 x1
     and whose least row is rows[p].  A family that holds each coset once
-    has one group, and its count is the number of its subgroups holding z."""
+    has one group, and its count is the number of its subgroups holding z.
+    Members are distinct, so every weight is 0 or 1: the rows are grouped
+    by their weights packed into bits, and the counts, at most
+    len(subgroups), are exact in the float64 product."""
     minima = family.minima.reshape(-1, n).astype(np.int64)
     held = np.bincount(
         family.owner * n + minima[family.owner, family.cosets[:, 0]],
@@ -254,10 +258,13 @@ def twisted_layer(family: ProductTypeFamily, n: int) -> tuple[np.ndarray, np.nda
     )
     weights = np.take_along_axis(held.reshape(minima.shape), minima, axis=1)
     if (weights == weights[:, :1]).all():  # a whole family: no column sort
-        groups, rows = weights[:, :1], np.zeros(1, dtype=np.int64)
+        rows = np.zeros(1, dtype=np.int64)
     else:
-        groups, rows = np.unique(weights, axis=1, return_index=True)
-    return weights, rows, groups.T @ (minima == 0)
+        bits = np.packbits(weights.astype(bool), axis=0).T.copy()  # one row per x0
+        columns = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+        _, rows = np.unique(columns, return_index=True)
+    counts = weights[:, rows].T.astype(np.float64) @ (minima == 0)
+    return weights, rows, counts.astype(np.int64)
 
 
 def twisted_row(S: GroupTable, family: ProductTypeFamily, weights: np.ndarray, x0: int) -> np.ndarray:
@@ -292,22 +299,27 @@ def coset_minima(members: Sequence[SubgroupHandle]) -> np.ndarray:
     order: entry x of a member M's row is the least id of the right coset
     M*x, in the narrowest unsigned type that holds an id.  A family makes
     its table once, through ``product_type_family`` or a family file's
-    reader, and carries it; nothing else keeps it.  M*x is the orbit of x
-    under left multiplication by M's generators, so ``mul_many`` makes
+    reader, and carries it.  S keeps each row it has made, read only, in
+    ``S.coset_rows`` by the subgroup's canonical key, so two handles of
+    one subgroup share a row, only the missing rows are made, and the
+    table returned is a fresh stack of the kept rows.  M*x is the orbit of
+    x under left multiplication by M's generators, so ``mul_many`` makes
     every generator's left map and one ``orbit_minima`` runs over the
-    members side by side: point x of member r is r*|S| + x, and a member
-    with fewer generators than the most steps through the identity.  As in
-    ``groups.closures``, members go CLOSURE_BUDGET // |S| at a time, and so
-    do the generators of one product of left maps, which bounds its
-    temporaries."""
+    missing subgroups side by side: point x of subgroup r is r*|S| + x,
+    and one with fewer generators than the most steps through the
+    identity.  As in ``groups.closures``, subgroups go CLOSURE_BUDGET //
+    |S| at a time, and so do the generators of one product of left maps,
+    which bounds its temporaries."""
     if not members:
         return np.empty((0, 0), dtype=np.uint8)
     S = members[0].parent
     n = S.order
     step = max(1, CLOSURE_BUDGET // n)
-    table = np.empty((len(members), n), dtype=np.min_scalar_type(n - 1))
-    for lo in range(0, len(members), step):
-        gens = [[x for x in M.generators if x != 0] for M in members[lo : lo + step]]
+    keys = [M.canonical_key for M in members]
+    missing = list({k: M for k, M in zip(keys, members) if k not in S.coset_rows}.items())
+    for lo in range(0, len(missing), step):
+        batch = missing[lo : lo + step]
+        gens = [[x for x in M.generators if x != 0] for _, M in batch]
         rows = len(gens)
         owner = np.array([r for r, s in enumerate(gens) for _ in s], dtype=np.int64)
         slot = np.array([j for s in gens for j in range(len(s))], dtype=np.int64)
@@ -319,8 +331,10 @@ def coset_minima(members: Sequence[SubgroupHandle]) -> np.ndarray:
         moves = np.tile(np.arange(rows * n), (max(map(len, gens)) or 1, 1))
         moves.reshape(-1, rows, n)[slot, owner] = left.reshape(-1, n) + owner[:, None] * n
         least = orbit_minima(list(moves), rows * n).reshape(rows, n)
-        table[lo : lo + rows] = least - (np.arange(rows) * n)[:, None]
-    return table
+        table = (least - (np.arange(rows) * n)[:, None]).astype(np.min_scalar_type(n - 1))
+        table.flags.writeable = False
+        S.coset_rows.update(zip([k for k, _ in batch], table))
+    return np.stack([S.coset_rows[k] for k in keys])
 
 
 def product_type_family(members: Sequence[SubgroupHandle], m: int) -> ProductTypeFamily:

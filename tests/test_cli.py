@@ -369,6 +369,42 @@ def test_verify_cover_reads_the_a6_family(tmp_path, capsys):
     assert (status, report["covered"], report["members"]) == (0, True, 145)
 
 
+def test_group_tables_keep_bounded_memos(tmp_path, capsys, monkeypatch):
+    # on fresh group tables, the constructive covers (exact and greedy
+    # base) and their families read back keep one coset row per catalog
+    # maximal subgroup at most, and only canonical cycle strings, one per
+    # element at most; a family file with every cycle written another way
+    # reads back to the same report and keeps no string of its own
+    import functools
+    import re
+
+    from wreathcover import catalog, pipelines
+
+    monkeypatch.setattr(pipelines, "load_group", functools.cache(catalog.load))
+    rotate = functools.partial(re.sub, r"\((\d+) (\d+(?: \d+)*)\)", r"(\2 \1)")
+    for group in catalog.BUILTIN_SPECS:
+        m = "1" if group == "M11" else "2"  # M11 wr C_2 is over the explicit cap
+        for method in ("exact", "greedy"):
+            fam = tmp_path / f"{method}.family"
+            argv = ["construct-cover", group, "-m", m, "--cover-method", method, "--out", str(fam)]
+            assert main(argv) == 0
+            verify = ["verify-cover", group, "-m", m, "--family-file", str(fam), "--json"]
+            capsys.readouterr()
+            assert main(verify) == 0
+            report = capsys.readouterr().out
+            lines = fam.read_text()
+            assert rotate(lines) != lines
+            fam.write_text(rotate(lines))
+            assert main(verify) == 0 and capsys.readouterr().out == report
+        cg = pipelines.load_group(group)
+        g = cg.table
+        maximal = {key for cls in cg.maximal_classes for key in cls.keys}
+        assert 0 < len(g.coset_rows) <= len(maximal) == sum(c.class_size for c in cg.maximal_classes)
+        assert set(g.coset_rows) <= maximal, group
+        assert 0 < len(g._cycle_ids) == len(g._cycle_strings) <= g.order
+        assert all(g.perm(x).to_cycle_string() == text for text, x in g._cycle_ids.items())
+
+
 def test_socle_lines_must_name_socle_maximals(tmp_path, capsys, _cache_dir):
     # socle{r} is a maximal subgroup of S wr C_m only for a prime r dividing m
     fam = tmp_path / "family.txt"

@@ -9,12 +9,13 @@ their lattice cache file, and a few also by the sha256 of their classes in
 memory: each class's conjugates, their generators and conjugators.
 """
 
+import functools
 import hashlib
 import json
 
 import pytest
 
-from wreathcover import catalog
+from wreathcover import catalog, pipelines
 from wreathcover.cli import main
 from wreathcover.lattice import _cache_path, all_subgroup_classes
 
@@ -320,13 +321,37 @@ def _ids(commands):
 @pytest.mark.parametrize(
     "command, status, digest", GOLDEN, ids=list(_ids(c for c, _, _ in GOLDEN))
 )
-def test_golden_report(command, status, digest, tmp_path, capsys):
+def test_golden_report(command, status, digest, tmp_path, capsys, monkeypatch):
     spec = tmp_path / "a5.yaml"
     spec.write_text(A5_SPEC)
     argv = command.format(a5_spec=spec).split()
-    assert main([*argv, "--json"]) == status
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    runs = 1
+    if argv[0] == "construct-cover":
+        # twice on fresh group tables: the first run fills their coset rows
+        # and cycle strings, and the second reads them
+        monkeypatch.setattr(pipelines, "load_group", functools.cache(catalog.load))
+        runs = 2
+    for _ in range(runs):
+        assert main([*argv, "--json"]) == status
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("group, method", [("A5", "exact"), ("A6", "greedy"), ("PSL(2,7)", "exact")])
+def test_verify_cover_repeats_in_process(group, method, tmp_path, capsys, monkeypatch):
+    # a written family re-verified twice in one process, from fresh group
+    # tables: the first run makes the coset rows and parses the cycle
+    # strings, the second reads them back, and the reports are the same
+    family = tmp_path / "family"
+    argv = ["construct-cover", group, "-m", "2", "--cover-method", method, "--out", str(family)]
+    assert main(argv) == 0
+    monkeypatch.setattr(pipelines, "load_group", functools.cache(catalog.load))
+    capsys.readouterr()
+    outs = []
+    for _ in range(2):
+        assert main(["verify-cover", group, "-m", "2", "--family-file", str(family), "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["covered"] is True
 
 
 # spec-file groups (name, degree, generators) and the sha256 of their

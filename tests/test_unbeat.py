@@ -676,10 +676,11 @@ def test_class_counts_match_box_counts_on_random_instances(inst):
 
 def test_explicit_reports_build_no_box(monkeypatch):
     # explicit unbeatability counts from element classes at every m: no
-    # box side, grid mask or coset table is made (the program has no base
-    # grid or target mask builder; those are ``oracles``').  The
-    # constructive cover builds its family's coset table, and at m = 2
-    # verifies it from counts, with no box side
+    # box side, grid mask or coset table is made, and no group table keeps
+    # a new coset row (the program has no base grid or target mask
+    # builder; those are ``oracles``').  The constructive cover builds its
+    # family's coset table, and at m = 2 verifies it from counts, with no
+    # box side
     from wreathcover import pipelines, wreath
     from wreathcover.cli import main
 
@@ -691,6 +692,8 @@ def test_explicit_reports_build_no_box(monkeypatch):
     assert main(["construct-cover", "PSL(2,7)", "-m", "2", "--json"]) in (0, 1)
     for module in (wreath, pipelines):
         monkeypatch.setattr(module, "coset_minima", refuse)
+    tables = [pipelines.load_group(group).table for group in ("A5", "PSL(2,11)")]
+    kept = [set(g.coset_rows) for g in tables]
     for argv in [
         "verify-c2 -p 11 -m 2",
         *[
@@ -699,6 +702,7 @@ def test_explicit_reports_build_no_box(monkeypatch):
         ],
     ]:
         assert main([*argv.split(), "--json"]) in (0, 1), argv
+    assert [set(g.coset_rows) for g in tables] == kept
 
 
 @pytest.mark.parametrize("m", [2, 3])

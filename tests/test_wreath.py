@@ -20,6 +20,7 @@ from wreathcover.wreath import (
     coset_minima,
     product_type_family,
     product_type_mask,
+    twisted_layer,
     verify_wreath_cover,
 )
 
@@ -440,39 +441,69 @@ def test_a5_wr_c4_constructive_cover(a5):
 
 @st.composite
 def _subgroup_batches(draw):
-    """A group, a batch of its subgroups (closures of random generators,
-    the trivial subgroup and the whole group among them) and coset labels."""
+    """A group, two batches of its subgroups (closures of random
+    generators, the trivial subgroup and the whole group among them) and
+    coset labels."""
     g = load_group(draw(st.sampled_from(["A5", "PSL(2,7)", "A6"]))).table
     elements = st.integers(0, g.order - 1)
     gen_sets = st.one_of(
         st.just([]), st.just(list(g.generator_ids)), st.lists(elements, min_size=1, max_size=3)
     )
-    members = [subgroup_closure(g, gens) for gens in draw(st.lists(gen_sets, min_size=1, max_size=6))]
-    return g, members, draw(st.lists(elements, min_size=1, max_size=4))
+    batches = [
+        [subgroup_closure(g, gens) for gens in draw(st.lists(gen_sets, min_size=1, max_size=6))]
+        for _ in range(2)
+    ]
+    return g, *batches, draw(st.lists(elements, min_size=1, max_size=4))
+
+
+def _coset_rows(members):
+    """Each subgroup's coset-minimum row by canonical key, one right coset
+    at a time."""
+    rows = {}
+    for M in members:
+        row = rows.setdefault(M.canonical_key, np.empty(M.parent.order, dtype=np.int64))
+        for rep in coset_representatives(M):
+            row[M.parent.mul_many(M.member_ids, rep)] = rep
+    return rows
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_subgroup_batches())
 def test_coset_minima_match_one_coset_at_a_time(batch):
     # the batched table against the per-coset products: every coset of every
-    # member, the family's representatives, and the rows at random labels
-    g, members, labels = batch
-    cached = (set(g._right_maps), set(g._conj_maps))
-    table = coset_minima(members)
-    assert (set(g._right_maps), set(g._conj_maps)) == cached  # no per-table map is made
-    # one row per member, in order, repeats included
-    assert table.shape == (len(members), g.order)
-    distinct = list(dict.fromkeys(members))
-    family = product_type_family(distinct, 2)
-    for M, row in zip(members, table):
-        assert np.array_equal(row, family.minima[distinct.index(M)])
-    for r, M in enumerate(distinct):
-        row = family.minima[r]
-        reps = coset_representatives(M)
-        for rep in reps:
-            assert (row[g.mul_many(M.member_ids, rep)] == rep).all()
-        assert family.cosets[family.owner == r, 0].tolist() == reps
-        assert row[labels].tolist() == [coset_minimum(M, x) for x in labels]
+    # member, the family's representatives, and the rows at random labels;
+    # then the batch again, all of it from the group's kept rows, and mixed
+    # with a second batch, of which only the subgroups not kept are made
+    g, members, more, labels = batch
+    expect = _coset_rows(members + more)
+
+    def check(table, batch):
+        assert table.shape == (len(batch), g.order)
+        assert np.array_equal(table, [expect[M.canonical_key] for M in batch])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(g, "coset_rows", {})
+        cached = (set(g._right_maps), set(g._conj_maps))
+        table = coset_minima(members)
+        assert (set(g._right_maps), set(g._conj_maps)) == cached  # no per-table map is made
+        check(table, members)  # one row per member, in order, repeats included
+        distinct = list(dict.fromkeys(members))
+        family = product_type_family(distinct, 2)
+        for r, M in enumerate(distinct):
+            row = family.minima[r]
+            assert family.cosets[family.owner == r, 0].tolist() == coset_representatives(M)
+            assert row[labels].tolist() == [coset_minimum(M, x) for x in labels]
+        # one kept row per subgroup, read only, and none made again
+        kept = dict(g.coset_rows)
+        assert list(kept) == [M.canonical_key for M in distinct]
+        assert not any(row.flags.writeable for row in kept.values())
+        table[:] = 0  # the returned table is the caller's own
+        check(coset_minima(members), members)
+        mixed = [M for pair in zip(more, members) for M in pair]
+        mixed += members[len(more) :] + more[len(members) :]
+        check(coset_minima(mixed), mixed)
+        assert all(g.coset_rows[key] is row for key, row in kept.items())
+        assert set(g.coset_rows) == set(expect)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -503,3 +534,32 @@ def test_m2_verification_matches_box_path(group, seed, with_socle):
     family, socle = parse_descriptor_lines(cg, list(dict.fromkeys(lines)), 2)
     ctx = WreathContext(cg.table, 2)
     assert verify_wreath_cover(ctx, family, socle) == _verify_boxes(ctx, family, socle)
+
+
+def _twisted_layer_by_columns(family, n):
+    """``twisted_layer``'s reference: the rows grouped by ``np.unique``
+    over their whole int64 weight columns, and the counts an int64
+    product."""
+    minima = family.minima.reshape(-1, n).astype(np.int64)
+    held = np.bincount(
+        family.owner * n + minima[family.owner, family.cosets[:, 0]], minlength=minima.size
+    )
+    weights = np.take_along_axis(held.reshape(minima.shape), minima, axis=1)
+    groups, rows = np.unique(weights, axis=1, return_index=True)
+    return weights, rows, groups.T @ (minima == 0)
+
+
+@pytest.mark.parametrize("group, draws", [("A6", 8), ("PSL(2,7)", 8), ("PSL(2,13)", 1)])
+def test_twisted_layer_matches_column_grouping(group, draws):
+    # random partial maximal families (a share of the members kept), and
+    # the whole family, which takes the path without grouping
+    cg = load_group(group)
+    n = cg.table.order
+    whole = product_type_family([M for cls in cg.maximal_classes for M in cls.conjugates], 2)
+    rng = np.random.default_rng(n)
+    shares = [1.0, *rng.choice([0.05, 0.3, 0.7, 0.99], size=draws)]
+    for share in shares:
+        family = take(whole, np.flatnonzero(rng.random(whole.owner.shape[0]) < share))
+        got, expect = twisted_layer(family, n), _twisted_layer_by_columns(family, n)
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype and np.array_equal(a, b), share
