@@ -208,9 +208,10 @@ class GroupTable:
 
     def cycle_id(self, text: str) -> int:
         """The id of the element written as ``text`` in cycle notation
-        (InputError when the text is bad or names no element).  A text
-        that ``cycle_string`` has rendered is looked up; any other is
-        parsed, and is not stored."""
+        (InputError when the text is bad or names no element).  The text is
+        parsed unless it is the rendering that ``cycle_string`` keeps for
+        its element; the table keeps that rendering, never another
+        spelling."""
         x = self._cycle_ids.get(text)
         if x is None:
             x = self.id_of(Perm.from_cycles(text, self.degree))
