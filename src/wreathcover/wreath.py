@@ -16,9 +16,8 @@ the m >= 3 oracle tests distinguish them.
 
 That condition is the one membership model.  At a fixed shift k it
 constrains each coordinate on its own, so a product-type member is a box
-A_0 x ... x A_{m-1} with sides A_a = g[a]^{-1} M g[a+k].  Two sides are
-cosets of M, A_0 = M g[k] and, for k > 0, A_{m-k} = g[m-k]^{-1} M (at
-k = 0 both are M).
+A_0 x ... x A_{m-1} with sides A_a = g[a]^{-1} M g[a+k]: the y with
+M g[a] y = M g[a+k], so every side is read off the cosets of M.
 
 Cover verification counts members.  At m = 2 every count is a count of
 cosets and conjugates, and no box is built.  At shift 1 the member over M
@@ -28,13 +27,14 @@ one count over z = x0 x1 (``twisted_layer``); a row is read off the coset
 table alone (``twisted_row``).  At shift 0 the member is M x M^g, and each
 subgroup's conjugates are counted once (``strand_conjugates``).
 
-At every other m the boxes do the counting.  ``box_luts`` reads the two
-coset sides off the family's coset table and composes only the others on
-image rows.  It stacks the sides of D members as 0/1 rows L[d, a, :].  The
-number of members containing a base tuple x is sum_d prod_a L[d, a, x_a]:
-over the last two coordinates that is one matrix product, and leading
-coordinates are fixed one value at a time, keeping only the boxes that
-admit them (``first_uncovered``), so the |S|^m grid is never built;
+At every other m the boxes do the counting.  ``box_luts`` reads every
+side off the family's coset table, after one ``mul_many`` for the left
+maps y -> g[a] y, and stacks the sides of D members as 0/1 rows
+L[d, a, :].  The number of members containing a base tuple x is
+sum_d prod_a L[d, a, x_a]: over the last two coordinates that is one
+matrix product, and leading coordinates are fixed one value at a time,
+keeping only the boxes that admit them (``first_uncovered``), so the
+|S|^m grid is never built;
 ``product_type_mask`` reads the members' sides over a given grid.  The
 ground truth for all of it, the normalizer of the explicit product
 subgroup on n*m points, lives with the tests (``tests/oracles.py``), and
@@ -50,8 +50,8 @@ cosets of M, |S:M|^(m-1) of them (``product_type_family``), and with the
 alpha(m) socle maximals they number ``wreath_cover_upper_term``.  A family
 makes its coset table once, in one batched pass over the subgroups S has
 no row for yet, and carries it: the family's coset representatives, a
-family file's cosets, the m = 2 counts and the coset sides of ``box_luts``
-all read it.  S keeps every row it has made, one per subgroup, so a later
+family file's cosets, the m = 2 counts and the sides of ``box_luts`` all
+read it.  S keeps every row it has made, one per subgroup, so a later
 family over the same subgroups in the same process makes none.  The
 constructive cover comes from ``product_type_family``, and a family
 file's reader makes its table the same way.
@@ -91,8 +91,6 @@ class WreathElement:
 # request, which is explicit up to it and symbolic above.
 EXPLICIT_CAP = 10**8
 AUTO_EXPLICIT_LIMIT = 10**7
-# image rows composed, and table entries compared, at a time by ``box_luts``
-ROW_CHUNK = 2**15
 
 
 def explicit_size(S: GroupTable, m: int) -> int:
@@ -160,53 +158,27 @@ def product_type_mask(
 
 def box_luts(ctx: WreathContext, family: ProductTypeFamily, shift: int) -> np.ndarray:
     """The coordinate rows of every member at one shift, stacked as a
-    (D, m, |S|) float64 0/1 array: row (d, a) is g[a]^{-1} M g[a+shift].
-
-    Two sides are cosets and come off the family's ``minima``: a = 0 is
-    the right coset M g[shift], the y with row[y] == row[g[shift]], and for
-    shift > 0 a = m - shift is g[a]^{-1} M, the y whose inverse lies in
-    M g[a] (at shift 0 both are M).  They are written in blocks of
-    ROW_CHUNK table entries, each member's row compared with its coset's
-    label, so a coset id need not be a minimum.  The other m - 2 sides
-    (m - 1 at shift 0) are composed on image rows, ROW_CHUNK rows at a
-    time, each by one flat gather from the image table, then packed and
-    looked up."""
+    (D, m, |S|) float64 0/1 array: row (d, a) is g[a]^{-1} M g[a+shift],
+    the y with M g[a] y = M g[a+shift].  Each is read off the member's
+    ``minima`` row, so a coset id need not be a minimum: side 0 (g[0] is
+    the identity) compares the row as it is, and the others read it
+    through the left maps y -> g y of their distinct g, one ``mul_many``."""
     S, m, n = ctx.S, ctx.m, ctx.S.order
-    table, owner = family.minima, family.owner
-    D = owner.shape[0]
+    D = family.owner.shape[0]
     out = np.zeros((D, m, n))
     if not D:
         return out
-    gs = np.pad(family.cosets, ((0, 0), (1, 0)))  # (D, m): g_0 = identity
-    read = {0: (table, gs[:, shift])}
-    if shift:
-        read[m - shift] = (table[:, S.inv], gs[:, m - shift])
-    step = max(1, ROW_CHUNK // n)
-    for a, (labels, at) in read.items():
-        coset = table[owner, at]  # each member's coset label
-        for lo in range(0, D, step):
-            part = slice(lo, lo + step)
-            np.equal(labels[owner[part]], coset[part, None], out=out[part, a])
-    composed = [a for a in range(1, m) if a + shift != m]
-    if not composed:
+    rows = family.minima[family.owner]  # (D, |S|): each member's coset labels
+    gs = np.concatenate([np.zeros((D, 1), dtype=np.int64), family.cosets], axis=1)  # g_0 = identity
+    labels = np.take_along_axis(rows, np.roll(gs, -shift, axis=1), axis=1)  # M g[a+shift]
+    np.equal(rows, labels[:, :1], out=out[:, 0])
+    if m == 1:
         return out
-    # one stacked row per (composed coordinate a, member d, element x of its M)
-    sizes = np.array([M.size for M in family.subgroups])[owner]
-    member = np.tile(np.repeat(np.arange(D), sizes), len(composed))
-    coord = np.repeat(composed, sizes.sum())
-    left = S.inv[gs[member, coord]]
-    right = gs[member, (coord + shift) % m]
-    elements = [M.member_ids for M in family.subgroups]
-    x = np.tile(np.concatenate([elements[r] for r in owner.tolist()]), len(composed))
-    # (g^{-1} x h)(q) = g^{-1}(x(h(q))): row y's entry p sits at y*degree + p,
-    # and rows go in chunks that bound the gathers' index arrays
-    images, degree = S.images.ravel(), S.degree
-    ids = np.empty(x.shape[0], dtype=np.int64)
-    for lo in range(0, x.shape[0], ROW_CHUNK):
-        part = slice(lo, lo + ROW_CHUNK)
-        rows = images[x[part, None] * degree + S.images[right[part]]]
-        ids[part] = S.ids(images[left[part, None] * degree + rows])
-    out[member, coord, ids] = 1.0
+    g, at = np.unique(family.cosets, return_inverse=True)
+    left = S.mul_many(np.repeat(g, n), np.tile(np.arange(n), g.shape[0])).reshape(-1, n)
+    flat, start = rows.ravel(), (np.arange(D) * n)[:, None]  # row d starts at d*|S|
+    for a, at_a in enumerate(at.reshape(D, m - 1).T, 1):
+        np.equal(flat[start + left[at_a]], labels[:, a, None], out=out[:, a])
     return out
 
 

@@ -15,7 +15,7 @@ another way than the code it checks:
 * ``box_sides`` composes every side g[a]^{-1} M g[a+k] of a product-type
   member one element at a time, as ``Perm`` products named by
   ``GroupTable.id_of``, the reference for ``wreath.box_luts``, which reads
-  the coset sides off a coset-minimum table and composes the rest;
+  every side off a coset-minimum table;
 * ``base_grid``, ``box_coverage``, ``box_target_counts``, ``target_masks``,
   ``member_label`` and ``box_counts`` count explicit unbeatability over
   the whole base grid: the target as masks, every member of the family and

@@ -21,6 +21,11 @@ declaration: by name, as an attribute or a string constant in ``src/`` or
 ``perfbench/``.  A field that only its constructor calls set is data that
 nothing reads.
 
+Only ``groups.py`` and ``perm.py`` know how a group's elements are laid
+out as image rows: no other module of ``src/wreathcover`` reads an
+``.images`` attribute or calls ``.ids(``.  Every other module multiplies
+with ``GroupTable.mul_many`` and reads the tables built on it.
+
 The same rule keeps ``tests/oracles.py`` to what the tests use: each of its
 definitions must be referenced from outside its own definition,
 by a test file or by another oracle, so an oracle whose subject is deleted
@@ -191,6 +196,21 @@ def test_every_oracle_is_used():
         if refs[name] - _references(node, with_strings=False)[name] == 0
     ]
     assert unused == []
+
+
+def test_only_groups_and_perm_read_image_rows():
+    src = _trees(SRC)
+    assert {"groups", "perm", "wreath"} <= {path.stem for path in src}
+    readers = []
+    for path, tree in src.items():
+        if path.stem in ("groups", "perm"):
+            continue
+        for node in ast.walk(tree):
+            reads = isinstance(node, ast.Attribute) and node.attr == "images"
+            looks_up = isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "ids"
+            if reads or looks_up:
+                readers.append(f"{path.stem}:{node.lineno}")
+    assert readers == []
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -394,11 +394,17 @@ def test_box_luts_match_composed_sides(group, m):
     raw_cosets = np.array([[raw_id(M, c) for c in cosets] for M, cosets in members], dtype=np.int64)
     raw = dataclasses.replace(family, cosets=raw_cosets.reshape(family.cosets.shape))
     assert m == 1 or not np.array_equal(raw.cosets, family.cosets)
+    # the sides are read off the family's table: no per-table cache grows
+    def cached():
+        return [set(c) for c in (g._right_maps, g._conj_maps, g.coset_rows)]
+
+    before = cached()
     for shift in range(m):
         expect = box_sides(ctx, family, shift)
         assert np.array_equal(box_luts(ctx, family, shift), expect), shift
         assert np.array_equal(box_luts(ctx, raw, shift), expect), shift
         assert box_luts(ctx, take(family, slice(0)), shift).shape == (0, m, g.order)
+    assert cached() == before
 
 
 @pytest.mark.parametrize("group", ["A5", "A6"])
