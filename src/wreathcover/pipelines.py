@@ -165,9 +165,9 @@ def _verdict(
     instance, the seed conditions C0-C5 and definite unbeatability, each
     computed once.  At m = 1 the verdict reads U1-U3 off the seed report and
     sweeps the maximal classes outside the family for U4.  At m >= 2,
-    ``explicit`` enumerates S wr C_m (InputError above ``EXPLICIT_CAP``), and
-    ``auto`` is explicit while ``explicit_size`` <= ``AUTO_EXPLICIT_LIMIT``
-    and symbolic, from the seed report, above.  A spec file's maximal list
+    ``explicit`` counts from element classes at any size, and ``auto`` is
+    explicit while ``explicit_size`` <= ``AUTO_EXPLICIT_LIMIT`` and
+    symbolic, from the seed report, above.  A spec file's maximal list
     is checked by nothing, so a verdict on one is conditional on it."""
     inst = SeedInstance(
         S=cg.table,
@@ -454,8 +454,10 @@ def parse_descriptor_lines(
 
 def construct_cover_report(source: str, m: int, cover_method: str = "exact") -> dict:
     """Build the constructive covering family of S wr C_m from a minimal
-    (or greedy) cover of S and verify it exhaustively, which needs a
-    ``WreathContext`` (InputError above ``EXPLICIT_CAP``)."""
+    (or greedy) cover of S and verify it from its base cover (the family
+    is whole).  The ``WreathContext`` (InputError above ``EXPLICIT_CAP``)
+    bounds only the family the report prints, |S:M|^(m-1) lines per
+    member M."""
     cg = load_group(source)
     ctx = WreathContext(cg.table, m)
     if not cg.maximal_classes:

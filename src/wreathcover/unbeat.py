@@ -41,9 +41,9 @@ dividing m, the (x; r mod m) whose strand products x_0 x_r x_2r ... and
 x_1 x_(1+r) ... lie in the seed elements of two different family classes:
 a class pair (c, c') of ``pairs``.  Seed and family are unions of whole
 conjugacy classes, so every count is a class function, and explicit mode
-takes them all from element-class counts (``_class_counts``), with the
-``wreath.WreathContext`` as its permit and no member, box, grid or coset
-table built:
+takes them all from element-class counts (``_class_counts``), with no
+member, box, grid or coset table built and no enumeration permit, so no
+cap on m * |S|^m:
 * a member over M meets T in |M|^(m-1) |M & seed| + alpha(m) |M|^(m-2)
   sum over pairs of |M & c| |M & c'| elements, on any conjugate of M and
   any cosets, and so does an outsider; a class's first member, conjugate
@@ -79,7 +79,7 @@ from . import InputError
 from .cover import verify_cover_handles
 from .formulas import alpha, prime_factors, smallest_prime_factor
 from .groups import GroupTable, SubgroupClass, SubgroupHandle, conjugates_holding, member_mask
-from .wreath import WreathContext, wreath_cover_upper_term
+from .wreath import wreath_cover_upper_term
 
 TRICHOTOMY_ASSUMPTION = (
     "assumes every maximal subgroup of S wr C_m contains the socle, is of "
@@ -462,10 +462,9 @@ def _class_counts(inst: SeedInstance) -> tuple:
 
 
 def check_definitely_unbeatable_wreath(inst: SeedInstance) -> UnbeatabilityReport:
-    """Explicit wreath mode at m >= 2: the ``WreathContext`` is the permit
-    (it refuses m * |S|^m above ``EXPLICIT_CAP``), and all four conditions
-    are decided from element-class counts (``_class_counts``), with no
-    member, box or grid built.  The family is the product-type members
+    """Explicit wreath mode at m >= 2: all four conditions are decided from
+    element-class counts (``_class_counts``), with no member, box or grid
+    built, so no m * |S|^m bounds it.  The family is the product-type members
     over every conjugate of the seed classes plus the socle maximals.  The
     outsider sweep ranges over the product-type subgroups built on the
     maximal classes outside the family; diagonal-type subgroups contribute
@@ -474,7 +473,6 @@ def check_definitely_unbeatable_wreath(inst: SeedInstance) -> UnbeatabilityRepor
     S, m = inst.S, inst.m
     if m < 2:
         raise ValueError("explicit wreath mode needs m >= 2")
-    WreathContext(S, m)
     members, target_size, witnesses, (outsider_max, outsider_label) = _class_counts(inst)
     empty_witness = next((label for label, count in members if count == 0), None)
     member_min = min(count for _, count in members)

@@ -19,28 +19,29 @@ constrains each coordinate on its own, so a product-type member is a box
 A_0 x ... x A_{m-1} with sides A_a = g[a]^{-1} M g[a+k]: the y with
 M g[a] y = M g[a+k], so every side is read off the cosets of M.
 
-Cover verification counts members.  At m = 2 every count is a count of
-cosets and conjugates, and no box is built.  At shift 1 the member over M
-on the coset M g holds (x0, x1; 1) exactly when M x0 = M g = M x1^{-1}, so
-x0 x1 lies in M, and the rows x0 with the same cosets in the family share
-one count over z = x0 x1 (``twisted_layer``); a row is read off the coset
-table alone (``twisted_row``).  At shift 0 the member is M x M^g, and each
-subgroup's conjugates are counted once (``strand_conjugates``).
+Cover verification settles a whole family from its subgroups alone.  A
+shift k prime to m is one strand: walking a = 0, k, 2k, ... fixes each
+coset M g[a+k] = M g[a] x[a] in turn, so (x; k) lies in a member over M
+exactly when the strand product x_0 x_k x_2k ... lies in M, and then in
+the one member on those cosets.  A family with every coset tuple over
+each of its subgroups and the socle maximal of every prime of m (every
+other shift lies in one) therefore covers S wr C_m exactly when its
+subgroups cover S, the identity included.
 
-At every other m the boxes do the counting.  ``box_luts`` reads every
-side off the family's coset table, after one ``mul_many`` for the left
-maps y -> g[a] y, and stacks the sides of D members as 0/1 rows
-L[d, a, :].  The number of members containing a base tuple x is
+Any other family, such as a family file with cosets or a socle line
+missing, is checked over boxes.  ``box_luts`` reads every side off the
+family's coset table, after one ``mul_many`` for the left maps
+y -> g[a] y, and stacks the sides of D members as 0/1 rows L[d, a, :].
+The number of members containing a base tuple x is
 sum_d prod_a L[d, a, x_a]: over the last two coordinates that is one
 matrix product, and leading coordinates are fixed one value at a time,
 keeping only the boxes that admit them (``first_uncovered``), so the
-|S|^m grid is never built;
-``product_type_mask`` reads the members' sides over a given grid.  The
-ground truth for all of it, the normalizer of the explicit product
-subgroup on n*m points, lives with the tests (``tests/oracles.py``), and
-so do the box counts of an unbeatability target, the reference for
-``unbeat``, which counts from element classes at every m and takes only
-the permit and ``wreath_cover_upper_term`` from here.
+|S|^m grid is never built; ``product_type_mask`` reads the members' sides
+over a given grid.  The ground truth for all of it, the normalizer of the
+explicit product subgroup on n*m points, lives with the tests
+(``tests/oracles.py``), and so do the box counts of an unbeatability
+target, the reference for ``unbeat``, which counts from element classes
+at every m and takes only ``wreath_cover_upper_term`` from here.
 
 A product-type family is one record, ``ProductTypeFamily``: its distinct
 subgroups M, their ``coset_minima`` rows as one array, and for each member
@@ -50,11 +51,11 @@ cosets of M, |S:M|^(m-1) of them (``product_type_family``), and with the
 alpha(m) socle maximals they number ``wreath_cover_upper_term``.  A family
 makes its coset table once, in one batched pass over the subgroups S has
 no row for yet, and carries it: the family's coset representatives, a
-family file's cosets, the m = 2 counts and the sides of ``box_luts`` all
-read it.  S keeps every row it has made, one per subgroup, so a later
-family over the same subgroups in the same process makes none.  The
-constructive cover comes from ``product_type_family``, and a family
-file's reader makes its table the same way.
+family file's cosets and the sides of ``box_luts`` all read it.  S keeps
+every row it has made, one per subgroup, so a later family over the same
+subgroups in the same process makes none.  The constructive cover comes
+from ``product_type_family``, and a family file's reader makes its table
+the same way.
 A socle maximal is named by its prime r, a prime divisor of m: it is the
 preimage of the index-r subgroup of C_m, the elements whose shift r divides.
 """
@@ -85,9 +86,10 @@ class WreathElement:
             raise ValueError(f"shift {self.shift} not reduced mod {m}")
 
 
-# EXPLICIT_CAP bounds m * |S|^m for every explicit request: a WreathContext
-# is not made above it, so cover verification and explicit unbeatability
-# fail there.  AUTO_EXPLICIT_LIMIT bounds it for an auto-mode unbeatability
+# EXPLICIT_CAP bounds m * |S|^m for the cover requests: a WreathContext is
+# not made above it, so construct-cover and verify-cover refuse there.
+# Explicit unbeatability counts from element classes and takes no context.
+# AUTO_EXPLICIT_LIMIT bounds m * |S|^m for an auto-mode unbeatability
 # request, which is explicit up to it and symbolic above.
 EXPLICIT_CAP = 10**8
 AUTO_EXPLICIT_LIMIT = 10**7
@@ -129,7 +131,10 @@ class ProductTypeFamily:
     right coset M*g_i, so two members denote the same subgroup exactly when
     their subgroups and their cosets rows agree.  ``subgroups`` are
     distinct, and row r of ``minima`` is subgroups[r]'s ``coset_minima``
-    row; the m = 2 counts and ``box_luts`` read the cosets off it.
+    row; ``box_luts`` reads the cosets off it.  Members are distinct too:
+    ``product_type_family`` makes them so and ``parse_descriptor_lines``
+    refuses a repeat, so ``verify_wreath_cover`` knows a family is whole
+    from its count of members over each subgroup.
     """
 
     subgroups: list[SubgroupHandle]
@@ -206,61 +211,6 @@ def first_uncovered(luts: np.ndarray) -> int | None:
             return offset + first
         offset += block.size
     return None
-
-
-# -- m = 2 from coset and class counts -------------------------------------------
-
-
-def twisted_layer(family: ProductTypeFamily, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """How many members hold each element (x0, x1; 1) of S wr C_2, grouped
-    by row.  (x0, x1; 1) lies in member (M, Mg) exactly when M x0 = Mg =
-    M x1^{-1}, so the count is sum_M w_M(x0) [x0 x1 in M], w_M(x0) the
-    number of members over M on the coset M x0.  Returns (weights, rows,
-    counts): weights[r, x0] is w for subgroups[r], and the rows x0 with
-    equal weights form one group whose count is counts[p, z] at z = x0 x1
-    and whose least row is rows[p].  A family that holds each coset once
-    has one group, and its count is the number of its subgroups holding z.
-    Members are distinct, so every weight is 0 or 1: the rows are grouped
-    by their weights packed into bits, and the counts, at most
-    len(subgroups), are exact in the float64 product."""
-    minima = family.minima.reshape(-1, n).astype(np.int64)
-    held = np.bincount(
-        family.owner * n + minima[family.owner, family.cosets[:, 0]],
-        minlength=minima.size,
-    )
-    weights = np.take_along_axis(held.reshape(minima.shape), minima, axis=1)
-    if (weights == weights[:, :1]).all():  # a whole family: no column sort
-        rows = np.zeros(1, dtype=np.int64)
-    else:
-        bits = np.packbits(weights.astype(bool), axis=0).T.copy()  # one row per x0
-        columns = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
-        _, rows = np.unique(columns, return_index=True)
-    counts = weights[:, rows].T.astype(np.float64) @ (minima == 0)
-    return weights, rows, counts.astype(np.int64)
-
-
-def twisted_row(S: GroupTable, family: ProductTypeFamily, weights: np.ndarray, x0: int) -> np.ndarray:
-    """The count of ``twisted_layer`` along row x0, one entry per x1, read
-    off the coset table: M x0 = M x1^{-1} and no product is formed."""
-    minima = family.minima.reshape(-1, S.order)
-    return weights[:, x0] @ (minima[:, S.inv] == minima[:, [x0]])
-
-
-def strand_conjugates(S: GroupTable, family: ProductTypeFamily) -> np.ndarray:
-    """At shift 0 of S wr C_2 member (M, Mg) is M x M^g, M^g = g^{-1} M g:
-    entry (r, y) is the number of members over subgroups[r] whose M^g
-    holds y, so sum_r [x0 in subgroups[r]] * entry (r, x1) members hold
-    (x0, x1; 0)."""
-    n, owner = S.order, family.owner
-    size = len(family.subgroups) * n
-    if not owner.shape[0]:
-        return np.zeros((len(family.subgroups), n), dtype=np.int64)
-    # one entry per (member, element of its M)
-    sizes = np.array([M.size for M in family.subgroups])[owner]
-    g = np.repeat(family.cosets[:, 0], sizes)
-    x = np.concatenate([family.subgroups[r].member_ids for r in owner.tolist()])
-    y = S.mul_many(S.mul_many(S.inv[g], x), g)
-    return np.bincount(np.repeat(owner, sizes) * n + y, minlength=size).reshape(-1, n)
 
 
 # -- the product-type family and the constructive cover ---------------------------
@@ -356,21 +306,30 @@ def verify_wreath_cover(
 ) -> tuple[bool, WreathElement | None]:
     """Check that every element of S wr C_m lies in some family member;
     returns (ok, first uncovered witness in shift-major, row-major order).
-    ``socle`` names the socle maximals by their primes.  Every shift not
-    covered by a socle maximal is decided by counting: at m = 2 from
-    cosets and conjugates (``_verify_m2``), otherwise over boxes (see
-    ``first_uncovered``).  ``threads`` is accepted for compatibility and
+    ``socle`` names the socle maximals by their primes.  A whole family,
+    |S:M|^(m-1) members over each subgroup M and the socle maximal of
+    every prime of m, covers exactly when its subgroups cover S (see the
+    module docstring); else (0, ..., 0, z; 1 mod m) is the first miss, z
+    the least element in no subgroup.  Any other family goes through
+    ``_verify_boxes``.  ``threads`` is accepted for compatibility and
     changes neither the work nor the result."""
-    if ctx.m == 2:
-        return _verify_m2(ctx.S, family, socle)
+    S, m = ctx.S, ctx.m
+    members = np.bincount(family.owner, minlength=len(family.subgroups)).tolist()
+    if set(prime_factors(m)) <= set(socle) and members == [
+        M.index ** (m - 1) for M in family.subgroups
+    ]:
+        ok, z = verify_cover_handles(S, family.subgroups, np.arange(S.order))
+        return ok, None if ok else WreathElement((0,) * (m - 1) + (z,), 1 % m)
     return _verify_boxes(ctx, family, socle)
 
 
 def _verify_boxes(
     ctx: WreathContext, family: ProductTypeFamily, socle: Sequence[int]
 ) -> tuple[bool, WreathElement | None]:
-    """``verify_wreath_cover`` over boxes, shift by shift: its path for
-    m != 2, and the reference the m = 2 count path is tested against."""
+    """``verify_wreath_cover`` over boxes, shift by shift: every shift
+    that no socle maximal holds is counted by ``first_uncovered``.  It
+    takes any family, and the tests check the whole-family path against
+    it."""
     for shift in range(ctx.m):
         if any(shift % r == 0 for r in socle):
             continue  # covered by a socle-containing maximal
@@ -379,28 +338,3 @@ def _verify_boxes(
             base = np.unravel_index(idx, (ctx.S.order,) * ctx.m)
             return False, WreathElement(tuple(int(x) for x in base), shift)
     return True, None
-
-
-def _verify_m2(
-    S: GroupTable, family: ProductTypeFamily, socle: Sequence[int]
-) -> tuple[bool, WreathElement | None]:
-    """``verify_wreath_cover`` at m = 2, from counts.  Shift 0, when no
-    socle maximal covers it, goes through ``first_uncovered`` with one
-    box per subgroup, its M against the ``strand_conjugates`` row.  At
-    shift 1 a group of ``twisted_layer`` rows is covered when its count
-    misses no z, and the first row that is not gives the witness along
-    ``twisted_row``: no image row is looked up there."""
-    n = S.order
-    if 2 not in socle:
-        inside = family.minima.reshape(-1, n) == 0  # x in subgroups[r]
-        sides = np.stack([inside, strand_conjugates(S, family)], axis=1)
-        idx = first_uncovered(sides.astype(np.float64))
-        if idx is not None:
-            return False, WreathElement(divmod(idx, n), 0)
-    weights, rows, counts = twisted_layer(family, n)
-    missed = rows[(counts == 0).any(axis=1)]
-    if not missed.shape[0]:
-        return True, None
-    x0 = int(missed.min())
-    x1 = int(np.argmin(twisted_row(S, family, weights, x0)))  # the first zero
-    return False, WreathElement((x0, x1), 1)

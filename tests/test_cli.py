@@ -197,6 +197,22 @@ def test_bounds_certify_exactly_when_unbeatable(group, seed, families, capsys, _
         assert certified == cert["passed"] == (status == 0), (group, m)
 
 
+@pytest.mark.parametrize("m, lower", [("2", "266"), ("12", "12054528824979")])
+def test_explicit_and_auto_certify_m11_alike(m, lower, capsys):
+    # explicit unbeatability counts from element classes, so it needs no
+    # enumeration permit: it runs where the cover requests refuse (M11 wr
+    # C_2 is over the cap) and certifies what auto's symbolic mode does
+    argv = ["verify-unbeatable", "M11", "--sigma-spec", "orders:8,11",
+            "--families", "M10,PSL(2,11)", "-m", m]
+    verdicts = []
+    for mode in ("explicit", "auto"):
+        status, report = run_json([*argv, "--mode", mode], capsys)
+        assert status == 0, mode
+        verdicts.append(report["unbeatability"])
+    assert [v["mode"] for v in verdicts] == ["explicit-wreath", "symbolic"]
+    assert [v["certified_lower_bound"] for v in verdicts] == [lower, lower]
+
+
 def test_verify_unbeatable_failure_exit_code(capsys, _cache_dir):
     status, report = run_json(
         [
@@ -649,7 +665,8 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
     assert main(argv) == 2
     assert "catalog class labels" in capsys.readouterr().err
     assert list(cache.iterdir()) == []
-    # construct-cover always verifies its family, so it refuses above the cap
+    # the cap still bounds the family construct-cover prints, so it refuses
+    # above it
     assert main(["construct-cover", "M11", "-m", "3", "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -704,8 +721,7 @@ _REFUSED_FILES = {
 }
 # one request per input boundary, and its stderr line ({dir} is the
 # request's temporary directory).  m = 0 fails before any search, with the
-# message every command gives, explicit mode above the enumeration cap
-# fails instead of going symbolic, and an exact search fails at the node cap.
+# message every command gives, and an exact search fails at the node cap.
 REFUSED = [
     (["sigma", "NoSuchGroup"],
      "unknown group 'NoSuchGroup'; built-ins: A5, A6, PSL(2,7), PSL(2,11), PSL(2,13), M11"),
@@ -773,9 +789,6 @@ REFUSED = [
     (["catalog", "{dir}/mapping-classes.yaml"],
      "group file {dir}/mapping-classes.yaml gives maximal_classes {'label': 'A4'}, not a list"),
     (["catalog", "{dir}/a4-size-4.yaml"], "A5/A4: class size 5, catalog records 4"),
-    (["verify-unbeatable", "M11", "--sigma-spec", "orders:8,11", "--families",
-      "M10,PSL(2,11)", "-m", "2", "--mode", "explicit"],
-     "enumerating S wr C_m needs m*|S|^m = 125452800 <= 100000000"),
 ]
 
 

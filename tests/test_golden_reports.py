@@ -151,6 +151,13 @@ GOLDEN = [
         "47f25a0846dab65dd3324ddfdb5aba41ef0c2d7536332069a5847bedbd3be5b5",
     ),
     (
+        # 856 members over a minimal cover of 15 maximal conjugates,
+        # checked from that cover with no box side
+        "construct-cover PSL(2,7) -m 3",
+        0,
+        "00ee8e627026f0255e8a600c4c93aec38a394e3aa7ba3d2d3e94b57044f548c9",
+    ),
+    (
         "verify-unbeatable A5 --sigma-spec orders:5,3 --families D10,S3 -m 3 --mode explicit",
         1,
         "7625bee5982344372bb4c187e8f7dae7b653a8d934050a9d303e292b7da4d9a3",
@@ -212,6 +219,14 @@ GOLDEN = [
         "verify-unbeatable M11 --sigma-spec orders:8,11 --families M10,PSL(2,11) -m 3",
         0,
         "b43e682aa86c45f77f4da62c56081d8a3caa4ca70274a08104178b9d10beeb15",
+    ),
+    (
+        # explicit mode counts from element classes, so it needs no
+        # enumeration permit: M11 wr C_2 has 125,452,800 elements, above
+        # the cap on the cover requests, and certifies 266
+        "verify-unbeatable M11 --sigma-spec orders:8,11 --families M10,PSL(2,11) -m 2 --mode explicit",
+        0,
+        "04dadb1011b55822ec8fbfe7a92c89d7292406978dae7822ab438ef388919ea0",
     ),
     (
         "wreath-bounds M11 --sigma-spec orders:8,11 --families M10,PSL(2,11) -m 1",

@@ -679,8 +679,8 @@ def test_explicit_reports_build_no_box(monkeypatch):
     # box side, grid mask or coset table is made, and no group table keeps
     # a new coset row (the program has no base grid or target mask
     # builder; those are ``oracles``').  The constructive cover builds its
-    # family's coset table, and at m = 2 verifies it from counts, with no
-    # box side
+    # family's coset table, and verifies the whole family from its base
+    # cover, with no box side
     from wreathcover import pipelines, wreath
     from wreathcover.cli import main
 

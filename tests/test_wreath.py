@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import time
 
 import numpy as np
@@ -20,7 +21,6 @@ from wreathcover.wreath import (
     coset_minima,
     product_type_family,
     product_type_mask,
-    twisted_layer,
     verify_wreath_cover,
 )
 
@@ -408,22 +408,43 @@ def test_box_luts_match_composed_sides(group, m):
 
 
 @pytest.mark.parametrize("group", ["A5", "A6"])
-def test_m2_verification_composes_no_side(group, monkeypatch):
-    # at m = 2 the socle covers shift 0, and both sides at shift 1 are
-    # cosets read off the table, so no image row is looked up, and a
-    # family one member short still yields its witness the same way
+def test_m2_verification_composes_no_side(group):
+    # a whole family is settled from its subgroups at m = 2 and 3, so no
+    # image row is looked up; a family one member short is checked over
+    # boxes, whose left maps look rows up, and misses first at shift 1
     cg = load_group(group)
-    descs, socle = construct_product_cover(cg.table, _min_cover(cg), 2)
-    assert socle == [2]
-    ctx = WreathContext(cg.table, 2)
 
     def no_lookup(self, rows):
         raise AssertionError("verify_wreath_cover looked up an image row")
 
-    monkeypatch.setattr(GroupTable, "ids", no_lookup)
-    assert verify_wreath_cover(ctx, descs, socle) == (True, None)
-    ok, witness = verify_wreath_cover(ctx, take(descs, slice(1, None)), socle)
-    assert not ok and witness.shift == 1
+    for m in (2, 3) if group == "A5" else (2,):  # A6 wr C_3 is over the cap
+        descs, socle = construct_product_cover(cg.table, _min_cover(cg), m)
+        assert socle == [m]
+        ctx = WreathContext(cg.table, m)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(GroupTable, "ids", no_lookup)
+            assert verify_wreath_cover(ctx, descs, socle) == (True, None)
+        ok, witness = verify_wreath_cover(ctx, take(descs, slice(1, None)), socle)
+        assert not ok and witness.shift == 1
+
+
+def test_constructive_covers_build_no_box(tmp_path, monkeypatch, capsys):
+    # the constructive cover is a whole family, verified from its base
+    # cover at every m: at m = 3 neither construct-cover nor verify-cover
+    # of the family it writes builds a box side
+    from wreathcover import wreath
+    from wreathcover.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a whole family was verified over boxes")
+
+    monkeypatch.setattr(wreath, "box_luts", refuse)
+    family = tmp_path / "a5.family"
+    assert main(["construct-cover", "A5", "-m", "3", "--out", str(family)]) == 0
+    assert main(["construct-cover", "PSL(2,7)", "-m", "3", "--json"]) == 0
+    capsys.readouterr()
+    assert main(["verify-cover", "A5", "-m", "3", "--family-file", str(family), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["covered"] is True
 
 
 def test_a5_wr_c4_constructive_cover(a5):
@@ -514,58 +535,40 @@ def test_coset_minima_match_one_coset_at_a_time(batch):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
-    group=st.sampled_from(["A5", "PSL(2,7)", "A6"]),
+    case=st.sampled_from(
+        [(g, m) for g in ("A5", "PSL(2,7)", "A6") for m in (1, 2, 3) if (g, m) != ("A6", 3)]
+    ),
     seed=st.integers(0, 2**32 - 1),
+    whole=st.booleans(),
     with_socle=st.booleans(),
 )
-@example(group="A6", seed=0, with_socle=False)
-def test_m2_verification_matches_box_path(group, seed, with_socle):
-    # a family file: the lines of the constructive family over random
-    # maximal classes, some lines dropped (cosets missing), lines of other
-    # classes' conjugates added, the socle line kept or dropped, read back
+@example(case=("A6", 2), seed=0, whole=False, with_socle=False)
+def test_verification_matches_box_path(case, seed, whole, with_socle):
+    # a family file, read back: a whole family over a random set of maximal
+    # conjugates (none, some or all of them, so it may not cover S), or the
+    # constructive family over random maximal classes with some lines
+    # dropped (cosets missing) and lines of other classes' conjugates
+    # added; the socle lines kept or dropped
     from wreathcover.pipelines import descriptor_lines, parse_descriptor_lines
 
+    group, m = case
     cg = load_group(group)
     rng = np.random.default_rng(seed)
     classes = cg.maximal_classes
-    picked = [cls for cls in classes if rng.random() < 0.5] or classes[:1]
-    family = product_type_family([M for cls in picked for M in cls.conjugates], 2)
-    lines = descriptor_lines(cg, family, [2])
-    drop = rng.choice([0.0, 0.01, 0.1])
-    lines = [line for line in lines if line.startswith("socle") or rng.random() >= drop]
-    extra = product_type_family([M for cls in classes for M in cls.conjugates], 2)
-    lines += rng.choice(descriptor_lines(cg, extra, []), size=int(rng.integers(0, 4))).tolist()
+    if whole:
+        keep = rng.choice([0.0, 0.5, 0.9, 1.0])
+        picked = [M for cls in classes for M in cls.conjugates if rng.random() < keep]
+        lines = descriptor_lines(cg, product_type_family(picked, m), prime_factors(m))
+    else:
+        picked = [cls for cls in classes if rng.random() < 0.5] or classes[:1]
+        family = product_type_family([M for cls in picked for M in cls.conjugates], m)
+        lines = descriptor_lines(cg, family, prime_factors(m))
+        drop = rng.choice([0.0, 0.01, 0.1])
+        lines = [line for line in lines if line.startswith("socle") or rng.random() >= drop]
+        extra = product_type_family([M for cls in classes for M in cls.conjugates], m)
+        lines += rng.choice(descriptor_lines(cg, extra, []), size=int(rng.integers(0, 4))).tolist()
     if not with_socle:
         lines = [line for line in lines if not line.startswith("socle")]
-    family, socle = parse_descriptor_lines(cg, list(dict.fromkeys(lines)), 2)
-    ctx = WreathContext(cg.table, 2)
+    family, socle = parse_descriptor_lines(cg, list(dict.fromkeys(lines)), m)
+    ctx = WreathContext(cg.table, m)
     assert verify_wreath_cover(ctx, family, socle) == _verify_boxes(ctx, family, socle)
-
-
-def _twisted_layer_by_columns(family, n):
-    """``twisted_layer``'s reference: the rows grouped by ``np.unique``
-    over their whole int64 weight columns, and the counts an int64
-    product."""
-    minima = family.minima.reshape(-1, n).astype(np.int64)
-    held = np.bincount(
-        family.owner * n + minima[family.owner, family.cosets[:, 0]], minlength=minima.size
-    )
-    weights = np.take_along_axis(held.reshape(minima.shape), minima, axis=1)
-    groups, rows = np.unique(weights, axis=1, return_index=True)
-    return weights, rows, groups.T @ (minima == 0)
-
-
-@pytest.mark.parametrize("group, draws", [("A6", 8), ("PSL(2,7)", 8), ("PSL(2,13)", 1)])
-def test_twisted_layer_matches_column_grouping(group, draws):
-    # random partial maximal families (a share of the members kept), and
-    # the whole family, which takes the path without grouping
-    cg = load_group(group)
-    n = cg.table.order
-    whole = product_type_family([M for cls in cg.maximal_classes for M in cls.conjugates], 2)
-    rng = np.random.default_rng(n)
-    shares = [1.0, *rng.choice([0.05, 0.3, 0.7, 0.99], size=draws)]
-    for share in shares:
-        family = take(whole, np.flatnonzero(rng.random(whole.owner.shape[0]) < share))
-        got, expect = twisted_layer(family, n), _twisted_layer_by_columns(family, n)
-        for a, b in zip(got, expect):
-            assert a.dtype == b.dtype and np.array_equal(a, b), share
